@@ -462,7 +462,7 @@ pub fn cmd_cluster(
     let objective = pbc_cluster::Objective::parse(objective_name)?;
     let tenants = tenant_spec.map(pbc_cluster::TenantSet::parse).transpose()?;
     let mut coordinator =
-        pbc_cluster::ClusterCoordinator::new(fleet, global)?.with_objective(objective);
+        pbc_cluster::FleetCoordinator::new(fleet, global)?.with_objective(objective);
     if let Some(set) = tenants {
         coordinator = coordinator.with_tenants(set);
     }

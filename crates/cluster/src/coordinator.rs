@@ -12,15 +12,18 @@
 //! The dynamic mode ([`FleetCoordinator::step`]) runs the full failure
 //! pipeline each epoch:
 //!
-//! 1. **Faults roll** from the armed [`FleetFaultPlan`] — crashes,
-//!    stragglers, write outages — each from a fresh `XorShift64Star`
-//!    keyed `(seed, tick, stream, node)`
+//! 1. **Faults roll** from the armed [`FleetFaultPlan`]: one pass over
+//!    the nodes advances each one's crash, straggle and write-outage
+//!    [`pbc_faults::Episodes`], one pass over the tenants their spikes
+//!    and noisy stretches. Every draw comes from a fresh
+//!    `XorShift64Star` keyed `(seed, tick, stream, key)`
 //!    ([`pbc_faults::inject::decision_rng`]), never shared state, so a
 //!    chaos run is bit-identical under any `PBC_THREADS`.
 //! 2. **Reports arrive** (or don't): every node's observation of the
-//!    previous epoch passes the same validation gate
-//!    `OnlineCoordinator` applies — non-finite, out-of-range, and
-//!    stale-cap rejection — before it may steer the partition.
+//!    previous epoch passes the report gate, shared with
+//!    `OnlineCoordinator` rather than mirrored ([`check_report`]:
+//!    non-finite, out-of-range, and stale-cap rejection), before it may
+//!    steer the partition.
 //! 3. **Health updates**: verdicts drive the per-node Healthy →
 //!    Suspect → Quarantined → Rejoining machine ([`crate::health`]).
 //! 4. **Mode decides**: a coordinator outage, a timed-out previous
@@ -31,8 +34,8 @@
 //!    with Quarantined/Rejoining nodes reserved at their class floors
 //!    and Suspects capped at their standing grant (no raises on
 //!    untrusted telemetry).
-//! 6. **Enforcement lands**, decreases first, each write supervised by
-//!    a [`RetryPolicy`] under a per-round attempt deadline: watts freed
+//! 6. **Enforcement lands**, decreases first, each write given up to
+//!    four attempts under a per-round attempt deadline: watts freed
 //!    by confirmed lowerings (and by dead nodes) fund the raises; a
 //!    failed lowering keeps its watts reserved; a blown deadline ends
 //!    the round and degrades the next epoch. The pot for raises only
@@ -45,18 +48,15 @@ use crate::fleet::Fleet;
 use crate::health::{HealthConfig, HealthCounts, HealthTracker, NodeHealth, ReportVerdict};
 use crate::partition::{fill_shares, uniform_split, NodeCurve, Objective, DEFAULT_GRANT};
 use crate::tenant::{jain_index, TenantSet};
-use pbc_faults::inject::{decision_rng, write_key};
-use pbc_faults::{FaultClock, FleetFaultPlan};
+use pbc_core::{check_report, ObservationOutcome, OnlineConfig};
+use pbc_faults::inject::{decision_rng, write_key, GOLDEN};
+use pbc_faults::{Edge, FaultClock, FleetFaultPlan};
 use pbc_par::Pool;
 use pbc_powersim::SolveMemo;
-use pbc_rapl::RetryPolicy;
 use pbc_trace::names;
-use pbc_types::{PbcError, PowerAllocation, Result, Watts, CAP_QUANTUM};
+use pbc_types::{PbcError, PowerAllocation, Result, Watts};
 use std::sync::{Arc, Mutex};
 
-/// Weyl-ish odd constant spreading ticks across the seed space (the
-/// same one `pbc_faults::inject` uses, so cluster draws mix as well).
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Stream constant for node crash/rejoin decisions.
 const STREAM_NODE: u64 = 0x5EED_0011;
 /// Stream constant for cap-write fault decisions.
@@ -73,13 +73,9 @@ const STREAM_TENANT_SPIKE: u64 = 0x5EED_0016;
 const STREAM_TENANT_NOISY: u64 = 0x5EED_0017;
 /// Watt slack below which a cap move is not worth a write.
 const EPS_W: f64 = 1e-6;
-/// Reported throughput surrogates above this are sensor garbage — the
-/// same bar `OnlineConfig::max_credible_perf` defaults to.
-const MAX_CREDIBLE_PERF: f64 = 8.0;
-/// How far a reported cap may sit from the cap we enforced before the
-/// report is judged stale (one enforcement quantum, as in
-/// `pbc_core::online`).
-const STALE_CAP_TOLERANCE: f64 = CAP_QUANTUM;
+/// Tries each cap write gets before it counts as failed (retries do not
+/// back off, so fault storms replay at full speed).
+const WRITE_ATTEMPTS: u32 = 4;
 
 /// Where a node's cap writes land. The simulated chaos runs wire this
 /// to a mock RAPL sysfs tree so "enforced" means a real file changed;
@@ -264,7 +260,6 @@ pub struct FleetCoordinator {
     grant: Watts,
     plan: FleetFaultPlan,
     clock: FaultClock,
-    retry: RetryPolicy,
     health: HealthTracker,
     fallback: StaticFallback,
     /// Cap currently enforced on each node (starts at zero: nothing has
@@ -286,6 +281,9 @@ pub struct FleetCoordinator {
     /// The previous enforcement round blew its deadline; this epoch
     /// must run degraded.
     prev_round_timed_out: bool,
+    /// Leak-audit failures of this coordinator's rounds (the global
+    /// `health.quarantine_leaks` counter sums every coordinator's).
+    leaks: usize,
     sink: Option<Box<dyn CapSink + Send>>,
     /// What the partitioner optimizes (throughput water-fill by
     /// default; max-min or weighted shares for multi-tenant fleets).
@@ -297,9 +295,6 @@ pub struct FleetCoordinator {
     /// `Some(t)` when the tenant hogs as a noisy neighbor until `t`.
     tenant_noisy_until: Vec<Option<usize>>,
 }
-
-/// The historical name, kept alive for callers from the pre-health era.
-pub type ClusterCoordinator = FleetCoordinator;
 
 impl std::fmt::Debug for FleetCoordinator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -342,7 +337,6 @@ impl FleetCoordinator {
             grant: DEFAULT_GRANT,
             plan: FleetFaultPlan::calm(0),
             clock: FaultClock::new(),
-            retry: RetryPolicy::no_backoff(),
             health: HealthTracker::new(n, HealthConfig::default()),
             fallback,
             enforced: vec![Watts::ZERO; n],
@@ -353,6 +347,7 @@ impl FleetCoordinator {
             straggle_until: vec![None; n],
             write_outage_until: vec![None; n],
             prev_round_timed_out: false,
+            leaks: 0,
             sink: None,
             objective: Objective::Throughput,
             tenants: None,
@@ -368,22 +363,6 @@ impl FleetCoordinator {
         plan.validate()?;
         self.plan = plan;
         Ok(self)
-    }
-
-    /// Override the per-write retry policy (defaults to
-    /// [`RetryPolicy::no_backoff`], so fault storms replay at full
-    /// speed).
-    #[must_use = "the configured coordinator is returned by value"]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = RetryPolicy { max_attempts: retry.max_attempts.max(1), ..retry };
-        self
-    }
-
-    /// Override the health thresholds.
-    #[must_use = "the configured coordinator is returned by value"]
-    pub fn with_health_config(mut self, config: HealthConfig) -> Self {
-        self.health = HealthTracker::new(self.fleet.len(), config);
-        self
     }
 
     /// Land every successful cap write in `sink` as well (e.g. a mock
@@ -439,12 +418,6 @@ impl FleetCoordinator {
     #[must_use]
     pub fn global_budget(&self) -> Watts {
         self.global
-    }
-
-    /// The node health tracker.
-    #[must_use]
-    pub fn health(&self) -> &HealthTracker {
-        &self.health
     }
 
     /// The precomputed degraded-mode partition.
@@ -534,14 +507,8 @@ impl FleetCoordinator {
     /// saturated ones — the gap the experiments measure.
     #[must_use = "the decision result carries either the partition or the failure"]
     pub fn uniform_decision(&self) -> Result<ClusterDecision> {
-        self.uniform_decision_with_pool(Pool::global())
-    }
-
-    /// [`FleetCoordinator::uniform_decision`] on an explicit pool.
-    #[must_use = "the decision result carries either the partition or the failure"]
-    pub fn uniform_decision_with_pool(&self, pool: &Pool) -> Result<ClusterDecision> {
         let shares = uniform_split(self.fleet.len(), self.global);
-        evaluate(&self.fleet, &shares, &vec![false; self.fleet.len()], pool)
+        evaluate(&self.fleet, &shares, &vec![false; self.fleet.len()], Pool::global())
     }
 
     /// The oracle aggregate at the water-filled shares: what the
@@ -582,10 +549,8 @@ impl FleetCoordinator {
             }
         }
 
-        let (dropped, recovered) = self.roll_membership(tick);
-        self.roll_stragglers(tick);
-        self.roll_write_outages(tick);
-        let (tenant_spikes, tenant_noisy) = self.roll_tenant_demand(tick);
+        let (dropped, recovered) = self.roll_nodes(tick);
+        let (tenant_spikes, tenant_noisy) = self.roll_tenants(tick);
         let down: Vec<bool> = self.down_until.iter().map(Option::is_some).collect();
         let up = down.iter().filter(|d| !**d).count();
 
@@ -715,7 +680,7 @@ impl FleetCoordinator {
         let n = self.fleet.len();
         let quiet = self.plan.quiet_after();
         let tally_before = self.health.tally();
-        let leaks_before = pbc_trace::counter(names::HEALTH_QUARANTINE_LEAKS).get();
+        let leaks_before = self.leaks;
         let mut report = ClusterReport {
             min_nodes_up: n,
             min_tenant_jain: 1.0,
@@ -760,8 +725,7 @@ impl FleetCoordinator {
         let tally = self.health.tally();
         report.quarantines = tally.quarantines - tally_before.quarantines;
         report.rejoins = tally.rejoins - tally_before.rejoins;
-        report.quarantine_leaks = (pbc_trace::counter(names::HEALTH_QUARANTINE_LEAKS).get()
-            - leaks_before) as usize;
+        report.quarantine_leaks = self.leaks - leaks_before;
         if report.epochs > 0 {
             report.mean_aggregate = report.work_done / report.epochs as f64;
             report.availability = healthy_node_epochs as f64 / (report.epochs * n.max(1)) as f64;
@@ -780,94 +744,58 @@ impl FleetCoordinator {
             .collect()
     }
 
-    /// Crash/rejoin decisions for this tick. Each node draws from a
-    /// fresh generator keyed `(seed, tick, STREAM_NODE, node)` — the
-    /// inject.rs contract — so membership replays bit-identically.
-    fn roll_membership(&mut self, tick: usize) -> (usize, usize) {
+    /// Advance every node's crash, straggle and write-outage episode
+    /// to `tick`. Returns `(dropped, recovered)` counts.
+    fn roll_nodes(&mut self, tick: usize) -> (usize, usize) {
+        let (seed, nodes, outage) = (self.plan.seed, self.plan.nodes, self.plan.writes.outage);
         let mut dropped = 0;
         let mut recovered = 0;
-        for i in 0..self.down_until.len() {
-            if let Some(until) = self.down_until[i] {
-                if tick >= until {
-                    self.down_until[i] = None;
-                    recovered += 1;
-                    pbc_trace::counter(names::CLUSTER_RECOVERIES).incr();
-                }
-                continue;
-            }
-            let faults = &self.plan.nodes;
-            if faults.crash_prob > 0.0 && faults.crash_window.active(tick) {
-                let mut rng = decision_rng(self.plan.seed, tick, STREAM_NODE, i as u64);
-                if rng.next_f64() < faults.crash_prob {
-                    self.down_until[i] = Some(tick + faults.outage_epochs.max(1));
+        for i in 0..self.fleet.len() {
+            let key = i as u64;
+            match nodes.crash.advance(&mut self.down_until[i], seed, tick, STREAM_NODE, key) {
+                Edge::Started => {
                     dropped += 1;
                     pbc_trace::counter(names::CLUSTER_DROPOUTS).incr();
                 }
+                Edge::Ended => {
+                    recovered += 1;
+                    pbc_trace::counter(names::CLUSTER_RECOVERIES).incr();
+                }
+                Edge::Steady => {}
             }
+            // Stragglers start only on nodes that are up; a running
+            // straggle still expires while its node is down.
+            if self.down_until[i].is_none() || self.straggle_until[i].is_some() {
+                let until = &mut self.straggle_until[i];
+                let _ = nodes.straggle.advance(until, seed, tick, STREAM_STRAGGLE, key);
+            }
+            let until = &mut self.write_outage_until[i];
+            let _ = outage.advance(until, seed, tick, STREAM_WRITE_OUTAGE, key);
         }
         (dropped, recovered)
     }
 
-    /// Straggler onset/expiry for this tick. A down node cannot also
-    /// straggle; a straggler that crashes stays down-dominated.
-    fn roll_stragglers(&mut self, tick: usize) {
-        let faults = self.plan.nodes;
-        for i in 0..self.straggle_until.len() {
-            if let Some(until) = self.straggle_until[i] {
-                if tick >= until {
-                    self.straggle_until[i] = None;
-                }
-                continue;
-            }
-            if faults.straggler_prob > 0.0
-                && faults.straggler_window.active(tick)
-                && self.down_until[i].is_none()
-            {
-                let mut rng = decision_rng(self.plan.seed, tick, STREAM_STRAGGLE, i as u64);
-                if rng.next_f64() < faults.straggler_prob {
-                    self.straggle_until[i] = Some(tick + faults.straggle_epochs.max(1));
-                }
-            }
-        }
-    }
-
-    /// Tenant demand-spike and noisy-neighbor onset/expiry for this
-    /// tick. Inert without tenants: no draws, so single-tenant runs
-    /// replay exactly as before tenancy existed. Returns `(spikes,
-    /// noisy)` onset counts.
-    fn roll_tenant_demand(&mut self, tick: usize) -> (usize, usize) {
+    /// Advance every tenant's demand-spike and noisy-neighbor episode
+    /// to `tick`. Inert without tenants: no draws, so untenanted runs
+    /// replay exactly. Returns `(spikes, noisy)` onset counts.
+    fn roll_tenants(&mut self, tick: usize) -> (usize, usize) {
         if self.tenants.is_none() {
             return (0, 0);
         }
-        let faults = self.plan.tenants;
+        let (seed, faults) = (self.plan.seed, self.plan.tenants);
         let mut spikes = 0;
         let mut noisy = 0;
         for t in 0..self.tenant_spike_until.len() {
-            match self.tenant_spike_until[t] {
-                Some(until) if tick >= until => self.tenant_spike_until[t] = None,
-                Some(_) => {}
-                None if faults.spike_prob > 0.0 && faults.spike_window.active(tick) => {
-                    let mut rng = decision_rng(self.plan.seed, tick, STREAM_TENANT_SPIKE, t as u64);
-                    if rng.next_f64() < faults.spike_prob {
-                        self.tenant_spike_until[t] = Some(tick + faults.spike_epochs.max(1));
-                        spikes += 1;
-                        pbc_trace::counter(names::CLUSTER_TENANT_SPIKES).incr();
-                    }
-                }
-                None => {}
+            let key = t as u64;
+            let spike = &mut self.tenant_spike_until[t];
+            if faults.spike.advance(spike, seed, tick, STREAM_TENANT_SPIKE, key) == Edge::Started {
+                spikes += 1;
+                pbc_trace::counter(names::CLUSTER_TENANT_SPIKES).incr();
             }
-            match self.tenant_noisy_until[t] {
-                Some(until) if tick >= until => self.tenant_noisy_until[t] = None,
-                Some(_) => {}
-                None if faults.noisy_prob > 0.0 && faults.noisy_window.active(tick) => {
-                    let mut rng = decision_rng(self.plan.seed, tick, STREAM_TENANT_NOISY, t as u64);
-                    if rng.next_f64() < faults.noisy_prob {
-                        self.tenant_noisy_until[t] = Some(tick + faults.noisy_epochs.max(1));
-                        noisy += 1;
-                        pbc_trace::counter(names::CLUSTER_TENANT_NOISY).incr();
-                    }
-                }
-                None => {}
+            let hog = &mut self.tenant_noisy_until[t];
+            if faults.noisy.advance(hog, seed, tick, STREAM_TENANT_NOISY, key) == Edge::Started {
+                noisy += 1;
+                pbc_trace::counter(names::CLUSTER_TENANT_NOISY).incr();
             }
         }
         (spikes, noisy)
@@ -878,37 +806,12 @@ impl FleetCoordinator {
     /// an event is active.
     fn tenant_demand(&self) -> Vec<f64> {
         let faults = self.plan.tenants;
-        (0..self.tenant_spike_until.len())
-            .map(|t| {
-                let mut d = 1.0f64;
-                if self.tenant_spike_until[t].is_some() {
-                    d = d.max(faults.spike_factor);
-                }
-                if self.tenant_noisy_until[t].is_some() {
-                    d = d.max(faults.noisy_factor);
-                }
-                d
-            })
+        let factor = |until: &Option<usize>, f: f64| if until.is_some() { f } else { 1.0 };
+        self.tenant_spike_until
+            .iter()
+            .zip(&self.tenant_noisy_until)
+            .map(|(s, n)| factor(s, faults.spike_factor).max(factor(n, faults.noisy_factor)))
             .collect()
-    }
-
-    /// Per-node cap-write-path outage onset/expiry for this tick.
-    fn roll_write_outages(&mut self, tick: usize) {
-        let faults = self.plan.writes;
-        for i in 0..self.write_outage_until.len() {
-            if let Some(until) = self.write_outage_until[i] {
-                if tick >= until {
-                    self.write_outage_until[i] = None;
-                }
-                continue;
-            }
-            if faults.outage_prob > 0.0 && faults.outage_window.active(tick) {
-                let mut rng = decision_rng(self.plan.seed, tick, STREAM_WRITE_OUTAGE, i as u64);
-                if rng.next_f64() < faults.outage_prob {
-                    self.write_outage_until[i] = Some(tick + faults.outage_epochs.max(1));
-                }
-            }
-        }
     }
 
     /// Simulate, validate, and ingest every node's observation report.
@@ -940,8 +843,7 @@ impl FleetCoordinator {
     }
 
     /// One node's report for this epoch, faults applied, then passed
-    /// through the same validation gate `OnlineCoordinator` applies to
-    /// observations: non-finite, out-of-range, and stale-cap rejection.
+    /// through the report gate `OnlineCoordinator` uses.
     fn node_report_verdict(
         &self,
         tick: usize,
@@ -979,17 +881,11 @@ impl FleetCoordinator {
                 }
             }
         }
-        // The validation gate (mirrors `OnlineCoordinator::validate`).
-        if !perf.is_finite() || perf < 0.0 {
-            return ReportVerdict::Rejected;
+        let max_perf = OnlineConfig::default().max_credible_perf;
+        match check_report(perf, max_perf, &[cap], &[(cap, prev_enforced[node])]) {
+            ObservationOutcome::Used => ReportVerdict::Accepted,
+            _ => ReportVerdict::Rejected,
         }
-        if perf > MAX_CREDIBLE_PERF || !cap.is_valid() {
-            return ReportVerdict::Rejected;
-        }
-        if (cap - prev_enforced[node]).abs().value() > STALE_CAP_TOLERANCE {
-            return ReportVerdict::Rejected;
-        }
-        ReportVerdict::Accepted
     }
 
     /// Water-fill targets over the trusted membership. Healthy and
@@ -1095,10 +991,10 @@ impl FleetCoordinator {
     fn enforce_supervised(&mut self, tick: usize, targets: &[Watts], down: &[bool]) -> WriteStats {
         let n = targets.len();
         let mut stats = WriteStats::default();
-        // The round's write-attempt deadline: enough for every node's
-        // write to retry once on average. A fault storm that needs more
-        // is a timed-out round, not a wedged fleet.
-        let mut attempts_left = n * (self.retry.max_attempts as usize).max(1);
+        // The round's write-attempt deadline: every node's full
+        // `WRITE_ATTEMPTS`, shared across the round. A fault storm that
+        // needs more is a timed-out round, not a wedged fleet.
+        let mut attempts_left = n * WRITE_ATTEMPTS as usize;
 
         // Phase 1: releases.
         for i in 0..n {
@@ -1145,12 +1041,13 @@ impl FleetCoordinator {
         // confirmed decreases legitimately left. Structurally zero —
         // the counter is the exported proof.
         if raised.value() > pot_legit.value() + EPS_W {
+            self.leaks += 1;
             pbc_trace::counter(names::HEALTH_QUARANTINE_LEAKS).incr();
         }
         stats
     }
 
-    /// One supervised cap write: up to `max_attempts` tries against the
+    /// One supervised cap write: up to `WRITE_ATTEMPTS` tries against the
     /// plan's fault draw (and the sink, when armed), spending from the
     /// round's shared attempt budget. Returns `true` when the write
     /// landed.
@@ -1162,7 +1059,7 @@ impl FleetCoordinator {
         attempts_left: &mut usize,
         stats: &mut WriteStats,
     ) -> bool {
-        for attempt in 0..self.retry.max_attempts.max(1) {
+        for attempt in 0..WRITE_ATTEMPTS {
             if *attempts_left == 0 {
                 stats.timed_out = true;
                 return false;
@@ -1171,10 +1068,6 @@ impl FleetCoordinator {
             if attempt > 0 {
                 stats.retries += 1;
                 pbc_trace::counter(names::CLUSTER_WRITE_RETRIES).incr();
-                let ms = self.retry.backoff_ms(attempt - 1);
-                if ms > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(ms));
-                }
             }
             if self.write_attempt_fails(tick, node, target, attempt) {
                 continue;
@@ -1503,6 +1396,33 @@ mod tests {
         assert_eq!(a.work_done, b.work_done, "a lone tenant owns every watt the node gets");
         assert_eq!(b.tenant_floor_violations, 0);
         assert!((b.min_tenant_jain - 1.0).abs() < 1e-12, "one tenant is perfectly fair");
+    }
+
+    /// Bumps the process-global leak counter on every write, the way
+    /// another coordinator's audit in the same process would.
+    struct LeakingNeighbor;
+
+    impl CapSink for LeakingNeighbor {
+        fn write_cap(&mut self, _node: usize, _cap: Watts) -> Result<()> {
+            pbc_trace::counter(names::HEALTH_QUARANTINE_LEAKS).incr();
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn quarantine_leaks_are_counted_per_coordinator() {
+        let fleet = mixed_fleet();
+        let global = fleet.min_total_power() + Watts::new(150.0);
+        let mut coord = FleetCoordinator::new(fleet, global)
+            .unwrap()
+            .with_plan(FleetFaultPlan::everything(7))
+            .unwrap()
+            .with_cap_sink(Box::new(LeakingNeighbor));
+        let before = pbc_trace::counter(names::HEALTH_QUARANTINE_LEAKS).get();
+        let report = coord.run(12).unwrap();
+        assert!(pbc_trace::counter(names::HEALTH_QUARANTINE_LEAKS).get() > before);
+        assert_eq!(report.quarantine_leaks, 0, "another writer's leaks are not this run's");
+        assert!(report.survived());
     }
 
     #[test]

@@ -223,12 +223,6 @@ impl HealthTracker {
         self.states.is_empty()
     }
 
-    /// True when every node is Healthy.
-    #[must_use]
-    pub fn all_healthy(&self) -> bool {
-        self.states.iter().all(|s| *s == NodeHealth::Healthy)
-    }
-
     /// Census of the current states.
     #[must_use]
     pub fn counts(&self) -> HealthCounts {
@@ -332,7 +326,6 @@ mod tests {
         assert_eq!(c.suspect, 1);
         assert_eq!(c.quarantined, 1);
         assert_eq!(c.rejoining, 1);
-        assert!(!t.all_healthy());
         assert_eq!(t.len(), 4);
     }
 

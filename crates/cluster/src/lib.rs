@@ -50,9 +50,7 @@ pub mod partition;
 pub mod tenant;
 
 pub use chaos::{run_cluster_chaos, run_cluster_chaos_with, ClusterChaosReport};
-pub use coordinator::{
-    CapSink, ClusterCoordinator, ClusterDecision, ClusterReport, EpochReport, FleetCoordinator,
-};
+pub use coordinator::{CapSink, ClusterDecision, ClusterReport, EpochReport, FleetCoordinator};
 pub use curve::{node_ceiling, node_floor, PerfCurve, SAMPLE_STEP};
 pub use degrade::StaticFallback;
 pub use fleet::{parse_spec, ClassCoord, Fleet, NodeClass, SpecLine};

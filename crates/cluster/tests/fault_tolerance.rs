@@ -17,7 +17,9 @@ use pbc_cluster::{
     run_cluster_chaos, run_cluster_chaos_with, Fleet, FleetCoordinator, Objective, SpecLine,
     StaticFallback, TenantSet,
 };
-use pbc_faults::{BudgetStep, FaultWindow, FleetFaultPlan, FleetWriteFaults, NodeFaults};
+use pbc_faults::{
+    BudgetStep, Episodes, FaultWindow, FleetFaultPlan, FleetWriteFaults, NodeFaults,
+};
 use pbc_trace::json::{self, Value};
 use pbc_trace::names;
 use pbc_types::{Watts, XorShift64Star};
@@ -154,9 +156,7 @@ fn budget_cut_during_inflight_quarantine_reclaim_never_overdraws() {
             name: "cut-under-churn",
             seed,
             nodes: NodeFaults {
-                crash_prob: 0.15,
-                crash_window: FaultWindow::new(2, 20),
-                outage_epochs: 6,
+                crash: Episodes { prob: 0.15, window: FaultWindow::new(2, 20), epochs: 6 },
                 ..NodeFaults::NONE
             },
             writes: FleetWriteFaults {

@@ -11,7 +11,7 @@
 //!   mutating `PBC_THREADS`, which is process-global.
 
 use pbc_cluster::{
-    fill_shares, parse_spec, water_fill, ClusterCoordinator, Fleet, NodeCurve, Objective,
+    fill_shares, parse_spec, water_fill, Fleet, FleetCoordinator, NodeCurve, Objective,
     PerfCurve, DEFAULT_GRANT,
 };
 use pbc_par::Pool;
@@ -125,7 +125,7 @@ fn cluster_decisions_are_bit_identical_across_thread_counts() {
         let pool = Pool::new(threads);
         let fleet = mixed_fleet(&pool);
         let global = fleet.min_total_power() + Watts::new(200.0);
-        let coord = ClusterCoordinator::new(fleet, global).unwrap();
+        let coord = FleetCoordinator::new(fleet, global).unwrap();
         let d = coord.coordinate_with_pool(&pool).unwrap();
         let shares: Vec<u64> = d.shares.iter().map(|s| s.value().to_bits()).collect();
         let perfs: Vec<u64> = d.perfs.iter().map(|p| p.to_bits()).collect();

@@ -15,7 +15,6 @@ use pbc_types::{Domain, PowerAllocation, Result, Watts};
 /// optimum. For the steady-state serving path that answers the same
 /// question by interpolation, see [`crate::fastpath::CurveTable`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CurvePoint {
     /// The total budget.
     pub budget: Watts,
@@ -120,7 +119,6 @@ pub fn critical_component(
 /// A row of the paper's Table 1: for a budget regime, which scenarios are
 /// valid, where the optimum sits, and which component is critical.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Table1Row {
     /// The representative budget evaluated.
     pub budget: Watts,
@@ -198,7 +196,6 @@ pub fn table1(
 /// One point of the Fig. 5 balance view: component capacities (best rate
 /// the cap could buy) and utilizations (achieved over capacity).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BalancePoint {
     /// The allocation examined.
     pub alloc: PowerAllocation,

@@ -11,7 +11,6 @@ use std::fmt;
 
 /// The allocation policies evaluated in the paper's Fig. 9.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Baseline {
     /// The paper's COORD heuristic (Algorithm 1 / 2).
     Coord,

@@ -25,7 +25,6 @@ use pbc_types::{PbcError, PowerAllocation, Result, Watts};
 
 /// Outcome status of a COORD decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CoordStatus {
     /// The budget was allocated normally.
     Success,
@@ -36,7 +35,6 @@ pub enum CoordStatus {
 
 /// A COORD allocation decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CoordResult {
     /// The chosen allocation.
     pub alloc: PowerAllocation,
@@ -111,7 +109,6 @@ pub fn coord_cpu(budget: Watts, c: &CriticalPowers) -> Result<CoordResult> {
 
 /// The per-application and per-card parameters Algorithm 2 consumes.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GpuCoordParams {
     /// `P_tot_max`: total card power with no cap imposed (the
     /// application's maximum demand). A value close to the hardware

@@ -28,7 +28,6 @@ use pbc_types::{PowerAllocation, Watts};
 /// The seven §5.1 critical power values for one workload on one host
 /// platform.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CriticalPowers {
     /// `P_cpu,L1`: maximum processor power demand.
     pub cpu_l1: Watts,

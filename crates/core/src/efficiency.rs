@@ -20,7 +20,6 @@ use pbc_types::{Result, Watts};
 
 /// Efficiency of the *best* allocation at one budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EfficiencyPoint {
     /// The budget examined.
     pub budget: Watts,
@@ -68,7 +67,6 @@ pub fn efficiency_curve(
 
 /// Why a budget is (un)acceptable, per the paper's scheduling guidance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BudgetVerdict {
     /// Below the productive threshold: reject, or merge the watts into a
     /// running job / return them upstream.
@@ -83,7 +81,6 @@ pub enum BudgetVerdict {
 /// The §2.1-RQ4 acceptable band for a workload, straight from its critical
 /// power values.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AcceptableRange {
     /// Lower edge: the productive threshold `L2c + L2m`.
     pub min: Watts,

@@ -420,12 +420,6 @@ impl WarmOracle {
     pub fn reset(&mut self) {
         self.last = None;
     }
-
-    /// The previous solve's optimum, if any.
-    #[must_use]
-    pub fn last_best(&self) -> Option<SweepPoint> {
-        self.last
-    }
 }
 
 fn problem_proc_range(platform: &Platform) -> (Watts, Watts) {

@@ -57,7 +57,6 @@ impl HybridWorkload {
 
 /// The hybrid node's operating point for one host/card budget split.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HybridPoint {
     /// Budget given to the host (CPU + DRAM together).
     pub host_budget: Watts,

@@ -29,7 +29,6 @@
 //! | [`baselines`]| §6.3 | Memory-first, CPU-first, even-split, proportional, Nvidia-default, oracle |
 //! | [`analysis`]| §3.1, §3.4, Table 1 | `perf_max ~ P_b` curves, inflections, critical component, balance/utilization |
 //! | [`efficiency`]| §2.1 RQ4 | acceptable budget bands, perf-per-watt curves, stranded power |
-//! | [`schedule`] | §8 | a power-pool scheduler built on COORD (the "upper level" the conclusion calls for) |
 //! | [`online`]   | §5 future work | model-free feedback coordinator (online dynamic budgeting) |
 //! | [`fastpath`] | §5 future work | steady-state serving: warm-start re-solves, lock-free curve tables, batched queries |
 //! | [`model`]    | §7 (vs [34]) | closed-form piecewise performance predictor from critical values |
@@ -48,7 +47,6 @@ pub mod problem;
 pub mod profile;
 pub mod profile_io;
 pub mod report;
-pub mod schedule;
 pub mod scenario;
 pub mod sweep;
 
@@ -63,12 +61,11 @@ pub use fastpath::{
 };
 pub use hybrid::{coordinate_hybrid, solve_hybrid_split, HybridPoint, HybridWorkload};
 pub use model::PiecewiseModel;
-pub use online::{BudgetOutcome, ObservationOutcome, OnlineConfig, OnlineCoordinator};
+pub use online::{check_report, BudgetOutcome, ObservationOutcome, OnlineConfig, OnlineCoordinator};
 pub use problem::PowerBoundedProblem;
 pub use profile::{SweepPoint, SweepProfile};
 pub use profile_io::{from_csv as profile_from_csv, load as load_profile, save as save_profile, to_csv as profile_to_csv};
 pub use report::workload_report;
-pub use schedule::{aggregate_throughput, schedule_jobs, Job, JobOutcome, PowerPool, ScheduledJob};
 pub use scenario::{classify_cpu_point, classify_gpu_point, cpu_scenario_spans, CpuScenario, GpuCategory};
 pub use sweep::{
     sweep_budget, sweep_budget_with_pool, sweep_curve, sweep_curve_with_pool, sweep_space,

@@ -25,7 +25,6 @@ use pbc_types::{PowerAllocation, Watts};
 /// How strongly the workload's throughput follows each component —
 /// derived from where its critical values sit.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PiecewiseModel {
     criticals: CriticalPowers,
     /// Fraction of performance governed by the processor side (0 = pure

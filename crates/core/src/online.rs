@@ -23,19 +23,16 @@ use pbc_trace::names;
 use pbc_types::{PowerAllocation, Watts, CAP_QUANTUM};
 use std::sync::Arc;
 
-/// How far an observed component cap may sit from the issued probe
-/// before the sample is judged stale. The enforcement layer writes RAPL
-/// limits as integer microwatts ([`CAP_QUANTUM`]), so a faithfully
-/// enforced cap can still read back up to one quantum off the request;
-/// anything wider means the node is running on different caps than the
-/// probe asked for. An ad-hoc `1e-6` used to live here — numerically the
-/// same width, but only by coincidence; deriving it from the quantum
-/// keeps the tolerance honest if the enforcement granularity changes.
+/// How far a reported cap may sit from the cap that was issued before
+/// [`check_report`] judges the report stale. The enforcement layer
+/// writes RAPL limits as integer microwatts ([`CAP_QUANTUM`]), so a
+/// faithfully enforced cap can still read back up to one quantum off
+/// the request; anything wider means the node is running on different
+/// caps than were asked for.
 const STALE_CAP_TOLERANCE: f64 = CAP_QUANTUM;
 
 /// Tuning knobs for the online coordinator.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OnlineConfig {
     /// Watts moved per accepted step.
     pub step: Watts,
@@ -123,6 +120,32 @@ pub enum ObservationOutcome {
     /// watchdog's patience: the search degraded to the known-safe
     /// fallback allocation and restarted.
     TrippedWatchdog,
+}
+
+/// The report gate both coordinators share. A report passes when its
+/// performance surrogate is finite, non-negative and at most
+/// `max_credible_perf`, every reported power is a valid wattage, and
+/// every `(reported, issued)` cap pair agrees within one enforcement
+/// quantum. The first failing check names the rejection. Nothing is
+/// allocated: `observe` runs this on every sample.
+#[inline]
+#[must_use]
+pub fn check_report(
+    perf: f64,
+    max_credible_perf: f64,
+    powers: &[Watts],
+    caps: &[(Watts, Watts)],
+) -> ObservationOutcome {
+    if !perf.is_finite() || perf < 0.0 {
+        return ObservationOutcome::RejectedNonFinite;
+    }
+    if perf > max_credible_perf || !powers.iter().all(|p| p.is_valid()) {
+        return ObservationOutcome::RejectedOutOfRange;
+    }
+    if caps.iter().any(|&(seen, issued)| (seen - issued).abs().value() > STALE_CAP_TOLERANCE) {
+        return ObservationOutcome::RejectedStale;
+    }
+    ObservationOutcome::Used
 }
 
 /// Where the search currently stands.
@@ -289,64 +312,6 @@ impl OnlineCoordinator {
         BudgetOutcome::Applied
     }
 
-    /// Split a re-negotiated node budget across co-located tenants by
-    /// weight and live demand — the single-node mirror of the cluster
-    /// layer's tenant sub-partition, for callers that drive one
-    /// [`OnlineCoordinator`] per tenant and need the per-tenant budgets
-    /// to hand each one's [`Self::set_budget`].
-    ///
-    /// Each tenant is floored at `weight_i / Σw` of `floor`; the surplus
-    /// above the summed floors is divided in proportion to
-    /// `weight_i × demand_i` (demand multipliers below 1 are clamped to
-    /// the baseline). The returned budgets sum to exactly `budget`.
-    /// Returns `None` when the inputs are unusable: empty or
-    /// length-mismatched slices, non-finite or non-positive weights, or
-    /// a non-finite budget/floor.
-    #[must_use]
-    pub fn demand_weighted_budgets(
-        budget: Watts,
-        floor: Watts,
-        weights: &[f64],
-        demand: &[f64],
-    ) -> Option<Vec<Watts>> {
-        if weights.is_empty()
-            || weights.len() != demand.len()
-            || !budget.value().is_finite()
-            || !floor.value().is_finite()
-            || weights.iter().any(|w| !w.is_finite() || *w <= 0.0)
-            || demand.iter().any(|d| !d.is_finite())
-        {
-            return None;
-        }
-        let total_w: f64 = weights.iter().sum();
-        let floor_base = floor.value().min(budget.value()).max(0.0);
-        let surplus = (budget.value() - floor_base).max(0.0);
-        let pull: Vec<f64> = weights
-            .iter()
-            .zip(demand)
-            .map(|(w, d)| w * d.max(1.0))
-            .collect();
-        let total_pull: f64 = pull.iter().sum();
-        let mut shares: Vec<Watts> = weights
-            .iter()
-            .zip(&pull)
-            .map(|(w, p)| Watts::new(floor_base * (w / total_w) + surplus * (p / total_pull)))
-            .collect();
-        // Float dust lands on the heaviest tenant so the sum is exact.
-        let assigned: f64 = shares.iter().map(|s| s.value()).sum();
-        let heaviest = weights
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)?;
-        // `assigned` differs from the budget only by rounding dust, and
-        // the correction legitimately swings either sign — flooring it
-        // would break exact conservation.
-        // pbc-lint: allow(unchecked-budget-arith)
-        shares[heaviest] += Watts::new(budget.value() - assigned);
-        Some(shares)
-    }
-
     /// The watchdog's escape hatch: abandon the learned split, return to
     /// the initial fraction of the live budget, and restart the search.
     fn fall_back(&mut self) {
@@ -359,26 +324,15 @@ impl OnlineCoordinator {
         pbc_trace::counter(names::ONLINE_FALLBACKS).incr();
     }
 
-    /// Does this operating point pass the physical-plausibility gate?
+    /// Does this operating point pass the report gate for the probe it
+    /// answers?
     fn validate(&self, op: &NodeOperatingPoint, tried: PowerAllocation) -> ObservationOutcome {
-        let perf = op.perf_rel;
-        if !perf.is_finite() || perf < 0.0 {
-            return ObservationOutcome::RejectedNonFinite;
-        }
-        if perf > self.config.max_credible_perf
-            || !op.proc_power.is_valid()
-            || !op.mem_power.is_valid()
-            || op.proc_power.value() < 0.0
-            || op.mem_power.value() < 0.0
-        {
-            return ObservationOutcome::RejectedOutOfRange;
-        }
-        let stale = (op.alloc.proc - tried.proc).abs().value() > STALE_CAP_TOLERANCE
-            || (op.alloc.mem - tried.mem).abs().value() > STALE_CAP_TOLERANCE;
-        if stale {
-            return ObservationOutcome::RejectedStale;
-        }
-        ObservationOutcome::Used
+        check_report(
+            op.perf_rel,
+            self.config.max_credible_perf,
+            &[op.proc_power, op.mem_power],
+            &[(op.alloc.proc, tried.proc), (op.alloc.mem, tried.mem)],
+        )
     }
 
     /// The split to apply for the next epoch.
@@ -524,49 +478,6 @@ mod tests {
     use pbc_powersim::solve;
     use pbc_workloads::by_name;
     use pbc_types::Watts;
-
-    #[test]
-    fn demand_weighted_budgets_conserve_and_respect_floors() {
-        let budget = Watts::new(200.0);
-        let floor = Watts::new(120.0);
-        let weights = [3.0, 2.0, 1.0];
-        // Tenant 2's demand spikes 4x; tenant 1 idles below baseline.
-        let shares =
-            OnlineCoordinator::demand_weighted_budgets(budget, floor, &weights, &[1.0, 0.2, 4.0])
-                .unwrap();
-        let total: f64 = shares.iter().map(|s| s.value()).sum();
-        assert!((total - 200.0).abs() < 1e-9, "shares must sum to the budget, got {total}");
-        for (i, s) in shares.iter().enumerate() {
-            let tenant_floor = 120.0 * weights[i] / 6.0;
-            assert!(
-                s.value() >= tenant_floor - 1e-9,
-                "tenant {i} got {s:?}, floored at {tenant_floor}"
-            );
-        }
-        // The spiking tenant collects more surplus than its calm share.
-        let calm =
-            OnlineCoordinator::demand_weighted_budgets(budget, floor, &weights, &[1.0, 1.0, 1.0])
-                .unwrap();
-        assert!(shares[2] > calm[2], "a 4x demand spike must pull surplus");
-
-        // Unusable inputs are None, not panics.
-        assert!(OnlineCoordinator::demand_weighted_budgets(budget, floor, &[], &[]).is_none());
-        assert!(
-            OnlineCoordinator::demand_weighted_budgets(budget, floor, &[1.0], &[1.0, 2.0])
-                .is_none()
-        );
-        assert!(
-            OnlineCoordinator::demand_weighted_budgets(budget, floor, &[0.0, 1.0], &[1.0, 1.0])
-                .is_none()
-        );
-        assert!(OnlineCoordinator::demand_weighted_budgets(
-            Watts::new(f64::NAN),
-            floor,
-            &[1.0],
-            &[1.0]
-        )
-        .is_none());
-    }
 
     /// Run the coordinator against the simulated node until convergence.
     fn run_online(bench: &str, budget: f64, start_frac: f64) -> (PowerAllocation, f64, usize) {

@@ -10,7 +10,6 @@ use pbc_types::{PowerAllocation, Watts};
 
 /// One allocation's outcome.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SweepPoint {
     /// The allocation applied.
     pub alloc: PowerAllocation,
@@ -20,7 +19,6 @@ pub struct SweepPoint {
 
 /// A full sweep over the allocation space at one total budget.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SweepProfile {
     /// Platform swept on.
     pub platform: PlatformId,

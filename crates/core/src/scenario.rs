@@ -14,7 +14,6 @@ use std::fmt;
 
 /// The six CPU power-allocation scenarios of §3.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CpuScenario {
     /// I — adequate power for both CPUs and memory: both at their highest
     /// state, performance at the workload's maximum, actual powers
@@ -54,7 +53,6 @@ impl fmt::Display for CpuScenario {
 /// The three GPU categories of §4 (IV–VI are excluded by the driver's
 /// minimum-cap guard).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum GpuCategory {
     /// I — both domains effectively unconstrained: flat performance.
     I,

@@ -9,7 +9,7 @@
 //! budget and against the per-node oracle ceiling.
 
 use crate::output::{fmt, ExperimentOutput, TextTable};
-use pbc_cluster::{ClusterCoordinator, Fleet, SpecLine};
+use pbc_cluster::{Fleet, FleetCoordinator, SpecLine};
 use pbc_types::{Result, Watts};
 
 /// The class mix every fleet cycles through: memory-bound and
@@ -70,7 +70,7 @@ pub fn run() -> Result<ExperimentOutput> {
     for n in SIZES {
         let fleet = fleet_of(n)?;
         let global = Watts::new(WATTS_PER_NODE * n as f64);
-        let coordinator = ClusterCoordinator::new(fleet, global)?;
+        let coordinator = FleetCoordinator::new(fleet, global)?;
         let smart = coordinator.coordinate()?;
         let naive = coordinator.uniform_decision()?;
         let oracle = coordinator.oracle_aggregate()?;
@@ -98,7 +98,7 @@ mod tests {
             let fleet = fleet_of(n).unwrap();
             assert_eq!(fleet.len(), n);
             let global = Watts::new(WATTS_PER_NODE * n as f64);
-            let coordinator = ClusterCoordinator::new(fleet, global).unwrap();
+            let coordinator = FleetCoordinator::new(fleet, global).unwrap();
             let smart = coordinator.coordinate().unwrap();
             let naive = coordinator.uniform_decision().unwrap();
             let oracle = coordinator.oracle_aggregate().unwrap();

@@ -7,8 +7,9 @@
 //! coordinator, individual nodes lose their cap-write path for a
 //! stretch, stragglers run slow, and the coordinator itself can become
 //! unavailable. The same determinism contract applies: the plan is pure
-//! data (probabilities confined to half-open tick windows, scheduled
-//! budget steps), and every draw comes from a fresh generator keyed on
+//! data (timed faults as [`Episodes`], per-report and per-write
+//! probabilities confined to half-open tick windows, scheduled budget
+//! steps), and every draw comes from a fresh generator keyed on
 //! `(seed, tick, stream, node)` — see [`crate::inject::decision_rng`] —
 //! so a fleet chaos run replays bit-identically at any thread count.
 //!
@@ -19,27 +20,106 @@
 //! node's decrease cannot be written — is exercised separately by the
 //! property tests with the weaker caps-never-inflate guarantee.
 
+use crate::inject::decision_rng;
 use crate::plan::{BudgetStep, FaultWindow};
 use pbc_types::{PbcError, Result};
+
+/// A timed fault: in each tick of `window`, each entity (a node, a
+/// tenant) idle at that tick starts an episode with probability `prob`,
+/// and the episode lasts `epochs` ticks. Crashes, straggles, write
+/// outages, demand spikes and noisy neighbors all have this shape.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Episodes {
+    /// Per-entity, per-tick probability of an episode starting while
+    /// the window is active.
+    pub prob: f64,
+    /// Ticks `[from, until)` during which episodes can start.
+    pub window: FaultWindow,
+    /// How many ticks an episode lasts.
+    pub epochs: usize,
+}
+
+/// What [`Episodes::advance`] did to one entity on one tick.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Edge {
+    /// Nothing changed: still idle, or still mid-episode.
+    Steady,
+    /// An episode started on this tick.
+    Started,
+    /// The running episode expired on this tick.
+    Ended,
+}
+
+impl Episodes {
+    /// Never fires.
+    pub const NONE: Self = Self { prob: 0.0, window: FaultWindow::NEVER, epochs: 0 };
+
+    /// Advance one entity's episode (`Some(t)`: running until tick `t`)
+    /// to `tick`. An expired episode ends and nothing starts on that
+    /// tick. An idle entity draws from the fresh generator keyed
+    /// `(seed, tick, stream, key)`, only when `prob > 0` and the window
+    /// is active; a hit lasts `max(epochs, 1)` ticks.
+    pub fn advance(
+        &self,
+        until: &mut Option<usize>,
+        seed: u64,
+        tick: usize,
+        stream: u64,
+        key: u64,
+    ) -> Edge {
+        if let Some(end) = *until {
+            if tick < end {
+                return Edge::Steady;
+            }
+            *until = None;
+            return Edge::Ended;
+        }
+        if self.prob > 0.0
+            && self.window.active(tick)
+            && decision_rng(seed, tick, stream, key).next_f64() < self.prob
+        {
+            *until = Some(tick + self.epochs.max(1));
+            return Edge::Started;
+        }
+        Edge::Steady
+    }
+
+    /// The tick by which every episode has run its course: the window's
+    /// end plus one episode, or 0 when the window is empty.
+    #[must_use]
+    pub fn tail(&self) -> usize {
+        if self.window.is_empty() {
+            0
+        } else {
+            self.window.until + self.epochs
+        }
+    }
+
+    /// `prob` is a probability, and an armed episode has a duration.
+    fn validate(&self, plan: &str, what: &str) -> Result<()> {
+        if !(0.0..=1.0).contains(&self.prob) {
+            return Err(PbcError::InvalidInput(format!(
+                "{plan}: {what}.prob = {} is not a probability",
+                self.prob
+            )));
+        }
+        if self.prob > 0.0 && self.epochs == 0 {
+            return Err(PbcError::InvalidInput(format!(
+                "{plan}: {what}.epochs must be >= 1 when {what} episodes can start"
+            )));
+        }
+        Ok(())
+    }
+}
 
 /// Node membership faults: crashes (and the rejoin after), plus
 /// straggler slowdowns.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeFaults {
-    /// Per-node, per-epoch probability of crashing while the crash
-    /// window is active.
-    pub crash_prob: f64,
-    /// Epochs `[from, until)` during which crashes can fire.
-    pub crash_window: FaultWindow,
-    /// How many epochs a crashed node stays down before rejoining.
-    pub outage_epochs: usize,
-    /// Per-node, per-epoch probability of turning straggler while the
-    /// straggler window is active.
-    pub straggler_prob: f64,
-    /// Epochs `[from, until)` during which stragglers can appear.
-    pub straggler_window: FaultWindow,
-    /// How many epochs a straggler stays slow.
-    pub straggle_epochs: usize,
+    /// Crashes: a crashed node stays down for `epochs`, then rejoins.
+    pub crash: Episodes,
+    /// Straggles: a straggler runs slow for `epochs`.
+    pub straggle: Episodes,
     /// Throughput multiplier while straggling (e.g. `0.3` = runs at
     /// 30 % speed and its reports lag an epoch behind).
     pub slowdown: f64,
@@ -47,15 +127,8 @@ pub struct NodeFaults {
 
 impl NodeFaults {
     /// No membership faults, ever.
-    pub const NONE: Self = Self {
-        crash_prob: 0.0,
-        crash_window: FaultWindow::NEVER,
-        outage_epochs: 0,
-        straggler_prob: 0.0,
-        straggler_window: FaultWindow::NEVER,
-        straggle_epochs: 0,
-        slowdown: 1.0,
-    };
+    pub const NONE: Self =
+        Self { crash: Episodes::NONE, straggle: Episodes::NONE, slowdown: 1.0 };
 }
 
 /// Faults on the observation reports nodes send the coordinator.
@@ -92,24 +165,15 @@ pub struct FleetWriteFaults {
     pub fail_prob: f64,
     /// When stochastic write failures are armed.
     pub window: FaultWindow,
-    /// Per-node, per-epoch probability of the node's *entire* cap-write
-    /// path going down (every write fails until the outage ends).
-    pub outage_prob: f64,
-    /// How many epochs a write outage lasts.
-    pub outage_epochs: usize,
-    /// When write outages can begin.
-    pub outage_window: FaultWindow,
+    /// Whole-path outages: every write to the node fails until the
+    /// episode ends.
+    pub outage: Episodes,
 }
 
 impl FleetWriteFaults {
     /// Cap writes always land.
-    pub const NONE: Self = Self {
-        fail_prob: 0.0,
-        window: FaultWindow::NEVER,
-        outage_prob: 0.0,
-        outage_epochs: 0,
-        outage_window: FaultWindow::NEVER,
-    };
+    pub const NONE: Self =
+        Self { fail_prob: 0.0, window: FaultWindow::NEVER, outage: Episodes::NONE };
 }
 
 /// Tenant demand faults: per-tenant demand spikes and noisy neighbors.
@@ -120,22 +184,12 @@ impl FleetWriteFaults {
 /// floor.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenantFaults {
-    /// Per-tenant, per-epoch probability of a demand spike while the
-    /// spike window is active.
-    pub spike_prob: f64,
-    /// Epochs `[from, until)` during which spikes can fire.
-    pub spike_window: FaultWindow,
-    /// How many epochs a spike lasts.
-    pub spike_epochs: usize,
+    /// Demand spikes.
+    pub spike: Episodes,
     /// Demand multiplier while spiking (≥ 1).
     pub spike_factor: f64,
-    /// Per-tenant, per-epoch probability of turning noisy neighbor
-    /// while the noisy window is active.
-    pub noisy_prob: f64,
-    /// Epochs `[from, until)` during which noisy neighbors can appear.
-    pub noisy_window: FaultWindow,
-    /// How many epochs a noisy neighbor keeps hogging.
-    pub noisy_epochs: usize,
+    /// Noisy-neighbor stretches.
+    pub noisy: Episodes,
     /// Demand multiplier while noisy (≥ 1, typically larger and longer
     /// than a spike).
     pub noisy_factor: f64,
@@ -144,13 +198,9 @@ pub struct TenantFaults {
 impl TenantFaults {
     /// Tenant demand stays flat.
     pub const NONE: Self = Self {
-        spike_prob: 0.0,
-        spike_window: FaultWindow::NEVER,
-        spike_epochs: 0,
+        spike: Episodes::NONE,
         spike_factor: 1.0,
-        noisy_prob: 0.0,
-        noisy_window: FaultWindow::NEVER,
-        noisy_epochs: 0,
+        noisy: Episodes::NONE,
         noisy_factor: 1.0,
     };
 }
@@ -220,9 +270,7 @@ impl FleetFaultPlan {
         Self {
             name: "node-dropouts",
             nodes: NodeFaults {
-                crash_prob: 0.08,
-                crash_window: FaultWindow::new(2, 30),
-                outage_epochs: 4,
+                crash: Episodes { prob: 0.08, window: FaultWindow::new(2, 30), epochs: 4 },
                 ..NodeFaults::NONE
             },
             ..Self::calm(seed)
@@ -236,9 +284,7 @@ impl FleetFaultPlan {
         Self {
             name: "node-crash",
             nodes: NodeFaults {
-                crash_prob: 0.05,
-                crash_window: FaultWindow::new(4, 24),
-                outage_epochs: 12,
+                crash: Episodes { prob: 0.05, window: FaultWindow::new(4, 24), epochs: 12 },
                 ..NodeFaults::NONE
             },
             ..Self::calm(seed)
@@ -253,9 +299,7 @@ impl FleetFaultPlan {
         Self {
             name: "node-rejoin",
             nodes: NodeFaults {
-                crash_prob: 0.10,
-                crash_window: FaultWindow::new(2, 28),
-                outage_epochs: 3,
+                crash: Episodes { prob: 0.10, window: FaultWindow::new(2, 28), epochs: 3 },
                 ..NodeFaults::NONE
             },
             ..Self::calm(seed)
@@ -269,9 +313,7 @@ impl FleetFaultPlan {
         Self {
             name: "stragglers",
             nodes: NodeFaults {
-                straggler_prob: 0.08,
-                straggler_window: FaultWindow::new(3, 30),
-                straggle_epochs: 6,
+                straggle: Episodes { prob: 0.08, window: FaultWindow::new(3, 30), epochs: 6 },
                 slowdown: 0.3,
                 ..NodeFaults::NONE
             },
@@ -320,10 +362,7 @@ impl FleetFaultPlan {
             writes: FleetWriteFaults {
                 fail_prob: 0.1,
                 window: FaultWindow::new(2, 30),
-                outage_prob: 0.04,
-                outage_epochs: 5,
-                outage_window: FaultWindow::new(2, 25),
-                ..FleetWriteFaults::NONE
+                outage: Episodes { prob: 0.04, window: FaultWindow::new(2, 25), epochs: 5 },
             },
             ..Self::calm(seed)
         }
@@ -337,9 +376,7 @@ impl FleetFaultPlan {
         Self {
             name: "demand-spike",
             tenants: TenantFaults {
-                spike_prob: 0.15,
-                spike_window: FaultWindow::new(2, 30),
-                spike_epochs: 3,
+                spike: Episodes { prob: 0.15, window: FaultWindow::new(2, 30), epochs: 3 },
                 spike_factor: 3.0,
                 ..TenantFaults::NONE
             },
@@ -354,13 +391,9 @@ impl FleetFaultPlan {
         Self {
             name: "noisy-neighbor",
             tenants: TenantFaults {
-                spike_prob: 0.05,
-                spike_window: FaultWindow::new(4, 28),
-                spike_epochs: 2,
+                spike: Episodes { prob: 0.05, window: FaultWindow::new(4, 28), epochs: 2 },
                 spike_factor: 2.0,
-                noisy_prob: 0.08,
-                noisy_window: FaultWindow::new(2, 32),
-                noisy_epochs: 8,
+                noisy: Episodes { prob: 0.08, window: FaultWindow::new(2, 32), epochs: 8 },
                 noisy_factor: 6.0,
             },
             ..Self::calm(seed)
@@ -376,12 +409,8 @@ impl FleetFaultPlan {
         Self {
             name: "everything",
             nodes: NodeFaults {
-                crash_prob: 0.06,
-                crash_window: FaultWindow::new(2, 26),
-                outage_epochs: 4,
-                straggler_prob: 0.05,
-                straggler_window: FaultWindow::new(4, 26),
-                straggle_epochs: 4,
+                crash: Episodes { prob: 0.06, window: FaultWindow::new(2, 26), epochs: 4 },
+                straggle: Episodes { prob: 0.05, window: FaultWindow::new(4, 26), epochs: 4 },
                 slowdown: 0.3,
             },
             reports: ReportFaults {
@@ -393,18 +422,12 @@ impl FleetFaultPlan {
             writes: FleetWriteFaults {
                 fail_prob: 0.15,
                 window: FaultWindow::new(1, 30),
-                outage_prob: 0.03,
-                outage_epochs: 4,
-                outage_window: FaultWindow::new(2, 24),
+                outage: Episodes { prob: 0.03, window: FaultWindow::new(2, 24), epochs: 4 },
             },
             tenants: TenantFaults {
-                spike_prob: 0.10,
-                spike_window: FaultWindow::new(3, 28),
-                spike_epochs: 3,
+                spike: Episodes { prob: 0.10, window: FaultWindow::new(3, 28), epochs: 3 },
                 spike_factor: 3.0,
-                noisy_prob: 0.05,
-                noisy_window: FaultWindow::new(4, 26),
-                noisy_epochs: 6,
+                noisy: Episodes { prob: 0.05, window: FaultWindow::new(4, 26), epochs: 6 },
                 noisy_factor: 4.0,
             },
             coordinator_outage: FaultWindow::new(32, 36),
@@ -458,39 +481,19 @@ impl FleetFaultPlan {
     /// started has run its course (outages and straggles included).
     #[must_use]
     pub fn quiet_after(&self) -> usize {
-        let crash_tail = if self.nodes.crash_window.is_empty() {
-            0
-        } else {
-            self.nodes.crash_window.until + self.nodes.outage_epochs
-        };
-        let straggle_tail = if self.nodes.straggler_window.is_empty() {
-            0
-        } else {
-            self.nodes.straggler_window.until + self.nodes.straggle_epochs
-        };
-        let outage_tail = if self.writes.outage_window.is_empty() {
-            0
-        } else {
-            self.writes.outage_window.until + self.writes.outage_epochs
-        };
-        let spike_tail = if self.tenants.spike_window.is_empty() {
-            0
-        } else {
-            self.tenants.spike_window.until + self.tenants.spike_epochs
-        };
-        let noisy_tail = if self.tenants.noisy_window.is_empty() {
-            0
-        } else {
-            self.tenants.noisy_window.until + self.tenants.noisy_epochs
-        };
-        let mut t = crash_tail
-            .max(straggle_tail)
-            .max(outage_tail)
-            .max(spike_tail)
-            .max(noisy_tail)
-            .max(self.reports.window.until)
-            .max(self.writes.window.until)
-            .max(self.coordinator_outage.until);
+        let mut t = [
+            self.nodes.crash.tail(),
+            self.nodes.straggle.tail(),
+            self.writes.outage.tail(),
+            self.tenants.spike.tail(),
+            self.tenants.noisy.tail(),
+            self.reports.window.until,
+            self.writes.window.until,
+            self.coordinator_outage.until,
+        ]
+        .into_iter()
+        .max()
+        .unwrap_or(0);
         for s in &self.budget_steps {
             t = t.max(s.at + 1);
         }
@@ -500,16 +503,21 @@ impl FleetFaultPlan {
     /// Validate probabilities, windows, and schedules.
     #[must_use = "an invalid plan must not be armed"]
     pub fn validate(&self) -> Result<()> {
+        let episodes = [
+            ("nodes.crash", self.nodes.crash),
+            ("nodes.straggle", self.nodes.straggle),
+            ("writes.outage", self.writes.outage),
+            ("tenants.spike", self.tenants.spike),
+            ("tenants.noisy", self.tenants.noisy),
+        ];
+        for (what, e) in episodes {
+            e.validate(self.name, what)?;
+        }
         let probs = [
-            ("nodes.crash_prob", self.nodes.crash_prob),
-            ("nodes.straggler_prob", self.nodes.straggler_prob),
             ("reports.drop_prob", self.reports.drop_prob),
             ("reports.delay_prob", self.reports.delay_prob),
             ("reports.garble_prob", self.reports.garble_prob),
             ("writes.fail_prob", self.writes.fail_prob),
-            ("writes.outage_prob", self.writes.outage_prob),
-            ("tenants.spike_prob", self.tenants.spike_prob),
-            ("tenants.noisy_prob", self.tenants.noisy_prob),
         ];
         for (what, p) in probs {
             if !(0.0..=1.0).contains(&p) {
@@ -519,35 +527,8 @@ impl FleetFaultPlan {
                 )));
             }
         }
-        if self.nodes.crash_prob > 0.0 && self.nodes.outage_epochs == 0 {
-            return Err(PbcError::InvalidInput(format!(
-                "{}: outage_epochs must be >= 1 when crashes can fire",
-                self.name
-            )));
-        }
-        if self.nodes.straggler_prob > 0.0 && self.nodes.straggle_epochs == 0 {
-            return Err(PbcError::InvalidInput(format!(
-                "{}: straggle_epochs must be >= 1 when stragglers can appear",
-                self.name
-            )));
-        }
-        if self.writes.outage_prob > 0.0 && self.writes.outage_epochs == 0 {
-            return Err(PbcError::InvalidInput(format!(
-                "{}: writes.outage_epochs must be >= 1 when outages can fire",
-                self.name
-            )));
-        }
-        let tenant_events = [
-            ("spike", self.tenants.spike_prob, self.tenants.spike_epochs, self.tenants.spike_factor),
-            ("noisy", self.tenants.noisy_prob, self.tenants.noisy_epochs, self.tenants.noisy_factor),
-        ];
-        for (what, prob, epochs, factor) in tenant_events {
-            if prob > 0.0 && epochs == 0 {
-                return Err(PbcError::InvalidInput(format!(
-                    "{}: tenants.{what}_epochs must be >= 1 when {what}s can fire",
-                    self.name
-                )));
-            }
+        let factors = [("spike", self.tenants.spike_factor), ("noisy", self.tenants.noisy_factor)];
+        for (what, factor) in factors {
             if !factor.is_finite() || factor < 1.0 {
                 return Err(PbcError::InvalidInput(format!(
                     "{}: tenants.{what}_factor {factor} must be a finite multiplier >= 1",
@@ -605,14 +586,7 @@ mod tests {
     fn shipped_fleet_plans_never_step_budget_while_writes_can_fail() {
         for name in FLEET_PLAN_NAMES {
             let plan = FleetFaultPlan::by_name(name, 1).unwrap();
-            let write_tail = if plan.writes.outage_window.is_empty() {
-                plan.writes.window.until
-            } else {
-                plan.writes
-                    .window
-                    .until
-                    .max(plan.writes.outage_window.until + plan.writes.outage_epochs)
-            };
+            let write_tail = plan.writes.window.until.max(plan.writes.outage.tail());
             for step in &plan.budget_steps {
                 assert!(
                     step.at >= write_tail,
@@ -628,21 +602,21 @@ mod tests {
         let plan = FleetFaultPlan::everything(7);
         let q = plan.quiet_after();
         assert_eq!(q, 49); // last budget step at 48
-        assert!(q >= plan.nodes.crash_window.until + plan.nodes.outage_epochs);
-        assert!(q >= plan.writes.outage_window.until + plan.writes.outage_epochs);
+        assert!(q >= plan.nodes.crash.window.until + plan.nodes.crash.epochs);
+        assert!(q >= plan.writes.outage.window.until + plan.writes.outage.epochs);
         assert!(q >= plan.coordinator_outage.until);
         assert_eq!(FleetFaultPlan::calm(7).quiet_after(), 0);
         let crash = FleetFaultPlan::node_crash(1);
-        assert_eq!(crash.quiet_after(), crash.nodes.crash_window.until + 12);
+        assert_eq!(crash.quiet_after(), crash.nodes.crash.window.until + 12);
     }
 
     #[test]
     fn validation_rejects_garbage() {
         let mut plan = FleetFaultPlan::node_crash(1);
-        plan.nodes.crash_prob = 1.5;
+        plan.nodes.crash.prob = 1.5;
         assert!(plan.validate().is_err());
         let mut plan = FleetFaultPlan::node_crash(1);
-        plan.nodes.outage_epochs = 0;
+        plan.nodes.crash.epochs = 0;
         assert!(plan.validate().is_err());
         let mut plan = FleetFaultPlan::stragglers(1);
         plan.nodes.slowdown = 0.0;
@@ -656,7 +630,7 @@ mod tests {
         plan.budget_steps[0].factor = f64::NAN;
         assert!(plan.validate().is_err());
         let mut plan = FleetFaultPlan::demand_spike(1);
-        plan.tenants.spike_epochs = 0;
+        plan.tenants.spike.epochs = 0;
         assert!(plan.validate().is_err(), "armed spikes need a duration");
         let mut plan = FleetFaultPlan::noisy_neighbor(1);
         plan.tenants.noisy_factor = 0.5;
@@ -666,14 +640,49 @@ mod tests {
     #[test]
     fn tenant_presets_cover_their_tails() {
         let spike = FleetFaultPlan::demand_spike(3);
-        assert_eq!(
-            spike.quiet_after(),
-            spike.tenants.spike_window.until + spike.tenants.spike_epochs
-        );
+        assert_eq!(spike.quiet_after(), spike.tenants.spike.window.until + spike.tenants.spike.epochs);
         let noisy = FleetFaultPlan::noisy_neighbor(3);
-        assert_eq!(
-            noisy.quiet_after(),
-            noisy.tenants.noisy_window.until + noisy.tenants.noisy_epochs
-        );
+        assert_eq!(noisy.quiet_after(), noisy.tenants.noisy.window.until + noisy.tenants.noisy.epochs);
+    }
+
+    /// `prob = 1` makes every draw a hit, so a tick that does not start
+    /// an episode is a tick that did not draw.
+    const ALWAYS: Episodes = Episodes { prob: 1.0, window: FaultWindow::new(2, 6), epochs: 3 };
+
+    #[test]
+    fn an_expiring_episode_ends_before_a_new_one_can_start() {
+        let mut until = None;
+        assert_eq!(ALWAYS.advance(&mut until, 1, 2, 0, 0), Edge::Started);
+        assert_eq!(until, Some(5));
+        assert_eq!(ALWAYS.advance(&mut until, 1, 4, 0, 0), Edge::Steady);
+        assert_eq!(ALWAYS.advance(&mut until, 1, 5, 0, 0), Edge::Ended, "expiry first");
+        assert_eq!(until, None, "nothing starts on the tick an episode ends");
+        assert_eq!(ALWAYS.advance(&mut until, 1, 5, 0, 0), Edge::Started);
+        let instant = Episodes { epochs: 0, ..ALWAYS };
+        let mut until = None;
+        assert_eq!(instant.advance(&mut until, 1, 3, 0, 0), Edge::Started);
+        assert_eq!(until, Some(4), "a hit lasts at least one tick");
+    }
+
+    #[test]
+    fn episodes_never_start_outside_the_window_or_at_zero_probability() {
+        for tick in [0, 1, 6, 7, 100] {
+            let mut until = None;
+            assert_eq!(ALWAYS.advance(&mut until, 9, tick, 0, 0), Edge::Steady, "tick {tick}");
+            assert_eq!(until, None);
+        }
+        let never = Episodes { prob: 0.0, ..ALWAYS };
+        for tick in 0..10 {
+            let mut until = None;
+            assert_eq!(never.advance(&mut until, 9, tick, 0, 0), Edge::Steady);
+        }
+    }
+
+    #[test]
+    fn tails_end_one_episode_past_the_window() {
+        assert_eq!(ALWAYS.tail(), 9);
+        assert_eq!(Episodes::NONE.tail(), 0);
+        let empty = Episodes { window: FaultWindow::new(5, 5), ..ALWAYS };
+        assert_eq!(empty.tail(), 0, "an empty window never starts an episode");
     }
 }

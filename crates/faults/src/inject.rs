@@ -15,7 +15,7 @@ use pbc_types::rng::XorShift64Star;
 use pbc_types::Watts;
 
 /// Weyl-ish odd constant spreading the tick across the seed space.
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+pub const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Stream constant for sensor decisions.
 const STREAM_SENSOR: u64 = 0x5EED_0001;
 /// Stream constant for enforcement-write decisions.

@@ -48,7 +48,7 @@ pub mod plan;
 pub use chaos::{run_chaos, ChaosReport};
 pub use clock::FaultClock;
 pub use fleet::{
-    FleetFaultPlan, FleetWriteFaults, NodeFaults, ReportFaults, FLEET_PLAN_NAMES,
+    Edge, Episodes, FleetFaultPlan, FleetWriteFaults, NodeFaults, ReportFaults, FLEET_PLAN_NAMES,
 };
 pub use inject::{decision_rng, FaultInjector, InjectionTally, WriteFault};
 pub use plan::{BudgetStep, FaultPlan, FaultWindow, PhaseShift, SensorFaults, WriteFaults};

@@ -25,7 +25,6 @@ use pbc_types::Watts;
 /// the paper's assumption (b): one power budget evenly distributed over all
 /// cores).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CpuSpec {
     /// Marketing name, e.g. `"2x Xeon E5-2670v2 (IvyBridge)"`.
     pub name: String,

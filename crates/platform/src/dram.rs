@@ -22,7 +22,6 @@ use pbc_types::{Bandwidth, Watts};
 /// Memory technology generation. Determines background power per GB and
 /// transfer energy per byte in the presets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MemoryTechnology {
     /// DDR3 (CPU Platform I) — higher refresh and transfer energy.
     Ddr3,
@@ -51,7 +50,6 @@ impl MemoryTechnology {
 /// Specification of the aggregated memory component (all modules together,
 /// per the paper's assumption (c)).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DramSpec {
     /// e.g. `"256 GB DDR3-1600 (16 DIMMs)"`.
     pub name: String,

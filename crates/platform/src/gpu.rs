@@ -31,7 +31,6 @@ use pbc_types::{Bandwidth, Watts};
 
 /// SM clock domain: a DVFS table plus the power-model coefficients.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SmClockTable {
     /// Voltage/frequency points, lowest first; the highest entry is the
     /// stock boost clock.
@@ -80,7 +79,6 @@ impl SmClockTable {
 /// Memory clock domain: discrete levels expressed as fractions of the
 /// nominal memory clock. Bandwidth scales linearly with the level.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemClockTable {
     /// Clock levels as fractions of nominal, ascending, last = 1.0. The
     /// hardware-exposed offset range is typically narrow (narrower still on
@@ -159,7 +157,6 @@ impl MemClockTable {
 
 /// Specification of a discrete GPU accelerator card.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GpuSpec {
     /// e.g. `"Nvidia Titan XP"`.
     pub name: String,

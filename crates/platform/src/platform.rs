@@ -9,7 +9,6 @@ use std::fmt;
 
 /// Stable identifier for the four platforms of the paper's Table 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PlatformId {
     /// CPU Platform I: 2× Xeon 10-core IvyBridge, 256 GB DDR3.
     IvyBridge,
@@ -66,7 +65,6 @@ impl fmt::Display for PlatformId {
 /// The component composition of a node: either a host (CPU packages +
 /// DRAM) or a discrete GPU card (SMs + global memory).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum NodeSpec {
     /// Host node: CPU packages and DRAM, capped independently by RAPL.
     Cpu {
@@ -82,7 +80,6 @@ pub enum NodeSpec {
 
 /// A named platform with its component specification.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Platform {
     /// Identifier (Table 2 row).
     pub id: PlatformId,

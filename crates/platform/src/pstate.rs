@@ -9,7 +9,6 @@ use pbc_types::Hertz;
 
 /// One DVFS operating point.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PState {
     /// Core clock frequency at this operating point.
     pub freq: Hertz,
@@ -43,7 +42,6 @@ impl PState {
 /// *nominal* state (turbo is excluded, as in the paper: "We don't consider
 /// the turbo boost state").
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PStateTable {
     states: Vec<PState>,
 }

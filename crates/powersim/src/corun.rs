@@ -45,7 +45,6 @@ fn partition_spec(cpu: &CpuSpec, fraction: f64) -> CpuSpec {
 
 /// The co-run outcome for one configuration.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CorunPoint {
     /// Per-job relative performance, each normalized to its solo
     /// unconstrained run on *half* the node. The fixed reference makes the

@@ -18,7 +18,6 @@
 
 /// Demand characteristics of one execution phase.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PhaseDemand {
     /// Fraction of the platform's peak compute rate the phase sustains at
     /// nominal clocks when not memory-stalled (vectorization/ILP/occupancy
@@ -121,7 +120,6 @@ impl PhaseDemand {
 
 /// A workload: named, weighted phases.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WorkloadDemand {
     /// Short name (e.g. `"SRA"`, `"DGEMM"`).
     pub name: String,

@@ -29,7 +29,6 @@ use pbc_types::{usize_from_f64, Joules, PowerAllocation, Result, Seconds, Throug
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimConfig {
     /// Control period (one controller step per tick).
     pub dt: Seconds,
@@ -69,7 +68,6 @@ impl Default for SimConfig {
 
 /// One trace sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimSample {
     /// Simulated time of the sample.
     pub t: Seconds,
@@ -85,7 +83,6 @@ pub struct SimSample {
 
 /// Aggregated result of a simulation run.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimResult {
     /// Decimated trace.
     pub samples: Vec<SimSample>,

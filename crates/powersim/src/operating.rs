@@ -5,7 +5,6 @@ use pbc_types::{Bandwidth, PowerAllocation, Watts};
 
 /// Mechanism state chosen by the RAPL PKG controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CpuMechanismState {
     /// Selected P-state index (0 = lowest frequency).
     pub pstate: usize,
@@ -18,7 +17,6 @@ pub struct CpuMechanismState {
 
 /// Mechanism state chosen by the GPU card capper.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GpuMechanismState {
     /// Selected SM clock index (0 = lowest).
     pub sm_clock: usize,
@@ -31,7 +29,6 @@ pub struct GpuMechanismState {
 
 /// Which capping mechanism produced this operating point.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MechanismState {
     /// Host node: RAPL PKG + DRAM domains.
     Cpu(CpuMechanismState),
@@ -41,7 +38,6 @@ pub enum MechanismState {
 
 /// The steady-state result of running a workload under an allocation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeOperatingPoint {
     /// The allocation that was applied.
     pub alloc: PowerAllocation,

@@ -38,7 +38,6 @@ pub fn single_socket_spec(cpu: &CpuSpec) -> CpuSpec {
 
 /// The outcome of running an imbalanced workload under per-socket caps.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SocketOperatingPoint {
     /// Per-socket caps applied.
     pub socket_caps: Vec<Watts>,

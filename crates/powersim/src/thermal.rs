@@ -12,7 +12,6 @@ use pbc_types::{Seconds, Watts};
 
 /// Parameters of the RC node.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ThermalParams {
     /// Ambient temperature in °C.
     pub ambient_c: f64,
@@ -45,7 +44,6 @@ impl ThermalParams {
 
 /// State of the thermal node.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ThermalModel {
     params: ThermalParams,
     temperature_c: f64,

@@ -20,7 +20,7 @@
 
 use crate::proto::{self, Request, ServeError};
 use crate::session::Session;
-use pbc_cluster::{parse_spec, ClusterCoordinator, Fleet, Objective, TenantSet};
+use pbc_cluster::{parse_spec, Fleet, FleetCoordinator, Objective, TenantSet};
 use pbc_core::{BudgetOutcome, ObservationOutcome};
 use pbc_par::Pool;
 use pbc_powersim::{CpuMechanismState, MechanismState, NodeOperatingPoint};
@@ -64,7 +64,7 @@ fn c_rejected() -> &'static pbc_trace::Counter {
 /// The transport-independent daemon core.
 pub struct ServeEngine {
     sessions: RwLock<HashMap<u64, Arc<Mutex<Session>>>>,
-    fleet: Mutex<Option<ClusterCoordinator>>,
+    fleet: Mutex<Option<FleetCoordinator>>,
     draining: AtomicBool,
 }
 
@@ -416,7 +416,7 @@ impl ServeEngine {
         let lines = parse_spec(&text).map_err(|e| ServeError::Build(e.to_string()))?;
         let built = Fleet::build(&lines).map_err(|e| ServeError::Build(e.to_string()))?;
         let nodes = built.len();
-        let mut coord = ClusterCoordinator::new(built, Watts::new(global))
+        let mut coord = FleetCoordinator::new(built, Watts::new(global))
             .map_err(|e| ServeError::Build(e.to_string()))?
             .with_objective(objective);
         let tenant_count = tenant_set.as_ref().map_or(0, TenantSet::len);

@@ -182,13 +182,6 @@ impl Server {
         self.prom.as_ref().map(PromEndpoint::addr)
     }
 
-    /// The flag a transport (e.g. the stdin loop) flips to request a
-    /// drain, and polls to learn one was requested elsewhere.
-    #[must_use]
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
-    }
-
     /// Graceful shutdown: stop accepting, reject new work, wait for
     /// in-flight requests, then publish and flush one final snapshot.
     #[must_use = "a failed drain means exporters were not flushed"]

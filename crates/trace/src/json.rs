@@ -69,15 +69,6 @@ impl Value {
         Some(rounded as u64)
     }
 
-    /// The boolean payload, if this is a boolean.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Render as compact JSON text.
     #[must_use]
     pub fn render(&self) -> String {

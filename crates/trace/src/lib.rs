@@ -68,12 +68,6 @@ pub fn disable() {
     registry::registry().set_enabled(false);
 }
 
-/// Is span recording currently on?
-#[must_use]
-pub fn is_enabled() -> bool {
-    registry::registry().enabled()
-}
-
 /// Clear every counter, gauge, and recorded span. Tests call this to
 /// get exact accounting; production code never needs it.
 pub fn reset() {

@@ -174,7 +174,7 @@ pub const ONLINE_REJECTED_BUDGETS: &str = "online.rejected_budgets";
 
 // --- cluster coordinator (crates/cluster) ------------------------------
 
-/// Dynamic epochs executed by a `ClusterCoordinator`.
+/// Dynamic epochs executed by a `FleetCoordinator`.
 pub const CLUSTER_EPOCHS: &str = "cluster.epochs";
 /// Epochs whose water-filling pass moved watts between nodes.
 pub const CLUSTER_REDISTRIBUTIONS: &str = "cluster.redistributions";

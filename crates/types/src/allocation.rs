@@ -12,7 +12,6 @@ use std::fmt;
 /// A total node-level power budget `P_b` together with the allocation
 /// granularity used when discretizing the space `A`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PowerBudget {
     /// The total bound `P_b`: the sum of component allocations must not
     /// exceed this.
@@ -52,7 +51,6 @@ impl fmt::Display for PowerBudget {
 /// a cap — what the component actually *does* when bounded — live in
 /// `pbc-powersim`; this type is just the decision variable.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PowerAllocation {
     /// Cap on the processing component (CPU package(s) / GPU SMs).
     pub proc: Watts,
@@ -130,7 +128,6 @@ impl fmt::Display for PowerAllocation {
 /// Mirrors the paper's experimental sweeps, which used a fixed power
 /// stepping (§6.3 notes the oracle "uses a certain power stepping").
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AllocationSpace {
     /// Total budget being split.
     pub budget: Watts,

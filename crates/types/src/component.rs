@@ -7,7 +7,6 @@ use std::fmt;
 /// of §2.2: cores and memory modules are each aggregated into one
 /// power-boundable component).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Domain {
     /// The aggregated processing component: CPU packages or GPU SMs.
     Processor,
@@ -37,7 +36,6 @@ impl fmt::Display for Domain {
 /// Concrete hardware kinds, refining [`Domain`] with the technology that
 /// determines the power-capping mechanism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ComponentKind {
     /// Host CPU package(s), capped by RAPL's PKG domain
     /// (P-state → T-state → C-state ladder).
@@ -80,7 +78,6 @@ impl fmt::Display for ComponentKind {
 /// Identifier for a component instance on a node: its kind plus an index
 /// (e.g. socket 0 / socket 1, or card 0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ComponentId {
     /// The hardware kind.
     pub kind: ComponentKind,

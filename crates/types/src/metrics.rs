@@ -11,7 +11,6 @@ use std::fmt;
 
 /// Unit a performance rate is expressed in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PerfUnit {
     /// Gigabytes per second — bandwidth benchmarks (STREAM).
     GBps,
@@ -40,7 +39,6 @@ impl fmt::Display for PerfUnit {
 
 /// A measured or modeled performance value: a rate and its unit.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PerfMetric {
     /// The rate (higher is better). Always finite and non-negative for
     /// values produced by this workspace.
@@ -102,7 +100,6 @@ impl fmt::Display for PerfMetric {
 
 /// Performance-to-power ratio in `unit` per watt.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Efficiency {
     /// Rate per watt.
     pub value: f64,
@@ -120,7 +117,6 @@ impl fmt::Display for Efficiency {
 /// energy consumed. Produced by the discrete-time simulation engine and by
 /// native kernel runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Throughput {
     /// Abstract work units completed (workload-defined).
     pub work_done: f64,

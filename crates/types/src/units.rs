@@ -98,8 +98,6 @@ macro_rules! unit {
     ($(#[$meta:meta])* $name:ident, $suffix:literal) => {
         $(#[$meta])*
         #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-        #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-        #[cfg_attr(feature = "serde", serde(transparent))]
         pub struct $name(pub f64);
 
         impl $name {

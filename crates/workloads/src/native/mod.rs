@@ -29,7 +29,6 @@ use pbc_types::{PerfMetric, Seconds};
 
 /// Common kernel configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KernelConfig {
     /// Problem size (kernel-specific meaning: vector length, matrix
     /// dimension, table entries, grid edge, ...).
@@ -64,7 +63,6 @@ impl KernelConfig {
 
 /// What a kernel run measured.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KernelResult {
     /// Headline rate in the kernel's natural unit.
     pub rate: PerfMetric,

@@ -6,7 +6,6 @@ use std::fmt;
 
 /// Identifier for every Table-3 benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[allow(missing_docs)]
 pub enum BenchmarkId {
     // CPU suite (HPCC, NPB, UVA STREAM)
@@ -63,7 +62,6 @@ impl fmt::Display for BenchmarkId {
 
 /// Which platform family a benchmark targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Target {
     /// Host CPU benchmark (MPI/OpenMP in the paper).
     Cpu,
@@ -74,7 +72,6 @@ pub enum Target {
 /// Workload class, following the paper's three GPU patterns (§4) and the
 /// CPU workload distinctions (§6.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BenchClass {
     /// DGEMM-like: performance tracks processor power.
     ComputeIntensive,
@@ -99,7 +96,6 @@ impl fmt::Display for BenchClass {
 
 /// A Table-3 benchmark: metadata plus its calibrated demand model.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Benchmark {
     /// Identity.
     pub id: BenchmarkId,

@@ -13,6 +13,11 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+echo "==> every feature builds offline (cargo check --all-features)"
+# A feature that needs a registry crate cannot build here; this step
+# keeps such a placeholder from coming back.
+cargo check -q --workspace --all-features --offline
+
 echo "==> workspace tests (every crate, including the pbc-lint suite)"
 # The root facade crate already ran in the tier-1 step above; exclude it
 # so its suite is not paid twice.
@@ -63,6 +68,7 @@ cargo test -q -p pbc-cluster --test fault_tolerance
 # survival laws from the emitted trace file, under a wall-clock timeout
 # where the host provides one (a wedged retry loop must fail the gate,
 # not hang it).
+cargo build -q --release -p pbc-cli
 chaos_spec=target/cluster-chaos-spec.txt
 chaos_trace=target/cluster-chaos-trace.jsonl
 printf '4 ivybridge stream\n2 haswell dgemm\n2 titan-xp sgemm\n' > "$chaos_spec"
@@ -125,7 +131,11 @@ run_stamp=$(date -u +%Y-%m-%dT%H:%M:%SZ)
 run_commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 sed "s/^{/{\"run\":\"${run_stamp}\",\"commit\":\"${run_commit}\",/" \
     BENCH_sweep.json >> results/bench_history.jsonl
-echo "    history: results/bench_history.jsonl (${run_stamp} @ ${run_commit})"
+# The code-size trajectory: Rust lines in the workspace sources.
+rust_lines=$(find crates src tests examples -name '*.rs' -type f -exec cat {} + | wc -l | tr -d ' ')
+echo "{\"run\":\"${run_stamp}\",\"commit\":\"${run_commit}\",\"type\":\"loc\",\"name\":\"workspace/rust-lines\",\"lines\":${rust_lines}}" \
+    >> results/bench_history.jsonl
+echo "    history: results/bench_history.jsonl (${run_stamp} @ ${run_commit}; ${rust_lines} Rust lines)"
 
 echo "==> shared-grid oracle speedup gate (curve >= 2x over per-budget sweeps)"
 # The sweep bench records the curve-vs-independent median ratio as a
