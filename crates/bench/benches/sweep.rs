@@ -12,6 +12,12 @@
 //! `sweep_budget` calls. The medians' ratio is recorded as a
 //! `"type":"bench-ratio"` line and asserted to be at least 2x —
 //! `scripts/check.sh` gates on the recorded value too.
+//!
+//! The cluster partitioner is timed on the same class mix at 32, 1024
+//! and 4096 nodes; the 4096-node fill's per-node median over the
+//! 32-node fill's is recorded as a second `"type":"bench-ratio"` line,
+//! which `scripts/check.sh` gates at 2.5x: a fill costs O(Q log N), so
+//! its per-node cost may grow only with log N.
 
 use pbc_bench::Bench;
 use pbc_core::{sweep_budget, sweep_curve, PowerBoundedProblem, DEFAULT_STEP};
@@ -136,9 +142,10 @@ fn solve_memo(bench: &mut Bench) {
     });
 }
 
-/// The cluster partitioner on a profiled 32-node mixed fleet — the cost
-/// of one water-filling pass, with class profiling kept outside the
-/// timed region (it is a one-time setup cost).
+/// The cluster partitioner on a profiled 32-node mixed fleet and on the
+/// same mix scaled to 1024 and 4096 nodes — the cost of one
+/// water-filling pass at 130 W per node, with class profiling kept
+/// outside the timed region (it is a one-time setup cost).
 fn cluster_water_fill(bench: &mut Bench) {
     use pbc_cluster::{water_fill, Fleet, NodeCurve, SpecLine, DEFAULT_GRANT};
     let spec: Vec<SpecLine> = [
@@ -156,20 +163,33 @@ fn cluster_water_fill(bench: &mut Bench) {
     })
     .collect();
     let fleet = Fleet::build(&spec).expect("fleet profiles");
-    let curves: Vec<NodeCurve> = fleet
-        .nodes
-        .iter()
-        .map(|&c| NodeCurve {
-            floor: fleet.classes[c].floor,
-            curve: &fleet.classes[c].curve,
-        })
-        .collect();
-    let global = Watts::new(130.0 * curves.len() as f64);
-
-    bench.run("cluster/water-fill-32", || {
-        let shares = water_fill(black_box(&curves), black_box(global), DEFAULT_GRANT)
-            .expect("partition succeeds");
-        assert_eq!(shares.len(), curves.len());
-        shares
-    });
+    let mut per_node_ns = Vec::new();
+    for (label, scale) in [
+        ("cluster/water-fill-32", 1),
+        ("cluster/water-fill-1024", 32),
+        ("cluster/water-fill-4096", 128),
+    ] {
+        // Every spec line's count times `scale`, in spec order — the
+        // node list `Fleet::build` gives the scaled spec.
+        let curves: Vec<NodeCurve> = fleet
+            .nodes
+            .iter()
+            .flat_map(|&c| std::iter::repeat_n(c, scale))
+            .map(|c| NodeCurve {
+                floor: fleet.classes[c].floor,
+                curve: &fleet.classes[c].curve,
+            })
+            .collect();
+        let global = Watts::new(130.0 * curves.len() as f64);
+        let median = bench.run(label, || {
+            let shares = water_fill(black_box(&curves), black_box(global), DEFAULT_GRANT)
+                .expect("partition succeeds");
+            assert_eq!(shares.len(), curves.len());
+            shares
+        });
+        per_node_ns.push(median.map(|ns| ns / curves.len() as f64));
+    }
+    if let [Some(small), _, Some(large)] = per_node_ns[..] {
+        bench.record_ratio("cluster/water-fill-per-node-4096-vs-32", large / small);
+    }
 }

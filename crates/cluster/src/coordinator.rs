@@ -55,7 +55,7 @@ use pbc_par::Pool;
 use pbc_powersim::SolveMemo;
 use pbc_trace::names;
 use pbc_types::{PbcError, PowerAllocation, Result, Watts};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Stream constant for node crash/rejoin decisions.
 const STREAM_NODE: u64 = 0x5EED_0011;
@@ -262,6 +262,10 @@ pub struct FleetCoordinator {
     clock: FaultClock,
     health: HealthTracker,
     fallback: StaticFallback,
+    /// One solve memo per class, owned by this coordinator so its
+    /// evaluations neither pay the shared registry's lookup each epoch
+    /// nor grow the process-wide caches.
+    memos: Vec<SolveMemo>,
     /// Cap currently enforced on each node (starts at zero: nothing has
     /// been granted before the first epoch).
     enforced: Vec<Watts>,
@@ -325,6 +329,8 @@ impl FleetCoordinator {
         }
         let fallback = StaticFallback::compute(&fleet, global)?;
         let n = fleet.len();
+        let memos =
+            fleet.classes.iter().map(|c| SolveMemo::fresh(&c.platform, &c.demand)).collect();
         pbc_trace::gauge(names::CLUSTER_NODES).set(n as f64);
         // Register the invariant counters so every trace exports them
         // even at zero — absence must never read as cleanliness.
@@ -339,6 +345,7 @@ impl FleetCoordinator {
             clock: FaultClock::new(),
             health: HealthTracker::new(n, HealthConfig::default()),
             fallback,
+            memos,
             enforced: vec![Watts::ZERO; n],
             enforced_hist: vec![Watts::ZERO; n],
             prev_targets: vec![Watts::ZERO; n],
@@ -498,7 +505,7 @@ impl FleetCoordinator {
     pub fn coordinate_with_pool(&self, pool: &Pool) -> Result<ClusterDecision> {
         let curves = self.node_curves();
         let shares = fill_shares(&curves, &[], self.global, self.grant, self.objective)?;
-        evaluate(&self.fleet, &shares, &vec![false; self.fleet.len()], pool)
+        evaluate(&self.fleet, &self.memos, &shares, &vec![false; self.fleet.len()], pool)
     }
 
     /// The baseline: split the global budget evenly, floors and curves
@@ -508,7 +515,7 @@ impl FleetCoordinator {
     #[must_use = "the decision result carries either the partition or the failure"]
     pub fn uniform_decision(&self) -> Result<ClusterDecision> {
         let shares = uniform_split(self.fleet.len(), self.global);
-        evaluate(&self.fleet, &shares, &vec![false; self.fleet.len()], Pool::global())
+        evaluate(&self.fleet, &self.memos, &shares, &vec![false; self.fleet.len()], Pool::global())
     }
 
     /// The oracle aggregate at the water-filled shares: what the
@@ -576,7 +583,7 @@ impl FleetCoordinator {
             }
         }
 
-        let mut decision = evaluate(&self.fleet, &targets, &down, pool)?;
+        let mut decision = evaluate(&self.fleet, &self.memos, &targets, &down, pool)?;
         // Stragglers run slow: their contribution shrinks by the plan's
         // slowdown factor.
         let mut dirty = false;
@@ -733,15 +740,13 @@ impl FleetCoordinator {
         Ok(report)
     }
 
+    fn node_curve(&self, node: usize) -> NodeCurve<'_> {
+        let class = self.fleet.class_of(node);
+        NodeCurve { floor: class.floor, curve: &class.curve }
+    }
+
     fn node_curves(&self) -> Vec<NodeCurve<'_>> {
-        self.fleet
-            .nodes
-            .iter()
-            .map(|&c| NodeCurve {
-                floor: self.fleet.classes[c].floor,
-                curve: &self.fleet.classes[c].curve,
-            })
-            .collect()
+        (0..self.fleet.len()).map(|i| self.node_curve(i)).collect()
     }
 
     /// Advance every node's crash, straggle and write-outage episode
@@ -896,7 +901,6 @@ impl FleetCoordinator {
     /// `false` when the fill is infeasible — the caller degrades.
     fn fill_targets(&self, down: &[bool], targets: &mut [Watts]) -> bool {
         let n = self.fleet.len();
-        let curves = self.node_curves();
         let mut allocatable = Vec::new();
         let mut reserved = Watts::ZERO;
         for i in 0..n {
@@ -919,13 +923,12 @@ impl FleetCoordinator {
             return true;
         }
         let avail = self.global - reserved;
-        let live_curves: Vec<NodeCurve<'_>> = allocatable.iter().map(|&i| curves[i]).collect();
-        let shares = match fill_shares(&live_curves, &[], avail, self.grant, self.objective) {
-            Ok(s) => s,
-            Err(e) if e.is_infeasible() => return false,
-            // The fill only fails on infeasibility today; treat
-            // anything else the same way — degraded is the safe floor.
-            Err(_) => return false,
+        let live_curves: Vec<NodeCurve<'_>> =
+            allocatable.iter().map(|&i| self.node_curve(i)).collect();
+        // Any refusal (the fill only refuses an infeasible budget today)
+        // degrades the epoch: the static fallback is the safe floor.
+        let Ok(shares) = fill_shares(&live_curves, &[], avail, self.grant, self.objective) else {
+            return false;
         };
         for (k, &i) in allocatable.iter().enumerate() {
             targets[i] = shares[k];
@@ -1107,20 +1110,21 @@ impl FleetCoordinator {
 /// an infeasible share (COORD or the solver refusing it) scores 0.0;
 /// real solver errors fail the whole evaluation; worker panics re-raise
 /// on the caller.
-fn evaluate(fleet: &Fleet, shares: &[Watts], down: &[bool], pool: &Pool) -> Result<ClusterDecision> {
+fn evaluate(
+    fleet: &Fleet,
+    memos: &[SolveMemo],
+    shares: &[Watts],
+    down: &[bool],
+    pool: &Pool,
+) -> Result<ClusterDecision> {
     let n = shares.len();
     type Slot = Mutex<Option<Result<(Option<PowerAllocation>, f64)>>>;
     let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
-    let memos: Vec<Arc<SolveMemo>> = fleet
-        .classes
-        .iter()
-        .map(|c| SolveMemo::for_problem(&c.platform, &c.demand))
-        .collect();
     let task = |i: usize| {
         let out = if down[i] {
             Ok((None, 0.0))
         } else {
-            eval_node(fleet, &memos, i, shares[i])
+            eval_node(fleet, memos, i, shares[i])
         };
         if let Ok(mut slot) = slots[i].lock() {
             *slot = Some(out);
@@ -1158,7 +1162,7 @@ fn evaluate(fleet: &Fleet, shares: &[Watts], down: &[bool], pool: &Pool) -> Resu
 
 fn eval_node(
     fleet: &Fleet,
-    memos: &[Arc<SolveMemo>],
+    memos: &[SolveMemo],
     node: usize,
     share: Watts,
 ) -> Result<(Option<PowerAllocation>, f64)> {
@@ -1423,6 +1427,26 @@ mod tests {
         assert!(pbc_trace::counter(names::HEALTH_QUARANTINE_LEAKS).get() > before);
         assert_eq!(report.quarantine_leaks, 0, "another writer's leaks are not this run's");
         assert!(report.survived());
+    }
+
+    /// Evaluation goes through the coordinator's own memos: a run leaves
+    /// every class's process-wide memo as profiling left it.
+    #[test]
+    fn runs_leave_the_shared_solve_memos_alone() {
+        let fleet = mixed_fleet();
+        let global = fleet.min_total_power() + Watts::new(150.0);
+        let shared: Vec<_> =
+            fleet.classes.iter().map(|c| SolveMemo::for_problem(&c.platform, &c.demand)).collect();
+        let before: Vec<usize> = shared.iter().map(|m| m.len()).collect();
+        let mut coord = FleetCoordinator::new(fleet, global)
+            .unwrap()
+            .with_plan(FleetFaultPlan::everything(7))
+            .unwrap();
+        let report = coord.run(12).unwrap();
+        assert!(report.work_done > 0.0);
+        assert!(coord.coordinate().unwrap().aggregate_perf > 0.0);
+        let after: Vec<usize> = shared.iter().map(|m| m.len()).collect();
+        assert_eq!(before, after, "a coordinator run grew the shared solve memos");
     }
 
     #[test]

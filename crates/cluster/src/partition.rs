@@ -9,13 +9,48 @@
 //! cluster-level mirror of the paper's single-node insight that watts
 //! should sit wherever the marginal performance per watt is highest.
 //!
-//! The pass is pure sequential arithmetic over already-profiled curves
-//! (ties broken by lowest node index), so a partition is a deterministic
-//! function of `(curves, global, grant)` — independent of `PBC_THREADS`,
-//! which the property tests in `tests/partition_properties.rs` pin down.
+//! ## The winner rule
+//!
+//! Each objective gives every node with ceiling headroom a key: the
+//! marginal gain of the next quantum ([`Objective::Throughput`]), the
+//! negated normalized progress ([`Objective::MaxMin`]) or the negated
+//! surplus per weight ([`Objective::WeightedShares`]). The quantum goes
+//! to the last *record* of a pass in node order: a node becomes the
+//! record when its key beats the record's, `key > record + GAIN_EPS`.
+//! Throughput starts from a record of 0, so a gain must exceed
+//! `GAIN_EPS` to win at all; the other objectives start with no record.
+//! The relation is not transitive, so the winner is neither the largest
+//! key nor the lowest index among near-ties: gains of `g + 0.5e-12` at
+//! node 0 and `g + 1.2e-12` at node 1 give node 0.
+//!
+//! ## Cost: O(Q log N) for Q quanta over N nodes
+//!
+//! The eligible nodes sit in one ordered index, keyed by (key
+//! descending, node index ascending), and a grant changes only the
+//! winner's key. The winner comes from the index's *top cluster*: walk
+//! down the distinct key values from the top and stop at the first value
+//! that the smallest value already taken beats. Every node inside the
+//! cluster beats every node outside it, so in a full pass the first
+//! cluster node in index order becomes the record and no outside node
+//! can become one after it: the record rule over the cluster alone picks
+//! the full pass's winner. Of the nodes sharing one exact key only the
+//! lowest index can ever become a record, so the walk takes one node per
+//! value and the cluster stays a handful of entries even when whole
+//! classes tie. The walk stops on the pass's own float predicate, so
+//! the argument holds under rounding. Throughput's keys depend on the
+//! quantum, so its last, partial quanta rebuild the index.
+//!
+//! The pass is pure sequential arithmetic over already-profiled curves,
+//! so a partition is a deterministic function of `(curves, global,
+//! grant)`, independent of `PBC_THREADS`. The property tests in
+//! `tests/partition_properties.rs` pin that down, and pin the winner
+//! rule against a reference copy of the quantum-by-quantum pass.
 
 use crate::curve::PerfCurve;
 use pbc_types::{PbcError, Result, Watts};
+use std::cmp::Ordering;
+use std::collections::BTreeSet;
+use std::ops::Bound;
 
 /// Default grant quantum for the water-filling pass.
 pub const DEFAULT_GRANT: Watts = Watts::new(4.0);
@@ -101,10 +136,10 @@ fn headroom(node: &NodeCurve<'_>, share: Watts) -> f64 {
 /// regardless — conservation (Σ shares == global) always wins over
 /// ceilings, matching what the enforcement layer assumes.
 fn spread_leftover(nodes: &[NodeCurve<'_>], shares: &mut [Watts], mut remaining: Watts) {
+    let mut open = Vec::with_capacity(nodes.len());
     while remaining.value() > BUDGET_EPS {
-        let open: Vec<usize> = (0..nodes.len())
-            .filter(|&i| headroom(&nodes[i], shares[i]) > BUDGET_EPS)
-            .collect();
+        open.clear();
+        open.extend((0..nodes.len()).filter(|&i| headroom(&nodes[i], shares[i]) > BUDGET_EPS));
         if open.is_empty() {
             break;
         }
@@ -193,24 +228,21 @@ pub fn fill_shares(
     }
     let mut shares: Vec<Watts> = nodes.iter().map(|n| n.floor).collect();
     let mut remaining = global - minimum;
-    // Greedy fill: each quantum goes to whichever node the objective
-    // ranks first, clamped to that node's ceiling so the last grant
-    // before a flattening point can never overshoot it.
+    // Greedy fill: each quantum goes to the winner the module docs
+    // define, clamped to that node's ceiling so the last grant before a
+    // flattening point can never overshoot it.
+    let mut level = Level::new(nodes, weights, objective);
     while remaining.value() > BUDGET_EPS {
         let q = grant.min(remaining);
-        let winner = match objective {
-            Objective::Throughput => pick_throughput(nodes, &shares, q),
-            Objective::MaxMin => pick_max_min(nodes, &shares),
-            Objective::WeightedShares => pick_weighted(nodes, &shares, weights),
+        level.set_quantum(&shares, q);
+        let Some(won) = level.winner() else {
+            break; // nobody is eligible — stop granting greedily
         };
-        match winner {
-            Some(i) => {
-                let qi = Watts::new(q.value().min(headroom(&nodes[i], shares[i])));
-                shares[i] = shares[i] + qi;
-                remaining = remaining - qi;
-            }
-            None => break, // nobody is eligible — stop granting greedily
-        }
+        let i = won.node;
+        let qi = Watts::new(q.value().min(headroom(&nodes[i], shares[i])));
+        shares[i] = shares[i] + qi;
+        remaining = remaining - qi;
+        level.rekey(won, shares[i], q);
     }
     // Conservation: whatever is left once the objective stops granting
     // is still assigned so Σ shares == global, preferring nodes with
@@ -221,70 +253,142 @@ pub fn fill_shares(
     Ok(shares)
 }
 
-/// Throughput rule: the node with the largest marginal gain for the
-/// next quantum, queried with the grant clamped to its own headroom.
-/// Saturated nodes (flat curve ahead, or pinned at their ceiling) never
-/// win. Ties break to the lowest node index.
-fn pick_throughput(nodes: &[NodeCurve<'_>], shares: &[Watts], q: Watts) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, node) in nodes.iter().enumerate() {
-        let room = headroom(node, shares[i]);
+/// One eligible node in the fill index. Entries sort by key descending,
+/// then by node index ascending, so the first entry of each distinct key
+/// is the lowest-indexed node holding it.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    key: f64,
+    node: usize,
+}
+
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key.total_cmp(&self.key).then(self.node.cmp(&other.node))
+    }
+}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Entry {}
+
+/// The fill's water level: every node with ceiling headroom, indexed by
+/// its objective key (see the module docs for the rule it reproduces).
+struct Level<'n, 'c> {
+    nodes: &'n [NodeCurve<'c>],
+    weights: &'n [f64],
+    objective: Objective,
+    index: BTreeSet<Entry>,
+    /// Bit pattern of the quantum the keys were computed for; `None`
+    /// before the first build.
+    quantum: Option<u64>,
+    /// The top cluster of the current pick (kept to reuse its buffer).
+    cluster: Vec<Entry>,
+}
+
+impl<'n, 'c> Level<'n, 'c> {
+    fn new(nodes: &'n [NodeCurve<'c>], weights: &'n [f64], objective: Objective) -> Self {
+        Self {
+            nodes,
+            weights,
+            objective,
+            index: BTreeSet::new(),
+            quantum: None,
+            cluster: Vec::new(),
+        }
+    }
+
+    /// The node's key at `share` for a quantum of `q`, or `None` when it
+    /// has no ceiling headroom left to compete with.
+    fn key(&self, i: usize, share: Watts, q: Watts) -> Option<f64> {
+        let node = &self.nodes[i];
+        let room = headroom(node, share);
         if room <= BUDGET_EPS {
-            continue;
+            return None;
         }
-        let qi = Watts::new(q.value().min(room));
-        let gain = node.curve.marginal_gain(shares[i], qi);
-        let beats = match best {
-            None => gain > GAIN_EPS,
-            Some((_, g)) => gain > g + GAIN_EPS,
-        };
-        if beats {
-            best = Some((i, gain));
-        }
+        Some(match self.objective {
+            // The gain is queried with the grant clamped to the node's
+            // own headroom.
+            Objective::Throughput => node.curve.marginal_gain(share, Watts::new(q.value().min(room))),
+            // A node whose curve never rises (peak ≤ 0) counts as fully
+            // progressed: watts can't help it.
+            Objective::MaxMin => {
+                let top = node.curve.perf_at(node.curve.ceiling());
+                let progress = if top > GAIN_EPS {
+                    (node.curve.perf_at(share) / top).min(1.0)
+                } else {
+                    1.0
+                };
+                -progress
+            }
+            Objective::WeightedShares => {
+                let w = self.weights.get(i).copied().unwrap_or(1.0);
+                -((share.value() - node.floor.value()) / w)
+            }
+        })
     }
-    best.map(|(i, _)| i)
-}
 
-/// Max-min rule: the unsaturated node with the lowest normalized
-/// progress toward its own peak performance. A node whose curve never
-/// rises (peak ≤ 0) counts as fully progressed — watts can't help it.
-/// Ties break to the lowest node index.
-fn pick_max_min(nodes: &[NodeCurve<'_>], shares: &[Watts]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, node) in nodes.iter().enumerate() {
-        if headroom(node, shares[i]) <= BUDGET_EPS {
-            continue;
-        }
-        let top = node.curve.perf_at(node.curve.ceiling());
-        let progress = if top > GAIN_EPS {
-            (node.curve.perf_at(shares[i]) / top).min(1.0)
-        } else {
-            1.0
+    /// Key every node for quantum `q`: once, and again whenever `q`
+    /// changes under Throughput, the one objective whose keys depend on
+    /// it (only the last, partial quanta change it).
+    fn set_quantum(&mut self, shares: &[Watts], q: Watts) {
+        let bits = q.value().to_bits();
+        let stale = match self.quantum {
+            None => true,
+            Some(b) => self.objective == Objective::Throughput && b != bits,
         };
-        if best.is_none_or(|(_, p)| progress < p - GAIN_EPS) {
-            best = Some((i, progress));
+        if !stale {
+            return;
         }
+        self.quantum = Some(bits);
+        self.index = (0..self.nodes.len())
+            .filter_map(|node| self.key(node, shares[node], q).map(|key| Entry { key, node }))
+            .collect();
     }
-    best.map(|(i, _)| i)
-}
 
-/// Weighted-shares rule: the unsaturated node with the smallest surplus
-/// (watts above its floor) per unit of weight, so surplus converges to
-/// the weight proportions. Empty `weights` means equal weights. Ties
-/// break to the lowest node index.
-fn pick_weighted(nodes: &[NodeCurve<'_>], shares: &[Watts], weights: &[f64]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, node) in nodes.iter().enumerate() {
-        if headroom(node, shares[i]) <= BUDGET_EPS {
-            continue;
-        }
-        let w = weights.get(i).copied().unwrap_or(1.0);
-        let normalized = (shares[i].value() - node.floor.value()) / w;
-        if best.is_none_or(|(_, n)| normalized < n - GAIN_EPS) {
-            best = Some((i, normalized));
+    /// Move the winner's entry to its key after a grant brought it to
+    /// `share` (out of the index once it has no headroom left).
+    fn rekey(&mut self, won: Entry, share: Watts, q: Watts) {
+        self.index.remove(&won);
+        if let Some(key) = self.key(won.node, share, q) {
+            self.index.insert(Entry { key, node: won.node });
         }
     }
-    best.map(|(i, _)| i)
+
+    /// The entry of the node the quantum-by-quantum record pass would
+    /// pick, found over the index's top cluster alone.
+    fn winner(&mut self) -> Option<Entry> {
+        self.cluster.clear();
+        let mut next = self.index.first().copied();
+        while let Some(e) = next {
+            if self.cluster.last().is_some_and(|low| low.key > e.key + GAIN_EPS) {
+                break;
+            }
+            self.cluster.push(e);
+            let past = Entry { key: e.key, node: usize::MAX };
+            next = self.index.range((Bound::Excluded(past), Bound::Unbounded)).next().copied();
+        }
+        self.cluster.sort_unstable_by_key(|e| e.node);
+        let mut record = (self.objective == Objective::Throughput).then_some(0.0);
+        let mut winner = None;
+        for &e in &self.cluster {
+            if record.is_none_or(|r| e.key > r + GAIN_EPS) {
+                record = Some(e.key);
+                winner = Some(e);
+            }
+        }
+        winner
+    }
 }
 
 /// The baseline partition: every node gets `global / n`, floors and
@@ -413,6 +517,30 @@ mod tests {
         assert!((shares[0].value() - 74.0).abs() < 1e-9, "steep node should fill exactly");
         let total: f64 = shares.iter().map(|s| s.value()).sum();
         assert!((total - 160.0).abs() < 1e-9);
+    }
+
+    /// The record rule is not "largest key wins": node 1's gain is the
+    /// larger, but it does not beat node 0's by more than `GAIN_EPS`, so
+    /// node 0 stays the record and takes the one quantum.
+    #[test]
+    fn a_larger_gain_within_gain_eps_does_not_take_the_record() {
+        let g = 1.0;
+        let curve = |gain: f64| PerfCurve {
+            floor: Watts::new(50.0),
+            step: Watts::new(4.0),
+            perf: vec![0.0, gain],
+            allocs: vec![None; 2],
+        };
+        let (first, second) = (curve(g + 0.5e-12), curve(g + 1.2e-12));
+        let nodes = [
+            NodeCurve { floor: first.floor, curve: &first },
+            NodeCurve { floor: second.floor, curve: &second },
+        ];
+        let grant = Watts::new(4.0);
+        let gain = |n: &NodeCurve<'_>| n.curve.marginal_gain(n.floor, grant);
+        assert!(gain(&nodes[1]) > gain(&nodes[0]), "node 1 holds the larger gain");
+        let shares = water_fill(&nodes, Watts::new(104.0), grant).unwrap();
+        assert_eq!(shares, vec![Watts::new(54.0), Watts::new(50.0)]);
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //!   profiling, per-node evaluation) is bit-identical across executor
 //!   counts, mirroring `sweep_curve_equivalence.rs`. Thread counts are
 //!   pinned with explicit `Pool::new(n)` instances rather than by
-//!   mutating `PBC_THREADS`, which is process-global.
+//!   mutating `PBC_THREADS`, which is process-global;
+//! * **the winner rule** — the indexed fill grants every quantum to the
+//!   node a full rescan of every node picks, bit for bit, checked
+//!   against a reference copy of that rescan kept in this file.
 
 use pbc_cluster::{
     fill_shares, parse_spec, water_fill, Fleet, FleetCoordinator, NodeCurve, Objective,
@@ -19,6 +22,13 @@ use pbc_platform::presets::by_id;
 use pbc_platform::PlatformId;
 use pbc_types::{Watts, XorShift64Star};
 use pbc_workloads::by_name;
+
+/// The `cluster/water-fill-32` bench fleet.
+const BENCH_SPEC: &str = "10 ivybridge stream\n\
+                          8 haswell dgemm\n\
+                          6 ivybridge sra\n\
+                          5 titan-xp sgemm\n\
+                          3 titan-v minife\n";
 
 const MIXED_SPEC: &str = "6 ivybridge stream\n\
                           4 haswell dgemm\n\
@@ -236,4 +246,284 @@ fn floors_match_the_profiled_platforms() {
         assert!(by_id(id).min_node_power() > Watts::ZERO);
     }
     assert!(by_name("stream").is_some());
+}
+
+/// Reference copy of the quantum-by-quantum fill the indexed
+/// partitioner replaced: every quantum rescans every node and grants it
+/// to the last record of `key > record + GAIN_EPS`. It lives only here,
+/// as the oracle the differential test below checks the library against.
+mod reference {
+    use pbc_cluster::{NodeCurve, Objective};
+    use pbc_types::Watts;
+
+    const GAIN_EPS: f64 = 1e-12;
+    const BUDGET_EPS: f64 = 1e-6;
+
+    fn headroom(node: &NodeCurve<'_>, share: Watts) -> f64 {
+        (node.curve.ceiling().value() - share.value()).max(0.0)
+    }
+
+    fn spread_leftover(nodes: &[NodeCurve<'_>], shares: &mut [Watts], mut remaining: Watts) {
+        while remaining.value() > BUDGET_EPS {
+            let open: Vec<usize> = (0..nodes.len())
+                .filter(|&i| headroom(&nodes[i], shares[i]) > BUDGET_EPS)
+                .collect();
+            if open.is_empty() {
+                break;
+            }
+            let even = remaining * (1.0 / open.len() as f64);
+            let mut granted = Watts::ZERO;
+            for &i in &open {
+                let take = Watts::new(even.value().min(headroom(&nodes[i], shares[i])));
+                shares[i] = shares[i] + take;
+                granted = granted + take;
+            }
+            remaining = remaining - granted;
+            if granted.value() <= BUDGET_EPS {
+                break;
+            }
+        }
+        if remaining.value() > 0.0 {
+            let even = remaining * (1.0 / nodes.len() as f64);
+            for share in shares.iter_mut() {
+                *share = *share + even;
+            }
+        }
+    }
+
+    /// `fill_shares` for inputs it accepts (no validation).
+    pub fn fill_shares(
+        nodes: &[NodeCurve<'_>],
+        weights: &[f64],
+        global: Watts,
+        grant: Watts,
+        objective: Objective,
+    ) -> Vec<Watts> {
+        let minimum = nodes.iter().fold(Watts::ZERO, |acc, n| acc + n.floor);
+        let mut shares: Vec<Watts> = nodes.iter().map(|n| n.floor).collect();
+        let mut remaining = global - minimum;
+        while remaining.value() > BUDGET_EPS {
+            let q = grant.min(remaining);
+            let winner = match objective {
+                Objective::Throughput => pick_throughput(nodes, &shares, q),
+                Objective::MaxMin => pick_max_min(nodes, &shares),
+                Objective::WeightedShares => pick_weighted(nodes, &shares, weights),
+            };
+            match winner {
+                Some(i) => {
+                    let qi = Watts::new(q.value().min(headroom(&nodes[i], shares[i])));
+                    shares[i] = shares[i] + qi;
+                    remaining = remaining - qi;
+                }
+                None => break,
+            }
+        }
+        if remaining.value() > 0.0 {
+            spread_leftover(nodes, &mut shares, remaining);
+        }
+        shares
+    }
+
+    fn pick_throughput(nodes: &[NodeCurve<'_>], shares: &[Watts], q: Watts) -> Option<usize> {
+        let mut best: Option<(usize, f64)> = None;
+        for (i, node) in nodes.iter().enumerate() {
+            let room = headroom(node, shares[i]);
+            if room <= BUDGET_EPS {
+                continue;
+            }
+            let qi = Watts::new(q.value().min(room));
+            let gain = node.curve.marginal_gain(shares[i], qi);
+            let beats = match best {
+                None => gain > GAIN_EPS,
+                Some((_, g)) => gain > g + GAIN_EPS,
+            };
+            if beats {
+                best = Some((i, gain));
+            }
+        }
+        best.map(|(i, _)| i)
+    }
+
+    fn pick_max_min(nodes: &[NodeCurve<'_>], shares: &[Watts]) -> Option<usize> {
+        let mut best: Option<(usize, f64)> = None;
+        for (i, node) in nodes.iter().enumerate() {
+            if headroom(node, shares[i]) <= BUDGET_EPS {
+                continue;
+            }
+            let top = node.curve.perf_at(node.curve.ceiling());
+            let progress = if top > GAIN_EPS {
+                (node.curve.perf_at(shares[i]) / top).min(1.0)
+            } else {
+                1.0
+            };
+            if best.is_none_or(|(_, p)| progress < p - GAIN_EPS) {
+                best = Some((i, progress));
+            }
+        }
+        best.map(|(i, _)| i)
+    }
+
+    fn pick_weighted(nodes: &[NodeCurve<'_>], shares: &[Watts], weights: &[f64]) -> Option<usize> {
+        let mut best: Option<(usize, f64)> = None;
+        for (i, node) in nodes.iter().enumerate() {
+            if headroom(node, shares[i]) <= BUDGET_EPS {
+                continue;
+            }
+            let w = weights.get(i).copied().unwrap_or(1.0);
+            let normalized = (shares[i].value() - node.floor.value()) / w;
+            if best.is_none_or(|(_, n)| normalized < n - GAIN_EPS) {
+                best = Some((i, normalized));
+            }
+        }
+        best.map(|(i, _)| i)
+    }
+}
+
+/// Grants the differential cases draw from; 3.3 W leaves partial
+/// quanta at the end of nearly every fill.
+const GRANTS: [f64; 4] = [2.0, 3.3, 4.0, 16.0];
+
+const OBJECTIVES: [Objective; 3] =
+    [Objective::Throughput, Objective::MaxMin, Objective::WeightedShares];
+
+/// One differential case: `fill_shares` against the reference rescan,
+/// under every objective, bit for bit. The budget is drawn from Σ floors
+/// up to 1.2 × Σ ceilings. Returns the number of fills compared.
+fn check_against_reference(
+    label: &str,
+    nodes: &[NodeCurve<'_>],
+    weights: &[f64],
+    rng: &mut XorShift64Star,
+) -> usize {
+    let floors: f64 = nodes.iter().map(|n| n.floor.value()).sum();
+    let ceilings: f64 = nodes.iter().map(|n| n.curve.ceiling().value()).sum();
+    let global = if rng.below(8) == 0 {
+        Watts::new(floors)
+    } else {
+        Watts::new(rng.range_f64(floors, (1.2 * ceilings).max(floors)))
+    };
+    let grant = Watts::new(GRANTS[rng.below(GRANTS.len())]);
+    for objective in OBJECTIVES {
+        let got = fill_shares(nodes, weights, global, grant, objective)
+            .unwrap_or_else(|e| panic!("{label} {}: refused: {e}", objective.name()));
+        let want = reference::fill_shares(nodes, weights, global, grant, objective);
+        let bits = |s: &[Watts]| s.iter().map(|w| w.value().to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&got),
+            bits(&want),
+            "{label} {}: {} nodes, global {} W, grant {} W: the fill diverges from the \
+             reference rescan",
+            objective.name(),
+            nodes.len(),
+            global.value(),
+            grant.value()
+        );
+    }
+    OBJECTIVES.len()
+}
+
+/// A synthetic class curve: linear (optionally with a flat tail) or
+/// concave, on an 8 W or 5 W rung spacing.
+fn synthetic_curve(rng: &mut XorShift64Star) -> PerfCurve {
+    let floor = Watts::new(20.0 + 100.0 * rng.next_f64());
+    let step = Watts::new(if rng.below(2) == 0 { 8.0 } else { 5.0 });
+    let rungs = 1 + rng.below(16);
+    let top = 3.0 * rng.next_f64();
+    let perf: Vec<f64> = match rng.below(3) {
+        0 => (0..=rungs).map(|k| top * k as f64 / rungs as f64).collect(),
+        1 => {
+            let knee = 1 + rng.below(rungs);
+            (0..=rungs).map(|k| top * k.min(knee) as f64 / knee as f64).collect()
+        }
+        _ => (0..=rungs)
+            .map(|k| {
+                let x = 1.0 - k as f64 / rungs as f64;
+                top * (1.0 - x * x)
+            })
+            .collect(),
+    };
+    let allocs = vec![None; perf.len()];
+    PerfCurve { floor, step, perf, allocs }
+}
+
+/// The indexed fill reproduces the reference rescan's winner rule bit
+/// for bit: synthetic fleets whose nodes repeat a few classes (so keys
+/// tie exactly) and whose classes sometimes sit within `GAIN_EPS`
+/// chains of each other, the two real mixed fleets, and random live
+/// subsets of an 8-class × 128-node fleet.
+#[test]
+fn indexed_fill_matches_the_reference_rescan() {
+    let mut rng = XorShift64Star::new(0xD1FF_E2E7_0000_0015);
+    let mut compared = 0;
+
+    for case in 0..700 {
+        let class_count = 1 + rng.below(6);
+        let classes: Vec<PerfCurve> = if case % 3 == 0 {
+            // Clones of one curve, each one's slope raised by a fraction
+            // of GAIN_EPS over the last, so keys chain within the record
+            // threshold.
+            let template = synthetic_curve(&mut rng);
+            let nudge = rng.range_f64(0.05e-12, 0.5e-12);
+            (0..class_count)
+                .map(|j| {
+                    let mut c = template.clone();
+                    for (k, p) in c.perf.iter_mut().enumerate() {
+                        *p += nudge * (j * k) as f64;
+                    }
+                    c
+                })
+                .collect()
+        } else {
+            (0..class_count).map(|_| synthetic_curve(&mut rng)).collect()
+        };
+        let n = 2 + rng.below(39);
+        let picks: Vec<usize> = (0..n).map(|_| rng.below(classes.len())).collect();
+        let nodes: Vec<NodeCurve<'_>> = picks
+            .iter()
+            .map(|&c| NodeCurve { floor: classes[c].floor, curve: &classes[c] })
+            .collect();
+        let weights: Vec<f64> = match rng.below(3) {
+            0 => Vec::new(),
+            1 => (0..n).map(|_| [1.0, 1.5, 2.0, 3.0][rng.below(4)]).collect(),
+            _ => (0..n).map(|_| rng.range_f64(0.5, 4.0)).collect(),
+        };
+        let label = format!("synthetic case {case}");
+        compared += check_against_reference(&label, &nodes, &weights, &mut rng);
+    }
+
+    let pool = Pool::new(2);
+    for spec in [MIXED_SPEC, BENCH_SPEC] {
+        let fleet = Fleet::build_with_pool(&parse_spec(spec).unwrap(), &pool).unwrap();
+        let curves = fleet_curves(&fleet);
+        for case in 0..24 {
+            let weights: Vec<f64> = (0..curves.len()).map(|_| rng.range_f64(0.5, 4.0)).collect();
+            let label = format!("{}-node fleet case {case}", curves.len());
+            compared += check_against_reference(&label, &curves, &weights, &mut rng);
+        }
+    }
+
+    let spec: String = [
+        "ivybridge stream",
+        "ivybridge dgemm",
+        "haswell cg",
+        "haswell ep",
+        "titan-xp sgemm",
+        "titan-xp hpcg",
+        "titan-v minife",
+        "titan-v cufft",
+    ]
+    .iter()
+    .map(|class| format!("128 {class}\n"))
+    .collect();
+    let fleet = Fleet::build_with_pool(&parse_spec(&spec).unwrap(), &pool).unwrap();
+    let curves = fleet_curves(&fleet);
+    for case in 0..8 {
+        let live_share = rng.range_f64(0.05, 0.4);
+        let live: Vec<NodeCurve<'_>> =
+            curves.iter().copied().filter(|_| rng.next_f64() < live_share).collect();
+        let weights: Vec<f64> = (0..live.len()).map(|_| [1.0, 2.0, 3.0][rng.below(3)]).collect();
+        let label = format!("1024-node fleet live subset {case} ({} nodes)", live.len());
+        compared += check_against_reference(&label, &live, &weights, &mut rng);
+    }
+    assert!(compared >= 2000, "only {compared} fills compared");
 }

@@ -159,6 +159,19 @@ awk -v r="$fp_ratio" 'BEGIN { exit (r >= 10.0 ? 0 : 1) }' \
     || { echo "error: fast-path speedup ${fp_ratio}x is below the 10x bar" >&2; exit 1; }
 echo "    fast-path speedup: ${fp_ratio}x"
 
+echo "==> partitioner scaling gate (water-fill per-node cost at 4096 nodes <= 2.5x that at 32)"
+# The sweep bench records the 4096-node fill's per-node median over the
+# 32-node fill's. An indexed fill costs O(Q log N), so its per-node cost
+# may grow only with log N; a per-quantum rescan of every node grows
+# with N and measured 94x.
+fill_ratio=$(grep '"type":"bench-ratio"' BENCH_sweep.json \
+    | grep '"name":"cluster/water-fill-per-node-4096-vs-32"' \
+    | sed 's/.*"ratio"://; s/[^0-9.].*//')
+test -n "$fill_ratio" || { echo "error: no water-fill bench-ratio record in BENCH_sweep.json" >&2; exit 1; }
+awk -v r="$fill_ratio" 'BEGIN { exit (r <= 2.5 ? 0 : 1) }' \
+    || { echo "error: water-fill per-node cost grows ${fill_ratio}x from 32 to 4096 nodes (bar: 2.5x)" >&2; exit 1; }
+echo "    water-fill per-node cost, 4096 vs 32 nodes: ${fill_ratio}x"
+
 echo "==> serve-bench gate (>= 100k queries/sec sustained, p99 dispatch < 50 us)"
 # Load-test the shipped daemon binary: thousands of concurrent simulated
 # nodes over live pipelined TCP, dispatch latency over the identical
