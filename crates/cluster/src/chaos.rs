@@ -27,11 +27,10 @@ use crate::fleet::Fleet;
 use crate::partition::Objective;
 use crate::tenant::TenantSet;
 use pbc_faults::FleetFaultPlan;
-use pbc_rapl::{mock, RaplDomain, RaplSysfs};
+use pbc_rapl::mock::MockTree;
+use pbc_rapl::{RaplDomain, RaplSysfs};
 use pbc_types::{PbcError, Result, Watts};
 use std::fmt;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Tolerance on cap read-back comparisons (enforcement quantizes to µW).
 const EPS_W: f64 = 1e-6;
@@ -40,10 +39,6 @@ const EPS_W: f64 = 1e-6;
 /// the default run length (`epochs == 0`) — long enough for every
 /// quarantined node to serve probation and reconverge.
 const SETTLE_EPOCHS: usize = 16;
-
-/// Monotonic per-process run id so concurrent harness runs (tests on
-/// different threads) never share a mock tree.
-static RUN_ID: AtomicUsize = AtomicUsize::new(0);
 
 /// A cap sink backed by a mock RAPL tree: node `i` maps to the package
 /// domain `intel-rapl:i`. Writes go through the shipping
@@ -208,7 +203,7 @@ impl fmt::Display for ClusterChaosReport {
 /// Run `plan` against `fleet` under `global` for `epochs` epochs
 /// (`epochs == 0` → the plan's quiet point plus a settling margin),
 /// with a mock RAPL tree as the cap sink. The tree lives in a unique
-/// tempdir and is removed before returning.
+/// tempdir and is removed on every exit path.
 #[must_use = "the survival report is the run's entire result"]
 pub fn run_cluster_chaos(
     fleet: Fleet,
@@ -239,28 +234,8 @@ pub fn run_cluster_chaos_with(
         epochs
     };
     let nodes = fleet.len();
-
-    let root = chaos_root(&plan.name)?;
-    let result = run_in_tree(&root, fleet, global, plan, epochs, nodes, objective, tenants);
-    let _ = std::fs::remove_dir_all(&root);
-    result
-}
-
-/// The harness body, split out so the tempdir is removed on every exit
-/// path.
-#[allow(clippy::too_many_arguments)]
-fn run_in_tree(
-    root: &PathBuf,
-    fleet: Fleet,
-    global: Watts,
-    plan: &FleetFaultPlan,
-    epochs: usize,
-    nodes: usize,
-    objective: Objective,
-    tenants: Option<TenantSet>,
-) -> Result<ClusterChaosReport> {
-    mock::sysfs_tree(root, nodes, 0)?;
-    let sink = MockFleetSink::new(RaplSysfs::discover_at(root)?, nodes)?;
+    let tree = MockTree::new(&format!("cluster-chaos-{}", plan.name), nodes, 0)?;
+    let sink = MockFleetSink::new(tree.discover()?, nodes)?;
 
     let mut coord = FleetCoordinator::new(fleet, global)?
         .with_plan(plan.clone())?
@@ -285,7 +260,7 @@ fn run_in_tree(
     // in the file while the coordinator carries zero (the draw is
     // physically gone; there was no write to land), so agreement is
     // only demanded where the coordinator believes a write stuck.
-    let survivors = RaplSysfs::discover_at(root)?;
+    let survivors = tree.discover()?;
     let mut programmed: Vec<(usize, Watts)> = Vec::with_capacity(nodes);
     for d in survivors.packages() {
         programmed.push((package_index(d), d.power_limit()?));
@@ -315,18 +290,6 @@ fn run_in_tree(
         sink_total,
         sink_divergences,
     })
-}
-
-/// A unique, collision-free tempdir for one run's mock tree.
-fn chaos_root(plan: &str) -> Result<PathBuf> {
-    let root = std::env::temp_dir().join(format!(
-        "pbc-cluster-chaos-{plan}-{}-{}",
-        std::process::id(),
-        RUN_ID.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&root)
-        .map_err(|e| PbcError::Io(format!("{}: {e}", root.display())))?;
-    Ok(root)
 }
 
 #[cfg(test)]

@@ -15,10 +15,11 @@
 //! 1. **Faults roll** from the armed [`FleetFaultPlan`]: one pass over
 //!    the nodes advances each one's crash, straggle and write-outage
 //!    [`pbc_faults::Episodes`], one pass over the tenants their spikes
-//!    and noisy stretches. Every draw comes from a fresh
-//!    `XorShift64Star` keyed `(seed, tick, stream, key)`
-//!    ([`pbc_faults::inject::decision_rng`]), never shared state, so a
-//!    chaos run is bit-identical under any `PBC_THREADS`.
+//!    and noisy stretches. Every fault draw, these and the report and
+//!    cap-write draws below, is one [`pbc_faults::FaultWindow::pick`]
+//!    from a fresh `XorShift64Star` keyed `(seed, tick, stream, key)`,
+//!    never shared state, so a chaos run is bit-identical under any
+//!    `PBC_THREADS`.
 //! 2. **Reports arrive** (or don't): every node's observation of the
 //!    previous epoch passes the report gate, shared with
 //!    `OnlineCoordinator` rather than mirrored ([`check_report`]:
@@ -35,24 +36,25 @@
 //!    and Suspects capped at their standing grant (no raises on
 //!    untrusted telemetry).
 //! 6. **Enforcement lands**, decreases first, each write given up to
-//!    four attempts under a per-round attempt deadline: watts freed
-//!    by confirmed lowerings (and by dead nodes) fund the raises; a
-//!    failed lowering keeps its watts reserved; a blown deadline ends
-//!    the round and degrades the next epoch. The pot for raises only
-//!    ever shrinks, so `Σ enforced ≤ global` is an invariant —
-//!    `cluster.budget_violations` and `health.quarantine_leaks` stay
-//!    zero by construction, not by luck.
+//!    [`pbc_rapl::WRITE_ATTEMPTS`] tries under a per-round attempt
+//!    deadline: watts freed by confirmed lowerings (and by dead nodes)
+//!    fund the raises; a failed lowering keeps its watts reserved; a
+//!    blown deadline ends the round and degrades the next epoch. The
+//!    pot for raises only ever shrinks, so `Σ enforced ≤ global` is an
+//!    invariant — `cluster.budget_violations` and
+//!    `health.quarantine_leaks` stay zero by construction, not by luck.
 
 use crate::degrade::StaticFallback;
 use crate::fleet::Fleet;
-use crate::health::{HealthConfig, HealthCounts, HealthTracker, NodeHealth, ReportVerdict};
+use crate::health::{HealthCounts, HealthTracker, NodeHealth, ReportVerdict};
 use crate::partition::{fill_shares, uniform_split, NodeCurve, Objective, DEFAULT_GRANT};
 use crate::tenant::{jain_index, TenantSet};
 use pbc_core::{check_report, ObservationOutcome, OnlineConfig};
-use pbc_faults::inject::{decision_rng, write_key, GOLDEN};
-use pbc_faults::{Edge, FaultClock, FleetFaultPlan};
+use pbc_faults::inject::{write_key, GOLDEN};
+use pbc_faults::{Edge, FleetFaultPlan};
 use pbc_par::Pool;
 use pbc_powersim::SolveMemo;
+use pbc_rapl::WRITE_ATTEMPTS;
 use pbc_trace::names;
 use pbc_types::{PbcError, PowerAllocation, Result, Watts};
 use std::sync::Mutex;
@@ -73,9 +75,6 @@ const STREAM_TENANT_SPIKE: u64 = 0x5EED_0016;
 const STREAM_TENANT_NOISY: u64 = 0x5EED_0017;
 /// Watt slack below which a cap move is not worth a write.
 const EPS_W: f64 = 1e-6;
-/// Tries each cap write gets before it counts as failed (retries do not
-/// back off, so fault storms replay at full speed).
-const WRITE_ATTEMPTS: u32 = 4;
 
 /// Where a node's cap writes land. The simulated chaos runs wire this
 /// to a mock RAPL sysfs tree so "enforced" means a real file changed;
@@ -259,7 +258,8 @@ pub struct FleetCoordinator {
     initial_global: Watts,
     grant: Watts,
     plan: FleetFaultPlan,
-    clock: FaultClock,
+    /// The next epoch's tick: fault decisions for epoch `k` key on `k`.
+    tick: usize,
     health: HealthTracker,
     fallback: StaticFallback,
     /// One solve memo per class, owned by this coordinator so its
@@ -342,8 +342,8 @@ impl FleetCoordinator {
             initial_global: global,
             grant: DEFAULT_GRANT,
             plan: FleetFaultPlan::calm(0),
-            clock: FaultClock::new(),
-            health: HealthTracker::new(n, HealthConfig::default()),
+            tick: 0,
+            health: HealthTracker::new(n),
             fallback,
             memos,
             enforced: vec![Watts::ZERO; n],
@@ -542,7 +542,8 @@ impl FleetCoordinator {
     /// [`FleetCoordinator::step`] on an explicit pool.
     #[must_use = "the epoch result carries either the report or the failure"]
     pub fn step_with_pool(&mut self, pool: &Pool) -> Result<EpochReport> {
-        let tick = self.clock.advance();
+        let tick = self.tick;
+        self.tick += 1;
         let n = self.fleet.len();
 
         // Scheduled budget re-negotiations, factors of the initial
@@ -868,14 +869,11 @@ impl FleetCoordinator {
             cap = self.enforced_hist[node];
         }
         let faults = self.plan.reports;
-        if faults.window.active(tick) {
-            let mut rng = decision_rng(self.plan.seed, tick, STREAM_REPORT, node as u64);
-            let u = rng.next_f64();
-            if u < faults.drop_prob {
-                return ReportVerdict::Missing;
-            } else if u < faults.drop_prob + faults.delay_prob {
-                cap = self.enforced_hist[node];
-            } else if u < faults.drop_prob + faults.delay_prob + faults.garble_prob {
+        let probs = [faults.drop_prob, faults.delay_prob, faults.garble_prob];
+        match faults.window.pick(&probs, self.plan.seed, tick, STREAM_REPORT, node as u64) {
+            Some((0, _)) => return ReportVerdict::Missing,
+            Some((1, _)) => cap = self.enforced_hist[node],
+            Some((_, mut rng)) => {
                 let g = rng.next_f64();
                 if g < 1.0 / 3.0 {
                     perf = f64::NAN;
@@ -885,6 +883,7 @@ impl FleetCoordinator {
                     cap = Watts::new(-5.0);
                 }
             }
+            None => {}
         }
         let max_perf = OnlineConfig::default().max_credible_perf;
         match check_report(perf, max_perf, &[cap], &[(cap, prev_enforced[node])]) {
@@ -985,7 +984,7 @@ impl FleetCoordinator {
     }
 
     /// Move enforced caps toward `targets`, decreases first, each write
-    /// supervised by the retry policy under a per-round attempt
+    /// given up to `WRITE_ATTEMPTS` tries under a per-round attempt
     /// deadline. A down node's cap releases unconditionally (its draw
     /// is gone whether or not a write lands); a failed decrease keeps
     /// its watts reserved; raises are funded strictly from the pot the
@@ -1096,12 +1095,12 @@ impl FleetCoordinator {
         }
         let faults = self.plan.writes;
         if faults.fail_prob <= 0.0 || !faults.window.active(tick) {
-            return false;
+            return false; // no draw can land: skip hashing the write key
         }
         let key = write_key(&format!("cluster.node{node}"), target);
         let stream = STREAM_CAP ^ key.wrapping_mul(GOLDEN);
-        let mut rng = decision_rng(self.plan.seed, tick, stream, u64::from(attempt));
-        rng.next_f64() < faults.fail_prob
+        let probs = [faults.fail_prob];
+        faults.window.pick(&probs, self.plan.seed, tick, stream, u64::from(attempt)).is_some()
     }
 }
 

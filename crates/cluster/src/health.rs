@@ -6,11 +6,11 @@
 //! per-epoch verdict stream into four states:
 //!
 //! ```text
-//!            missed/rejected ≥ suspect_after     ≥ quarantine_after
+//!            missed/rejected ≥ SUSPECT_AFTER     ≥ QUARANTINE_AFTER
 //!  Healthy ───────────────────────────► Suspect ───────────────► Quarantined
 //!     ▲                                   │ valid report              │
 //!     │                                   ▼                           │ valid report
-//!     │   probation_epochs clean        Healthy                       ▼
+//!     │   PROBATION_EPOCHS clean        Healthy                       ▼
 //!     └──────────────────────────────────────────────────────── Rejoining
 //! ```
 //!
@@ -56,27 +56,13 @@ pub enum ReportVerdict {
     Rejected,
 }
 
-/// Thresholds driving the state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthConfig {
-    /// Consecutive missed/rejected reports before Healthy → Suspect.
-    pub suspect_after: u32,
-    /// Consecutive missed/rejected reports before → Quarantined.
-    pub quarantine_after: u32,
-    /// Consecutive accepted reports a Rejoining node must deliver
-    /// before it is Healthy again.
-    pub probation_epochs: u32,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        Self {
-            suspect_after: 1,
-            quarantine_after: 3,
-            probation_epochs: 2,
-        }
-    }
-}
+/// Consecutive missed/rejected reports before Healthy → Suspect.
+const SUSPECT_AFTER: u32 = 1;
+/// Consecutive missed/rejected reports before → Quarantined.
+const QUARANTINE_AFTER: u32 = 3;
+/// Consecutive accepted reports a Rejoining node must deliver before it
+/// is Healthy again.
+const PROBATION_EPOCHS: u32 = 2;
 
 /// Per-epoch census of the fleet's health states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -108,7 +94,6 @@ pub struct HealthTally {
 /// The fleet's health tracker: one state machine per node.
 #[derive(Debug, Clone)]
 pub struct HealthTracker {
-    config: HealthConfig,
     states: Vec<NodeHealth>,
     /// Consecutive missed/rejected reports (reset by an accepted one).
     miss_streak: Vec<u32>,
@@ -120,12 +105,11 @@ pub struct HealthTracker {
 impl HealthTracker {
     /// A tracker for `n` nodes, all Healthy.
     #[must_use]
-    pub fn new(n: usize, config: HealthConfig) -> Self {
+    pub fn new(n: usize) -> Self {
         // Register the leak counter at zero: its absence from a trace
         // must never read as cleanliness.
         let _ = pbc_trace::counter(names::HEALTH_QUARANTINE_LEAKS);
         Self {
-            config,
             states: vec![NodeHealth::Healthy; n],
             miss_streak: vec![0; n],
             clean_streak: vec![0; n],
@@ -163,7 +147,7 @@ impl HealthTracker {
                 self.clean_streak[node] = 0;
                 let streak = self.miss_streak[node];
                 match state {
-                    NodeHealth::Healthy if streak >= self.config.suspect_after => {
+                    NodeHealth::Healthy if streak >= SUSPECT_AFTER => {
                         self.states[node] = NodeHealth::Suspect;
                         self.tally.suspects += 1;
                         pbc_trace::counter(names::HEALTH_SUSPECTS).incr();
@@ -184,7 +168,7 @@ impl HealthTracker {
     }
 
     fn escalate(&mut self, node: usize, streak: u32) {
-        if streak >= self.config.quarantine_after {
+        if streak >= QUARANTINE_AFTER {
             self.states[node] = NodeHealth::Quarantined;
             self.tally.quarantines += 1;
             pbc_trace::counter(names::HEALTH_QUARANTINES).incr();
@@ -192,7 +176,7 @@ impl HealthTracker {
     }
 
     fn settle(&mut self, node: usize) {
-        if self.clean_streak[node] >= self.config.probation_epochs {
+        if self.clean_streak[node] >= PROBATION_EPOCHS {
             self.states[node] = NodeHealth::Healthy;
             self.tally.recoveries += 1;
             pbc_trace::counter(names::HEALTH_RECOVERIES).incr();
@@ -244,13 +228,13 @@ mod tests {
     use super::*;
 
     fn tracker() -> HealthTracker {
-        HealthTracker::new(2, HealthConfig::default())
+        HealthTracker::new(2)
     }
 
     #[test]
     fn a_silent_node_walks_to_quarantine_and_back_through_probation() {
         let mut t = tracker();
-        // Default thresholds: 1 miss → Suspect, 3 misses → Quarantined.
+        // 1 miss → Suspect, 3 misses → Quarantined.
         t.observe(0, ReportVerdict::Missing);
         assert_eq!(t.state(0), NodeHealth::Suspect);
         t.observe(0, ReportVerdict::Missing);
@@ -263,7 +247,7 @@ mod tests {
         // First valid report: probation, not instant trust.
         t.observe(0, ReportVerdict::Accepted);
         assert_eq!(t.state(0), NodeHealth::Rejoining);
-        // Second clean report completes the default 2-epoch probation.
+        // Second clean report completes the 2-epoch probation.
         t.observe(0, ReportVerdict::Accepted);
         assert_eq!(t.state(0), NodeHealth::Healthy);
         // The untouched node never moved.
@@ -312,7 +296,7 @@ mod tests {
 
     #[test]
     fn census_adds_up() {
-        let mut t = HealthTracker::new(4, HealthConfig::default());
+        let mut t = HealthTracker::new(4);
         t.observe(0, ReportVerdict::Missing); // Suspect
         for _ in 0..3 {
             t.observe(1, ReportVerdict::Missing); // Quarantined
@@ -327,20 +311,5 @@ mod tests {
         assert_eq!(c.quarantined, 1);
         assert_eq!(c.rejoining, 1);
         assert_eq!(t.len(), 4);
-    }
-
-    #[test]
-    fn a_single_clean_epoch_can_be_required_with_probation_one() {
-        let cfg = HealthConfig { suspect_after: 2, quarantine_after: 4, probation_epochs: 1 };
-        let mut t = HealthTracker::new(1, cfg);
-        t.observe(0, ReportVerdict::Missing);
-        assert_eq!(t.state(0), NodeHealth::Healthy, "below suspect_after stays healthy");
-        t.observe(0, ReportVerdict::Missing);
-        assert_eq!(t.state(0), NodeHealth::Suspect);
-        t.observe(0, ReportVerdict::Missing);
-        t.observe(0, ReportVerdict::Missing);
-        assert_eq!(t.state(0), NodeHealth::Quarantined);
-        t.observe(0, ReportVerdict::Accepted);
-        assert_eq!(t.state(0), NodeHealth::Healthy, "probation of 1 settles immediately");
     }
 }

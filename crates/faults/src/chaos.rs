@@ -27,13 +27,13 @@ use crate::plan::FaultPlan;
 use pbc_core::{BudgetOutcome, ObservationOutcome, OnlineConfig, OnlineCoordinator};
 use pbc_platform::{NodeSpec, Platform};
 use pbc_powersim::solve;
-use pbc_rapl::{current_allocation, enforce_with, mock, RaplDomain, RaplSysfs, RetryPolicy};
+use pbc_rapl::mock::MockTree;
+use pbc_rapl::{current_allocation, enforce_with, RaplDomain, RaplSysfs, WRITE_ATTEMPTS};
 use pbc_trace::names;
 use pbc_types::{PbcError, PowerAllocation, Result, Watts};
 use pbc_workloads::by_name;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Tolerance on budget comparisons (enforcement quantizes to µW).
 const EPS_W: f64 = 1e-6;
@@ -166,10 +166,6 @@ impl fmt::Display for ChaosReport {
     }
 }
 
-/// Monotonic suffix so concurrent runs in one process get distinct mock
-/// trees.
-static RUN_ID: AtomicUsize = AtomicUsize::new(0);
-
 /// Run `plan` against `platform`/`bench` at `budget` for `epochs`
 /// coordination epochs, and report survival. Only host (CPU + DRAM)
 /// platforms are supported — the harness drives the RAPL enforcement
@@ -211,24 +207,16 @@ pub fn run_chaos(
         shifted.insert(shift.at, b.demand);
     }
 
-    // A private mock powercap tree: the enforcement path writes real
-    // files and trusts only what it reads back.
-    let root = std::env::temp_dir().join(format!(
-        "pbc-chaos-{}-{}-{}",
-        plan.name,
-        std::process::id(),
-        RUN_ID.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).map_err(|e| PbcError::Io(format!("{}: {e}", root.display())))?;
-    mock::sysfs_tree(&root, 2, 1)?;
-    let rapl = RaplSysfs::discover_at(&root)?;
+    // A private mock powercap tree, removed on every exit path: the
+    // enforcement path writes real files and trusts only what it reads
+    // back.
+    let tree = MockTree::new(&format!("chaos-{}", plan.name), 2, 1)?;
+    let rapl = tree.discover()?;
 
-    let policy = RetryPolicy::no_backoff();
     let initial = PowerAllocation::split(budget, 0.5);
     // The node starts compliant: program the initial split cleanly, as a
     // node that was running under its budget before the storm begins.
-    enforce_with(&rapl, initial, &policy, &mut |d, w| d.set_power_limit(w)).into_result()?;
+    enforce_with(&rapl, initial, &mut |d, w| d.set_power_limit(w)).into_result()?;
 
     // The coordinator knows the platform floor, so a fault plan that
     // steps the budget below it gets a refusal instead of a poisoned
@@ -302,7 +290,7 @@ pub fn run_chaos(
             let mut decisions: HashMap<u64, WriteFault> = HashMap::new();
             let mut attempts: HashMap<u64, u32> = HashMap::new();
             let inj = &mut injector;
-            enforce_with(&rapl, alloc, &policy, &mut |d, w| {
+            enforce_with(&rapl, alloc, &mut |d, w| {
                 let key = write_key(&d.name, w);
                 let fault = *decisions
                     .entry(key)
@@ -338,7 +326,7 @@ pub fn run_chaos(
             report.clamps += 1;
             pbc_trace::counter(names::CHAOS_CLAMPS).incr();
             for round in 0..CLAMP_ROUNDS {
-                clamp_decrease_only(&rapl, current_budget, &mut injector, tick, round, &policy);
+                clamp_decrease_only(&rapl, current_budget, &mut injector, tick, round);
                 enforced = current_allocation(&rapl)?;
                 if enforced.total().value() <= current_budget.value() + EPS_W {
                     break;
@@ -371,7 +359,6 @@ pub fn run_chaos(
     report.converged = coordinator.converged();
     report.final_alloc = coordinator.best();
     report.final_perf = solve(platform, &demand, report.final_alloc)?.perf_rel;
-    let _ = std::fs::remove_dir_all(&root);
     Ok(report)
 }
 
@@ -386,7 +373,6 @@ fn clamp_decrease_only(
     injector: &mut FaultInjector,
     tick: usize,
     round: u64,
-    policy: &RetryPolicy,
 ) {
     let packages: Vec<&RaplDomain> = rapl.packages().collect();
     let drams: Vec<&RaplDomain> = rapl.dram().collect();
@@ -405,8 +391,7 @@ fn clamp_decrease_only(
             }
             let key = write_key(&d.name, class_cap) ^ CLAMP_SALT.wrapping_add(round);
             let fault = injector.write_fault(tick, key);
-            let attempts = policy.max_attempts.max(1);
-            for attempt in 1..=attempts {
+            for attempt in 1..=WRITE_ATTEMPTS {
                 let ok = match fault {
                     WriteFault::Permanent => false,
                     WriteFault::Transient { failing_attempts } if attempt <= failing_attempts => {

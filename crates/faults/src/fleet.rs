@@ -9,9 +9,10 @@
 //! unavailable. The same determinism contract applies: the plan is pure
 //! data (timed faults as [`Episodes`], per-report and per-write
 //! probabilities confined to half-open tick windows, scheduled budget
-//! steps), and every draw comes from a fresh generator keyed on
-//! `(seed, tick, stream, node)` — see [`crate::inject::decision_rng`] —
-//! so a fleet chaos run replays bit-identically at any thread count.
+//! steps), and every draw is one [`FaultWindow::pick`] from a fresh
+//! generator keyed on `(seed, tick, stream, key)` — see
+//! [`crate::inject::decision_rng`] — so a fleet chaos run replays
+//! bit-identically at any thread count.
 //!
 //! Shipped presets keep budget steps *outside* every write-fault window
 //! (the same structural discipline as the single-node plans), which is
@@ -20,8 +21,7 @@
 //! node's decrease cannot be written — is exercised separately by the
 //! property tests with the weaker caps-never-inflate guarantee.
 
-use crate::inject::decision_rng;
-use crate::plan::{BudgetStep, FaultWindow};
+use crate::plan::{check_probs, BudgetStep, FaultWindow};
 use pbc_types::{PbcError, Result};
 
 /// A timed fault: in each tick of `window`, each entity (a node, a
@@ -56,9 +56,9 @@ impl Episodes {
 
     /// Advance one entity's episode (`Some(t)`: running until tick `t`)
     /// to `tick`. An expired episode ends and nothing starts on that
-    /// tick. An idle entity draws from the fresh generator keyed
-    /// `(seed, tick, stream, key)`, only when `prob > 0` and the window
-    /// is active; a hit lasts `max(epochs, 1)` ticks.
+    /// tick. An idle entity makes the one keyed draw
+    /// ([`FaultWindow::pick`] over `[prob]`); a hit lasts
+    /// `max(epochs, 1)` ticks.
     pub fn advance(
         &self,
         until: &mut Option<usize>,
@@ -74,10 +74,7 @@ impl Episodes {
             *until = None;
             return Edge::Ended;
         }
-        if self.prob > 0.0
-            && self.window.active(tick)
-            && decision_rng(seed, tick, stream, key).next_f64() < self.prob
-        {
+        if self.window.pick(&[self.prob], seed, tick, stream, key).is_some() {
             *until = Some(tick + self.epochs.max(1));
             return Edge::Started;
         }
@@ -97,12 +94,7 @@ impl Episodes {
 
     /// `prob` is a probability, and an armed episode has a duration.
     fn validate(&self, plan: &str, what: &str) -> Result<()> {
-        if !(0.0..=1.0).contains(&self.prob) {
-            return Err(PbcError::InvalidInput(format!(
-                "{plan}: {what}.prob = {} is not a probability",
-                self.prob
-            )));
-        }
+        check_probs(plan, what, &[self.prob])?;
         if self.prob > 0.0 && self.epochs == 0 {
             return Err(PbcError::InvalidInput(format!(
                 "{plan}: {what}.epochs must be >= 1 when {what} episodes can start"
@@ -513,20 +505,13 @@ impl FleetFaultPlan {
         for (what, e) in episodes {
             e.validate(self.name, what)?;
         }
-        let probs = [
-            ("reports.drop_prob", self.reports.drop_prob),
-            ("reports.delay_prob", self.reports.delay_prob),
-            ("reports.garble_prob", self.reports.garble_prob),
-            ("writes.fail_prob", self.writes.fail_prob),
-        ];
-        for (what, p) in probs {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(PbcError::InvalidInput(format!(
-                    "{}: {what} = {p} is not a probability",
-                    self.name
-                )));
-            }
-        }
+        let r = self.reports;
+        check_probs(
+            self.name,
+            "report (drop, delay, garble)",
+            &[r.drop_prob, r.delay_prob, r.garble_prob],
+        )?;
+        check_probs(self.name, "writes.fail", &[self.writes.fail_prob])?;
         let factors = [("spike", self.tenants.spike_factor), ("noisy", self.tenants.noisy_factor)];
         for (what, factor) in factors {
             if !factor.is_finite() || factor < 1.0 {
@@ -541,14 +526,6 @@ impl FleetFaultPlan {
             return Err(PbcError::InvalidInput(format!(
                 "{}: straggler slowdown {} out of (0, 1]",
                 self.name, self.nodes.slowdown
-            )));
-        }
-        let report_sum =
-            self.reports.drop_prob + self.reports.delay_prob + self.reports.garble_prob;
-        if report_sum > 1.0 {
-            return Err(PbcError::InvalidInput(format!(
-                "{}: report fault probabilities sum to {report_sum} > 1",
-                self.name
             )));
         }
         for s in &self.budget_steps {

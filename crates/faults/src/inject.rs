@@ -1,15 +1,18 @@
 //! The injector: turns a [`FaultPlan`] into concrete corruptions.
 //!
-//! Determinism contract: every decision is drawn from a fresh
-//! [`XorShift64Star`] seeded by `plan.seed ⊕ hash(tick) ⊕ stream`, where
-//! `stream` separates decision kinds (sensor vs write) and, for writes,
-//! folds in a key identifying the individual write. No generator state
-//! is carried across decisions, so the outcome at tick `k` does not
-//! depend on how many draws happened before it — replays are
-//! bit-identical even if the surrounding code changes its draw order.
+//! Determinism contract: every decision is one [`FaultWindow::pick`]
+//! draw from a fresh [`XorShift64Star`] keyed on `(plan.seed, tick,
+//! stream, key)` (see [`decision_rng`]), where `stream` separates
+//! decision kinds (sensor vs write) and, for writes, `key` identifies
+//! the individual write. No generator state is carried across
+//! decisions, so the outcome at tick `k` does not depend on how many
+//! draws happened before it — replays are bit-identical even if the
+//! surrounding code changes its draw order.
+//!
+//! [`FaultWindow::pick`]: crate::plan::FaultWindow::pick
 
 use crate::plan::FaultPlan;
-use pbc_powersim::{NodeOperatingPoint, SimFault};
+use pbc_powersim::NodeOperatingPoint;
 use pbc_trace::names;
 use pbc_types::rng::XorShift64Star;
 use pbc_types::Watts;
@@ -20,8 +23,6 @@ pub const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 const STREAM_SENSOR: u64 = 0x5EED_0001;
 /// Stream constant for enforcement-write decisions.
 const STREAM_WRITE: u64 = 0x5EED_0002;
-/// Stream constant for the in-engine power-telemetry hook.
-const STREAM_ENGINE: u64 = 0x5EED_0003;
 
 /// What the injector decided for one enforcement cap write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,10 +30,10 @@ pub enum WriteFault {
     /// The write goes through untouched.
     None,
     /// The first `failing_attempts` attempts fail, then it lands —
-    /// capped-backoff retries absorb it.
+    /// retries absorb it.
     Transient {
         /// How many attempts fail before one succeeds (1 or 2, both
-        /// under the default retry budget).
+        /// under the `pbc_rapl::WRITE_ATTEMPTS` retry budget).
         failing_attempts: u32,
     },
     /// Every attempt fails; the enforcement transaction must roll back.
@@ -68,10 +69,10 @@ impl InjectionTally {
 /// with an optional per-entity `salt` (node index, write key, retry
 /// attempt) folded in. This is the determinism contract in one place:
 /// no generator state crosses decisions, so the outcome at tick `k`
-/// never depends on how many draws happened before it. The fleet
-/// coordinator keys its crash/straggler/report/write draws through
-/// this helper so cluster chaos replays bit-identically at any
-/// `PBC_THREADS`.
+/// never depends on how many draws happened before it.
+/// [`FaultWindow::pick`](crate::plan::FaultWindow::pick) draws every
+/// node and fleet fault through it, so chaos replays bit-identically at
+/// any `PBC_THREADS`.
 #[must_use]
 pub fn decision_rng(seed: u64, tick: usize, stream: u64, salt: u64) -> XorShift64Star {
     XorShift64Star::new(
@@ -101,8 +102,6 @@ pub struct FaultInjector {
     plan: FaultPlan,
     /// Last clean operating point, replayed by stale faults.
     last_clean: Option<NodeOperatingPoint>,
-    /// Last powers the engine hook reported, replayed by stale faults.
-    last_powers: Option<(Watts, Watts)>,
     tally: InjectionTally,
 }
 
@@ -114,7 +113,6 @@ impl FaultInjector {
         Self {
             plan,
             last_clean: None,
-            last_powers: None,
             tally: InjectionTally::default(),
         }
     }
@@ -131,126 +129,84 @@ impl FaultInjector {
         self.tally
     }
 
-    fn rng_at(&self, tick: usize, stream: u64) -> XorShift64Star {
-        XorShift64Star::new(self.plan.seed ^ (tick as u64).wrapping_mul(GOLDEN) ^ stream)
-    }
-
     fn count(&self, name: &'static str) {
         pbc_trace::counter(names::FAULTS_INJECTED).incr();
         pbc_trace::counter(name).incr();
     }
 
     /// Corrupt (or pass through) the operating point observed at `tick`.
-    /// The true point is remembered only when it is reported clean, so a
-    /// stale fault replays what the consumer last *believed*, matching
-    /// how a stuck telemetry pipe behaves.
+    /// The kinds are drawn in the order dropout, stale, noise. The true
+    /// point is remembered only when it is reported clean, so a stale
+    /// fault replays what the consumer last *believed*, matching how a
+    /// stuck telemetry pipe behaves; a stale fault with nothing to
+    /// replay yet passes the point through clean.
     pub fn corrupt_observation(
         &mut self,
         tick: usize,
         op: &NodeOperatingPoint,
     ) -> NodeOperatingPoint {
         let s = self.plan.sensor;
-        if !s.window.active(tick) {
-            self.last_clean = Some(*op);
-            return *op;
-        }
-        let mut rng = self.rng_at(tick, STREAM_SENSOR);
-        let u = rng.next_f64();
-        if u < s.dropout_prob {
-            self.tally.dropout += 1;
-            self.count(names::FAULTS_SENSOR_DROPOUT);
-            let mut bad = *op;
-            match rng.below(3) {
-                0 => bad.perf_rel = f64::NAN,
-                1 => bad.perf_rel = -1.0,
-                _ => bad.perf_rel = 1e9,
+        let probs = [s.dropout_prob, s.stale_prob, s.noise_prob];
+        match s.window.pick(&probs, self.plan.seed, tick, STREAM_SENSOR, 0) {
+            Some((0, mut rng)) => {
+                self.tally.dropout += 1;
+                self.count(names::FAULTS_SENSOR_DROPOUT);
+                let mut bad = *op;
+                match rng.below(3) {
+                    0 => bad.perf_rel = f64::NAN,
+                    1 => bad.perf_rel = -1.0,
+                    _ => bad.perf_rel = 1e9,
+                }
+                return bad;
             }
-            return bad;
-        }
-        if u < s.dropout_prob + s.stale_prob {
-            if let Some(prev) = self.last_clean {
-                self.tally.stale += 1;
-                self.count(names::FAULTS_SENSOR_STALE);
-                return prev;
+            Some((1, _)) => {
+                if let Some(prev) = self.last_clean {
+                    self.tally.stale += 1;
+                    self.count(names::FAULTS_SENSOR_STALE);
+                    return prev;
+                }
             }
-        }
-        if u < s.dropout_prob + s.stale_prob + s.noise_prob {
-            self.tally.noise += 1;
-            self.count(names::FAULTS_SENSOR_NOISE);
-            let mut noisy = *op;
-            noisy.perf_rel *= rng.range_f64(1.0 - s.noise_frac, 1.0 + s.noise_frac);
-            noisy.proc_power = noisy.proc_power * rng.range_f64(1.0 - s.noise_frac, 1.0 + s.noise_frac);
-            noisy.mem_power = noisy.mem_power * rng.range_f64(1.0 - s.noise_frac, 1.0 + s.noise_frac);
-            return noisy;
+            Some((_, mut rng)) => {
+                self.tally.noise += 1;
+                self.count(names::FAULTS_SENSOR_NOISE);
+                let (lo, hi) = (1.0 - s.noise_frac, 1.0 + s.noise_frac);
+                let mut noisy = *op;
+                noisy.perf_rel *= rng.range_f64(lo, hi);
+                noisy.proc_power = noisy.proc_power * rng.range_f64(lo, hi);
+                noisy.mem_power = noisy.mem_power * rng.range_f64(lo, hi);
+                return noisy;
+            }
+            None => {}
         }
         self.last_clean = Some(*op);
         *op
     }
 
-    /// Decide the fate of one enforcement cap write at `tick`. `key`
-    /// identifies the write (see [`write_key`]) so each domain write in
-    /// a transaction gets an independent decision, and a *retry* of the
-    /// same write sees the same decision.
+    /// Decide the fate of one enforcement cap write at `tick`, drawing
+    /// the kinds in the order permanent, transient. `key` identifies the
+    /// write (see [`write_key`]) so each domain write in a transaction
+    /// gets an independent decision, and a *retry* of the same write
+    /// sees the same decision.
     #[must_use]
     pub fn write_fault(&mut self, tick: usize, key: u64) -> WriteFault {
         let w = self.plan.writes;
-        if !w.window.active(tick) {
-            return WriteFault::None;
-        }
-        let mut rng = self.rng_at(tick, STREAM_WRITE ^ key.wrapping_mul(GOLDEN));
-        let u = rng.next_f64();
-        if u < w.permanent_prob {
-            self.tally.write_permanent += 1;
-            self.count(names::FAULTS_WRITE_PERMANENT);
-            return WriteFault::Permanent;
-        }
-        if u < w.permanent_prob + w.transient_prob {
-            self.tally.write_transient += 1;
-            self.count(names::FAULTS_WRITE_TRANSIENT);
-            let failing = 1 + rng.below(2);
-            return WriteFault::Transient {
-                failing_attempts: failing as u32,
-            };
-        }
-        WriteFault::None
-    }
-}
-
-/// The `pbc-powersim` wiring: the injector doubles as the discrete-time
-/// engine's [`SimFault`] hook, corrupting the per-tick power telemetry
-/// the RAPL/throttle controllers average over. Dropout reads as a dead
-/// sensor (0 W — the controller believes it has headroom), stale replays
-/// the previous reading, noise perturbs it.
-impl SimFault for FaultInjector {
-    fn observe_power(&mut self, k: usize, proc: Watts, mem: Watts) -> (Watts, Watts) {
-        let s = self.plan.sensor;
-        if !s.window.active(k) {
-            self.last_powers = Some((proc, mem));
-            return (proc, mem);
-        }
-        let mut rng = self.rng_at(k, STREAM_ENGINE);
-        let u = rng.next_f64();
-        if u < s.dropout_prob {
-            self.tally.dropout += 1;
-            self.count(names::FAULTS_SENSOR_DROPOUT);
-            return (Watts::ZERO, Watts::ZERO);
-        }
-        if u < s.dropout_prob + s.stale_prob {
-            if let Some(prev) = self.last_powers {
-                self.tally.stale += 1;
-                self.count(names::FAULTS_SENSOR_STALE);
-                return prev;
+        let probs = [w.permanent_prob, w.transient_prob];
+        match w.window.pick(&probs, self.plan.seed, tick, STREAM_WRITE, key) {
+            Some((0, _)) => {
+                self.tally.write_permanent += 1;
+                self.count(names::FAULTS_WRITE_PERMANENT);
+                WriteFault::Permanent
             }
+            Some((_, mut rng)) => {
+                self.tally.write_transient += 1;
+                self.count(names::FAULTS_WRITE_TRANSIENT);
+                let failing = 1 + rng.below(2);
+                WriteFault::Transient {
+                    failing_attempts: failing as u32,
+                }
+            }
+            None => WriteFault::None,
         }
-        if u < s.dropout_prob + s.stale_prob + s.noise_prob {
-            self.tally.noise += 1;
-            self.count(names::FAULTS_SENSOR_NOISE);
-            let p = proc * rng.range_f64(1.0 - s.noise_frac, 1.0 + s.noise_frac);
-            let m = mem * rng.range_f64(1.0 - s.noise_frac, 1.0 + s.noise_frac);
-            return (p, m);
-        }
-        self.last_powers = Some((proc, mem));
-        (proc, mem)
     }
 }
 
@@ -387,26 +343,29 @@ mod tests {
         assert_eq!(inj.tally().stale, 1);
     }
 
+    /// A stale fault before any clean observation has nothing to
+    /// replay: the point passes through clean and is remembered, and no
+    /// fault of another kind is counted in its place.
     #[test]
-    fn engine_hook_dropout_reads_zero() {
+    fn stale_without_clean_history_passes_through_clean() {
         let plan = FaultPlan {
             sensor: SensorFaults {
                 noise_prob: 0.0,
-                noise_frac: 0.0,
-                stale_prob: 0.0,
-                dropout_prob: 1.0,
-                window: FaultWindow::new(0, 10),
+                noise_frac: 0.2,
+                stale_prob: 1.0,
+                dropout_prob: 0.0,
+                window: FaultWindow::new(0, 100),
             },
-            ..FaultPlan::calm(3)
+            ..FaultPlan::calm(5)
         };
         let mut inj = FaultInjector::new(plan);
-        let (p, m) = inj.observe_power(0, Watts::new(100.0), Watts::new(50.0));
-        assert_eq!(p, Watts::ZERO);
-        assert_eq!(m, Watts::ZERO);
-        // Outside the window the truth passes through.
-        let (p, m) = inj.observe_power(10, Watts::new(100.0), Watts::new(50.0));
-        assert!((p.value() - 100.0).abs() < 1e-12);
-        assert!((m.value() - 50.0).abs() < 1e-12);
+        assert_eq!(inj.corrupt_observation(0, &op(0.5)), op(0.5));
+        assert_eq!(inj.tally(), InjectionTally::default());
+        for tick in 1..100 {
+            assert_eq!(inj.corrupt_observation(tick, &op(0.9)), op(0.5), "tick {tick}");
+        }
+        assert_eq!(inj.tally().stale, 99);
+        assert_eq!(inj.tally().noise, 0);
     }
 
     #[test]

@@ -12,11 +12,13 @@
 //!
 //! The injection layer is **deterministic by construction**: a
 //! [`FaultPlan`] is pure data (windows, probabilities, scheduled steps)
-//! plus a seed, and every random draw comes from a [`pbc_types::rng::XorShift64Star`]
-//! derived from `(seed, tick, stream)` — never from a shared generator
-//! whose draw order could differ between runs. Replaying a plan at the
-//! same seed reproduces every fault bit-identically, which is what makes
-//! a chaos failure debuggable.
+//! plus a seed, and every probabilistic fault, node or fleet, is one
+//! [`FaultWindow::pick`]: a draw from a fresh
+//! [`pbc_types::rng::XorShift64Star`] keyed on `(seed, tick, stream,
+//! key)` ([`decision_rng`]) — never from a shared generator whose draw
+//! order could differ between runs. Replaying a plan at the same seed
+//! reproduces every fault bit-identically, which is what makes a chaos
+//! failure debuggable.
 //!
 //! What can be injected:
 //!
@@ -40,13 +42,11 @@
 //! so resilience is observable, not asserted.
 
 pub mod chaos;
-pub mod clock;
 pub mod fleet;
 pub mod inject;
 pub mod plan;
 
 pub use chaos::{run_chaos, ChaosReport};
-pub use clock::FaultClock;
 pub use fleet::{
     Edge, Episodes, FleetFaultPlan, FleetWriteFaults, NodeFaults, ReportFaults, FLEET_PLAN_NAMES,
 };

@@ -8,6 +8,8 @@
 //! fixed — so properties like "budget steps never coincide with write
 //! faults" hold at every seed, not just lucky ones.
 
+use crate::inject::decision_rng;
+use pbc_types::rng::XorShift64Star;
 use pbc_types::{PbcError, Result};
 
 /// A half-open tick interval `[from, until)` during which a fault kind
@@ -41,6 +43,51 @@ impl FaultWindow {
     pub fn is_empty(&self) -> bool {
         self.until <= self.from
     }
+
+    /// The one keyed fault draw every probabilistic fault goes through.
+    /// While the window is active, draw `u` from
+    /// [`decision_rng`]`(seed, tick, stream, key)` and pick the first
+    /// kind whose running sum of `probs` (in declaration order) exceeds
+    /// `u`. Returns that kind's index and the generator, so the caller
+    /// draws the fault's shape from the same stream. Outside the window,
+    /// or when every probability is zero, nothing is drawn.
+    #[must_use]
+    pub fn pick(
+        &self,
+        probs: &[f64],
+        seed: u64,
+        tick: usize,
+        stream: u64,
+        key: u64,
+    ) -> Option<(usize, XorShift64Star)> {
+        if !self.active(tick) || probs.iter().all(|&p| p <= 0.0) {
+            return None;
+        }
+        let mut rng = decision_rng(seed, tick, stream, key);
+        let u = rng.next_f64();
+        let mut sum = 0.0;
+        for (kind, &p) in probs.iter().enumerate() {
+            sum += p;
+            if u < sum {
+                return Some((kind, rng));
+            }
+        }
+        None
+    }
+}
+
+/// The one probability check behind every plan's `validate`: each of
+/// `probs` (the kinds one [`FaultWindow::pick`] chooses among) lies in
+/// `[0, 1]`, and together they sum to at most 1.
+#[must_use = "an unchecked probability error lets an invalid plan run"]
+pub(crate) fn check_probs(plan: &str, what: &str, probs: &[f64]) -> Result<()> {
+    let sum: f64 = probs.iter().sum();
+    if probs.iter().all(|p| (0.0..=1.0).contains(p)) && sum <= 1.0 {
+        return Ok(());
+    }
+    Err(PbcError::InvalidInput(format!(
+        "{plan}: {what} probabilities {probs:?} must each lie in [0, 1] and sum to at most 1"
+    )))
 }
 
 /// Sensor corruption on the operating points the coordinator observes.
@@ -299,35 +346,17 @@ impl FaultPlan {
     /// Validate probabilities, windows, and schedules.
     #[must_use = "an invalid plan must not be run"]
     pub fn validate(&self) -> Result<()> {
-        let probs = [
-            ("sensor.noise_prob", self.sensor.noise_prob),
-            ("sensor.stale_prob", self.sensor.stale_prob),
-            ("sensor.dropout_prob", self.sensor.dropout_prob),
-            ("writes.transient_prob", self.writes.transient_prob),
-            ("writes.permanent_prob", self.writes.permanent_prob),
-        ];
-        for (what, p) in probs {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(PbcError::InvalidInput(format!(
-                    "{}: {what} = {p} is not a probability",
-                    self.name
-                )));
-            }
-        }
-        let sensor_sum =
-            self.sensor.noise_prob + self.sensor.stale_prob + self.sensor.dropout_prob;
-        if sensor_sum > 1.0 {
-            return Err(PbcError::InvalidInput(format!(
-                "{}: sensor fault probabilities sum to {sensor_sum} > 1",
-                self.name
-            )));
-        }
-        if self.writes.transient_prob + self.writes.permanent_prob > 1.0 {
-            return Err(PbcError::InvalidInput(format!(
-                "{}: write fault probabilities sum past 1",
-                self.name
-            )));
-        }
+        let (s, w) = (self.sensor, self.writes);
+        check_probs(
+            &self.name,
+            "sensor (dropout, stale, noise)",
+            &[s.dropout_prob, s.stale_prob, s.noise_prob],
+        )?;
+        check_probs(
+            &self.name,
+            "write (permanent, transient)",
+            &[w.permanent_prob, w.transient_prob],
+        )?;
         if !(0.0..=1.0).contains(&self.sensor.noise_frac) {
             return Err(PbcError::InvalidInput(format!(
                 "{}: noise_frac {} out of [0, 1]",
@@ -359,6 +388,45 @@ mod tests {
         assert!(!w.active(20));
         assert!(FaultWindow::NEVER.is_empty());
         assert!(!FaultWindow::NEVER.active(0));
+    }
+
+    /// `pick` is the `u < a`, `u < a + b`, … comparison chain on the
+    /// first draw of `decision_rng`, and hands back the generator just
+    /// past that draw.
+    #[test]
+    fn pick_is_the_running_sum_over_the_first_keyed_draw() {
+        let window = FaultWindow::new(3, 9);
+        let mut gen = XorShift64Star::new(0xFA17);
+        let (mut picked, mut skipped) = (0, 0);
+        for key in 0..4000u64 {
+            // 1–4 kinds, a third of them zero, rescaled to sum ≤ 1.
+            let mut probs: Vec<f64> = (0..1 + gen.below(4))
+                .map(|_| if gen.below(3) == 0 { 0.0 } else { gen.next_f64() })
+                .collect();
+            let total: f64 = probs.iter().sum();
+            if total > 1.0 {
+                probs.iter_mut().for_each(|p| *p /= total);
+            }
+            let (seed, stream, tick) = (gen.next_u64(), gen.next_u64(), gen.below(12));
+            let got = window.pick(&probs, seed, tick, stream, key);
+            if !window.active(tick) {
+                assert!(got.is_none(), "tick {tick} is outside the window");
+                continue;
+            }
+            let mut reference = decision_rng(seed, tick, stream, key);
+            let u = reference.next_f64();
+            let want = (0..probs.len()).find(|&i| u < probs[..=i].iter().sum::<f64>());
+            assert_eq!(got.as_ref().map(|(kind, _)| *kind), want, "probs {probs:?}, u {u}");
+            let Some((kind, mut rng)) = got else {
+                skipped += 1;
+                continue;
+            };
+            assert!(probs[kind] > 0.0, "zero-probability kind {kind} chosen from {probs:?}");
+            assert_eq!(rng.next_u64(), reference.next_u64(), "the caller's next draw");
+            picked += 1;
+        }
+        assert!(picked > 500 && skipped > 500, "both outcomes exercised: {picked}/{skipped}");
+        assert!(FaultWindow::NEVER.pick(&[1.0], 1, 0, 2, 3).is_none());
     }
 
     #[test]

@@ -120,28 +120,6 @@ fn phase_at(weights: &[f64], done: f64, cycle: f64) -> usize {
     weights.len() - 1
 }
 
-/// Interposes on the power telemetry the *controllers* see each tick —
-/// the seam `pbc-faults` injects through. The physics is untouched: the
-/// workload still draws the true powers and the trace records them; only
-/// the observation fed to the RAPL ladder / DRAM throttle / GPU capper
-/// is (possibly) corrupted, exactly like a flaky energy counter on real
-/// hardware.
-pub trait SimFault {
-    /// Given the true per-component draws at tick `k`, return what the
-    /// controllers should observe.
-    fn observe_power(&mut self, k: usize, proc: Watts, mem: Watts) -> (Watts, Watts);
-}
-
-/// The identity hook: controllers see the truth.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoFault;
-
-impl SimFault for NoFault {
-    fn observe_power(&mut self, _k: usize, proc: Watts, mem: Watts) -> (Watts, Watts) {
-        (proc, mem)
-    }
-}
-
 /// Simulate a host node (CPU + DRAM under RAPL) for the configured
 /// duration.
 pub fn simulate_cpu(
@@ -150,19 +128,6 @@ pub fn simulate_cpu(
     demand: &WorkloadDemand,
     alloc: PowerAllocation,
     config: &SimConfig,
-) -> SimResult {
-    simulate_cpu_faulty(cpu, dram, demand, alloc, config, &mut NoFault)
-}
-
-/// [`simulate_cpu`] with a fault hook between the node's true power
-/// draws and the controllers' observations.
-pub fn simulate_cpu_faulty(
-    cpu: &CpuSpec,
-    dram: &DramSpec,
-    demand: &WorkloadDemand,
-    alloc: PowerAllocation,
-    config: &SimConfig,
-    faults: &mut dyn SimFault,
 ) -> SimResult {
     let weights = demand.normalized_weights();
     let nominal = *cpu.pstates.nominal();
@@ -241,12 +206,9 @@ pub fn simulate_cpu_faulty(
             half_n += 1;
         }
 
-        // Controllers and thermal step. The controllers see the (possibly
-        // fault-corrupted) observation; the thermal model integrates the
-        // true dissipation — heat does not care what the sensor said.
-        let (obs_cpu, obs_mem) = faults.observe_power(k, cpu_power, mem_power);
-        rapl.observe_and_step(cpu, obs_cpu);
-        throttle.observe_and_step(dram, obs_mem);
+        // Controllers and thermal step.
+        rapl.observe_and_step(cpu, cpu_power);
+        throttle.observe_and_step(dram, mem_power);
         if let Some(t) = thermal.as_mut() {
             t.step(cpu_power, config.dt);
         }
@@ -406,19 +368,6 @@ pub fn simulate_gpu(
     alloc: PowerAllocation,
     config: &SimConfig,
 ) -> Result<SimResult> {
-    simulate_gpu_faulty(gpu, demand, alloc, config, &mut NoFault)
-}
-
-/// [`simulate_gpu`] with a fault hook between the card's true draws and
-/// what the boost governor observes.
-#[must_use = "the simulation result carries the settled operating point"]
-pub fn simulate_gpu_faulty(
-    gpu: &GpuSpec,
-    demand: &WorkloadDemand,
-    alloc: PowerAllocation,
-    config: &SimConfig,
-    faults: &mut dyn SimFault,
-) -> Result<SimResult> {
     let weights = demand.normalized_weights();
     let mem_level = gpu.mem.level_under_cap(alloc.mem);
     let mut capper = GpuCapper::new(gpu, alloc.total(), mem_level, config.window)?;
@@ -462,8 +411,7 @@ pub fn simulate_gpu_faulty(
             half_n += 1;
         }
 
-        let (obs_sm, obs_mem) = faults.observe_power(k, sm_power, pt.mem_power);
-        capper.observe_and_step(gpu, obs_sm + obs_mem);
+        capper.observe_and_step(gpu, total);
         if let Some(t) = thermal.as_mut() {
             t.step(total, config.dt);
         }
@@ -707,41 +655,6 @@ mod tests {
         let evented = simulate_cpu_with_events(&cpu, &dram, &w, alloc, &[], &config());
         assert!((plain.settled_perf_rel - evented.settled_perf_rel).abs() < 1e-9);
         assert_eq!(plain.samples.len(), evented.samples.len());
-    }
-
-    #[test]
-    fn fault_hook_default_is_identity() {
-        let (cpu, dram) = cpu_node();
-        let w = WorkloadDemand::single("stream", PhaseDemand::stream_bound());
-        let alloc = PowerAllocation::new(Watts::new(100.0), Watts::new(80.0));
-        let plain = simulate_cpu(&cpu, &dram, &w, alloc, &config());
-        let hooked = simulate_cpu_faulty(&cpu, &dram, &w, alloc, &config(), &mut NoFault);
-        assert_eq!(plain.samples.len(), hooked.samples.len());
-        assert!((plain.settled_perf_rel - hooked.settled_perf_rel).abs() < 1e-12);
-    }
-
-    /// A sensor that under-reports the package draw makes RAPL think it
-    /// has headroom: the node genuinely settles *above* the cap. The hook
-    /// must reach the controllers for that to happen.
-    #[test]
-    fn lying_sensor_defeats_the_cap() {
-        struct UnderReport;
-        impl SimFault for UnderReport {
-            fn observe_power(&mut self, _k: usize, proc: Watts, mem: Watts) -> (Watts, Watts) {
-                (proc * 0.5, mem)
-            }
-        }
-        let (cpu, dram) = cpu_node();
-        let w = WorkloadDemand::single("dgemm", PhaseDemand::compute_bound());
-        let alloc = PowerAllocation::new(Watts::new(90.0), Watts::new(80.0));
-        let honest = simulate_cpu(&cpu, &dram, &w, alloc, &config());
-        let lied = simulate_cpu_faulty(&cpu, &dram, &w, alloc, &config(), &mut UnderReport);
-        assert!(
-            lied.settled_power.value() > honest.settled_power.value() + 10.0,
-            "halved sensor must let the package run hot: honest {} vs lied {}",
-            honest.settled_power,
-            lied.settled_power
-        );
     }
 
     #[test]

@@ -54,8 +54,7 @@ pub mod thermal;
 pub use corun::{coordinate_corun, solve_corun, CorunPoint};
 pub use cpunode::solve_cpu;
 pub use engine::{
-    simulate_cpu, simulate_cpu_faulty, simulate_cpu_with_events, simulate_gpu,
-    simulate_gpu_faulty, NoFault, SimConfig, SimFault, SimResult, SimSample,
+    simulate_cpu, simulate_cpu_with_events, simulate_gpu, SimConfig, SimResult, SimSample,
 };
 pub use demand::{PhaseDemand, WorkloadDemand};
 pub use gpuctl::GpuCapper;

@@ -8,8 +8,8 @@
 //! [`enforce`] is genuinely **transactional**: prior limits are snapshotted
 //! before anything is written, cap *decreases* are applied before cap
 //! *increases* (so no intermediate state ever totals more than
-//! `max(before, after)`), transient write failures are retried with capped
-//! exponential backoff, and a permanent failure rolls every
+//! `max(before, after)`), transient write failures are retried (up to
+//! [`WRITE_ATTEMPTS`] tries, no backoff), and a permanent failure rolls every
 //! already-programmed domain back to its snapshot — a half-applied
 //! allocation can never silently exceed the budget. Progress is observable
 //! through the `enforce.*` counters (`pbc_trace::names`):
@@ -31,54 +31,10 @@ pub struct AppliedCap {
     pub limit: Watts,
 }
 
-/// Retry/backoff policy for individual cap writes.
-///
-/// A write that fails is retried up to `max_attempts - 1` times; the
-/// delay before retry `i` (0-based) is `min(backoff_cap_ms,
-/// backoff_base_ms << i)` milliseconds. Tests and the chaos harness use
-/// [`RetryPolicy::no_backoff`] so injected fault storms replay at full
-/// speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per domain write (at least 1).
-    pub max_attempts: u32,
-    /// Base backoff before the first retry, in milliseconds.
-    pub backoff_base_ms: u64,
-    /// Ceiling on any single backoff, in milliseconds.
-    pub backoff_cap_ms: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 4,
-            backoff_base_ms: 1,
-            backoff_cap_ms: 50,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The default attempt count with zero sleep between retries.
-    #[must_use]
-    pub const fn no_backoff() -> Self {
-        Self {
-            max_attempts: 4,
-            backoff_base_ms: 0,
-            backoff_cap_ms: 0,
-        }
-    }
-
-    /// Backoff before 0-based retry `i`, in milliseconds.
-    #[must_use]
-    pub fn backoff_ms(&self, retry: u32) -> u64 {
-        let shifted = self
-            .backoff_base_ms
-            .checked_shl(retry.min(63))
-            .unwrap_or(u64::MAX);
-        shifted.min(self.backoff_cap_ms)
-    }
-}
+/// Tries each cap write gets before it counts as failed, at the node
+/// and the fleet level alike. Retries do not back off, so injected
+/// fault storms replay at full speed.
+pub const WRITE_ATTEMPTS: u32 = 4;
 
 /// Outcome of one enforcement transaction (see [`enforce_with`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -122,10 +78,9 @@ impl EnforceReport {
 pub type CapWriter<'a> = dyn FnMut(&RaplDomain, Watts) -> Result<()> + 'a;
 
 /// Divide an allocation across the discovered domains and program the
-/// constraint-0 power limits transactionally with the default
-/// [`RetryPolicy`]. Returns one entry per domain written; on permanent
-/// failure every already-written domain is rolled back and the error is
-/// returned.
+/// constraint-0 power limits transactionally. Returns one entry per
+/// domain written; on permanent failure every already-written domain is
+/// rolled back and the error is returned.
 ///
 /// Errors with [`PbcError::BackendUnavailable`] when the topology lacks
 /// package or DRAM domains, and with [`PbcError::Io`] when a write fails
@@ -133,10 +88,7 @@ pub type CapWriter<'a> = dyn FnMut(&RaplDomain, Watts) -> Result<()> + 'a;
 /// root).
 #[must_use = "unchecked enforcement can leave the node on stale caps"]
 pub fn enforce(rapl: &RaplSysfs, alloc: PowerAllocation) -> Result<Vec<AppliedCap>> {
-    enforce_with(rapl, alloc, &RetryPolicy::default(), &mut |d, w| {
-        d.set_power_limit(w)
-    })
-    .into_result()
+    enforce_with(rapl, alloc, &mut |d, w| d.set_power_limit(w)).into_result()
 }
 
 /// One planned domain write, ordered decreases-first.
@@ -146,9 +98,9 @@ struct Planned<'a> {
     prior: Watts,
 }
 
-/// The transactional core behind [`enforce`]: explicit retry policy and
-/// an injectable writer so tests and the chaos harness can interpose
-/// failures between the decision and the (mock) hardware.
+/// The transactional core behind [`enforce`], with an injectable
+/// writer so tests and the chaos harness can interpose failures between
+/// the decision and the (mock) hardware.
 ///
 /// The write order is **decreases first**: every intermediate state
 /// totals at most `max(prior total, target total)`, so a transaction
@@ -157,7 +109,6 @@ struct Planned<'a> {
 pub fn enforce_with(
     rapl: &RaplSysfs,
     alloc: PowerAllocation,
-    policy: &RetryPolicy,
     write: &mut CapWriter<'_>,
 ) -> EnforceReport {
     pbc_trace::counter(names::ENFORCE_ATTEMPTS).incr();
@@ -212,10 +163,12 @@ pub fn enforce_with(
         da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
     });
 
-    let retries_counter = pbc_trace::counter(names::ENFORCE_RETRIES);
+    // Register the retry counter at zero: a transaction that never
+    // retried still exports it.
+    let _ = pbc_trace::counter(names::ENFORCE_RETRIES);
     let mut done: Vec<&Planned<'_>> = Vec::with_capacity(plan.len());
     for p in &plan {
-        match write_with_retry(p.domain, p.target, policy, write, &mut report.retries) {
+        match write_with_retry(p.domain, p.target, write, &mut report.retries) {
             Ok(()) => {
                 done.push(p);
                 report.applied.push(AppliedCap {
@@ -233,8 +186,7 @@ pub fn enforce_with(
                 // so the caller can see exactly what is still programmed.
                 let mut standing = Vec::new();
                 for q in done.iter().rev() {
-                    match write_with_retry(q.domain, q.prior, policy, write, &mut report.retries)
-                    {
+                    match write_with_retry(q.domain, q.prior, write, &mut report.retries) {
                         Ok(()) => {}
                         Err(_) => {
                             report.rollback_errors += 1;
@@ -251,35 +203,28 @@ pub fn enforce_with(
                 report.error = Some(PbcError::Io(format!(
                     "cap write on {} failed permanently after {} attempts ({e}); \
                      transaction rolled back ({} restore failure(s))",
-                    p.domain.name, policy.max_attempts, report.rollback_errors
+                    p.domain.name, WRITE_ATTEMPTS, report.rollback_errors
                 )));
                 return report;
             }
         }
     }
-    drop(retries_counter);
     report
 }
 
-/// Attempt one domain write under the retry policy, counting retries
-/// into both the trace registry and the caller's tally.
+/// Attempt one domain write up to [`WRITE_ATTEMPTS`] times, counting
+/// retries into both the trace registry and the caller's tally.
 fn write_with_retry(
     domain: &RaplDomain,
     limit: Watts,
-    policy: &RetryPolicy,
     write: &mut CapWriter<'_>,
     retries: &mut u32,
 ) -> Result<()> {
-    let attempts = policy.max_attempts.max(1);
     let mut last = None;
-    for attempt in 0..attempts {
+    for attempt in 0..WRITE_ATTEMPTS {
         if attempt > 0 {
             *retries += 1;
             pbc_trace::counter(names::ENFORCE_RETRIES).incr();
-            let ms = policy.backoff_ms(attempt - 1);
-            if ms > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-            }
         }
         match write(domain, limit) {
             Ok(()) => return Ok(()),
@@ -322,27 +267,17 @@ pub fn current_allocation(rapl: &RaplSysfs) -> Result<PowerAllocation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mock;
-    use std::fs;
-    use std::path::PathBuf;
+    use crate::mock::MockTree;
 
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("pbc-enforce-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&d);
-        fs::create_dir_all(&d).unwrap();
-        d
-    }
-
-    fn mock_rapl(tag: &str, packages: usize) -> (PathBuf, RaplSysfs) {
-        let root = tmpdir(tag);
-        mock::sysfs_tree(&root, packages, 1).unwrap();
-        let rapl = RaplSysfs::discover_at(&root).unwrap();
-        (root, rapl)
+    fn mock_rapl(tag: &str, packages: usize) -> (MockTree, RaplSysfs) {
+        let tree = MockTree::new(&format!("enforce-{tag}"), packages, 1).unwrap();
+        let rapl = tree.discover().unwrap();
+        (tree, rapl)
     }
 
     #[test]
     fn enforce_divides_across_domains() {
-        let (root, rapl) = mock_rapl("divide", 2);
+        let (_tree, rapl) = mock_rapl("divide", 2);
         let applied = enforce(
             &rapl,
             PowerAllocation::new(Watts::new(110.0), Watts::new(84.0)),
@@ -362,14 +297,12 @@ mod tests {
         let back = current_allocation(&rapl).unwrap();
         assert!((back.proc.value() - 110.0).abs() < 1e-6);
         assert!((back.mem.value() - 84.0).abs() < 1e-6);
-        fs::remove_dir_all(root).unwrap();
     }
 
     #[test]
     fn enforce_requires_both_domain_kinds() {
-        let root = tmpdir("nodram");
-        mock::sysfs_tree(&root, 1, 0).unwrap();
-        let rapl = RaplSysfs::discover_at(&root).unwrap();
+        let tree = MockTree::new("enforce-nodram", 1, 0).unwrap();
+        let rapl = tree.discover().unwrap();
         let err = enforce(
             &rapl,
             PowerAllocation::new(Watts::new(100.0), Watts::new(50.0)),
@@ -377,15 +310,13 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, PbcError::BackendUnavailable(_)));
         assert!(current_allocation(&rapl).is_err());
-        fs::remove_dir_all(root).unwrap();
     }
 
     #[test]
     fn enforce_rejects_degenerate_allocations() {
-        let (root, rapl) = mock_rapl("degenerate", 2);
+        let (_tree, rapl) = mock_rapl("degenerate", 2);
         assert!(enforce(&rapl, PowerAllocation::new(Watts::ZERO, Watts::new(50.0))).is_err());
         assert!(enforce(&rapl, PowerAllocation::new(Watts::new(-5.0), Watts::new(50.0))).is_err());
-        fs::remove_dir_all(root).unwrap();
     }
 
     /// The regression the transactional rewrite exists for: a write that
@@ -393,13 +324,12 @@ mod tests {
     /// programmed with the new caps.
     #[test]
     fn permanent_failure_rolls_every_domain_back() {
-        let (root, rapl) = mock_rapl("rollback", 2);
+        let (_tree, rapl) = mock_rapl("rollback", 2);
         let before = current_allocation(&rapl).unwrap();
         let mut write_log = Vec::new();
         let report = enforce_with(
             &rapl,
             PowerAllocation::new(Watts::new(80.0), Watts::new(30.0)),
-            &RetryPolicy::no_backoff(),
             &mut |d, w| {
                 write_log.push((d.name.clone(), w));
                 if d.name == "package-1" && (w.value() - 40.0).abs() < 1e-9 {
@@ -413,23 +343,21 @@ mod tests {
         assert!(report.rolled_back);
         assert_eq!(report.rollback_errors, 0);
         assert!(report.applied.is_empty(), "rolled-back caps must not be reported standing");
-        // Retried max_attempts times on the failing domain.
-        assert_eq!(report.retries, RetryPolicy::no_backoff().max_attempts - 1);
+        // Tried WRITE_ATTEMPTS times on the failing domain.
+        assert_eq!(report.retries, WRITE_ATTEMPTS - 1);
         // Every domain reads back its prior limit — all-or-nothing.
         let after = current_allocation(&rapl).unwrap();
         assert!((after.proc.value() - before.proc.value()).abs() < 1e-9);
         assert!((after.mem.value() - before.mem.value()).abs() < 1e-9);
-        fs::remove_dir_all(root).unwrap();
     }
 
     #[test]
     fn transient_failures_are_absorbed_by_retries() {
-        let (root, rapl) = mock_rapl("transient", 2);
-        let mut failures_left = 3u32; // < max_attempts per domain
+        let (_tree, rapl) = mock_rapl("transient", 2);
+        let mut failures_left = 3u32; // < WRITE_ATTEMPTS per domain
         let report = enforce_with(
             &rapl,
             PowerAllocation::new(Watts::new(100.0), Watts::new(60.0)),
-            &RetryPolicy::no_backoff(),
             &mut |d, w| {
                 if failures_left > 0 {
                     failures_left -= 1;
@@ -445,7 +373,6 @@ mod tests {
         assert!(!report.rolled_back);
         let back = current_allocation(&rapl).unwrap();
         assert!((back.total().value() - 160.0).abs() < 1e-6);
-        fs::remove_dir_all(root).unwrap();
     }
 
     /// Decreases-first ordering: with the mock tree at 115 W everywhere,
@@ -453,13 +380,12 @@ mod tests {
     /// DRAM domains before the packages.
     #[test]
     fn cap_decreases_are_written_before_increases() {
-        let (root, rapl) = mock_rapl("ordering", 2);
+        let (_tree, rapl) = mock_rapl("ordering", 2);
         let mut order = Vec::new();
         let report = enforce_with(
             &rapl,
             // per-pkg 130 (increase from 115), per-dram 40 (decrease).
             PowerAllocation::new(Watts::new(260.0), Watts::new(80.0)),
-            &RetryPolicy::no_backoff(),
             &mut |d, w| {
                 order.push(d.name.clone());
                 d.set_power_limit(w)
@@ -471,19 +397,17 @@ mod tests {
             order[..2].iter().all(|n| n == "dram"),
             "decreases (dram) must come first: {order:?}"
         );
-        fs::remove_dir_all(root).unwrap();
     }
 
     /// A restore that itself fails leaves that domain in `applied` and is
     /// counted, so the caller knows exactly what is still programmed.
     #[test]
     fn failed_restore_is_reported_not_hidden() {
-        let (root, rapl) = mock_rapl("restorefail", 2);
+        let (_tree, rapl) = mock_rapl("restorefail", 2);
         let mut dram_writes = 0u32;
         let report = enforce_with(
             &rapl,
             PowerAllocation::new(Watts::new(80.0), Watts::new(30.0)),
-            &RetryPolicy::no_backoff(),
             &mut |d, w| {
                 if d.name == "dram" {
                     dram_writes += 1;
@@ -502,18 +426,5 @@ mod tests {
         assert_eq!(report.rollback_errors, 1);
         assert_eq!(report.applied.len(), 1);
         assert_eq!(report.applied[0].domain, "dram");
-        fs::remove_dir_all(root).unwrap();
-    }
-
-    #[test]
-    fn backoff_schedule_is_capped_exponential() {
-        let p = RetryPolicy {
-            max_attempts: 8,
-            backoff_base_ms: 1,
-            backoff_cap_ms: 50,
-        };
-        let delays: Vec<u64> = (0..8).map(|i| p.backoff_ms(i)).collect();
-        assert_eq!(delays, vec![1, 2, 4, 8, 16, 32, 50, 50]);
-        assert_eq!(RetryPolicy::no_backoff().backoff_ms(5), 0);
     }
 }

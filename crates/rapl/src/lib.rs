@@ -33,7 +33,7 @@ pub mod mock;
 
 pub use enforce::{
     current_allocation, enforce as enforce_allocation, enforce_with, AppliedCap, EnforceReport,
-    RetryPolicy,
+    WRITE_ATTEMPTS,
 };
 
 use pbc_types::{u64_from_f64, Joules, PbcError, Result, Seconds, Watts};
@@ -236,27 +236,17 @@ pub fn average_power(earlier: EnergySample, later: EnergySample, wrap: Joules) -
 mod tests {
     use super::*;
 
-    /// Build a fixture sysfs tree: two packages, each with a dram child.
-    fn fixture(root: &Path) {
-        mock::sysfs_tree(root, 2, 1).unwrap();
-    }
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("pbc-rapl-test-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&d);
-        fs::create_dir_all(&d).unwrap();
-        d
+    /// A fixture sysfs tree: two packages, each with a dram child.
+    fn fixture(tag: &str) -> mock::MockTree {
+        mock::MockTree::new(tag, 2, 1).unwrap()
     }
 
     #[test]
     fn discovery_finds_packages_and_dram() {
-        let root = tmpdir("discover");
-        fixture(&root);
-        let rapl = RaplSysfs::discover_at(&root).unwrap();
+        let rapl = fixture("rapl-discover").discover().unwrap();
         assert_eq!(rapl.domains.len(), 4);
         assert_eq!(rapl.packages().count(), 2);
         assert_eq!(rapl.dram().count(), 2);
-        fs::remove_dir_all(root).unwrap();
     }
 
     #[test]
@@ -267,36 +257,30 @@ mod tests {
 
     #[test]
     fn empty_root_is_backend_unavailable() {
-        let root = tmpdir("empty");
-        let err = RaplSysfs::discover_at(&root).unwrap_err();
+        let err = mock::MockTree::new("rapl-empty", 0, 0).unwrap().discover().unwrap_err();
         assert!(matches!(err, PbcError::BackendUnavailable(_)));
-        fs::remove_dir_all(root).unwrap();
     }
 
     #[test]
     fn reads_energy_and_limits() {
-        let root = tmpdir("read");
-        fixture(&root);
-        let rapl = RaplSysfs::discover_at(&root).unwrap();
+        let tree = fixture("rapl-read");
+        let rapl = tree.discover().unwrap();
         let pkg = rapl.packages().next().unwrap();
         assert!((pkg.energy().unwrap().value() - 123.456789).abs() < 1e-9);
         assert!((pkg.power_limit().unwrap().value() - 115.0).abs() < 1e-9);
         assert!((pkg.time_window().unwrap().value() - 976e-6).abs() < 1e-12);
-        fs::remove_dir_all(root).unwrap();
     }
 
     #[test]
     fn writes_power_limit() {
-        let root = tmpdir("write");
-        fixture(&root);
-        let rapl = RaplSysfs::discover_at(&root).unwrap();
+        let tree = fixture("rapl-write");
+        let rapl = tree.discover().unwrap();
         let pkg = rapl.packages().next().unwrap();
         pkg.set_power_limit(Watts::new(90.5)).unwrap();
         assert!((pkg.power_limit().unwrap().value() - 90.5).abs() < 1e-9);
         // Invalid limits are rejected before touching sysfs.
         assert!(pkg.set_power_limit(Watts::new(-5.0)).is_err());
         assert!(pkg.set_power_limit(Watts::new(0.0)).is_err());
-        fs::remove_dir_all(root).unwrap();
     }
 
     #[test]

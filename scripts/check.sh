@@ -7,6 +7,15 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# The commit the bench history records of this run measure: the short
+# hash, marked `-dirty` when the working tree differs from it (a change
+# under review is measured before it is committed). Taken first, before
+# any step below rewrites BENCH_*.json or the history file.
+run_commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+if [ -n "$(git status --porcelain 2>/dev/null)" ]; then
+    run_commit="${run_commit}-dirty"
+fi
+
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
@@ -125,10 +134,10 @@ echo "    records: BENCH_sweep.json"
 
 echo "==> bench history (run-stamped append under results/)"
 # Every gated run's records are preserved, stamped with the UTC time and
-# the commit, so timing trajectories survive the per-run rm -f above.
+# the commit taken at the start of the run, so timing trajectories
+# survive the per-run rm -f above.
 mkdir -p results
 run_stamp=$(date -u +%Y-%m-%dT%H:%M:%SZ)
-run_commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 sed "s/^{/{\"run\":\"${run_stamp}\",\"commit\":\"${run_commit}\",/" \
     BENCH_sweep.json >> results/bench_history.jsonl
 # The code-size trajectory: Rust lines in the workspace sources.
