@@ -20,7 +20,7 @@
 use pbc_core::{
     classify_cpu_point, coord_cpu, coord_gpu, coordinate_hybrid, sweep_budget, sweep_curve,
     workload_report, CoordStatus, CriticalPowers, CurveTable, GpuCoordParams, HybridWorkload,
-    OnlineConfig, OnlineCoordinator, PowerBoundedProblem, WarmOracle, DEFAULT_STEP,
+    OnlineCoordinator, PowerBoundedProblem, WarmOracle, DEFAULT_STEP,
 };
 use pbc_powersim::coordinate_corun;
 use pbc_platform::{presets, NodeSpec, Platform, PlatformId};
@@ -385,8 +385,7 @@ pub fn cmd_online(platform_slug: &str, bench_slug: &str, budget: f64) -> Result<
     let p = platform(platform_slug)?;
     let b = benchmark(bench_slug)?;
     let budget = Watts::new(budget);
-    let mut coord =
-        OnlineCoordinator::new(budget, PowerAllocation::split(budget, 0.5), OnlineConfig::default());
+    let mut coord = OnlineCoordinator::new(budget, PowerAllocation::split(budget, 0.5), Watts::ZERO);
     let mut out = String::new();
     while !coord.converged() && coord.epochs() < 200 {
         let alloc = coord.next_allocation();

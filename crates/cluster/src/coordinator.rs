@@ -49,7 +49,7 @@ use crate::fleet::Fleet;
 use crate::health::{HealthCounts, HealthTracker, NodeHealth, ReportVerdict};
 use crate::partition::{fill_shares, uniform_split, NodeCurve, Objective, DEFAULT_GRANT};
 use crate::tenant::{jain_index, TenantSet};
-use pbc_core::{check_report, ObservationOutcome, OnlineConfig};
+use pbc_core::{check_report, ObservationOutcome};
 use pbc_faults::inject::{write_key, GOLDEN};
 use pbc_faults::{Edge, FleetFaultPlan};
 use pbc_par::Pool;
@@ -256,7 +256,6 @@ pub struct FleetCoordinator {
     /// The budget the coordinator was built with; plan budget steps are
     /// factors of this.
     initial_global: Watts,
-    grant: Watts,
     plan: FleetFaultPlan,
     /// The next epoch's tick: fault decisions for epoch `k` key on `k`.
     tick: usize,
@@ -340,7 +339,6 @@ impl FleetCoordinator {
         Ok(Self {
             global,
             initial_global: global,
-            grant: DEFAULT_GRANT,
             plan: FleetFaultPlan::calm(0),
             tick: 0,
             health: HealthTracker::new(n),
@@ -504,7 +502,7 @@ impl FleetCoordinator {
     #[must_use = "the decision result carries either the partition or the failure"]
     pub fn coordinate_with_pool(&self, pool: &Pool) -> Result<ClusterDecision> {
         let curves = self.node_curves();
-        let shares = fill_shares(&curves, &[], self.global, self.grant, self.objective)?;
+        let shares = fill_shares(&curves, &[], self.global, DEFAULT_GRANT, self.objective)?;
         evaluate(&self.fleet, &self.memos, &shares, &vec![false; self.fleet.len()], pool)
     }
 
@@ -524,7 +522,7 @@ impl FleetCoordinator {
     #[must_use = "the oracle result carries either the aggregate or the infeasibility"]
     pub fn oracle_aggregate(&self) -> Result<f64> {
         let curves = self.node_curves();
-        let shares = fill_shares(&curves, &[], self.global, self.grant, self.objective)?;
+        let shares = fill_shares(&curves, &[], self.global, DEFAULT_GRANT, self.objective)?;
         Ok(shares
             .iter()
             .zip(curves.iter())
@@ -885,8 +883,7 @@ impl FleetCoordinator {
             }
             None => {}
         }
-        let max_perf = OnlineConfig::default().max_credible_perf;
-        match check_report(perf, max_perf, &[cap], &[(cap, prev_enforced[node])]) {
+        match check_report(perf, &[cap], &[(cap, prev_enforced[node])]) {
             ObservationOutcome::Used => ReportVerdict::Accepted,
             _ => ReportVerdict::Rejected,
         }
@@ -926,7 +923,8 @@ impl FleetCoordinator {
             allocatable.iter().map(|&i| self.node_curve(i)).collect();
         // Any refusal (the fill only refuses an infeasible budget today)
         // degrades the epoch: the static fallback is the safe floor.
-        let Ok(shares) = fill_shares(&live_curves, &[], avail, self.grant, self.objective) else {
+        let Ok(shares) = fill_shares(&live_curves, &[], avail, DEFAULT_GRANT, self.objective)
+        else {
             return false;
         };
         for (k, &i) in allocatable.iter().enumerate() {

@@ -37,11 +37,19 @@ pub struct SpecLine {
     pub bench: String,
 }
 
+/// Most nodes one fleet spec may declare (and most sessions one serve
+/// `provision` may open): 64x the 1,024 nodes the serve and fleet
+/// benchmarks run. A count past it is refused up front instead of
+/// overflowing the node list.
+pub const MAX_NODES: usize = 65_536;
+
 /// Parse a fleet spec. Blank lines and `#` comments are skipped; each
 /// remaining line is `[COUNT] PLATFORM BENCH` (COUNT defaults to 1).
+/// The whole spec may declare at most [`MAX_NODES`] nodes.
 #[must_use = "the parsed spec lines are the function's entire output"]
 pub fn parse_spec(text: &str) -> Result<Vec<SpecLine>> {
     let mut lines = Vec::new();
+    let mut total = 0usize;
     for (ln, raw) in text.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
@@ -66,6 +74,13 @@ pub fn parse_spec(text: &str) -> Result<Vec<SpecLine>> {
         if count == 0 {
             return Err(PbcError::InvalidInput(format!(
                 "spec line {}: a node group needs at least one node",
+                ln + 1
+            )));
+        }
+        total = total.saturating_add(count);
+        if total > MAX_NODES {
+            return Err(PbcError::InvalidInput(format!(
+                "spec line {}: the fleet would exceed {MAX_NODES} nodes",
                 ln + 1
             )));
         }
@@ -259,6 +274,9 @@ mod tests {
         assert!(parse_spec("nope ivybridge stream extra").is_err());
         assert!(parse_spec("0 ivybridge stream").is_err());
         assert!(parse_spec("x ivybridge stream").is_err());
+        assert!(parse_spec("18446744073709551615 ivybridge stream").is_err());
+        assert!(parse_spec("65536 ivybridge stream\n1 haswell dgemm").is_err());
+        assert!(parse_spec("65536 ivybridge stream").is_ok());
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub use chaos::{run_cluster_chaos, run_cluster_chaos_with, ClusterChaosReport};
 pub use coordinator::{CapSink, ClusterDecision, ClusterReport, EpochReport, FleetCoordinator};
 pub use curve::{node_ceiling, node_floor, PerfCurve, SAMPLE_STEP};
 pub use degrade::StaticFallback;
-pub use fleet::{parse_spec, ClassCoord, Fleet, NodeClass, SpecLine};
+pub use fleet::{parse_spec, ClassCoord, Fleet, NodeClass, SpecLine, MAX_NODES};
 pub use health::{HealthCounts, HealthTally, HealthTracker, NodeHealth, ReportVerdict};
 pub use partition::{fill_shares, uniform_split, water_fill, NodeCurve, Objective, DEFAULT_GRANT};
 pub use tenant::{jain_index, NodeSplit, SlaClass, Tenant, TenantSet};

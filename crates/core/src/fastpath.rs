@@ -5,7 +5,7 @@
 //! The paper's COORD reacts to budget changes (§5, and its stated
 //! future work on online dynamic budgeting), but a full oracle re-solve
 //! costs microseconds per budget — three orders of magnitude more than
-//! a memo hit. This module closes that gap with three layers, each
+//! a memo hit. This module closes that gap with two layers, each
 //! bit-faithful to the oracle it replaces:
 //!
 //! 1. **[`CurveTable`]** — a precomputed `perf_max ~ P_b` interpolation
@@ -17,10 +17,11 @@
 //!    both answer "what do I apply at budget `b`?" without a solver in
 //!    the loop. Served allocations are counted under
 //!    `fastpath.table_hits`, builds under `fastpath.table_rebuilds`.
-//! 2. **[`WarmOracle`]** — an incremental re-solver. When the budget
-//!    moves by a delta, the grid search is seeded from the previous
-//!    optimum and walks *outward* instead of rescanning the full space;
-//!    §3.4's structure (performance rises through scenarios IV/II to the
+//! 2. **[`WarmOracle`]** — an incremental re-solver. Its first answer
+//!    is the shared-grid oracle's; when the budget then moves by a
+//!    delta, the grid search is seeded from the previous optimum and
+//!    walks *outward* instead of rescanning the full space; §3.4's
+//!    structure (performance rises through scenarios IV/II to the
 //!    balance point, then falls through III/V) makes the outward walk
 //!    terminate early, and a stall bound keeps it exact in the presence
 //!    of quantization plateaus. The result is bit-identical to a cold
@@ -28,12 +29,6 @@
 //!    field-exact by `crates/core/tests/fastpath_equivalence.rs`, the
 //!    same contract style as `sweep_curve_equivalence.rs`. Warm solves
 //!    are counted under `solve.warm_hits`.
-//! 3. **[`solve_batch`]** — batched multi-query solving: many concurrent
-//!    budget queries are answered in *one* pooled union-grid job through
-//!    the class's [`SolveMemo`], amortizing grid setup across requests
-//!    the way [`sweep_curve`](crate::sweep_curve) amortizes it across a
-//!    budget ladder. The batch size is visible as the
-//!    `fastpath.batch_depth` gauge.
 //!
 //! Measured on a CI-class container (see `docs/PERFORMANCE.md`), the
 //! table path serves an allocation in tens of nanoseconds against a
@@ -43,7 +38,7 @@
 use crate::critical::CriticalPowers;
 use crate::problem::PowerBoundedProblem;
 use crate::profile::SweepPoint;
-use crate::sweep::{sweep_curve_with_pool, DEFAULT_STEP};
+use crate::sweep::{sweep_curve, sweep_curve_with_pool, DEFAULT_STEP};
 use pbc_par::Pool;
 use pbc_platform::{NodeSpec, Platform};
 use pbc_powersim::{BoundedRegistry, SolveMemo, WorkloadDemand};
@@ -271,7 +266,9 @@ impl CurveTable {
 /// survives even if the process-wide registry evicts the fingerprint
 /// (the eviction contract: live handles keep their caches).
 pub struct WarmOracle {
-    platform: Platform,
+    /// The problem the oracle was built from; each solve re-binds only
+    /// its budget.
+    problem: PowerBoundedProblem,
     step: Watts,
     memo: Arc<SolveMemo>,
     /// The previous solve's optimum, seeding the next warm search.
@@ -286,32 +283,35 @@ impl WarmOracle {
     pub fn new(problem: &PowerBoundedProblem, step: Watts) -> WarmOracle {
         WarmOracle {
             memo: SolveMemo::for_problem(&problem.platform, &problem.workload),
-            platform: problem.platform.clone(),
+            problem: problem.clone(),
             step,
             last: None,
         }
     }
 
-    /// Best allocation at `budget`. The first call scans the full grid
-    /// (cold); later calls seed from the previous optimum and search
-    /// outward (warm, counted under `solve.warm_hits`). `Ok(None)`
-    /// means no allocation of this budget is schedulable — exactly when
-    /// a cold sweep would return an empty profile. Real solver errors
-    /// fail the call, like the sweep's error contract.
+    /// Best allocation at `budget`. The first call is a cold
+    /// [`sweep_curve`] of the one budget; later calls seed from the
+    /// previous optimum and search outward (warm, counted under
+    /// `solve.warm_hits`). `Ok(None)` means no allocation of this budget
+    /// is schedulable — exactly when a cold sweep would return an empty
+    /// profile. Real solver errors fail the call, like the sweep's error
+    /// contract.
     #[must_use = "the re-solve result carries either the optimum or the solver failure"]
     pub fn solve(&mut self, budget: Watts) -> Result<Option<SweepPoint>> {
-        let space = AllocationSpace::new(
-            budget,
-            problem_proc_range(&self.platform),
-            problem_mem_range(&self.platform),
-            self.step,
-        );
-        let allocs: Vec<PowerAllocation> = space.iter().collect();
         let best = match self.last {
-            None => self.cold_scan(&allocs)?,
+            None => sweep_curve(&self.problem, &[budget], self.step)?
+                .first()
+                .and_then(|profile| profile.best().copied()),
             Some(prev) => {
                 static WARM: OnceLock<pbc_trace::Counter> = OnceLock::new();
                 WARM.get_or_init(|| pbc_trace::counter(names::SOLVE_WARM_HITS)).incr();
+                let space = AllocationSpace::new(
+                    budget,
+                    self.problem.proc_cap_range(),
+                    self.problem.mem_cap_range(),
+                    self.step,
+                );
+                let allocs: Vec<PowerAllocation> = space.iter().collect();
                 self.warm_scan(&allocs, prev.alloc.proc)?
             }
         };
@@ -329,27 +329,13 @@ impl WarmOracle {
         }
     }
 
-    /// Full ascending scan, keeping the *last* point of any maximal
-    /// plateau — the exact tie-break of `SweepProfile::best` (`max_by`
-    /// returns the last maximum over ascending processor caps).
-    fn cold_scan(&self, allocs: &[PowerAllocation]) -> Result<Option<SweepPoint>> {
-        let mut best: Option<SweepPoint> = None;
-        for &alloc in allocs {
-            if let Some(pt) = self.eval(alloc)? {
-                if best.map_or(true, |b| pt.op.perf_rel >= b.op.perf_rel) {
-                    best = Some(pt);
-                }
-            }
-        }
-        Ok(best)
-    }
-
     /// Outward search from the grid index nearest the previous optimum.
     ///
-    /// Rightward, ties replace the running best (`>=`), exactly as the
-    /// ascending cold scan would; leftward only a *strictly* better
-    /// point replaces it, so the rightmost point of a maximal plateau
-    /// wins — the cold tie-break. A direction is abandoned after
+    /// Rightward, ties replace the running best (`>=`); leftward only a
+    /// *strictly* better point replaces it, so the rightmost point of a
+    /// maximal plateau wins — the tie-break of `SweepProfile::best`
+    /// (`max_by` returns the last maximum over ascending processor
+    /// caps). A direction is abandoned after
     /// [`WARM_STALL_LIMIT`] consecutive feasible points strictly below
     /// the running best; infeasible points neither count nor reset the
     /// stall (a fully infeasible direction walks to the grid edge, so a
@@ -420,56 +406,6 @@ impl WarmOracle {
     pub fn reset(&mut self) {
         self.last = None;
     }
-}
-
-fn problem_proc_range(platform: &Platform) -> (Watts, Watts) {
-    // Reuse the problem's cap-range definitions without requiring a
-    // budget up front (the oracle re-binds the budget per solve).
-    probe_problem(platform).proc_cap_range()
-}
-
-fn problem_mem_range(platform: &Platform) -> (Watts, Watts) {
-    probe_problem(platform).mem_cap_range()
-}
-
-/// A throwaway problem carrying only the platform: the cap ranges
-/// depend on nothing else.
-fn probe_problem(platform: &Platform) -> PowerBoundedProblem {
-    PowerBoundedProblem {
-        platform: platform.clone(),
-        workload: WorkloadDemand::single("range-probe", pbc_powersim::PhaseDemand::stream_bound()),
-        budget: Watts::new(1.0),
-    }
-}
-
-/// Answer many concurrent budget queries in one pooled union-grid job
-/// on the global pool — see [`solve_batch_with_pool`].
-#[must_use = "the batch result carries either the optima or the solver failure"]
-pub fn solve_batch(
-    problem: &PowerBoundedProblem,
-    budgets: &[Watts],
-    step: Watts,
-) -> Result<Vec<Option<SweepPoint>>> {
-    solve_batch_with_pool(problem, budgets, step, Pool::global())
-}
-
-/// Batched multi-query solving: the optimum for every requested budget,
-/// computed as *one* pooled job over the union of the budgets' grids
-/// through the class's shared [`SolveMemo`] — grid setup, the nominal
-/// reference time, and repeated canonical solves are amortized across
-/// the whole batch, the way `sweep_curve` amortizes them across a
-/// ladder. `None` entries are unschedulable budgets. The batch size is
-/// recorded in the `fastpath.batch_depth` gauge.
-#[must_use = "the batch result carries either the optima or the solver failure"]
-pub fn solve_batch_with_pool(
-    problem: &PowerBoundedProblem,
-    budgets: &[Watts],
-    step: Watts,
-    pool: &Pool,
-) -> Result<Vec<Option<SweepPoint>>> {
-    pbc_trace::gauge(names::FASTPATH_BATCH_DEPTH).set(budgets.len() as f64);
-    let profiles = sweep_curve_with_pool(problem, budgets, step, pool)?;
-    Ok(profiles.iter().map(|p| p.best().copied()).collect())
 }
 
 #[cfg(test)]
@@ -574,29 +510,5 @@ mod tests {
         let back = oracle.solve(Watts::new(200.0)).unwrap().unwrap();
         let cold = sweep_budget(&problem, DEFAULT_STEP).unwrap();
         assert_eq!(back.op.perf_rel.to_bits(), cold.best().unwrap().op.perf_rel.to_bits());
-    }
-
-    #[test]
-    fn batch_matches_per_budget_bests() {
-        let problem = cpu_problem("stream", 208.0);
-        let budgets: Vec<Watts> = (0..6).map(|i| Watts::new(170.0 + 12.0 * i as f64)).collect();
-        let batch = solve_batch(&problem, &budgets, DEFAULT_STEP).unwrap();
-        assert_eq!(batch.len(), budgets.len());
-        for (b, got) in budgets.iter().zip(&batch) {
-            let single = PowerBoundedProblem {
-                platform: problem.platform.clone(),
-                workload: problem.workload.clone(),
-                budget: *b,
-            };
-            let cold = sweep_budget(&single, DEFAULT_STEP).unwrap();
-            match (got, cold.best()) {
-                (Some(g), Some(c)) => {
-                    assert_eq!(g.alloc.proc.value().to_bits(), c.alloc.proc.value().to_bits());
-                    assert_eq!(g.op.perf_rel.to_bits(), c.op.perf_rel.to_bits());
-                }
-                (None, None) => {}
-                (g, c) => panic!("batch {g:?} vs cold {c:?} at {b}"),
-            }
-        }
     }
 }

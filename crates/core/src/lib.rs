@@ -21,7 +21,7 @@
 //! | Module | Paper section | Content |
 //! |--------|---------------|---------|
 //! | [`problem`] | §2.2 | Problem statement binding platform + workload + budget |
-//! | [`sweep`]   | §2.1, §6.2 | The exhaustive sweep over `A` (the oracle the paper compares against) |
+//! | [`sweep`]   | §2.1, §6.2 | The exhaustive sweep over `A` (the oracle the paper compares against); one engine behind `sweep_budget` and `sweep_curve` |
 //! | [`profile`] | §3 | Sweep profiles: performance + actual power per allocation |
 //! | [`critical`]| §5.1 | The seven critical power values `P_cpu,L1..L4`, `P_mem,L1..L3` |
 //! | [`scenario`]| §3.2, §4 | Categorization of allocations into scenarios I–VI (CPU) / I–III (GPU) |
@@ -30,7 +30,7 @@
 //! | [`analysis`]| §3.1, §3.4, Table 1 | `perf_max ~ P_b` curves, inflections, critical component, balance/utilization |
 //! | [`efficiency`]| §2.1 RQ4 | acceptable budget bands, perf-per-watt curves, stranded power |
 //! | [`online`]   | §5 future work | model-free feedback coordinator (online dynamic budgeting) |
-//! | [`fastpath`] | §5 future work | steady-state serving: warm-start re-solves, lock-free curve tables, batched queries |
+//! | [`fastpath`] | §5 future work | steady-state serving: lock-free curve tables and warm-start re-solves |
 //! | [`model`]    | §7 (vs [34]) | closed-form piecewise performance predictor from critical values |
 //! | [`hybrid`]   | §2.2 future work | host+card budget coordination for offload applications |
 
@@ -55,19 +55,13 @@ pub use baselines::{oracle, AllocationPolicy, Baseline, CpuPolicy, GpuPolicy};
 pub use coord::{coord_cpu, coord_gpu, CoordResult, CoordStatus, GpuCoordParams};
 pub use critical::CriticalPowers;
 pub use efficiency::{efficiency_curve, most_efficient_budget, AcceptableRange, BudgetVerdict, EfficiencyPoint};
-pub use fastpath::{
-    node_ceiling, node_floor, solve_batch, solve_batch_with_pool, CurveTable, WarmOracle,
-    TABLE_STEP,
-};
+pub use fastpath::{node_ceiling, node_floor, CurveTable, WarmOracle, TABLE_STEP};
 pub use hybrid::{coordinate_hybrid, solve_hybrid_split, HybridPoint, HybridWorkload};
 pub use model::PiecewiseModel;
-pub use online::{check_report, BudgetOutcome, ObservationOutcome, OnlineConfig, OnlineCoordinator};
+pub use online::{check_report, BudgetOutcome, ObservationOutcome, OnlineCoordinator};
 pub use problem::PowerBoundedProblem;
 pub use profile::{SweepPoint, SweepProfile};
 pub use profile_io::{from_csv as profile_from_csv, load as load_profile, save as save_profile, to_csv as profile_to_csv};
 pub use report::workload_report;
 pub use scenario::{classify_cpu_point, classify_gpu_point, cpu_scenario_spans, CpuScenario, GpuCategory};
-pub use sweep::{
-    sweep_budget, sweep_budget_with_pool, sweep_curve, sweep_curve_with_pool, sweep_space,
-    sweep_space_with_pool, DEFAULT_STEP,
-};
+pub use sweep::{sweep_budget, sweep_budget_with_pool, sweep_curve, sweep_curve_with_pool, DEFAULT_STEP};

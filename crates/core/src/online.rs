@@ -31,54 +31,28 @@ use std::sync::Arc;
 /// caps than were asked for.
 const STALE_CAP_TOLERANCE: f64 = CAP_QUANTUM;
 
-/// Tuning knobs for the online coordinator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OnlineConfig {
-    /// Watts moved per accepted step.
-    pub step: Watts,
-    /// Stop when `step` shrinks below this (after successive failures).
-    pub min_step: Watts,
-    /// Multiplicative step decay after a rejected probe in both
-    /// directions.
-    pub decay: f64,
-    /// Relative performance improvement required to accept a move (guards
-    /// against measurement noise in real deployments).
-    pub accept_margin: f64,
-    /// Performance surrogates above this are rejected as sensor garbage
-    /// (`perf_rel` is normalized to unbounded performance, so honest
-    /// readings sit in `(0, 1]` with a little calibration headroom).
-    pub max_credible_perf: f64,
-    /// Consecutive over-budget observations tolerated before the
-    /// watchdog degrades to the fallback allocation.
-    pub watchdog_patience: u32,
-    /// Fractional overdraw (`total > budget * (1 + tolerance)`) that
-    /// counts as a budget violation for the watchdog.
-    pub overdraw_tolerance: f64,
-    /// Smallest budget [`OnlineCoordinator::set_budget`] will accept.
-    /// Callers that know the platform should set this to
-    /// `platform.min_node_power()`; the default of zero only screens out
-    /// non-positive budgets.
-    pub min_budget: Watts,
-}
-
-impl Default for OnlineConfig {
-    fn default() -> Self {
-        Self {
-            // The first probes must clear the throttle/duty quantization
-            // steps (a ~10 W-wide plateau in deep scenario IV), so the
-            // initial stride is wide; decay brings the endgame down to
-            // 1 W granularity.
-            step: Watts::new(16.0),
-            min_step: Watts::new(1.0),
-            decay: 0.5,
-            accept_margin: 0.002,
-            max_credible_perf: 8.0,
-            watchdog_patience: 3,
-            overdraw_tolerance: 0.05,
-            min_budget: Watts::ZERO,
-        }
-    }
-}
+/// Watts moved per accepted step. The first probes must clear the
+/// throttle/duty quantization steps (a ~10 W-wide plateau in deep
+/// scenario IV), so the initial stride is wide; [`DECAY`] brings the
+/// endgame down to [`MIN_STEP`] granularity.
+const STEP: Watts = Watts::new(16.0);
+/// The search converges once the step shrinks below this.
+const MIN_STEP: Watts = Watts::new(1.0);
+/// Multiplicative step decay after a rejected probe in both directions.
+const DECAY: f64 = 0.5;
+/// Relative performance improvement required to accept a move (guards
+/// against measurement noise in real deployments).
+const ACCEPT_MARGIN: f64 = 0.002;
+/// Performance surrogates above this are rejected as sensor garbage
+/// (`perf_rel` is normalized to unbounded performance, so honest
+/// readings sit in `(0, 1]` with a little calibration headroom).
+const MAX_CREDIBLE_PERF: f64 = 8.0;
+/// Consecutive over-budget observations tolerated before the watchdog
+/// degrades to the fallback allocation.
+const WATCHDOG_PATIENCE: u32 = 3;
+/// Fractional overdraw (`total > budget * (1 + tolerance)`) that counts
+/// as a budget violation for the watchdog.
+const OVERDRAW_TOLERANCE: f64 = 0.05;
 
 /// What [`OnlineCoordinator::set_budget`] did with a requested budget
 /// change. Rejections are counted under `online.rejected_budgets` and
@@ -94,7 +68,8 @@ pub enum BudgetOutcome {
     Unchanged,
     /// Rejected: NaN or infinite.
     RejectedNonFinite,
-    /// Rejected: zero, negative, or below [`OnlineConfig::min_budget`].
+    /// Rejected: zero, negative, or below the coordinator's minimum
+    /// budget.
     RejectedBelowMinimum,
 }
 
@@ -124,22 +99,17 @@ pub enum ObservationOutcome {
 
 /// The report gate both coordinators share. A report passes when its
 /// performance surrogate is finite, non-negative and at most
-/// `max_credible_perf`, every reported power is a valid wattage, and
+/// `MAX_CREDIBLE_PERF` (8.0), every reported power is a valid wattage, and
 /// every `(reported, issued)` cap pair agrees within one enforcement
 /// quantum. The first failing check names the rejection. Nothing is
 /// allocated: `observe` runs this on every sample.
 #[inline]
 #[must_use]
-pub fn check_report(
-    perf: f64,
-    max_credible_perf: f64,
-    powers: &[Watts],
-    caps: &[(Watts, Watts)],
-) -> ObservationOutcome {
+pub fn check_report(perf: f64, powers: &[Watts], caps: &[(Watts, Watts)]) -> ObservationOutcome {
     if !perf.is_finite() || perf < 0.0 {
         return ObservationOutcome::RejectedNonFinite;
     }
-    if perf > max_credible_perf || !powers.iter().all(|p| p.is_valid()) {
+    if perf > MAX_CREDIBLE_PERF || !powers.iter().all(|p| p.is_valid()) {
         return ObservationOutcome::RejectedOutOfRange;
     }
     if caps.iter().any(|&(seen, issued)| (seen - issued).abs().value() > STALE_CAP_TOLERANCE) {
@@ -168,7 +138,7 @@ enum Phase {
 /// next epoch, run the epoch, report the observed operating point back.
 ///
 /// ```
-/// use pbc_core::{OnlineConfig, OnlineCoordinator};
+/// use pbc_core::OnlineCoordinator;
 /// use pbc_platform::presets::ivybridge;
 /// use pbc_powersim::solve;
 /// use pbc_types::{PowerAllocation, Watts};
@@ -176,11 +146,8 @@ enum Phase {
 /// let node = ivybridge();
 /// let stream = pbc_workloads::by_name("stream").unwrap();
 /// let budget = Watts::new(208.0);
-/// let mut tuner = OnlineCoordinator::new(
-///     budget,
-///     PowerAllocation::split(budget, 0.5),
-///     OnlineConfig::default(),
-/// );
+/// let mut tuner =
+///     OnlineCoordinator::new(budget, PowerAllocation::split(budget, 0.5), Watts::ZERO);
 /// while !tuner.converged() && tuner.epochs() < 100 {
 ///     let alloc = tuner.next_allocation();
 ///     let op = solve(&node, &stream.demand, alloc).unwrap();
@@ -190,7 +157,8 @@ enum Phase {
 /// ```
 #[derive(Debug, Clone)]
 pub struct OnlineCoordinator {
-    config: OnlineConfig,
+    /// Smallest budget [`Self::set_budget`] accepts.
+    min_budget: Watts,
     budget: Watts,
     /// The starting split's proc fraction — the known-safe fallback the
     /// watchdog returns to (rescaled to the live budget).
@@ -214,10 +182,13 @@ pub struct OnlineCoordinator {
 
 impl OnlineCoordinator {
     /// Start a search at `initial` (any feasible split of `budget`; an
-    /// even split is a fine cold start).
-    pub fn new(budget: Watts, initial: PowerAllocation, config: OnlineConfig) -> Self {
+    /// even split is a fine cold start). [`Self::set_budget`] rejects
+    /// budgets below `min_budget`: callers that know the platform pass
+    /// `platform.min_node_power()`, and zero only screens out
+    /// non-positive budgets.
+    pub fn new(budget: Watts, initial: PowerAllocation, min_budget: Watts) -> Self {
         Self {
-            config,
+            min_budget,
             budget,
             initial_fraction: initial.proc_fraction(),
             best: initial,
@@ -225,7 +196,7 @@ impl OnlineCoordinator {
             pending: None,
             table: None,
             phase: Phase::TryTowardProc,
-            step: config.step,
+            step: STEP,
             epochs: 0,
             overdraw_streak: 0,
         }
@@ -277,7 +248,7 @@ impl OnlineCoordinator {
     /// *ratio* is kept, rescaled to the new total. Either way the search
     /// re-opens: performance must be re-measured because the capping
     /// scenario may have changed category entirely. Invalid budgets —
-    /// non-finite, non-positive, or below [`OnlineConfig::min_budget`] —
+    /// non-finite, non-positive, or below the minimum given to [`Self::new`] —
     /// are rejected with a [`BudgetOutcome`] and counted under
     /// `online.rejected_budgets`, leaving the search state untouched.
     pub fn set_budget(&mut self, new: Watts) -> BudgetOutcome {
@@ -285,7 +256,7 @@ impl OnlineCoordinator {
             pbc_trace::counter(names::ONLINE_REJECTED_BUDGETS).incr();
             return BudgetOutcome::RejectedNonFinite;
         }
-        if new.value() <= 0.0 || new < self.config.min_budget {
+        if new.value() <= 0.0 || new < self.min_budget {
             pbc_trace::counter(names::ONLINE_REJECTED_BUDGETS).incr();
             return BudgetOutcome::RejectedBelowMinimum;
         }
@@ -306,7 +277,7 @@ impl OnlineCoordinator {
         self.best_perf = None;
         self.pending = None;
         self.phase = Phase::TryTowardProc;
-        self.step = self.config.step;
+        self.step = STEP;
         self.overdraw_streak = 0;
         pbc_trace::counter(names::ONLINE_BUDGET_RESETS).incr();
         BudgetOutcome::Applied
@@ -319,7 +290,7 @@ impl OnlineCoordinator {
         self.best_perf = None;
         self.pending = None;
         self.phase = Phase::TryTowardProc;
-        self.step = self.config.step;
+        self.step = STEP;
         self.overdraw_streak = 0;
         pbc_trace::counter(names::ONLINE_FALLBACKS).incr();
     }
@@ -329,7 +300,6 @@ impl OnlineCoordinator {
     fn validate(&self, op: &NodeOperatingPoint, tried: PowerAllocation) -> ObservationOutcome {
         check_report(
             op.perf_rel,
-            self.config.max_credible_perf,
             &[op.proc_power, op.mem_power],
             &[(op.alloc.proc, tried.proc), (op.alloc.mem, tried.mem)],
         )
@@ -364,10 +334,10 @@ impl OnlineCoordinator {
                     break c;
                 }
                 Phase::Shrink => {
-                    self.step = self.step * self.config.decay;
+                    self.step = self.step * DECAY;
                     pbc_trace::counter(names::ONLINE_STEP_DECAYS).incr();
                     pbc_trace::gauge(names::ONLINE_STEP_W).set(self.step.value());
-                    if self.step < self.config.min_step {
+                    if self.step < MIN_STEP {
                         self.phase = Phase::Converged;
                     } else {
                         self.phase = Phase::TryTowardProc;
@@ -402,7 +372,7 @@ impl OnlineCoordinator {
     /// probe is voided — [`Self::next_allocation`] will deterministically
     /// re-propose it. Admitted observations also feed the budget
     /// watchdog: a streak of over-budget draws longer than
-    /// [`OnlineConfig::watchdog_patience`] degrades the search to the
+    /// `WATCHDOG_PATIENCE` (3 epochs) degrades the search to the
     /// known-safe fallback allocation.
     pub fn observe(&mut self, op: &NodeOperatingPoint) -> ObservationOutcome {
         self.epochs += 1;
@@ -421,10 +391,9 @@ impl OnlineCoordinator {
         // over budget means enforcement is not holding (failed writes,
         // stuck caps) — retreat to a split that was known safe rather
         // than keep climbing on a node that is out of contract.
-        if op.total_power().value() > self.budget.value() * (1.0 + self.config.overdraw_tolerance)
-        {
+        if op.total_power().value() > self.budget.value() * (1.0 + OVERDRAW_TOLERANCE) {
             self.overdraw_streak += 1;
-            if self.overdraw_streak >= self.config.watchdog_patience {
+            if self.overdraw_streak >= WATCHDOG_PATIENCE {
                 self.fall_back();
                 return ObservationOutcome::TrippedWatchdog;
             }
@@ -438,7 +407,7 @@ impl OnlineCoordinator {
             pbc_trace::gauge(names::ONLINE_BEST_PERF).set(perf);
             return ObservationOutcome::Used;
         };
-        let improved = perf > best_perf * (1.0 + self.config.accept_margin);
+        let improved = perf > best_perf * (1.0 + ACCEPT_MARGIN);
         match self.phase {
             Phase::TryTowardProc => {
                 if improved {
@@ -484,11 +453,8 @@ mod tests {
         let platform = ivybridge();
         let demand = by_name(bench).unwrap().demand;
         let budget_w = Watts::new(budget);
-        let mut coord = OnlineCoordinator::new(
-            budget_w,
-            PowerAllocation::split(budget_w, start_frac),
-            OnlineConfig::default(),
-        );
+        let start = PowerAllocation::split(budget_w, start_frac);
+        let mut coord = OnlineCoordinator::new(budget_w, start, Watts::ZERO);
         for _ in 0..200 {
             if coord.converged() {
                 break;
@@ -537,11 +503,8 @@ mod tests {
         let platform = ivybridge();
         let demand = by_name("cg").unwrap().demand;
         let budget = Watts::new(190.0);
-        let mut coord = OnlineCoordinator::new(
-            budget,
-            PowerAllocation::split(budget, 0.5),
-            OnlineConfig::default(),
-        );
+        let mut coord =
+            OnlineCoordinator::new(budget, PowerAllocation::split(budget, 0.5), Watts::ZERO);
         for _ in 0..100 {
             if coord.converged() {
                 break;
@@ -558,11 +521,8 @@ mod tests {
         let platform = ivybridge();
         let demand = by_name("sra").unwrap().demand;
         let budget = Watts::new(200.0);
-        let mut coord = OnlineCoordinator::new(
-            budget,
-            PowerAllocation::split(budget, 0.5),
-            OnlineConfig::default(),
-        );
+        let mut coord =
+            OnlineCoordinator::new(budget, PowerAllocation::split(budget, 0.5), Watts::ZERO);
         for _ in 0..200 {
             let alloc = coord.next_allocation();
             let op = solve(&platform, &demand, alloc).unwrap();
@@ -587,11 +547,8 @@ mod tests {
         let platform = ivybridge();
         let demand = by_name("stream").unwrap().demand;
         let budget = Watts::new(208.0);
-        let mut coord = OnlineCoordinator::new(
-            budget,
-            PowerAllocation::split(budget, 0.5),
-            OnlineConfig::default(),
-        );
+        let mut coord =
+            OnlineCoordinator::new(budget, PowerAllocation::split(budget, 0.5), Watts::ZERO);
         let mut rejected = 0usize;
         for epoch in 0..300 {
             if coord.converged() {
@@ -625,11 +582,8 @@ mod tests {
         let platform = ivybridge();
         let demand = by_name("sra").unwrap().demand;
         let budget = Watts::new(200.0);
-        let mut coord = OnlineCoordinator::new(
-            budget,
-            PowerAllocation::split(budget, 0.5),
-            OnlineConfig::default(),
-        );
+        let mut coord =
+            OnlineCoordinator::new(budget, PowerAllocation::split(budget, 0.5), Watts::ZERO);
         // Baseline first.
         let a0 = coord.next_allocation();
         let op0 = solve(&platform, &demand, a0).unwrap();
@@ -649,10 +603,9 @@ mod tests {
         let demand = by_name("stream").unwrap().demand;
         let budget = Watts::new(208.0);
         let start = PowerAllocation::split(budget, 0.5);
-        let mut coord = OnlineCoordinator::new(budget, start, OnlineConfig::default());
-        let patience = OnlineConfig::default().watchdog_patience;
+        let mut coord = OnlineCoordinator::new(budget, start, Watts::ZERO);
         let mut tripped = false;
-        for _ in 0..(patience + 2) {
+        for _ in 0..(WATCHDOG_PATIENCE + 2) {
             let alloc = coord.next_allocation();
             let mut op = solve(&platform, &demand, alloc).unwrap();
             // Fake a node drawing way over budget despite the caps.
@@ -675,11 +628,8 @@ mod tests {
         let platform = ivybridge();
         let demand = by_name("stream").unwrap().demand;
         let budget = Watts::new(208.0);
-        let mut coord = OnlineCoordinator::new(
-            budget,
-            PowerAllocation::split(budget, 0.5),
-            OnlineConfig::default(),
-        );
+        let mut coord =
+            OnlineCoordinator::new(budget, PowerAllocation::split(budget, 0.5), Watts::ZERO);
         for _ in 0..200 {
             if coord.converged() {
                 break;
@@ -726,12 +676,11 @@ mod tests {
     fn poisoned_budgets_are_rejected_with_reasons() {
         let platform = ivybridge();
         let budget = Watts::new(208.0);
-        let config = OnlineConfig {
-            min_budget: platform.min_node_power(),
-            ..OnlineConfig::default()
-        };
-        let mut coord =
-            OnlineCoordinator::new(budget, PowerAllocation::split(budget, 0.5), config);
+        let mut coord = OnlineCoordinator::new(
+            budget,
+            PowerAllocation::split(budget, 0.5),
+            platform.min_node_power(),
+        );
         let before_best = coord.best();
         let before_budget = coord.budget();
         assert_eq!(coord.set_budget(Watts::new(f64::NAN)), BudgetOutcome::RejectedNonFinite);
@@ -764,12 +713,9 @@ mod tests {
         let demand = by_name("stream").unwrap().demand;
         let budget = Watts::new(208.0);
         let table = CurveTable::shared(&platform, &demand).unwrap();
-        let mut coord = OnlineCoordinator::new(
-            budget,
-            PowerAllocation::split(budget, 0.5),
-            OnlineConfig::default(),
-        )
-        .with_table(Arc::clone(&table));
+        let mut coord =
+            OnlineCoordinator::new(budget, PowerAllocation::split(budget, 0.5), Watts::ZERO)
+                .with_table(Arc::clone(&table));
         let cut = Watts::new(176.0);
         let expected = table.alloc_at(cut).unwrap();
         assert_eq!(coord.set_budget(cut), BudgetOutcome::Applied);
@@ -791,7 +737,7 @@ mod tests {
         let budget = Watts::new(208.0);
         let start = PowerAllocation::split(budget, 0.4);
         let start_perf = solve(&platform, &demand, start).unwrap().perf_rel;
-        let mut coord = OnlineCoordinator::new(budget, start, OnlineConfig::default());
+        let mut coord = OnlineCoordinator::new(budget, start, Watts::ZERO);
         for _ in 0..200 {
             if coord.converged() {
                 break;

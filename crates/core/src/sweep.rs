@@ -11,21 +11,27 @@
 //! to per-index slots, so the profile is deterministic — bit-identical
 //! regardless of thread count or steal order.
 //!
-//! Multi-budget curves should use [`sweep_curve`]: it evaluates the
-//! union of every budget's grid in one pooled job through a shared
-//! [`SolveMemo`], so adjacent budgets reuse solver work (observable as
-//! `sweep.curve_reuse_hits`) instead of re-integrating the control
-//! loops per budget.
+//! Both public entry points run on one engine, which builds each
+//! budget's grid, fans the union out as one pooled job, and splits the
+//! points back per budget; the only thing that differs between them is
+//! how a point is solved:
+//!
+//! * [`sweep_budget`] solves every point directly. It is the memo-free
+//!   *reference*: `tests/sweep_curve_equivalence.rs` and the
+//!   `sweep/curve-vs-budgets-speedup` bench both compare against it.
+//! * [`sweep_curve`] solves through the class's shared [`SolveMemo`], so
+//!   adjacent budgets reuse solver work (observable as
+//!   `sweep.curve_reuse_hits`) instead of re-integrating the control
+//!   loops per budget. Multi-budget curves should use it.
 //!
 //! The sweep is the *authority*, not the serving path. Steady-state
 //! callers answering repeated budget changes should go through
 //! [`crate::fastpath`]: [`crate::fastpath::WarmOracle`] re-solves
 //! incrementally from the previous optimum (bit-identical to
-//! [`sweep_budget`], asserted in `tests/fastpath_equivalence.rs`),
+//! [`sweep_budget`], asserted in `tests/fastpath_equivalence.rs`), and
 //! [`crate::fastpath::CurveTable`] precomputes a per-class ladder through
 //! [`sweep_curve`] and serves allocations without any solver in the
-//! loop, and [`crate::fastpath::solve_batch`] amortizes concurrent
-//! budget queries exactly as [`sweep_curve`] amortizes curve budgets.
+//! loop.
 //!
 //! ## Error contract
 //!
@@ -49,12 +55,11 @@
 use crate::problem::PowerBoundedProblem;
 use crate::profile::{SweepPoint, SweepProfile};
 use pbc_par::Pool;
-use pbc_platform::Platform;
-use pbc_powersim::{solve, NodeOperatingPoint, SolveMemo, WorkloadDemand};
+use pbc_powersim::{solve, NodeOperatingPoint, SolveMemo};
 use pbc_trace::names;
 use pbc_types::{AllocationSpace, PbcError, PowerAllocation, Result, Watts};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Default sweep stepping, matching the coarse grid of the paper's
 /// experiments (4 W on the CPU axis).
@@ -96,30 +101,11 @@ pub fn sweep_budget_with_pool(
     step: Watts,
     pool: &Pool,
 ) -> Result<SweepProfile> {
-    let space = AllocationSpace::new(
-        problem.budget,
-        problem.proc_cap_range(),
-        problem.mem_cap_range(),
-        step,
-    );
-    sweep_space_with_pool(problem, &space, pool)
-}
-
-/// Sweep an explicit allocation space (callers construct custom spaces
-/// for zoomed-in views around an optimum).
-#[must_use = "the sweep result carries either the profile or the solver failure"]
-pub fn sweep_space(problem: &PowerBoundedProblem, space: &AllocationSpace) -> Result<SweepProfile> {
-    sweep_space_with(problem, space, Pool::global(), solve)
-}
-
-/// [`sweep_space`] on an explicit pool.
-#[must_use = "the sweep result carries either the profile or the solver failure"]
-pub fn sweep_space_with_pool(
-    problem: &PowerBoundedProblem,
-    space: &AllocationSpace,
-    pool: &Pool,
-) -> Result<SweepProfile> {
-    sweep_space_with(problem, space, pool, solve)
+    sweep_grids(problem, &[problem.budget], step, pool, |alloc| {
+        solve(&problem.platform, &problem.workload, alloc)
+    })
+    // One budget in, one profile out.
+    .map(|mut profiles| profiles.swap_remove(0))
 }
 
 /// One evaluated grid point, written into its own slot so assembly is
@@ -130,140 +116,116 @@ enum Slot {
     Failed(PbcError),
 }
 
-/// The sweep's accounting counters, registered together up front so
-/// every one of them is present in an exported trace even when it reads
-/// zero — absence must never be mistaken for emptiness.
-struct SweepCounters {
-    total: pbc_trace::Counter,
-    evaluated: pbc_trace::Counter,
-    infeasible: pbc_trace::Counter,
-    lost: pbc_trace::Counter,
-    errors: pbc_trace::Counter,
-}
-
-impl SweepCounters {
-    fn register() -> SweepCounters {
-        SweepCounters {
-            total: pbc_trace::counter(names::SWEEP_POINTS_TOTAL),
-            evaluated: pbc_trace::counter(names::SWEEP_POINTS_EVALUATED),
-            infeasible: pbc_trace::counter(names::SWEEP_POINTS_INFEASIBLE),
-            lost: pbc_trace::counter(names::SWEEP_POINTS_LOST),
-            errors: pbc_trace::counter(names::SWEEP_SOLVER_ERRORS),
-        }
-    }
-}
-
-/// Fan `eval_index` out across the pool under a `sweep` root span, one
-/// `sweep.worker` span per participating executor. Each index writes its
-/// outcome (already counter-accounted by `eval_index`) into its slot.
-/// Preserves the panic contract: a panicking evaluation cancels the rest
-/// of the job, adds the unfinished points to `sweep.points_lost`, and
-/// re-raises on the calling thread.
-fn run_sweep_job(
+/// The sweep engine behind both entry points, generic over the
+/// per-point evaluator so tests can inject failing or panicking solvers
+/// without a special platform. Each budget's grid is built exactly as
+/// [`sweep_budget`] defines it; the union runs as one pooled job under a
+/// `sweep` root span (one `sweep.worker` span per participating
+/// executor), and the points are split back into one profile per
+/// budget, in `budgets` order.
+fn sweep_grids<F>(
+    problem: &PowerBoundedProblem,
+    budgets: &[Watts],
+    step: Watts,
     pool: &Pool,
-    counters: &SweepCounters,
-    n: usize,
-    eval_index: &(dyn Fn(usize) + Sync),
-) {
-    let sweep_span = pbc_trace::span(names::SPAN_SWEEP);
-    let sweep_id = sweep_span.id();
-    let stats = pool.run_wrapped(
-        n,
-        &|inner| {
-            let _worker = pbc_trace::span_under(names::SPAN_SWEEP_WORKER, sweep_id);
-            inner();
-        },
-        eval_index,
-    );
+    eval: F,
+) -> Result<Vec<SweepProfile>>
+where
+    F: Fn(PowerAllocation) -> Result<NodeOperatingPoint> + Sync,
+{
+    // The union grid: every budget's allocation space, tagged with the
+    // budget it belongs to.
+    let mut grid: Vec<(usize, PowerAllocation)> = Vec::new();
+    for (bi, &budget) in budgets.iter().enumerate() {
+        let space = AllocationSpace::new(
+            budget,
+            problem.proc_cap_range(),
+            problem.mem_cap_range(),
+            step,
+        );
+        grid.extend(space.iter().map(|alloc| (bi, alloc)));
+    }
+
+    // Every accounting counter is registered up front, so each one is
+    // present in an exported trace even when it reads zero — absence
+    // must never be mistaken for emptiness.
+    let total = pbc_trace::counter(names::SWEEP_POINTS_TOTAL);
+    let evaluated = pbc_trace::counter(names::SWEEP_POINTS_EVALUATED);
+    let infeasible = pbc_trace::counter(names::SWEEP_POINTS_INFEASIBLE);
+    let lost = pbc_trace::counter(names::SWEEP_POINTS_LOST);
+    let errors = pbc_trace::counter(names::SWEEP_SOLVER_ERRORS);
+    total.add(grid.len() as u64);
+
+    // A real solver error flips `errored`, which short-circuits the
+    // remaining points (their slots stay `None`; the sweep is failing
+    // anyway).
+    let slots: Vec<Mutex<Option<Slot>>> = (0..grid.len()).map(|_| Mutex::new(None)).collect();
+    let errored = AtomicBool::new(false);
+    let stats = {
+        let sweep_span = pbc_trace::span(names::SPAN_SWEEP);
+        let sweep_id = sweep_span.id();
+        pool.run_wrapped(
+            grid.len(),
+            &|inner| {
+                let _worker = pbc_trace::span_under(names::SPAN_SWEEP_WORKER, sweep_id);
+                inner();
+            },
+            &|i| {
+                if errored.load(Ordering::Relaxed) {
+                    return;
+                }
+                let filled = match eval(grid[i].1) {
+                    Ok(op) => {
+                        evaluated.incr();
+                        Slot::Point(op)
+                    }
+                    Err(e) if e.is_infeasible() => {
+                        infeasible.incr();
+                        Slot::Infeasible
+                    }
+                    Err(e) => {
+                        errors.incr();
+                        errored.store(true, Ordering::Relaxed);
+                        Slot::Failed(e)
+                    }
+                };
+                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(filled);
+            },
+        )
+    };
     if let Some(payload) = stats.panic {
         // Account for every point the cancelled job dropped, then
         // re-raise the panic on the calling thread. A dying evaluation
         // must never silently truncate the oracle.
-        counters.lost.add((n - stats.completed) as u64);
+        lost.add((grid.len() - stats.completed) as u64);
         std::panic::resume_unwind(payload);
     }
-}
 
-/// Evaluate one allocation into its slot, with counter accounting. A
-/// real solver error flips `errored`, which short-circuits the remaining
-/// points (their slots stay `None`; the sweep is failing anyway).
-fn eval_into_slot(
-    outcome: Result<NodeOperatingPoint>,
-    slot: &Mutex<Option<Slot>>,
-    counters: &SweepCounters,
-    errored: &AtomicBool,
-) {
-    let filled = match outcome {
-        Ok(op) => {
-            counters.evaluated.incr();
-            Slot::Point(op)
-        }
-        Err(e) if e.is_infeasible() => {
-            counters.infeasible.incr();
-            Slot::Infeasible
-        }
-        Err(e) => {
-            counters.errors.incr();
-            errored.store(true, Ordering::Relaxed);
-            Slot::Failed(e)
-        }
-    };
-    *slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(filled);
-}
-
-/// Drain filled slots into sweep points (pushed in index order, i.e.
-/// ascending processor cap). A real solver error at the lowest failing
-/// index fails the whole drain.
-fn collect_slots(
-    slots: Vec<Mutex<Option<Slot>>>,
-    mut sink: impl FnMut(usize, NodeOperatingPoint),
-) -> Result<()> {
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner) {
+    // Drain the slots in index order (ascending processor cap within
+    // each budget). A real solver error at the lowest failing index
+    // fails the whole sweep.
+    let mut per_budget: Vec<Vec<SweepPoint>> = budgets.iter().map(|_| Vec::new()).collect();
+    for (slot, &(bi, alloc)) in slots.into_iter().zip(&grid) {
+        match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
             Some(Slot::Failed(e)) => return Err(e),
-            Some(Slot::Point(op)) => sink(i, op),
+            Some(Slot::Point(op)) => per_budget[bi].push(SweepPoint { alloc, op }),
             Some(Slot::Infeasible) | None => {}
         }
     }
-    Ok(())
-}
 
-/// The sweep engine, generic over the evaluator so tests can inject
-/// failing or panicking solvers without a special platform.
-fn sweep_space_with<F>(
-    problem: &PowerBoundedProblem,
-    space: &AllocationSpace,
-    pool: &Pool,
-    eval: F,
-) -> Result<SweepProfile>
-where
-    F: Fn(&Platform, &WorkloadDemand, PowerAllocation) -> Result<NodeOperatingPoint> + Sync,
-{
-    let allocs: Vec<PowerAllocation> = space.iter().collect();
-    let counters = SweepCounters::register();
-    counters.total.add(allocs.len() as u64);
-
-    let slots: Vec<Mutex<Option<Slot>>> = (0..allocs.len()).map(|_| Mutex::new(None)).collect();
-    let errored = AtomicBool::new(false);
-
-    run_sweep_job(pool, &counters, allocs.len(), &|i| {
-        if errored.load(Ordering::Relaxed) {
-            return;
-        }
-        let outcome = eval(&problem.platform, &problem.workload, allocs[i]);
-        eval_into_slot(outcome, &slots[i], &counters, &errored);
-    });
-
-    let mut points: Vec<SweepPoint> = Vec::with_capacity(allocs.len());
-    collect_slots(slots, |i, op| points.push(SweepPoint { alloc: allocs[i], op }))?;
-
-    points.sort_by(|a, b| a.alloc.proc.0.total_cmp(&b.alloc.proc.0));
-    Ok(SweepProfile {
-        platform: problem.platform.id,
-        workload: problem.workload.name.clone(),
-        budget: problem.budget,
-        points,
-    })
+    Ok(budgets
+        .iter()
+        .zip(per_budget)
+        .map(|(&budget, mut points)| {
+            points.sort_by(|a, b| a.alloc.proc.0.total_cmp(&b.alloc.proc.0));
+            SweepProfile {
+                platform: problem.platform.id,
+                workload: problem.workload.name.clone(),
+                budget,
+                points,
+            }
+        })
+        .collect())
 }
 
 /// The shared-grid oracle: sweep *every* budget in one pooled job over
@@ -301,61 +263,18 @@ pub fn sweep_curve_with_pool(
     step: Watts,
     pool: &Pool,
 ) -> Result<Vec<SweepProfile>> {
-    // The union grid: every budget's allocation space, tagged with the
-    // budget it belongs to. Spaces are constructed exactly as
-    // `sweep_budget` constructs them so the derived profiles match it
-    // bit for bit.
-    let mut grid: Vec<(usize, PowerAllocation)> = Vec::new();
-    for (bi, &budget) in budgets.iter().enumerate() {
-        let space = AllocationSpace::new(
-            budget,
-            problem.proc_cap_range(),
-            problem.mem_cap_range(),
-            step,
-        );
-        grid.extend(space.iter().map(|alloc| (bi, alloc)));
-    }
-
-    let counters = SweepCounters::register();
     let reuse_c = pbc_trace::counter(names::SWEEP_CURVE_REUSE_HITS);
-    counters.total.add(grid.len() as u64);
-
     let memo = SolveMemo::for_problem(&problem.platform, &problem.workload);
-    let slots: Vec<Mutex<Option<Slot>>> = (0..grid.len()).map(|_| Mutex::new(None)).collect();
-    let errored = AtomicBool::new(false);
     let reuse_hits = AtomicU64::new(0);
-
-    run_sweep_job(pool, &counters, grid.len(), &|i| {
-        if errored.load(Ordering::Relaxed) {
-            return;
-        }
-        let (outcome, hit) = memo.solve_traced(grid[i].1);
+    let profiles = sweep_grids(problem, budgets, step, pool, |alloc| {
+        let (outcome, hit) = memo.solve_traced(alloc);
         if hit {
             reuse_hits.fetch_add(1, Ordering::Relaxed);
         }
-        eval_into_slot(outcome, &slots[i], &counters, &errored);
+        outcome
     });
     reuse_c.add(reuse_hits.load(Ordering::Relaxed));
-
-    let mut per_budget: Vec<Vec<SweepPoint>> = budgets.iter().map(|_| Vec::new()).collect();
-    collect_slots(slots, |i, op| {
-        let (bi, alloc) = grid[i];
-        per_budget[bi].push(SweepPoint { alloc, op });
-    })?;
-
-    Ok(budgets
-        .iter()
-        .zip(per_budget)
-        .map(|(&budget, mut points)| {
-            points.sort_by(|a, b| a.alloc.proc.0.total_cmp(&b.alloc.proc.0));
-            SweepProfile {
-                platform: problem.platform.id,
-                workload: problem.workload.name.clone(),
-                budget,
-                points,
-            }
-        })
-        .collect())
+    profiles
 }
 
 #[cfg(test)]
@@ -450,37 +369,14 @@ mod tests {
     }
 
     #[test]
-    fn custom_space_zoom() {
-        let _g = lock();
-        let p = problem("dgemm", 240.0);
-        let space = AllocationSpace::new(
-            Watts::new(240.0),
-            (Watts::new(150.0), Watts::new(180.0)),
-            (Watts::new(20.0), Watts::new(200.0)),
-            Watts::new(2.0),
-        );
-        let profile = sweep_space(&p, &space).unwrap();
-        assert!(!profile.points.is_empty());
-        for pt in &profile.points {
-            assert!(pt.alloc.proc >= Watts::new(150.0) && pt.alloc.proc <= Watts::new(180.0));
-        }
-    }
-
-    #[test]
     fn worker_panic_propagates_instead_of_truncating() {
         let _g = lock();
         // The original bug: a panicking worker lost its whole batch and
         // the sweep returned a truncated profile as if nothing happened.
         let p = problem("sra", 240.0);
-        let space = AllocationSpace::new(
-            p.budget,
-            p.proc_cap_range(),
-            p.mem_cap_range(),
-            DEFAULT_STEP,
-        );
         let lost_before = pbc_trace::counter(names::SWEEP_POINTS_LOST).get();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sweep_space_with(&p, &space, Pool::global(), |_, _, alloc| {
+            sweep_grids(&p, &[p.budget], DEFAULT_STEP, Pool::global(), |alloc| {
                 assert!(
                     alloc.proc.value() < 100.0,
                     "injected worker failure at {alloc:?}"
@@ -500,17 +396,11 @@ mod tests {
     fn real_solver_error_fails_the_sweep() {
         let _g = lock();
         let p = problem("sra", 240.0);
-        let space = AllocationSpace::new(
-            p.budget,
-            p.proc_cap_range(),
-            p.mem_cap_range(),
-            DEFAULT_STEP,
-        );
-        let err = sweep_space_with(&p, &space, Pool::global(), |platform, workload, alloc| {
+        let err = sweep_grids(&p, &[p.budget], DEFAULT_STEP, Pool::global(), |alloc| {
             if alloc.proc.value() > 100.0 {
                 return Err(PbcError::Io("sensor read failed".into()));
             }
-            solve(platform, workload, alloc)
+            solve(&p.platform, &p.workload, alloc)
         })
         .unwrap_err();
         assert!(matches!(err, PbcError::Io(_)), "got {err}");
@@ -521,17 +411,11 @@ mod tests {
     fn infeasible_allocations_are_skipped_not_fatal() {
         let _g = lock();
         let p = problem("sra", 240.0);
-        let space = AllocationSpace::new(
-            p.budget,
-            p.proc_cap_range(),
-            p.mem_cap_range(),
-            DEFAULT_STEP,
-        );
-        let full = sweep_space(&p, &space).unwrap();
+        let full = sweep_budget(&p, DEFAULT_STEP).unwrap();
         let infeasible_before = pbc_trace::counter(names::SWEEP_POINTS_INFEASIBLE).get();
         // Reject the bottom half of the proc axis as out of range: the
         // sweep must skip those points and keep the rest.
-        let profile = sweep_space_with(&p, &space, Pool::global(), |platform, workload, alloc| {
+        let profile = sweep_grids(&p, &[p.budget], DEFAULT_STEP, Pool::global(), |alloc| {
             if alloc.proc.value() < 112.0 {
                 return Err(PbcError::CapOutOfRange {
                     component: "cpu".into(),
@@ -540,9 +424,10 @@ mod tests {
                     max: Watts::new(230.0),
                 });
             }
-            solve(platform, workload, alloc)
+            solve(&p.platform, &p.workload, alloc)
         })
-        .unwrap();
+        .unwrap()
+        .swap_remove(0);
         let infeasible_after = pbc_trace::counter(names::SWEEP_POINTS_INFEASIBLE).get();
         assert!(!profile.points.is_empty());
         assert!(profile.points.len() < full.points.len());

@@ -17,8 +17,8 @@
 //!   no solver in the loop.
 
 use pbc_core::{
-    sweep_budget, sweep_budget_with_pool, CurveTable, OnlineConfig, OnlineCoordinator,
-    PowerBoundedProblem, SweepPoint, WarmOracle, DEFAULT_STEP,
+    sweep_budget, sweep_budget_with_pool, CurveTable, OnlineCoordinator, PowerBoundedProblem,
+    SweepPoint, WarmOracle, DEFAULT_STEP,
 };
 use pbc_par::Pool;
 use pbc_platform::presets::{ivybridge, titan_xp};
@@ -226,12 +226,9 @@ fn set_budget_is_served_off_the_table() {
     let demand = by_name("stream").unwrap().demand;
     let table = CurveTable::shared(&platform, &demand).unwrap();
     let budget = Watts::new(208.0);
-    let mut coord = OnlineCoordinator::new(
-        budget,
-        PowerAllocation::split(budget, 0.5),
-        OnlineConfig::default(),
-    )
-    .with_table(std::sync::Arc::clone(&table));
+    let mut coord =
+        OnlineCoordinator::new(budget, PowerAllocation::split(budget, 0.5), Watts::ZERO)
+            .with_table(std::sync::Arc::clone(&table));
     let hits_before = pbc_trace::counter(pbc_trace::names::FASTPATH_TABLE_HITS).get();
     let target = Watts::new(180.0);
     let expected = table.alloc_at(target).expect("in-range budget must serve");

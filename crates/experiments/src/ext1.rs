@@ -7,8 +7,7 @@
 
 use crate::output::{fmt, ExperimentOutput, TextTable};
 use pbc_core::{
-    coord_cpu, oracle, CriticalPowers, OnlineConfig, OnlineCoordinator, PowerBoundedProblem,
-    DEFAULT_STEP,
+    coord_cpu, oracle, CriticalPowers, OnlineCoordinator, PowerBoundedProblem, DEFAULT_STEP,
 };
 use pbc_platform::presets::ivybridge;
 use pbc_powersim::solve;
@@ -51,11 +50,8 @@ pub fn run() -> Result<ExperimentOutput> {
             .map(|op| op.perf_rel)
             .unwrap_or(0.0);
 
-        let mut online = OnlineCoordinator::new(
-            budget,
-            PowerAllocation::split(budget, 0.5),
-            OnlineConfig::default(),
-        );
+        let mut online =
+            OnlineCoordinator::new(budget, PowerAllocation::split(budget, 0.5), Watts::ZERO);
         while !online.converged() && online.epochs() < 200 {
             let alloc = online.next_allocation();
             let op = solve(&platform, &bench.demand, alloc)?;

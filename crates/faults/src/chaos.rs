@@ -24,7 +24,7 @@
 
 use crate::inject::{write_key, FaultInjector, InjectionTally, WriteFault};
 use crate::plan::FaultPlan;
-use pbc_core::{BudgetOutcome, ObservationOutcome, OnlineConfig, OnlineCoordinator};
+use pbc_core::{BudgetOutcome, ObservationOutcome, OnlineCoordinator};
 use pbc_platform::{NodeSpec, Platform};
 use pbc_powersim::solve;
 use pbc_rapl::mock::MockTree;
@@ -221,11 +221,7 @@ pub fn run_chaos(
     // The coordinator knows the platform floor, so a fault plan that
     // steps the budget below it gets a refusal instead of a poisoned
     // search (the shipped plans never go that low, but custom ones can).
-    let config = OnlineConfig {
-        min_budget: platform.min_node_power(),
-        ..OnlineConfig::default()
-    };
-    let mut coordinator = OnlineCoordinator::new(budget, initial, config);
+    let mut coordinator = OnlineCoordinator::new(budget, initial, platform.min_node_power());
     let mut injector = FaultInjector::new(plan.clone());
     let mut current_budget = budget;
 

@@ -252,7 +252,8 @@ impl ServeEngine {
     /// curve table is built (or fetched from the shared registry) once;
     /// the per-session coordinators are then constructed concurrently on
     /// the global `pbc-par` pool. Ids are assigned consecutively from
-    /// one past the current maximum.
+    /// one past the current maximum; a range that would pass `u64::MAX`
+    /// is refused.
     fn provision(
         &self,
         count: usize,
@@ -293,7 +294,10 @@ impl ServeEngine {
             }
         }
         let mut map = self.sessions.write().unwrap_or_else(PoisonError::into_inner);
-        let base = map.keys().max().map_or(0, |m| m + 1);
+        let base = map.keys().max().map_or(Some(0), |m| m.checked_add(1));
+        let Some(base) = base.filter(|b| b.checked_add(count as u64 - 1).is_some()) else {
+            return Err(ServeError::Build(format!("{count} new ids would pass u64::MAX")));
+        };
         for (i, s) in built.into_iter().enumerate() {
             map.insert(base + i as u64, Arc::new(Mutex::new(s)));
         }

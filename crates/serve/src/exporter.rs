@@ -178,16 +178,18 @@ mod tests {
         ));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.jsonl");
+        let tmp = dir.join("trace.jsonl.tmp");
         let snap = pbc_trace::snapshot();
         let mut exp = TraceSnapshotExporter::new(path.clone());
         exp.export(&snap).unwrap();
+        assert!(!tmp.exists(), "export left its staging file behind");
         let first = std::fs::read_to_string(&path).unwrap();
         for line in first.lines() {
             pbc_trace::json::parse(line).unwrap();
         }
         exp.export(&snap).unwrap();
         assert!(path.exists());
-        assert!(!path.with_extension("jsonl.tmp").exists() || true, "tmp may linger only on failure");
+        assert!(!tmp.exists(), "export left its staging file behind");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

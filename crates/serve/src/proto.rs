@@ -17,6 +17,7 @@
 //! under `serve.rejected_requests`, and answers with an `err` line —
 //! never by killing the session or the connection.
 
+use pbc_cluster::MAX_NODES;
 use pbc_types::{PowerAllocation, Watts};
 use std::fmt;
 
@@ -173,12 +174,14 @@ pub fn parse(line: &str) -> Result<Request, ServeError> {
         }
         "provision" => {
             arity(4)?;
-            let count = parse_u64(fields[0], "count")? as usize;
-            if count == 0 {
-                return Err(ServeError::Malformed("provision count must be positive".into()));
+            let count = parse_u64(fields[0], "count")?;
+            if !(1..=MAX_NODES as u64).contains(&count) {
+                return Err(ServeError::Malformed(format!(
+                    "provision count must be 1..={MAX_NODES}, got {count}"
+                )));
             }
             Ok(Request::Provision {
-                count,
+                count: count as usize,
                 platform: fields[1].to_string(),
                 bench: fields[2].to_string(),
                 budget: parse_f64(fields[3], "budget")?,
@@ -359,6 +362,7 @@ mod tests {
             "fleet init 1050 4:ivybridge:stream color=red", // unknown extra field
             "fleet init 1050 4:ivybridge:stream obj=a obj=b", // duplicate obj=
             "provision 0 ivybridge stream 208", // zero count
+            "provision 65537 ivybridge stream 208", // past the node cap
         ] {
             let err = parse(line).unwrap_err();
             assert_eq!(err.code(), "bad-request", "{line} -> {err:?}");

@@ -11,18 +11,22 @@
 //! 2. `CurveTable::shared(&platform, &bench.demand)` — the process-wide
 //!    oracle table for the node's `(platform, workload-class)`, shared
 //!    across every session of the class as an `Arc`;
-//! 3. `OnlineConfig { min_budget: platform.min_node_power(), ..default }`;
-//! 4. initial split = `table.alloc_at(budget)` (the table optimum),
+//! 3. initial split = `table.alloc_at(budget)` (the table optimum),
 //!    falling back to an even `PowerAllocation::split(budget, 0.5)`
 //!    when the budget sits below the table floor;
-//! 5. `OnlineCoordinator::new(budget, initial, config).with_table(table)`.
+//! 4. `OnlineCoordinator::new(budget, initial, platform.min_node_power())
+//!    .with_table(table)`.
+//!
+//! One `provision` request builds at most `pbc_cluster::MAX_NODES`
+//! (65,536) sessions this way, the same cap a fleet spec's node total
+//! gets; larger counts are refused before anything is built.
 //!
 //! `crates/serve/tests/replay_equivalence.rs` holds the daemon to this:
 //! a request log replayed through a fresh offline coordinator built by
 //! the same recipe must produce bit-identical allocations.
 
 use crate::proto::ServeError;
-use pbc_core::{node_ceiling, node_floor, CurveTable, OnlineConfig, OnlineCoordinator};
+use pbc_core::{node_ceiling, node_floor, CurveTable, OnlineCoordinator};
 use pbc_platform::{presets, NodeSpec, Platform, PlatformId};
 use pbc_types::{PowerAllocation, Watts};
 use pbc_workloads::{by_name, Target};
@@ -80,9 +84,8 @@ impl Session {
         let initial = table
             .alloc_at(budget)
             .unwrap_or_else(|| PowerAllocation::split(budget, 0.5));
-        let config = OnlineConfig { min_budget: min, ..OnlineConfig::default() };
         Ok(Session {
-            tuner: OnlineCoordinator::new(budget, initial, config).with_table(table),
+            tuner: OnlineCoordinator::new(budget, initial, min).with_table(table),
             floor: node_floor(&platform, &bench.demand),
             ceiling: node_ceiling(&platform, &bench.demand),
         })

@@ -7,7 +7,7 @@
 //! cross the wire through Rust's shortest round-trip `Display`, so the
 //! comparison is on exact `f64` bits, not tolerances.
 
-use pbc_core::{BudgetOutcome, CurveTable, ObservationOutcome, OnlineConfig, OnlineCoordinator};
+use pbc_core::{BudgetOutcome, CurveTable, ObservationOutcome, OnlineCoordinator};
 use pbc_powersim::{CpuMechanismState, MechanismState, NodeOperatingPoint};
 use pbc_serve::{parse_alloc_line, Disposition, ServeEngine};
 use pbc_types::{Bandwidth, PowerAllocation, Watts};
@@ -23,11 +23,7 @@ fn offline_coordinator(platform: &str, bench: &str, budget: f64) -> OnlineCoordi
     let initial = table
         .alloc_at(budget)
         .unwrap_or_else(|| PowerAllocation::split(budget, 0.5));
-    let config = OnlineConfig {
-        min_budget: platform.min_node_power(),
-        ..OnlineConfig::default()
-    };
-    OnlineCoordinator::new(budget, initial, config).with_table(table)
+    OnlineCoordinator::new(budget, initial, platform.min_node_power()).with_table(table)
 }
 
 fn offline_observe(tuner: &mut OnlineCoordinator, fields: [f64; 5]) {
@@ -183,7 +179,7 @@ fn observation_validation_mirrors_the_coordinator() {
     engine.dispatch_into("observe 9 0.9 100 50 1.0 1.0", &mut out);
     assert!(out.starts_with("err rejected-observation"), "{out}");
 
-    // Re-arm, then an absurd surrogate (beyond max_credible_perf) →
+    // Re-arm, then an absurd surrogate (beyond the credible ceiling) →
     // rejected-observation even with the correct caps.
     engine.dispatch_into("observe 9 0.9 100 50 1.0 1.0", &mut out);
     assert!(out.ends_with("outcome=used"), "{out}");
@@ -208,15 +204,8 @@ fn observation_validation_mirrors_the_coordinator() {
         let initial = table
             .alloc_at(Watts::new(208.0))
             .expect("208 W is on the table");
-        OnlineCoordinator::new(
-            Watts::new(208.0),
-            initial,
-            OnlineConfig {
-                min_budget: platform.min_node_power(),
-                ..OnlineConfig::default()
-            },
-        )
-        .with_table(table)
+        OnlineCoordinator::new(Watts::new(208.0), initial, platform.min_node_power())
+            .with_table(table)
     };
     assert_eq!(tuner.set_budget(Watts::new(190.0)), BudgetOutcome::Applied);
     let offline_probe = tuner.next_allocation();

@@ -70,8 +70,6 @@ pub const SOLVE_WARM_HITS: &str = "solve.warm_hits";
 pub const FASTPATH_TABLE_HITS: &str = "fastpath.table_hits";
 /// Interpolation tables built (or rebuilt) by a full `sweep_curve` pass.
 pub const FASTPATH_TABLE_REBUILDS: &str = "fastpath.table_rebuilds";
-/// Gauge: size of the last batched solve submitted to the pool.
-pub const FASTPATH_BATCH_DEPTH: &str = "fastpath.batch_depth";
 
 // --- static coordinator (crates/core/src/coord.rs) --------------------
 

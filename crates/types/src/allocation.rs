@@ -9,40 +9,6 @@
 use crate::units::Watts;
 use std::fmt;
 
-/// A total node-level power budget `P_b` together with the allocation
-/// granularity used when discretizing the space `A`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerBudget {
-    /// The total bound `P_b`: the sum of component allocations must not
-    /// exceed this.
-    pub total: Watts,
-}
-
-impl PowerBudget {
-    /// Create a budget of `total` watts.
-    pub fn new(total: Watts) -> Self {
-        Self { total }
-    }
-
-    /// Does the allocation respect this budget (`P_cpu + P_mem <= P_b`),
-    /// with a small tolerance for floating-point accumulation?
-    pub fn admits(&self, alloc: PowerAllocation) -> bool {
-        alloc.total().value() <= self.total.value() + 1e-9
-    }
-}
-
-impl From<Watts> for PowerBudget {
-    fn from(total: Watts) -> Self {
-        Self::new(total)
-    }
-}
-
-impl fmt::Display for PowerBudget {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "P_b = {}", self.total)
-    }
-}
-
 /// The cross-component allocation tuple `α = (P_proc, P_mem)`.
 ///
 /// `proc` is the power cap given to the aggregated processing component
@@ -201,14 +167,6 @@ impl AllocationSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn budget_admits_with_tolerance() {
-        let b = PowerBudget::new(Watts::new(208.0));
-        assert!(b.admits(PowerAllocation::new(Watts::new(108.0), Watts::new(100.0))));
-        assert!(b.admits(PowerAllocation::new(Watts::new(108.0), Watts::new(100.0 + 5e-10))));
-        assert!(!b.admits(PowerAllocation::new(Watts::new(120.0), Watts::new(100.0))));
-    }
 
     #[test]
     fn split_fractions() {

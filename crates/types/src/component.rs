@@ -1,4 +1,4 @@
-//! Component identity: what kind of hardware a power cap applies to.
+//! The two power domains a cap applies to.
 
 use std::fmt;
 
@@ -33,71 +33,6 @@ impl fmt::Display for Domain {
     }
 }
 
-/// Concrete hardware kinds, refining [`Domain`] with the technology that
-/// determines the power-capping mechanism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ComponentKind {
-    /// Host CPU package(s), capped by RAPL's PKG domain
-    /// (P-state → T-state → C-state ladder).
-    CpuPackage,
-    /// Host DRAM, capped by RAPL's DRAM domain (bandwidth throttling).
-    Dram,
-    /// GPU streaming multiprocessors, capped via clock/voltage offsets.
-    GpuSm,
-    /// GPU global memory (GDDR5X / HBM2), capped via memory clock offsets.
-    GpuMemory,
-}
-
-impl ComponentKind {
-    /// Which coordination domain this kind belongs to.
-    pub fn domain(self) -> Domain {
-        match self {
-            ComponentKind::CpuPackage | ComponentKind::GpuSm => Domain::Processor,
-            ComponentKind::Dram | ComponentKind::GpuMemory => Domain::Memory,
-        }
-    }
-
-    /// True for GPU-side components. GPU components share the card-level
-    /// capper that reclaims unused budget across domains (§4).
-    pub fn is_gpu(self) -> bool {
-        matches!(self, ComponentKind::GpuSm | ComponentKind::GpuMemory)
-    }
-}
-
-impl fmt::Display for ComponentKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ComponentKind::CpuPackage => write!(f, "CPU package"),
-            ComponentKind::Dram => write!(f, "DRAM"),
-            ComponentKind::GpuSm => write!(f, "GPU SMs"),
-            ComponentKind::GpuMemory => write!(f, "GPU memory"),
-        }
-    }
-}
-
-/// Identifier for a component instance on a node: its kind plus an index
-/// (e.g. socket 0 / socket 1, or card 0).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ComponentId {
-    /// The hardware kind.
-    pub kind: ComponentKind,
-    /// Instance index (socket or card number).
-    pub index: u16,
-}
-
-impl ComponentId {
-    /// Create an id for the `index`-th instance of `kind`.
-    pub fn new(kind: ComponentKind, index: u16) -> Self {
-        Self { kind, index }
-    }
-}
-
-impl fmt::Display for ComponentId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}#{}", self.kind, self.index)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,25 +45,7 @@ mod tests {
     }
 
     #[test]
-    fn kind_domains() {
-        assert_eq!(ComponentKind::CpuPackage.domain(), Domain::Processor);
-        assert_eq!(ComponentKind::GpuSm.domain(), Domain::Processor);
-        assert_eq!(ComponentKind::Dram.domain(), Domain::Memory);
-        assert_eq!(ComponentKind::GpuMemory.domain(), Domain::Memory);
-    }
-
-    #[test]
-    fn gpu_detection() {
-        assert!(ComponentKind::GpuSm.is_gpu());
-        assert!(ComponentKind::GpuMemory.is_gpu());
-        assert!(!ComponentKind::CpuPackage.is_gpu());
-        assert!(!ComponentKind::Dram.is_gpu());
-    }
-
-    #[test]
     fn display_strings() {
-        let id = ComponentId::new(ComponentKind::CpuPackage, 1);
-        assert_eq!(id.to_string(), "CPU package#1");
         assert_eq!(Domain::Memory.to_string(), "memory");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Foundation types for the power-bounded-computing workspace: strongly typed
 //! physical units (watts, joules, hertz, bytes/second), cross-component power
-//! allocation tuples, component identifiers, performance metrics, and the
+//! allocation tuples, the two power domains, performance metrics, and the
 //! shared error type.
 //!
 //! Everything in this crate is `Copy`-friendly plain data with no I/O and no
@@ -28,8 +28,8 @@ pub mod metrics;
 pub mod rng;
 pub mod units;
 
-pub use allocation::{AllocationSpace, PowerAllocation, PowerBudget};
-pub use component::{ComponentId, ComponentKind, Domain};
+pub use allocation::{AllocationSpace, PowerAllocation};
+pub use component::Domain;
 pub use error::{PbcError, Result};
 pub use metrics::{Efficiency, PerfMetric, PerfUnit, Throughput};
 pub use rng::XorShift64Star;

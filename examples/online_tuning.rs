@@ -10,7 +10,7 @@
 //! cargo run --example online_tuning
 //! ```
 
-use power_bounded_computing::core::{OnlineConfig, OnlineCoordinator};
+use power_bounded_computing::core::OnlineCoordinator;
 use power_bounded_computing::prelude::*;
 
 fn main() -> Result<()> {
@@ -27,7 +27,7 @@ fn main() -> Result<()> {
         platform.id, start, start_perf
     );
 
-    let mut coordinator = OnlineCoordinator::new(budget, start, OnlineConfig::default());
+    let mut coordinator = OnlineCoordinator::new(budget, start, Watts::ZERO);
     println!("{:>6}  {:>18}  {:>10}  {:>18}", "epoch", "tried", "perf", "best so far");
     while !coordinator.converged() && coordinator.epochs() < 100 {
         let alloc = coordinator.next_allocation();

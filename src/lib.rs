@@ -88,8 +88,7 @@ pub mod prelude {
         WorkloadDemand,
     };
     pub use pbc_types::{
-        Bandwidth, Domain, PbcError, PerfMetric, PerfUnit, PowerAllocation, PowerBudget, Result,
-        Watts,
+        Bandwidth, Domain, PbcError, PerfMetric, PerfUnit, PowerAllocation, Result, Watts,
     };
     pub use pbc_workloads::{all_benchmarks, by_name, cpu_suite, gpu_suite, Benchmark, BenchmarkId};
 }

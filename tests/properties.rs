@@ -6,7 +6,7 @@
 //! external crates. Each test runs a fixed number of seeded cases, so
 //! failures reproduce exactly.
 
-use power_bounded_computing::core::{OnlineConfig, OnlineCoordinator, PiecewiseModel};
+use power_bounded_computing::core::{OnlineCoordinator, PiecewiseModel};
 use power_bounded_computing::powersim::{solve_per_socket, MechanismState, PhaseDemand};
 use power_bounded_computing::prelude::*;
 use power_bounded_computing::types::XorShift64Star;
@@ -294,11 +294,8 @@ fn online_coordinator_safety() {
         let start_frac = rng.range_f64(0.15, 0.85);
         let w = WorkloadDemand::single("prop", phase);
         let budget_w = Watts::new(budget);
-        let mut coord = OnlineCoordinator::new(
-            budget_w,
-            PowerAllocation::split(budget_w, start_frac),
-            OnlineConfig::default(),
-        );
+        let start = PowerAllocation::split(budget_w, start_frac);
+        let mut coord = OnlineCoordinator::new(budget_w, start, Watts::ZERO);
         let mut best_seen = f64::NEG_INFINITY;
         for _ in 0..60 {
             if coord.converged() {
