@@ -147,7 +147,7 @@ fn solve_memo(bench: &mut Bench) {
 /// water-filling pass at 130 W per node, with class profiling kept
 /// outside the timed region (it is a one-time setup cost).
 fn cluster_water_fill(bench: &mut Bench) {
-    use pbc_cluster::{water_fill, Fleet, NodeCurve, SpecLine, DEFAULT_GRANT};
+    use pbc_cluster::{fill_shares, Fleet, NodeCurve, Objective, SpecLine, DEFAULT_GRANT};
     let spec: Vec<SpecLine> = [
         (10, "ivybridge", "stream"),
         (8, "haswell", "dgemm"),
@@ -182,7 +182,8 @@ fn cluster_water_fill(bench: &mut Bench) {
             .collect();
         let global = Watts::new(130.0 * curves.len() as f64);
         let median = bench.run(label, || {
-            let shares = water_fill(black_box(&curves), black_box(global), DEFAULT_GRANT)
+            let (curves, global) = (black_box(&curves), black_box(global));
+            let shares = fill_shares(curves, &[], global, DEFAULT_GRANT, Objective::Throughput)
                 .expect("partition succeeds");
             assert_eq!(shares.len(), curves.len());
             shares

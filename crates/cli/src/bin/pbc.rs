@@ -32,11 +32,10 @@ USAGE:
   pbc chaos     -p PLATFORM -w BENCH -b WATTS [--plan NAME] [--seed N]
                 [--epochs N]             run a fault plan against the
                                         online loop, print survival report
-  pbc cluster   -p SPEC-FILE -b WATTS [--plan NAME] [--seed N]
-                [--epochs N] [--objective NAME] [--tenants SPEC]
+  pbc cluster   -p SPEC-FILE -b WATTS [--objective NAME] [--tenants SPEC]
                                         coordinate a fleet of nodes under
-                                        one global budget; with --epochs,
-                                        replay a fault plan on top
+                                        one global budget: COORD vs a
+                                        uniform split vs the oracle
   pbc cluster-chaos -p SPEC-FILE -b WATTS [--plan NAME] [--seed N]
                 [--epochs N] [--objective NAME] [--tenants SPEC]
                                         replay a fleet fault plan with a
@@ -381,12 +380,14 @@ fn run(argv: &[String]) -> Result<String, String> {
         }
         "cluster" => {
             let a = parse(rest)?;
+            if a.plan.is_some() || a.seed.is_some() || a.epochs.is_some() {
+                return Err("pbc cluster runs the static comparison only; replay a fault \
+                            plan with `pbc cluster-chaos` (same --plan, --seed and --epochs)"
+                    .to_string());
+            }
             pbc_cli::cmd_cluster(
                 &need(a.platform, "-p SPEC-FILE")?,
                 need(a.budget, "-b WATTS")?,
-                a.plan.as_deref().unwrap_or("calm"),
-                a.seed.unwrap_or(42),
-                a.epochs.unwrap_or(0),
                 a.objective.as_deref().unwrap_or("throughput"),
                 a.tenants.as_deref(),
             )

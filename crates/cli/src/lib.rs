@@ -433,23 +433,19 @@ pub fn cmd_chaos(
     Ok(report.to_string())
 }
 
-/// `pbc cluster -p SPEC-FILE -b WATTS [--plan NAME] [--seed N] [--epochs N]
-/// [--objective NAME] [--tenants SPEC]`
+/// `pbc cluster -p SPEC-FILE -b WATTS [--objective NAME] [--tenants SPEC]`
 ///
 /// Hierarchical coordination for a fleet of simulated nodes under one
-/// global budget. The spec file lists `[COUNT] PLATFORM BENCH` lines
-/// (see `docs/CLUSTER.md`). The static comparison always runs; with
-/// `--epochs N` the dynamic loop replays a fault plan on top.
-/// `--objective` picks the partition objective (`throughput`,
-/// `max-min`, `weighted`); `--tenants name:weight[:sla],…` co-locates a
-/// weighted tenant set on every node.
+/// global budget: the static three-way comparison of COORD, a uniform
+/// split and the oracle. The spec file lists `[COUNT] PLATFORM BENCH`
+/// lines (see `docs/CLUSTER.md`). `--objective` picks the partition
+/// objective (`throughput`, `max-min`, `weighted`); `--tenants
+/// name:weight[:sla],…` co-locates a weighted tenant set on every node.
+/// Fault-plan replays run through [`cmd_cluster_chaos`].
 #[must_use = "the rendered fleet comparison is the command's entire output"]
 pub fn cmd_cluster(
     spec_path: &str,
     budget: f64,
-    plan_name: &str,
-    seed: u64,
-    epochs: usize,
     objective_name: &str,
     tenant_spec: Option<&str>,
 ) -> Result<String> {
@@ -465,7 +461,6 @@ pub fn cmd_cluster(
     if let Some(set) = tenants {
         coordinator = coordinator.with_tenants(set);
     }
-    let coordinator = coordinator;
 
     let mut out = String::new();
     let fleet = coordinator.fleet();
@@ -518,73 +513,6 @@ pub fn cmd_cluster(
         naive.aggregate_perf, naive.infeasible
     );
     let _ = writeln!(out, "aggregate perf oracle:        {oracle:>8.3}");
-
-    if epochs > 0 {
-        let plan = pbc_faults::FleetFaultPlan::by_name(plan_name, seed).ok_or_else(|| {
-            PbcError::NotFound(format!(
-                "fleet fault plan {plan_name:?}; known: {}",
-                pbc_cluster::PLAN_NAMES.join(", ")
-            ))
-        })?;
-        let mut coordinator = coordinator.with_plan(plan)?;
-        let report = coordinator.run(epochs)?;
-        let _ = writeln!(out);
-        let _ = writeln!(
-            out,
-            "dynamic run: {} epochs under plan {plan_name:?} (seed {seed})",
-            report.epochs
-        );
-        let _ = writeln!(
-            out,
-            "  dropouts {}, recoveries {}, quarantines {}, rejoins {}",
-            report.dropouts, report.recoveries, report.quarantines, report.rejoins
-        );
-        let _ = writeln!(
-            out,
-            "  missed reports {}, rejected reports {}, failed cap writes {}, retries {}",
-            report.missed_reports, report.rejected_reports, report.write_failures,
-            report.write_retries
-        );
-        let _ = writeln!(
-            out,
-            "  min nodes up {}, degraded epochs {}, round timeouts {}, budget violations {}",
-            report.min_nodes_up, report.degraded_epochs, report.round_timeouts,
-            report.budget_violations
-        );
-        let _ = writeln!(
-            out,
-            "  availability {:.3}, reconverged {}",
-            report.availability,
-            match report.reconverged_at {
-                Some(t) => format!("@ epoch {t}"),
-                None => "never".to_string(),
-            }
-        );
-        let _ = writeln!(
-            out,
-            "  aggregate perf: final {:.3}, mean {:.3}",
-            report.final_aggregate, report.mean_aggregate
-        );
-        if coordinator.tenants().is_some() {
-            let _ = writeln!(
-                out,
-                "  tenants: {} demand spikes, {} noisy epochs, {} preemptions, \
-                 {} floor violations, min Jain {:.3}",
-                report.tenant_spikes,
-                report.tenant_noisy,
-                report.tenant_preemptions,
-                report.tenant_floor_violations,
-                report.min_tenant_jain
-            );
-        }
-        let verdict = if report.survived() {
-            "SURVIVED: the enforced total never exceeded the global budget and no \
-             quarantined watts leaked"
-        } else {
-            "DIED: the fleet broke its global bound or leaked quarantined watts"
-        };
-        let _ = writeln!(out, "verdict: {verdict}");
-    }
     Ok(out)
 }
 
@@ -615,12 +543,12 @@ pub fn cmd_cluster_chaos(
     let plan = pbc_faults::FleetFaultPlan::by_name(plan_name, seed).ok_or_else(|| {
         PbcError::NotFound(format!(
             "fleet fault plan {plan_name:?}; known: {}",
-            pbc_cluster::PLAN_NAMES.join(", ")
+            pbc_faults::FLEET_PLAN_NAMES.join(", ")
         ))
     })?;
     let objective = pbc_cluster::Objective::parse(objective_name)?;
     let tenants = tenant_spec.map(pbc_cluster::TenantSet::parse).transpose()?;
-    let report = pbc_cluster::run_cluster_chaos_with(
+    let report = pbc_cluster::run_cluster_chaos(
         fleet,
         Watts::new(budget),
         &plan,
@@ -634,8 +562,8 @@ pub fn cmd_cluster_chaos(
 /// `pbc faults list`
 ///
 /// Every canned fault plan the workspace ships — the single-node plans
-/// `pbc chaos` replays and the fleet plans `pbc cluster` /
-/// `pbc cluster-chaos` replay — with one-line descriptions.
+/// `pbc chaos` replays and the fleet plans `pbc cluster-chaos` replays
+/// — with one-line descriptions.
 #[must_use = "the rendered plan catalogue is the command's entire output"]
 pub fn cmd_faults_list() -> String {
     let mut out = String::new();
@@ -645,11 +573,8 @@ pub fn cmd_faults_list() -> String {
         let _ = writeln!(out, "  {name:<14} {what}");
     }
     let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "fleet fault plans (pbc cluster / pbc cluster-chaos --plan NAME):"
-    );
-    for name in pbc_cluster::PLAN_NAMES {
+    let _ = writeln!(out, "fleet fault plans (pbc cluster-chaos --plan NAME):");
+    for name in pbc_faults::FLEET_PLAN_NAMES {
         let what = pbc_faults::FleetFaultPlan::describe(name).unwrap_or("");
         let _ = writeln!(out, "  {name:<14} {what}");
     }
@@ -970,8 +895,7 @@ mod tests {
     fn cluster_renders_the_three_way_comparison() {
         let path = std::env::temp_dir().join(format!("pbc-cli-fleet-{}.txt", std::process::id()));
         std::fs::write(&path, "2 ivybridge stream\nhaswell dgemm\n").unwrap();
-        let out =
-            cmd_cluster(path.to_str().unwrap(), 800.0, "calm", 1, 0, "throughput", None).unwrap();
+        let out = cmd_cluster(path.to_str().unwrap(), 800.0, "throughput", None).unwrap();
         std::fs::remove_file(&path).ok();
         assert!(out.contains("3 nodes in 2 classes"), "{out}");
         assert!(out.contains("objective throughput"), "{out}");
@@ -986,28 +910,22 @@ mod tests {
             std::env::temp_dir().join(format!("pbc-cli-tenants-{}.txt", std::process::id()));
         std::fs::write(&path, "2 ivybridge stream\n").unwrap();
         let spec = path.to_str().unwrap().to_string();
-        let out = cmd_cluster(
-            &spec,
-            500.0,
-            "demand-spike",
-            3,
-            40,
-            "max-min",
-            Some("web:3:gold,batch:1"),
-        )
-        .unwrap();
+        let tenants = Some("web:3:gold,batch:1");
+        let out = cmd_cluster(&spec, 500.0, "max-min", tenants).unwrap();
         assert!(out.contains("objective max-min"), "{out}");
         assert!(out.contains("tenants (2 per node)"), "{out}");
+        let out =
+            cmd_cluster_chaos(&spec, 500.0, "demand-spike", 3, 40, "max-min", tenants).unwrap();
         assert!(out.contains("min Jain"), "{out}");
-        assert!(cmd_cluster(&spec, 500.0, "calm", 1, 0, "round-robin", None).is_err());
-        assert!(cmd_cluster(&spec, 500.0, "calm", 1, 0, "throughput", Some("web:-1")).is_err());
+        assert!(cmd_cluster(&spec, 500.0, "round-robin", None).is_err());
+        assert!(cmd_cluster(&spec, 500.0, "throughput", Some("web:-1")).is_err());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn cluster_rejects_a_missing_spec_file() {
         assert!(matches!(
-            cmd_cluster("/no/such/fleet.txt", 800.0, "calm", 1, 0, "throughput", None),
+            cmd_cluster("/no/such/fleet.txt", 800.0, "throughput", None),
             Err(PbcError::Io(_))
         ));
     }

@@ -4,7 +4,7 @@
 //! catalogues every canned plan, and unknown plans die with a typed
 //! error naming the real ones.
 
-use pbc_trace::json::{self, Value};
+use pbc_trace::json;
 use pbc_trace::names;
 use std::collections::BTreeMap;
 use std::process::Command;
@@ -27,17 +27,7 @@ fn temp_path(tag: &str, ext: &str) -> std::path::PathBuf {
 fn counters_from(path: &std::path::Path) -> BTreeMap<String, u64> {
     let text = std::fs::read_to_string(path).expect("trace file exists");
     std::fs::remove_file(path).ok();
-    let mut counters = BTreeMap::new();
-    for line in text.lines() {
-        let v = json::parse(line).unwrap_or_else(|e| panic!("bad trace line {line:?}: {e}"));
-        if v.get("type").and_then(Value::as_str) == Some("counter") {
-            counters.insert(
-                v.get("name").and_then(Value::as_str).unwrap().to_string(),
-                v.get("value").and_then(Value::as_u64).unwrap(),
-            );
-        }
-    }
-    counters
+    json::counters(&text).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[test]

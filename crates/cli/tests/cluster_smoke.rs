@@ -3,10 +3,12 @@
 //!
 //! * On a 32-node mixed fleet, hierarchical COORD beats a uniform split
 //!   of the same global budget on aggregate performance.
-//! * A chaos run with node dropouts finishes with
+//! * A `pbc cluster-chaos` run with node dropouts finishes with
 //!   `cluster.budget_violations == 0`, read from a real `--trace` file.
+//! * `pbc cluster` runs the static comparison only and points the
+//!   dynamic flags at `pbc cluster-chaos`.
 
-use pbc_trace::json::{self, Value};
+use pbc_trace::json;
 use pbc_trace::names;
 use std::collections::BTreeMap;
 use std::process::Command;
@@ -30,17 +32,7 @@ fn temp_path(tag: &str, ext: &str) -> std::path::PathBuf {
 fn counters_from(path: &std::path::Path) -> BTreeMap<String, u64> {
     let text = std::fs::read_to_string(path).expect("trace file exists");
     std::fs::remove_file(path).ok();
-    let mut counters = BTreeMap::new();
-    for line in text.lines() {
-        let v = json::parse(line).unwrap_or_else(|e| panic!("bad trace line {line:?}: {e}"));
-        if v.get("type").and_then(Value::as_str) == Some("counter") {
-            counters.insert(
-                v.get("name").and_then(Value::as_str).unwrap().to_string(),
-                v.get("value").and_then(Value::as_u64).unwrap(),
-            );
-        }
-    }
-    counters
+    json::counters(&text).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Pull `aggregate perf LABEL: X.XXX` out of the rendered comparison.
@@ -95,7 +87,7 @@ fn dropout_chaos_survives_and_the_trace_proves_it() {
     std::fs::write(&spec, FLEET_SPEC).expect("spec file writes");
     let trace = temp_path("chaos", "jsonl");
     let output = Command::new(env!("CARGO_BIN_EXE_pbc"))
-        .args(["cluster", "-p", spec.to_str().unwrap(), "-b", "4200"])
+        .args(["cluster-chaos", "-p", spec.to_str().unwrap(), "-b", "4200"])
         .args(["--plan", "node-dropouts", "--seed", "7", "--epochs", "40"])
         .args(["--trace", trace.to_str().unwrap()])
         .output()
@@ -103,7 +95,7 @@ fn dropout_chaos_survives_and_the_trace_proves_it() {
     std::fs::remove_file(&spec).ok();
     assert!(
         output.status.success(),
-        "pbc cluster failed: {}",
+        "pbc cluster-chaos failed: {}",
         String::from_utf8_lossy(&output.stderr)
     );
     let stdout = String::from_utf8_lossy(&output.stdout);
@@ -124,19 +116,18 @@ fn dropout_chaos_survives_and_the_trace_proves_it() {
 }
 
 #[test]
-fn cluster_rejects_an_unknown_plan_listing_the_real_ones() {
-    let spec = temp_path("badplan", "txt");
+fn cluster_refuses_the_dynamic_flags_and_names_cluster_chaos() {
+    let spec = temp_path("dynamic", "txt");
     std::fs::write(&spec, "2 ivybridge stream\n").expect("spec file writes");
-    let output = Command::new(env!("CARGO_BIN_EXE_pbc"))
-        .args(["cluster", "-p", spec.to_str().unwrap(), "-b", "400"])
-        .args(["--plan", "no-such-plan", "--epochs", "5"])
-        .output()
-        .expect("pbc binary runs");
+    for flags in [&["--plan", "node-crash"][..], &["--seed", "7"], &["--epochs", "5"]] {
+        let output = Command::new(env!("CARGO_BIN_EXE_pbc"))
+            .args(["cluster", "-p", spec.to_str().unwrap(), "-b", "400"])
+            .args(flags)
+            .output()
+            .expect("pbc binary runs");
+        assert!(!output.status.success(), "{flags:?} must be refused");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("pbc cluster-chaos"), "{flags:?}: {stderr}");
+    }
     std::fs::remove_file(&spec).ok();
-    assert!(!output.status.success());
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        stderr.contains("node-dropouts") && stderr.contains("flaky-writes"),
-        "error should list the known cluster plans: {stderr}"
-    );
 }

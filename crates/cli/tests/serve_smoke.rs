@@ -16,23 +16,7 @@ fn trace_file(tag: &str) -> std::path::PathBuf {
 /// Counter name → value from a trace JSONL file.
 fn counters_from(path: &std::path::Path) -> BTreeMap<String, u64> {
     let text = std::fs::read_to_string(path).expect("trace file readable");
-    let mut counters = BTreeMap::new();
-    for line in text.lines() {
-        let v = pbc_trace::json::parse(line).expect("trace line parses");
-        if v.get("type").and_then(pbc_trace::json::Value::as_str) == Some("counter") {
-            let name = v
-                .get("name")
-                .and_then(pbc_trace::json::Value::as_str)
-                .expect("counter name")
-                .to_string();
-            let value = v
-                .get("value")
-                .and_then(pbc_trace::json::Value::as_u64)
-                .expect("counter value");
-            counters.insert(name, value);
-        }
-    }
-    counters
+    pbc_trace::json::counters(&text).unwrap_or_else(|e| panic!("{e}"))
 }
 
 struct Daemon {

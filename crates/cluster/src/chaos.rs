@@ -98,12 +98,10 @@ pub struct ClusterChaosReport {
     pub seed: u64,
     /// Fleet size.
     pub nodes: usize,
-    /// Epochs driven.
-    pub epochs: usize,
     /// Global budget at the start (budget steps may move it).
     pub global: Watts,
-    /// The coordinator's own run report (violations, leaks,
-    /// availability, reconvergence, work).
+    /// The coordinator's own run report (epochs driven, violations,
+    /// leaks, availability, reconvergence, work).
     pub report: ClusterReport,
     /// What the never-fails oracle would have produced: the coordinated
     /// aggregate at the initial budget, every epoch.
@@ -145,7 +143,7 @@ impl fmt::Display for ClusterChaosReport {
             self.plan,
             self.seed,
             self.nodes,
-            self.epochs,
+            self.report.epochs,
             self.global.value()
         )?;
         let r = &self.report;
@@ -202,25 +200,13 @@ impl fmt::Display for ClusterChaosReport {
 
 /// Run `plan` against `fleet` under `global` for `epochs` epochs
 /// (`epochs == 0` → the plan's quiet point plus a settling margin),
-/// with a mock RAPL tree as the cap sink. The tree lives in a unique
-/// tempdir and is removed on every exit path.
+/// partitioning by `objective`, with a mock RAPL tree as the cap sink.
+/// `tenants`, when given, are co-located on every node: the plan's
+/// demand-spike and noisy-neighbor draws go live, and the report's
+/// `tenant_floor_violations` joins the survival criteria. The tree
+/// lives in a unique tempdir and is removed on every exit path.
 #[must_use = "the survival report is the run's entire result"]
 pub fn run_cluster_chaos(
-    fleet: Fleet,
-    global: Watts,
-    plan: &FleetFaultPlan,
-    epochs: usize,
-) -> Result<ClusterChaosReport> {
-    run_cluster_chaos_with(fleet, global, plan, epochs, Objective::default(), None)
-}
-
-/// [`run_cluster_chaos`] with an explicit allocation objective and an
-/// optional tenant set co-located on every node — the multi-tenant
-/// harness entry. With tenants present the plan's demand-spike and
-/// noisy-neighbor draws go live, and the report's
-/// `tenant_floor_violations` joins the survival criteria.
-#[must_use = "the survival report is the run's entire result"]
-pub fn run_cluster_chaos_with(
     fleet: Fleet,
     global: Watts,
     plan: &FleetFaultPlan,
@@ -283,7 +269,6 @@ pub fn run_cluster_chaos_with(
         plan: plan.name.to_string(),
         seed: plan.seed,
         nodes,
-        epochs,
         global,
         report,
         oracle_work,
@@ -296,7 +281,6 @@ pub fn run_cluster_chaos_with(
 mod tests {
     use super::*;
     use crate::fleet::parse_spec;
-    use pbc_types::Watts;
 
     fn small_fleet() -> Fleet {
         let spec = parse_spec(
@@ -311,11 +295,16 @@ mod tests {
         fleet.min_total_power() + Watts::new(margin)
     }
 
+    /// An untenanted throughput run.
+    fn chaos(fleet: Fleet, global: Watts, plan: &FleetFaultPlan, epochs: usize) -> ClusterChaosReport {
+        run_cluster_chaos(fleet, global, plan, epochs, Objective::Throughput, None).unwrap()
+    }
+
     #[test]
     fn calm_chaos_survives_and_matches_oracle() {
         let fleet = small_fleet();
         let global = budget(&fleet, 140.0);
-        let report = run_cluster_chaos(fleet, global, &FleetFaultPlan::calm(3), 6).unwrap();
+        let report = chaos(fleet, global, &FleetFaultPlan::calm(3), 6);
         assert!(report.survived(), "calm run died:\n{report}");
         assert_eq!(report.report.degraded_epochs, 0);
         assert!(
@@ -331,9 +320,9 @@ mod tests {
         let fleet = small_fleet();
         let global = budget(&fleet, 140.0);
         let plan = FleetFaultPlan::everything(17);
-        let report = run_cluster_chaos(fleet, global, &plan, 0).unwrap();
+        let report = chaos(fleet, global, &plan, 0);
         assert!(report.survived(), "everything run died:\n{report}");
-        assert!(report.epochs >= plan.quiet_after());
+        assert!(report.report.epochs >= plan.quiet_after());
         assert!(report.work_ratio() < 1.0, "faults should cost work");
         assert!(report.report.missed_reports > 0);
     }
@@ -343,8 +332,8 @@ mod tests {
         let plan = FleetFaultPlan::by_name("node-crash", 23).unwrap();
         let fleet = small_fleet();
         let global = budget(&fleet, 120.0);
-        let a = run_cluster_chaos(small_fleet(), global, &plan, 20).unwrap();
-        let b = run_cluster_chaos(fleet, global, &plan, 20).unwrap();
+        let a = chaos(small_fleet(), global, &plan, 20);
+        let b = chaos(fleet, global, &plan, 20);
         assert_eq!(a, b);
     }
 
@@ -353,7 +342,7 @@ mod tests {
         let plan = FleetFaultPlan::by_name("flaky-writes", 5).unwrap();
         let fleet = small_fleet();
         let global = budget(&fleet, 110.0);
-        let report = run_cluster_chaos(fleet, global, &plan, 0).unwrap();
+        let report = chaos(fleet, global, &plan, 0);
         assert!(report.survived(), "flaky-writes run died:\n{report}");
         assert!(
             report.sink_total <= global + Watts::new(1e-6),

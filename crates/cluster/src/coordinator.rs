@@ -43,6 +43,12 @@
 //!    pot for raises only ever shrinks, so `Σ enforced ≤ global` is an
 //!    invariant — `cluster.budget_violations` and
 //!    `health.quarantine_leaks` stay zero by construction, not by luck.
+//!
+//! Every stage writes what it did straight into the epoch's
+//! [`EpochReport`], the one in-process record of the epoch, and
+//! [`FleetCoordinator::run`] folds those records into a
+//! [`ClusterReport`]; each count in it has a trace counter that
+//! `tests/report_agrees_with_trace.rs` holds it to.
 
 use crate::degrade::StaticFallback;
 use crate::fleet::Fleet;
@@ -103,8 +109,8 @@ pub struct ClusterDecision {
     pub infeasible: usize,
 }
 
-/// What one dynamic epoch did.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// What one dynamic epoch did: the epoch's only in-process record.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EpochReport {
     /// The completed tick this report covers.
     pub tick: usize,
@@ -122,10 +128,18 @@ pub struct EpochReport {
     pub missed_reports: usize,
     /// Observation reports rejected by validation.
     pub rejected_reports: usize,
+    /// Nodes that entered Quarantined this epoch.
+    pub quarantines: usize,
+    /// Quarantined → Rejoining transitions this epoch.
+    pub rejoins: usize,
     /// Did this epoch run on the static fallback partition?
     pub degraded: bool,
     /// Did enforcement blow its attempt deadline this epoch?
     pub round_timed_out: bool,
+    /// Did the enforced total end the epoch above the global budget?
+    pub over_budget: bool,
+    /// Did the leak audit catch raises funded past the freed pot?
+    pub leaked: bool,
     /// Health census at the end of the epoch.
     pub health: HealthCounts,
     /// Aggregate relative throughput across live nodes.
@@ -225,29 +239,6 @@ impl ClusterReport {
     }
 }
 
-/// What supervised enforcement did in one round.
-#[derive(Debug, Clone, Copy, Default)]
-struct WriteStats {
-    failures: usize,
-    retries: usize,
-    timed_out: bool,
-}
-
-/// What the tenant sub-partition did in one epoch.
-#[derive(Debug, Clone, Copy)]
-struct TenancyStats {
-    jain: f64,
-    preemptions: usize,
-    floor_violations: usize,
-}
-
-impl Default for TenancyStats {
-    fn default() -> Self {
-        // No tenants, nothing unfair: a perfect score, zero events.
-        Self { jain: 1.0, preemptions: 0, floor_violations: 0 }
-    }
-}
-
 /// Hierarchical, fault-tolerant coordinator for a fleet under one
 /// global budget.
 pub struct FleetCoordinator {
@@ -284,9 +275,6 @@ pub struct FleetCoordinator {
     /// The previous enforcement round blew its deadline; this epoch
     /// must run degraded.
     prev_round_timed_out: bool,
-    /// Leak-audit failures of this coordinator's rounds (the global
-    /// `health.quarantine_leaks` counter sums every coordinator's).
-    leaks: usize,
     sink: Option<Box<dyn CapSink + Send>>,
     /// What the partitioner optimizes (throughput water-fill by
     /// default; max-min or weighted shares for multi-tenant fleets).
@@ -352,7 +340,6 @@ impl FleetCoordinator {
             straggle_until: vec![None; n],
             write_outage_until: vec![None; n],
             prev_round_timed_out: false,
-            leaks: 0,
             sink: None,
             objective: Objective::Throughput,
             tenants: None,
@@ -543,6 +530,8 @@ impl FleetCoordinator {
         let tick = self.tick;
         self.tick += 1;
         let n = self.fleet.len();
+        // No tenants, nothing unfair: an untenanted epoch scores 1.
+        let mut e = EpochReport { tick, tenant_jain: 1.0, ..EpochReport::default() };
 
         // Scheduled budget re-negotiations, factors of the initial
         // budget. A rejection (e.g. a cut below the fleet floor) is
@@ -555,25 +544,23 @@ impl FleetCoordinator {
             }
         }
 
-        let (dropped, recovered) = self.roll_nodes(tick);
-        let (tenant_spikes, tenant_noisy) = self.roll_tenants(tick);
+        self.roll_nodes(tick, &mut e);
+        self.roll_tenants(tick, &mut e);
         let down: Vec<bool> = self.down_until.iter().map(Option::is_some).collect();
-        let up = down.iter().filter(|d| !**d).count();
+        e.nodes_up = down.iter().filter(|d| !**d).count();
 
         // Reports describe the previous epoch; collect, validate, and
         // fold the verdicts into the health machine.
         let prev_enforced = self.enforced.clone();
-        let (missed_reports, rejected_reports) =
-            self.observe_reports(tick, &prev_enforced, &down);
+        self.observe_reports(tick, &prev_enforced, &down, &mut e);
 
         // Decide the mode and the targets.
-        let mut degraded =
-            self.plan.coordinator_outage.active(tick) || self.prev_round_timed_out;
+        e.degraded = self.plan.coordinator_outage.active(tick) || self.prev_round_timed_out;
         let mut targets = vec![Watts::ZERO; n];
-        if !degraded && !self.fill_targets(&down, &mut targets) {
-            degraded = true;
+        if !e.degraded && !self.fill_targets(&down, &mut targets) {
+            e.degraded = true;
         }
-        if degraded {
+        if e.degraded {
             pbc_trace::counter(names::CLUSTER_DEGRADED_EPOCHS).incr();
             for i in 0..n {
                 if !down[i] {
@@ -595,18 +582,20 @@ impl FleetCoordinator {
         if dirty {
             decision.aggregate_perf = decision.perfs.iter().sum();
         }
+        e.aggregate_perf = decision.aggregate_perf;
 
-        let stats = self.enforce_supervised(tick, &targets, &down);
-        self.prev_round_timed_out = stats.timed_out;
-        if stats.timed_out {
+        self.enforce_supervised(tick, &targets, &down, &mut e);
+        self.prev_round_timed_out = e.round_timed_out;
+        if e.round_timed_out {
             pbc_trace::counter(names::CLUSTER_ROUND_TIMEOUTS).incr();
         }
 
         // The budget invariant. Decreases-first makes a violation
         // structurally impossible; the counter is the proof the trace
         // carries out to the chaos assertions.
-        let enforced_total = self.enforced_total();
-        if enforced_total.value() > self.global.value() + EPS_W {
+        e.enforced_total = self.enforced_total();
+        if e.enforced_total.value() > self.global.value() + EPS_W {
+            e.over_budget = true;
             pbc_trace::counter(names::CLUSTER_BUDGET_VIOLATIONS).incr();
         }
 
@@ -615,18 +604,18 @@ impl FleetCoordinator {
             .zip(self.prev_targets.iter())
             .map(|(now, was)| (*now - *was).abs().value())
             .sum();
-        let moved = Watts::new(moved_raw / 2.0);
-        if moved.value() > EPS_W {
+        e.moved = Watts::new(moved_raw / 2.0);
+        if e.moved.value() > EPS_W {
             pbc_trace::counter(names::CLUSTER_REDISTRIBUTIONS).incr();
         }
         self.prev_targets = targets;
         self.enforced_hist = prev_enforced;
-        self.last_perfs = decision.perfs.clone();
+        self.last_perfs = decision.perfs;
 
         // Watts the healthy pool gained from nodes that are down or
         // held at their floors, measured against the known-safe static
         // partition.
-        let reclaimed: Watts = (0..n)
+        e.reclaimed = (0..n)
             .filter(|&i| {
                 down[i]
                     || matches!(
@@ -640,38 +629,16 @@ impl FleetCoordinator {
         // Tenant accounting: sub-partition every live node's enforced
         // cap, score fleet-level fairness, and verify the weighted
         // floors held — the multi-tenant mirror of the budget audit.
-        let tenancy = self.tenant_epoch(&down);
+        self.tenant_epoch(&down, &mut e);
 
-        let health = self.health.counts();
+        e.health = self.health.counts();
         pbc_trace::counter(names::CLUSTER_EPOCHS).incr();
-        pbc_trace::gauge(names::CLUSTER_NODES_UP).set(up as f64);
-        pbc_trace::gauge(names::CLUSTER_MOVED_W).set(moved.value());
-        pbc_trace::gauge(names::CLUSTER_AGGREGATE_PERF).set(decision.aggregate_perf);
-        pbc_trace::gauge(names::CLUSTER_RECLAIMED_W).set(reclaimed.value());
-        pbc_trace::gauge(names::HEALTH_HEALTHY_NODES).set(health.healthy as f64);
-
-        Ok(EpochReport {
-            tick,
-            nodes_up: up,
-            dropped,
-            recovered,
-            write_failures: stats.failures,
-            write_retries: stats.retries,
-            missed_reports,
-            rejected_reports,
-            degraded,
-            round_timed_out: stats.timed_out,
-            health,
-            aggregate_perf: decision.aggregate_perf,
-            enforced_total,
-            moved,
-            reclaimed,
-            tenant_spikes,
-            tenant_noisy,
-            tenant_preemptions: tenancy.preemptions,
-            tenant_floor_violations: tenancy.floor_violations,
-            tenant_jain: tenancy.jain,
-        })
+        pbc_trace::gauge(names::CLUSTER_NODES_UP).set(e.nodes_up as f64);
+        pbc_trace::gauge(names::CLUSTER_MOVED_W).set(e.moved.value());
+        pbc_trace::gauge(names::CLUSTER_AGGREGATE_PERF).set(e.aggregate_perf);
+        pbc_trace::gauge(names::CLUSTER_RECLAIMED_W).set(e.reclaimed.value());
+        pbc_trace::gauge(names::HEALTH_HEALTHY_NODES).set(e.health.healthy as f64);
+        Ok(e)
     }
 
     /// Run `epochs` dynamic epochs and summarize.
@@ -680,13 +647,13 @@ impl FleetCoordinator {
         self.run_with_pool(epochs, Pool::global())
     }
 
-    /// [`FleetCoordinator::run`] on an explicit pool.
+    /// [`FleetCoordinator::run`] on an explicit pool: a fold of the
+    /// epochs' [`EpochReport`]s, over the fleet size and the plan's
+    /// quiet point.
     #[must_use = "the run result carries either the survival report or the failure"]
     pub fn run_with_pool(&mut self, epochs: usize, pool: &Pool) -> Result<ClusterReport> {
         let n = self.fleet.len();
         let quiet = self.plan.quiet_after();
-        let tally_before = self.health.tally();
-        let leaks_before = self.leaks;
         let mut report = ClusterReport {
             min_nodes_up: n,
             min_tenant_jain: 1.0,
@@ -702,20 +669,17 @@ impl FleetCoordinator {
             report.write_retries += e.write_retries;
             report.missed_reports += e.missed_reports;
             report.rejected_reports += e.rejected_reports;
+            report.quarantines += e.quarantines;
+            report.rejoins += e.rejoins;
+            report.degraded_epochs += usize::from(e.degraded);
+            report.round_timeouts += usize::from(e.round_timed_out);
+            report.budget_violations += usize::from(e.over_budget);
+            report.quarantine_leaks += usize::from(e.leaked);
             report.tenant_spikes += e.tenant_spikes;
             report.tenant_noisy += e.tenant_noisy;
             report.tenant_preemptions += e.tenant_preemptions;
             report.tenant_floor_violations += e.tenant_floor_violations;
             report.min_tenant_jain = report.min_tenant_jain.min(e.tenant_jain);
-            if e.degraded {
-                report.degraded_epochs += 1;
-            }
-            if e.round_timed_out {
-                report.round_timeouts += 1;
-            }
-            if e.enforced_total.value() > self.global.value() + EPS_W {
-                report.budget_violations += 1;
-            }
             report.min_nodes_up = report.min_nodes_up.min(e.nodes_up);
             report.final_aggregate = e.aggregate_perf;
             report.work_done += e.aggregate_perf;
@@ -728,10 +692,6 @@ impl FleetCoordinator {
                 report.reconverged_at = Some(e.tick);
             }
         }
-        let tally = self.health.tally();
-        report.quarantines = tally.quarantines - tally_before.quarantines;
-        report.rejoins = tally.rejoins - tally_before.rejoins;
-        report.quarantine_leaks = self.leaks - leaks_before;
         if report.epochs > 0 {
             report.mean_aggregate = report.work_done / report.epochs as f64;
             report.availability = healthy_node_epochs as f64 / (report.epochs * n.max(1)) as f64;
@@ -749,20 +709,18 @@ impl FleetCoordinator {
     }
 
     /// Advance every node's crash, straggle and write-outage episode
-    /// to `tick`. Returns `(dropped, recovered)` counts.
-    fn roll_nodes(&mut self, tick: usize) -> (usize, usize) {
+    /// to `tick`, counting crashes and recoveries into `e`.
+    fn roll_nodes(&mut self, tick: usize, e: &mut EpochReport) {
         let (seed, nodes, outage) = (self.plan.seed, self.plan.nodes, self.plan.writes.outage);
-        let mut dropped = 0;
-        let mut recovered = 0;
         for i in 0..self.fleet.len() {
             let key = i as u64;
             match nodes.crash.advance(&mut self.down_until[i], seed, tick, STREAM_NODE, key) {
                 Edge::Started => {
-                    dropped += 1;
+                    e.dropped += 1;
                     pbc_trace::counter(names::CLUSTER_DROPOUTS).incr();
                 }
                 Edge::Ended => {
-                    recovered += 1;
+                    e.recovered += 1;
                     pbc_trace::counter(names::CLUSTER_RECOVERIES).incr();
                 }
                 Edge::Steady => {}
@@ -776,33 +734,27 @@ impl FleetCoordinator {
             let until = &mut self.write_outage_until[i];
             let _ = outage.advance(until, seed, tick, STREAM_WRITE_OUTAGE, key);
         }
-        (dropped, recovered)
     }
 
     /// Advance every tenant's demand-spike and noisy-neighbor episode
-    /// to `tick`. Inert without tenants: no draws, so untenanted runs
-    /// replay exactly. Returns `(spikes, noisy)` onset counts.
-    fn roll_tenants(&mut self, tick: usize) -> (usize, usize) {
-        if self.tenants.is_none() {
-            return (0, 0);
-        }
+    /// to `tick`, counting onsets into `e`. Inert without tenants (the
+    /// episode vectors are empty): no draws, so untenanted runs replay
+    /// exactly.
+    fn roll_tenants(&mut self, tick: usize, e: &mut EpochReport) {
         let (seed, faults) = (self.plan.seed, self.plan.tenants);
-        let mut spikes = 0;
-        let mut noisy = 0;
         for t in 0..self.tenant_spike_until.len() {
             let key = t as u64;
             let spike = &mut self.tenant_spike_until[t];
             if faults.spike.advance(spike, seed, tick, STREAM_TENANT_SPIKE, key) == Edge::Started {
-                spikes += 1;
+                e.tenant_spikes += 1;
                 pbc_trace::counter(names::CLUSTER_TENANT_SPIKES).incr();
             }
             let hog = &mut self.tenant_noisy_until[t];
             if faults.noisy.advance(hog, seed, tick, STREAM_TENANT_NOISY, key) == Edge::Started {
-                noisy += 1;
+                e.tenant_noisy += 1;
                 pbc_trace::counter(names::CLUSTER_TENANT_NOISY).incr();
             }
         }
-        (spikes, noisy)
     }
 
     /// The demand multiplier each tenant currently runs at: 1 when
@@ -818,32 +770,29 @@ impl FleetCoordinator {
             .collect()
     }
 
-    /// Simulate, validate, and ingest every node's observation report.
-    /// Returns `(missed, rejected)` counts for the epoch.
-    fn observe_reports(
-        &mut self,
-        tick: usize,
-        prev_enforced: &[Watts],
-        down: &[bool],
-    ) -> (usize, usize) {
-        let mut missed = 0;
-        let mut rejected = 0;
+    /// Simulate, validate, and ingest every node's observation report,
+    /// counting missed and rejected reports and the health transitions
+    /// they cause into `e`.
+    fn observe_reports(&mut self, tick: usize, prev: &[Watts], down: &[bool], e: &mut EpochReport) {
         for i in 0..self.fleet.len() {
-            let verdict = self.node_report_verdict(tick, i, prev_enforced, down[i]);
+            let verdict = self.node_report_verdict(tick, i, prev, down[i]);
             match verdict {
                 ReportVerdict::Missing => {
-                    missed += 1;
+                    e.missed_reports += 1;
                     pbc_trace::counter(names::CLUSTER_MISSED_REPORTS).incr();
                 }
                 ReportVerdict::Rejected => {
-                    rejected += 1;
+                    e.rejected_reports += 1;
                     pbc_trace::counter(names::CLUSTER_REJECTED_REPORTS).incr();
                 }
                 ReportVerdict::Accepted => {}
             }
+            let was_quarantined = self.health.state(i) == NodeHealth::Quarantined;
             self.health.observe(i, verdict);
+            let quarantined = self.health.state(i) == NodeHealth::Quarantined;
+            e.quarantines += usize::from(!was_quarantined && quarantined);
+            e.rejoins += usize::from(was_quarantined && !quarantined);
         }
-        (missed, rejected)
     }
 
     /// One node's report for this epoch, faults applied, then passed
@@ -943,23 +892,22 @@ impl FleetCoordinator {
     /// Sub-partition every live node's enforced cap among the tenants
     /// and score the epoch: fleet-level Jain index on weight-normalized
     /// tenant watts, preemption events, and weighted-floor violations
-    /// (structurally zero). Single-tenant fleets score a perfect 1.
-    fn tenant_epoch(&self, down: &[bool]) -> TenancyStats {
+    /// (structurally zero), written into `e`. Untenanted fleets leave
+    /// `e` as it is.
+    fn tenant_epoch(&self, down: &[bool], e: &mut EpochReport) {
         let Some(tenants) = self.tenants.as_ref() else {
-            return TenancyStats::default();
+            return;
         };
         let demand = self.tenant_demand();
         let mut watts = vec![0.0f64; tenants.len()];
-        let mut preemptions = 0;
-        let mut floor_violations = 0;
         for i in 0..self.fleet.len() {
             if down[i] || self.enforced[i].value() <= EPS_W {
                 continue;
             }
             let floor = self.fleet.class_of(i).floor;
             let split = tenants.split_node(self.enforced[i], floor, &demand);
-            preemptions += split.preemptions;
-            floor_violations += split.floor_violations;
+            e.tenant_preemptions += split.preemptions;
+            e.tenant_floor_violations += split.floor_violations;
             for (t, s) in split.shares.iter().enumerate() {
                 watts[t] += s.value();
             }
@@ -969,16 +917,15 @@ impl FleetCoordinator {
             .zip(tenants.tenants().iter())
             .map(|(w, t)| w / t.weight)
             .collect();
-        let jain = jain_index(&normalized);
-        if preemptions > 0 {
-            pbc_trace::counter(names::CLUSTER_TENANT_PREEMPTIONS).add(preemptions as u64);
+        e.tenant_jain = jain_index(&normalized);
+        if e.tenant_preemptions > 0 {
+            pbc_trace::counter(names::CLUSTER_TENANT_PREEMPTIONS).add(e.tenant_preemptions as u64);
         }
-        if floor_violations > 0 {
+        if e.tenant_floor_violations > 0 {
             pbc_trace::counter(names::CLUSTER_TENANT_FLOOR_VIOLATIONS)
-                .add(floor_violations as u64);
+                .add(e.tenant_floor_violations as u64);
         }
-        pbc_trace::gauge(names::CLUSTER_TENANT_JAIN).set(jain);
-        TenancyStats { jain, preemptions, floor_violations }
+        pbc_trace::gauge(names::CLUSTER_TENANT_JAIN).set(e.tenant_jain);
     }
 
     /// Move enforced caps toward `targets`, decreases first, each write
@@ -987,10 +934,16 @@ impl FleetCoordinator {
     /// is gone whether or not a write lands); a failed decrease keeps
     /// its watts reserved; raises are funded strictly from the pot the
     /// confirmed decreases left, so `Σ enforced ≤ global` is an
-    /// invariant, not an aspiration.
-    fn enforce_supervised(&mut self, tick: usize, targets: &[Watts], down: &[bool]) -> WriteStats {
+    /// invariant, not an aspiration. Writes the round's failures,
+    /// retries, timeout and leak audit into `e`.
+    fn enforce_supervised(
+        &mut self,
+        tick: usize,
+        targets: &[Watts],
+        down: &[bool],
+        e: &mut EpochReport,
+    ) {
         let n = targets.len();
-        let mut stats = WriteStats::default();
         // The round's write-attempt deadline: every node's full
         // `WRITE_ATTEMPTS`, shared across the round. A fault storm that
         // needs more is a timed-out round, not a wedged fleet.
@@ -1003,10 +956,10 @@ impl FleetCoordinator {
                 continue;
             }
             if targets[i] < self.enforced[i] {
-                if stats.timed_out {
+                if e.round_timed_out {
                     continue; // watts stay reserved — the safe direction
                 }
-                if self.try_write(tick, i, targets[i], &mut attempts_left, &mut stats) {
+                if self.try_write(tick, i, targets[i], &mut attempts_left, e) {
                     self.enforced[i] = targets[i];
                 }
             }
@@ -1018,7 +971,7 @@ impl FleetCoordinator {
         let mut pot = pot_legit;
         let mut raised = Watts::ZERO;
         for i in 0..n {
-            if stats.timed_out {
+            if e.round_timed_out {
                 break;
             }
             if down[i] || targets[i] <= self.enforced[i] {
@@ -1030,7 +983,7 @@ impl FleetCoordinator {
                 continue;
             }
             let next = self.enforced[i] + raise;
-            if self.try_write(tick, i, next, &mut attempts_left, &mut stats) {
+            if self.try_write(tick, i, next, &mut attempts_left, e) {
                 self.enforced[i] = next;
                 pot = pot - raise;
                 raised += raise;
@@ -1041,32 +994,31 @@ impl FleetCoordinator {
         // confirmed decreases legitimately left. Structurally zero —
         // the counter is the exported proof.
         if raised.value() > pot_legit.value() + EPS_W {
-            self.leaks += 1;
+            e.leaked = true;
             pbc_trace::counter(names::HEALTH_QUARANTINE_LEAKS).incr();
         }
-        stats
     }
 
     /// One supervised cap write: up to `WRITE_ATTEMPTS` tries against the
     /// plan's fault draw (and the sink, when armed), spending from the
-    /// round's shared attempt budget. Returns `true` when the write
-    /// landed.
+    /// round's shared attempt budget and counting into `e`. Returns
+    /// `true` when the write landed.
     fn try_write(
         &mut self,
         tick: usize,
         node: usize,
         target: Watts,
         attempts_left: &mut usize,
-        stats: &mut WriteStats,
+        e: &mut EpochReport,
     ) -> bool {
         for attempt in 0..WRITE_ATTEMPTS {
             if *attempts_left == 0 {
-                stats.timed_out = true;
+                e.round_timed_out = true;
                 return false;
             }
             *attempts_left -= 1;
             if attempt > 0 {
-                stats.retries += 1;
+                e.write_retries += 1;
                 pbc_trace::counter(names::CLUSTER_WRITE_RETRIES).incr();
             }
             if self.write_attempt_fails(tick, node, target, attempt) {
@@ -1079,7 +1031,7 @@ impl FleetCoordinator {
             }
             return true;
         }
-        stats.failures += 1;
+        e.write_failures += 1;
         pbc_trace::counter(names::CLUSTER_WRITE_FAILURES).incr();
         false
     }

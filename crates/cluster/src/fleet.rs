@@ -12,13 +12,12 @@
 //!
 //! Nodes of the same `(platform, benchmark)` pair form one *class*:
 //! they share a demand model, a floor, a COORD profile, and a
-//! [`PerfCurve`], so a 128-node fleet with six classes profiles six
+//! [`CurveTable`], so a 128-node fleet with six classes profiles six
 //! curves, not 128. Per-class profiling goes through the shared-grid
 //! oracle (one pooled sweep per class); per-node coordination later fans
 //! out across nodes on the same pool.
 
-use crate::curve::{node_ceiling, node_floor, PerfCurve};
-use pbc_core::{CriticalPowers, GpuCoordParams};
+use pbc_core::{node_ceiling, node_floor, CriticalPowers, CurveTable, GpuCoordParams};
 use pbc_par::Pool;
 use pbc_platform::{presets, NodeSpec, Platform, PlatformId};
 use pbc_powersim::WorkloadDemand;
@@ -124,7 +123,7 @@ pub struct NodeClass {
     /// COORD inputs (critical powers / Algorithm-2 parameters).
     pub coord: ClassCoord,
     /// Oracle `perf_max ~ P_b` curve.
-    pub curve: PerfCurve,
+    pub curve: CurveTable,
 }
 
 impl NodeClass {
@@ -200,7 +199,7 @@ impl Fleet {
                         }
                         NodeSpec::Gpu(gpu) => ClassCoord::Gpu(GpuCoordParams::profile(gpu, &demand)?),
                     };
-                    let curve = PerfCurve::profile_with_pool(&platform, &demand, pool)?;
+                    let curve = CurveTable::profile_with_pool(&platform, &demand, pool)?;
                     classes.push(NodeClass {
                         floor: node_floor(&platform, &demand),
                         ceiling: node_ceiling(&platform, &demand),

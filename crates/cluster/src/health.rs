@@ -77,20 +77,6 @@ pub struct HealthCounts {
     pub rejoining: usize,
 }
 
-/// Lifetime transition totals (the in-process mirror of the `health.*`
-/// counters, usable even when other coordinators share the process).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HealthTally {
-    /// Healthy → Suspect transitions.
-    pub suspects: usize,
-    /// Transitions into Quarantined.
-    pub quarantines: usize,
-    /// Quarantined → Rejoining transitions.
-    pub rejoins: usize,
-    /// Rejoining → Healthy transitions.
-    pub recoveries: usize,
-}
-
 /// The fleet's health tracker: one state machine per node.
 #[derive(Debug, Clone)]
 pub struct HealthTracker {
@@ -99,21 +85,16 @@ pub struct HealthTracker {
     miss_streak: Vec<u32>,
     /// Consecutive accepted reports while Rejoining.
     clean_streak: Vec<u32>,
-    tally: HealthTally,
 }
 
 impl HealthTracker {
     /// A tracker for `n` nodes, all Healthy.
     #[must_use]
     pub fn new(n: usize) -> Self {
-        // Register the leak counter at zero: its absence from a trace
-        // must never read as cleanliness.
-        let _ = pbc_trace::counter(names::HEALTH_QUARANTINE_LEAKS);
         Self {
             states: vec![NodeHealth::Healthy; n],
             miss_streak: vec![0; n],
             clean_streak: vec![0; n],
-            tally: HealthTally::default(),
         }
     }
 
@@ -132,7 +113,6 @@ impl HealthTracker {
                     NodeHealth::Quarantined => {
                         self.states[node] = NodeHealth::Rejoining;
                         self.clean_streak[node] = 1;
-                        self.tally.rejoins += 1;
                         pbc_trace::counter(names::HEALTH_REJOINS).incr();
                         self.settle(node);
                     }
@@ -149,7 +129,6 @@ impl HealthTracker {
                 match state {
                     NodeHealth::Healthy if streak >= SUSPECT_AFTER => {
                         self.states[node] = NodeHealth::Suspect;
-                        self.tally.suspects += 1;
                         pbc_trace::counter(names::HEALTH_SUSPECTS).incr();
                         self.escalate(node, streak);
                     }
@@ -158,7 +137,6 @@ impl HealthTracker {
                     // back: its telemetry is still not trustworthy.
                     NodeHealth::Rejoining => {
                         self.states[node] = NodeHealth::Quarantined;
-                        self.tally.quarantines += 1;
                         pbc_trace::counter(names::HEALTH_QUARANTINES).incr();
                     }
                     NodeHealth::Healthy | NodeHealth::Quarantined => {}
@@ -170,7 +148,6 @@ impl HealthTracker {
     fn escalate(&mut self, node: usize, streak: u32) {
         if streak >= QUARANTINE_AFTER {
             self.states[node] = NodeHealth::Quarantined;
-            self.tally.quarantines += 1;
             pbc_trace::counter(names::HEALTH_QUARANTINES).incr();
         }
     }
@@ -178,33 +155,14 @@ impl HealthTracker {
     fn settle(&mut self, node: usize) {
         if self.clean_streak[node] >= PROBATION_EPOCHS {
             self.states[node] = NodeHealth::Healthy;
-            self.tally.recoveries += 1;
             pbc_trace::counter(names::HEALTH_RECOVERIES).incr();
         }
-    }
-
-    /// Lifetime transition totals for this tracker.
-    #[must_use]
-    pub fn tally(&self) -> HealthTally {
-        self.tally
     }
 
     /// The current state of `node`.
     #[must_use]
     pub fn state(&self, node: usize) -> NodeHealth {
         self.states[node]
-    }
-
-    /// Number of nodes tracked.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.states.len()
-    }
-
-    /// True when no nodes are tracked.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
     }
 
     /// Census of the current states.
@@ -252,11 +210,6 @@ mod tests {
         assert_eq!(t.state(0), NodeHealth::Healthy);
         // The untouched node never moved.
         assert_eq!(t.state(1), NodeHealth::Healthy);
-        let tally = t.tally();
-        assert_eq!(tally.suspects, 1);
-        assert_eq!(tally.quarantines, 1);
-        assert_eq!(tally.rejoins, 1);
-        assert_eq!(tally.recoveries, 1);
     }
 
     #[test]
@@ -310,6 +263,5 @@ mod tests {
         assert_eq!(c.suspect, 1);
         assert_eq!(c.quarantined, 1);
         assert_eq!(c.rejoining, 1);
-        assert_eq!(t.len(), 4);
     }
 }

@@ -12,11 +12,11 @@
 //! scale. This crate supplies that layer on top of everything the
 //! workspace already has:
 //!
-//! * [`curve::PerfCurve`] — per-class `perf_max ~ P_b` curves from the
-//!   shared-grid sweep oracle, memo-backed and bit-deterministic;
-//! * [`partition::water_fill`] — the global budget partitioned by
-//!   marginal gain: watts drain from nodes past their flattening point
-//!   toward nodes still on the steep part of their curve;
+//! * [`partition::fill_shares`] — the global budget partitioned by
+//!   marginal gain over each class's `pbc_core::CurveTable` (the
+//!   shared-grid sweep oracle's `perf_max ~ P_b` curve): watts drain
+//!   from nodes past their flattening point toward nodes still on the
+//!   steep part of their curve;
 //! * [`fleet::Fleet`] — heterogeneous node specs (`COUNT PLATFORM
 //!   BENCH` text lines), deduplicated into profiled classes;
 //! * [`coordinator::FleetCoordinator`] — water-fill, then per-node
@@ -25,15 +25,19 @@
 //!   scenarios (crashes, stragglers, report loss, write outages,
 //!   coordinator outages, budget steps) under the determinism
 //!   contract, with decreases-first enforcement keeping
-//!   `Σ enforced ≤ global` invariant;
+//!   `Σ enforced ≤ global` invariant. Each epoch's [`EpochReport`] is
+//!   its one in-process record, and a run's [`ClusterReport`] is a
+//!   fold of those records;
 //! * [`health::HealthTracker`] — the per-node Healthy → Suspect →
 //!   Quarantined → Rejoining machine driven by validated observation
 //!   reports;
 //! * [`degrade::StaticFallback`] — the precomputed partition every
 //!   node falls back to when coordination is unavailable, summing ≤
 //!   the global budget by construction;
-//! * [`chaos::run_cluster_chaos`] — the end-to-end harness: a fleet, a
-//!   plan, a mock RAPL tree as the cap sink, and a survival report.
+//! * [`chaos::run_cluster_chaos`] — the end-to-end harness (and the
+//!   engine behind `pbc cluster-chaos`): a fleet, a plan, an objective,
+//!   optional tenants, a mock RAPL tree as the cap sink, and a survival
+//!   report.
 //!
 //! Everything emits `cluster.*`/`health.*` trace counters/gauges (see
 //! `docs/OBSERVABILITY.md`); `cluster.budget_violations == 0` and
@@ -42,22 +46,16 @@
 
 pub mod chaos;
 pub mod coordinator;
-pub mod curve;
 pub mod degrade;
 pub mod fleet;
 pub mod health;
 pub mod partition;
 pub mod tenant;
 
-pub use chaos::{run_cluster_chaos, run_cluster_chaos_with, ClusterChaosReport};
+pub use chaos::{run_cluster_chaos, ClusterChaosReport};
 pub use coordinator::{CapSink, ClusterDecision, ClusterReport, EpochReport, FleetCoordinator};
-pub use curve::{node_ceiling, node_floor, PerfCurve, SAMPLE_STEP};
 pub use degrade::StaticFallback;
 pub use fleet::{parse_spec, ClassCoord, Fleet, NodeClass, SpecLine, MAX_NODES};
-pub use health::{HealthCounts, HealthTally, HealthTracker, NodeHealth, ReportVerdict};
-pub use partition::{fill_shares, uniform_split, water_fill, NodeCurve, Objective, DEFAULT_GRANT};
+pub use health::{HealthCounts, HealthTracker, NodeHealth, ReportVerdict};
+pub use partition::{fill_shares, uniform_split, NodeCurve, Objective, DEFAULT_GRANT};
 pub use tenant::{jain_index, NodeSplit, SlaClass, Tenant, TenantSet};
-
-/// The fleet fault-plan preset names, re-exported so CLI callers can
-/// list them without depending on `pbc-faults` directly.
-pub use pbc_faults::FLEET_PLAN_NAMES as PLAN_NAMES;

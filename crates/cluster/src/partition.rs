@@ -3,7 +3,7 @@
 //!
 //! Every node starts at its class floor (below which it cannot run at
 //! all), then the remaining watts are granted one quantum at a time to
-//! whichever node's [`PerfCurve`] promises the largest marginal gain for
+//! whichever node's [`CurveTable`] promises the largest marginal gain for
 //! that quantum. Nodes past their flattening point stop winning grants;
 //! nodes still on the steep part of their curve keep collecting — the
 //! cluster-level mirror of the paper's single-node insight that watts
@@ -46,7 +46,7 @@
 //! `tests/partition_properties.rs` pin that down, and pin the winner
 //! rule against a reference copy of the quantum-by-quantum pass.
 
-use crate::curve::PerfCurve;
+use pbc_core::CurveTable;
 use pbc_types::{PbcError, Result, Watts};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -118,7 +118,7 @@ pub struct NodeCurve<'a> {
     /// Smallest share this node can run on.
     pub floor: Watts,
     /// The node's profiled `perf_max ~ P_b` curve.
-    pub curve: &'a PerfCurve,
+    pub curve: &'a CurveTable,
 }
 
 /// Headroom left under a node's ceiling, clamped at zero (a degenerate
@@ -163,10 +163,12 @@ fn spread_leftover(nodes: &[NodeCurve<'_>], shares: &mut [Watts], mut remaining:
     }
 }
 
-/// Partition `global` watts across `nodes` by water-filling in `grant`
-/// quanta. Returns one share per node, in node order.
+/// Partition `global` watts across `nodes` under the chosen
+/// [`Objective`], in `grant` quanta. `weights` applies to
+/// [`Objective::WeightedShares`] (one positive weight per node); pass
+/// `&[]` for equal weights. Returns one share per node, in node order.
 ///
-/// Guarantees (the property-test contract):
+/// Guarantees, for every objective (the property-test contract):
 /// - conservation: the shares sum to exactly `global` (± float dust);
 /// - feasibility: every share ≥ that node's floor;
 /// - ceilings: no share exceeds its node's ceiling as long as the fleet
@@ -175,15 +177,6 @@ fn spread_leftover(nodes: &[NodeCurve<'_>], shares: &mut [Watts], mut remaining:
 ///
 /// Fails with [`PbcError::BudgetTooSmall`] when `global` cannot cover
 /// every node's floor — there is no feasible partition at all.
-#[must_use = "the partition result carries either the shares or the infeasibility"]
-pub fn water_fill(nodes: &[NodeCurve<'_>], global: Watts, grant: Watts) -> Result<Vec<Watts>> {
-    fill_shares(nodes, &[], global, grant, Objective::Throughput)
-}
-
-/// Partition `global` watts across `nodes` under the chosen
-/// [`Objective`]. `weights` applies to [`Objective::WeightedShares`]
-/// (one positive weight per node); pass `&[]` for equal weights. The
-/// guarantees are the same as [`water_fill`]'s for every objective.
 #[must_use = "the partition result carries either the shares or the infeasibility"]
 pub fn fill_shares(
     nodes: &[NodeCurve<'_>],
@@ -408,7 +401,7 @@ pub fn uniform_split(n: usize, global: Watts) -> Vec<Watts> {
 mod tests {
     use super::*;
 
-    fn flat_ramp(floor: f64, rise: f64, rungs: usize) -> PerfCurve {
+    fn flat_ramp(floor: f64, rise: f64, rungs: usize) -> CurveTable {
         // A synthetic curve: climbs by `rise` per 8 W rung, then flat.
         let mut perf = Vec::new();
         for k in 0..rungs {
@@ -416,7 +409,7 @@ mod tests {
         }
         perf.push(rise * (rungs.saturating_sub(1)) as f64);
         let allocs = vec![None; perf.len()];
-        PerfCurve {
+        CurveTable {
             floor: Watts::new(floor),
             step: Watts::new(8.0),
             perf,
@@ -432,7 +425,9 @@ mod tests {
             NodeCurve { floor: steep.floor, curve: &steep },
             NodeCurve { floor: shallow.floor, curve: &shallow },
         ];
-        let shares = water_fill(&nodes, Watts::new(160.0), Watts::new(4.0)).unwrap();
+        let shares =
+            fill_shares(&nodes, &[], Watts::new(160.0), Watts::new(4.0), Objective::Throughput)
+                .unwrap();
         assert!(shares[0] > shares[1], "the steep curve should collect the surplus");
         let total: f64 = shares.iter().map(|s| s.value()).sum();
         assert!((total - 160.0).abs() < 1e-9);
@@ -442,7 +437,9 @@ mod tests {
     fn infeasible_budget_is_a_typed_error() {
         let c = flat_ramp(100.0, 1.0, 4);
         let nodes = [NodeCurve { floor: c.floor, curve: &c }; 3];
-        let err = water_fill(&nodes, Watts::new(200.0), Watts::new(4.0)).unwrap_err();
+        let err =
+            fill_shares(&nodes, &[], Watts::new(200.0), Watts::new(4.0), Objective::Throughput)
+                .unwrap_err();
         assert!(err.is_infeasible(), "expected BudgetTooSmall, got {err}");
     }
 
@@ -450,17 +447,19 @@ mod tests {
     fn saturated_fleet_still_conserves_the_budget() {
         let c = flat_ramp(50.0, 1.0, 3); // ceiling at 50 + 3*8 = 74 W
         let nodes = [NodeCurve { floor: c.floor, curve: &c }; 2];
-        let shares = water_fill(&nodes, Watts::new(400.0), Watts::new(4.0)).unwrap();
+        let shares =
+            fill_shares(&nodes, &[], Watts::new(400.0), Watts::new(4.0), Objective::Throughput)
+                .unwrap();
         let total: f64 = shares.iter().map(|s| s.value()).sum();
         assert!((total - 400.0).abs() < 1e-9, "surplus past saturation must still be assigned");
     }
 
     /// A curve that rises all the way to its last rung — no flat tail,
     /// so the marginal gain stays positive right up to the ceiling.
-    fn ramp(floor: f64, rise: f64, rungs: usize) -> PerfCurve {
+    fn ramp(floor: f64, rise: f64, rungs: usize) -> CurveTable {
         let perf: Vec<f64> = (0..=rungs).map(|k| rise * k as f64).collect();
         let allocs = vec![None; perf.len()];
-        PerfCurve {
+        CurveTable {
             floor: Watts::new(floor),
             step: Watts::new(8.0),
             perf,
@@ -482,7 +481,9 @@ mod tests {
         // Both curves are flat, so the greedy pass grants nothing and the
         // whole 20 W surplus rides on the conservation step. An even
         // split (10 W each) would put the tiny node at 60 W > 58 W.
-        let shares = water_fill(&nodes, Watts::new(120.0), Watts::new(4.0)).unwrap();
+        let shares =
+            fill_shares(&nodes, &[], Watts::new(120.0), Watts::new(4.0), Objective::Throughput)
+                .unwrap();
         assert!(
             shares[0].value() <= tiny.ceiling().value() + 1e-9,
             "tiny node got {} W, above its {} W ceiling",
@@ -507,7 +508,9 @@ mod tests {
         ];
         // With a 16 W quantum the steep node's second grant would land it
         // at 82 W — one quantum past its 74 W ceiling — before the fix.
-        let shares = water_fill(&nodes, Watts::new(160.0), Watts::new(16.0)).unwrap();
+        let shares =
+            fill_shares(&nodes, &[], Watts::new(160.0), Watts::new(16.0), Objective::Throughput)
+                .unwrap();
         assert!(
             shares[0].value() <= steep.ceiling().value() + 1e-9,
             "steep node got {} W, above its {} W ceiling",
@@ -525,7 +528,7 @@ mod tests {
     #[test]
     fn a_larger_gain_within_gain_eps_does_not_take_the_record() {
         let g = 1.0;
-        let curve = |gain: f64| PerfCurve {
+        let curve = |gain: f64| CurveTable {
             floor: Watts::new(50.0),
             step: Watts::new(4.0),
             perf: vec![0.0, gain],
@@ -539,7 +542,9 @@ mod tests {
         let grant = Watts::new(4.0);
         let gain = |n: &NodeCurve<'_>| n.curve.marginal_gain(n.floor, grant);
         assert!(gain(&nodes[1]) > gain(&nodes[0]), "node 1 holds the larger gain");
-        let shares = water_fill(&nodes, Watts::new(104.0), grant).unwrap();
+        let shares =
+            fill_shares(&nodes, &[], Watts::new(104.0), grant, Objective::Throughput)
+                .unwrap();
         assert_eq!(shares, vec![Watts::new(54.0), Watts::new(50.0)]);
     }
 

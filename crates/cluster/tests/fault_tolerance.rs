@@ -14,13 +14,12 @@
 //!   construction, under randomized floors and ceilings.
 
 use pbc_cluster::{
-    run_cluster_chaos, run_cluster_chaos_with, Fleet, FleetCoordinator, Objective, SpecLine,
-    StaticFallback, TenantSet,
+    run_cluster_chaos, Fleet, FleetCoordinator, Objective, SpecLine, StaticFallback, TenantSet,
 };
 use pbc_faults::{
     BudgetStep, Episodes, FaultWindow, FleetFaultPlan, FleetWriteFaults, NodeFaults,
 };
-use pbc_trace::json::{self, Value};
+use pbc_trace::json;
 use pbc_trace::names;
 use pbc_types::{Watts, XorShift64Star};
 use std::collections::BTreeMap;
@@ -61,17 +60,7 @@ fn fleet_of(n: usize) -> Fleet {
 fn counters_from(path: &std::path::Path) -> BTreeMap<String, u64> {
     let text = std::fs::read_to_string(path).expect("trace file exists");
     std::fs::remove_file(path).ok();
-    let mut counters = BTreeMap::new();
-    for line in text.lines() {
-        let v = json::parse(line).unwrap_or_else(|e| panic!("bad trace line {line:?}: {e}"));
-        if v.get("type").and_then(Value::as_str) == Some("counter") {
-            counters.insert(
-                v.get("name").and_then(Value::as_str).unwrap().to_string(),
-                v.get("value").and_then(Value::as_u64).unwrap(),
-            );
-        }
-    }
-    counters
+    json::counters(&text).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The acceptance sweep: every (seed, plan, size) cell must survive
@@ -87,7 +76,9 @@ fn seed_sweep_survives_with_bounded_reconvergence_at_8_and_32_nodes() {
         for plan_name in PLANS {
             for seed in SEEDS {
                 let plan = FleetFaultPlan::by_name(plan_name, seed).unwrap();
-                let chaos = run_cluster_chaos(fleet_of(n), global, &plan, 0).unwrap();
+                let chaos =
+                    run_cluster_chaos(fleet_of(n), global, &plan, 0, Objective::Throughput, None)
+                        .unwrap();
                 cells += 1;
                 assert!(
                     chaos.survived(),
@@ -100,10 +91,10 @@ fn seed_sweep_survives_with_bounded_reconvergence_at_8_and_32_nodes() {
                         "plan {plan_name} seed {seed} at {n} nodes never reconverged:\n{chaos}"
                     ));
                 assert!(
-                    reconverged < chaos.epochs,
+                    reconverged < chaos.report.epochs,
                     "plan {plan_name} seed {seed} at {n} nodes reconverged out of bounds \
                      ({reconverged} >= {})",
-                    chaos.epochs
+                    chaos.report.epochs
                 );
             }
         }
@@ -207,8 +198,7 @@ fn noisy_neighbor_sweep_never_overdraws_or_starves_a_tenant() {
             let plan = FleetFaultPlan::by_name("noisy-neighbor", seed).unwrap();
             let tenants = TenantSet::parse("web:3:gold,etl:2:silver,batch:1:best-effort").unwrap();
             let chaos =
-                run_cluster_chaos_with(fleet_of(n), global, &plan, 0, objective, Some(tenants))
-                    .unwrap();
+                run_cluster_chaos(fleet_of(n), global, &plan, 0, objective, Some(tenants)).unwrap();
             assert!(
                 chaos.survived(),
                 "{} seed {seed}: noisy-neighbor run died:\n{chaos}",

@@ -14,9 +14,9 @@
 //!   against a reference copy of that rescan kept in this file.
 
 use pbc_cluster::{
-    fill_shares, parse_spec, water_fill, Fleet, FleetCoordinator, NodeCurve, Objective,
-    PerfCurve, DEFAULT_GRANT,
+    fill_shares, parse_spec, Fleet, FleetCoordinator, NodeCurve, Objective, DEFAULT_GRANT,
 };
+use pbc_core::CurveTable;
 use pbc_par::Pool;
 use pbc_platform::presets::by_id;
 use pbc_platform::PlatformId;
@@ -57,7 +57,8 @@ fn shares_conserve_the_global_budget() {
     // From barely feasible to far past saturation.
     for slack in [0.0, 25.0, 150.0, 600.0, 5000.0] {
         let global = fleet.min_total_power() + Watts::new(slack);
-        let shares = water_fill(&curves, global, DEFAULT_GRANT).unwrap();
+        let shares =
+            fill_shares(&curves, &[], global, DEFAULT_GRANT, Objective::Throughput).unwrap();
         let total: f64 = shares.iter().map(|s| s.value()).sum();
         assert!(
             (total - global.value()).abs() < 1e-6,
@@ -73,7 +74,7 @@ fn every_share_covers_the_node_floor_and_the_platform_minimum() {
     let fleet = mixed_fleet(&pool);
     let curves = fleet_curves(&fleet);
     let global = fleet.min_total_power() + Watts::new(180.0);
-    let shares = water_fill(&curves, global, DEFAULT_GRANT).unwrap();
+    let shares = fill_shares(&curves, &[], global, DEFAULT_GRANT, Objective::Throughput).unwrap();
     for (i, share) in shares.iter().enumerate() {
         let class = fleet.class_of(i);
         assert!(
@@ -95,7 +96,7 @@ fn infeasible_global_budget_is_refused_with_the_true_minimum() {
     let fleet = mixed_fleet(&pool);
     let curves = fleet_curves(&fleet);
     let short = fleet.min_total_power() - Watts::new(0.5);
-    let err = water_fill(&curves, short, DEFAULT_GRANT).unwrap_err();
+    let err = fill_shares(&curves, &[], short, DEFAULT_GRANT, Objective::Throughput).unwrap_err();
     assert!(err.is_infeasible(), "expected BudgetTooSmall, got {err}");
 }
 
@@ -109,7 +110,8 @@ fn partition_is_bit_identical_across_thread_counts() {
         let fleet = mixed_fleet(&pool);
         let curves = fleet_curves(&fleet);
         let global = fleet.min_total_power() + Watts::new(200.0);
-        let shares = water_fill(&curves, global, DEFAULT_GRANT).unwrap();
+        let shares =
+            fill_shares(&curves, &[], global, DEFAULT_GRANT, Objective::Throughput).unwrap();
         let perfs: Vec<Vec<u64>> = fleet
             .classes
             .iter()
@@ -157,7 +159,7 @@ fn homogeneous_fleet_degenerates_to_an_even_split() {
     let fleet = Fleet::build_with_pool(&spec, &pool).unwrap();
     let curves = fleet_curves(&fleet);
     let global = fleet.min_total_power() + Watts::new(160.0);
-    let shares = water_fill(&curves, global, DEFAULT_GRANT).unwrap();
+    let shares = fill_shares(&curves, &[], global, DEFAULT_GRANT, Objective::Throughput).unwrap();
     let even = global.value() / 4.0;
     for share in &shares {
         assert!(
@@ -184,7 +186,7 @@ fn no_objective_ever_breaches_a_ceiling_the_fleet_can_absorb() {
             let rise = 3.0 * rng.next_f64();
             let perf: Vec<f64> = (0..=rungs).map(|k| rise * k as f64).collect();
             let allocs = vec![None; perf.len()];
-            curves.push(PerfCurve {
+            curves.push(CurveTable {
                 floor: Watts::new(floor),
                 step: Watts::new(8.0),
                 perf,
@@ -237,7 +239,7 @@ fn floors_match_the_profiled_platforms() {
     let pool = Pool::new(1);
     let fleet = mixed_fleet(&pool);
     for class in &fleet.classes {
-        let again = PerfCurve::profile_with_pool(&class.platform, &class.demand, &pool).unwrap();
+        let again = CurveTable::profile_with_pool(&class.platform, &class.demand, &pool).unwrap();
         assert_eq!(class.curve.floor.value().to_bits(), again.floor.value().to_bits());
         assert_eq!(class.curve.perf.len(), again.perf.len());
     }
@@ -424,7 +426,7 @@ fn check_against_reference(
 
 /// A synthetic class curve: linear (optionally with a flat tail) or
 /// concave, on an 8 W or 5 W rung spacing.
-fn synthetic_curve(rng: &mut XorShift64Star) -> PerfCurve {
+fn synthetic_curve(rng: &mut XorShift64Star) -> CurveTable {
     let floor = Watts::new(20.0 + 100.0 * rng.next_f64());
     let step = Watts::new(if rng.below(2) == 0 { 8.0 } else { 5.0 });
     let rungs = 1 + rng.below(16);
@@ -443,7 +445,7 @@ fn synthetic_curve(rng: &mut XorShift64Star) -> PerfCurve {
             .collect(),
     };
     let allocs = vec![None; perf.len()];
-    PerfCurve { floor, step, perf, allocs }
+    CurveTable { floor, step, perf, allocs }
 }
 
 /// The indexed fill reproduces the reference rescan's winner rule bit
@@ -458,7 +460,7 @@ fn indexed_fill_matches_the_reference_rescan() {
 
     for case in 0..700 {
         let class_count = 1 + rng.below(6);
-        let classes: Vec<PerfCurve> = if case % 3 == 0 {
+        let classes: Vec<CurveTable> = if case % 3 == 0 {
             // Clones of one curve, each one's slope raised by a fraction
             // of GAIN_EPS over the last, so keys chain within the record
             // threshold.

@@ -14,7 +14,7 @@
 
 use crate::ext7::fleet_of;
 use crate::output::{fmt, ExperimentOutput, TextTable};
-use pbc_cluster::run_cluster_chaos;
+use pbc_cluster::{run_cluster_chaos, Objective};
 use pbc_faults::FleetFaultPlan;
 use pbc_types::{Result, Watts};
 
@@ -71,12 +71,12 @@ pub fn run() -> Result<ExperimentOutput> {
             })?;
             let fleet = fleet_of(n)?;
             let global = Watts::new(WATTS_PER_NODE * n as f64);
-            let chaos = run_cluster_chaos(fleet, global, &plan, 0)?;
+            let chaos = run_cluster_chaos(fleet, global, &plan, 0, Objective::Throughput, None)?;
             let r = &chaos.report;
             t.push(vec![
                 plan_name.to_string(),
                 n.to_string(),
-                chaos.epochs.to_string(),
+                chaos.report.epochs.to_string(),
                 fmt(r.availability),
                 match r.reconverged_at {
                     Some(tick) => tick.to_string(),

@@ -23,7 +23,7 @@
 
 use crate::ext7::fleet_of;
 use crate::output::{fmt, ExperimentOutput, TextTable};
-use pbc_cluster::{run_cluster_chaos_with, FleetCoordinator, Objective, TenantSet};
+use pbc_cluster::{run_cluster_chaos, FleetCoordinator, Objective, TenantSet};
 use pbc_faults::FleetFaultPlan;
 use pbc_types::{Result, Watts};
 
@@ -75,11 +75,11 @@ pub fn run() -> Result<ExperimentOutput> {
         let tenants = TenantSet::parse(TENANTS)?;
         let min_share = calm_min_tenant_watts(objective, global, &tenants)?;
         let chaos =
-            run_cluster_chaos_with(fleet_of(NODES)?, global, &plan, 0, objective, Some(tenants))?;
+            run_cluster_chaos(fleet_of(NODES)?, global, &plan, 0, objective, Some(tenants))?;
         let r = &chaos.report;
         t.push(vec![
             objective.name().to_string(),
-            chaos.epochs.to_string(),
+            chaos.report.epochs.to_string(),
             fmt(chaos.work_ratio()),
             fmt(r.min_tenant_jain),
             fmt(min_share),

@@ -121,12 +121,30 @@ fn phase_at(weights: &[f64], done: f64, cycle: f64) -> usize {
 }
 
 /// Simulate a host node (CPU + DRAM under RAPL) for the configured
-/// duration.
+/// duration: [`simulate_cpu_with_events`] with no events.
 pub fn simulate_cpu(
     cpu: &CpuSpec,
     dram: &DramSpec,
     demand: &WorkloadDemand,
     alloc: PowerAllocation,
+    config: &SimConfig,
+) -> SimResult {
+    simulate_cpu_with_events(cpu, dram, demand, alloc, &[], config)
+}
+
+/// Simulate a host node while the allocation is re-programmed at
+/// scheduled times — the dynamic re-budgeting the paper leaves as future
+/// work ("how to adapt this algorithm to support online dynamic power
+/// budgeting"). `events` are `(time, new allocation)` pairs, applied in
+/// time order (an event at a NaN time never fires); the controllers are
+/// *not* reset, so the trace shows the real transient: the ladder
+/// walking down after a cut, climbing after a restore.
+pub fn simulate_cpu_with_events(
+    cpu: &CpuSpec,
+    dram: &DramSpec,
+    demand: &WorkloadDemand,
+    initial: PowerAllocation,
+    events: &[(Seconds, PowerAllocation)],
     config: &SimConfig,
 ) -> SimResult {
     let weights = demand.normalized_weights();
@@ -145,14 +163,18 @@ pub fn simulate_cpu(
     let nominal_rate = 1.0 / t_nominal;
     let cycle_work = 0.25 * nominal_rate;
 
-    let mut rapl = RaplController::new(cpu, alloc.proc, config.window);
-    let mut throttle = DramThrottle::new(dram, alloc.mem, config.window);
+    let mut rapl = RaplController::new(cpu, initial.proc, config.window);
+    let mut throttle = DramThrottle::new(dram, initial.mem, config.window);
     let mut thermal = config.thermal.map(ThermalModel::new);
     // PROCHOT latch: once the junction trips, the hardware forces the
     // deepest throttle regardless of RAPL's ladder position, releasing
     // only after a hysteresis margin below the trip point.
     let mut prochot = false;
     const PROCHOT_HYSTERESIS_C: f64 = 5.0;
+    let mut pending: Vec<(Seconds, PowerAllocation)> =
+        events.iter().copied().filter(|(t, _)| !t.value().is_nan()).collect();
+    pending.sort_by(|a, b| a.0.value().total_cmp(&b.0.value()));
+    let mut next_event = 0usize;
 
     let steps = config.steps();
     let mut samples = Vec::with_capacity(steps.div_ceil(config.sample_stride.max(1)));
@@ -165,6 +187,13 @@ pub fn simulate_cpu(
     let mut half_n = 0usize;
 
     for k in 0..steps {
+        let now = Seconds::new(k as f64 * config.dt.value());
+        while next_event < pending.len() && pending[next_event].0 <= now {
+            let (_, alloc) = pending[next_event];
+            rapl.set_cap(alloc.proc);
+            throttle.set_cap(alloc.mem);
+            next_event += 1;
+        }
         let phase = &demand.phases[phase_at(&weights, work, cycle_work)].1;
         if let Some(t) = thermal.as_ref() {
             if t.tripped() {
@@ -213,121 +242,6 @@ pub fn simulate_cpu(
             t.step(cpu_power, config.dt);
         }
 
-        if k % config.sample_stride.max(1) == 0 {
-            samples.push(SimSample {
-                t: Seconds::new(k as f64 * dt),
-                proc_power: cpu_power,
-                mem_power,
-                work_rate: rate,
-                temperature_c: thermal.as_ref().map(|t| t.temperature_c()),
-            });
-        }
-    }
-
-    let elapsed = Seconds::new(steps as f64 * config.dt.value());
-    SimResult {
-        samples,
-        throughput: Throughput {
-            work_done: work,
-            elapsed,
-            energy: Joules::new(energy),
-        },
-        mean_proc_power: Watts::new(sum_cpu / steps.max(1) as f64),
-        mean_mem_power: Watts::new(sum_mem / steps.max(1) as f64),
-        settled_perf_rel: if half_n > 0 {
-            (half_rate / half_n as f64) / nominal_rate
-        } else {
-            0.0
-        },
-        settled_power: Watts::new(if half_n > 0 { half_power / half_n as f64 } else { 0.0 }),
-    }
-}
-
-/// Simulate a host node while the allocation is re-programmed at
-/// scheduled times — the dynamic re-budgeting the paper leaves as future
-/// work ("how to adapt this algorithm to support online dynamic power
-/// budgeting"). `events` are `(time, new allocation)` pairs, applied in
-/// order; the controllers are *not* reset, so the trace shows the real
-/// transient: the ladder walking down after a cut, climbing after a
-/// restore.
-pub fn simulate_cpu_with_events(
-    cpu: &CpuSpec,
-    dram: &DramSpec,
-    demand: &WorkloadDemand,
-    initial: PowerAllocation,
-    events: &[(Seconds, PowerAllocation)],
-    config: &SimConfig,
-) -> SimResult {
-    let weights = demand.normalized_weights();
-    let nominal = *cpu.pstates.nominal();
-    let peak = cpu.peak_gflops();
-    let t_nominal: f64 = weights
-        .iter()
-        .zip(demand.phases.iter().map(|(_, p)| p))
-        .map(|(w, p)| {
-            let (t, _, _) =
-                cpunode::compose(p, peak, dram.max_bandwidth, 1.0, 1.0, dram.max_bandwidth);
-            w * t
-        })
-        .sum();
-    let nominal_rate = 1.0 / t_nominal;
-    let cycle_work = 0.25 * nominal_rate;
-
-    let mut rapl = RaplController::new(cpu, initial.proc, config.window);
-    let mut throttle = DramThrottle::new(dram, initial.mem, config.window);
-    let mut thermal = config.thermal.map(ThermalModel::new);
-    let mut pending: Vec<(Seconds, PowerAllocation)> = events.to_vec();
-    pending.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-    let mut next_event = 0usize;
-
-    let steps = config.steps();
-    let mut samples = Vec::with_capacity(steps.div_ceil(config.sample_stride.max(1)));
-    let mut work = 0.0;
-    let mut energy = 0.0;
-    let mut sum_cpu = 0.0;
-    let mut sum_mem = 0.0;
-    let mut half_rate = 0.0;
-    let mut half_power = 0.0;
-    let mut half_n = 0usize;
-
-    for k in 0..steps {
-        let now = Seconds::new(k as f64 * config.dt.value());
-        while next_event < pending.len() && pending[next_event].0 <= now {
-            let (_, alloc) = pending[next_event];
-            rapl.set_cap(alloc.proc);
-            throttle.set_cap(alloc.mem);
-            next_event += 1;
-        }
-        let phase = &demand.phases[phase_at(&weights, work, cycle_work)].1;
-        let pos = rapl.position();
-        let st = cpu.pstates.get(pos.pstate).unwrap();
-        let duty = pos.duty(cpu);
-        let bw_cap = throttle.allowed_bandwidth(dram);
-        let (t_unit, busy, bw_used) =
-            cpunode::compose(phase, peak, dram.max_bandwidth, st.speed(&nominal), duty, bw_cap);
-        let rate = 1.0 / t_unit;
-        let activity = phase.act_compute * busy + phase.act_stall * (1.0 - busy);
-        let leak_mult = thermal.as_ref().map(|t| t.leakage_multiplier()).unwrap_or(1.0);
-        let leak = cpu.leakage_nominal * st.leak_scale(&nominal) * leak_mult;
-        let dynamic = cpu.dyn_power_max * st.dyn_scale(&nominal) * duty * activity;
-        let cpu_power = (leak + dynamic).max(cpu.min_active_power);
-        let mem_power = dram.power_at(bw_used, phase.pattern_cost);
-
-        let dt = config.dt.value();
-        work += rate * dt;
-        energy += (cpu_power + mem_power).value() * dt;
-        sum_cpu += cpu_power.value();
-        sum_mem += mem_power.value();
-        if k >= steps / 2 {
-            half_rate += rate;
-            half_power += (cpu_power + mem_power).value();
-            half_n += 1;
-        }
-        rapl.observe_and_step(cpu, cpu_power);
-        throttle.observe_and_step(dram, mem_power);
-        if let Some(t) = thermal.as_mut() {
-            t.step(cpu_power, config.dt);
-        }
         if k % config.sample_stride.max(1) == 0 {
             samples.push(SimSample {
                 t: now,
@@ -468,6 +382,23 @@ mod tests {
         }
     }
 
+    /// A pathological thermal resistance: the die would soak far past
+    /// the trip point at full power.
+    fn tripping_config() -> SimConfig {
+        SimConfig {
+            duration: Seconds::new(2.0),
+            thermal: Some(ThermalParams {
+                ambient_c: 25.0,
+                resistance_c_per_w: 1.0, // 170 W -> 195 C steady state
+                time_constant: Seconds::new(0.2),
+                leakage_per_c: 0.0,
+                reference_c: 25.0,
+                trip_c: 95.0,
+            }),
+            ..config()
+        }
+    }
+
     #[test]
     fn engine_agrees_with_steady_solver_cpu() {
         let (cpu, dram) = cpu_node();
@@ -580,23 +511,11 @@ mod tests {
 
     #[test]
     fn prochot_engages_under_impossible_cooling() {
-        // A pathological thermal resistance: the die would soak far past
-        // the trip point at full power. PROCHOT must latch and hold the
-        // settled power near the floor.
+        // PROCHOT must latch and hold the settled power near the floor.
         let (cpu, dram) = cpu_node();
         let w = WorkloadDemand::single("dgemm", PhaseDemand::compute_bound());
         let alloc = PowerAllocation::new(Watts::new(250.0), Watts::new(150.0));
-        let mut cfg = config();
-        cfg.duration = Seconds::new(2.0);
-        cfg.thermal = Some(ThermalParams {
-            ambient_c: 25.0,
-            resistance_c_per_w: 1.0, // 170 W -> 195 C steady state
-            time_constant: Seconds::new(0.2),
-            leakage_per_c: 0.0,
-            reference_c: 25.0,
-            trip_c: 95.0,
-        });
-        let hot = simulate_cpu(&cpu, &dram, &w, alloc, &cfg);
+        let hot = simulate_cpu(&cpu, &dram, &w, alloc, &tripping_config());
         // With PROCHOT cycling, the settled package power sits far below
         // the unconstrained ~170 W draw...
         let unconstrained = simulate_cpu(&cpu, &dram, &w, alloc, &config());
@@ -646,15 +565,32 @@ mod tests {
         assert!(early.proc_power.value() > late.proc_power.value() + 20.0);
     }
 
+    /// The evented loop is the plain loop: on a tripping run, an event
+    /// that re-applies the initial allocation keeps the PROCHOT latch.
     #[test]
-    fn no_events_matches_plain_simulation() {
+    fn a_no_op_event_on_a_tripping_run_matches_plain_simulation() {
         let (cpu, dram) = cpu_node();
-        let w = WorkloadDemand::single("sra", PhaseDemand::random_bound());
-        let alloc = PowerAllocation::new(Watts::new(100.0), Watts::new(100.0));
-        let plain = simulate_cpu(&cpu, &dram, &w, alloc, &config());
-        let evented = simulate_cpu_with_events(&cpu, &dram, &w, alloc, &[], &config());
-        assert!((plain.settled_perf_rel - evented.settled_perf_rel).abs() < 1e-9);
-        assert_eq!(plain.samples.len(), evented.samples.len());
+        let w = WorkloadDemand::single("dgemm", PhaseDemand::compute_bound());
+        let alloc = PowerAllocation::new(Watts::new(250.0), Watts::new(150.0));
+        let cfg = tripping_config();
+        let plain = simulate_cpu(&cpu, &dram, &w, alloc, &cfg);
+        let events = [(Seconds::new(0.5), alloc)];
+        let evented = simulate_cpu_with_events(&cpu, &dram, &w, alloc, &events, &cfg);
+        assert_eq!(format!("{plain:?}"), format!("{evented:?}"), "bit for bit");
+    }
+
+    /// A NaN event time sorts without panicking and never fires.
+    #[test]
+    fn nan_event_times_never_fire() {
+        let (cpu, dram) = cpu_node();
+        let w = WorkloadDemand::single("stream", PhaseDemand::stream_bound());
+        let alloc = PowerAllocation::new(Watts::new(120.0), Watts::new(90.0));
+        let cut = PowerAllocation::new(Watts::new(70.0), Watts::new(60.0));
+        let at = |t: f64| Seconds::new(t);
+        let events = [(at(f64::NAN), alloc), (at(0.5), cut), (at(-f64::NAN), alloc)];
+        let evented = simulate_cpu_with_events(&cpu, &dram, &w, alloc, &events, &config());
+        let cut_only = simulate_cpu_with_events(&cpu, &dram, &w, alloc, &events[1..2], &config());
+        assert_eq!(format!("{cut_only:?}"), format!("{evented:?}"), "bit for bit");
     }
 
     #[test]

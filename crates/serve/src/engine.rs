@@ -22,7 +22,6 @@ use crate::proto::{self, Request, ServeError};
 use crate::session::Session;
 use pbc_cluster::{parse_spec, Fleet, FleetCoordinator, Objective, TenantSet};
 use pbc_core::{BudgetOutcome, ObservationOutcome};
-use pbc_par::Pool;
 use pbc_powersim::{CpuMechanismState, MechanismState, NodeOperatingPoint};
 use pbc_trace::names;
 use pbc_types::{Bandwidth, PowerAllocation, Watts};
@@ -248,12 +247,11 @@ impl ServeEngine {
         Ok(())
     }
 
-    /// Open `count` identical sessions in one pooled job. The class's
-    /// curve table is built (or fetched from the shared registry) once;
-    /// the per-session coordinators are then constructed concurrently on
-    /// the global `pbc-par` pool. Ids are assigned consecutively from
-    /// one past the current maximum; a range that would pass `u64::MAX`
-    /// is refused.
+    /// Open `count` identical sessions: one built by the session recipe,
+    /// cloned `count` times. A session is a pure function of `(platform,
+    /// bench, budget)`, so every clone is the session the recipe would
+    /// build. Ids are assigned consecutively from one past the current
+    /// maximum; a range that would pass `u64::MAX` is refused.
     fn provision(
         &self,
         count: usize,
@@ -262,44 +260,15 @@ impl ServeEngine {
         budget: f64,
         out: &mut String,
     ) -> Result<(), ServeError> {
-        // Build one session eagerly: resolves slugs, validates the
-        // budget, and warms the shared table so the pooled fan-out below
-        // only pays coordinator construction.
-        let first = Session::open(platform, bench, budget)?;
-        let (floor, ceiling) = (first.floor, first.ceiling);
-        let mut first = Some(first);
-        let slots: Vec<Mutex<Result<Option<Session>, ServeError>>> = (0..count)
-            .map(|i| Mutex::new(Ok(if i == 0 { first.take() } else { None })))
-            .collect();
-        if count > 1 {
-            let (p, b) = (platform.to_string(), bench.to_string());
-            let stats = Pool::global().run(count - 1, &|i| {
-                let built = Session::open(&p, &b, budget).map(Some);
-                *slots[i + 1].lock().unwrap_or_else(PoisonError::into_inner) = built;
-            });
-            if let Some(payload) = stats.panic {
-                std::panic::resume_unwind(payload);
-            }
-        }
-        let mut built = Vec::with_capacity(count);
-        for slot in slots {
-            match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
-                Ok(Some(s)) => built.push(s),
-                Ok(None) => {
-                    return Err(ServeError::Build(
-                        "provision worker never ran its slot".into(),
-                    ))
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let session = Session::open(platform, bench, budget)?;
+        let (floor, ceiling) = (session.floor, session.ceiling);
         let mut map = self.sessions.write().unwrap_or_else(PoisonError::into_inner);
         let base = map.keys().max().map_or(Some(0), |m| m.checked_add(1));
         let Some(base) = base.filter(|b| b.checked_add(count as u64 - 1).is_some()) else {
             return Err(ServeError::Build(format!("{count} new ids would pass u64::MAX")));
         };
-        for (i, s) in built.into_iter().enumerate() {
-            map.insert(base + i as u64, Arc::new(Mutex::new(s)));
+        for id in base..=base + (count as u64 - 1) {
+            map.insert(id, Arc::new(Mutex::new(session.clone())));
         }
         drop(map);
         pbc_trace::counter(names::SERVE_SESSIONS_OPENED).add(count as u64);

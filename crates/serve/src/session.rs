@@ -17,9 +17,11 @@
 //! 4. `OnlineCoordinator::new(budget, initial, platform.min_node_power())
 //!    .with_table(table)`.
 //!
-//! One `provision` request builds at most `pbc_cluster::MAX_NODES`
-//! (65,536) sessions this way, the same cap a fleet spec's node total
-//! gets; larger counts are refused before anything is built.
+//! One `provision` request builds one session this way and clones it
+//! into at most `pbc_cluster::MAX_NODES` (65,536) sessions, the same cap
+//! a fleet spec's node total gets; larger counts are refused before
+//! anything is built. A session is a pure function of `(platform,
+//! bench, budget)`, so each clone is the session the recipe builds.
 //!
 //! `crates/serve/tests/replay_equivalence.rs` holds the daemon to this:
 //! a request log replayed through a fresh offline coordinator built by
@@ -32,6 +34,7 @@ use pbc_types::{PowerAllocation, Watts};
 use pbc_workloads::{by_name, Target};
 
 /// One live coordination session.
+#[derive(Clone)]
 pub struct Session {
     /// The online search for this node.
     pub tuner: OnlineCoordinator,

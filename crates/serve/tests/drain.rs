@@ -39,25 +39,8 @@ fn snapshot_path(tag: &str) -> std::path::PathBuf {
 /// are returned by name.
 fn counters_from(path: &std::path::Path) -> std::collections::BTreeMap<String, u64> {
     let text = std::fs::read_to_string(path).expect("snapshot file readable");
-    let mut counters = std::collections::BTreeMap::new();
     assert!(!text.is_empty(), "snapshot file is empty");
-    for (i, line) in text.lines().enumerate() {
-        let value = json::parse(line)
-            .unwrap_or_else(|e| panic!("snapshot line {i} is torn: {e:?}: {line}"));
-        if value.get("type").and_then(json::Value::as_str) == Some("counter") {
-            let name = value
-                .get("name")
-                .and_then(json::Value::as_str)
-                .expect("counter has a name")
-                .to_string();
-            let n = value
-                .get("value")
-                .and_then(json::Value::as_u64)
-                .expect("counter value is integral");
-            counters.insert(name, n);
-        }
-    }
-    counters
+    json::counters(&text).unwrap_or_else(|e| panic!("snapshot is torn: {e}"))
 }
 
 fn assert_law(counters: &std::collections::BTreeMap<String, u64>) {

@@ -6,6 +6,7 @@
 //! which is what lets round-trip tests read trace files back without any
 //! external dependency.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Largest magnitude rendered as a bare integer — beyond this an `f64`
@@ -179,6 +180,27 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
         return Err(p.err("trailing characters"));
     }
     Ok(v)
+}
+
+/// Counter name → value from a JSON-lines trace export (the
+/// [`crate::to_jsonl`] schema). Every line must parse: a torn or
+/// malformed line, or a counter without a name or an integral value, is
+/// an error naming the line.
+#[must_use = "the counters or the error naming the bad line are the whole result"]
+pub fn counters(text: &str) -> Result<BTreeMap<String, u64>, String> {
+    let mut out = BTreeMap::new();
+    for (i, line) in text.lines().enumerate() {
+        let bad = |why: String| format!("trace line {}: {why}: {line:?}", i + 1);
+        let v = parse(line).map_err(|e| bad(e.to_string()))?;
+        if v.get("type").and_then(Value::as_str) == Some("counter") {
+            let name = v.get("name").and_then(Value::as_str);
+            let (name, value) = name.zip(v.get("value").and_then(Value::as_u64)).ok_or_else(|| {
+                bad("counter without a name or an integral value".into())
+            })?;
+            out.insert(name.to_string(), value);
+        }
+    }
+    Ok(out)
 }
 
 struct Parser<'a> {
@@ -453,5 +475,17 @@ mod tests {
         }
         let e = parse("[1, x]").unwrap_err();
         assert!(e.to_string().contains("byte 4"), "{e}");
+    }
+
+    #[test]
+    fn counters_read_an_export_and_name_a_torn_line() {
+        let text = r#"{"type":"counter","name":"a","value":3}
+{"type":"gauge","name":"b","value":0.5}
+{"type":"counter","name":"c","value":-1}
+{"type":"counter","na"#;
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(counters(&lines[..2].join("\n")).unwrap(), BTreeMap::from([("a".into(), 3)]));
+        assert!(counters(&lines[..3].join("\n")).unwrap_err().starts_with("trace line 3:"));
+        assert!(counters(&lines[3..].join("\n")).unwrap_err().starts_with("trace line 1:"));
     }
 }

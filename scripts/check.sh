@@ -63,16 +63,18 @@ echo "==> trace round-trip (sweep accounting law, via a real trace file)"
 cargo test -q -p pbc-core --test trace_roundtrip
 cargo test -q -p pbc-cli --test trace_flag
 
-echo "==> chaos smoke (fault-plan survival + counter laws, via a real trace file)"
+echo "==> chaos smoke (fault-plan survival + counter laws, via a real trace file; report == trace)"
 cargo test -q -p pbc-cli --test chaos_smoke
 cargo test -q --test chaos_properties
+cargo test -q -p pbc-faults --test report_agrees_with_trace
 
-echo "==> cluster smoke (fleet coordination beats uniform split; dropout chaos, via a real trace file)"
+echo "==> cluster smoke (fleet coordination beats uniform split; dropout cluster-chaos, via a real trace file)"
 cargo test -q -p pbc-cli --test cluster_smoke
 
-echo "==> cluster-chaos smoke (fleet fault tolerance: seed sweep + trace invariants)"
+echo "==> cluster-chaos smoke (fleet fault tolerance: seed sweep + trace invariants; report == trace)"
 cargo test -q -p pbc-cli --test cluster_chaos_smoke
 cargo test -q -p pbc-cluster --test fault_tolerance
+cargo test -q -p pbc-cluster --test report_agrees_with_trace
 # Drive the shipped binary through the worst plan once and hold the two
 # survival laws from the emitted trace file, under a wall-clock timeout
 # where the host provides one (a wedged retry loop must fail the gate,
