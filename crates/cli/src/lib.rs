@@ -127,10 +127,10 @@ pub fn cmd_probe(platform_slug: &str, bench_slug: &str) -> Result<String> {
 
 /// `pbc coord -p <platform> -w <bench> -b <watts>`
 #[must_use = "the rendered decision is the command's entire output"]
-pub fn cmd_coord(platform_slug: &str, bench_slug: &str, budget: f64) -> Result<String> {
+pub fn cmd_coord(platform_slug: &str, bench_slug: &str, watts: f64) -> Result<String> {
     let p = platform(platform_slug)?;
     let b = benchmark(bench_slug)?;
-    let budget = Watts::new(budget);
+    let budget = budget(watts)?;
     let decision = match &p.spec {
         NodeSpec::Cpu { cpu, dram } => {
             let c = CriticalPowers::probe(cpu, dram, &b.demand);
@@ -210,10 +210,23 @@ pub fn cmd_sweep(
     Ok(out)
 }
 
+/// The one `-b` gate: a budget must be a finite wattage above zero.
+/// Anything else is a typed error naming the value, instead of a run
+/// that computes with it.
+fn budget(w: f64) -> Result<Watts> {
+    if !w.is_finite() {
+        return Err(PbcError::InvalidInput(format!("budget {w:?} is not a finite wattage")));
+    }
+    if w <= 0.0 {
+        return Err(PbcError::InvalidInput(format!("budget {w} W is not positive")));
+    }
+    Ok(Watts::new(w))
+}
+
 /// Validate a `-b W1,W2,...` budget list before handing it to the
-/// shared-grid oracle: an empty list, a non-finite or non-positive
-/// value, or a duplicated budget each get a typed error naming the
-/// offender, instead of surfacing later as a confusing sweep failure.
+/// shared-grid oracle: an empty list, a value [`budget`] refuses, or a
+/// duplicated budget each get a typed error naming the offender,
+/// instead of surfacing later as a confusing sweep failure.
 fn validate_budget_list(budgets: &[f64]) -> Result<()> {
     if budgets.is_empty() {
         return Err(PbcError::InvalidInput(
@@ -221,16 +234,7 @@ fn validate_budget_list(budgets: &[f64]) -> Result<()> {
         ));
     }
     for &w in budgets {
-        if !w.is_finite() {
-            return Err(PbcError::InvalidInput(format!(
-                "curve budget {w:?} is not a finite wattage"
-            )));
-        }
-        if w <= 0.0 {
-            return Err(PbcError::InvalidInput(format!(
-                "curve budget {w} W is not positive"
-            )));
-        }
+        budget(w)?;
     }
     // Duplicates would silently sweep the same budget twice and render
     // two identical rows; detect them by exact bit pattern.
@@ -381,10 +385,10 @@ pub fn cmd_scenarios(platform_slug: &str, bench_slug: &str, budget: f64) -> Resu
 
 /// `pbc online -p <platform> -w <bench> -b <watts>`
 #[must_use = "the rendered convergence log is the command's entire output"]
-pub fn cmd_online(platform_slug: &str, bench_slug: &str, budget: f64) -> Result<String> {
+pub fn cmd_online(platform_slug: &str, bench_slug: &str, watts: f64) -> Result<String> {
     let p = platform(platform_slug)?;
     let b = benchmark(bench_slug)?;
-    let budget = Watts::new(budget);
+    let budget = budget(watts)?;
     let mut coord = OnlineCoordinator::new(budget, PowerAllocation::split(budget, 0.5), Watts::ZERO);
     let mut out = String::new();
     while !coord.converged() && coord.epochs() < 200 {
@@ -615,8 +619,9 @@ pub fn cmd_hybrid(
 
 /// `pbc corun -p <cpu-platform> -w <benchA,benchB> -b WATTS`
 #[must_use = "the rendered co-run split is the command's entire output"]
-pub fn cmd_corun(platform_slug: &str, pair: &str, budget: f64) -> Result<String> {
+pub fn cmd_corun(platform_slug: &str, pair: &str, watts: f64) -> Result<String> {
     let p = platform(platform_slug)?;
+    let budget = budget(watts)?;
     let NodeSpec::Cpu { cpu, dram } = &p.spec else {
         return Err(PbcError::InvalidInput("corun targets CPU platforms".into()));
     };
@@ -627,11 +632,10 @@ pub fn cmd_corun(platform_slug: &str, pair: &str, budget: f64) -> Result<String>
     };
     let da = benchmark(a.trim())?.demand;
     let db = benchmark(b.trim())?.demand;
-    let mem_cap = Watts::new((budget * 0.4).min(dram.max_power(2.0).value()));
-    let (core_split, caps, pt) =
-        coordinate_corun(cpu, dram, [&da, &db], Watts::new(budget), mem_cap)?;
+    let mem_cap = Watts::new((watts * 0.4).min(dram.max_power(2.0).value()));
+    let (core_split, caps, pt) = coordinate_corun(cpu, dram, [&da, &db], budget, mem_cap)?;
     let mut out = String::new();
-    let _ = writeln!(out, "co-run coordination for {a}+{b} at {budget} W (mem cap {:.0} W):", mem_cap.value());
+    let _ = writeln!(out, "co-run coordination for {a}+{b} at {watts} W (mem cap {:.0} W):", mem_cap.value());
     let _ = writeln!(out, "  core split: {:.0}% / {:.0}%", core_split * 100.0, (1.0 - core_split) * 100.0);
     let _ = writeln!(out, "  package caps: {:.1} / {:.1} W", caps[0].value(), caps[1].value());
     let _ = writeln!(out, "  per-job perf: {:.3} / {:.3} (contention {:.2})", pt.perf_rel[0], pt.perf_rel[1], pt.contention);
@@ -846,6 +850,24 @@ mod tests {
                     assert!(msg.contains(needle), "{budgets:?}: {msg:?} lacks {needle:?}");
                 }
                 other => panic!("{budgets:?} should be InvalidInput, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn single_budget_commands_refuse_what_the_gate_refuses() {
+        let refusals = [
+            (cmd_online("ivybridge", "stream", -5.0), "budget -5 W is not positive"),
+            (cmd_online("ivybridge", "stream", 0.0), "budget 0 W is not positive"),
+            (cmd_online("ivybridge", "stream", f64::NAN), "budget NaN is not a finite"),
+            (cmd_corun("ivybridge", "stream,dgemm", f64::NAN), "budget NaN is not a finite"),
+            (cmd_coord("titan-xp", "sgemm", f64::NAN), "budget NaN is not a finite"),
+            (cmd_coord("titan-xp", "sgemm", f64::INFINITY), "budget inf is not a finite"),
+        ];
+        for (result, needle) in refusals {
+            match result {
+                Err(PbcError::InvalidInput(msg)) => assert!(msg.contains(needle), "{msg:?} lacks {needle:?}"),
+                other => panic!("{needle:?}: expected InvalidInput, got {other:?}"),
             }
         }
     }

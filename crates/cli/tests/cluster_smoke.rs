@@ -7,6 +7,7 @@
 //!   `cluster.budget_violations == 0`, read from a real `--trace` file.
 //! * `pbc cluster` runs the static comparison only and points the
 //!   dynamic flags at `pbc cluster-chaos`.
+//! * A budget far past every class ceiling (`-b 1e308`) still runs.
 
 use pbc_trace::json;
 use pbc_trace::names;
@@ -130,4 +131,22 @@ fn cluster_refuses_the_dynamic_flags_and_names_cluster_chaos() {
         assert!(stderr.contains("pbc cluster-chaos"), "{flags:?}: {stderr}");
     }
     std::fs::remove_file(&spec).ok();
+}
+
+#[test]
+fn cluster_survives_a_huge_budget() {
+    // Past ~1.5e20 W a curve's rung index saturates; the oracle's
+    // lookup must read the last sample, not index past the table.
+    let spec = temp_path("huge", "txt");
+    std::fs::write(&spec, "2 ivybridge stream\ntitan-xp sgemm\n").expect("spec file writes");
+    let output = Command::new(env!("CARGO_BIN_EXE_pbc"))
+        .args(["cluster", "-p", spec.to_str().unwrap(), "-b", "1e308"])
+        .output()
+        .expect("pbc binary runs");
+    std::fs::remove_file(&spec).ok();
+    assert!(
+        output.status.success(),
+        "pbc cluster -b 1e308 failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
 }

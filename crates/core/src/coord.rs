@@ -165,9 +165,13 @@ impl GpuCoordParams {
 }
 
 /// Algorithm 2: category-based heuristic for GPU computing. Returns
-/// [`PbcError::BudgetTooSmall`] for budgets the card would reject.
+/// [`PbcError::BudgetTooSmall`] for budgets the card would reject and
+/// [`PbcError::InvalidInput`] for a NaN or infinite budget.
 #[must_use = "the decision carries either the allocation or the rejection"]
 pub fn coord_gpu(budget: Watts, gpu: &GpuSpec, params: &GpuCoordParams) -> Result<CoordResult> {
+    if !budget.value().is_finite() {
+        return Err(PbcError::InvalidInput(format!("GPU budget {budget} is not a finite wattage")));
+    }
     if budget < gpu.min_card_cap {
         pbc_trace::counter(names::COORD_GPU_REJECTED).incr();
         return Err(PbcError::BudgetTooSmall {
@@ -334,6 +338,16 @@ mod tests {
             coord_gpu(Watts::new(100.0), &gpu, &params),
             Err(PbcError::BudgetTooSmall { .. })
         ));
+    }
+
+    #[test]
+    fn gpu_refuses_non_finite_budgets() {
+        let gpu = titan_xp().gpu().unwrap().clone();
+        let params = GpuCoordParams::profile(&gpu, &by_name("sgemm").unwrap().demand).unwrap();
+        for b in [f64::NAN, f64::INFINITY] {
+            let r = coord_gpu(Watts::new(b), &gpu, &params);
+            assert!(matches!(r, Err(PbcError::InvalidInput(_))), "{b}: {r:?}");
+        }
     }
 
     #[test]

@@ -217,7 +217,8 @@ impl CurveTable {
         }
         let offset = (b - self.floor).value() / self.step.value();
         let k = offset.floor() as usize;
-        if k + 1 >= self.perf.len() {
+        // Saturating: past ~1.5e20 W the cast pins `k` at `usize::MAX`.
+        if k.saturating_add(1) >= self.perf.len() {
             return *self.perf.last().unwrap_or(&0.0);
         }
         let frac = offset - k as f64;
@@ -521,9 +522,14 @@ mod tests {
         for w in curve.perf.windows(2) {
             assert!(w[1] >= w[0] - 1e-9, "perf_max must be non-decreasing");
         }
-        // Past the ceiling the curve is flat.
+        // Past the ceiling the curve is flat, however far past: a budget
+        // whose rung index saturates `usize` still reads the last sample.
         let top = curve.perf_at(curve.ceiling());
         assert!((curve.perf_at(curve.ceiling() + Watts::new(100.0)) - top).abs() < 1e-12);
+        let last = curve.perf.last().unwrap().to_bits();
+        for b in [2e20, 1e308, f64::INFINITY] {
+            assert_eq!(curve.perf_at(Watts::new(b)).to_bits(), last, "{b} W");
+        }
         // Below the floor the class cannot run.
         assert_eq!(curve.perf_at(curve.floor - Watts::new(1.0)).to_bits(), 0f64.to_bits());
     }

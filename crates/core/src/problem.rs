@@ -74,22 +74,12 @@ impl PowerBoundedProblem {
             NodeSpec::Gpu(g) => (g.mem.min_power(), g.mem.max_power()),
         }
     }
-
-    /// Is this budget even representable on the machine? GPU cards reject
-    /// totals below their minimum settable cap; hosts accept anything (the
-    /// hardware floors simply make tiny caps unenforceable).
-    pub fn budget_accepted(&self) -> bool {
-        match &self.platform.spec {
-            NodeSpec::Cpu { .. } => true,
-            NodeSpec::Gpu(g) => self.budget >= g.min_card_cap,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pbc_platform::presets::{ivybridge, titan_xp};
+    use pbc_platform::presets::ivybridge;
     use pbc_powersim::{PhaseDemand, WorkloadDemand};
 
     #[test]
@@ -100,7 +90,6 @@ mod tests {
             Watts::new(208.0),
         )
         .unwrap();
-        assert!(p.budget_accepted());
         let (lo, hi) = p.proc_cap_range();
         assert!(lo < hi);
         let (mlo, mhi) = p.mem_cap_range();
@@ -125,14 +114,5 @@ mod tests {
             Watts::new(100.0),
         )
         .is_err());
-    }
-
-    #[test]
-    fn gpu_budget_acceptance() {
-        let w = WorkloadDemand::single("w", PhaseDemand::stream_bound());
-        let ok = PowerBoundedProblem::new(titan_xp(), w.clone(), Watts::new(200.0)).unwrap();
-        assert!(ok.budget_accepted());
-        let low = PowerBoundedProblem::new(titan_xp(), w, Watts::new(90.0)).unwrap();
-        assert!(!low.budget_accepted());
     }
 }

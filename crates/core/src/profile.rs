@@ -69,12 +69,6 @@ impl SweepProfile {
             da.total_cmp(&db)
         })
     }
-
-    /// Do all points respect the total budget in *actual* draw? (False
-    /// when the sweep reaches into scenario VI.)
-    pub fn all_within_budget(&self) -> bool {
-        self.points.iter().all(|p| p.op.respects_bound())
-    }
 }
 
 #[cfg(test)]
@@ -148,6 +142,5 @@ mod tests {
         assert!(p.best().is_none());
         assert_eq!(p.spread(), 1.0);
         assert_eq!(p.perf_max(), 0.0);
-        assert!(p.all_within_budget());
     }
 }

@@ -4,12 +4,13 @@
 //! fixed power stepping (the paper notes its experimental sweeps do the
 //! same, which is why the heuristic occasionally beats "the best found in
 //! the experimental dataset"). Evaluations are independent, so the sweep
-//! fans out across the persistent work-stealing pool in [`pbc_par`]:
-//! infeasible points are ~100x cheaper to reject than feasible points
-//! are to solve, so static chunking (the previous design) left threads
-//! idle while one carried all the expensive points. Results are written
-//! to per-index slots, so the profile is deterministic — bit-identical
-//! regardless of thread count or steal order.
+//! fans out across the persistent pool in [`pbc_par`], whose executors
+//! claim small index chunks from one shared cursor: infeasible points
+//! are ~100x cheaper to reject than feasible points are to solve, so
+//! static chunking (the previous design) left threads idle while one
+//! carried all the expensive points. Results are written to per-index
+//! slots, so the profile is deterministic — bit-identical regardless of
+//! thread count or of which executor claimed which chunk.
 //!
 //! Both public entry points run on one engine, which builds each
 //! budget's grid, fans the union out as one pooled job, and splits the

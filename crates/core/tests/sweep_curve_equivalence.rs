@@ -1,7 +1,7 @@
 //! The shared-grid oracle's contract: [`pbc_core::sweep_curve`] must be
 //! *bit-identical* to running [`pbc_core::sweep_budget`] once per budget,
 //! and both must be deterministic regardless of how many executors the
-//! pool runs — otherwise the memo and the work-stealing pool would not be
+//! pool runs — otherwise the memo and the pool would not be
 //! optimizations but silent behaviour changes.
 
 use pbc_core::{

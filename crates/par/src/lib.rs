@@ -1,22 +1,22 @@
 //! # pbc-par
 //!
-//! A dependency-free, persistent, work-stealing thread pool for the
-//! sweep hot path.
+//! A dependency-free, persistent thread pool for the sweep hot path.
 //!
 //! The oracle sweep used to spawn scoped threads per call with static
 //! chunking. That load-imbalances badly: infeasible allocations are
 //! ~100x cheaper to reject than feasible ones are to solve, so one
 //! static chunk can hold all the expensive points while the other
 //! workers idle. This pool keeps its threads alive across calls and
-//! splits each job into many small index ranges that idle executors
-//! steal from busy ones.
+//! splits each job into many small index chunks that the executors
+//! claim from one shared atomic cursor, so an executor held up by an
+//! expensive chunk leaves the rest of the job to the others.
 //!
 //! ## Execution model
 //!
 //! [`Pool::run`] executes `task(i)` for every `i in 0..n`, on the
 //! calling thread *and* the pool's persistent workers. The call blocks
-//! until every index is accounted for (run to completion, or skipped
-//! after a cancellation), so `task` may borrow from the caller's stack.
+//! until every chunk is claimed and every executor has left the job,
+//! so `task` may borrow from the caller's stack.
 //!
 //! * **Sizing** — [`configured_threads`] honors the `PBC_THREADS`
 //!   environment variable and falls back to
@@ -25,20 +25,20 @@
 //!   `pool.threads` trace gauge so restricted environments that
 //!   silently serialize are observable.
 //! * **Panic contract** — a panicking task cancels the remaining
-//!   indices (they are *accounted* but not *completed*) and the first
-//!   panic payload is handed back in [`JobStats::panic`]. The caller
-//!   decides how to account the loss (the sweep adds
+//!   indices (their chunks are claimed but not *completed*) and the
+//!   first panic payload is handed back in [`JobStats::panic`]. The
+//!   caller decides how to account the loss (the sweep adds
 //!   `n - completed` to `sweep.points_lost`) and then re-raises with
 //!   `std::panic::resume_unwind`. Panics are never swallowed.
 //! * **Re-entrancy** — a task that calls back into the pool runs the
-//!   nested job inline on its own thread. Nested jobs never deadlock
-//!   on the submission lock and never oversubscribe.
-//! * **Tracing** — each job increments `pool.jobs`; every stolen range
-//!   adds to `pool.steals`.
+//!   nested job on its own thread, as that job's only executor. Nested
+//!   jobs never deadlock on the submission lock and never
+//!   oversubscribe.
+//! * **Tracing** — each published job increments `pool.jobs`; the
+//!   chunks an executor claims beyond an even split add to
+//!   `pool.steals`.
 
 use std::any::Any;
-use std::collections::VecDeque;
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
@@ -87,53 +87,126 @@ fn warn_zero_threads_once() {
 }
 
 /// What happened to a job: how many indices ran to completion, how many
-/// ranges were stolen, and the first panic payload if any task panicked.
+/// chunks were claimed beyond an even split, and the first panic payload
+/// if any task panicked.
 #[must_use = "a job's panic payload must be re-raised or explicitly dropped"]
 pub struct JobStats {
     /// Indices whose task ran to completion.
     pub completed: usize,
-    /// Ranges executed by an executor that did not own them.
+    /// Chunks executors claimed beyond an even split of the job,
+    /// `ceil(chunks / threads)` each: the imbalance the shared cursor
+    /// absorbed.
     pub steals: u64,
-    /// First panic payload, if any task panicked. When this is `Some`,
-    /// `completed < n` and the difference is the loss to account.
+    /// First panic payload, if a task or a `wrap` call panicked. When
+    /// this is `Some`, `n - completed` is the loss to account.
     pub panic: Option<Box<dyn Any + Send>>,
-}
-
-impl JobStats {
-    fn empty() -> Self {
-        JobStats { completed: 0, steals: 0, panic: None }
-    }
 }
 
 /// Lock a mutex, treating poisoning as benign: the pool's own state is
 /// only mutated under panic-free code paths (task panics are caught per
-/// item), so a poisoned lock still holds consistent data.
+/// chunk), so a poisoned lock still holds consistent data.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// A job with its closure lifetimes erased. Soundness: `run_pooled`
-/// does not return until `accounted == n` *and* `active == 0`, and the
-/// job is unpublished before that check completes, so no executor can
-/// touch `task`/`wrap` after the borrowed closures go out of scope.
-struct ErasedJob {
-    seq: u64,
+/// One job: the caller's closures, the shared chunk cursor and the
+/// tallies. Pooled and nested calls both run it. A nested job lives on
+/// its caller's stack. A pooled job is shared with the workers as a
+/// `Job<'static>`, its closure lifetimes erased. Soundness: `run_pooled`
+/// does not return until its own drain has found the cursor past `n`,
+/// every worker has left the job (`active == 0`) and the job is
+/// unpublished, so no executor can touch `task`/`wrap` after the
+/// borrowed closures go out of scope.
+struct Job<'a> {
     n: usize,
-    task: &'static (dyn Fn(usize) + Sync),
-    wrap: &'static (dyn Fn(&mut dyn FnMut()) + Sync),
-    /// Indices accounted for: run to completion, panicked, or skipped
-    /// after cancellation. The job is done when this reaches `n`.
-    accounted: AtomicUsize,
+    chunk: usize,
+    /// An even split, `ceil(chunks / threads)`: each chunk an executor
+    /// claims beyond it counts as a steal.
+    fair_share: usize,
+    task: &'a (dyn Fn(usize) + Sync),
+    wrap: &'a (dyn Fn(&mut dyn FnMut()) + Sync),
+    /// Start of the next unclaimed chunk. It and the tallies below are
+    /// `Relaxed`: they publish no other data, and the submitter reads the
+    /// tallies only after `active`'s release/acquire pairing.
+    cursor: AtomicUsize,
     completed: AtomicUsize,
     steals: AtomicU64,
     cancelled: AtomicBool,
-    /// Workers currently inside `wrap` for this job. `run_pooled` waits
-    /// for zero so the borrowed closures outlive every dereference.
+    /// Workers currently executing this job. `run_pooled` waits for
+    /// zero so the borrowed closures outlive every dereference.
     active: AtomicUsize,
     panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
-impl ErasedJob {
+impl<'a> Job<'a> {
+    fn new(
+        n: usize,
+        threads: usize,
+        wrap: &'a (dyn Fn(&mut dyn FnMut()) + Sync),
+        task: &'a (dyn Fn(usize) + Sync),
+    ) -> Self {
+        // Chunk the index space finely enough that the cursor can
+        // balance wildly uneven point costs, but coarsely enough that
+        // claiming chunks stays in the noise.
+        let chunk = (n / (threads * 8)).clamp(1, 64);
+        Job {
+            n,
+            chunk,
+            fair_share: n.div_ceil(chunk).div_ceil(threads),
+            task,
+            wrap,
+            cursor: AtomicUsize::new(0),
+            completed: AtomicUsize::new(0),
+            steals: AtomicU64::new(0),
+            cancelled: AtomicBool::new(false),
+            active: AtomicUsize::new(0),
+            panic: Mutex::new(None),
+        }
+    }
+
+    /// One executor's part of the job: one `wrap` call around a drain of
+    /// the cursor. A panicking `wrap` cancels the job like a panicking
+    /// task, and the drain after it claims whatever the wrap left, so
+    /// the cursor always ends past `n`.
+    fn execute(&self) {
+        let mut claimed = 0;
+        let wrapped = catch_unwind(AssertUnwindSafe(|| {
+            (self.wrap)(&mut || self.drain(&mut claimed));
+        }));
+        if let Err(payload) = wrapped {
+            self.note_panic(payload);
+        }
+        self.drain(&mut claimed);
+        let beyond_share = claimed.saturating_sub(self.fair_share);
+        self.steals.fetch_add(beyond_share as u64, Ordering::Relaxed);
+    }
+
+    /// Claim chunks until the cursor passes `n`, running each chunk's
+    /// tasks until the job is cancelled.
+    fn drain(&self, claimed: &mut usize) {
+        loop {
+            let start = self.cursor.fetch_add(self.chunk, Ordering::Relaxed);
+            if start >= self.n {
+                return;
+            }
+            *claimed += 1;
+            let mut done = 0;
+            let ran = catch_unwind(AssertUnwindSafe(|| {
+                for i in start..(start + self.chunk).min(self.n) {
+                    if self.cancelled.load(Ordering::Acquire) {
+                        break;
+                    }
+                    (self.task)(i);
+                    done += 1;
+                }
+            }));
+            self.completed.fetch_add(done, Ordering::Relaxed);
+            if let Err(payload) = ran {
+                self.note_panic(payload);
+            }
+        }
+    }
+
     /// Record the first panic payload and cancel the remaining work.
     fn note_panic(&self, payload: Box<dyn Any + Send>) {
         self.cancelled.store(true, Ordering::Release);
@@ -142,20 +215,28 @@ impl ErasedJob {
             *slot = Some(payload);
         }
     }
+
+    fn stats(&self) -> JobStats {
+        JobStats {
+            completed: self.completed.load(Ordering::Relaxed),
+            steals: self.steals.load(Ordering::Relaxed),
+            panic: lock(&self.panic).take(),
+        }
+    }
 }
 
 struct Signal {
-    job: Option<Arc<ErasedJob>>,
+    job: Option<Arc<Job<'static>>>,
+    /// Bumped on every publish, so a worker joins each job once.
+    seq: u64,
     shutdown: bool,
 }
 
 struct Shared {
-    /// One chunk deque per executor slot (slot 0 is the calling thread).
-    queues: Vec<Mutex<VecDeque<Range<usize>>>>,
     signal: Mutex<Signal>,
     /// Workers park here between jobs.
     to_workers: Condvar,
-    /// The submitting thread parks here while waiting for completion.
+    /// The submitting thread parks here while workers finish.
     to_caller: Condvar,
 }
 
@@ -166,14 +247,15 @@ thread_local! {
     static IN_POOL: std::cell::Cell<bool> = std::cell::Cell::new(false);
 }
 
-/// A persistent work-stealing thread pool. See the crate docs for the
-/// execution model. Dropping the pool shuts its workers down.
+/// A persistent thread pool whose executors claim index chunks from one
+/// shared cursor. See the crate docs for the execution model. Dropping
+/// the pool shuts its workers down.
 pub struct Pool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
+    threads: usize,
     /// Serializes job submission: one job in flight at a time.
     submission: Mutex<()>,
-    next_seq: AtomicU64,
 }
 
 impl Pool {
@@ -183,22 +265,21 @@ impl Pool {
     pub fn new(threads: usize) -> Pool {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {
-            queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            signal: Mutex::new(Signal { job: None, shutdown: false }),
+            signal: Mutex::new(Signal { job: None, seq: 0, shutdown: false }),
             to_workers: Condvar::new(),
             to_caller: Condvar::new(),
         });
-        let mut workers = Vec::with_capacity(threads.saturating_sub(1));
+        let mut workers = Vec::with_capacity(threads - 1);
         for slot in 1..threads {
             let shared = Arc::clone(&shared);
             let builder = std::thread::Builder::new().name(format!("pbc-par-{slot}"));
             // A failed spawn degrades capacity instead of failing the
-            // pool: the slot's queue is still drained via stealing.
-            if let Ok(handle) = builder.spawn(move || worker_loop(&shared, slot)) {
+            // pool: the executors that did start claim every chunk.
+            if let Ok(handle) = builder.spawn(move || worker_loop(&shared)) {
                 workers.push(handle);
             }
         }
-        Pool { shared, workers, submission: Mutex::new(()), next_seq: AtomicU64::new(1) }
+        Pool { shared, workers, threads, submission: Mutex::new(()) }
     }
 
     /// The process-wide pool, sized by [`configured_threads`]. First use
@@ -216,12 +297,12 @@ impl Pool {
     /// Total executors (calling thread + persistent workers as sized at
     /// construction; spawn failures may leave fewer live workers).
     pub fn threads(&self) -> usize {
-        self.shared.queues.len()
+        self.threads
     }
 
     /// Run `task(i)` for every `i in 0..n` across the pool. Blocks until
-    /// all indices are accounted for. See the crate docs for the panic
-    /// contract.
+    /// every chunk is claimed and every executor has left the job. See
+    /// the crate docs for the panic contract.
     pub fn run(&self, n: usize, task: &(dyn Fn(usize) + Sync)) -> JobStats {
         self.run_wrapped(n, &|inner: &mut dyn FnMut()| inner(), task)
     }
@@ -237,12 +318,15 @@ impl Pool {
         task: &(dyn Fn(usize) + Sync),
     ) -> JobStats {
         if n == 0 {
-            return JobStats::empty();
+            return JobStats { completed: 0, steals: 0, panic: None };
         }
         if IN_POOL.with(|f| f.get()) {
-            // Nested call from inside pool work: execute inline to avoid
-            // deadlocking on the submission lock or oversubscribing.
-            return run_inline(n, wrap, task);
+            // Nested call from inside pool work: run the job on this
+            // thread as its only executor, so it can neither deadlock on
+            // the submission lock nor oversubscribe.
+            let job = Job::new(n, 1, wrap, task);
+            job.execute();
+            return job.stats();
         }
         self.run_pooled(n, wrap, task)
     }
@@ -264,74 +348,31 @@ impl Pool {
         });
         jobs_c.incr();
 
-        // SAFETY: lifetime erasure only. This function does not return
-        // until every executor has left the job (`active == 0`) and the
-        // job is unpublished, so the erased references never outlive
-        // the real closures borrowed from our caller's frame.
-        let task: &'static (dyn Fn(usize) + Sync) = unsafe {
-            std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(task)
-        };
-        let wrap: &'static (dyn Fn(&mut dyn FnMut()) + Sync) = unsafe {
-            std::mem::transmute::<
-                &(dyn Fn(&mut dyn FnMut()) + Sync),
-                &'static (dyn Fn(&mut dyn FnMut()) + Sync),
-            >(wrap)
-        };
-
-        let job = Arc::new(ErasedJob {
-            seq: self.next_seq.fetch_add(1, Ordering::Relaxed),
-            n,
-            task,
-            wrap,
-            accounted: AtomicUsize::new(0),
-            completed: AtomicUsize::new(0),
-            steals: AtomicU64::new(0),
-            cancelled: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
-            panic: Mutex::new(None),
+        // SAFETY: lifetime erasure only, sound for the reason given on
+        // `Job`: this function does not return before every executor is
+        // done with the erased closures.
+        let job = Arc::new(unsafe {
+            std::mem::transmute::<Job<'_>, Job<'static>>(Job::new(n, self.threads, wrap, task))
         });
-
-        // Chunk the index space finely enough that stealing can balance
-        // wildly uneven point costs, but coarsely enough that the
-        // per-range locking stays in the noise.
-        let k = self.shared.queues.len();
-        let chunk = (n / (k * 8)).clamp(1, 64);
-        let mut start = 0;
-        let mut q = 0;
-        while start < n {
-            let end = (start + chunk).min(n);
-            lock(&self.shared.queues[q % k]).push_back(start..end);
-            q += 1;
-            start = end;
-        }
-
         {
             let mut sig = lock(&self.shared.signal);
+            sig.seq += 1;
             sig.job = Some(Arc::clone(&job));
         }
         self.shared.to_workers.notify_all();
 
-        // The submitting thread is executor 0.
-        let prev = IN_POOL.with(|f| f.replace(true));
-        let participated = catch_unwind(AssertUnwindSafe(|| {
-            wrap(&mut || drain(&self.shared, &job, 0));
-        }));
-        IN_POOL.with(|f| f.set(prev));
-        if let Err(payload) = participated {
-            job.note_panic(payload);
-            // The wrap itself died before (or while) draining; sweep up
-            // whatever is still queued so the job can complete. With the
-            // job cancelled this only accounts skips.
-            drain(&self.shared, &job, 0);
-        }
+        // The submitting thread is an executor too. Its drain returns
+        // once every chunk is claimed; the workers may still be running
+        // theirs.
+        IN_POOL.with(|f| f.set(true));
+        job.execute();
+        IN_POOL.with(|f| f.set(false));
 
-        // Wait until every index is accounted and every worker has left
-        // the job's closures, then unpublish it.
+        // Wait until every worker has left the job's closures, then
+        // unpublish it.
         {
             let mut sig = lock(&self.shared.signal);
-            while !(job.accounted.load(Ordering::Acquire) == job.n
-                && job.active.load(Ordering::Acquire) == 0)
-            {
+            while job.active.load(Ordering::Acquire) != 0 {
                 sig = self
                     .shared
                     .to_caller
@@ -341,10 +382,9 @@ impl Pool {
             sig.job = None;
         }
 
-        let steals = job.steals.load(Ordering::Relaxed);
-        steals_c.add(steals);
-        let panic = lock(&job.panic).take();
-        JobStats { completed: job.completed.load(Ordering::Relaxed), steals, panic }
+        let stats = job.stats();
+        steals_c.add(stats.steals);
+        stats
     }
 }
 
@@ -361,96 +401,24 @@ impl Drop for Pool {
     }
 }
 
-/// Inline execution for nested (re-entrant) jobs: same task/wrap/panic
-/// semantics, no extra threads.
-fn run_inline(
-    n: usize,
-    wrap: &(dyn Fn(&mut dyn FnMut()) + Sync),
-    task: &(dyn Fn(usize) + Sync),
-) -> JobStats {
-    let mut completed = 0usize;
-    let mut first_panic: Option<Box<dyn Any + Send>> = None;
-    wrap(&mut || {
-        for i in 0..n {
-            if first_panic.is_some() {
-                continue; // cancelled: account by skipping
-            }
-            match catch_unwind(AssertUnwindSafe(|| task(i))) {
-                Ok(()) => completed += 1,
-                Err(payload) => first_panic = Some(payload),
-            }
-        }
-    });
-    JobStats { completed, steals: 0, panic: first_panic }
-}
-
-/// Pop the next range for `slot`: own queue front first, then steal from
-/// the back of the other executors' queues.
-fn next_range(shared: &Shared, slot: usize) -> Option<(Range<usize>, bool)> {
-    if let Some(r) = lock(&shared.queues[slot]).pop_front() {
-        return Some((r, false));
-    }
-    let k = shared.queues.len();
-    for offset in 1..k {
-        let victim = (slot + offset) % k;
-        if let Some(r) = lock(&shared.queues[victim]).pop_back() {
-            return Some((r, true));
-        }
-    }
-    None
-}
-
-/// Execute ranges for `job` until no work is left anywhere. Each index
-/// is accounted exactly once: completed, panicked, or skipped after
-/// cancellation.
-fn drain(shared: &Shared, job: &ErasedJob, slot: usize) {
-    while let Some((range, stolen)) = next_range(shared, slot) {
-        if stolen {
-            job.steals.fetch_add(1, Ordering::Relaxed);
-        }
-        for idx in range {
-            if job.cancelled.load(Ordering::Acquire) {
-                job.accounted.fetch_add(1, Ordering::Release);
-                continue;
-            }
-            match catch_unwind(AssertUnwindSafe(|| (job.task)(idx))) {
-                Ok(()) => {
-                    job.completed.fetch_add(1, Ordering::Relaxed);
-                    job.accounted.fetch_add(1, Ordering::Release);
-                }
-                Err(payload) => {
-                    job.note_panic(payload);
-                    job.accounted.fetch_add(1, Ordering::Release);
-                }
-            }
-        }
-    }
-    // Wake the submitter under the signal lock so the wakeup cannot
-    // race its condition check.
-    let _sig = lock(&shared.signal);
-    shared.to_caller.notify_all();
-}
-
-fn worker_loop(shared: &Shared, slot: usize) {
+fn worker_loop(shared: &Shared) {
     IN_POOL.with(|f| f.set(true));
     let mut last_seq = 0u64;
     loop {
-        let job: Arc<ErasedJob> = {
+        let job = {
             let mut sig = lock(&shared.signal);
             loop {
                 if sig.shutdown {
                     return;
                 }
-                if let Some(job) = &sig.job {
-                    if job.seq != last_seq {
-                        last_seq = job.seq;
-                        // Register while holding the signal lock: the
-                        // submitter checks `active == 0` under the same
-                        // lock, so it cannot unpublish the job between
-                        // our clone and this increment.
-                        job.active.fetch_add(1, Ordering::AcqRel);
-                        break Arc::clone(job);
-                    }
+                if let Some(job) = sig.job.as_ref().filter(|_| sig.seq != last_seq) {
+                    // Register while holding the signal lock: the
+                    // submitter checks `active == 0` under the same
+                    // lock, so it cannot unpublish the job between
+                    // our clone and this increment.
+                    job.active.fetch_add(1, Ordering::AcqRel);
+                    last_seq = sig.seq;
+                    break Arc::clone(job);
                 }
                 sig = shared
                     .to_workers
@@ -458,13 +426,7 @@ fn worker_loop(shared: &Shared, slot: usize) {
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
             }
         };
-        let participated = catch_unwind(AssertUnwindSafe(|| {
-            (job.wrap)(&mut || drain(shared, &job, slot));
-        }));
-        if let Err(payload) = participated {
-            job.note_panic(payload);
-            drain(shared, &job, slot);
-        }
+        job.execute();
         job.active.fetch_sub(1, Ordering::AcqRel);
         let _sig = lock(&shared.signal);
         shared.to_caller.notify_all();
@@ -524,9 +486,9 @@ mod tests {
 
     #[test]
     fn imbalanced_work_gets_stolen() {
-        // Executor 0 (the caller) owns chunks that include a slow item;
-        // the worker drains its own queue and then must steal the
-        // caller's remaining chunks to finish the job.
+        // 16 chunks of 4, an even split of 8 each. Whichever executor
+        // claims the slow first chunk is held up, so the other claims
+        // the remaining 15, 7 beyond its share.
         let pool = Pool::new(2);
         let n = 64;
         let stats = pool.run(n, &|i| {
@@ -586,6 +548,58 @@ mod tests {
         assert_eq!(stats.completed, 200);
         let w = wraps.load(Ordering::Relaxed);
         assert!((1..=2).contains(&w), "wrap ran {w} times for 2 executors");
+    }
+
+    #[test]
+    fn concurrent_submitters_each_get_every_index_once() {
+        // Four threads submit to one pool at once: submissions queue up,
+        // and no job may lose, repeat or miscount an index.
+        let pool = Pool::new(3);
+        std::thread::scope(|s| {
+            for submitter in 0..4usize {
+                let pool = &pool;
+                s.spawn(move || {
+                    for job in 0..20usize {
+                        let n = 1 + (submitter * 20 + job) * 37 % 301;
+                        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                        let stats = pool.run(n, &|i| {
+                            hits[i].fetch_add(1, Ordering::Relaxed);
+                        });
+                        let at = format!("submitter {submitter}, job {job}");
+                        assert_eq!(stats.completed, n, "{at}");
+                        assert!(stats.panic.is_none(), "{at}");
+                        for (i, h) in hits.iter().enumerate() {
+                            assert_eq!(h.load(Ordering::Relaxed), 1, "{at}, index {i}");
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn panicking_wrap_returns_its_payload() {
+        // The first executor's wrap dies before running anything; the
+        // job must still finish, hand the payload back, and count only
+        // the task calls that really ran.
+        let pool = Pool::new(2);
+        let wraps = AtomicUsize::new(0);
+        let calls = AtomicUsize::new(0);
+        let stats = pool.run_wrapped(
+            500,
+            &|inner| {
+                if wraps.fetch_add(1, Ordering::SeqCst) == 0 {
+                    panic!("wrap failed");
+                }
+                inner();
+            },
+            &|_| {
+                calls.fetch_add(1, Ordering::Relaxed);
+            },
+        );
+        let payload = stats.panic.expect("the wrap's panic payload was lost");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"wrap failed"));
+        assert_eq!(stats.completed, calls.load(Ordering::Relaxed));
     }
 
     #[test]

@@ -68,14 +68,6 @@ impl NodeOperatingPoint {
         self.proc_power + self.mem_power
     }
 
-    /// Power allocated but not consumed — the waste the paper's fourth
-    /// motivating observation calls out ("the provisioned power budget
-    /// could be fully consumed even if the delivered performance is very
-    /// poor", and conversely budget can go unused).
-    pub fn unused_power(&self) -> Watts {
-        (self.alloc.total() - self.total_power()).max(Watts::ZERO)
-    }
-
     /// Does the actual draw respect the allocation's total? False only in
     /// the paper's scenario VI, where the processor cap fell below the
     /// hardware floor.
@@ -119,7 +111,6 @@ mod tests {
     fn totals_and_waste() {
         let p = point(0.9, 100.0, 90.0, (120.0, 120.0));
         assert_eq!(p.total_power().value(), 190.0);
-        assert_eq!(p.unused_power().value(), 50.0);
         assert!(p.respects_bound());
     }
 
@@ -128,7 +119,6 @@ mod tests {
         // Scenario VI shape: floor power exceeds the tiny allocation.
         let p = point(0.1, 48.0, 100.0, (30.0, 100.0));
         assert!(!p.respects_bound());
-        assert_eq!(p.unused_power(), Watts::ZERO);
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub use enforce::{
     WRITE_ATTEMPTS,
 };
 
-use pbc_types::{u64_from_f64, Joules, PbcError, Result, Seconds, Watts};
+use pbc_types::{u64_from_f64, Joules, PbcError, Result, Watts};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -109,13 +109,6 @@ impl RaplDomain {
     pub fn power_limit(&self) -> Result<Watts> {
         let uw = Self::read_u64(&self.path.join("constraint_0_power_limit_uw"))?;
         Ok(Watts::new(uw as f64 / 1e6))
-    }
-
-    /// The constraint-0 averaging time window.
-    #[must_use = "an unused window reading does nothing"]
-    pub fn time_window(&self) -> Result<Seconds> {
-        let us = Self::read_u64(&self.path.join("constraint_0_time_window_us"))?;
-        Ok(Seconds::new(us as f64 / 1e6))
     }
 
     /// Program the long-term power limit. Requires write permission on the
@@ -204,34 +197,6 @@ impl RaplSysfs {
     }
 }
 
-/// Turns two energy readings into average power, handling counter wrap.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnergySample {
-    /// The counter value.
-    pub energy: Joules,
-    /// When it was read (any monotonic clock, in seconds).
-    pub at: Seconds,
-}
-
-/// Average power between two samples of the same domain. `wrap` is the
-/// domain's `max_energy_range`; a counter that moved backwards is assumed
-/// to have wrapped exactly once.
-#[must_use = "the computed power is the whole point of calling this"]
-pub fn average_power(earlier: EnergySample, later: EnergySample, wrap: Joules) -> Result<Watts> {
-    let dt = later.at - earlier.at;
-    if dt.value() <= 0.0 {
-        return Err(PbcError::InvalidInput(
-            "later sample must be after the earlier one".into(),
-        ));
-    }
-    let delta = if later.energy >= earlier.energy {
-        later.energy - earlier.energy
-    } else {
-        later.energy + wrap - earlier.energy
-    };
-    Ok(delta / dt)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,7 +233,6 @@ mod tests {
         let pkg = rapl.packages().next().unwrap();
         assert!((pkg.energy().unwrap().value() - 123.456789).abs() < 1e-9);
         assert!((pkg.power_limit().unwrap().value() - 115.0).abs() < 1e-9);
-        assert!((pkg.time_window().unwrap().value() - 976e-6).abs() < 1e-12);
     }
 
     #[test]
@@ -281,45 +245,6 @@ mod tests {
         // Invalid limits are rejected before touching sysfs.
         assert!(pkg.set_power_limit(Watts::new(-5.0)).is_err());
         assert!(pkg.set_power_limit(Watts::new(0.0)).is_err());
-    }
-
-    #[test]
-    fn average_power_basic() {
-        let a = EnergySample {
-            energy: Joules::new(100.0),
-            at: Seconds::new(10.0),
-        };
-        let b = EnergySample {
-            energy: Joules::new(220.0),
-            at: Seconds::new(12.0),
-        };
-        let p = average_power(a, b, Joules::new(1e6)).unwrap();
-        assert!((p.value() - 60.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn average_power_handles_wrap() {
-        let wrap = Joules::new(1000.0);
-        let a = EnergySample {
-            energy: Joules::new(990.0),
-            at: Seconds::new(0.0),
-        };
-        let b = EnergySample {
-            energy: Joules::new(30.0),
-            at: Seconds::new(2.0),
-        };
-        let p = average_power(a, b, wrap).unwrap();
-        // (30 + 1000 - 990) / 2 = 20 W
-        assert!((p.value() - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn average_power_rejects_bad_ordering() {
-        let a = EnergySample {
-            energy: Joules::new(1.0),
-            at: Seconds::new(5.0),
-        };
-        assert!(average_power(a, a, Joules::new(10.0)).is_err());
     }
 
     #[test]

@@ -30,16 +30,18 @@ pub const SWEEP_SOLVER_ERRORS: &str = "sweep.solver_errors";
 /// evaluated union-grid entry instead of re-solving.
 pub const SWEEP_CURVE_REUSE_HITS: &str = "sweep.curve_reuse_hits";
 
-// --- work-stealing pool (crates/par) ----------------------------------
+// --- thread pool (crates/par) -----------------------------------------
 
 /// One-time gauge: executors the process-wide pool was sized with
 /// (`PBC_THREADS` override, else available parallelism). A value of 1 in
 /// a trace explains a serialized sweep.
 pub const POOL_THREADS: &str = "pool.threads";
-/// Jobs submitted to a pool.
+/// Jobs published to a pool's workers (nested calls run inline and are
+/// not counted).
 pub const POOL_JOBS: &str = "pool.jobs";
-/// Index ranges executed by an executor that did not own them (the
-/// load-balancing the pool exists for).
+/// Chunks an executor claimed beyond an even split of its job,
+/// `ceil(chunks / threads)`: the load imbalance the shared cursor
+/// absorbed.
 pub const POOL_STEALS: &str = "pool.steals";
 
 // --- solver (crates/powersim) -----------------------------------------

@@ -31,7 +31,7 @@ pub mod units;
 pub use allocation::{AllocationSpace, PowerAllocation};
 pub use component::Domain;
 pub use error::{PbcError, Result};
-pub use metrics::{Efficiency, PerfMetric, PerfUnit, Throughput};
+pub use metrics::{PerfMetric, PerfUnit, Throughput};
 pub use rng::XorShift64Star;
 pub use units::{
     approx_eq, is_zero, u16_from_f64, u32_from_f64, u64_from_f64, usize_from_f64, Bandwidth,

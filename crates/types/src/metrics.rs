@@ -1,4 +1,4 @@
-//! Performance and efficiency metrics.
+//! Performance metrics.
 //!
 //! The paper's `perf` is deliberately abstract ("compute rate,
 //! performance-to-power ratio, system throughput", §2.2). We represent a
@@ -78,38 +78,11 @@ impl PerfMetric {
             self.rate / other.rate
         }
     }
-
-    /// Performance-to-power ratio (e.g. GFLOP/s per watt).
-    pub fn per_watt(&self, power: Watts) -> Efficiency {
-        Efficiency {
-            value: if power.value() > 0.0 {
-                self.rate / power.value()
-            } else {
-                0.0
-            },
-            unit: self.unit,
-        }
-    }
 }
 
 impl fmt::Display for PerfMetric {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.3} {}", self.rate, self.unit)
-    }
-}
-
-/// Performance-to-power ratio in `unit` per watt.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Efficiency {
-    /// Rate per watt.
-    pub value: f64,
-    /// The rate's unit (per watt).
-    pub unit: PerfUnit,
-}
-
-impl fmt::Display for Efficiency {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.4} {}/W", self.value, self.unit)
     }
 }
 
@@ -144,15 +117,6 @@ impl Throughput {
             Watts::ZERO
         }
     }
-
-    /// Energy per unit of work (lower is better).
-    pub fn energy_per_work(&self) -> f64 {
-        if self.work_done > 0.0 {
-            self.energy.value() / self.work_done
-        } else {
-            f64::INFINITY
-        }
-    }
 }
 
 #[cfg(test)]
@@ -184,14 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn per_watt() {
-        let p = PerfMetric::new(500.0, PerfUnit::Gflops);
-        let e = p.per_watt(Watts::new(250.0));
-        assert!((e.value - 2.0).abs() < 1e-12);
-        assert_eq!(p.per_watt(Watts::ZERO).value, 0.0);
-    }
-
-    #[test]
     fn throughput_derived_quantities() {
         let t = Throughput {
             work_done: 100.0,
@@ -200,7 +156,6 @@ mod tests {
         };
         assert!((t.rate() - 25.0).abs() < 1e-12);
         assert!((t.mean_power().value() - 200.0).abs() < 1e-12);
-        assert!((t.energy_per_work() - 8.0).abs() < 1e-12);
     }
 
     #[test]
@@ -212,6 +167,5 @@ mod tests {
         };
         assert_eq!(t.rate(), 0.0);
         assert_eq!(t.mean_power(), Watts::ZERO);
-        assert!(t.energy_per_work().is_infinite());
     }
 }

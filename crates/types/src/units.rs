@@ -310,12 +310,6 @@ impl Hertz {
         Self(ghz * 1.0e9)
     }
 
-    /// Value in megahertz.
-    #[inline]
-    pub fn mhz(self) -> f64 {
-        self.0 / 1.0e6
-    }
-
     /// Value in gigahertz.
     #[inline]
     pub fn ghz(self) -> f64 {
@@ -389,7 +383,6 @@ mod tests {
     #[test]
     fn hertz_conversions() {
         let f = Hertz::from_ghz(2.5);
-        assert!((f.mhz() - 2500.0).abs() < 1e-9);
         assert!((f.ghz() - 2.5).abs() < 1e-12);
         assert_eq!(Hertz::from_mhz(1600.0).value(), 1.6e9);
     }

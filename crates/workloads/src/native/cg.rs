@@ -6,73 +6,10 @@
 //! the global reductions acting as the synchronization points that make CG
 //! latency-sensitive on real clusters.
 
+use super::spmv::{laplacian, spmv, Csr};
 use super::{chunk_ranges, KernelConfig, KernelResult};
 use pbc_types::{PerfMetric, PerfUnit, Seconds};
 use std::time::Instant;
-
-/// CSR Laplacian (shared with the SpMV kernel's structure, rebuilt here to
-/// keep the kernels self-contained).
-struct Csr {
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
-    values: Vec<f64>,
-    n: usize,
-}
-
-fn laplacian(side: usize) -> Csr {
-    let n = side * side;
-    let mut row_ptr = Vec::with_capacity(n + 1);
-    let mut col_idx = Vec::new();
-    let mut values = Vec::new();
-    row_ptr.push(0);
-    for r in 0..side {
-        for c in 0..side {
-            let i = r * side + c;
-            if r > 0 {
-                col_idx.push(i - side);
-                values.push(-1.0);
-            }
-            if c > 0 {
-                col_idx.push(i - 1);
-                values.push(-1.0);
-            }
-            col_idx.push(i);
-            values.push(4.0);
-            if c + 1 < side {
-                col_idx.push(i + 1);
-                values.push(-1.0);
-            }
-            if r + 1 < side {
-                col_idx.push(i + side);
-                values.push(-1.0);
-            }
-            row_ptr.push(col_idx.len());
-        }
-    }
-    Csr { row_ptr, col_idx, values, n }
-}
-
-fn spmv(a: &Csr, x: &[f64], y: &mut [f64], threads: usize) {
-    let ranges = chunk_ranges(a.n, threads);
-    std::thread::scope(|s| {
-        let mut rest = y;
-        for r in ranges {
-            let (band, tail) = rest.split_at_mut(r.len());
-            rest = tail;
-            let row0 = r.start;
-            s.spawn(move || {
-                for (i, out) in band.iter_mut().enumerate() {
-                    let row = row0 + i;
-                    let mut acc = 0.0;
-                    for k in a.row_ptr[row]..a.row_ptr[row + 1] {
-                        acc += a.values[k] * x[a.col_idx[k]];
-                    }
-                    *out = acc;
-                }
-            });
-        }
-    });
-}
 
 fn dot(a: &[f64], b: &[f64], threads: usize) -> f64 {
     let ranges = chunk_ranges(a.len(), threads);

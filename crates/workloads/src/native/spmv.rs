@@ -8,16 +8,16 @@ use super::{chunk_ranges, KernelConfig, KernelResult};
 use pbc_types::{PerfMetric, PerfUnit, Seconds};
 use std::time::Instant;
 
-/// CSR matrix.
-struct Csr {
+/// CSR matrix (the CG solver runs on it too).
+pub(super) struct Csr {
     row_ptr: Vec<usize>,
     col_idx: Vec<usize>,
-    values: Vec<f64>,
-    n: usize,
+    pub(super) values: Vec<f64>,
+    pub(super) n: usize,
 }
 
 /// Assemble the 5-point Laplacian on a `side x side` grid.
-fn laplacian(side: usize) -> Csr {
+pub(super) fn laplacian(side: usize) -> Csr {
     let n = side * side;
     let mut row_ptr = Vec::with_capacity(n + 1);
     let mut col_idx = Vec::new();
@@ -54,7 +54,7 @@ fn laplacian(side: usize) -> Csr {
     }
 }
 
-fn spmv(a: &Csr, x: &[f64], y: &mut [f64], threads: usize) {
+pub(super) fn spmv(a: &Csr, x: &[f64], y: &mut [f64], threads: usize) {
     let ranges = chunk_ranges(a.n, threads);
     std::thread::scope(|s| {
         let mut rest = y;

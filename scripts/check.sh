@@ -75,6 +75,10 @@ echo "==> cluster-chaos smoke (fleet fault tolerance: seed sweep + trace invaria
 cargo test -q -p pbc-cli --test cluster_chaos_smoke
 cargo test -q -p pbc-cluster --test fault_tolerance
 cargo test -q -p pbc-cluster --test report_agrees_with_trace
+# The pinned fleet reports must hold whatever the executor count: one
+# executor (the caller runs every chunk) and an oversubscribed pool.
+PBC_THREADS=1 cargo test -q -p pbc-cluster --test golden_replay
+PBC_THREADS=3 cargo test -q -p pbc-cluster --test golden_replay
 # Drive the shipped binary through the worst plan once and hold the two
 # survival laws from the emitted trace file, under a wall-clock timeout
 # where the host provides one (a wedged retry loop must fail the gate,
