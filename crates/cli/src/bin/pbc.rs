@@ -1,6 +1,9 @@
 //! The `pbc` command-line tool — see `pbc --help`.
 
+use std::collections::HashMap;
+use std::io::{ErrorKind, Write as _};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 const HELP: &str = "\
 pbc — cross-component power coordination for power-bounded systems
@@ -81,401 +84,243 @@ fn take_trace_flag(argv: &mut Vec<String>) -> Result<Option<String>, String> {
     Ok(Some(path))
 }
 
-struct Args {
-    platform: Option<String>,
-    bench: Option<String>,
-    budget: Option<f64>,
-    budgets: Option<Vec<f64>>,
-    save: Option<String>,
-    host: Option<String>,
-    card: Option<String>,
-    host_bench: Option<String>,
-    gpu_bench: Option<String>,
-    gpu_share: Option<f64>,
-    plan: Option<String>,
-    seed: Option<u64>,
-    epochs: Option<usize>,
-    objective: Option<String>,
-    tenants: Option<String>,
-    port: Option<u16>,
-    prom_port: Option<u16>,
-    snapshot: Option<String>,
-    stream: bool,
-    nodes: Option<usize>,
-    workers: Option<usize>,
-    pipeline: Option<usize>,
-    duration_ms: Option<u64>,
+/// A flag's value check, run as `parse` meets it; `None` for a switch.
+type Check = Option<fn(&str) -> Result<(), String>>;
+
+/// A flag that takes any text.
+const TEXT: Check = Some(|_| Ok(()));
+
+/// Check that `v` parses as a `T`, naming the flag by `noun` if not.
+fn number<T: FromStr<Err: std::fmt::Display>>(noun: &str, v: &str) -> Result<(), String> {
+    v.parse::<T>().map(drop).map_err(|e| format!("bad {noun}: {e}"))
 }
 
-fn parse(rest: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        platform: None,
-        bench: None,
-        budget: None,
-        budgets: None,
-        save: None,
-        host: None,
-        card: None,
-        host_bench: None,
-        gpu_bench: None,
-        gpu_share: None,
-        plan: None,
-        seed: None,
-        epochs: None,
-        objective: None,
-        tenants: None,
-        port: None,
-        prom_port: None,
-        snapshot: None,
-        stream: false,
-        nodes: None,
-        workers: None,
-        pipeline: None,
-        duration_ms: None,
-    };
-    let mut i = 0;
-    while i < rest.len() {
-        let take = |i: usize| -> Result<&String, String> {
-            rest.get(i + 1).ok_or_else(|| format!("{} needs a value", rest[i]))
-        };
-        match rest[i].as_str() {
-            "-p" | "--platform" => {
-                args.platform = Some(take(i)?.clone());
-                i += 2;
-            }
-            "-w" | "--workload" | "--bench" => {
-                args.bench = Some(take(i)?.clone());
-                i += 2;
-            }
-            "-b" | "--budget" => {
-                // Accept a comma list (`-b 176,208,240`) for `curve`;
-                // single-budget commands see `budget` only when exactly
-                // one value was given.
-                let list: Vec<f64> = take(i)?
-                    .split(',')
-                    .map(|v| v.trim().parse().map_err(|e| format!("bad budget {v:?}: {e}")))
-                    .collect::<Result<_, _>>()?;
-                if list.len() == 1 {
-                    args.budget = Some(list[0]);
-                }
-                args.budgets = Some(list);
-                i += 2;
-            }
-            "--save" => {
-                args.save = Some(take(i)?.clone());
-                i += 2;
-            }
-            "--host" => {
-                args.host = Some(take(i)?.clone());
-                i += 2;
-            }
-            "--card" => {
-                args.card = Some(take(i)?.clone());
-                i += 2;
-            }
-            "--host-bench" => {
-                args.host_bench = Some(take(i)?.clone());
-                i += 2;
-            }
-            "--gpu-bench" => {
-                args.gpu_bench = Some(take(i)?.clone());
-                i += 2;
-            }
-            "--gpu-share" => {
-                args.gpu_share = Some(
-                    take(i)?
-                        .parse()
-                        .map_err(|e| format!("bad gpu share: {e}"))?,
-                );
-                i += 2;
-            }
-            "--plan" => {
-                args.plan = Some(take(i)?.clone());
-                i += 2;
-            }
-            "--seed" => {
-                args.seed = Some(
-                    take(i)?
-                        .parse()
-                        .map_err(|e| format!("bad seed: {e}"))?,
-                );
-                i += 2;
-            }
-            "--epochs" => {
-                args.epochs = Some(
-                    take(i)?
-                        .parse()
-                        .map_err(|e| format!("bad epoch count: {e}"))?,
-                );
-                i += 2;
-            }
-            "--objective" => {
-                args.objective = Some(take(i)?.clone());
-                i += 2;
-            }
-            "--tenants" => {
-                args.tenants = Some(take(i)?.clone());
-                i += 2;
-            }
-            "--port" => {
-                args.port =
-                    Some(take(i)?.parse().map_err(|e| format!("bad port: {e}"))?);
-                i += 2;
-            }
-            "--prom-port" => {
-                args.prom_port =
-                    Some(take(i)?.parse().map_err(|e| format!("bad prom port: {e}"))?);
-                i += 2;
-            }
-            "--snapshot" => {
-                args.snapshot = Some(take(i)?.clone());
-                i += 2;
-            }
-            "--stream" => {
-                args.stream = true;
-                i += 1;
-            }
-            "--nodes" => {
-                args.nodes =
-                    Some(take(i)?.parse().map_err(|e| format!("bad node count: {e}"))?);
-                i += 2;
-            }
-            "--workers" => {
-                args.workers =
-                    Some(take(i)?.parse().map_err(|e| format!("bad worker count: {e}"))?);
-                i += 2;
-            }
-            "--pipeline" => {
-                args.pipeline =
-                    Some(take(i)?.parse().map_err(|e| format!("bad pipeline depth: {e}"))?);
-                i += 2;
-            }
-            "--duration-ms" => {
-                args.duration_ms =
-                    Some(take(i)?.parse().map_err(|e| format!("bad duration: {e}"))?);
-                i += 2;
-            }
-            other => return Err(format!("unknown argument {other}")),
+/// Every flag `pbc` takes: its spellings (errors name the first), the
+/// key `run` reads it by, and its check, which for a number holds the
+/// noun its error names and the type it must parse as.
+const FLAGS: &[(&[&str], &str, Check)] = &[
+    (&["-p", "--platform"], "platform", TEXT),
+    (&["-w", "--workload", "--bench"], "bench", TEXT),
+    (&["-b", "--budget"], "budget", Some(|v| budget_list(v).map(drop))),
+    (&["--save"], "save", TEXT),
+    (&["--host"], "host", TEXT),
+    (&["--card"], "card", TEXT),
+    (&["--host-bench"], "host-bench", TEXT),
+    (&["--gpu-bench"], "gpu-bench", TEXT),
+    (&["--gpu-share"], "gpu-share", Some(|v| number::<f64>("gpu share", v))),
+    (&["--plan"], "plan", TEXT),
+    (&["--seed"], "seed", Some(|v| number::<u64>("seed", v))),
+    (&["--epochs"], "epochs", Some(|v| number::<usize>("epoch count", v))),
+    (&["--objective"], "objective", TEXT),
+    (&["--tenants"], "tenants", TEXT),
+    (&["--port"], "port", Some(|v| number::<u16>("port", v))),
+    (&["--prom-port"], "prom-port", Some(|v| number::<u16>("prom port", v))),
+    (&["--snapshot"], "snapshot", TEXT),
+    (&["--stream"], "stream", None),
+    (&["--nodes"], "nodes", Some(|v| number::<usize>("node count", v))),
+    (&["--workers"], "workers", Some(|v| number::<usize>("worker count", v))),
+    (&["--pipeline"], "pipeline", Some(|v| number::<usize>("pipeline depth", v))),
+    (&["--duration-ms"], "duration-ms", Some(|v| number::<u64>("duration", v))),
+];
+
+/// The wattages of one `-b` value.
+fn budget_list(v: &str) -> Result<Vec<f64>, String> {
+    v.split(',')
+        .map(|w| w.trim().parse().map_err(|e| format!("bad budget {w:?}: {e}")))
+        .collect()
+}
+
+/// "missing FLAG METAVAR" for the flag `run` reads by `key`.
+fn missing(key: &str, metavar: &str) -> String {
+    let flag = FLAGS.iter().find(|f| f.1 == key).map_or(key, |f| f.0[0]);
+    format!("missing {flag} {metavar}")
+}
+
+/// One command line's flags by key; the last value given wins.
+struct Flags<'a>(HashMap<&'static str, &'a str>);
+
+impl<'a> Flags<'a> {
+    /// Walk `args` once against [`FLAGS`], checking each value in order.
+    fn parse(args: &'a [String]) -> Result<Self, String> {
+        let mut flags = HashMap::new();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let Some((_, key, check)) = FLAGS.iter().find(|f| f.0.contains(&arg.as_str())) else {
+                return Err(format!("unknown argument {arg}"));
+            };
+            let value = match check {
+                Some(_) => args.next().ok_or_else(|| format!("{arg} needs a value"))?,
+                None => "",
+            };
+            check.map_or(Ok(()), |check| check(value))?;
+            flags.insert(*key, value);
+        }
+        Ok(Self(flags))
+    }
+
+    fn get(&self, key: &str) -> Option<&'a str> {
+        self.0.get(key).copied()
+    }
+
+    /// The value of `key`, or an error naming its flag and `metavar`.
+    fn req(&self, key: &str, metavar: &str) -> Result<&'a str, String> {
+        self.get(key).ok_or_else(|| missing(key, metavar))
+    }
+
+    fn platform(&self) -> Result<&'a str, String> {
+        self.req("platform", "PLATFORM")
+    }
+
+    fn bench(&self) -> Result<&'a str, String> {
+        self.req("bench", "BENCH")
+    }
+
+    /// A number, read as the type its [`FLAGS`] check let through.
+    fn num<T: FromStr>(&self, key: &str) -> Option<T> {
+        self.get(key).and_then(|v| v.parse().ok())
+    }
+
+    /// Every `-b` wattage, for the commands that take a list.
+    fn budgets(&self) -> Result<Vec<f64>, String> {
+        budget_list(self.req("budget", "W1,W2,...")?)
+    }
+
+    /// The `-b` wattage of a single-budget command: exactly one.
+    fn budget(&self) -> Result<f64, String> {
+        match self.get("budget").map(budget_list).transpose()?.as_deref() {
+            Some(&[w]) => Ok(w),
+            _ => Err(missing("budget", "WATTS")),
         }
     }
-    Ok(args)
-}
-
-fn need<T>(v: Option<T>, what: &str) -> Result<T, String> {
-    v.ok_or_else(|| format!("missing {what}"))
 }
 
 fn run(argv: &[String]) -> Result<String, String> {
-    let Some(cmd) = argv.first() else {
+    let Some((cmd, rest)) = argv.split_first() else {
         return Err(HELP.to_string());
     };
-    let rest = &argv[1..];
-    let e = |err: pbc_types::PbcError| err.to_string();
-    match cmd.as_str() {
-        "-h" | "--help" | "help" => Ok(HELP.to_string()),
-        "platforms" => Ok(pbc_cli::cmd_platforms()),
-        "benchmarks" => Ok(pbc_cli::cmd_benchmarks()),
-        "rapl-status" => Ok(pbc_cli::cmd_rapl_status()),
-        "probe" => {
-            let a = parse(rest)?;
-            pbc_cli::cmd_probe(&need(a.platform, "-p PLATFORM")?, &need(a.bench, "-w BENCH")?)
-                .map_err(e)
+    // Each command's body reads its flags and returns what it prints.
+    let command: fn(&Flags) -> Result<String, Box<dyn std::error::Error>> = match cmd.as_str() {
+        "-h" | "--help" | "help" => return Ok(HELP.to_string()),
+        "platforms" => return Ok(pbc_cli::cmd_platforms()),
+        "benchmarks" => return Ok(pbc_cli::cmd_benchmarks()),
+        "rapl-status" => return Ok(pbc_cli::cmd_rapl_status()),
+        "faults" => {
+            return match rest.first().map(String::as_str) {
+                Some("list") | None => Ok(pbc_cli::cmd_faults_list()),
+                Some(other) => Err(format!("unknown faults subcommand {other}; try `pbc faults list`")),
+            }
         }
-        "coord" => {
-            let a = parse(rest)?;
-            pbc_cli::cmd_coord(
-                &need(a.platform, "-p PLATFORM")?,
-                &need(a.bench, "-w BENCH")?,
-                need(a.budget, "-b WATTS")?,
-            )
-            .map_err(e)
-        }
-        "sweep" => {
-            let a = parse(rest)?;
-            pbc_cli::cmd_sweep(
-                &need(a.platform, "-p PLATFORM")?,
-                &need(a.bench, "-w BENCH")?,
-                need(a.budget, "-b WATTS")?,
-                a.save.as_deref(),
-            )
-            .map_err(e)
-        }
-        "curve" => {
-            let a = parse(rest)?;
-            pbc_cli::cmd_curve(
-                &need(a.platform, "-p PLATFORM")?,
-                &need(a.bench, "-w BENCH")?,
-                &need(a.budgets, "-b W1,W2,...")?,
-            )
-            .map_err(e)
-        }
-        "scenarios" => {
-            let a = parse(rest)?;
-            pbc_cli::cmd_scenarios(
-                &need(a.platform, "-p PLATFORM")?,
-                &need(a.bench, "-w BENCH")?,
-                need(a.budget, "-b WATTS")?,
-            )
-            .map_err(e)
-        }
-        "report" => {
-            let a = parse(rest)?;
-            pbc_cli::cmd_report(
-                &need(a.platform, "-p PLATFORM")?,
-                &need(a.bench, "-w BENCH")?,
-                need(a.budget, "-b WATTS")?,
-            )
-            .map_err(e)
-        }
-        "corun" => {
-            let a = parse(rest)?;
-            pbc_cli::cmd_corun(
-                &need(a.platform, "-p PLATFORM")?,
-                &need(a.bench, "-w A,B")?,
-                need(a.budget, "-b WATTS")?,
-            )
-            .map_err(e)
-        }
-        "hybrid" => {
-            let a = parse(rest)?;
-            pbc_cli::cmd_hybrid(
-                &need(a.host, "--host CPU-PLATFORM")?,
-                &need(a.card, "--card GPU-PLATFORM")?,
-                &need(a.host_bench, "--host-bench BENCH")?,
-                &need(a.gpu_bench, "--gpu-bench BENCH")?,
-                a.gpu_share.unwrap_or(0.7),
-                need(a.budget, "-b WATTS")?,
-            )
-            .map_err(e)
-        }
-        "online" => {
-            let a = parse(rest)?;
-            pbc_cli::cmd_online(
-                &need(a.platform, "-p PLATFORM")?,
-                &need(a.bench, "-w BENCH")?,
-                need(a.budget, "-b WATTS")?,
-            )
-            .map_err(e)
-        }
-        "fastpath" => {
-            let a = parse(rest)?;
-            pbc_cli::cmd_fastpath(
-                &need(a.platform, "-p PLATFORM")?,
-                &need(a.bench, "-w BENCH")?,
-                &need(a.budgets, "-b W1,W2,...")?,
-            )
-            .map_err(e)
-        }
-        "chaos" => {
-            let a = parse(rest)?;
-            pbc_cli::cmd_chaos(
-                &need(a.platform, "-p PLATFORM")?,
-                &need(a.bench, "-w BENCH")?,
-                need(a.budget, "-b WATTS")?,
-                a.plan.as_deref().unwrap_or("everything"),
-                a.seed.unwrap_or(42),
-                a.epochs.unwrap_or(200),
-            )
-            .map_err(e)
-        }
-        "cluster" => {
-            let a = parse(rest)?;
-            if a.plan.is_some() || a.seed.is_some() || a.epochs.is_some() {
+        "probe" => |a| Ok(pbc_cli::cmd_probe(a.platform()?, a.bench()?)?),
+        "coord" => |a| Ok(pbc_cli::cmd_coord(a.platform()?, a.bench()?, a.budget()?)?),
+        "sweep" => |a| Ok(pbc_cli::cmd_sweep(a.platform()?, a.bench()?, a.budget()?, a.get("save"))?),
+        "curve" => |a| Ok(pbc_cli::cmd_curve(a.platform()?, a.bench()?, &a.budgets()?)?),
+        "scenarios" => |a| Ok(pbc_cli::cmd_scenarios(a.platform()?, a.bench()?, a.budget()?)?),
+        "report" => |a| Ok(pbc_cli::cmd_report(a.platform()?, a.bench()?, a.budget()?)?),
+        "corun" => |a| Ok(pbc_cli::cmd_corun(a.platform()?, a.req("bench", "A,B")?, a.budget()?)?),
+        "hybrid" => |a| {
+            Ok(pbc_cli::cmd_hybrid(
+                a.req("host", "CPU-PLATFORM")?,
+                a.req("card", "GPU-PLATFORM")?,
+                a.req("host-bench", "BENCH")?,
+                a.req("gpu-bench", "BENCH")?,
+                a.num("gpu-share").unwrap_or(0.7),
+                a.budget()?,
+            )?)
+        },
+        "online" => |a| Ok(pbc_cli::cmd_online(a.platform()?, a.bench()?, a.budget()?)?),
+        "fastpath" => |a| Ok(pbc_cli::cmd_fastpath(a.platform()?, a.bench()?, &a.budgets()?)?),
+        "chaos" => |a| {
+            Ok(pbc_cli::cmd_chaos(
+                a.platform()?,
+                a.bench()?,
+                a.budget()?,
+                a.get("plan").unwrap_or("everything"),
+                a.num("seed").unwrap_or(42),
+                a.num("epochs").unwrap_or(200),
+            )?)
+        },
+        "cluster" => |a| {
+            if ["plan", "seed", "epochs"].into_iter().any(|k| a.get(k).is_some()) {
                 return Err("pbc cluster runs the static comparison only; replay a fault \
                             plan with `pbc cluster-chaos` (same --plan, --seed and --epochs)"
-                    .to_string());
+                    .into());
             }
-            pbc_cli::cmd_cluster(
-                &need(a.platform, "-p SPEC-FILE")?,
-                need(a.budget, "-b WATTS")?,
-                a.objective.as_deref().unwrap_or("throughput"),
-                a.tenants.as_deref(),
-            )
-            .map_err(e)
-        }
-        "cluster-chaos" => {
-            let a = parse(rest)?;
-            pbc_cli::cmd_cluster_chaos(
-                &need(a.platform, "-p SPEC-FILE")?,
-                need(a.budget, "-b WATTS")?,
-                a.plan.as_deref().unwrap_or("everything"),
-                a.seed.unwrap_or(42),
-                a.epochs.unwrap_or(0),
-                a.objective.as_deref().unwrap_or("throughput"),
-                a.tenants.as_deref(),
-            )
-            .map_err(e)
-        }
-        "serve" => {
-            let a = parse(rest)?;
-            run_serve(&a)
-        }
-        "serve-bench" => {
-            let a = parse(rest)?;
-            pbc_cli::cmd_serve_bench(
-                a.platform.as_deref().unwrap_or("ivybridge"),
-                a.bench.as_deref().unwrap_or("stream"),
-                a.nodes.unwrap_or(1024),
-                a.workers.unwrap_or(2),
-                a.pipeline.unwrap_or(64),
-                a.duration_ms.unwrap_or(1500),
-                a.save.as_deref(),
-            )
-            .map_err(e)
-        }
-        "faults" => match rest.first().map(String::as_str) {
-            Some("list") | None => Ok(pbc_cli::cmd_faults_list()),
-            Some(other) => Err(format!("unknown faults subcommand {other}; try `pbc faults list`")),
+            Ok(pbc_cli::cmd_cluster(
+                a.req("platform", "SPEC-FILE")?,
+                a.budget()?,
+                a.get("objective").unwrap_or("throughput"),
+                a.get("tenants"),
+            )?)
         },
-        other => Err(format!("unknown command {other}\n\n{HELP}")),
+        "cluster-chaos" => |a| {
+            Ok(pbc_cli::cmd_cluster_chaos(
+                a.req("platform", "SPEC-FILE")?,
+                a.budget()?,
+                a.get("plan").unwrap_or("everything"),
+                a.num("seed").unwrap_or(42),
+                a.num("epochs").unwrap_or(0),
+                a.get("objective").unwrap_or("throughput"),
+                a.get("tenants"),
+            )?)
+        },
+        "serve" => |a| Ok(run_serve(a)?),
+        "serve-bench" => |a| {
+            Ok(pbc_cli::cmd_serve_bench(
+                a.get("platform").unwrap_or("ivybridge"),
+                a.get("bench").unwrap_or("stream"),
+                a.num("nodes").unwrap_or(1024),
+                a.num("workers").unwrap_or(2),
+                a.num("pipeline").unwrap_or(64),
+                a.num("duration-ms").unwrap_or(1500),
+                a.get("save"),
+            )?)
+        },
+        other => return Err(format!("unknown command {other}\n\n{HELP}")),
+    };
+    command(&Flags::parse(rest)?).map_err(|e| e.to_string())
+}
+
+/// Print `text` and a newline on stdout. A closed pipe (`BrokenPipe`)
+/// is the reader's choice to stop reading, not a failure.
+fn emit(text: &str) -> Result<(), String> {
+    match writeln!(std::io::stdout(), "{text}") {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => Err(format!("failed printing to stdout: {e}")),
+        _ => Ok(()),
     }
 }
 
 /// The interactive daemon: TCP accept loop plus a stdin control
-/// session on this thread. Responses to stdin requests go to stdout;
-/// the daemon drains (finish in-flight, flush exporters) on stdin EOF,
-/// `quit`, or `shutdown`, then exits 0.
-fn run_serve(a: &Args) -> Result<String, String> {
-    use std::io::BufRead as _;
-
+/// session on this thread, which runs the TCP connections' request
+/// loop with stdout as its writer. The daemon drains (finish in-flight,
+/// flush exporters) when that session ends — stdin EOF, `quit`,
+/// `shutdown`, or a failed read or write — then exits 0.
+fn run_serve(a: &Flags) -> Result<String, String> {
     let engine = std::sync::Arc::new(pbc_serve::ServeEngine::new());
     let mut exporters: Vec<Box<dyn pbc_serve::Exporter>> = Vec::new();
-    if a.stream {
-        exporters.push(Box::new(pbc_serve::JsonLinesExporter::new(
-            std::io::stdout(),
-        )));
+    if a.get("stream").is_some() {
+        exporters.push(Box::new(pbc_serve::JsonLinesExporter::new(std::io::stdout())));
     }
-    if let Some(path) = &a.snapshot {
-        exporters.push(Box::new(pbc_serve::TraceSnapshotExporter::new(
-            std::path::PathBuf::from(path),
-        )));
+    if let Some(path) = a.get("snapshot") {
+        exporters.push(Box::new(pbc_serve::TraceSnapshotExporter::new(path.into())));
     }
     let config = pbc_serve::ServerConfig {
-        addr: format!("127.0.0.1:{}", a.port.unwrap_or(0)),
-        prom_addr: a.prom_port.map(|p| format!("127.0.0.1:{p}")),
+        addr: format!("127.0.0.1:{}", a.num::<u16>("port").unwrap_or(0)),
+        prom_addr: a.num::<u16>("prom-port").map(|p| format!("127.0.0.1:{p}")),
         exporters,
         ..pbc_serve::ServerConfig::default()
     };
     let server = pbc_serve::Server::start(std::sync::Arc::clone(&engine), config)
         .map_err(|e| format!("serve: could not start: {e}"))?;
-    println!("listening {}", server.local_addr());
+    // The TCP side serves whether or not anyone reads these lines.
+    let _ = emit(&format!("listening {}", server.local_addr()));
     if let Some(prom) = server.prom_addr() {
-        println!("prometheus {prom}");
+        let _ = emit(&format!("prometheus {prom}"));
     }
 
-    let stdin = std::io::stdin();
-    let mut response = String::new();
-    for line in stdin.lock().lines() {
-        let line = line.map_err(|e| format!("serve: stdin: {e}"))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let disposition = engine.dispatch_into(&line, &mut response);
-        println!("{response}");
-        if disposition != pbc_serve::Disposition::Respond {
-            break;
-        }
-    }
+    let stdin = std::io::BufReader::new(std::io::stdin());
+    // Stdin reads never time out, so the session never reads its flag.
+    let flag = std::sync::atomic::AtomicBool::new(false);
+    pbc_serve::serve_lines(&engine, stdin, std::io::stdout(), &flag);
     let sessions = engine.session_count();
     server
         .drain()
@@ -484,33 +329,26 @@ fn run_serve(a: &Args) -> Result<String, String> {
 }
 
 fn main() -> ExitCode {
-    let mut argv: Vec<String> = std::env::args().skip(1).collect();
-    let trace_path = match take_trace_flag(&mut argv) {
-        Ok(p) => p,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
+    let Err(msg) = traced_run() else {
+        return ExitCode::SUCCESS;
     };
+    eprintln!("{msg}");
+    ExitCode::FAILURE
+}
+
+/// Run the command line, export the `--trace` file if one was asked
+/// for, then print the command's output.
+fn traced_run() -> Result<(), String> {
+    let mut argv: Vec<String> = std::env::args().skip(1).collect();
+    let trace_path = take_trace_flag(&mut argv)?;
     if trace_path.is_some() {
         pbc_trace::enable();
     }
     let outcome = run(&argv);
     if let Some(path) = trace_path {
         pbc_trace::disable();
-        if let Err(e) = pbc_trace::export(std::path::Path::new(&path)) {
-            eprintln!("could not write trace to {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        pbc_trace::export(std::path::Path::new(&path))
+            .map_err(|e| format!("could not write trace to {path}: {e}"))?;
     }
-    match outcome {
-        Ok(out) => {
-            println!("{out}");
-            ExitCode::SUCCESS
-        }
-        Err(msg) => {
-            eprintln!("{msg}");
-            ExitCode::FAILURE
-        }
-    }
+    emit(&outcome?)
 }

@@ -25,8 +25,8 @@ use pbc_core::{
 use pbc_powersim::coordinate_corun;
 use pbc_platform::{presets, NodeSpec, Platform, PlatformId};
 use pbc_powersim::solve;
-use pbc_types::{PbcError, PowerAllocation, Result, Watts};
-use pbc_workloads::{all_benchmarks, by_name, Benchmark};
+use pbc_types::{check_budget, PbcError, PowerAllocation, Result, Watts};
+use pbc_workloads::{all_benchmarks, by_name, check_target, Benchmark};
 use std::fmt::Write as _;
 
 /// Resolve a platform slug.
@@ -48,6 +48,20 @@ pub fn benchmark(slug: &str) -> Result<Benchmark> {
         let names: Vec<&str> = all_benchmarks().iter().map(|b| b.id.slug()).collect();
         PbcError::NotFound(format!("benchmark {slug:?}; known: {}", names.join(", ")))
     })
+}
+
+/// Resolve a benchmark slug to a benchmark that targets `p`.
+fn benchmark_on(p: &Platform, slug: &str) -> Result<Benchmark> {
+    let b = benchmark(slug)?;
+    check_target(&b, p)?;
+    Ok(b)
+}
+
+/// Resolve a `-p`/`-w` pair: the platform, and a benchmark that targets it.
+fn resolve(platform_slug: &str, bench_slug: &str) -> Result<(Platform, Benchmark)> {
+    let p = platform(platform_slug)?;
+    let b = benchmark_on(&p, bench_slug)?;
+    Ok((p, b))
 }
 
 /// `pbc platforms`
@@ -95,8 +109,7 @@ pub fn cmd_benchmarks() -> String {
 /// `pbc probe -p <platform> -w <bench>`
 #[must_use = "the rendered probe table is the command's entire output"]
 pub fn cmd_probe(platform_slug: &str, bench_slug: &str) -> Result<String> {
-    let p = platform(platform_slug)?;
-    let b = benchmark(bench_slug)?;
+    let (p, b) = resolve(platform_slug, bench_slug)?;
     let mut out = String::new();
     match &p.spec {
         NodeSpec::Cpu { cpu, dram } => {
@@ -128,9 +141,8 @@ pub fn cmd_probe(platform_slug: &str, bench_slug: &str) -> Result<String> {
 /// `pbc coord -p <platform> -w <bench> -b <watts>`
 #[must_use = "the rendered decision is the command's entire output"]
 pub fn cmd_coord(platform_slug: &str, bench_slug: &str, watts: f64) -> Result<String> {
-    let p = platform(platform_slug)?;
-    let b = benchmark(bench_slug)?;
-    let budget = budget(watts)?;
+    let (p, b) = resolve(platform_slug, bench_slug)?;
+    let budget = check_budget("budget", watts)?;
     let decision = match &p.spec {
         NodeSpec::Cpu { cpu, dram } => {
             let c = CriticalPowers::probe(cpu, dram, &b.demand);
@@ -168,12 +180,12 @@ pub fn cmd_coord(platform_slug: &str, bench_slug: &str, watts: f64) -> Result<St
 pub fn cmd_sweep(
     platform_slug: &str,
     bench_slug: &str,
-    budget: f64,
+    watts: f64,
     save: Option<&str>,
 ) -> Result<String> {
-    let p = platform(platform_slug)?;
-    let b = benchmark(bench_slug)?;
-    let problem = PowerBoundedProblem::new(p, b.demand.clone(), Watts::new(budget))?;
+    let (p, b) = resolve(platform_slug, bench_slug)?;
+    let budget = check_budget("budget", watts)?;
+    let problem = PowerBoundedProblem::new(p, b.demand.clone(), budget)?;
     let profile = sweep_budget(&problem, DEFAULT_STEP)?;
     let mut out = String::new();
     let _ = writeln!(
@@ -210,21 +222,8 @@ pub fn cmd_sweep(
     Ok(out)
 }
 
-/// The one `-b` gate: a budget must be a finite wattage above zero.
-/// Anything else is a typed error naming the value, instead of a run
-/// that computes with it.
-fn budget(w: f64) -> Result<Watts> {
-    if !w.is_finite() {
-        return Err(PbcError::InvalidInput(format!("budget {w:?} is not a finite wattage")));
-    }
-    if w <= 0.0 {
-        return Err(PbcError::InvalidInput(format!("budget {w} W is not positive")));
-    }
-    Ok(Watts::new(w))
-}
-
 /// Validate a `-b W1,W2,...` budget list before handing it to the
-/// shared-grid oracle: an empty list, a value [`budget`] refuses, or a
+/// shared-grid oracle: an empty list, a value [`check_budget`] refuses, or a
 /// duplicated budget each get a typed error naming the offender,
 /// instead of surfacing later as a confusing sweep failure.
 fn validate_budget_list(budgets: &[f64]) -> Result<()> {
@@ -234,7 +233,7 @@ fn validate_budget_list(budgets: &[f64]) -> Result<()> {
         ));
     }
     for &w in budgets {
-        budget(w)?;
+        check_budget("budget", w)?;
     }
     // Duplicates would silently sweep the same budget twice and render
     // two identical rows; detect them by exact bit pattern.
@@ -256,8 +255,7 @@ fn validate_budget_list(budgets: &[f64]) -> Result<()> {
 /// union grid, solver work shared through the workload's solve memo.
 #[must_use = "the rendered curve summary is the command's entire output"]
 pub fn cmd_curve(platform_slug: &str, bench_slug: &str, budgets: &[f64]) -> Result<String> {
-    let p = platform(platform_slug)?;
-    let b = benchmark(bench_slug)?;
+    let (p, b) = resolve(platform_slug, bench_slug)?;
     validate_budget_list(budgets)?;
     let problem = PowerBoundedProblem::new(p, b.demand.clone(), Watts::new(budgets[0]))?;
     let watts: Vec<Watts> = budgets.iter().map(|&w| Watts::new(w)).collect();
@@ -303,8 +301,7 @@ pub fn cmd_curve(platform_slug: &str, bench_slug: &str, budgets: &[f64]) -> Resu
 /// side by side.
 #[must_use = "the rendered fast-path summary is the command's entire output"]
 pub fn cmd_fastpath(platform_slug: &str, bench_slug: &str, budgets: &[f64]) -> Result<String> {
-    let p = platform(platform_slug)?;
-    let b = benchmark(bench_slug)?;
+    let (p, b) = resolve(platform_slug, bench_slug)?;
     validate_budget_list(budgets)?;
     let table = CurveTable::shared(&p, &b.demand)?;
     let problem = PowerBoundedProblem::new(p, b.demand.clone(), Watts::new(budgets[0]))?;
@@ -353,9 +350,9 @@ pub fn cmd_fastpath(platform_slug: &str, bench_slug: &str, budgets: &[f64]) -> R
 
 /// `pbc scenarios -p <platform> -w <bench> -b <watts>` (CPU platforms).
 #[must_use = "the rendered scenario table is the command's entire output"]
-pub fn cmd_scenarios(platform_slug: &str, bench_slug: &str, budget: f64) -> Result<String> {
-    let p = platform(platform_slug)?;
-    let b = benchmark(bench_slug)?;
+pub fn cmd_scenarios(platform_slug: &str, bench_slug: &str, watts: f64) -> Result<String> {
+    let (p, b) = resolve(platform_slug, bench_slug)?;
+    let budget = check_budget("budget", watts)?;
     let NodeSpec::Cpu { cpu, dram } = &p.spec else {
         return Err(PbcError::InvalidInput(
             "scenario categorization I-VI applies to CPU platforms (GPUs expose only I-III)"
@@ -365,7 +362,7 @@ pub fn cmd_scenarios(platform_slug: &str, bench_slug: &str, budget: f64) -> Resu
     let criticals = CriticalPowers::probe(cpu, dram, &b.demand);
     let cost = b.demand.phases.first().map(|(_, ph)| ph.pattern_cost).unwrap_or(1.0);
     let dram = dram.clone();
-    let problem = PowerBoundedProblem::new(p, b.demand.clone(), Watts::new(budget))?;
+    let problem = PowerBoundedProblem::new(p, b.demand.clone(), budget)?;
     let profile = sweep_budget(&problem, DEFAULT_STEP)?;
     let mut out = String::new();
     let _ = writeln!(out, "{:>10} {:>10} {:>10}  scenario", "P_proc (W)", "P_mem (W)", "perf");
@@ -386,9 +383,8 @@ pub fn cmd_scenarios(platform_slug: &str, bench_slug: &str, budget: f64) -> Resu
 /// `pbc online -p <platform> -w <bench> -b <watts>`
 #[must_use = "the rendered convergence log is the command's entire output"]
 pub fn cmd_online(platform_slug: &str, bench_slug: &str, watts: f64) -> Result<String> {
-    let p = platform(platform_slug)?;
-    let b = benchmark(bench_slug)?;
-    let budget = budget(watts)?;
+    let (p, b) = resolve(platform_slug, bench_slug)?;
+    let budget = check_budget("budget", watts)?;
     let mut coord = OnlineCoordinator::new(budget, PowerAllocation::split(budget, 0.5), Watts::ZERO);
     let mut out = String::new();
     while !coord.converged() && coord.epochs() < 200 {
@@ -421,19 +417,20 @@ pub fn cmd_online(platform_slug: &str, bench_slug: &str, watts: f64) -> Result<S
 pub fn cmd_chaos(
     platform_slug: &str,
     bench_slug: &str,
-    budget: f64,
+    watts: f64,
     plan_name: &str,
     seed: u64,
     epochs: usize,
 ) -> Result<String> {
     let p = platform(platform_slug)?;
+    let budget = check_budget("budget", watts)?;
     let plan = pbc_faults::FaultPlan::by_name(plan_name, seed).ok_or_else(|| {
         PbcError::NotFound(format!(
             "fault plan {plan_name:?}; known: {}",
             pbc_faults::plan::NAMES.join(", ")
         ))
     })?;
-    let report = pbc_faults::run_chaos(&p, bench_slug, Watts::new(budget), &plan, epochs)?;
+    let report = pbc_faults::run_chaos(&p, bench_slug, budget, &plan, epochs)?;
     Ok(report.to_string())
 }
 
@@ -449,15 +446,15 @@ pub fn cmd_chaos(
 #[must_use = "the rendered fleet comparison is the command's entire output"]
 pub fn cmd_cluster(
     spec_path: &str,
-    budget: f64,
+    watts: f64,
     objective_name: &str,
     tenant_spec: Option<&str>,
 ) -> Result<String> {
+    let global = check_budget("budget", watts)?;
     let text = std::fs::read_to_string(spec_path)
         .map_err(|e| PbcError::Io(format!("could not read fleet spec {spec_path:?}: {e}")))?;
     let spec = pbc_cluster::parse_spec(&text)?;
     let fleet = pbc_cluster::Fleet::build(&spec)?;
-    let global = Watts::new(budget);
     let objective = pbc_cluster::Objective::parse(objective_name)?;
     let tenants = tenant_spec.map(pbc_cluster::TenantSet::parse).transpose()?;
     let mut coordinator =
@@ -533,13 +530,14 @@ pub fn cmd_cluster(
 #[must_use = "the rendered survival report is the command's entire output"]
 pub fn cmd_cluster_chaos(
     spec_path: &str,
-    budget: f64,
+    watts: f64,
     plan_name: &str,
     seed: u64,
     epochs: usize,
     objective_name: &str,
     tenant_spec: Option<&str>,
 ) -> Result<String> {
+    let global = check_budget("budget", watts)?;
     let text = std::fs::read_to_string(spec_path)
         .map_err(|e| PbcError::Io(format!("could not read fleet spec {spec_path:?}: {e}")))?;
     let spec = pbc_cluster::parse_spec(&text)?;
@@ -554,7 +552,7 @@ pub fn cmd_cluster_chaos(
     let tenants = tenant_spec.map(pbc_cluster::TenantSet::parse).transpose()?;
     let report = pbc_cluster::run_cluster_chaos(
         fleet,
-        Watts::new(budget),
+        global,
         &plan,
         epochs,
         objective,
@@ -593,7 +591,7 @@ pub fn cmd_hybrid(
     host_bench: &str,
     gpu_bench: &str,
     gpu_share: f64,
-    budget: f64,
+    watts: f64,
 ) -> Result<String> {
     let host = platform(host_slug)?;
     let card = platform(card_slug)?;
@@ -603,14 +601,15 @@ pub fn cmd_hybrid(
         ));
     };
     let w = HybridWorkload {
-        host_demand: benchmark(host_bench)?.demand,
-        gpu_demand: benchmark(gpu_bench)?.demand,
+        host_demand: benchmark_on(&host, host_bench)?.demand,
+        gpu_demand: benchmark_on(&card, gpu_bench)?.demand,
         gpu_share,
         overlap: 0.0,
     };
-    let pt = coordinate_hybrid(cpu, dram, gpu, &w, Watts::new(budget), Watts::new(10.0))?;
+    let budget = check_budget("budget", watts)?;
+    let pt = coordinate_hybrid(cpu, dram, gpu, &w, budget, Watts::new(10.0))?;
     let mut out = String::new();
-    let _ = writeln!(out, "hybrid coordination for {host_bench}+{gpu_bench} ({:.0}% device) at {budget} W:", gpu_share * 100.0);
+    let _ = writeln!(out, "hybrid coordination for {host_bench}+{gpu_bench} ({:.0}% device) at {watts} W:", gpu_share * 100.0);
     let _ = writeln!(out, "  host budget {:.1} W -> alloc ({:.1}, {:.1})", pt.host_budget.value(), pt.host_alloc.proc.value(), pt.host_alloc.mem.value());
     let _ = writeln!(out, "  card budget {:.1} W -> alloc ({:.1}, {:.1})", pt.gpu_budget.value(), pt.gpu_alloc.proc.value(), pt.gpu_alloc.mem.value());
     let _ = writeln!(out, "  predicted perf {:.3}, mean node power {:.1} W", pt.perf_rel, pt.mean_power.value());
@@ -621,7 +620,7 @@ pub fn cmd_hybrid(
 #[must_use = "the rendered co-run split is the command's entire output"]
 pub fn cmd_corun(platform_slug: &str, pair: &str, watts: f64) -> Result<String> {
     let p = platform(platform_slug)?;
-    let budget = budget(watts)?;
+    let budget = check_budget("budget", watts)?;
     let NodeSpec::Cpu { cpu, dram } = &p.spec else {
         return Err(PbcError::InvalidInput("corun targets CPU platforms".into()));
     };
@@ -630,8 +629,8 @@ pub fn cmd_corun(platform_slug: &str, pair: &str, watts: f64) -> Result<String> 
             "corun takes two comma-separated benchmarks, e.g. -w dgemm,stream".into(),
         ));
     };
-    let da = benchmark(a.trim())?.demand;
-    let db = benchmark(b.trim())?.demand;
+    let da = benchmark_on(&p, a.trim())?.demand;
+    let db = benchmark_on(&p, b.trim())?.demand;
     let mem_cap = Watts::new((watts * 0.4).min(dram.max_power(2.0).value()));
     let (core_split, caps, pt) = coordinate_corun(cpu, dram, [&da, &db], budget, mem_cap)?;
     let mut out = String::new();
@@ -646,13 +645,13 @@ pub fn cmd_corun(platform_slug: &str, pair: &str, watts: f64) -> Result<String> 
 /// `pbc report -p <platform> -w <bench> -b <watts>` — a markdown
 /// coordination report for one workload.
 #[must_use = "the rendered markdown report is the command's entire output"]
-pub fn cmd_report(platform_slug: &str, bench_slug: &str, budget: f64) -> Result<String> {
-    let p = platform(platform_slug)?;
-    let b = benchmark(bench_slug)?;
-    let problem = PowerBoundedProblem::new(p, b.demand.clone(), Watts::new(budget))?;
+pub fn cmd_report(platform_slug: &str, bench_slug: &str, watts: f64) -> Result<String> {
+    let (p, b) = resolve(platform_slug, bench_slug)?;
+    let budget = check_budget("budget", watts)?;
+    let problem = PowerBoundedProblem::new(p, b.demand.clone(), budget)?;
     let ladder: Vec<Watts> = [0.7, 0.85, 1.0, 1.15, 1.3]
         .iter()
-        .map(|f| Watts::new(budget * f))
+        .map(|f| Watts::new(watts * f))
         .collect();
     workload_report(&problem, &ladder, DEFAULT_STEP)
 }
@@ -673,8 +672,7 @@ pub fn cmd_serve_bench(
     save: Option<&str>,
 ) -> Result<String> {
     // Fail fast on bad slugs before booting a daemon.
-    let _ = platform(platform_slug)?;
-    let _ = benchmark(bench_slug)?;
+    let _ = resolve(platform_slug, bench_slug)?;
     let cfg = pbc_serve::BenchConfig {
         nodes,
         workers,
@@ -856,6 +854,7 @@ mod tests {
 
     #[test]
     fn single_budget_commands_refuse_what_the_gate_refuses() {
+        const GPU_ON_HOST: &str = r#"benchmark "sgemm" does not target platform "ivybridge""#;
         let refusals = [
             (cmd_online("ivybridge", "stream", -5.0), "budget -5 W is not positive"),
             (cmd_online("ivybridge", "stream", 0.0), "budget 0 W is not positive"),
@@ -863,6 +862,13 @@ mod tests {
             (cmd_corun("ivybridge", "stream,dgemm", f64::NAN), "budget NaN is not a finite"),
             (cmd_coord("titan-xp", "sgemm", f64::NAN), "budget NaN is not a finite"),
             (cmd_coord("titan-xp", "sgemm", f64::INFINITY), "budget inf is not a finite"),
+            (cmd_sweep("ivybridge", "sra", f64::INFINITY, None), "budget inf is not a finite"),
+            (cmd_cluster("/no/such/fleet.txt", f64::NAN, "throughput", None), "budget NaN is not a finite"),
+            (cmd_hybrid("ivybridge", "titan-xp", "cg", "sgemm", 0.7, f64::NAN), "budget NaN is not a finite"),
+            (cmd_chaos("ivybridge", "stream", f64::NAN, "everything", 42, 10), "budget NaN is not a finite"),
+            // The target check refuses a GPU benchmark on a host.
+            (cmd_coord("ivybridge", "sgemm", 200.0), GPU_ON_HOST),
+            (cmd_chaos("ivybridge", "sgemm", 200.0, "everything", 42, 10), GPU_ON_HOST),
         ];
         for (result, needle) in refusals {
             match result {

@@ -212,3 +212,35 @@ fn serve_drains_on_stdin_eof() {
     assert_eq!(requests, served + rejected, "law broken after EOF drain");
     let _ = std::fs::remove_file(&trace);
 }
+
+#[test]
+fn a_closed_stdout_or_unreadable_stdin_ends_the_stdin_session_with_a_drain() {
+    // Stdout closed before the daemon writes anything; a line that is not UTF-8.
+    let cases: [(&str, &[u8], bool); 2] =
+        [("closed-stdout", b"ping\n", true), ("bad-utf8", b"ping\n\xff\nping\n", false)];
+    for (tag, input, close_stdout) in cases {
+        let snapshot = trace_file(tag);
+        let _ = std::fs::remove_file(&snapshot);
+        let mut child = Command::new(env!("CARGO_BIN_EXE_pbc"))
+            .args(["serve", "--snapshot"])
+            .arg(&snapshot)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("pbc serve spawns");
+        if close_stdout {
+            drop(child.stdout.take());
+        }
+        let mut stdin = child.stdin.take().expect("stdin piped");
+        stdin.write_all(input).expect("write stdin");
+        drop(stdin);
+        let out = child.wait_with_output().expect("daemon exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{tag}: exit status {}; stderr {stderr}", out.status);
+        assert!(!stderr.contains("panicked"), "{tag}: {stderr}");
+        let counters = counters_from(&snapshot);
+        assert_eq!(counters.get("serve.requests"), Some(&1), "{tag}: {counters:?}");
+        let _ = std::fs::remove_file(&snapshot);
+    }
+}

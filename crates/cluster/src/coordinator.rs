@@ -62,7 +62,7 @@ use pbc_par::Pool;
 use pbc_powersim::SolveMemo;
 use pbc_rapl::WRITE_ATTEMPTS;
 use pbc_trace::names;
-use pbc_types::{PbcError, PowerAllocation, Result, Watts};
+use pbc_types::{check_budget, PbcError, PowerAllocation, Result, Watts};
 use std::sync::Mutex;
 
 /// Stream constant for node crash/rejoin decisions.
@@ -305,11 +305,7 @@ impl FleetCoordinator {
     /// which also guarantees a static fallback partition exists.
     #[must_use = "the coordinator result carries either the coordinator or the infeasibility"]
     pub fn new(fleet: Fleet, global: Watts) -> Result<Self> {
-        if !global.is_valid() || global.value() <= 0.0 {
-            return Err(PbcError::InvalidInput(format!(
-                "global budget must be a positive finite wattage, got {global:?}"
-            )));
-        }
+        check_budget("global budget", global.value())?;
         let minimum = fleet.min_total_power();
         if global < minimum {
             return Err(PbcError::BudgetTooSmall { requested: global, minimum });
@@ -461,11 +457,9 @@ impl FleetCoordinator {
     /// static fallback so degraded mode stays safe under the new bound.
     #[must_use = "a rejected budget means the old bound is still in force"]
     pub fn set_global_budget(&mut self, budget: Watts) -> Result<()> {
-        if !budget.is_valid() || budget.value() <= 0.0 {
+        if let Err(e) = check_budget("global budget", budget.value()) {
             pbc_trace::counter(names::CLUSTER_REJECTED_BUDGETS).incr();
-            return Err(PbcError::InvalidInput(format!(
-                "global budget must be a positive finite wattage, got {budget:?}"
-            )));
+            return Err(e);
         }
         let minimum = self.fleet.min_total_power();
         if budget < minimum {

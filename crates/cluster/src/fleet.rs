@@ -22,7 +22,7 @@ use pbc_par::Pool;
 use pbc_platform::{presets, NodeSpec, Platform, PlatformId};
 use pbc_powersim::WorkloadDemand;
 use pbc_types::{PbcError, Result, Watts};
-use pbc_workloads::{by_name, Target};
+use pbc_workloads::{by_name, check_target};
 
 /// One line of a fleet spec: `count` nodes of `platform` running
 /// `bench`.
@@ -179,15 +179,7 @@ impl Fleet {
                 PbcError::NotFound(format!("benchmark {:?} (see `pbc benchmarks`)", line.bench))
             })?;
             let platform = presets::by_id(id);
-            match (&platform.spec, bench.target) {
-                (NodeSpec::Cpu { .. }, Target::Cpu) | (NodeSpec::Gpu(_), Target::Gpu) => {}
-                _ => {
-                    return Err(PbcError::InvalidInput(format!(
-                        "benchmark {:?} does not target platform {:?}",
-                        line.bench, line.platform
-                    )))
-                }
-            }
+            check_target(&bench, &platform)?;
             let key = (id, line.bench.clone());
             let class = match keys.iter().position(|k| *k == key) {
                 Some(ci) => ci,

@@ -47,7 +47,7 @@
 //! rule against a reference copy of the quantum-by-quantum pass.
 
 use pbc_core::CurveTable;
-use pbc_types::{PbcError, Result, Watts};
+use pbc_types::{check_budget, PbcError, Result, Watts};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::ops::Bound;
@@ -188,16 +188,8 @@ pub fn fill_shares(
     if nodes.is_empty() {
         return Ok(Vec::new());
     }
-    if !global.is_valid() || global.value() <= 0.0 {
-        return Err(PbcError::InvalidInput(format!(
-            "global budget must be a positive finite wattage, got {global:?}"
-        )));
-    }
-    if !grant.is_valid() || grant.value() <= 0.0 {
-        return Err(PbcError::InvalidInput(format!(
-            "grant quantum must be a positive finite wattage, got {grant:?}"
-        )));
-    }
+    check_budget("global budget", global.value())?;
+    check_budget("grant quantum", grant.value())?;
     if !weights.is_empty() {
         if weights.len() != nodes.len() {
             return Err(PbcError::InvalidInput(format!(

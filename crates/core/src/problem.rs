@@ -2,7 +2,7 @@
 
 use pbc_platform::{NodeSpec, Platform};
 use pbc_powersim::WorkloadDemand;
-use pbc_types::{PbcError, Result, Watts};
+use pbc_types::{check_budget, PbcError, Result, Watts};
 
 /// A bound instance of the §2.2 problem: one workload on one machine
 /// under one total power bound.
@@ -25,11 +25,7 @@ impl PowerBoundedProblem {
     pub fn new(platform: Platform, workload: WorkloadDemand, budget: Watts) -> Result<Self> {
         platform.validate().map_err(PbcError::InvalidInput)?;
         workload.validate().map_err(PbcError::InvalidInput)?;
-        if !budget.is_valid() || budget.value() <= 0.0 {
-            return Err(PbcError::InvalidInput(format!(
-                "budget must be positive, got {budget}"
-            )));
-        }
+        check_budget("budget", budget.value())?;
         Ok(Self {
             platform,
             workload,

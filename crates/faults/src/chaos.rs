@@ -30,8 +30,8 @@ use pbc_powersim::solve;
 use pbc_rapl::mock::MockTree;
 use pbc_rapl::{current_allocation, enforce_with, RaplDomain, RaplSysfs, WRITE_ATTEMPTS};
 use pbc_trace::names;
-use pbc_types::{PbcError, PowerAllocation, Result, Watts};
-use pbc_workloads::by_name;
+use pbc_types::{check_budget, PbcError, PowerAllocation, Result, Watts};
+use pbc_workloads::{by_name, check_target};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -186,13 +186,10 @@ pub fn run_chaos(
                 .into(),
         ));
     }
-    if !budget.is_valid() || budget.value() <= 0.0 {
-        return Err(PbcError::InvalidInput(format!(
-            "budget must be positive, got {budget}"
-        )));
-    }
+    check_budget("budget", budget.value())?;
     let base = by_name(bench)
         .ok_or_else(|| PbcError::NotFound(format!("unknown benchmark '{bench}'")))?;
+    check_target(&base, platform)?;
     let mut demand = base.demand;
     // Resolve every scheduled phase shift up front so a typo fails the
     // run loudly at tick 0, not silently mid-storm.

@@ -36,7 +36,7 @@ pub use enforce::{
     WRITE_ATTEMPTS,
 };
 
-use pbc_types::{u64_from_f64, Joules, PbcError, Result, Watts};
+use pbc_types::{check_budget, u64_from_f64, Joules, PbcError, Result, Watts};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -115,11 +115,7 @@ impl RaplDomain {
     /// sysfs file (root, typically).
     #[must_use = "an unchecked cap write may have silently failed"]
     pub fn set_power_limit(&self, limit: Watts) -> Result<()> {
-        if !limit.is_valid() || limit.value() <= 0.0 {
-            return Err(PbcError::InvalidInput(format!(
-                "power limit must be positive, got {limit}"
-            )));
-        }
+        check_budget("power limit", limit.value())?;
         let uw = u64_from_f64((limit.value() * 1e6).round()).ok_or_else(|| {
             PbcError::InvalidInput(format!("power limit {limit} overflows the µW register"))
         })?;

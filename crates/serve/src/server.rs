@@ -22,7 +22,7 @@ use crate::engine::{Disposition, ServeEngine};
 use crate::exporter::Exporter;
 use crate::prom::{self, PromEndpoint};
 use pbc_trace::names;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -233,8 +233,19 @@ fn handle_connection(
     let Ok(write_half) = stream.try_clone() else {
         return Disposition::Quit;
     };
-    let mut reader = BufReader::new(stream);
-    let mut writer = BufWriter::new(write_half);
+    serve_lines(engine, BufReader::new(stream), BufWriter::new(write_half), shutdown)
+}
+
+/// The one request loop, for TCP connections and `pbc serve`'s stdin
+/// session: answer each non-blank line of `reader` on `writer`. Returns
+/// `Shutdown` after the `shutdown` verb; `Quit` at EOF, `quit`, a failed
+/// read or write, or a read timeout that finds `shutdown` set.
+pub fn serve_lines<R: Read, W: Write>(
+    engine: &ServeEngine,
+    mut reader: BufReader<R>,
+    mut writer: W,
+    shutdown: &AtomicBool,
+) -> Disposition {
     let mut line = String::new();
     let mut response = String::new();
     loop {

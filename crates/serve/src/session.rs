@@ -29,9 +29,9 @@
 
 use crate::proto::ServeError;
 use pbc_core::{node_ceiling, node_floor, CurveTable, OnlineCoordinator};
-use pbc_platform::{presets, NodeSpec, Platform, PlatformId};
-use pbc_types::{PowerAllocation, Watts};
-use pbc_workloads::{by_name, Target};
+use pbc_platform::{presets, Platform, PlatformId};
+use pbc_types::{check_budget, PowerAllocation, Watts};
+use pbc_workloads::{by_name, check_target};
 
 /// One live coordination session.
 #[derive(Clone)]
@@ -59,20 +59,9 @@ impl Session {
         let platform = resolve_platform(platform_slug)?;
         let bench = by_name(bench_slug)
             .ok_or_else(|| ServeError::UnknownBench(bench_slug.to_string()))?;
-        match (&platform.spec, bench.target) {
-            (NodeSpec::Cpu { .. }, Target::Cpu) | (NodeSpec::Gpu(_), Target::Gpu) => {}
-            _ => {
-                return Err(ServeError::Build(format!(
-                    "benchmark {bench_slug:?} does not target platform {platform_slug:?}"
-                )))
-            }
-        }
-        if !budget.is_finite() || budget <= 0.0 {
-            return Err(ServeError::RejectedBudget(format!(
-                "budget {budget} is not a positive finite wattage"
-            )));
-        }
-        let budget = Watts::new(budget);
+        check_target(&bench, &platform).map_err(|e| ServeError::Build(e.to_string()))?;
+        let budget = check_budget("budget", budget)
+            .map_err(|e| ServeError::RejectedBudget(e.to_string()))?;
         let min = platform.min_node_power();
         if budget < min {
             return Err(ServeError::RejectedBudget(format!(

@@ -110,6 +110,20 @@ impl From<std::io::Error> for PbcError {
     }
 }
 
+/// The one budget gate: `w` must be a finite wattage above zero.
+/// Anything else is [`PbcError::InvalidInput`] naming `label` and the
+/// value, instead of a run that computes with it.
+#[must_use = "the checked budget carries either the wattage or the refusal"]
+pub fn check_budget(label: &str, w: f64) -> Result<Watts> {
+    if !w.is_finite() {
+        return Err(PbcError::InvalidInput(format!("{label} {w:?} is not a finite wattage")));
+    }
+    if w <= 0.0 {
+        return Err(PbcError::InvalidInput(format!("{label} {w} W is not positive")));
+    }
+    Ok(Watts::new(w))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,6 +176,20 @@ mod tests {
         ];
         for e in &real {
             assert!(!e.is_infeasible(), "{e}");
+        }
+    }
+
+    #[test]
+    fn budget_gate_refuses_non_finite_and_non_positive_wattages() {
+        assert_eq!(check_budget("budget", 208.0), Ok(Watts::new(208.0)));
+        let refusals = [
+            (f64::NAN, "budget NaN is not a finite wattage"),
+            (f64::NEG_INFINITY, "budget -inf is not a finite wattage"),
+            (0.0, "budget 0 W is not positive"),
+            (-0.5, "budget -0.5 W is not positive"),
+        ];
+        for (w, msg) in refusals {
+            assert_eq!(check_budget("budget", w), Err(PbcError::InvalidInput(msg.into())));
         }
     }
 

@@ -30,7 +30,7 @@ pub mod units;
 
 pub use allocation::{AllocationSpace, PowerAllocation};
 pub use component::Domain;
-pub use error::{PbcError, Result};
+pub use error::{check_budget, PbcError, Result};
 pub use metrics::{PerfMetric, PerfUnit, Throughput};
 pub use rng::XorShift64Star;
 pub use units::{

@@ -18,8 +18,9 @@
 //!   kernels (§6.2).
 
 use crate::spec::{BenchClass, Benchmark, BenchmarkId, Target};
+use pbc_platform::{NodeSpec, Platform};
 use pbc_powersim::{PhaseDemand, WorkloadDemand};
-use pbc_types::PerfUnit;
+use pbc_types::{PbcError, PerfUnit, Result};
 
 fn phase(
     compute_efficiency: f64,
@@ -269,6 +270,20 @@ pub fn all_benchmarks() -> Vec<Benchmark> {
 pub fn by_name(name: &str) -> Option<Benchmark> {
     let slug = name.to_ascii_lowercase();
     all_benchmarks().into_iter().find(|b| b.id.slug() == slug)
+}
+
+/// Refuse to run `bench` on a platform it does not target: a GPU
+/// benchmark's demand model on a host, or a CPU one on a card.
+#[must_use = "the target check carries the refusal"]
+pub fn check_target(bench: &Benchmark, platform: &Platform) -> Result<()> {
+    match (&platform.spec, bench.target) {
+        (NodeSpec::Cpu { .. }, Target::Cpu) | (NodeSpec::Gpu(_), Target::Gpu) => Ok(()),
+        _ => Err(PbcError::InvalidInput(format!(
+            "benchmark {:?} does not target platform {:?}",
+            bench.id.slug(),
+            platform.id.slug()
+        ))),
+    }
 }
 
 #[cfg(test)]

@@ -128,6 +128,28 @@ cargo test -q -p pbc-serve --test replay_equivalence
 cargo test -q -p pbc-serve --test drain
 cargo test -q -p pbc-serve --test hostile_input
 cargo test -q -p pbc-cli --test serve_smoke
+# The shipped daemon, with a stdout reader that stops after one line: the
+# `ping` fed a second later fails to print, which must end the stdin
+# session with a drain and exit 0, not a panic. POSIX sh has no
+# PIPESTATUS, so the daemon's exit code goes through a file.
+serve_runner=""
+if command -v timeout >/dev/null 2>&1; then serve_runner="timeout 120"; fi
+closed_snap=target/serve-closed-stdout-snapshot.jsonl
+closed_err=target/serve-closed-stdout.err
+closed_code=target/serve-closed-stdout.code
+rm -f "$closed_snap" "$closed_err" "$closed_code"
+{ sleep 1; echo ping; } \
+    | { code=0; $serve_runner ./target/release/pbc serve --snapshot "$closed_snap" \
+            2> "$closed_err" || code=$?; echo "$code" > "$closed_code"; } \
+    | head -n 1 > /dev/null
+test "$(cat "$closed_code")" = 0 \
+    || { echo "error: pbc serve exited $(cat "$closed_code") after its stdout closed" >&2; exit 1; }
+if grep -q panicked "$closed_err"; then
+    echo "error: pbc serve panicked after its stdout closed: $closed_err" >&2; exit 1
+fi
+grep -q '"name":"serve.requests"' "$closed_snap" \
+    || { echo "error: no serve.requests in the final snapshot $closed_snap" >&2; exit 1; }
+echo "    closed stdout: pbc serve drained and exited 0"
 
 echo "==> timed benches (append machine-readable records to BENCH_sweep.json)"
 # BENCH_sweep.json is the *fresh-file* gate input: it must contain only
@@ -193,8 +215,6 @@ echo "==> serve-bench gate (>= 100k queries/sec sustained, p99 dispatch < 50 us)
 # nodes over live pipelined TCP, dispatch latency over the identical
 # in-process path (docs/SERVING.md). Fresh-file rule as for BENCH_sweep.
 rm -f BENCH_serve.json
-serve_runner=""
-if command -v timeout >/dev/null 2>&1; then serve_runner="timeout 120"; fi
 $serve_runner ./target/release/pbc serve-bench --nodes 1024 --workers 2 \
     --pipeline 64 --duration-ms 1500 --save BENCH_serve.json > /dev/null \
     || { echo "error: pbc serve-bench failed or timed out" >&2; exit 1; }
