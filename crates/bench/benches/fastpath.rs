@@ -10,14 +10,10 @@
 //! is recorded as the `fastpath/set-budget-vs-cold-solve`
 //! `"type":"bench-ratio"` line. The ratio is asserted ≥ 10× here and
 //! gated again in `scripts/check.sh`, next to the sweep-curve gate.
-//!
-//! Also measured: the warm-start incremental re-solve against the cold
-//! full-grid sweep it replaces.
 
 use pbc_bench::Bench;
 use pbc_core::{
-    sweep_budget, BudgetOutcome, CurveTable, OnlineCoordinator, PowerBoundedProblem, WarmOracle,
-    DEFAULT_STEP,
+    sweep_budget, BudgetOutcome, CurveTable, OnlineCoordinator, PowerBoundedProblem, DEFAULT_STEP,
 };
 use pbc_platform::presets::ivybridge;
 use pbc_powersim::solve;
@@ -36,7 +32,6 @@ fn main() {
         .expect("problem is well-formed");
 
     set_budget_vs_cold_solve(&mut bench, &problem);
-    warm_resolve_vs_cold_sweep(&mut bench, &problem);
     bench.finish();
 }
 
@@ -88,36 +83,5 @@ fn set_budget_vs_cold_solve(bench: &mut Bench, problem: &PowerBoundedProblem) {
             "a table-served set_budget must be >= {MIN_FASTPATH_SPEEDUP}x faster than even \
              one direct solve, measured {speedup:.2}x",
         );
-    }
-}
-
-/// The warm-start incremental re-solve against the cold full-grid sweep
-/// it is bit-identical to.
-fn warm_resolve_vs_cold_sweep(bench: &mut Bench, problem: &PowerBoundedProblem) {
-    let budget_a = Watts::new(204.0);
-    let budget_b = Watts::new(212.0);
-    let mut oracle = WarmOracle::new(problem, DEFAULT_STEP);
-    // Pay the cold first solve outside the timed region.
-    let _ = oracle.solve(problem.budget).expect("solve succeeds");
-    let mut flip = false;
-    let warm_ns = bench.run("fastpath/warm-resolve", || {
-        flip = !flip;
-        let next = if flip { budget_a } else { budget_b };
-        oracle.solve(black_box(next)).expect("solve succeeds")
-    });
-
-    let mut flip = false;
-    let cold_ns = bench.run("fastpath/cold-sweep", || {
-        flip = !flip;
-        let p = PowerBoundedProblem {
-            platform: problem.platform.clone(),
-            workload: problem.workload.clone(),
-            budget: if flip { budget_a } else { budget_b },
-        };
-        sweep_budget(black_box(&p), DEFAULT_STEP).expect("sweep succeeds")
-    });
-
-    if let (Some(warm_ns), Some(cold_ns)) = (warm_ns, cold_ns) {
-        bench.record_ratio("fastpath/warm-vs-cold-sweep", cold_ns / warm_ns);
     }
 }

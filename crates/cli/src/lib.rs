@@ -20,7 +20,7 @@
 use pbc_core::{
     classify_cpu_point, coord_cpu, coord_gpu, coordinate_hybrid, sweep_budget, sweep_curve,
     workload_report, CoordStatus, CriticalPowers, CurveTable, GpuCoordParams, HybridWorkload,
-    OnlineCoordinator, PowerBoundedProblem, WarmOracle, DEFAULT_STEP,
+    OnlineCoordinator, PowerBoundedProblem, DEFAULT_STEP,
 };
 use pbc_powersim::coordinate_corun;
 use pbc_platform::{presets, NodeSpec, Platform, PlatformId};
@@ -295,17 +295,17 @@ pub fn cmd_curve(platform_slug: &str, bench_slug: &str, budgets: &[f64]) -> Resu
 
 /// `pbc fastpath -p <platform> -w <bench> -b <w1,w2,...>` — the
 /// steady-state serving path: build (or fetch) the class's shared
-/// interpolation table, then answer every requested budget off it —
-/// alongside a warm-start incremental re-solve of the same trajectory,
-/// so the table-served split and the exact oracle optimum are visible
-/// side by side.
+/// interpolation table and answer every requested budget off it, next to
+/// the exact oracle optimum from one `sweep_curve` over the same budgets,
+/// so the table-served split and the oracle's are visible side by side.
 #[must_use = "the rendered fast-path summary is the command's entire output"]
 pub fn cmd_fastpath(platform_slug: &str, bench_slug: &str, budgets: &[f64]) -> Result<String> {
     let (p, b) = resolve(platform_slug, bench_slug)?;
     validate_budget_list(budgets)?;
     let table = CurveTable::shared(&p, &b.demand)?;
     let problem = PowerBoundedProblem::new(p, b.demand.clone(), Watts::new(budgets[0]))?;
-    let mut oracle = WarmOracle::new(&problem, DEFAULT_STEP);
+    let watts: Vec<Watts> = budgets.iter().map(|&w| Watts::new(w)).collect();
+    let profiles = sweep_curve(&problem, &watts, DEFAULT_STEP)?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -318,12 +318,11 @@ pub fn cmd_fastpath(platform_slug: &str, bench_slug: &str, budgets: &[f64]) -> R
     let _ = writeln!(
         out,
         "{:>10} {:>12} {:>11} {:>10} {:>12} {:>11} {:>10}",
-        "P_b (W)", "table proc", "table mem", "tbl perf", "warm proc", "warm mem", "warm perf"
+        "P_b (W)", "table proc", "table mem", "tbl perf", "oracle proc", "oracle mem", "orcl perf"
     );
-    for &w in budgets {
-        let budget = Watts::new(w);
+    for (&budget, profile) in watts.iter().zip(&profiles) {
         let served = table.alloc_at(budget);
-        let warm = oracle.solve(budget)?;
+        let best = profile.best();
         let fmt_alloc = |a: Option<(f64, f64, f64)>| match a {
             Some((proc, mem, perf)) => format!("{proc:>12.1} {mem:>11.1} {perf:>10.3}"),
             None => format!("{:>12} {:>11} {:>10}", "-", "-", "-"),
@@ -331,18 +330,17 @@ pub fn cmd_fastpath(platform_slug: &str, bench_slug: &str, budgets: &[f64]) -> R
         let _ = writeln!(
             out,
             "{:>10.1} {} {}",
-            w,
+            budget.value(),
             fmt_alloc(served.map(|a| (a.proc.value(), a.mem.value(), table.perf_at(budget)))),
-            fmt_alloc(warm.map(|pt| (pt.alloc.proc.value(), pt.alloc.mem.value(), pt.op.perf_rel))),
+            fmt_alloc(best.map(|pt| (pt.alloc.proc.value(), pt.alloc.mem.value(), pt.op.perf_rel))),
         );
     }
     let counters = pbc_trace::snapshot().counters;
     let read = |name: &str| counters.get(name).copied().unwrap_or(0);
     let _ = writeln!(
         out,
-        "served: {} table hits, {} warm re-solves, {} table builds this process",
+        "served: {} table hits, {} table builds this process",
         read(pbc_trace::names::FASTPATH_TABLE_HITS),
-        read(pbc_trace::names::SOLVE_WARM_HITS),
         read(pbc_trace::names::FASTPATH_TABLE_REBUILDS)
     );
     Ok(out)
@@ -816,11 +814,29 @@ mod tests {
     }
 
     #[test]
-    fn fastpath_renders_table_and_warm_columns() {
-        let out = cmd_fastpath("ivybridge", "stream", &[180.0, 208.0, 40.0]).unwrap();
+    fn fastpath_renders_table_and_oracle_columns() {
+        let budgets = [180.0, 208.0, 40.0];
+        let out = cmd_fastpath("ivybridge", "stream", &budgets).unwrap();
         assert!(out.contains("class table: floor"), "{out}");
         // Header + 3 budget rows + table line + counter line.
         assert_eq!(out.lines().count(), 6, "{out}");
+        // Each row's oracle columns render the per-budget sweep's best
+        // point at that budget.
+        let (p, b) = resolve("ivybridge", "stream").unwrap();
+        for (&w, row) in budgets.iter().zip(out.lines().skip(2)) {
+            let problem = PowerBoundedProblem::new(p.clone(), b.demand.clone(), Watts::new(w)).unwrap();
+            let oracle = match sweep_budget(&problem, DEFAULT_STEP).unwrap().best() {
+                Some(pt) => format!(
+                    "{:>12.1} {:>11.1} {:>10.3}",
+                    pt.alloc.proc.value(),
+                    pt.alloc.mem.value(),
+                    pt.op.perf_rel
+                ),
+                None => format!("{:>12} {:>11} {:>10}", "-", "-", "-"),
+            };
+            assert!(row.starts_with(&format!("{w:>10.1} ")), "{row}");
+            assert!(row.ends_with(&format!(" {oracle}")), "{row} != ... {oracle}");
+        }
         // A budget below the class floor renders as unserved, not an error.
         let dash_row = out.lines().find(|l| l.trim_start().starts_with("40.0")).unwrap();
         assert!(dash_row.contains('-'), "{out}");

@@ -5,30 +5,19 @@
 //! The paper's COORD reacts to budget changes (§5, and its stated
 //! future work on online dynamic budgeting), but a full oracle re-solve
 //! costs microseconds per budget — three orders of magnitude more than
-//! a memo hit. This module closes that gap with two layers, each
-//! bit-faithful to the oracle it replaces:
+//! a memo hit. [`CurveTable`] closes that gap: a precomputed
+//! `perf_max ~ P_b` interpolation table per `(platform, demand)`, built
+//! once via the shared-grid oracle and served *lock-free*: holders keep
+//! an immutable `Arc<CurveTable>` and never touch a mutex on the read
+//! path. The table also stores the oracle's best *allocation* per rung,
+//! so `OnlineCoordinator::set_budget`, serve sessions and the cluster
+//! water-filler all answer "what do I apply at budget `b`?" without a
+//! solver in the loop. Served allocations are counted under
+//! `fastpath.table_hits`, builds under `fastpath.table_rebuilds`.
 //!
-//! 1. **[`CurveTable`]** — a precomputed `perf_max ~ P_b` interpolation
-//!    table per `(platform, demand)`, built once via the shared-grid
-//!    oracle and served *lock-free*: holders keep an immutable
-//!    `Arc<CurveTable>` and never touch a mutex on the read path. The
-//!    table also stores the oracle's best *allocation* per rung, so
-//!    `OnlineCoordinator::set_budget` and the cluster water-filler can
-//!    both answer "what do I apply at budget `b`?" without a solver in
-//!    the loop. Served allocations are counted under
-//!    `fastpath.table_hits`, builds under `fastpath.table_rebuilds`.
-//! 2. **[`WarmOracle`]** — an incremental re-solver. Its first answer
-//!    is the shared-grid oracle's; when the budget then moves by a
-//!    delta, the grid search is seeded from the previous optimum and
-//!    walks *outward* instead of rescanning the full space; §3.4's
-//!    structure (performance rises through scenarios IV/II to the
-//!    balance point, then falls through III/V) makes the outward walk
-//!    terminate early, and a stall bound keeps it exact in the presence
-//!    of quantization plateaus. The result is bit-identical to a cold
-//!    [`sweep_budget`](crate::sweep_budget) best point — asserted
-//!    field-exact by `crates/core/tests/fastpath_equivalence.rs`, the
-//!    same contract style as `sweep_curve_equivalence.rs`. Warm solves
-//!    are counted under `solve.warm_hits`.
+//! The table is the one serving path. The exact optimum at an arbitrary
+//! budget is the oracle's: [`sweep_curve`](crate::sweep_curve) over the
+//! budgets in question, as `pbc fastpath` does for its oracle column.
 //!
 //! Measured on a CI-class container (see `docs/PERFORMANCE.md`), the
 //! table path serves an allocation in tens of nanoseconds against a
@@ -37,13 +26,12 @@
 
 use crate::critical::CriticalPowers;
 use crate::problem::PowerBoundedProblem;
-use crate::profile::SweepPoint;
-use crate::sweep::{sweep_curve, sweep_curve_with_pool, DEFAULT_STEP};
+use crate::sweep::{sweep_curve_with_pool, DEFAULT_STEP};
 use pbc_par::Pool;
 use pbc_platform::{NodeSpec, Platform};
-use pbc_powersim::{BoundedRegistry, SolveMemo, WorkloadDemand};
+use pbc_powersim::{BoundedRegistry, WorkloadDemand};
 use pbc_trace::names;
-use pbc_types::{AllocationSpace, PbcError, PowerAllocation, Result, Watts};
+use pbc_types::{PbcError, PowerAllocation, Result, Watts};
 use std::sync::{Arc, OnceLock};
 
 /// Budget spacing of the interpolation-table samples. Coarser than the
@@ -54,14 +42,6 @@ pub const TABLE_STEP: Watts = Watts::new(8.0);
 /// Most shared curve tables the process keeps (same bound and LRU
 /// policy as the solve-memo registry).
 pub const MAX_SHARED_TABLES: usize = 64;
-
-/// Feasible evaluations the warm search tolerates strictly below its
-/// running best before a direction is abandoned. §3.4's perf-vs-split
-/// shape is unimodal with quantization plateaus; 16 grid points (64 W at
-/// the default 4 W step) is far wider than any plateau the hardware
-/// models produce, and the equivalence tests hold the search to the
-/// cold sweep bit for bit.
-const WARM_STALL_LIMIT: usize = 16;
 
 /// The smallest node budget this class can run on: the platform's
 /// hardware floor, raised to the workload's COORD minimum (regime D's
@@ -102,13 +82,13 @@ pub fn node_ceiling(platform: &Platform, demand: &WorkloadDemand) -> Watts {
 ///
 /// The samples come from one shared-grid oracle pass
 /// ([`sweep_curve_with_pool`](crate::sweep_curve_with_pool)) through the
-/// class's [`SolveMemo`], so they are bit-identical regardless of
-/// thread count — which is what makes table-served decisions
-/// replayable. §3.1 shows `perf_max ~ P_b` is monotone non-decreasing
-/// and concave-ish, so linear interpolation preserves exactly the
-/// marginal-gain structure water-filling needs, and the interpolation
-/// error at any off-grid budget is bounded by the adjacent rungs' gap
-/// (asserted by the fast-path equivalence tests).
+/// class's [`SolveMemo`](pbc_powersim::SolveMemo), so they are
+/// bit-identical regardless of thread count — which is what makes
+/// table-served decisions replayable. §3.1 shows `perf_max ~ P_b` is
+/// monotone non-decreasing and concave-ish, so linear interpolation
+/// preserves exactly the marginal-gain structure water-filling needs,
+/// and the interpolation error at any off-grid budget is bounded by the
+/// adjacent rungs' gap (asserted by the fast-path equivalence tests).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CurveTable {
     /// Budget of the first sample (the class floor).
@@ -191,12 +171,6 @@ impl CurveTable {
         tables().clear();
     }
 
-    /// Shared tables currently registered (≤ [`MAX_SHARED_TABLES`]).
-    #[must_use]
-    pub fn shared_len() -> usize {
-        tables().len()
-    }
-
     /// The last sampled budget; grants past it gain nothing.
     #[must_use]
     pub fn ceiling(&self) -> Watts {
@@ -258,172 +232,12 @@ impl CurveTable {
     }
 }
 
-/// An incremental oracle for one `(platform, demand)` pair: re-solves
-/// after a budget delta by seeding the grid search from the previous
-/// optimum and walking outward, bit-identical to a cold full-grid
-/// sweep.
-///
-/// The oracle holds its *own* `Arc<SolveMemo>` handle, so its cache
-/// survives even if the process-wide registry evicts the fingerprint
-/// (the eviction contract: live handles keep their caches).
-pub struct WarmOracle {
-    /// The problem the oracle was built from; each solve re-binds only
-    /// its budget.
-    problem: PowerBoundedProblem,
-    step: Watts,
-    memo: Arc<SolveMemo>,
-    /// The previous solve's optimum, seeding the next warm search.
-    last: Option<SweepPoint>,
-}
-
-impl WarmOracle {
-    /// Bind an oracle to a problem's platform and workload. `step` is
-    /// the sweep stepping (callers match the cold sweeps they compare
-    /// against; [`DEFAULT_STEP`](crate::DEFAULT_STEP) elsewhere).
-    #[must_use]
-    pub fn new(problem: &PowerBoundedProblem, step: Watts) -> WarmOracle {
-        WarmOracle {
-            memo: SolveMemo::for_problem(&problem.platform, &problem.workload),
-            problem: problem.clone(),
-            step,
-            last: None,
-        }
-    }
-
-    /// Best allocation at `budget`. The first call is a cold
-    /// [`sweep_curve`] of the one budget; later calls seed from the
-    /// previous optimum and search outward (warm, counted under
-    /// `solve.warm_hits`). `Ok(None)` means no allocation of this budget
-    /// is schedulable — exactly when a cold sweep would return an empty
-    /// profile. Real solver errors fail the call, like the sweep's error
-    /// contract.
-    #[must_use = "the re-solve result carries either the optimum or the solver failure"]
-    pub fn solve(&mut self, budget: Watts) -> Result<Option<SweepPoint>> {
-        let best = match self.last {
-            None => sweep_curve(&self.problem, &[budget], self.step)?
-                .first()
-                .and_then(|profile| profile.best().copied()),
-            Some(prev) => {
-                static WARM: OnceLock<pbc_trace::Counter> = OnceLock::new();
-                WARM.get_or_init(|| pbc_trace::counter(names::SOLVE_WARM_HITS)).incr();
-                let space = AllocationSpace::new(
-                    budget,
-                    self.problem.proc_cap_range(),
-                    self.problem.mem_cap_range(),
-                    self.step,
-                );
-                let allocs: Vec<PowerAllocation> = space.iter().collect();
-                self.warm_scan(&allocs, prev.alloc.proc)?
-            }
-        };
-        self.last = best;
-        Ok(best)
-    }
-
-    /// Evaluate one grid point through the memo. `Ok(None)` is an
-    /// infeasible point (skipped, like the sweep); errors propagate.
-    fn eval(&self, alloc: PowerAllocation) -> Result<Option<SweepPoint>> {
-        match self.memo.solve(alloc) {
-            Ok(op) => Ok(Some(SweepPoint { alloc, op })),
-            Err(e) if e.is_infeasible() => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Outward search from the grid index nearest the previous optimum.
-    ///
-    /// Rightward, ties replace the running best (`>=`); leftward only a
-    /// *strictly* better point replaces it, so the rightmost point of a
-    /// maximal plateau wins — the tie-break of `SweepProfile::best`
-    /// (`max_by` returns the last maximum over ascending processor
-    /// caps). A direction is abandoned after
-    /// [`WARM_STALL_LIMIT`] consecutive feasible points strictly below
-    /// the running best; infeasible points neither count nor reset the
-    /// stall (a fully infeasible direction walks to the grid edge, so a
-    /// warm `None` coincides exactly with a cold empty profile).
-    fn warm_scan(
-        &self,
-        allocs: &[PowerAllocation],
-        prev_proc: Watts,
-    ) -> Result<Option<SweepPoint>> {
-        if allocs.is_empty() {
-            return Ok(None);
-        }
-        let lo = allocs[0].proc.value();
-        let step = self.step.value().max(1e-3);
-        let seed_f = ((prev_proc.value() - lo) / step).round();
-        let seed = if seed_f <= 0.0 {
-            0
-        } else {
-            (seed_f as usize).min(allocs.len() - 1)
-        };
-
-        let mut best: Option<SweepPoint> = None;
-        // Rightward from the seed (inclusive): ties advance the best.
-        let mut stall = 0usize;
-        for &alloc in &allocs[seed..] {
-            if let Some(pt) = self.eval(alloc)? {
-                if best.map_or(true, |b| pt.op.perf_rel >= b.op.perf_rel) {
-                    best = Some(pt);
-                    stall = 0;
-                } else {
-                    stall += 1;
-                    if stall >= WARM_STALL_LIMIT {
-                        break;
-                    }
-                }
-            }
-        }
-        // Leftward from the seed (exclusive): only strict improvements
-        // replace (rightmost-of-plateau wins); equal-performance points
-        // do not stall the walk, so a plateau on the rising flank never
-        // hides the peak.
-        stall = 0;
-        for &alloc in allocs[..seed].iter().rev() {
-            if let Some(pt) = self.eval(alloc)? {
-                match &best {
-                    Some(b) if pt.op.perf_rel > b.op.perf_rel => {
-                        best = Some(pt);
-                        stall = 0;
-                    }
-                    Some(b) if pt.op.perf_rel < b.op.perf_rel => {
-                        stall += 1;
-                        if stall >= WARM_STALL_LIMIT {
-                            break;
-                        }
-                    }
-                    Some(_) => {}
-                    None => {
-                        best = Some(pt);
-                        stall = 0;
-                    }
-                }
-            }
-        }
-        Ok(best)
-    }
-
-    /// Forget the warm seed; the next [`WarmOracle::solve`] runs cold.
-    pub fn reset(&mut self) {
-        self.last = None;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sweep::sweep_budget;
     use pbc_platform::presets::{ivybridge, titan_xp};
     use pbc_workloads::by_name;
-
-    fn cpu_problem(bench: &str, budget: f64) -> PowerBoundedProblem {
-        PowerBoundedProblem::new(
-            ivybridge(),
-            by_name(bench).unwrap().demand,
-            Watts::new(budget),
-        )
-        .unwrap()
-    }
 
     #[test]
     fn table_serves_budget_respecting_allocations() {
@@ -475,42 +289,6 @@ mod tests {
         let c = CurveTable::shared(&p, &d).unwrap();
         assert!(!Arc::ptr_eq(&a, &c), "clear must drop the registry route");
         assert_eq!(*a, *c, "a rebuilt table must be identical");
-    }
-
-    #[test]
-    fn warm_solve_matches_cold_sweep_after_deltas() {
-        let mut oracle = WarmOracle::new(&cpu_problem("sra", 240.0), DEFAULT_STEP);
-        for budget in [240.0, 236.0, 248.0, 208.0, 209.5, 280.0, 160.0] {
-            let warm = oracle.solve(Watts::new(budget)).unwrap();
-            let cold = sweep_budget(&cpu_problem("sra", budget), DEFAULT_STEP).unwrap();
-            match (warm, cold.best()) {
-                (Some(w), Some(c)) => {
-                    assert_eq!(w.alloc.proc.value().to_bits(), c.alloc.proc.value().to_bits());
-                    assert_eq!(w.op.perf_rel.to_bits(), c.op.perf_rel.to_bits());
-                }
-                (None, None) => {}
-                (w, c) => panic!("warm {w:?} vs cold {c:?} at {budget} W"),
-            }
-        }
-    }
-
-    #[test]
-    fn warm_none_tracks_cold_empty_on_gpu_floors() {
-        let problem = PowerBoundedProblem::new(
-            titan_xp(),
-            by_name("sgemm").unwrap().demand,
-            Watts::new(200.0),
-        )
-        .unwrap();
-        let mut oracle = WarmOracle::new(&problem, DEFAULT_STEP);
-        assert!(oracle.solve(Watts::new(200.0)).unwrap().is_some());
-        // Below the card minimum every grid point is infeasible: the warm
-        // walk must reach both edges and agree with the cold empty profile.
-        assert!(oracle.solve(Watts::new(80.0)).unwrap().is_none());
-        // And recover cold-identically afterwards.
-        let back = oracle.solve(Watts::new(200.0)).unwrap().unwrap();
-        let cold = sweep_budget(&problem, DEFAULT_STEP).unwrap();
-        assert_eq!(back.op.perf_rel.to_bits(), cold.best().unwrap().op.perf_rel.to_bits());
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! | [`analysis`]| §3.1, §3.4, Table 1 | `perf_max ~ P_b` curves, inflections, critical component, balance/utilization |
 //! | [`efficiency`]| §2.1 RQ4 | acceptable budget bands, perf-per-watt curves, stranded power |
 //! | [`online`]   | §5 future work | model-free feedback coordinator (online dynamic budgeting) |
-//! | [`fastpath`] | §5 future work | steady-state serving: lock-free curve tables and warm-start re-solves |
+//! | [`fastpath`] | §5 future work | steady-state serving: lock-free curve tables, one per workload class |
 //! | [`model`]    | §7 (vs [34]) | closed-form piecewise performance predictor from critical values |
 //! | [`hybrid`]   | §2.2 future work | host+card budget coordination for offload applications |
 
@@ -55,7 +55,7 @@ pub use baselines::{oracle, AllocationPolicy, Baseline, CpuPolicy, GpuPolicy};
 pub use coord::{coord_cpu, coord_gpu, CoordResult, CoordStatus, GpuCoordParams};
 pub use critical::CriticalPowers;
 pub use efficiency::{efficiency_curve, most_efficient_budget, AcceptableRange, BudgetVerdict, EfficiencyPoint};
-pub use fastpath::{node_ceiling, node_floor, CurveTable, WarmOracle, TABLE_STEP};
+pub use fastpath::{node_ceiling, node_floor, CurveTable, TABLE_STEP};
 pub use hybrid::{coordinate_hybrid, solve_hybrid_split, HybridPoint, HybridWorkload};
 pub use model::PiecewiseModel;
 pub use online::{check_report, BudgetOutcome, ObservationOutcome, OnlineCoordinator};

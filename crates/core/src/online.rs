@@ -208,14 +208,9 @@ impl OnlineCoordinator {
     /// already at (or within one table rung of) the peak — instead of
     /// the rescaled old ratio, and [`Self::set_budget`] itself never
     /// touches a solver.
-    pub fn attach_table(&mut self, table: Arc<CurveTable>) {
-        self.table = Some(table);
-    }
-
-    /// Builder-style [`Self::attach_table`].
     #[must_use]
     pub fn with_table(mut self, table: Arc<CurveTable>) -> Self {
-        self.attach_table(table);
+        self.table = Some(table);
         self
     }
 
@@ -242,7 +237,7 @@ impl OnlineCoordinator {
     /// Re-target the search at a new node budget (mid-run budget steps
     /// are a fact of life on power-bounded clusters — caps get
     /// re-negotiated while jobs run). With a table attached
-    /// ([`Self::attach_table`]) the search re-opens from the table's
+    /// ([`Self::with_table`]) the search re-opens from the table's
     /// precomputed optimum for the new budget — the steady-state fast
     /// path, no solver in the loop. Otherwise the learned proc/mem
     /// *ratio* is kept, rescaled to the new total. Either way the search

@@ -27,12 +27,10 @@
 //!
 //! The sweep is the *authority*, not the serving path. Steady-state
 //! callers answering repeated budget changes should go through
-//! [`crate::fastpath`]: [`crate::fastpath::WarmOracle`] re-solves
-//! incrementally from the previous optimum (bit-identical to
-//! [`sweep_budget`], asserted in `tests/fastpath_equivalence.rs`), and
-//! [`crate::fastpath::CurveTable`] precomputes a per-class ladder through
-//! [`sweep_curve`] and serves allocations without any solver in the
-//! loop.
+//! [`crate::fastpath::CurveTable`], which precomputes a per-class ladder
+//! through [`sweep_curve`] and serves allocations without any solver in
+//! the loop. A caller that needs the exact optimum at several arbitrary
+//! budgets runs one [`sweep_curve`] over them.
 //!
 //! ## Error contract
 //!

@@ -1,12 +1,7 @@
 //! The steady-state fast path's contract, in the same spirit as
-//! `sweep_curve_equivalence.rs`: every shortcut must be *provably* the
+//! `sweep_curve_equivalence.rs`: the table must be *provably* the
 //! oracle in disguise.
 //!
-//! * [`pbc_core::WarmOracle`] — the warm-start outward search — must be
-//!   bit-identical, field by field, to a cold full-grid
-//!   [`pbc_core::sweep_budget`] best point, across budget deltas of any
-//!   size and direction, across pool sizes, and while the shared memo
-//!   registry churns past its capacity bound.
 //! * [`pbc_core::CurveTable`] — the precomputed interpolation table —
 //!   must serve allocations that (a) never exceed the queried budget,
 //!   (b) re-solve to exactly the stored rung performance, and (c)
@@ -15,149 +10,14 @@
 //! * `OnlineCoordinator::set_budget` with a table attached must be
 //!   served off the table (counted under `fastpath.table_hits`), with
 //!   no solver in the loop.
+//!
+//! The exact optimum at an arbitrary budget is `sweep_curve`'s, held
+//! bit-identical to per-budget sweeps by `sweep_curve_equivalence.rs`.
 
-use pbc_core::{
-    sweep_budget, sweep_budget_with_pool, CurveTable, OnlineCoordinator, PowerBoundedProblem,
-    SweepPoint, WarmOracle, DEFAULT_STEP,
-};
-use pbc_par::Pool;
-use pbc_platform::presets::{ivybridge, titan_xp};
-use pbc_powersim::SolveMemo;
+use pbc_core::{sweep_budget, CurveTable, OnlineCoordinator, PowerBoundedProblem, DEFAULT_STEP};
+use pbc_platform::presets::ivybridge;
 use pbc_types::{PowerAllocation, Watts};
 use pbc_workloads::by_name;
-
-fn cpu_problem(bench: &str, budget: f64) -> PowerBoundedProblem {
-    PowerBoundedProblem::new(ivybridge(), by_name(bench).unwrap().demand, Watts::new(budget))
-        .unwrap()
-}
-
-fn gpu_problem(bench: &str, budget: f64) -> PowerBoundedProblem {
-    PowerBoundedProblem::new(titan_xp(), by_name(bench).unwrap().demand, Watts::new(budget))
-        .unwrap()
-}
-
-/// Exact comparison of a warm result against the cold sweep's best at
-/// the same budget: same feasibility verdict, and on the `Some` side
-/// every field bit-equal (`SweepPoint: PartialEq` compares the f64
-/// fields exactly).
-fn assert_matches_cold(
-    warm: Option<SweepPoint>,
-    problem: &PowerBoundedProblem,
-    pool: Option<&Pool>,
-) {
-    let cold = match pool {
-        Some(p) => sweep_budget_with_pool(problem, DEFAULT_STEP, p).unwrap(),
-        None => sweep_budget(problem, DEFAULT_STEP).unwrap(),
-    };
-    match (warm, cold.best()) {
-        (Some(w), Some(c)) => {
-            assert_eq!(&w, c, "warm result diverges at budget {}", problem.budget);
-        }
-        (None, None) => {}
-        (w, c) => panic!(
-            "feasibility verdicts diverge at budget {}: warm {w:?} vs cold {c:?}",
-            problem.budget
-        ),
-    }
-}
-
-/// Budget trajectories the re-solver must track exactly: small steps up,
-/// small steps down, off-grid jitter, and cliff jumps.
-fn delta_trajectory(base: f64) -> Vec<f64> {
-    vec![
-        base,
-        base + 4.0,
-        base + 8.0,
-        base + 5.5, // off-grid
-        base - 4.0,
-        base - 20.0,
-        base + 60.0, // cliff up
-        base - 70.0, // cliff down
-        base + 0.25, // sub-step jitter
-        base,
-    ]
-}
-
-#[test]
-fn warm_resolve_is_bit_identical_to_cold_sweeps_cpu() {
-    for bench in ["stream", "sra", "dgemm"] {
-        let mut oracle = WarmOracle::new(&cpu_problem(bench, 208.0), DEFAULT_STEP);
-        for budget in delta_trajectory(208.0) {
-            let problem = cpu_problem(bench, budget);
-            let warm = oracle.solve(Watts::new(budget)).unwrap();
-            assert_matches_cold(warm, &problem, None);
-        }
-    }
-}
-
-#[test]
-fn warm_resolve_is_bit_identical_to_cold_sweeps_gpu() {
-    let mut oracle = WarmOracle::new(&gpu_problem("sgemm", 200.0), DEFAULT_STEP);
-    // Includes budgets below the settable card range: the warm search
-    // must agree with the cold sweep's *empty* verdict there, and
-    // recover bit-exactly when the budget comes back.
-    for budget in [200.0, 192.0, 95.0, 80.0, 200.0, 250.0, 204.5] {
-        let problem = gpu_problem("sgemm", budget);
-        let warm = oracle.solve(Watts::new(budget)).unwrap();
-        assert_matches_cold(warm, &problem, None);
-    }
-}
-
-#[test]
-fn warm_resolve_matches_cold_across_pool_sizes() {
-    // The warm path is serial by construction; the *cold* reference runs
-    // on pools of several sizes. Equality across all of them pins both
-    // determinism claims at once.
-    for threads in [1usize, 2, 8] {
-        let pool = Pool::new(threads);
-        let mut oracle = WarmOracle::new(&cpu_problem("sra", 220.0), DEFAULT_STEP);
-        for budget in [220.0, 216.0, 228.0, 180.0, 240.0] {
-            let problem = cpu_problem("sra", budget);
-            let warm = oracle.solve(Watts::new(budget)).unwrap();
-            assert_matches_cold(warm, &problem, Some(&pool));
-        }
-    }
-}
-
-#[test]
-fn warm_resolve_survives_memo_registry_churn() {
-    let mut oracle = WarmOracle::new(&cpu_problem("stream", 208.0), DEFAULT_STEP);
-    assert_matches_cold(
-        oracle.solve(Watts::new(208.0)).unwrap(),
-        &cpu_problem("stream", 208.0),
-        None,
-    );
-    // Churn the shared memo registry well past its capacity bound so the
-    // oracle's fingerprint is evicted. The oracle holds its own Arc, so
-    // its cache — and its bit-exactness — must survive.
-    let platform = ivybridge();
-    for i in 0..70 {
-        let mut demand = by_name("dgemm").unwrap().demand;
-        for (_, phase) in &mut demand.phases {
-            phase.arithmetic_intensity += 0.001 * (i + 1) as f64;
-        }
-        let _ = SolveMemo::for_problem(&platform, &demand);
-    }
-    for budget in [204.0, 212.0, 196.0, 208.0] {
-        let problem = cpu_problem("stream", budget);
-        let warm = oracle.solve(Watts::new(budget)).unwrap();
-        assert_matches_cold(warm, &problem, None);
-    }
-}
-
-#[test]
-fn warm_hits_are_counted() {
-    let before = pbc_trace::counter(pbc_trace::names::SOLVE_WARM_HITS).get();
-    let mut oracle = WarmOracle::new(&cpu_problem("sra", 208.0), DEFAULT_STEP);
-    let _ = oracle.solve(Watts::new(208.0)).unwrap(); // cold
-    let _ = oracle.solve(Watts::new(212.0)).unwrap(); // warm
-    let _ = oracle.solve(Watts::new(204.0)).unwrap(); // warm
-    let after = pbc_trace::counter(pbc_trace::names::SOLVE_WARM_HITS).get();
-    assert!(
-        after >= before + 2,
-        "two seeded re-solves must count as warm hits ({before} -> {after})"
-    );
-}
 
 #[test]
 fn table_allocations_respect_budgets_and_resolve_to_rung_perf() {

@@ -7,9 +7,9 @@
 //! for SM boost automatically — the §4 behaviour the paper contrasts with
 //! RAPL's independent domains.
 
+use crate::rapl::{PowerWindow, UPSTEP_MARGIN};
 use pbc_platform::GpuSpec;
 use pbc_types::{PbcError, Result, Watts};
-use std::collections::VecDeque;
 
 /// Windowed card-power governor.
 #[derive(Debug, Clone)]
@@ -17,9 +17,7 @@ pub struct GpuCapper {
     card_cap: Watts,
     mem_level: usize,
     sm_clock: usize,
-    window: usize,
-    history: VecDeque<f64>,
-    upstep_margin: f64,
+    window: PowerWindow,
 }
 
 impl GpuCapper {
@@ -41,9 +39,7 @@ impl GpuCapper {
             card_cap: card_cap.min(gpu.max_card_cap),
             mem_level: mem_level.min(gpu.mem.top()),
             sm_clock: gpu.sm.top(),
-            window: window.max(1),
-            history: VecDeque::with_capacity(window.max(1)),
-            upstep_margin: 0.97,
+            window: PowerWindow::new(window),
         })
     }
 
@@ -62,28 +58,15 @@ impl GpuCapper {
         self.sm_clock
     }
 
-    /// Windowed running-average of observed total card power.
-    pub fn running_average(&self) -> Watts {
-        if self.history.is_empty() {
-            Watts::ZERO
-        } else {
-            Watts::new(self.history.iter().sum::<f64>() / self.history.len() as f64)
-        }
-    }
-
     /// Feed one total-power sample and take at most one SM clock step.
     /// Returns the new SM clock index.
     pub fn observe_and_step(&mut self, gpu: &GpuSpec, total_power: Watts) -> usize {
-        if self.history.len() == self.window {
-            self.history.pop_front();
-        }
-        self.history.push_back(total_power.value());
-        let avg = self.running_average();
+        let avg = self.window.push(total_power);
         if avg > self.card_cap {
             // Clock down, but never below the lowest exposed clock — the
             // driver guard that keeps GPUs out of categories IV-VI.
             self.sm_clock = self.sm_clock.saturating_sub(1);
-        } else if avg < self.card_cap * self.upstep_margin && self.sm_clock < gpu.sm.top() {
+        } else if avg < self.card_cap * UPSTEP_MARGIN && self.sm_clock < gpu.sm.top() {
             // Predict the next clock's draw by scaling the SM share of the
             // measurement with the state power ratio.
             let cur = gpu.sm.power_at(self.sm_clock, 1.0).value();

@@ -7,21 +7,19 @@
 //! the discrete-time engine; the steady-state equivalent is
 //! [`pbc_platform::DramSpec::bandwidth_under_cap`].
 
+use crate::rapl::{PowerWindow, UPSTEP_MARGIN};
 use pbc_platform::DramSpec;
 use pbc_types::{Bandwidth, Watts};
-use std::collections::VecDeque;
 
 /// Windowed running-average controller for the DRAM domain.
 #[derive(Debug, Clone)]
 pub struct DramThrottle {
     cap: Watts,
-    window: usize,
-    history: VecDeque<f64>,
+    window: PowerWindow,
     /// Current throttle level: `0..=levels`, where `levels` means
     /// unthrottled and `1` is the deepest usable level (one step of
     /// bandwidth). Level 0 never occurs — the system always progresses.
     level: u32,
-    upstep_margin: f64,
 }
 
 impl DramThrottle {
@@ -29,10 +27,8 @@ impl DramThrottle {
     pub fn new(dram: &DramSpec, cap: Watts, window: usize) -> Self {
         Self {
             cap,
-            window: window.max(1),
-            history: VecDeque::with_capacity(window.max(1)),
+            window: PowerWindow::new(window),
             level: dram.throttle_levels,
-            upstep_margin: 0.97,
         }
     }
 
@@ -56,26 +52,13 @@ impl DramThrottle {
         dram.max_bandwidth * (self.level as f64 / dram.throttle_levels as f64)
     }
 
-    /// Windowed running-average of observed power.
-    pub fn running_average(&self) -> Watts {
-        if self.history.is_empty() {
-            Watts::ZERO
-        } else {
-            Watts::new(self.history.iter().sum::<f64>() / self.history.len() as f64)
-        }
-    }
-
     /// Feed one power sample and take at most one throttle step. Returns
     /// the new bandwidth ceiling.
     pub fn observe_and_step(&mut self, dram: &DramSpec, measured: Watts) -> Bandwidth {
-        if self.history.len() == self.window {
-            self.history.pop_front();
-        }
-        self.history.push_back(measured.value());
-        let avg = self.running_average();
+        let avg = self.window.push(measured);
         if avg > self.cap && self.level > 1 {
             self.level -= 1;
-        } else if avg < self.cap * self.upstep_margin && self.level < dram.throttle_levels {
+        } else if avg < self.cap * UPSTEP_MARGIN && self.level < dram.throttle_levels {
             // Predict the next level's worst-case power before climbing.
             let next_bw = dram.max_bandwidth * ((self.level + 1) as f64 / dram.throttle_levels as f64);
             // Use streaming cost for the prediction; the controller cannot

@@ -34,16 +34,52 @@ impl LadderPosition {
     }
 }
 
+/// Fraction of the cap below which every capping controller here (PKG,
+/// DRAM and the GPU governor) tries stepping back up: hysteresis to
+/// avoid limit cycles.
+pub(crate) const UPSTEP_MARGIN: f64 = 0.97;
+
+/// The running average of the last `len` power samples that every
+/// capping controller here acts on.
+#[derive(Debug, Clone)]
+pub(crate) struct PowerWindow {
+    len: usize,
+    samples: VecDeque<f64>,
+}
+
+impl PowerWindow {
+    /// An empty window over `len` samples (at least one).
+    pub(crate) fn new(len: usize) -> Self {
+        let len = len.max(1);
+        Self { len, samples: VecDeque::with_capacity(len) }
+    }
+
+    /// The average of the samples held (0 before any sample).
+    pub(crate) fn average(&self) -> Watts {
+        if self.samples.is_empty() {
+            Watts::ZERO
+        } else {
+            Watts::new(self.samples.iter().sum::<f64>() / self.samples.len() as f64)
+        }
+    }
+
+    /// Add one sample, dropping the oldest once the window is full, and
+    /// return the new average.
+    pub(crate) fn push(&mut self, sample: Watts) -> Watts {
+        if self.samples.len() == self.len {
+            self.samples.pop_front();
+        }
+        self.samples.push_back(sample.value());
+        self.average()
+    }
+}
+
 /// Windowed running-average power-limit controller for the PKG domain.
 #[derive(Debug, Clone)]
 pub struct RaplController {
     cap: Watts,
-    window: usize,
-    history: VecDeque<f64>,
+    window: PowerWindow,
     position: LadderPosition,
-    /// Fraction of the cap below which the controller tries stepping back
-    /// up (hysteresis to avoid limit cycles).
-    upstep_margin: f64,
 }
 
 impl RaplController {
@@ -52,13 +88,11 @@ impl RaplController {
     pub fn new(cpu: &CpuSpec, cap: Watts, window: usize) -> Self {
         Self {
             cap,
-            window: window.max(1),
-            history: VecDeque::with_capacity(window.max(1)),
+            window: PowerWindow::new(window),
             position: LadderPosition {
                 pstate: cpu.pstates.len() - 1,
                 tstate: None,
             },
-            upstep_margin: 0.97,
         }
     }
 
@@ -79,25 +113,17 @@ impl RaplController {
 
     /// Windowed running-average of observed power (0 before any sample).
     pub fn running_average(&self) -> Watts {
-        if self.history.is_empty() {
-            Watts::ZERO
-        } else {
-            Watts::new(self.history.iter().sum::<f64>() / self.history.len() as f64)
-        }
+        self.window.average()
     }
 
     /// Feed one power sample and take at most one ladder step. Returns the
     /// new position.
     pub fn observe_and_step(&mut self, cpu: &CpuSpec, measured: Watts) -> LadderPosition {
-        if self.history.len() == self.window {
-            self.history.pop_front();
-        }
-        self.history.push_back(measured.value());
-        let avg = self.running_average();
+        let avg = self.window.push(measured);
 
         if avg > self.cap {
             self.step_down(cpu);
-        } else if avg < self.cap * self.upstep_margin {
+        } else if avg < self.cap * UPSTEP_MARGIN {
             // Only climb if the *instantaneous* draw also has headroom —
             // the PCU predicts the next state's power before committing.
             self.step_up(cpu, measured);

@@ -60,6 +60,13 @@ fn c_rejected() -> &'static pbc_trace::Counter {
     c(names::SERVE_REJECTED_REQUESTS, &C)
 }
 
+/// Render `err` into `out` and count the rejection.
+fn reject(err: &ServeError, out: &mut String) {
+    out.clear();
+    proto::render_err(out, err);
+    c_rejected().incr();
+}
+
 /// The transport-independent daemon core.
 pub struct ServeEngine {
     sessions: RwLock<HashMap<u64, Arc<Mutex<Session>>>>,
@@ -134,13 +141,17 @@ impl ServeEngine {
         };
         match outcome {
             Ok(()) => c_served().incr(),
-            Err(err) => {
-                out.clear();
-                proto::render_err(out, &err);
-                c_rejected().incr();
-            }
+            Err(err) => reject(&err, out),
         }
         Disposition::Respond
+    }
+
+    /// Answer a request line the transport refused before dispatch (one
+    /// past [`MAX_LINE_BYTES`](crate::server::MAX_LINE_BYTES)) with
+    /// `err`, counted like any other rejected request.
+    pub(crate) fn reject_into(&self, err: &ServeError, out: &mut String) {
+        c_requests().incr();
+        reject(err, out);
     }
 
     fn session(&self, id: u64) -> Result<Arc<Mutex<Session>>, ServeError> {

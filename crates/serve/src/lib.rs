@@ -54,5 +54,5 @@ pub use exporter::{Exporter, JsonLinesExporter, TraceSnapshotExporter};
 pub use hist::LatencyHistogram;
 pub use prom::{render_prometheus, PrometheusExporter};
 pub use proto::{parse, parse_alloc_line, Request, ServeError};
-pub use server::{serve_lines, Server, ServerConfig};
+pub use server::{serve_lines, Server, ServerConfig, MAX_LINE_BYTES};
 pub use session::Session;

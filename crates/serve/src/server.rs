@@ -21,6 +21,7 @@
 use crate::engine::{Disposition, ServeEngine};
 use crate::exporter::Exporter;
 use crate::prom::{self, PromEndpoint};
+use crate::proto::ServeError;
 use pbc_trace::names;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -65,7 +66,7 @@ pub struct Server {
 }
 
 /// How long a handler blocks in one read before re-checking the
-/// shutdown flag. Partial lines survive the timeout: `read_line`
+/// shutdown flag. Partial lines survive the timeout: `serve_lines`
 /// appends, so a line split across timeouts is still read whole.
 const READ_POLL: Duration = Duration::from_millis(50);
 
@@ -236,42 +237,59 @@ fn handle_connection(
     serve_lines(engine, BufReader::new(stream), BufWriter::new(write_half), shutdown)
 }
 
+/// Longest request line the daemon reads, newline included. The bytes
+/// of a longer line past the cap are dropped as they arrive instead of
+/// buffered, so one connection cannot make the daemon hold more than
+/// this much of a request; the line is answered `err bad-request` once
+/// it ends and the connection keeps serving.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
 /// The one request loop, for TCP connections and `pbc serve`'s stdin
 /// session: answer each non-blank line of `reader` on `writer`. Returns
-/// `Shutdown` after the `shutdown` verb; `Quit` at EOF, `quit`, a failed
-/// read or write, or a read timeout that finds `shutdown` set.
+/// `Shutdown` after the `shutdown` verb; `Quit` at EOF, `quit`, a line
+/// that is not UTF-8, a failed read or write, or a read timeout that
+/// finds `shutdown` set.
 pub fn serve_lines<R: Read, W: Write>(
     engine: &ServeEngine,
     mut reader: BufReader<R>,
     mut writer: W,
     shutdown: &AtomicBool,
 ) -> Disposition {
-    let mut line = String::new();
+    let mut line = Vec::new();
     let mut response = String::new();
+    // Set when `line` fills to the cap with no newline: the rest of the
+    // line is then skipped, not read into `line`.
+    let mut overlong = false;
     loop {
-        // `line` is cleared only after a complete dispatch: `read_line`
+        // `line` is cleared only after a complete dispatch: `read_until`
         // appends, so a line split across read timeouts accumulates
         // until its newline arrives.
-        match reader.read_line(&mut line) {
-            Ok(0) => break Disposition::Quit, // client closed
+        let read = if overlong {
+            reader.skip_until(b'\n')
+        } else {
+            let room = MAX_LINE_BYTES - line.len();
+            (&mut reader).take(room as u64).read_until(b'\n', &mut line)
+        };
+        let disposition = match read {
+            Ok(0) if !overlong => break Disposition::Quit, // client closed
+            Ok(_) if overlong => {
+                let err = format!("request line longer than {MAX_LINE_BYTES} bytes");
+                engine.reject_into(&ServeError::Malformed(err), &mut response);
+                Disposition::Respond
+            }
+            Ok(_) if line.len() == MAX_LINE_BYTES && line.last() != Some(&b'\n') => {
+                overlong = true;
+                continue;
+            }
             Ok(_) => {
-                if !line.trim().is_empty() {
-                    let disposition = engine.dispatch_into(&line, &mut response);
-                    if writeln!(writer, "{response}").is_err() {
-                        break Disposition::Quit;
-                    }
-                    // Flush only when no further request is already
-                    // buffered — this is what lets a pipelining client
-                    // amortize syscalls over a whole batch.
-                    if reader.buffer().is_empty() && writer.flush().is_err() {
-                        break Disposition::Quit;
-                    }
-                    if disposition != Disposition::Respond {
-                        let _ = writer.flush();
-                        break disposition;
-                    }
+                let Ok(text) = std::str::from_utf8(&line) else {
+                    break Disposition::Quit;
+                };
+                if text.trim().is_empty() {
+                    line.clear();
+                    continue;
                 }
-                line.clear();
+                engine.dispatch_into(text, &mut response)
             }
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock
@@ -284,8 +302,24 @@ pub fn serve_lines<R: Read, W: Write>(
                 if shutdown.load(Ordering::SeqCst) {
                     break Disposition::Quit;
                 }
+                continue;
             }
             Err(_) => break Disposition::Quit,
+        };
+        line.clear();
+        overlong = false;
+        if writeln!(writer, "{response}").is_err() {
+            break Disposition::Quit;
+        }
+        // Flush only when no further request is already buffered — this
+        // is what lets a pipelining client amortize syscalls over a
+        // whole batch.
+        if reader.buffer().is_empty() && writer.flush().is_err() {
+            break Disposition::Quit;
+        }
+        if disposition != Disposition::Respond {
+            let _ = writer.flush();
+            break disposition;
         }
     }
 }

@@ -60,10 +60,6 @@ pub const SOLVE_CACHE_MISSES: &str = "solve.cache_misses";
 /// Shared memos evicted from the process-wide registry when it hits its
 /// capacity bound (oldest-use first).
 pub const SOLVE_CACHE_EVICTIONS: &str = "solve.cache_evictions";
-/// Re-solves answered by the warm-start outward search instead of a
-/// full-grid rescan (the budget moved by a small delta and the previous
-/// optimum seeded the search).
-pub const SOLVE_WARM_HITS: &str = "solve.warm_hits";
 
 // --- steady-state fast path (crates/core/src/fastpath.rs) --------------
 

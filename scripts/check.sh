@@ -123,10 +123,11 @@ awk -v j="$jain" 'BEGIN { exit (j >= 0.95 ? 0 : 1) }' \
     || { echo "error: calm-state Jain index ${jain} is below the 0.95 bar" >&2; exit 1; }
 echo "    trace laws held: no overdraw, no floor violations, calm-state Jain ${jain} >= 0.95"
 
-echo "==> serve smoke (daemon round trips, drain laws, replay equivalence, hostile input, via real sockets)"
+echo "==> serve smoke (daemon round trips, drain laws, replay equivalence, hostile input, over-long lines, via real sockets)"
 cargo test -q -p pbc-serve --test replay_equivalence
 cargo test -q -p pbc-serve --test drain
 cargo test -q -p pbc-serve --test hostile_input
+cargo test -q -p pbc-serve --test long_lines
 cargo test -q -p pbc-cli --test serve_smoke
 # The shipped daemon, with a stdout reader that stops after one line: the
 # `ping` fed a second later fails to print, which must end the stdin
