@@ -106,14 +106,20 @@ fn curve_vs_independent_budgets(bench: &mut Bench) {
         profiles
     });
 
-    if let (Some(independent_ns), Some(curve_ns)) = (independent, curve) {
-        let speedup = independent_ns / curve_ns;
+    if let (Some(independent), Some(curve)) = (independent, curve) {
+        let speedup = independent.median_ns / curve.median_ns;
         bench.record_ratio("sweep/curve-vs-budgets-speedup", speedup);
         assert!(
             speedup >= MIN_CURVE_SPEEDUP,
             "shared-grid curve over {} budgets must be >= {MIN_CURVE_SPEEDUP}x faster than \
-             independent per-budget sweeps, measured {speedup:.2}x",
+             independent per-budget sweeps, measured {speedup:.2}x \
+             (sweep/10-budgets-independent median {:.0} ns, min {:.0} ns; \
+             sweep/10-budgets-curve median {:.0} ns, min {:.0} ns)",
             budgets.len(),
+            independent.median_ns,
+            independent.min_ns,
+            curve.median_ns,
+            curve.min_ns,
         );
     }
 }
@@ -181,14 +187,14 @@ fn cluster_water_fill(bench: &mut Bench) {
             })
             .collect();
         let global = Watts::new(130.0 * curves.len() as f64);
-        let median = bench.run(label, || {
+        let timing = bench.run(label, || {
             let (curves, global) = (black_box(&curves), black_box(global));
             let shares = fill_shares(curves, &[], global, DEFAULT_GRANT, Objective::Throughput)
                 .expect("partition succeeds");
             assert_eq!(shares.len(), curves.len());
             shares
         });
-        per_node_ns.push(median.map(|ns| ns / curves.len() as f64));
+        per_node_ns.push(timing.map(|t| t.median_ns / curves.len() as f64));
     }
     if let [Some(small), _, Some(large)] = per_node_ns[..] {
         bench.record_ratio("cluster/water-fill-per-node-4096-vs-32", large / small);

@@ -25,6 +25,15 @@ const WARMUP_WINDOW: Duration = Duration::from_millis(50);
 /// Upper bound on recorded samples per benchmark.
 const MAX_SAMPLES: usize = 512;
 
+/// One measured benchmark's per-iteration times, in nanoseconds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Timing {
+    /// The fastest sample.
+    pub min_ns: f64,
+    /// The median sample.
+    pub median_ns: f64,
+}
+
 /// The bench runner. Construct once per bench binary with
 /// [`Bench::from_env`], then call [`Bench::run`] per benchmark.
 pub struct Bench {
@@ -56,11 +65,11 @@ impl Bench {
     /// Run one benchmark: `f` is invoked repeatedly and its return value
     /// passed through `black_box` so the optimizer cannot elide the work.
     ///
-    /// Returns the median ns per iteration when the benchmark was actually
-    /// measured, and `None` when it was filtered out or ran in smoke mode —
-    /// so derived metrics (see [`Bench::record_ratio`]) are only computed
-    /// from real timings.
-    pub fn run<T, F: FnMut() -> T>(&mut self, name: &str, mut f: F) -> Option<f64> {
+    /// Returns the min and median ns per iteration when the benchmark was
+    /// actually measured, and `None` when it was filtered out or ran in
+    /// smoke mode — so derived metrics (see [`Bench::record_ratio`]) are
+    /// only computed from real timings.
+    pub fn run<T, F: FnMut() -> T>(&mut self, name: &str, mut f: F) -> Option<Timing> {
         if let Some(filter) = &self.filter {
             if !name.contains(filter.as_str()) {
                 return None;
@@ -105,7 +114,7 @@ impl Bench {
             samples.len(),
         );
         append_json_record(name, min, median, mean, samples.len(), batch);
-        Some(median)
+        Some(Timing { min_ns: min, median_ns: median })
     }
 
     /// Record a ratio derived from two measured medians (e.g. a baseline
@@ -188,19 +197,19 @@ mod tests {
     fn smoke_mode_runs_once_and_yields_no_median() {
         let mut b = Bench { filter: None, smoke: true, ran: 0 };
         let mut calls = 0;
-        let median = b.run("unit", || calls += 1);
+        let timing = b.run("unit", || calls += 1);
         assert_eq!(calls, 1);
         assert_eq!(b.ran, 1);
-        assert_eq!(median, None);
+        assert_eq!(timing, None);
     }
 
     #[test]
     fn filter_skips_non_matching() {
         let mut b = Bench { filter: Some("xyz".into()), smoke: true, ran: 0 };
         let mut calls = 0;
-        let median = b.run("abc", || calls += 1);
+        let timing = b.run("abc", || calls += 1);
         assert_eq!(calls, 0);
-        assert_eq!(median, None);
+        assert_eq!(timing, None);
         b.finish();
     }
 }

@@ -18,7 +18,7 @@
 
 pub mod harness;
 
-pub use harness::Bench;
+pub use harness::{Bench, Timing};
 
 /// Shared helper: a standard IvyBridge problem for benches.
 pub fn ivy_problem(bench: &str, budget: f64) -> pbc_core::PowerBoundedProblem {

@@ -50,12 +50,12 @@ USAGE:
                                         groups on every node
   pbc faults list                       list every canned fault plan
   pbc rapl-status                       read real RAPL domains (Linux)
-  pbc serve     [--port N] [--prom-port N] [--snapshot FILE] [--stream]
+  pbc serve     [--port N] [--prom-port N] [--snapshot FILE]
                                         run the coordination daemon:
                                         line protocol over TCP and stdin,
-                                        optional Prometheus endpoint and
-                                        streaming exporters; drains
-                                        cleanly on stdin EOF or the
+                                        one snapshot per export tick to
+                                        the Prometheus endpoint and FILE;
+                                        drains cleanly on stdin EOF or the
                                         `shutdown` verb (docs/SERVING.md)
   pbc serve-bench [-p PLATFORM] [-w BENCH] [--nodes N] [--workers N]
                 [--pipeline N] [--duration-ms N] [--save FILE]
@@ -116,7 +116,6 @@ const FLAGS: &[(&[&str], &str, Check)] = &[
     (&["--port"], "port", Some(|v| number::<u16>("port", v))),
     (&["--prom-port"], "prom-port", Some(|v| number::<u16>("prom port", v))),
     (&["--snapshot"], "snapshot", TEXT),
-    (&["--stream"], "stream", None),
     (&["--nodes"], "nodes", Some(|v| number::<usize>("node count", v))),
     (&["--workers"], "workers", Some(|v| number::<usize>("worker count", v))),
     (&["--pipeline"], "pipeline", Some(|v| number::<usize>("pipeline depth", v))),
@@ -292,21 +291,14 @@ fn emit(text: &str) -> Result<(), String> {
 /// The interactive daemon: TCP accept loop plus a stdin control
 /// session on this thread, which runs the TCP connections' request
 /// loop with stdout as its writer. The daemon drains (finish in-flight,
-/// flush exporters) when that session ends — stdin EOF, `quit`,
-/// `shutdown`, or a failed read or write — then exits 0.
+/// publish a final snapshot) when that session ends — stdin EOF,
+/// `quit`, `shutdown`, or a failed read or write — then exits 0.
 fn run_serve(a: &Flags) -> Result<String, String> {
     let engine = std::sync::Arc::new(pbc_serve::ServeEngine::new());
-    let mut exporters: Vec<Box<dyn pbc_serve::Exporter>> = Vec::new();
-    if a.get("stream").is_some() {
-        exporters.push(Box::new(pbc_serve::JsonLinesExporter::new(std::io::stdout())));
-    }
-    if let Some(path) = a.get("snapshot") {
-        exporters.push(Box::new(pbc_serve::TraceSnapshotExporter::new(path.into())));
-    }
     let config = pbc_serve::ServerConfig {
         addr: format!("127.0.0.1:{}", a.num::<u16>("port").unwrap_or(0)),
         prom_addr: a.num::<u16>("prom-port").map(|p| format!("127.0.0.1:{p}")),
-        exporters,
+        snapshot: a.get("snapshot").map(Into::into),
         ..pbc_serve::ServerConfig::default()
     };
     let server = pbc_serve::Server::start(std::sync::Arc::clone(&engine), config)
@@ -347,7 +339,7 @@ fn traced_run() -> Result<(), String> {
     let outcome = run(&argv);
     if let Some(path) = trace_path {
         pbc_trace::disable();
-        pbc_trace::export(std::path::Path::new(&path))
+        pbc_trace::export(std::path::Path::new(&path), &pbc_trace::snapshot())
             .map_err(|e| format!("could not write trace to {path}: {e}"))?;
     }
     emit(&outcome?)

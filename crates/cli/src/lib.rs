@@ -32,13 +32,7 @@ use std::fmt::Write as _;
 /// Resolve a platform slug.
 #[must_use = "the resolved platform carries either the preset or the lookup failure"]
 pub fn platform(slug: &str) -> Result<Platform> {
-    PlatformId::from_slug(slug)
-        .map(presets::by_id)
-        .ok_or_else(|| {
-            PbcError::NotFound(format!(
-                "platform {slug:?}; known: ivybridge, haswell, titan-xp, titan-v"
-            ))
-        })
+    PlatformId::lookup(slug).map(presets::by_id).map_err(PbcError::NotFound)
 }
 
 /// Resolve a benchmark slug.
@@ -222,15 +216,15 @@ pub fn cmd_sweep(
     Ok(out)
 }
 
-/// Validate a `-b W1,W2,...` budget list before handing it to the
-/// shared-grid oracle: an empty list, a value [`check_budget`] refuses, or a
-/// duplicated budget each get a typed error naming the offender,
-/// instead of surfacing later as a confusing sweep failure.
-fn validate_budget_list(budgets: &[f64]) -> Result<()> {
+/// Validate `command`'s `-b W1,W2,...` budget list before handing it to
+/// the shared-grid oracle: an empty list, a value [`check_budget`]
+/// refuses, or a duplicated budget each get a typed error naming the
+/// offender, instead of surfacing later as a confusing sweep failure.
+fn validate_budget_list(command: &str, budgets: &[f64]) -> Result<()> {
     if budgets.is_empty() {
-        return Err(PbcError::InvalidInput(
-            "curve needs at least one budget, e.g. -b 176,208,240".into(),
-        ));
+        return Err(PbcError::InvalidInput(format!(
+            "{command} needs at least one budget, e.g. -b 176,208,240"
+        )));
     }
     for &w in budgets {
         check_budget("budget", w)?;
@@ -242,7 +236,7 @@ fn validate_budget_list(budgets: &[f64]) -> Result<()> {
     for pair in sorted.windows(2) {
         if pair[0].to_bits() == pair[1].to_bits() {
             return Err(PbcError::InvalidInput(format!(
-                "curve budget {} W appears more than once",
+                "{command} budget {} W appears more than once",
                 pair[0]
             )));
         }
@@ -256,7 +250,7 @@ fn validate_budget_list(budgets: &[f64]) -> Result<()> {
 #[must_use = "the rendered curve summary is the command's entire output"]
 pub fn cmd_curve(platform_slug: &str, bench_slug: &str, budgets: &[f64]) -> Result<String> {
     let (p, b) = resolve(platform_slug, bench_slug)?;
-    validate_budget_list(budgets)?;
+    validate_budget_list("curve", budgets)?;
     let problem = PowerBoundedProblem::new(p, b.demand.clone(), Watts::new(budgets[0]))?;
     let watts: Vec<Watts> = budgets.iter().map(|&w| Watts::new(w)).collect();
     let profiles = sweep_curve(&problem, &watts, DEFAULT_STEP)?;
@@ -301,7 +295,7 @@ pub fn cmd_curve(platform_slug: &str, bench_slug: &str, budgets: &[f64]) -> Resu
 #[must_use = "the rendered fast-path summary is the command's entire output"]
 pub fn cmd_fastpath(platform_slug: &str, bench_slug: &str, budgets: &[f64]) -> Result<String> {
     let (p, b) = resolve(platform_slug, bench_slug)?;
-    validate_budget_list(budgets)?;
+    validate_budget_list("fastpath", budgets)?;
     let table = CurveTable::shared(&p, &b.demand)?;
     let problem = PowerBoundedProblem::new(p, b.demand.clone(), Watts::new(budgets[0]))?;
     let watts: Vec<Watts> = budgets.iter().map(|&w| Watts::new(w)).collect();
@@ -849,21 +843,25 @@ mod tests {
     #[test]
     fn curve_rejects_poisoned_budget_lists() {
         // Each malformed list is refused with a typed error naming the
-        // offending value, before any sweeping starts.
+        // offending value, before any sweeping starts; the list-level
+        // messages name the command that took the list.
         let cases: &[(&[f64], &str)] = &[
-            (&[], "at least one budget"),
+            (&[], "{cmd} needs at least one budget"),
             (&[208.0, f64::NAN], "not a finite"),
             (&[f64::INFINITY], "not a finite"),
             (&[208.0, -5.0], "not positive"),
             (&[0.0], "not positive"),
-            (&[176.0, 208.0, 176.0], "more than once"),
+            (&[176.0, 208.0, 176.0], "{cmd} budget 176 W appears more than once"),
         ];
         for (budgets, needle) in cases {
-            match cmd_curve("ivybridge", "sra", budgets) {
-                Err(PbcError::InvalidInput(msg)) => {
-                    assert!(msg.contains(needle), "{budgets:?}: {msg:?} lacks {needle:?}");
+            let curve = cmd_curve("ivybridge", "sra", budgets);
+            let fastpath = cmd_fastpath("ivybridge", "sra", budgets);
+            for (cmd, out) in [("curve", curve), ("fastpath", fastpath)] {
+                let needle = needle.replace("{cmd}", cmd);
+                match out {
+                    Err(PbcError::InvalidInput(msg)) if msg.contains(&needle) => {}
+                    other => panic!("{cmd} {budgets:?}: {other:?} lacks {needle:?}"),
                 }
-                other => panic!("{budgets:?} should be InvalidInput, got {other:?}"),
             }
         }
     }

@@ -244,3 +244,32 @@ fn a_closed_stdout_or_unreadable_stdin_ends_the_stdin_session_with_a_drain() {
         let _ = std::fs::remove_file(&snapshot);
     }
 }
+
+#[test]
+fn the_stdin_session_prints_nothing_but_protocol() {
+    let snapshot = trace_file("stdout-protocol");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pbc"))
+        .args(["serve", "--prom-port", "0", "--snapshot"])
+        .arg(&snapshot)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("pbc serve spawns");
+    let mut stdin = child.stdin.take().expect("stdin piped");
+    // Each line waits out more than one 200 ms export interval, so a
+    // tick that printed anything would land between the replies.
+    for line in ["ping", "node 1 ivybridge stream 208", "budget 1 190", "shutdown"] {
+        std::thread::sleep(Duration::from_millis(250));
+        writeln!(stdin, "{line}").expect("write stdin");
+    }
+    drop(stdin);
+    let out = child.wait_with_output().expect("daemon exits");
+    assert!(out.status.success(), "exit status {}", out.status);
+    let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+    let allowed = ["listening ", "prometheus ", "ok ", "err ", "alloc ", "serve: drained cleanly"];
+    for line in stdout.lines() {
+        assert!(allowed.iter().any(|p| line.starts_with(p)), "not protocol: {line:?} in\n{stdout}");
+    }
+    assert_eq!(counters_from(&snapshot).get("serve.requests"), Some(&3), "{stdout}");
+    let _ = std::fs::remove_file(&snapshot);
+}

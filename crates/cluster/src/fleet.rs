@@ -169,12 +169,7 @@ impl Fleet {
         let mut keys: Vec<(PlatformId, String)> = Vec::new();
         let mut nodes = Vec::new();
         for line in spec {
-            let id = PlatformId::from_slug(&line.platform).ok_or_else(|| {
-                PbcError::NotFound(format!(
-                    "platform {:?}; known: ivybridge, haswell, titan-xp, titan-v",
-                    line.platform
-                ))
-            })?;
+            let id = PlatformId::lookup(&line.platform).map_err(PbcError::NotFound)?;
             let bench = by_name(&line.bench).ok_or_else(|| {
                 PbcError::NotFound(format!("benchmark {:?} (see `pbc benchmarks`)", line.bench))
             })?;

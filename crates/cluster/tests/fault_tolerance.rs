@@ -103,7 +103,7 @@ fn seed_sweep_survives_with_bounded_reconvergence_at_8_and_32_nodes() {
 
     pbc_trace::disable();
     let trace = std::env::temp_dir().join(format!("pbc-cluster-sweep-{}.jsonl", std::process::id()));
-    pbc_trace::export(&trace).expect("trace export writes");
+    pbc_trace::export(&trace, &pbc_trace::snapshot()).expect("trace export writes");
     let counters = counters_from(&trace);
     let read = |name: &str| counters.get(name).copied().unwrap_or(0);
     assert_eq!(

@@ -132,7 +132,10 @@ pub fn solve_hybrid_split(
 
 /// Coordinate a node budget across the host and the card: scan the
 /// host/card frontier in `step`-watt increments, coordinate each side
-/// internally with the paper's algorithms, and keep the best.
+/// internally with the paper's algorithms, and keep the best. The scan
+/// ends at the first card budget at or past the card's maximum cap:
+/// past it the card is clamped to that cap, so a larger card budget
+/// only takes watts away from the host.
 pub fn coordinate_hybrid(
     cpu: &CpuSpec,
     dram: &DramSpec,
@@ -162,6 +165,9 @@ pub fn coordinate_hybrid(
             if best.as_ref().map(|b| pt.perf_rel > b.perf_rel).unwrap_or(true) {
                 best = Some(pt);
             }
+        }
+        if gpu_budget >= gpu.max_card_cap {
+            break;
         }
         gpu_budget += step;
     }
@@ -288,6 +294,19 @@ mod tests {
             coordinated.perf_rel,
             even.perf_rel
         );
+    }
+
+    #[test]
+    fn huge_node_budgets_stop_at_the_card_cap() {
+        // A budget far past both sides' needs returns at once, with the
+        // same split a budget that merely covers them gets.
+        let (cpu, dram, gpu, w) = fixture(0.7, "minife");
+        let step = Watts::new(10.0);
+        let ample = coordinate_hybrid(&cpu, &dram, &gpu, &w, Watts::new(1e4), step).unwrap();
+        let huge = coordinate_hybrid(&cpu, &dram, &gpu, &w, Watts::new(1e9), step).unwrap();
+        // Card budget, both allocations, perf_rel and mean power match;
+        // only the host's unused budget grows.
+        assert_eq!(HybridPoint { host_budget: ample.host_budget, ..huge }, ample);
     }
 
     #[test]

@@ -96,7 +96,7 @@ fn main() -> ExitCode {
 
     if let Some(path) = trace_path {
         pbc_trace::disable();
-        if let Err(e) = pbc_trace::export(&path) {
+        if let Err(e) = pbc_trace::export(&path, &pbc_trace::snapshot()) {
             eprintln!("could not write trace to {}: {e}", path.display());
             return ExitCode::FAILURE;
         }

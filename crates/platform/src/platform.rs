@@ -50,6 +50,17 @@ impl PlatformId {
         }
     }
 
+    /// Resolve a slug as [`PlatformId::from_slug`] does, or refuse it
+    /// with the message every front end prints: `platform "x"; known:
+    /// ivybridge, haswell, titan-xp, titan-v`.
+    #[must_use = "the lookup carries either the platform or the refusal to print"]
+    pub fn lookup(slug: &str) -> Result<Self, String> {
+        Self::from_slug(slug).ok_or_else(|| {
+            let known: Vec<&str> = Self::ALL.iter().map(|id| id.slug()).collect();
+            format!("platform {slug:?}; known: {}", known.join(", "))
+        })
+    }
+
     /// Is this a GPU platform?
     pub fn is_gpu(self) -> bool {
         matches!(self, PlatformId::TitanXp | PlatformId::TitanV)
@@ -158,6 +169,11 @@ mod tests {
         }
         assert_eq!(PlatformId::from_slug("IVY"), Some(PlatformId::IvyBridge));
         assert_eq!(PlatformId::from_slug("nope"), None);
+        assert_eq!(PlatformId::lookup("ivb"), Ok(PlatformId::IvyBridge));
+        assert_eq!(
+            PlatformId::lookup("nope"),
+            Err(r#"platform "nope"; known: ivybridge, haswell, titan-xp, titan-v"#.to_string())
+        );
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! `pbc serve` keeps thousands of [`OnlineCoordinator`]-backed sessions
 //! live behind a dependency-free line protocol (TCP and stdin), turns
 //! PR 7's sub-microsecond fast paths into sustained queries/sec, and
-//! streams telemetry continuously through an [`Exporter`] fleet
-//! (JSON-lines, atomic trace snapshots, and a hand-rolled Prometheus
-//! scrape endpoint) instead of waiting for process exit.
+//! publishes telemetry every export tick instead of waiting for process
+//! exit: one registry snapshot per tick feeds both a hand-rolled
+//! Prometheus scrape endpoint and an atomically rewritten trace file.
 //!
 //! The layering, transport-independent core first:
 //!
@@ -23,25 +23,24 @@
 //! * [`engine`] — protocol dispatch over the live session map; the
 //!   serving counter law `serve.requests == serve.served_requests +
 //!   serve.rejected_requests` is enforced here.
-//! * [`exporter`] / [`prom`] — the streaming telemetry fleet.
+//! * [`prom`] — the Prometheus scrape endpoint, one of the two
+//!   telemetry sinks (the trace file is `pbc_trace::export`).
 //! * [`server`] — the daemon shell: TCP accept loop, export ticker,
-//!   graceful drain (stop accepting → finish in-flight → final flush,
-//!   no torn trace files).
+//!   graceful drain (stop accepting → finish in-flight → final
+//!   snapshot, no torn trace files).
 //! * [`hist`] / [`bench`] — the dependency-free log-bucketed latency
 //!   histogram and the `pbc serve-bench` load generator behind
 //!   `BENCH_serve.json`.
 //!
-//! Protocol grammar, exporter architecture, and bench methodology are
-//! documented in `docs/SERVING.md`.
+//! Protocol grammar, telemetry, and bench methodology are documented
+//! in `docs/SERVING.md`.
 //!
 //! [`OnlineCoordinator`]: pbc_core::OnlineCoordinator
 //! [`CurveTable`]: pbc_core::CurveTable
-//! [`Exporter`]: exporter::Exporter
 //! [`ServeError`]: proto::ServeError
 
 pub mod bench;
 pub mod engine;
-pub mod exporter;
 pub mod hist;
 pub mod prom;
 pub mod proto;
@@ -50,9 +49,8 @@ pub mod session;
 
 pub use bench::{run_serve_bench, BenchConfig, BenchReport};
 pub use engine::{Disposition, ServeEngine};
-pub use exporter::{Exporter, JsonLinesExporter, TraceSnapshotExporter};
 pub use hist::LatencyHistogram;
-pub use prom::{render_prometheus, PrometheusExporter};
+pub use prom::render_prometheus;
 pub use proto::{parse, parse_alloc_line, Request, ServeError};
 pub use server::{serve_lines, Server, ServerConfig, MAX_LINE_BYTES};
 pub use session::Session;

@@ -10,13 +10,12 @@
 //! head, answers `GET /metrics` with `200 text/plain`, anything else
 //! with `404`, and closes the connection (`Connection: close`).
 //!
-//! The endpoint serves the body cached by the last export tick, so a
+//! The endpoint serves the body the last export tick published, so a
 //! scrape is two syscalls, never a registry walk on the scrape path;
 //! after the daemon quiesces (one tick with no traffic), scrape totals
 //! are exactly the final trace counters — an equality the e2e smoke
 //! test asserts.
 
-use crate::exporter::Exporter;
 use pbc_trace::{names, Snapshot};
 use std::fmt::Write as _;
 use std::io::{self, Read, Write};
@@ -28,31 +27,18 @@ use std::time::Duration;
 /// Mangle a dotted trace name into a Prometheus metric name.
 #[must_use]
 pub fn mangle(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 4);
-    out.push_str("pbc_");
-    for ch in name.chars() {
-        if ch.is_ascii_alphanumeric() {
-            out.push(ch);
-        } else {
-            out.push('_');
-        }
-    }
-    out
+    format!("pbc_{}", name.replace(|ch: char| !ch.is_ascii_alphanumeric(), "_"))
 }
 
 /// Render a snapshot in the Prometheus text exposition format.
 #[must_use]
 pub fn render_prometheus(snap: &Snapshot) -> String {
+    let counters = snap.counters.iter().map(|(name, v)| (name, "counter", v.to_string()));
+    let gauges = snap.gauges.iter().map(|(name, v)| (name, "gauge", v.to_string()));
     let mut out = String::new();
-    for (name, v) in &snap.counters {
+    for (name, kind, value) in counters.chain(gauges) {
         let m = mangle(name);
-        let _ = writeln!(out, "# TYPE {m} counter");
-        let _ = writeln!(out, "{m} {v}");
-    }
-    for (name, v) in &snap.gauges {
-        let m = mangle(name);
-        let _ = writeln!(out, "# TYPE {m} gauge");
-        let _ = writeln!(out, "{m} {v}");
+        let _ = writeln!(out, "# TYPE {m} {kind}\n{m} {value}");
     }
     out
 }
@@ -60,27 +46,11 @@ pub fn render_prometheus(snap: &Snapshot) -> String {
 /// The shared body cell: export ticks write, scrape threads read.
 type Body = Arc<Mutex<String>>;
 
-/// The exporter half: refreshes the cached scrape body each tick.
-pub struct PrometheusExporter {
-    body: Body,
-}
-
-impl Exporter for PrometheusExporter {
-    fn name(&self) -> &'static str {
-        "prometheus"
-    }
-
-    fn export(&mut self, snap: &Snapshot) -> io::Result<()> {
-        let rendered = render_prometheus(snap);
-        *self.body.lock().unwrap_or_else(PoisonError::into_inner) = rendered;
-        Ok(())
-    }
-}
-
-/// The listener half: a running scrape endpoint.
+/// A running scrape endpoint.
 pub struct PromEndpoint {
     addr: SocketAddr,
-    thread: Option<std::thread::JoinHandle<()>>,
+    body: Body,
+    thread: std::thread::JoinHandle<()>,
 }
 
 impl PromEndpoint {
@@ -90,22 +60,23 @@ impl PromEndpoint {
         self.addr
     }
 
+    /// Render `snap` as the body every later scrape is answered with.
+    pub fn publish(&self, snap: &Snapshot) {
+        let rendered = render_prometheus(snap);
+        *self.body.lock().unwrap_or_else(PoisonError::into_inner) = rendered;
+    }
+
     /// Join the listener thread (after the shutdown flag is set).
-    pub fn join(mut self) {
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+    pub fn join(self) {
+        let _ = self.thread.join();
     }
 }
 
-/// Bind the scrape endpoint on `addr` and return the paired
-/// `(exporter, endpoint)`. The listener polls `shutdown` between
-/// accepts and exits once it flips.
+/// Bind the scrape endpoint on `addr`; it answers with an empty body
+/// until the first [`PromEndpoint::publish`]. The listener polls
+/// `shutdown` between accepts and exits once it flips.
 #[must_use = "a failed bind leaves the daemon without its scrape endpoint"]
-pub fn start_endpoint(
-    addr: &str,
-    shutdown: Arc<AtomicBool>,
-) -> io::Result<(PrometheusExporter, PromEndpoint)> {
+pub fn start_endpoint(addr: &str, shutdown: Arc<AtomicBool>) -> io::Result<PromEndpoint> {
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
     let local = listener.local_addr()?;
@@ -113,24 +84,18 @@ pub fn start_endpoint(
     let serve_body = Arc::clone(&body);
     let thread = std::thread::Builder::new()
         .name("pbc-serve-prom".into())
-        .spawn(move || loop {
-            if shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = answer_scrape(stream, &serve_body);
+        .spawn(move || {
+            while !shutdown.load(Ordering::SeqCst) {
+                match listener.accept() {
+                    Ok((stream, _)) => {
+                        let _ = answer_scrape(stream, &serve_body);
+                    }
+                    // Nothing pending (or a failed accept): poll again.
+                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(5)),
             }
         })?;
-    Ok((
-        PrometheusExporter { body },
-        PromEndpoint { addr: local, thread: Some(thread) },
-    ))
+    Ok(PromEndpoint { addr: local, body, thread })
 }
 
 /// Speak one HTTP/1.1 exchange on an accepted connection.
@@ -141,15 +106,12 @@ fn answer_scrape(mut stream: std::net::TcpStream, body: &Body) -> io::Result<()>
     // cap; a Prometheus GET has no body.
     let mut head = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
-    loop {
+    while !head.windows(4).any(|w| w == b"\r\n\r\n") && head.len() <= 8192 {
         let n = stream.read(&mut chunk)?;
         if n == 0 {
             break;
         }
         head.extend_from_slice(&chunk[..n]);
-        if head.windows(4).any(|w| w == b"\r\n\r\n") || head.len() > 8192 {
-            break;
-        }
     }
     let request = String::from_utf8_lossy(&head);
     let target = request
@@ -158,24 +120,19 @@ fn answer_scrape(mut stream: std::net::TcpStream, body: &Body) -> io::Result<()>
         .and_then(|l| l.split_ascii_whitespace().nth(1))
         .unwrap_or("");
     let ok = request.starts_with("GET ") && (target == "/metrics" || target == "/");
-    if ok {
+    let (status, kind, text) = if ok {
         pbc_trace::counter(names::SERVE_SCRAPES).incr();
         let text = body.lock().unwrap_or_else(PoisonError::into_inner).clone();
-        let header = format!(
-            "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-            text.len()
-        );
-        stream.write_all(header.as_bytes())?;
-        stream.write_all(text.as_bytes())?;
+        ("200 OK", "text/plain; version=0.0.4", text)
     } else {
-        let msg = "only GET /metrics lives here\n";
-        let header = format!(
-            "HTTP/1.1 404 Not Found\r\nContent-Type: text/plain\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-            msg.len()
-        );
-        stream.write_all(header.as_bytes())?;
-        stream.write_all(msg.as_bytes())?;
-    }
+        ("404 Not Found", "text/plain", "only GET /metrics lives here\n".to_string())
+    };
+    let header = format!(
+        "HTTP/1.1 {status}\r\nContent-Type: {kind}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        text.len()
+    );
+    stream.write_all(header.as_bytes())?;
+    stream.write_all(text.as_bytes())?;
     stream.flush()
 }
 
@@ -193,15 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn renders_text_format() {
-        let text = render_prometheus(&snap());
-        assert!(text.contains("# TYPE pbc_serve_requests counter"));
-        assert!(text.contains("pbc_serve_requests 42"));
-        assert!(text.contains("# TYPE pbc_serve_sessions gauge"));
-        assert!(text.contains("pbc_serve_sessions 3"));
-    }
-
-    #[test]
     fn mangles_dots_and_dashes() {
         assert_eq!(mangle("serve.requests"), "pbc_serve_requests");
         assert_eq!(mangle("coord.cpu.regime_a"), "pbc_coord_cpu_regime_a");
@@ -210,9 +158,8 @@ mod tests {
     #[test]
     fn endpoint_answers_a_real_scrape() {
         let shutdown = Arc::new(AtomicBool::new(false));
-        let (mut exporter, endpoint) =
-            start_endpoint("127.0.0.1:0", Arc::clone(&shutdown)).unwrap();
-        exporter.export(&snap()).unwrap();
+        let endpoint = start_endpoint("127.0.0.1:0", Arc::clone(&shutdown)).unwrap();
+        endpoint.publish(&snap());
         let mut stream = std::net::TcpStream::connect(endpoint.addr()).unwrap();
         stream
             .write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
@@ -220,7 +167,9 @@ mod tests {
         let mut response = String::new();
         stream.read_to_string(&mut response).unwrap();
         assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
-        assert!(response.contains("pbc_serve_requests 42"), "{response}");
+        let body = "# TYPE pbc_serve_requests counter\npbc_serve_requests 42\n\
+                    # TYPE pbc_serve_sessions gauge\npbc_serve_sessions 3\n";
+        assert!(response.ends_with(body), "{response}");
         // Unknown paths 404 without killing the listener.
         let mut stream = std::net::TcpStream::connect(endpoint.addr()).unwrap();
         stream

@@ -73,7 +73,8 @@ pub enum ServeError {
     UnknownNode(u64),
     /// A session with this id already exists.
     NodeExists(u64),
-    /// The platform slug is not a known preset.
+    /// The platform slug is not a known preset; holds
+    /// `PlatformId::lookup`'s message, which names every known slug.
     UnknownPlatform(String),
     /// The benchmark slug is not in the workload suite.
     UnknownBench(String),
@@ -115,17 +116,15 @@ impl ServeError {
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServeError::Malformed(d) => write!(f, "{d}"),
+            ServeError::Malformed(d)
+            | ServeError::UnknownPlatform(d)
+            | ServeError::RejectedBudget(d)
+            | ServeError::RejectedObservation(d)
+            | ServeError::Build(d)
+            | ServeError::FleetState(d) => write!(f, "{d}"),
             ServeError::UnknownNode(id) => write!(f, "no session with id {id}"),
             ServeError::NodeExists(id) => write!(f, "session {id} already exists"),
-            ServeError::UnknownPlatform(s) => {
-                write!(f, "platform {s:?}; known: ivybridge, haswell, titan-xp, titan-v")
-            }
             ServeError::UnknownBench(s) => write!(f, "benchmark {s:?}; see `pbc benchmarks`"),
-            ServeError::RejectedBudget(d) => write!(f, "{d}"),
-            ServeError::RejectedObservation(d) => write!(f, "{d}"),
-            ServeError::Build(d) => write!(f, "{d}"),
-            ServeError::FleetState(d) => write!(f, "{d}"),
             ServeError::ShuttingDown => write!(f, "daemon is draining"),
         }
     }

@@ -7,26 +7,25 @@
 //! ```text
 //! engine ─┬─ accept thread ── one handler thread per connection
 //!         ├─ prometheus listener (optional)
-//!         └─ export ticker (snapshot → every exporter, each interval)
+//!         └─ export ticker (one snapshot → scrape body + trace file)
 //! ```
 //!
-//! [`Server::drain`] is the graceful shutdown contract the satellite
-//! task demands: flip the shutdown flag, let every handler finish the
-//! request it is reading (handlers poll the flag on a read timeout),
-//! join accept + handlers + ticker, then run one final export pass and
-//! flush every exporter. The trace-snapshot exporter writes through a
-//! tmp-file + rename, so there is no instant at which a scraping reader
-//! or a crashed drain can observe a torn trace file.
+//! [`Server::drain`] is the graceful shutdown: flip the shutdown flag,
+//! let every handler finish the request it is reading (handlers poll
+//! the flag on a read timeout), join accept + handlers + ticker, then
+//! publish one final snapshot. The trace file is written through a
+//! tmp-file + rename, so there is no instant at which a reader or a
+//! crashed drain can observe a torn trace file.
 
 use crate::engine::{Disposition, ServeEngine};
-use crate::exporter::Exporter;
 use crate::prom::{self, PromEndpoint};
 use crate::proto::ServeError;
 use pbc_trace::names;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -38,9 +37,8 @@ pub struct ServerConfig {
     pub prom_addr: Option<String>,
     /// How often the export ticker publishes a snapshot.
     pub export_interval: Duration,
-    /// The exporter fleet (the Prometheus exporter is added internally
-    /// when `prom_addr` is set).
-    pub exporters: Vec<Box<dyn Exporter>>,
+    /// Trace file every export tick rewrites; `None` writes none.
+    pub snapshot: Option<PathBuf>,
 }
 
 impl Default for ServerConfig {
@@ -49,8 +47,31 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".into(),
             prom_addr: None,
             export_interval: Duration::from_millis(200),
-            exporters: Vec::new(),
+            snapshot: None,
         }
+    }
+}
+
+/// The daemon's telemetry sinks. Each export tick hands both the same
+/// snapshot, so a scrape and a trace file that carry the same
+/// `serve.exports` agree on every counter.
+struct Sinks {
+    prom: Option<PromEndpoint>,
+    snapshot: Option<PathBuf>,
+}
+
+impl Sinks {
+    /// Take one registry snapshot, hand it to every sink, and count the
+    /// tick. Returns the trace file's write error, if any.
+    fn publish(&self) -> io::Result<()> {
+        let snap = pbc_trace::snapshot();
+        if let Some(prom) = &self.prom {
+            prom.publish(&snap);
+        }
+        let written =
+            self.snapshot.as_deref().map_or(Ok(()), |path| pbc_trace::export(path, &snap));
+        pbc_trace::counter(names::SERVE_EXPORTS).incr();
+        written
     }
 }
 
@@ -59,10 +80,9 @@ pub struct Server {
     engine: Arc<ServeEngine>,
     shutdown: Arc<AtomicBool>,
     local_addr: SocketAddr,
-    prom: Option<PromEndpoint>,
-    accept_thread: Option<JoinHandle<()>>,
-    export_thread: Option<JoinHandle<()>>,
-    exporters: Arc<Mutex<Vec<Box<dyn Exporter>>>>,
+    sinks: Arc<Sinks>,
+    accept_thread: JoinHandle<()>,
+    export_thread: JoinHandle<()>,
 }
 
 /// How long a handler blocks in one read before re-checking the
@@ -73,26 +93,20 @@ const READ_POLL: Duration = Duration::from_millis(50);
 impl Server {
     /// Bind, spawn the threads, and return the handle.
     #[must_use = "dropping the handle leaks the daemon threads; call drain()"]
-    pub fn start(engine: Arc<ServeEngine>, mut config: ServerConfig) -> io::Result<Server> {
+    pub fn start(engine: Arc<ServeEngine>, config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
 
-        let prom = match &config.prom_addr {
-            Some(addr) => {
-                let (exporter, endpoint) = prom::start_endpoint(addr, Arc::clone(&shutdown))?;
-                config.exporters.push(Box::new(exporter));
-                Some(endpoint)
-            }
-            None => None,
-        };
-        let exporters = Arc::new(Mutex::new(config.exporters));
+        let prom =
+            config.prom_addr.as_deref().map(|a| prom::start_endpoint(a, Arc::clone(&shutdown)));
+        let sinks = Arc::new(Sinks { prom: prom.transpose()?, snapshot: config.snapshot });
 
         // Export ticker: publish a snapshot every interval, polling the
         // shutdown flag at a finer grain so drain is prompt.
         let export_thread = {
-            let exporters = Arc::clone(&exporters);
+            let sinks = Arc::clone(&sinks);
             let flag = Arc::clone(&shutdown);
             let interval = config.export_interval;
             std::thread::Builder::new()
@@ -105,7 +119,10 @@ impl Server {
                         elapsed += tick;
                         if elapsed >= interval {
                             elapsed = Duration::ZERO;
-                            export_once(&exporters);
+                            // A tick whose trace write fails (full disk)
+                            // must not take the serving loop down with
+                            // it; the next tick rewrites the whole file.
+                            let _ = sinks.publish();
                         }
                     }
                 })?
@@ -164,10 +181,9 @@ impl Server {
             engine,
             shutdown,
             local_addr,
-            prom,
-            accept_thread: Some(accept_thread),
-            export_thread: Some(export_thread),
-            exporters,
+            sinks,
+            accept_thread,
+            export_thread,
         })
     }
 
@@ -180,47 +196,26 @@ impl Server {
     /// The Prometheus endpoint's bound address, when enabled.
     #[must_use]
     pub fn prom_addr(&self) -> Option<SocketAddr> {
-        self.prom.as_ref().map(PromEndpoint::addr)
+        self.sinks.prom.as_ref().map(PromEndpoint::addr)
     }
 
     /// Graceful shutdown: stop accepting, reject new work, wait for
-    /// in-flight requests, then publish and flush one final snapshot.
-    #[must_use = "a failed drain means exporters were not flushed"]
-    pub fn drain(mut self) -> io::Result<()> {
+    /// in-flight requests, then publish one final snapshot. Returns the
+    /// final trace-file write's error, if any.
+    #[must_use = "a failed drain means the final snapshot was not written"]
+    pub fn drain(self) -> io::Result<()> {
         self.engine.begin_drain();
         self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.export_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(p) = self.prom.take() {
-            p.join();
-        }
+        let _ = self.accept_thread.join();
+        let _ = self.export_thread.join();
         // Final export after every handler has finished: the published
         // telemetry includes the last request served.
-        export_once(&self.exporters);
-        let mut exporters = self.exporters.lock().unwrap_or_else(PoisonError::into_inner);
-        for e in exporters.iter_mut() {
-            e.flush()?;
+        let written = self.sinks.publish();
+        if let Some(prom) = Arc::into_inner(self.sinks).and_then(|sinks| sinks.prom) {
+            prom.join();
         }
-        Ok(())
+        written
     }
-}
-
-/// One export pass over the exporter fleet.
-fn export_once(exporters: &Arc<Mutex<Vec<Box<dyn Exporter>>>>) {
-    let snap = pbc_trace::snapshot();
-    let mut fleet = exporters.lock().unwrap_or_else(PoisonError::into_inner);
-    for e in fleet.iter_mut() {
-        // An exporter whose sink fails (closed pipe, full disk) must
-        // not take the serving loop down with it; the tick is retried
-        // at the next interval.
-        let _ = e.export(&snap);
-    }
-    drop(fleet);
-    pbc_trace::counter(names::SERVE_EXPORTS).incr();
 }
 
 /// Serve one protocol connection until quit/EOF/shutdown.

@@ -47,9 +47,7 @@ pub struct Session {
 /// Resolve a platform slug to its preset.
 #[must_use = "the lookup failure is a typed protocol rejection"]
 pub fn resolve_platform(slug: &str) -> Result<Platform, ServeError> {
-    PlatformId::from_slug(slug)
-        .map(presets::by_id)
-        .ok_or_else(|| ServeError::UnknownPlatform(slug.to_string()))
+    PlatformId::lookup(slug).map(presets::by_id).map_err(ServeError::UnknownPlatform)
 }
 
 impl Session {

@@ -1,25 +1,30 @@
 //! Graceful shutdown: drained daemons leave no torn telemetry behind.
 //!
-//! Both tests boot a real TCP server, drive live client traffic, drain,
-//! and then hold the trace-snapshot file to the two serving invariants:
+//! The first two tests boot a real TCP server, drive live client
+//! traffic, drain, and then hold the trace-snapshot file to the two
+//! serving invariants:
 //!
 //! 1. every line parses as JSON (atomic tmp+rename — a reader can never
 //!    observe a half-written snapshot), and
 //! 2. the serving counter law `serve.requests == serve.served_requests
 //!    + serve.rejected_requests` holds in the final exported state.
 //!
-//! The trace registry is process-global, so the two tests serialize on
-//! a mutex and assert the law only on post-drain totals (mid-flight
-//! there is a legal window between the `requests` increment and the
+//! The third holds each export tick to one snapshot: a scrape and a
+//! trace file with the same `serve.exports` agree on every counter.
+//!
+//! The trace registry is process-global, so the tests serialize on a
+//! mutex and assert the law only on post-drain totals (mid-flight there
+//! is a legal window between the `requests` increment and the
 //! served/rejected increment).
 
-use std::io::{BufRead, BufReader, Write};
+use std::collections::BTreeMap;
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use pbc_serve::{ServeEngine, Server, ServerConfig, TraceSnapshotExporter};
-use pbc_trace::json;
+use pbc_serve::{prom::mangle, ServeEngine, Server, ServerConfig};
+use pbc_trace::{json, names};
 
 fn registry_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -82,7 +87,7 @@ fn graceful_shutdown_flushes_consistent_snapshots() {
     let engine = Arc::new(ServeEngine::new());
     let config = ServerConfig {
         export_interval: Duration::from_millis(25),
-        exporters: vec![Box::new(TraceSnapshotExporter::new(path.clone()))],
+        snapshot: Some(path.clone()),
         ..ServerConfig::default()
     };
     let server = Server::start(Arc::clone(&engine), config).expect("server boots");
@@ -124,7 +129,7 @@ fn abrupt_drain_leaves_no_torn_trace() {
     let engine = Arc::new(ServeEngine::new());
     let config = ServerConfig {
         export_interval: Duration::from_millis(5),
-        exporters: vec![Box::new(TraceSnapshotExporter::new(path.clone()))],
+        snapshot: Some(path.clone()),
         ..ServerConfig::default()
     };
     let server = Server::start(Arc::clone(&engine), config).expect("server boots");
@@ -171,5 +176,69 @@ fn abrupt_drain_leaves_no_torn_trace() {
     // holds on the final flushed state.
     let counters = counters_from(&path);
     assert_law(&counters);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// One Prometheus scrape's samples: value text by metric name.
+fn scrape(addr: std::net::SocketAddr) -> BTreeMap<String, String> {
+    let mut stream = TcpStream::connect(addr).expect("connect to the scrape endpoint");
+    stream.write_all(b"GET /metrics HTTP/1.1\r\n\r\n").expect("write scrape request");
+    let mut text = String::new();
+    stream.read_to_string(&mut text).expect("read scrape response");
+    let samples = text.lines().filter_map(|l| l.split_once(' '));
+    samples.map(|(name, value)| (name.to_string(), value.to_string())).collect()
+}
+
+#[test]
+fn one_snapshot_per_tick_feeds_the_scrape_and_the_trace_file() {
+    let _guard = registry_lock();
+    pbc_trace::enable();
+    let path = snapshot_path("one-snapshot");
+    let _ = std::fs::remove_file(&path);
+    let config = ServerConfig {
+        prom_addr: Some("127.0.0.1:0".into()),
+        export_interval: Duration::from_millis(5),
+        snapshot: Some(path.clone()),
+        ..ServerConfig::default()
+    };
+    let server = Server::start(Arc::new(ServeEngine::new()), config).expect("server boots");
+    let (addr, prom) = (server.local_addr(), server.prom_addr().expect("prometheus enabled"));
+
+    // Two clients pipeline batches of requests, so the counters keep
+    // moving while a tick publishes; meanwhile the scrape endpoint and
+    // the trace file are read back to back.
+    let exports = mangle(names::SERVE_EXPORTS);
+    let mut pairs = 0;
+    let deadline = Instant::now() + Duration::from_millis(400);
+    std::thread::scope(|s| {
+        for id in 1..=2u64 {
+            s.spawn(move || {
+                let (mut reader, mut writer) = client(addr);
+                roundtrip(&mut reader, &mut writer, &format!("node {id} ivybridge stream 208"));
+                let batch = format!("budget {id} 176\nbudget {id} 190\n").repeat(16);
+                while Instant::now() < deadline {
+                    writer.write_all(batch.as_bytes()).expect("write batch");
+                    (&mut reader).lines().take(32).for_each(|r| drop(r.expect("read reply")));
+                }
+            });
+        }
+        while Instant::now() < deadline {
+            let scrape = scrape(prom);
+            let trace = if path.exists() { counters_from(&path) } else { BTreeMap::new() };
+            // Only a scrape and a trace file of the same tick are a pair.
+            let Some(tick) = trace.get(names::SERVE_EXPORTS) else { continue };
+            if scrape.get(&exports) != Some(&tick.to_string()) {
+                continue;
+            }
+            pairs += 1;
+            for (name, value) in &trace {
+                let scraped = scrape.get(&mangle(name));
+                let agree = scraped.is_none_or(|s| *s == value.to_string());
+                assert!(agree, "tick {tick}: scrape {name} = {scraped:?}, trace file {value}");
+            }
+        }
+    });
+    server.drain().expect("drain");
+    assert!(pairs > 0, "no export tick was read from both sinks");
     let _ = std::fs::remove_file(&path);
 }

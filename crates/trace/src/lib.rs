@@ -114,8 +114,11 @@ pub fn snapshot() -> Snapshot {
 /// per span, counter, and gauge. Every line parses with [`json::parse`].
 #[must_use]
 pub fn to_jsonl() -> String {
-    let snap = snapshot();
-    let mut out = String::new();
+    render_jsonl(&snapshot())
+}
+
+/// [`to_jsonl`]'s lines for one snapshot.
+fn render_jsonl(snap: &Snapshot) -> String {
     let meta = Value::Obj(vec![
         ("type".into(), Value::Str("meta".into())),
         ("format".into(), Value::Str("pbc-trace".into())),
@@ -124,50 +127,49 @@ pub fn to_jsonl() -> String {
         ("counters".into(), Value::Num(snap.counters.len() as f64)),
         ("gauges".into(), Value::Num(snap.gauges.len() as f64)),
     ]);
-    out.push_str(&meta.render());
-    out.push('\n');
-    for s in &snap.spans {
-        let parent = match s.parent {
-            Some(p) => Value::Num(p as f64),
-            None => Value::Null,
-        };
-        let line = Value::Obj(vec![
+    let spans = snap.spans.iter().map(|s| {
+        Value::Obj(vec![
             ("type".into(), Value::Str("span".into())),
             ("id".into(), Value::Num(s.id as f64)),
-            ("parent".into(), parent),
+            ("parent".into(), s.parent.map_or(Value::Null, |p| Value::Num(p as f64))),
             ("name".into(), Value::Str(s.name.clone())),
             ("thread".into(), Value::Str(s.thread.clone())),
             ("start_ns".into(), Value::Num(s.start_ns as f64)),
             ("dur_ns".into(), Value::Num(s.dur_ns as f64)),
-        ]);
-        out.push_str(&line.render());
-        out.push('\n');
-    }
-    for (name, value) in &snap.counters {
-        let line = Value::Obj(vec![
-            ("type".into(), Value::Str("counter".into())),
+        ])
+    });
+    let metric = |kind: &str, name: &String, value: f64| {
+        Value::Obj(vec![
+            ("type".into(), Value::Str(kind.into())),
             ("name".into(), Value::Str(name.clone())),
-            ("value".into(), Value::Num(*value as f64)),
-        ]);
-        out.push_str(&line.render());
-        out.push('\n');
-    }
-    for (name, value) in &snap.gauges {
-        let line = Value::Obj(vec![
-            ("type".into(), Value::Str("gauge".into())),
-            ("name".into(), Value::Str(name.clone())),
-            ("value".into(), Value::Num(*value)),
-        ]);
+            ("value".into(), Value::Num(value)),
+        ])
+    };
+    let counters = snap.counters.iter().map(|(name, v)| metric("counter", name, *v as f64));
+    let gauges = snap.gauges.iter().map(|(name, v)| metric("gauge", name, *v));
+    let mut out = String::new();
+    for line in std::iter::once(meta).chain(spans).chain(counters).chain(gauges) {
         out.push_str(&line.render());
         out.push('\n');
     }
     out
 }
 
-/// Write the registry to `path` as JSON lines (see [`to_jsonl`]).
+/// Write `snap` to `path` as JSON lines (see [`to_jsonl`]). The
+/// lines go to `<path>.tmp` first, which then replaces `path` by a
+/// rename, so a reader never sees a half-written file: it sees the
+/// previous complete trace or this one. A `path` that exists and is not
+/// a regular file (a symlink, a pipe, `/dev/stdout`) is written in
+/// place, since a rename would replace it.
 #[must_use = "an unexported trace is invisible; handle the I/O error"]
-pub fn export(path: &Path) -> std::io::Result<()> {
-    std::fs::write(path, to_jsonl())
+pub fn export(path: &Path, snap: &Snapshot) -> std::io::Result<()> {
+    if std::fs::symlink_metadata(path).is_ok_and(|m| !m.is_file()) {
+        return std::fs::write(path, render_jsonl(snap));
+    }
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    std::fs::write(&tmp, render_jsonl(snap))?;
+    std::fs::rename(&tmp, path)
 }
 
 /// Render one benchmark timing record as a JSON line in the same schema
@@ -349,15 +351,28 @@ mod tests {
     }
 
     #[test]
-    fn export_writes_a_file() {
+    fn export_replaces_the_file_through_a_staging_file() {
         let _g = lock();
         reset();
-        counter("file.count").incr();
         let path = std::env::temp_dir().join(format!("pbc-trace-test-{}.jsonl", std::process::id()));
-        export(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
+        let tmp = path.with_extension("jsonl.tmp");
+        for n in 1..=2 {
+            counter("file.count").incr();
+            export(&path, &snapshot()).unwrap();
+            assert!(!tmp.exists(), "export {n} left its staging file behind");
+            // `json::counters` parses every line.
+            let text = std::fs::read_to_string(&path).unwrap();
+            assert_eq!(json::counters(&text).unwrap()["file.count"], n);
+        }
+        // A symlink is written through, not replaced by a regular file.
+        #[cfg(unix)]
+        {
+            let link = path.with_extension("link");
+            std::os::unix::fs::symlink(&path, &link).unwrap();
+            export(&link, &snapshot()).unwrap();
+            assert!(std::fs::symlink_metadata(&link).unwrap().file_type().is_symlink());
+            std::fs::remove_file(&link).ok();
+        }
         std::fs::remove_file(&path).ok();
-        assert!(text.lines().count() >= 2);
-        assert!(text.contains("file.count"));
     }
 }

@@ -260,8 +260,8 @@ pub const SERVE_REJECTED_REQUESTS: &str = "serve.rejected_requests";
 pub const SERVE_SESSIONS_OPENED: &str = "serve.sessions_opened";
 /// TCP connections accepted over the lifetime of the daemon.
 pub const SERVE_CONNECTIONS: &str = "serve.connections";
-/// Telemetry export ticks completed (one per interval, per exporter
-/// fleet pass, plus the final drain flush).
+/// Telemetry export ticks completed (one per interval, plus the final
+/// drain export); each fed one snapshot to every sink.
 pub const SERVE_EXPORTS: &str = "serve.exports";
 /// Prometheus `/metrics` scrapes answered.
 pub const SERVE_SCRAPES: &str = "serve.scrapes";

@@ -138,7 +138,7 @@ if command -v timeout >/dev/null 2>&1; then serve_runner="timeout 120"; fi
 closed_snap=target/serve-closed-stdout-snapshot.jsonl
 closed_err=target/serve-closed-stdout.err
 closed_code=target/serve-closed-stdout.code
-rm -f "$closed_snap" "$closed_err" "$closed_code"
+rm -f "$closed_snap" "$closed_snap.tmp" "$closed_err" "$closed_code"
 { sleep 1; echo ping; } \
     | { code=0; $serve_runner ./target/release/pbc serve --snapshot "$closed_snap" \
             2> "$closed_err" || code=$?; echo "$code" > "$closed_code"; } \
@@ -150,6 +150,9 @@ if grep -q panicked "$closed_err"; then
 fi
 grep -q '"name":"serve.requests"' "$closed_snap" \
     || { echo "error: no serve.requests in the final snapshot $closed_snap" >&2; exit 1; }
+if [ -e "$closed_snap.tmp" ]; then
+    echo "error: pbc serve left its staging file $closed_snap.tmp behind" >&2; exit 1
+fi
 echo "    closed stdout: pbc serve drained and exited 0"
 
 echo "==> timed benches (append machine-readable records to BENCH_sweep.json)"
