@@ -7,9 +7,9 @@ use std::hint::black_box;
 
 fn main() {
     let mut bench = Bench::from_env();
-    for name in pbc_experiments::EXPERIMENTS {
+    for (name, experiment) in pbc_experiments::EXPERIMENTS {
         bench.run(&format!("figures/{name}"), || {
-            let out = pbc_experiments::run(black_box(name)).expect("experiment runs");
+            let out = black_box(experiment)().expect("experiment runs");
             assert!(!out.tables.is_empty(), "{name} produced no tables");
             out
         });

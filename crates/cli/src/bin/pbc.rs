@@ -49,6 +49,10 @@ USAGE:
                                         co-locates name:weight[:sla]
                                         groups on every node
   pbc faults list                       list every canned fault plan
+  pbc repro     EXPERIMENT|all|list [--out DIR]
+                                        regenerate the paper's figures and
+                                        tables (EXPERIMENTS.md); --out
+                                        writes their CSV series to DIR
   pbc rapl-status                       read real RAPL domains (Linux)
   pbc serve     [--port N] [--prom-port N] [--snapshot FILE]
                                         run the coordination daemon:
@@ -57,11 +61,11 @@ USAGE:
                                         the Prometheus endpoint and FILE;
                                         drains cleanly on stdin EOF or the
                                         `shutdown` verb (docs/SERVING.md)
-  pbc serve-bench [-p PLATFORM] [-w BENCH] [--nodes N] [--workers N]
-                [--pipeline N] [--duration-ms N] [--save FILE]
-                                        load-test the daemon; report
-                                        queries/sec and p50/p99/p999
-                                        dispatch latency
+  pbc serve-bench [-p PLATFORM] [-w BENCH] [--save FILE]
+                                        load-test the daemon (1024
+                                        sessions, 2 workers, pipeline 64,
+                                        1.5 s); report queries/sec and
+                                        p50/p99/p999 dispatch latency
 
 Global options:
   --trace FILE    record spans and counters for the run and write them
@@ -116,10 +120,7 @@ const FLAGS: &[(&[&str], &str, Check)] = &[
     (&["--port"], "port", Some(|v| number::<u16>("port", v))),
     (&["--prom-port"], "prom-port", Some(|v| number::<u16>("prom port", v))),
     (&["--snapshot"], "snapshot", TEXT),
-    (&["--nodes"], "nodes", Some(|v| number::<usize>("node count", v))),
-    (&["--workers"], "workers", Some(|v| number::<usize>("worker count", v))),
-    (&["--pipeline"], "pipeline", Some(|v| number::<usize>("pipeline depth", v))),
-    (&["--duration-ms"], "duration-ms", Some(|v| number::<u64>("duration", v))),
+    (&["--out"], "out", TEXT),
 ];
 
 /// The wattages of one `-b` value.
@@ -209,6 +210,12 @@ fn run(argv: &[String]) -> Result<String, String> {
                 Some(other) => Err(format!("unknown faults subcommand {other}; try `pbc faults list`")),
             }
         }
+        "repro" => {
+            // The experiment comes first; flags follow it.
+            let target = rest.first().map(String::as_str).filter(|t| !t.starts_with('-'));
+            let out = Flags::parse(&rest[usize::from(target.is_some())..])?.get("out");
+            return pbc_cli::cmd_repro(target, out).map_err(|e| e.to_string());
+        }
         "probe" => |a| Ok(pbc_cli::cmd_probe(a.platform()?, a.bench()?)?),
         "coord" => |a| Ok(pbc_cli::cmd_coord(a.platform()?, a.bench()?, a.budget()?)?),
         "sweep" => |a| Ok(pbc_cli::cmd_sweep(a.platform()?, a.bench()?, a.budget()?, a.get("save"))?),
@@ -267,10 +274,6 @@ fn run(argv: &[String]) -> Result<String, String> {
             Ok(pbc_cli::cmd_serve_bench(
                 a.get("platform").unwrap_or("ivybridge"),
                 a.get("bench").unwrap_or("stream"),
-                a.num("nodes").unwrap_or(1024),
-                a.num("workers").unwrap_or(2),
-                a.num("pipeline").unwrap_or(64),
-                a.num("duration-ms").unwrap_or(1500),
                 a.get("save"),
             )?)
         },

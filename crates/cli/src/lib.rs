@@ -26,7 +26,7 @@ use pbc_powersim::coordinate_corun;
 use pbc_platform::{presets, NodeSpec, Platform, PlatformId};
 use pbc_powersim::solve;
 use pbc_types::{check_budget, PbcError, PowerAllocation, Result, Watts};
-use pbc_workloads::{all_benchmarks, by_name, check_target, Benchmark};
+use pbc_workloads::{all_benchmarks, check_target, lookup, Benchmark};
 use std::fmt::Write as _;
 
 /// Resolve a platform slug.
@@ -35,18 +35,9 @@ pub fn platform(slug: &str) -> Result<Platform> {
     PlatformId::lookup(slug).map(presets::by_id).map_err(PbcError::NotFound)
 }
 
-/// Resolve a benchmark slug.
-#[must_use = "the resolved benchmark carries either the workload or the lookup failure"]
-pub fn benchmark(slug: &str) -> Result<Benchmark> {
-    by_name(slug).ok_or_else(|| {
-        let names: Vec<&str> = all_benchmarks().iter().map(|b| b.id.slug()).collect();
-        PbcError::NotFound(format!("benchmark {slug:?}; known: {}", names.join(", ")))
-    })
-}
-
 /// Resolve a benchmark slug to a benchmark that targets `p`.
 fn benchmark_on(p: &Platform, slug: &str) -> Result<Benchmark> {
-    let b = benchmark(slug)?;
+    let b = lookup(slug).map_err(PbcError::NotFound)?;
     check_target(&b, p)?;
     Ok(b)
 }
@@ -404,6 +395,13 @@ pub fn cmd_online(platform_slug: &str, bench_slug: &str, watts: f64) -> Result<S
     Ok(out)
 }
 
+/// The error for a `--plan` name no preset in `presets` has, naming
+/// every one that is.
+fn unknown<P>(kind: &str, name: &str, presets: &[pbc_faults::plan::Preset<P>]) -> PbcError {
+    let known = presets.iter().map(|(n, ..)| *n).collect::<Vec<_>>().join(", ");
+    PbcError::NotFound(format!("{kind} {name:?}; known: {known}"))
+}
+
 /// `pbc chaos -p <platform> -w <bench> -b WATTS [--plan NAME] [--seed N] [--epochs N]`
 #[must_use = "the survival report is the command's entire output"]
 pub fn cmd_chaos(
@@ -416,12 +414,8 @@ pub fn cmd_chaos(
 ) -> Result<String> {
     let p = platform(platform_slug)?;
     let budget = check_budget("budget", watts)?;
-    let plan = pbc_faults::FaultPlan::by_name(plan_name, seed).ok_or_else(|| {
-        PbcError::NotFound(format!(
-            "fault plan {plan_name:?}; known: {}",
-            pbc_faults::plan::NAMES.join(", ")
-        ))
-    })?;
+    let plan = pbc_faults::FaultPlan::by_name(plan_name, seed)
+        .ok_or_else(|| unknown("fault plan", plan_name, &pbc_faults::plan::PRESETS))?;
     let report = pbc_faults::run_chaos(&p, bench_slug, budget, &plan, epochs)?;
     Ok(report.to_string())
 }
@@ -534,12 +528,8 @@ pub fn cmd_cluster_chaos(
         .map_err(|e| PbcError::Io(format!("could not read fleet spec {spec_path:?}: {e}")))?;
     let spec = pbc_cluster::parse_spec(&text)?;
     let fleet = pbc_cluster::Fleet::build(&spec)?;
-    let plan = pbc_faults::FleetFaultPlan::by_name(plan_name, seed).ok_or_else(|| {
-        PbcError::NotFound(format!(
-            "fleet fault plan {plan_name:?}; known: {}",
-            pbc_faults::FLEET_PLAN_NAMES.join(", ")
-        ))
-    })?;
+    let plan = pbc_faults::FleetFaultPlan::by_name(plan_name, seed)
+        .ok_or_else(|| unknown("fleet fault plan", plan_name, &pbc_faults::FLEET_PRESETS))?;
     let objective = pbc_cluster::Objective::parse(objective_name)?;
     let tenants = tenant_spec.map(pbc_cluster::TenantSet::parse).transpose()?;
     let report = pbc_cluster::run_cluster_chaos(
@@ -562,14 +552,12 @@ pub fn cmd_cluster_chaos(
 pub fn cmd_faults_list() -> String {
     let mut out = String::new();
     let _ = writeln!(out, "single-node fault plans (pbc chaos --plan NAME):");
-    for name in pbc_faults::plan::NAMES {
-        let what = pbc_faults::FaultPlan::describe(name).unwrap_or("");
+    for (name, what, _) in pbc_faults::plan::PRESETS {
         let _ = writeln!(out, "  {name:<14} {what}");
     }
     let _ = writeln!(out);
     let _ = writeln!(out, "fleet fault plans (pbc cluster-chaos --plan NAME):");
-    for name in pbc_faults::FLEET_PLAN_NAMES {
-        let what = pbc_faults::FleetFaultPlan::describe(name).unwrap_or("");
+    for (name, what, _) in pbc_faults::FLEET_PRESETS {
         let _ = writeln!(out, "  {name:<14} {what}");
     }
     out
@@ -648,28 +636,49 @@ pub fn cmd_report(platform_slug: &str, bench_slug: &str, watts: f64) -> Result<S
     workload_report(&problem, &ladder, DEFAULT_STEP)
 }
 
-/// `pbc serve-bench` — load-test the coordination daemon and write one
+/// `pbc repro EXPERIMENT|all|list [--out DIR]` — regenerate the paper's
+/// evaluation (§6) from [`pbc_experiments::EXPERIMENTS`]: run each
+/// experiment under one `experiment.<name>` span, write its CSV series
+/// under `out`, and return the rendered tables of every experiment run,
+/// one blank line apart. `list` returns the experiment names.
+#[must_use = "the rendered tables are the command's entire output"]
+pub fn cmd_repro(target: Option<&str>, out: Option<&str>) -> Result<String> {
+    let names = pbc_experiments::EXPERIMENTS.map(|(name, _)| name);
+    let chosen = match target {
+        Some("list") => return Ok(names.join("\n")),
+        Some("all") => names.to_vec(),
+        Some(name) => vec![name],
+        None => return Err(PbcError::InvalidInput(format!("missing EXPERIMENT; known: {}, all, list", names.join(", ")))),
+    };
+    let mut rendered = Vec::new();
+    for name in chosen {
+        let _span = pbc_trace::span(&format!("experiment.{name}"));
+        let output = pbc_experiments::run(name)?;
+        if let Some(dir) = out {
+            std::fs::create_dir_all(dir)
+                .map_err(|e| PbcError::Io(format!("cannot create {dir}: {e}")))?;
+            for (file, contents) in output.csv_files() {
+                let path = std::path::Path::new(dir).join(file);
+                std::fs::write(&path, contents)
+                    .map_err(|e| PbcError::Io(format!("cannot write {}: {e}", path.display())))?;
+            }
+        }
+        rendered.push(output.render());
+    }
+    Ok(rendered.join("\n"))
+}
+
+/// `pbc serve-bench` — load-test the coordination daemon with
+/// [`pbc_serve::BenchConfig::default`]'s load and write one
 /// `BENCH_serve.json` record. The daemon is booted in-process on an
 /// ephemeral port; throughput is measured over live pipelined TCP,
 /// dispatch latency over the identical in-process dispatch path (see
 /// `docs/SERVING.md` for the methodology).
 #[must_use = "the rendered bench summary is the command's entire output"]
-pub fn cmd_serve_bench(
-    platform_slug: &str,
-    bench_slug: &str,
-    nodes: usize,
-    workers: usize,
-    pipeline: usize,
-    duration_ms: u64,
-    save: Option<&str>,
-) -> Result<String> {
+pub fn cmd_serve_bench(platform_slug: &str, bench_slug: &str, save: Option<&str>) -> Result<String> {
     // Fail fast on bad slugs before booting a daemon.
     let _ = resolve(platform_slug, bench_slug)?;
     let cfg = pbc_serve::BenchConfig {
-        nodes,
-        workers,
-        pipeline,
-        duration: std::time::Duration::from_millis(duration_ms),
         platform: platform_slug.to_string(),
         bench: bench_slug.to_string(),
         ..pbc_serve::BenchConfig::default()
@@ -744,8 +753,9 @@ mod tests {
         assert!(platform("ivybridge").is_ok());
         assert!(platform("xp").is_ok());
         assert!(platform("nope").is_err());
-        assert!(benchmark("sra").is_ok());
-        assert!(benchmark("nope").is_err());
+        let ivybridge = platform("ivybridge").unwrap();
+        assert!(benchmark_on(&ivybridge, "sra").is_ok());
+        assert!(benchmark_on(&ivybridge, "nope").is_err());
     }
 
     #[test]

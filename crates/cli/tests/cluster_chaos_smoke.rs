@@ -77,10 +77,10 @@ fn faults_list_catalogues_every_plan() {
         .expect("pbc binary runs");
     assert!(output.status.success());
     let stdout = String::from_utf8_lossy(&output.stdout);
-    for name in pbc_faults::plan::NAMES {
+    for (name, ..) in pbc_faults::plan::PRESETS {
         assert!(stdout.contains(name), "single-node plan {name} missing:\n{stdout}");
     }
-    for name in pbc_faults::FLEET_PLAN_NAMES {
+    for (name, ..) in pbc_faults::FLEET_PRESETS {
         assert!(stdout.contains(name), "fleet plan {name} missing:\n{stdout}");
     }
 }

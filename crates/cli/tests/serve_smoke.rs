@@ -113,6 +113,9 @@ fn serve_round_trips_scrapes_and_drains_cleanly() {
     let trace = trace_file("graceful");
     let _ = std::fs::remove_file(&trace);
     let mut daemon = boot(&trace, true);
+    // The endpoint serves a start-up snapshot before the first tick.
+    let first = scrape(daemon.prom.expect("prometheus enabled"));
+    assert_eq!(first.get("pbc_serve_requests"), Some(&0.0), "{first:?}");
 
     // Client round trips over live TCP.
     let stream = TcpStream::connect(daemon.addr).expect("connect to daemon");

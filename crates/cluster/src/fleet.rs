@@ -22,7 +22,7 @@ use pbc_par::Pool;
 use pbc_platform::{presets, NodeSpec, Platform, PlatformId};
 use pbc_powersim::WorkloadDemand;
 use pbc_types::{PbcError, Result, Watts};
-use pbc_workloads::{by_name, check_target};
+use pbc_workloads::{check_target, lookup};
 
 /// One line of a fleet spec: `count` nodes of `platform` running
 /// `bench`.
@@ -32,7 +32,7 @@ pub struct SpecLine {
     pub count: usize,
     /// Platform slug (`pbc_platform::PlatformId::from_slug`).
     pub platform: String,
-    /// Benchmark slug (`pbc_workloads::by_name`).
+    /// Benchmark slug (`pbc_workloads::lookup`).
     pub bench: String,
 }
 
@@ -170,9 +170,7 @@ impl Fleet {
         let mut nodes = Vec::new();
         for line in spec {
             let id = PlatformId::lookup(&line.platform).map_err(PbcError::NotFound)?;
-            let bench = by_name(&line.bench).ok_or_else(|| {
-                PbcError::NotFound(format!("benchmark {:?} (see `pbc benchmarks`)", line.bench))
-            })?;
+            let bench = lookup(&line.bench).map_err(PbcError::NotFound)?;
             let platform = presets::by_id(id);
             check_target(&bench, &platform)?;
             let key = (id, line.bench.clone());

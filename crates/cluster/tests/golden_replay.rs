@@ -5,7 +5,7 @@
 //! or the epoch pipeline's arithmetic shows up here as a diff.
 
 use pbc_cluster::{parse_spec, ClusterReport, Fleet, FleetCoordinator, TenantSet};
-use pbc_faults::{FleetFaultPlan, FLEET_PLAN_NAMES};
+use pbc_faults::{FleetFaultPlan, FLEET_PRESETS};
 use pbc_types::Watts;
 
 /// Presets that run with the tenant set attached.
@@ -79,7 +79,7 @@ fn every_preset_replays_its_golden_report() {
     let spec = parse_spec("4 ivybridge stream\n4 haswell dgemm\n2 titan-xp sgemm\n").unwrap();
     let fleet = Fleet::build(&spec).unwrap();
     let mut actual = Vec::new();
-    for plan in FLEET_PLAN_NAMES {
+    for (plan, ..) in FLEET_PRESETS {
         for seed in [7, 11] {
             actual.push((plan, seed, fingerprint(&run(&fleet, plan, seed))));
         }

@@ -8,9 +8,9 @@
 //! still converged once the plan went quiet.
 
 use crate::output::{fmt, ExperimentOutput, TextTable};
-use pbc_faults::{plan::NAMES, run_chaos, FaultPlan};
+use pbc_faults::{plan::PRESETS, run_chaos};
 use pbc_platform::presets::ivybridge;
-use pbc_types::{PbcError, Result, Watts};
+use pbc_types::{Result, Watts};
 
 /// Seed every plan is run at (arbitrary, fixed for reproducibility).
 const SEED: u64 = 42;
@@ -44,9 +44,8 @@ pub fn run() -> Result<ExperimentOutput> {
             "verdict",
         ],
     );
-    for name in NAMES {
-        let plan = FaultPlan::by_name(name, SEED)
-            .ok_or_else(|| PbcError::NotFound(format!("fault plan {name:?}")))?;
+    for (name, _, make) in PRESETS {
+        let plan = make(SEED);
         let report = run_chaos(&platform, "stream", budget, &plan, EPOCHS)?;
         t.push(vec![
             name.to_string(),
@@ -74,7 +73,7 @@ mod tests {
     fn every_plan_survives_and_renders() {
         let out = run().unwrap();
         let text = out.render();
-        for name in NAMES {
+        for (name, ..) in PRESETS {
             assert!(text.contains(name), "missing plan {name} in:\n{text}");
         }
         assert!(text.contains("SURVIVED"));

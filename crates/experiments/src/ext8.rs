@@ -20,13 +20,13 @@ use pbc_types::{Result, Watts};
 
 /// The plans the table sweeps — the survival-relevant presets, calm
 /// first as the control row.
-const PLANS: [&str; 6] = [
-    "calm",
-    "node-crash",
-    "node-rejoin",
-    "stragglers",
-    "report-loss",
-    "everything",
+const PLANS: [fn(u64) -> FleetFaultPlan; 6] = [
+    FleetFaultPlan::calm,
+    FleetFaultPlan::node_crash,
+    FleetFaultPlan::node_rejoin,
+    FleetFaultPlan::stragglers,
+    FleetFaultPlan::report_loss,
+    FleetFaultPlan::everything,
 ];
 
 /// Fleet sizes the table sweeps (128 is ext7's headline scale; chaos
@@ -65,16 +65,14 @@ pub fn run() -> Result<ExperimentOutput> {
         ],
     );
     for n in SIZES {
-        for plan_name in PLANS {
-            let plan = FleetFaultPlan::by_name(plan_name, SEED).ok_or_else(|| {
-                pbc_types::PbcError::NotFound(format!("fleet fault plan {plan_name}"))
-            })?;
+        for preset in PLANS {
+            let plan = preset(SEED);
             let fleet = fleet_of(n)?;
             let global = Watts::new(WATTS_PER_NODE * n as f64);
             let chaos = run_cluster_chaos(fleet, global, &plan, 0, Objective::Throughput, None)?;
             let r = &chaos.report;
             t.push(vec![
-                plan_name.to_string(),
+                plan.name.to_string(),
                 n.to_string(),
                 chaos.report.epochs.to_string(),
                 fmt(r.availability),

@@ -69,9 +69,7 @@ pub fn run() -> Result<ExperimentOutput> {
     );
     let global = Watts::new(WATTS_PER_NODE * NODES as f64);
     for objective in OBJECTIVES {
-        let plan = FleetFaultPlan::by_name("noisy-neighbor", SEED).ok_or_else(|| {
-            pbc_types::PbcError::NotFound("fleet fault plan noisy-neighbor".to_string())
-        })?;
+        let plan = FleetFaultPlan::noisy_neighbor(SEED);
         let tenants = TenantSet::parse(TENANTS)?;
         let min_share = calm_min_tenant_watts(objective, global, &tenants)?;
         let chaos =

@@ -27,8 +27,8 @@
 //! | [`ext9`] | *extension*: multi-tenant fairness frontier — throughput vs max-min vs weighted shares under a noisy neighbor |
 //!
 //! Every experiment returns an [`output::ExperimentOutput`]: rendered text
-//! tables for the terminal plus CSV series for downstream plotting. The
-//! `repro` binary dispatches on experiment name and writes the CSVs under
+//! tables for the terminal plus CSV series for downstream plotting. `pbc
+//! repro` runs them by name from [`EXPERIMENTS`] and writes the CSVs under
 //! `results/`.
 
 pub mod ext1;
@@ -56,40 +56,40 @@ pub use output::{ExperimentOutput, TextTable};
 
 use pbc_types::Result;
 
-/// Every experiment by name, in paper order.
-pub const EXPERIMENTS: [&str; 21] = [
-    "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "table1", "table2",
-    "table3", "ext1", "ext2", "ext3", "ext4", "ext5", "ext6", "ext7", "ext8", "ext9",
+/// The function that runs one experiment.
+pub type Experiment = fn() -> Result<ExperimentOutput>;
+
+/// Every experiment in paper order: its name and the function that runs it.
+pub const EXPERIMENTS: [(&str, Experiment); 21] = [
+    ("fig1", fig1::run),
+    ("fig2", fig2::run),
+    ("fig3", fig3::run),
+    ("fig4", fig4::run),
+    ("fig5", fig5::run),
+    ("fig6", fig6::run),
+    ("fig7", fig7::run),
+    ("fig8", fig8::run),
+    ("fig9", fig9::run),
+    ("table1", tables::table1_experiment),
+    ("table2", tables::table2_experiment),
+    ("table3", tables::table3_experiment),
+    ("ext1", ext1::run),
+    ("ext2", ext2::run),
+    ("ext3", ext3::run),
+    ("ext4", ext4::run),
+    ("ext5", ext5::run),
+    ("ext6", ext6::run),
+    ("ext7", ext7::run),
+    ("ext8", ext8::run),
+    ("ext9", ext9::run),
 ];
 
 /// Run one experiment by name.
 #[must_use = "the experiment outcome carries I/O and solver failures"]
 pub fn run(name: &str) -> Result<ExperimentOutput> {
-    match name {
-        "fig1" => fig1::run(),
-        "fig2" => fig2::run(),
-        "fig3" => fig3::run(),
-        "fig4" => fig4::run(),
-        "fig5" => fig5::run(),
-        "fig6" => fig6::run(),
-        "fig7" => fig7::run(),
-        "fig8" => fig8::run(),
-        "fig9" => fig9::run(),
-        "table1" => tables::table1_experiment(),
-        "table2" => tables::table2_experiment(),
-        "table3" => tables::table3_experiment(),
-        "ext1" => ext1::run(),
-        "ext2" => ext2::run(),
-        "ext3" => ext3::run(),
-        "ext4" => ext4::run(),
-        "ext5" => ext5::run(),
-        "ext6" => ext6::run(),
-        "ext7" => ext7::run(),
-        "ext8" => ext8::run(),
-        "ext9" => ext9::run(),
-        other => Err(pbc_types::PbcError::NotFound(format!(
-            "experiment {other}; known: {}",
-            EXPERIMENTS.join(", ")
-        ))),
-    }
+    let Some((_, experiment)) = EXPERIMENTS.iter().find(|(n, _)| *n == name) else {
+        let known = EXPERIMENTS.map(|(n, _)| n).join(", ");
+        return Err(pbc_types::PbcError::NotFound(format!("experiment {name}; known: {known}")));
+    };
+    experiment()
 }

@@ -163,7 +163,7 @@ pub fn sparkline(values: &[f64]) -> String {
 
 /// A fixed-size ASCII scatter/line chart for terminal output: `points`
 /// are `(x, y)` pairs; the chart is `width x height` characters with
-/// simple min/max axis labels. Used by the `repro` harness so the
+/// simple min/max axis labels. Used by `pbc repro` so the
 /// figure *shapes* (the thing this reproduction is judged on) are visible
 /// without leaving the terminal.
 pub fn ascii_chart(points: &[(f64, f64)], width: usize, height: usize) -> String {

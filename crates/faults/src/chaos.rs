@@ -31,7 +31,7 @@ use pbc_rapl::mock::MockTree;
 use pbc_rapl::{current_allocation, enforce_with, RaplDomain, RaplSysfs, WRITE_ATTEMPTS};
 use pbc_trace::names;
 use pbc_types::{check_budget, PbcError, PowerAllocation, Result, Watts};
-use pbc_workloads::{by_name, check_target};
+use pbc_workloads::{check_target, lookup};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -187,20 +187,15 @@ pub fn run_chaos(
         ));
     }
     check_budget("budget", budget.value())?;
-    let base = by_name(bench)
-        .ok_or_else(|| PbcError::NotFound(format!("unknown benchmark '{bench}'")))?;
+    let base = lookup(bench).map_err(PbcError::NotFound)?;
     check_target(&base, platform)?;
     let mut demand = base.demand;
     // Resolve every scheduled phase shift up front so a typo fails the
     // run loudly at tick 0, not silently mid-storm.
     let mut shifted: HashMap<usize, _> = HashMap::new();
     for shift in &plan.phase_shifts {
-        let b = by_name(&shift.bench).ok_or_else(|| {
-            PbcError::NotFound(format!(
-                "phase shift at tick {} names unknown benchmark '{}'",
-                shift.at, shift.bench
-            ))
-        })?;
+        let b = lookup(&shift.bench)
+            .map_err(|e| PbcError::NotFound(format!("phase shift at tick {}: {e}", shift.at)))?;
         shifted.insert(shift.at, b.demand);
     }
 
@@ -432,7 +427,7 @@ mod tests {
 
     #[test]
     fn every_named_plan_survives_the_default_scenario() {
-        for name in crate::plan::NAMES {
+        for (name, ..) in crate::plan::PRESETS {
             let plan = FaultPlan::by_name(name, 42).unwrap();
             let report =
                 run_chaos(&ivybridge(), "stream", Watts::new(208.0), &plan, 200).unwrap();

@@ -21,7 +21,7 @@
 //! node's decrease cannot be written — is exercised separately by the
 //! property tests with the weaker caps-never-inflate guarantee.
 
-use crate::plan::{check_probs, BudgetStep, FaultWindow};
+use crate::plan::{check_probs, BudgetStep, FaultWindow, Preset};
 use pbc_types::{PbcError, Result};
 
 /// A timed fault: in each tick of `window`, each entity (a node, a
@@ -222,21 +222,20 @@ pub struct FleetFaultPlan {
     pub budget_steps: Vec<BudgetStep>,
 }
 
-/// The preset plan names [`FleetFaultPlan::by_name`] accepts, in
-/// escalation order. `node-dropouts` and `flaky-writes` keep the
-/// pre-health-machine preset names alive.
-pub const FLEET_PLAN_NAMES: [&str; 11] = [
-    "calm",
-    "node-dropouts",
-    "node-crash",
-    "node-rejoin",
-    "stragglers",
-    "report-loss",
-    "flaky-writes",
-    "write-outage",
-    "demand-spike",
-    "noisy-neighbor",
-    "everything",
+/// Every canned fleet plan, in escalation order. `node-dropouts` and
+/// `flaky-writes` keep the pre-health-machine preset names alive.
+pub const FLEET_PRESETS: [Preset<FleetFaultPlan>; 11] = [
+    ("calm", "no faults; the control run", FleetFaultPlan::calm),
+    ("node-dropouts", "nodes drop out and rejoin a few epochs later", FleetFaultPlan::node_dropouts),
+    ("node-crash", "hard crashes with long outages; survivors inherit the watts", FleetFaultPlan::node_crash),
+    ("node-rejoin", "crash/rejoin churn; probation path exercised hard", FleetFaultPlan::node_rejoin),
+    ("stragglers", "nodes run slow and report an epoch late", FleetFaultPlan::stragglers),
+    ("report-loss", "reports dropped, delayed, and garbled", FleetFaultPlan::report_loss),
+    ("flaky-writes", "cap writes fail stochastically", FleetFaultPlan::flaky_writes),
+    ("write-outage", "whole per-node cap-write paths go down for a stretch", FleetFaultPlan::write_outage),
+    ("demand-spike", "tenant demand bursts the sub-partition must absorb", FleetFaultPlan::demand_spike),
+    ("noisy-neighbor", "a tenant hogs demand; co-tenant floors must hold", FleetFaultPlan::noisy_neighbor),
+    ("everything", "all of it, plus a coordinator outage and a budget cut", FleetFaultPlan::everything),
 ];
 
 impl FleetFaultPlan {
@@ -431,42 +430,10 @@ impl FleetFaultPlan {
         }
     }
 
-    /// Look a preset up by name (see [`FLEET_PLAN_NAMES`]).
+    /// Look a preset up by name (see [`FLEET_PRESETS`]).
     #[must_use]
     pub fn by_name(name: &str, seed: u64) -> Option<Self> {
-        match name {
-            "calm" => Some(Self::calm(seed)),
-            "node-dropouts" => Some(Self::node_dropouts(seed)),
-            "node-crash" => Some(Self::node_crash(seed)),
-            "node-rejoin" => Some(Self::node_rejoin(seed)),
-            "stragglers" => Some(Self::stragglers(seed)),
-            "report-loss" => Some(Self::report_loss(seed)),
-            "flaky-writes" => Some(Self::flaky_writes(seed)),
-            "write-outage" => Some(Self::write_outage(seed)),
-            "demand-spike" => Some(Self::demand_spike(seed)),
-            "noisy-neighbor" => Some(Self::noisy_neighbor(seed)),
-            "everything" => Some(Self::everything(seed)),
-            _ => None,
-        }
-    }
-
-    /// One-line description of a preset, for `pbc faults list`.
-    #[must_use]
-    pub fn describe(name: &str) -> Option<&'static str> {
-        match name {
-            "calm" => Some("no faults; the control run"),
-            "node-dropouts" => Some("nodes drop out and rejoin a few epochs later"),
-            "node-crash" => Some("hard crashes with long outages; survivors inherit the watts"),
-            "node-rejoin" => Some("crash/rejoin churn; probation path exercised hard"),
-            "stragglers" => Some("nodes run slow and report an epoch late"),
-            "report-loss" => Some("reports dropped, delayed, and garbled"),
-            "flaky-writes" => Some("cap writes fail stochastically"),
-            "write-outage" => Some("whole per-node cap-write paths go down for a stretch"),
-            "demand-spike" => Some("tenant demand bursts the sub-partition must absorb"),
-            "noisy-neighbor" => Some("a tenant hogs demand; co-tenant floors must hold"),
-            "everything" => Some("all of it, plus a coordinator outage and a budget cut"),
-            _ => None,
-        }
+        FLEET_PRESETS.iter().find(|(n, ..)| *n == name).map(|(.., make)| make(seed))
     }
 
     /// The tick after which the plan injects nothing and every fault it
@@ -546,14 +513,13 @@ mod tests {
 
     #[test]
     fn every_fleet_preset_resolves_validates_and_has_a_description() {
-        for name in FLEET_PLAN_NAMES {
+        for (name, description, _) in FLEET_PRESETS {
             let plan = FleetFaultPlan::by_name(name, 42).unwrap();
             assert_eq!(plan.name, name);
             plan.validate().unwrap();
-            assert!(FleetFaultPlan::describe(name).is_some(), "{name} lacks a description");
+            assert!(!description.is_empty(), "{name} lacks a description");
         }
         assert!(FleetFaultPlan::by_name("nope", 1).is_none());
-        assert!(FleetFaultPlan::describe("nope").is_none());
     }
 
     /// The seed-independence of the fleet budget invariant rests on
@@ -561,7 +527,7 @@ mod tests {
     /// fault (stochastic or outage) can still be in flight.
     #[test]
     fn shipped_fleet_plans_never_step_budget_while_writes_can_fail() {
-        for name in FLEET_PLAN_NAMES {
+        for (name, ..) in FLEET_PRESETS {
             let plan = FleetFaultPlan::by_name(name, 1).unwrap();
             let write_tail = plan.writes.window.until.max(plan.writes.outage.tail());
             for step in &plan.budget_steps {

@@ -181,13 +181,17 @@ pub struct FaultPlan {
     pub phase_shifts: Vec<PhaseShift>,
 }
 
-/// The named plans [`FaultPlan::by_name`] knows, in escalation order.
-pub const NAMES: [&str; 5] = [
-    "calm",
-    "noisy-sensors",
-    "flaky-writes",
-    "budget-storm",
-    "everything",
+/// One canned plan: its name, its one-line description for `pbc faults
+/// list`, and its constructor from a seed.
+pub type Preset<P> = (&'static str, &'static str, fn(u64) -> P);
+
+/// Every canned single-node plan, in escalation order.
+pub const PRESETS: [Preset<FaultPlan>; 5] = [
+    ("calm", "no faults; the control run", FaultPlan::calm),
+    ("noisy-sensors", "perf readings jittered, spiked, dropped, and frozen", FaultPlan::noisy_sensors),
+    ("flaky-writes", "cap writes fail stochastically; transactions roll back", FaultPlan::flaky_writes),
+    ("budget-storm", "the budget steps up and down mid-run", FaultPlan::budget_storm),
+    ("everything", "all of it at once, plus a phase shift", FaultPlan::everything),
 ];
 
 impl FaultPlan {
@@ -302,30 +306,10 @@ impl FaultPlan {
         }
     }
 
-    /// Look up a canned plan by name (see [`NAMES`]).
+    /// Look up a canned plan by name (see [`PRESETS`]).
     #[must_use]
     pub fn by_name(name: &str, seed: u64) -> Option<Self> {
-        match name {
-            "calm" => Some(Self::calm(seed)),
-            "noisy-sensors" => Some(Self::noisy_sensors(seed)),
-            "flaky-writes" => Some(Self::flaky_writes(seed)),
-            "budget-storm" => Some(Self::budget_storm(seed)),
-            "everything" => Some(Self::everything(seed)),
-            _ => None,
-        }
-    }
-
-    /// One-line description of a preset, for `pbc faults list`.
-    #[must_use]
-    pub fn describe(name: &str) -> Option<&'static str> {
-        match name {
-            "calm" => Some("no faults; the control run"),
-            "noisy-sensors" => Some("perf readings jittered, spiked, dropped, and frozen"),
-            "flaky-writes" => Some("cap writes fail stochastically; transactions roll back"),
-            "budget-storm" => Some("the budget steps up and down mid-run"),
-            "everything" => Some("all of it at once, plus a phase shift"),
-            _ => None,
-        }
+        PRESETS.iter().find(|(n, ..)| *n == name).map(|(.., make)| make(seed))
     }
 
     /// The tick after which the plan injects nothing: windows closed,
@@ -431,7 +415,7 @@ mod tests {
 
     #[test]
     fn every_named_plan_resolves_and_validates() {
-        for name in NAMES {
+        for (name, ..) in PRESETS {
             let plan = FaultPlan::by_name(name, 42).unwrap();
             assert_eq!(plan.name, name);
             assert_eq!(plan.validate(), Ok(()));
@@ -444,7 +428,7 @@ mod tests {
     /// steps.
     #[test]
     fn shipped_plans_never_step_budget_inside_a_write_window() {
-        for name in NAMES {
+        for (name, ..) in PRESETS {
             let plan = FaultPlan::by_name(name, 1).unwrap();
             for step in &plan.budget_steps {
                 assert!(

@@ -5,7 +5,7 @@
 //! or the chaos loop's arithmetic shows up here as a diff.
 
 use pbc_faults::chaos::run_chaos;
-use pbc_faults::plan::NAMES;
+use pbc_faults::plan::PRESETS;
 use pbc_faults::{ChaosReport, FaultPlan, InjectionTally};
 use pbc_platform::presets::ivybridge;
 use pbc_types::{PowerAllocation, Watts};
@@ -58,7 +58,7 @@ fn fingerprint(r: &ChaosReport) -> String {
 fn every_preset_replays_its_golden_report() {
     let platform = ivybridge();
     let mut actual = Vec::new();
-    for plan in NAMES {
+    for (plan, ..) in PRESETS {
         for seed in [7, 11] {
             let p = FaultPlan::by_name(plan, seed).unwrap();
             let report = run_chaos(&platform, "stream", Watts::new(208.0), &p, 200).unwrap();

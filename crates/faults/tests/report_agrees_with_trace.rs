@@ -5,7 +5,7 @@
 //! own test binary with a single test.
 
 use pbc_faults::chaos::run_chaos;
-use pbc_faults::plan::NAMES;
+use pbc_faults::plan::PRESETS;
 use pbc_faults::FaultPlan;
 use pbc_platform::presets::ivybridge;
 use pbc_trace::{json, names};
@@ -19,7 +19,7 @@ fn exported() -> BTreeMap<String, u64> {
 #[test]
 fn every_preset_report_count_equals_its_counter_delta() {
     let platform = ivybridge();
-    for name in NAMES {
+    for (name, ..) in PRESETS {
         let plan = FaultPlan::by_name(name, 7).unwrap();
         let before = exported();
         let r = run_chaos(&platform, "stream", Watts::new(208.0), &plan, 200).unwrap();

@@ -41,30 +41,28 @@ pub enum Disposition {
     Shutdown,
 }
 
-fn c(name: &'static str, cell: &'static OnceLock<pbc_trace::Counter>) -> &'static pbc_trace::Counter {
-    cell.get_or_init(|| pbc_trace::counter(name))
+/// The request counters: `serve.requests` and its two outcomes.
+struct Requests {
+    all: pbc_trace::Counter,
+    served: pbc_trace::Counter,
+    rejected: pbc_trace::Counter,
 }
 
-fn c_requests() -> &'static pbc_trace::Counter {
-    static C: OnceLock<pbc_trace::Counter> = OnceLock::new();
-    c(names::SERVE_REQUESTS, &C)
-}
-
-fn c_served() -> &'static pbc_trace::Counter {
-    static C: OnceLock<pbc_trace::Counter> = OnceLock::new();
-    c(names::SERVE_SERVED_REQUESTS, &C)
-}
-
-fn c_rejected() -> &'static pbc_trace::Counter {
-    static C: OnceLock<pbc_trace::Counter> = OnceLock::new();
-    c(names::SERVE_REJECTED_REQUESTS, &C)
+/// The request counters, registered together on first use.
+fn requests() -> &'static Requests {
+    static C: OnceLock<Requests> = OnceLock::new();
+    C.get_or_init(|| Requests {
+        all: pbc_trace::counter(names::SERVE_REQUESTS),
+        served: pbc_trace::counter(names::SERVE_SERVED_REQUESTS),
+        rejected: pbc_trace::counter(names::SERVE_REJECTED_REQUESTS),
+    })
 }
 
 /// Render `err` into `out` and count the rejection.
 fn reject(err: &ServeError, out: &mut String) {
     out.clear();
     proto::render_err(out, err);
-    c_rejected().incr();
+    requests().rejected.incr();
 }
 
 /// The transport-independent daemon core.
@@ -81,9 +79,12 @@ impl Default for ServeEngine {
 }
 
 impl ServeEngine {
-    /// An engine with no sessions and no fleet.
+    /// An engine with no sessions and no fleet. Registers the request
+    /// counters, so a snapshot taken before the first request already
+    /// carries them at 0.
     #[must_use]
     pub fn new() -> Self {
+        let _ = requests();
         Self {
             sessions: RwLock::new(HashMap::new()),
             fleet: Mutex::new(None),
@@ -133,14 +134,14 @@ impl ServeEngine {
             }
             _ => {}
         }
-        c_requests().incr();
+        requests().all.incr();
         let outcome = if self.draining() {
             Err(ServeError::ShuttingDown)
         } else {
             parsed.and_then(|req| self.handle(&req, out))
         };
         match outcome {
-            Ok(()) => c_served().incr(),
+            Ok(()) => requests().served.incr(),
             Err(err) => reject(&err, out),
         }
         Disposition::Respond
@@ -150,7 +151,7 @@ impl ServeEngine {
     /// past [`MAX_LINE_BYTES`](crate::server::MAX_LINE_BYTES)) with
     /// `err`, counted like any other rejected request.
     pub(crate) fn reject_into(&self, err: &ServeError, out: &mut String) {
-        c_requests().incr();
+        requests().all.incr();
         reject(err, out);
     }
 
@@ -208,12 +209,12 @@ impl ServeEngine {
                 let _ = write!(
                     out,
                     "ok stats requests={} served={} rejected={} sessions={}",
-                    c_requests().get(),
+                    requests().all.get(),
                     // The request being answered is already counted but
                     // not yet resolved; report it as served so the line
                     // itself satisfies the law it states.
-                    c_served().get() + 1,
-                    c_rejected().get(),
+                    requests().served.get() + 1,
+                    requests().rejected.get(),
                     self.session_count()
                 );
                 Ok(())

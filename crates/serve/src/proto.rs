@@ -76,7 +76,8 @@ pub enum ServeError {
     /// The platform slug is not a known preset; holds
     /// `PlatformId::lookup`'s message, which names every known slug.
     UnknownPlatform(String),
-    /// The benchmark slug is not in the workload suite.
+    /// The benchmark slug is not in the workload suite; holds
+    /// `pbc_workloads::lookup`'s message, which names every known slug.
     UnknownBench(String),
     /// `set_budget` refused the value (non-finite, non-positive, or
     /// below the platform floor) — the session keeps its old budget.
@@ -118,13 +119,13 @@ impl fmt::Display for ServeError {
         match self {
             ServeError::Malformed(d)
             | ServeError::UnknownPlatform(d)
+            | ServeError::UnknownBench(d)
             | ServeError::RejectedBudget(d)
             | ServeError::RejectedObservation(d)
             | ServeError::Build(d)
             | ServeError::FleetState(d) => write!(f, "{d}"),
             ServeError::UnknownNode(id) => write!(f, "no session with id {id}"),
             ServeError::NodeExists(id) => write!(f, "session {id} already exists"),
-            ServeError::UnknownBench(s) => write!(f, "benchmark {s:?}; see `pbc benchmarks`"),
             ServeError::ShuttingDown => write!(f, "daemon is draining"),
         }
     }

@@ -1,18 +1,22 @@
 //! The daemon shell: TCP transport, export ticker, and graceful drain.
 //!
 //! [`Server::start`] binds the protocol listener (and optionally the
-//! Prometheus endpoint), spawns the accept loop and the export ticker,
-//! and returns a handle. The caller-facing lifecycle is:
+//! Prometheus endpoint), publishes a first snapshot, spawns the accept
+//! loop and the export ticker, and returns a handle. The caller-facing
+//! lifecycle is:
 //!
 //! ```text
-//! engine ─┬─ accept thread ── one handler thread per connection
+//! engine ─┬─ accept thread ── one scoped handler thread per connection
 //!         ├─ prometheus listener (optional)
 //!         └─ export ticker (one snapshot → scrape body + trace file)
 //! ```
 //!
+//! A handler thread is reclaimed as soon as its connection ends; the
+//! accept thread's scope only waits for the ones still running.
 //! [`Server::drain`] is the graceful shutdown: flip the shutdown flag,
 //! let every handler finish the request it is reading (handlers poll
-//! the flag on a read timeout), join accept + handlers + ticker, then
+//! the flag on a read timeout), join accept (which leaves its handler
+//! scope only once every handler has returned) and ticker, then
 //! publish one final snapshot. The trace file is written through a
 //! tmp-file + rename, so there is no instant at which a reader or a
 //! crashed drain can observe a torn trace file.
@@ -26,7 +30,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 /// Server tuning knobs.
@@ -102,6 +106,10 @@ impl Server {
         let prom =
             config.prom_addr.as_deref().map(|a| prom::start_endpoint(a, Arc::clone(&shutdown)));
         let sinks = Arc::new(Sinks { prom: prom.transpose()?, snapshot: config.snapshot });
+        // A scrape sent as soon as `start` returns reads the registry as
+        // it stood at start-up, not an empty body. A failed trace write
+        // is retried by every tick, and drain reports the last one.
+        let _ = sinks.publish();
 
         // Export ticker: publish a snapshot every interval, polling the
         // shutdown flag at a finer grain so drain is prompt.
@@ -109,13 +117,13 @@ impl Server {
             let sinks = Arc::clone(&sinks);
             let flag = Arc::clone(&shutdown);
             let interval = config.export_interval;
-            std::thread::Builder::new()
+            thread::Builder::new()
                 .name("pbc-serve-export".into())
                 .spawn(move || {
                     let mut elapsed = Duration::ZERO;
                     let tick = Duration::from_millis(20).min(interval);
                     while !flag.load(Ordering::SeqCst) {
-                        std::thread::sleep(tick);
+                        thread::sleep(tick);
                         elapsed += tick;
                         if elapsed >= interval {
                             elapsed = Duration::ZERO;
@@ -128,52 +136,42 @@ impl Server {
                 })?
         };
 
-        // Accept loop: hand each connection its own handler thread and
-        // join them all on the way out, so drain waits for in-flight
-        // requests.
+        // Accept loop: each connection gets a handler thread in a scope
+        // the accept thread owns. A handler's thread is released when its
+        // connection ends, and leaving the scope waits for the handlers
+        // still running, so drain waits for in-flight requests.
         let accept_thread = {
             let engine = Arc::clone(&engine);
             let flag = Arc::clone(&shutdown);
-            std::thread::Builder::new()
+            thread::Builder::new()
                 .name("pbc-serve-accept".into())
                 .spawn(move || {
-                    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-                    let open = Arc::new(AtomicI64::new(0));
-                    while !flag.load(Ordering::SeqCst) {
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                pbc_trace::counter(names::SERVE_CONNECTIONS).incr();
-                                let engine = Arc::clone(&engine);
-                                let flag = Arc::clone(&flag);
-                                let open = Arc::clone(&open);
-                                let gauge = |n: i64| {
-                                    #[allow(clippy::cast_precision_loss)]
-                                    pbc_trace::gauge(names::SERVE_OPEN_CONNECTIONS)
-                                        .set(n as f64);
-                                };
-                                gauge(open.fetch_add(1, Ordering::SeqCst) + 1);
-                                let spawned = std::thread::Builder::new()
-                                    .name("pbc-serve-conn".into())
-                                    .spawn(move || {
-                                        let outcome = handle_connection(&engine, stream, &flag);
-                                        gauge(open.fetch_sub(1, Ordering::SeqCst) - 1);
-                                        if outcome == Disposition::Shutdown {
-                                            flag.store(true, Ordering::SeqCst);
-                                        }
-                                    });
-                                if let Ok(t) = spawned {
-                                    handlers.push(t);
-                                }
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(2));
-                            }
-                            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+                    let (engine, flag) = (&*engine, &*flag);
+                    let open = &AtomicI64::new(0);
+                    let gauge = |n: i64| {
+                        #[allow(clippy::cast_precision_loss)]
+                        pbc_trace::gauge(names::SERVE_OPEN_CONNECTIONS).set(n as f64);
+                    };
+                    thread::scope(|scope| {
+                        while !flag.load(Ordering::SeqCst) {
+                            let Ok((stream, _)) = listener.accept() else {
+                                // Nothing pending (or a failed accept).
+                                thread::sleep(Duration::from_millis(2));
+                                continue;
+                            };
+                            pbc_trace::counter(names::SERVE_CONNECTIONS).incr();
+                            gauge(open.fetch_add(1, Ordering::SeqCst) + 1);
+                            let _ = thread::Builder::new()
+                                .name("pbc-serve-conn".into())
+                                .spawn_scoped(scope, move || {
+                                    let outcome = handle_connection(engine, stream, flag);
+                                    gauge(open.fetch_sub(1, Ordering::SeqCst) - 1);
+                                    if outcome == Disposition::Shutdown {
+                                        flag.store(true, Ordering::SeqCst);
+                                    }
+                                });
                         }
-                    }
-                    for t in handlers {
-                        let _ = t.join();
-                    }
+                    });
                 })?
         };
 

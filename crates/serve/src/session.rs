@@ -31,7 +31,7 @@ use crate::proto::ServeError;
 use pbc_core::{node_ceiling, node_floor, CurveTable, OnlineCoordinator};
 use pbc_platform::{presets, Platform, PlatformId};
 use pbc_types::{check_budget, PowerAllocation, Watts};
-use pbc_workloads::{by_name, check_target};
+use pbc_workloads::{check_target, lookup};
 
 /// One live coordination session.
 #[derive(Clone)]
@@ -55,8 +55,7 @@ impl Session {
     #[must_use = "the session result carries either the session or the typed rejection"]
     pub fn open(platform_slug: &str, bench_slug: &str, budget: f64) -> Result<Session, ServeError> {
         let platform = resolve_platform(platform_slug)?;
-        let bench = by_name(bench_slug)
-            .ok_or_else(|| ServeError::UnknownBench(bench_slug.to_string()))?;
+        let bench = lookup(bench_slug).map_err(ServeError::UnknownBench)?;
         check_target(&bench, &platform).map_err(|e| ServeError::Build(e.to_string()))?;
         let budget = check_budget("budget", budget)
             .map_err(|e| ServeError::RejectedBudget(e.to_string()))?;
@@ -94,7 +93,7 @@ mod tests {
         // The initial split is the table optimum, not the even split.
         let table = CurveTable::shared(
             &resolve_platform("ivybridge").unwrap(),
-            &by_name("stream").unwrap().demand,
+            &lookup("stream").unwrap().demand,
         )
         .unwrap();
         let expect = table.alloc_at(Watts::new(208.0)).unwrap();
@@ -109,7 +108,7 @@ mod tests {
         ));
         assert!(matches!(
             Session::open("ivybridge", "nope", 208.0),
-            Err(ServeError::UnknownBench(_))
+            Err(ServeError::UnknownBench(msg)) if msg.starts_with(r#"benchmark "nope"; known: sra, "#)
         ));
         assert!(matches!(
             Session::open("ivybridge", "sgemm", 208.0),

@@ -272,6 +272,16 @@ pub fn by_name(name: &str) -> Option<Benchmark> {
     all_benchmarks().into_iter().find(|b| b.id.slug() == slug)
 }
 
+/// [`by_name`], or the message every front end prints for a slug no
+/// benchmark has: `benchmark "x"; known: sra, stream, …`.
+#[must_use = "the lookup failure names every known benchmark"]
+pub fn lookup(slug: &str) -> std::result::Result<Benchmark, String> {
+    by_name(slug).ok_or_else(|| {
+        let known: Vec<&str> = all_benchmarks().iter().map(|b| b.id.slug()).collect();
+        format!("benchmark {slug:?}; known: {}", known.join(", "))
+    })
+}
+
 /// Refuse to run `bench` on a platform it does not target: a GPU
 /// benchmark's demand model on a host, or a CPU one on a card.
 #[must_use = "the target check carries the refusal"]
@@ -312,6 +322,13 @@ mod tests {
         assert_eq!(by_name("SRA").unwrap().id, BenchmarkId::Sra);
         assert_eq!(by_name("gpu-stream").unwrap().id, BenchmarkId::GpuStream);
         assert!(by_name("nope").is_none());
+        assert_eq!(lookup("Stream").map(|b| b.id), Ok(BenchmarkId::Stream));
+        assert_eq!(
+            lookup("nope").map(|b| b.id),
+            Err("benchmark \"nope\"; known: sra, stream, dgemm, bt, sp, lu, ep, is, cg, ft, mg, \
+                 sgemm, gpu-stream, cufft, minife, cloverleaf, hpcg"
+                .to_string())
+        );
     }
 
     #[test]

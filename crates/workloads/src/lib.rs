@@ -40,5 +40,5 @@ pub mod catalog;
 pub mod native;
 pub mod spec;
 
-pub use catalog::{all_benchmarks, by_name, check_target, cpu_suite, gpu_suite};
+pub use catalog::{all_benchmarks, by_name, check_target, cpu_suite, gpu_suite, lookup};
 pub use spec::{BenchClass, Benchmark, BenchmarkId, Target};

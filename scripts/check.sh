@@ -123,11 +123,35 @@ awk -v j="$jain" 'BEGIN { exit (j >= 0.95 ? 0 : 1) }' \
     || { echo "error: calm-state Jain index ${jain} is below the 0.95 bar" >&2; exit 1; }
 echo "    trace laws held: no overdraw, no floor violations, calm-state Jain ${jain} >= 0.95"
 
-echo "==> serve smoke (daemon round trips, drain laws, replay equivalence, hostile input, over-long lines, via real sockets)"
+echo "==> reproduction gate (pbc repro all rewrites results/ byte for byte)"
+# Every published figure and table must trace back to the code that made
+# it: a fresh run writes exactly the CSV files results/ holds, with the
+# same bytes, and prints exactly results/repro_all_output.txt.
+repro_dir=target/repro-csv
+rm -rf "$repro_dir"
+./target/release/pbc repro all --out "$repro_dir" > target/repro-all.txt \
+    || { echo "error: pbc repro all failed" >&2; exit 1; }
+(cd results && ls -- *.csv) > target/repro-committed.txt
+(cd "$repro_dir" && ls -- *.csv) > target/repro-fresh.txt
+cmp -s target/repro-committed.txt target/repro-fresh.txt || {
+    echo "error: results/ and a fresh pbc repro all hold different CSV files:" >&2
+    diff target/repro-committed.txt target/repro-fresh.txt >&2
+    exit 1
+}
+while read -r csv; do
+    cmp -s "results/$csv" "$repro_dir/$csv" \
+        || { echo "error: results/$csv differs from a fresh pbc repro all" >&2; exit 1; }
+done < target/repro-fresh.txt
+cmp -s results/repro_all_output.txt target/repro-all.txt \
+    || { echo "error: pbc repro all printed other text than results/repro_all_output.txt" >&2; exit 1; }
+echo "    $(wc -l < target/repro-fresh.txt | tr -d ' ') CSVs and the printed tables identical to results/"
+
+echo "==> serve smoke (daemon round trips, drain laws, replay equivalence, hostile input, over-long lines, handler threads released, via real sockets)"
 cargo test -q -p pbc-serve --test replay_equivalence
 cargo test -q -p pbc-serve --test drain
 cargo test -q -p pbc-serve --test hostile_input
 cargo test -q -p pbc-serve --test long_lines
+cargo test -q -p pbc-serve --test handler_threads
 cargo test -q -p pbc-cli --test serve_smoke
 # The shipped daemon, with a stdout reader that stops after one line: the
 # `ping` fed a second later fails to print, which must end the stdin
@@ -215,12 +239,12 @@ awk -v r="$fill_ratio" 'BEGIN { exit (r <= 2.5 ? 0 : 1) }' \
 echo "    water-fill per-node cost, 4096 vs 32 nodes: ${fill_ratio}x"
 
 echo "==> serve-bench gate (>= 100k queries/sec sustained, p99 dispatch < 50 us)"
-# Load-test the shipped daemon binary: thousands of concurrent simulated
-# nodes over live pipelined TCP, dispatch latency over the identical
-# in-process path (docs/SERVING.md). Fresh-file rule as for BENCH_sweep.
+# Load-test the shipped daemon binary: 1024 simulated nodes over two
+# pipelined TCP connections (64 deep) for 1.5 s, dispatch latency over
+# the identical in-process path (docs/SERVING.md). Fresh-file rule as
+# for BENCH_sweep.
 rm -f BENCH_serve.json
-$serve_runner ./target/release/pbc serve-bench --nodes 1024 --workers 2 \
-    --pipeline 64 --duration-ms 1500 --save BENCH_serve.json > /dev/null \
+$serve_runner ./target/release/pbc serve-bench --save BENCH_serve.json > /dev/null \
     || { echo "error: pbc serve-bench failed or timed out" >&2; exit 1; }
 test -s BENCH_serve.json || { echo "error: serve-bench wrote no record" >&2; exit 1; }
 qps=$(grep '"type":"serve-bench"' BENCH_serve.json \

@@ -33,7 +33,7 @@
 //!   chaos harness proving the online loop survives it (see
 //!   `docs/RESILIENCE.md`).
 //! * [`experiments`] — regenerates every table and figure of the paper
-//!   (also available as the `repro` binary).
+//!   (also available as `pbc repro`).
 //! * [`trace`] — dependency-free structured tracing: spans, counters,
 //!   gauges, and a JSON-lines exporter wired through the solver, the
 //!   sweep, and both coordinators (see `docs/OBSERVABILITY.md`).

@@ -6,7 +6,7 @@
 //! Like `tests/properties.rs`, randomness comes from the workspace's own
 //! deterministic [`XorShift64Star`], so every failure reproduces exactly.
 
-use power_bounded_computing::faults::plan::NAMES;
+use power_bounded_computing::faults::plan::PRESETS;
 use power_bounded_computing::faults::{
     run_chaos, BudgetStep, FaultPlan, FaultWindow, SensorFaults, WriteFaults,
 };
@@ -23,7 +23,7 @@ const EPOCHS: usize = 200;
 fn every_shipped_plan_survives_a_seed_sweep() {
     let platform = ivybridge();
     let mut rng = XorShift64Star::new(0xC8A0_5EED);
-    for name in NAMES {
+    for (name, ..) in PRESETS {
         for _ in 0..3 {
             let seed = rng.next_u64();
             let plan = FaultPlan::by_name(name, seed).unwrap();
