@@ -12,6 +12,14 @@
 //! measured benchmark also appends one machine-readable JSON line there
 //! (the `pbc-trace` `"type":"bench"` schema), so CI can keep a timing
 //! trajectory across commits.
+//!
+//! Wall time on a shared virtual host includes time the hypervisor gave
+//! to other guests (steal), so each sample also records the process's
+//! CPU time over the same batch (`cpu_min_ns`, `cpu_median_ns`: every
+//! thread of the process, steal excluded), and the record carries the
+//! host's steal share over the measurement window (`steal_pct`, from
+//! the first line of `/proc/stat`). Both are Linux-only and omitted
+//! elsewhere. The ratios the gates read stay on wall time.
 
 use pbc_types::u64_from_f64;
 use std::hint::black_box;
@@ -94,26 +102,50 @@ impl Bench {
         let batch = u64_from_f64(target).unwrap_or(1).max(1);
 
         let mut samples: Vec<f64> = Vec::new();
+        let mut cpu_samples: Vec<f64> = Vec::new();
+        let jiffies_start = cpu_jiffies();
         let measure_start = Instant::now();
         while measure_start.elapsed() < MEASURE_WINDOW && samples.len() < MAX_SAMPLES {
-            let t0 = Instant::now();
+            let (t0, cpu0) = (Instant::now(), process_cpu_ns());
             for _ in 0..batch {
                 black_box(f());
             }
             samples.push(t0.elapsed().as_nanos() as f64 / batch as f64);
+            if let (Some(cpu0), Some(cpu1)) = (cpu0, process_cpu_ns()) {
+                cpu_samples.push(cpu1.saturating_sub(cpu0) as f64 / batch as f64);
+            }
         }
+        let steal = steal_pct(jiffies_start, cpu_jiffies());
         samples.sort_by(f64::total_cmp);
+        cpu_samples.sort_by(f64::total_cmp);
         let min = samples[0];
         let median = samples[samples.len() / 2];
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+        let mut fields = vec![
+            ("min_ns", min),
+            ("median_ns", median),
+            ("mean_ns", mean),
+            ("samples", samples.len() as f64),
+            ("iters_per_sample", batch as f64),
+        ];
+        let mut cpu_note = String::new();
+        let cpu_median = cpu_samples.get(cpu_samples.len() / 2);
+        if let (Some(&cpu_min), Some(&cpu_median)) = (cpu_samples.first(), cpu_median) {
+            fields.extend([("cpu_min_ns", cpu_min), ("cpu_median_ns", cpu_median)]);
+            cpu_note = format!(" cpu median {:>12}", fmt_ns(cpu_median));
+        }
+        if let Some(steal) = steal {
+            fields.push(("steal_pct", steal));
+            cpu_note.push_str(&format!(" steal {steal:.0}%"));
+        }
         println!(
-            "bench {name:<40} min {:>12} median {:>12} mean {:>12} ({} samples x {batch} iters)",
+            "bench {name:<40} min {:>12} median {:>12} mean {:>12}{cpu_note} ({} samples x {batch} iters)",
             fmt_ns(min),
             fmt_ns(median),
             fmt_ns(mean),
             samples.len(),
         );
-        append_json_record(name, min, median, mean, samples.len(), batch);
+        append_json_line(&pbc_trace::bench_record_line(name, &fields));
         Some(Timing { min_ns: min, median_ns: median })
     }
 
@@ -136,18 +168,56 @@ impl Bench {
     }
 }
 
-/// Append one `"type":"bench"` timing record to the `PBC_BENCH_JSON`
-/// file, when set.
-fn append_json_record(
-    name: &str,
-    min_ns: f64,
-    median_ns: f64,
-    mean_ns: f64,
-    samples: usize,
-    iters_per_sample: u64,
-) {
-    let line = pbc_trace::bench_record_line(name, min_ns, median_ns, mean_ns, samples, iters_per_sample);
-    append_json_line(&line);
+/// This process's CPU time, every thread, in nanoseconds: one
+/// `clock_gettime(CLOCK_PROCESS_CPUTIME_ID)`. On Linux it leaves out
+/// steal, the time the hypervisor ran other guests.
+#[cfg(target_os = "linux")]
+fn process_cpu_ns() -> Option<u64> {
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: std::ffi::c_long,
+        tv_nsec: std::ffi::c_long,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+    }
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+    let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
+    // SAFETY: `ts` is a live, writable `struct timespec`, the only memory
+    // the call writes.
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+    let secs = u64::try_from(ts.tv_sec).ok()?;
+    let nanos = u64::try_from(ts.tv_nsec).ok()?;
+    (rc == 0).then(|| secs * 1_000_000_000 + nanos)
+}
+
+#[cfg(not(target_os = "linux"))]
+fn process_cpu_ns() -> Option<u64> {
+    None
+}
+
+/// `(steal, total)` jiffies of the whole host, from the first line of
+/// `/proc/stat` (`cpu user nice system idle iowait irq softirq steal
+/// …`; guest time is already inside user). `None` off Linux.
+fn cpu_jiffies() -> Option<(u64, u64)> {
+    let stat = std::fs::read_to_string("/proc/stat").ok()?;
+    let fields: Vec<u64> = stat
+        .lines()
+        .next()?
+        .split_whitespace()
+        .skip(1)
+        .take(8)
+        .map(|f| f.parse().ok())
+        .collect::<Option<_>>()?;
+    Some((*fields.get(7)?, fields.iter().sum()))
+}
+
+/// The host's steal share, in percent, between two [`cpu_jiffies`]
+/// readings.
+fn steal_pct(start: Option<(u64, u64)>, end: Option<(u64, u64)>) -> Option<f64> {
+    let ((steal0, total0), (steal1, total1)) = (start?, end?);
+    let total = total1.checked_sub(total0).filter(|&t| t > 0)?;
+    Some(100.0 * steal1.saturating_sub(steal0) as f64 / total as f64)
 }
 
 /// Append one pre-rendered JSON line to the file named by `PBC_BENCH_JSON`,
@@ -191,6 +261,25 @@ mod tests {
         assert_eq!(fmt_ns(1_500.0), "1.500 us");
         assert_eq!(fmt_ns(2_500_000.0), "2.500 ms");
         assert_eq!(fmt_ns(3_200_000_000.0), "3.200 s");
+    }
+
+    #[test]
+    fn steal_share_spans_the_window() {
+        assert_eq!(steal_pct(Some((10, 1000)), Some((30, 1400))), Some(5.0));
+        assert_eq!(steal_pct(Some((10, 1000)), Some((10, 1000))), None);
+        assert_eq!(steal_pct(None, Some((10, 1000))), None);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn process_cpu_time_advances_with_work() {
+        let t0 = process_cpu_ns().unwrap();
+        let mut x = 0u64;
+        while process_cpu_ns().unwrap() < t0 + 1_000_000 {
+            x = black_box(x.wrapping_add(1));
+        }
+        assert!(x > 0);
+        assert!(cpu_jiffies().is_some());
     }
 
     #[test]

@@ -18,7 +18,8 @@ USAGE:
                                         exhaustive allocation sweep
   pbc curve     -p PLATFORM -w BENCH -b W1,W2,...
                                         shared-grid sweep over several
-                                        budgets (one pooled job + memo)
+                                        budgets (one pooled job, each
+                                        distinct solver input once)
   pbc scenarios -p PLATFORM -w BENCH -b WATTS
                                         sweep with scenario labels (CPU)
   pbc online    -p PLATFORM -w BENCH -b WATTS
@@ -136,18 +137,118 @@ fn missing(key: &str, metavar: &str) -> String {
     format!("missing {flag} {metavar}")
 }
 
+/// A command's body: it reads its flags and returns what it prints.
+type Body = fn(&Flags) -> Result<String, Box<dyn std::error::Error>>;
+
+/// Every command that takes flags: its name, the [`FLAGS`] keys it reads
+/// (`parse` refuses any other flag), and its body. `"target"` stands for
+/// a first argument that is not a flag, such as `repro`'s experiment.
+const COMMANDS: &[(&str, &[&str], Body)] = &[
+    ("probe", &["platform", "bench"], |a| Ok(pbc_cli::cmd_probe(a.platform()?, a.bench()?)?)),
+    ("coord", &["platform", "bench", "budget"], |a| {
+        Ok(pbc_cli::cmd_coord(a.platform()?, a.bench()?, a.budget()?)?)
+    }),
+    ("sweep", &["platform", "bench", "budget", "save"], |a| {
+        Ok(pbc_cli::cmd_sweep(a.platform()?, a.bench()?, a.budget()?, a.get("save"))?)
+    }),
+    ("curve", &["platform", "bench", "budget"], |a| {
+        Ok(pbc_cli::cmd_curve(a.platform()?, a.bench()?, &a.budgets()?)?)
+    }),
+    ("scenarios", &["platform", "bench", "budget"], |a| {
+        Ok(pbc_cli::cmd_scenarios(a.platform()?, a.bench()?, a.budget()?)?)
+    }),
+    ("report", &["platform", "bench", "budget"], |a| {
+        Ok(pbc_cli::cmd_report(a.platform()?, a.bench()?, a.budget()?)?)
+    }),
+    ("corun", &["platform", "bench", "budget"], |a| {
+        Ok(pbc_cli::cmd_corun(a.platform()?, a.req("bench", "A,B")?, a.budget()?)?)
+    }),
+    ("hybrid", &["host", "card", "host-bench", "gpu-bench", "gpu-share", "budget"], |a| {
+        Ok(pbc_cli::cmd_hybrid(
+            a.req("host", "CPU-PLATFORM")?,
+            a.req("card", "GPU-PLATFORM")?,
+            a.req("host-bench", "BENCH")?,
+            a.req("gpu-bench", "BENCH")?,
+            a.num("gpu-share").unwrap_or(0.7),
+            a.budget()?,
+        )?)
+    }),
+    ("online", &["platform", "bench", "budget"], |a| {
+        Ok(pbc_cli::cmd_online(a.platform()?, a.bench()?, a.budget()?)?)
+    }),
+    ("fastpath", &["platform", "bench", "budget"], |a| {
+        Ok(pbc_cli::cmd_fastpath(a.platform()?, a.bench()?, &a.budgets()?)?)
+    }),
+    ("chaos", &["platform", "bench", "budget", "plan", "seed", "epochs"], |a| {
+        Ok(pbc_cli::cmd_chaos(
+            a.platform()?,
+            a.bench()?,
+            a.budget()?,
+            a.get("plan").unwrap_or("everything"),
+            a.num("seed").unwrap_or(42),
+            a.num("epochs").unwrap_or(200),
+        )?)
+    }),
+    ("cluster", &["platform", "budget", "objective", "tenants"], |a| {
+        Ok(pbc_cli::cmd_cluster(
+            a.req("platform", "SPEC-FILE")?,
+            a.budget()?,
+            a.get("objective").unwrap_or("throughput"),
+            a.get("tenants"),
+        )?)
+    }),
+    (
+        "cluster-chaos",
+        &["platform", "budget", "plan", "seed", "epochs", "objective", "tenants"],
+        |a| {
+            Ok(pbc_cli::cmd_cluster_chaos(
+                a.req("platform", "SPEC-FILE")?,
+                a.budget()?,
+                a.get("plan").unwrap_or("everything"),
+                a.num("seed").unwrap_or(42),
+                a.num("epochs").unwrap_or(0),
+                a.get("objective").unwrap_or("throughput"),
+                a.get("tenants"),
+            )?)
+        },
+    ),
+    ("repro", &["target", "out"], |a| Ok(pbc_cli::cmd_repro(a.get("target"), a.get("out"))?)),
+    ("serve", &["port", "prom-port", "snapshot"], |a| Ok(run_serve(a)?)),
+    ("serve-bench", &["platform", "bench", "save"], |a| {
+        Ok(pbc_cli::cmd_serve_bench(
+            a.get("platform").unwrap_or("ivybridge"),
+            a.get("bench").unwrap_or("stream"),
+            a.get("save"),
+        )?)
+    }),
+];
+
 /// One command line's flags by key; the last value given wins.
 struct Flags<'a>(HashMap<&'static str, &'a str>);
 
 impl<'a> Flags<'a> {
-    /// Walk `args` once against [`FLAGS`], checking each value in order.
-    fn parse(args: &'a [String]) -> Result<Self, String> {
+    /// Walk `args` once against [`FLAGS`], checking each value in order
+    /// and refusing any flag command `cmd` does not read (`keys`).
+    fn parse(cmd: &str, keys: &[&str], args: &'a [String]) -> Result<Self, String> {
         let mut flags = HashMap::new();
-        let mut args = args.iter();
+        let mut args = args.iter().peekable();
+        if keys.contains(&"target") {
+            if let Some(target) = args.next_if(|a| !a.starts_with('-')) {
+                flags.insert("target", target.as_str());
+            }
+        }
         while let Some(arg) = args.next() {
             let Some((_, key, check)) = FLAGS.iter().find(|f| f.0.contains(&arg.as_str())) else {
                 return Err(format!("unknown argument {arg}"));
             };
+            if !keys.contains(key) {
+                let takers: Vec<String> = COMMANDS
+                    .iter()
+                    .filter(|(_, keys, _)| keys.contains(key))
+                    .map(|(name, ..)| format!("`pbc {name}`"))
+                    .collect();
+                return Err(format!("pbc {cmd} does not take {arg} (taken by {})", takers.join(", ")));
+            }
             let value = match check {
                 Some(_) => args.next().ok_or_else(|| format!("{arg} needs a value"))?,
                 None => "",
@@ -198,8 +299,7 @@ fn run(argv: &[String]) -> Result<String, String> {
     let Some((cmd, rest)) = argv.split_first() else {
         return Err(HELP.to_string());
     };
-    // Each command's body reads its flags and returns what it prints.
-    let command: fn(&Flags) -> Result<String, Box<dyn std::error::Error>> = match cmd.as_str() {
+    match cmd.as_str() {
         "-h" | "--help" | "help" => return Ok(HELP.to_string()),
         "platforms" => return Ok(pbc_cli::cmd_platforms()),
         "benchmarks" => return Ok(pbc_cli::cmd_benchmarks()),
@@ -210,76 +310,12 @@ fn run(argv: &[String]) -> Result<String, String> {
                 Some(other) => Err(format!("unknown faults subcommand {other}; try `pbc faults list`")),
             }
         }
-        "repro" => {
-            // The experiment comes first; flags follow it.
-            let target = rest.first().map(String::as_str).filter(|t| !t.starts_with('-'));
-            let out = Flags::parse(&rest[usize::from(target.is_some())..])?.get("out");
-            return pbc_cli::cmd_repro(target, out).map_err(|e| e.to_string());
-        }
-        "probe" => |a| Ok(pbc_cli::cmd_probe(a.platform()?, a.bench()?)?),
-        "coord" => |a| Ok(pbc_cli::cmd_coord(a.platform()?, a.bench()?, a.budget()?)?),
-        "sweep" => |a| Ok(pbc_cli::cmd_sweep(a.platform()?, a.bench()?, a.budget()?, a.get("save"))?),
-        "curve" => |a| Ok(pbc_cli::cmd_curve(a.platform()?, a.bench()?, &a.budgets()?)?),
-        "scenarios" => |a| Ok(pbc_cli::cmd_scenarios(a.platform()?, a.bench()?, a.budget()?)?),
-        "report" => |a| Ok(pbc_cli::cmd_report(a.platform()?, a.bench()?, a.budget()?)?),
-        "corun" => |a| Ok(pbc_cli::cmd_corun(a.platform()?, a.req("bench", "A,B")?, a.budget()?)?),
-        "hybrid" => |a| {
-            Ok(pbc_cli::cmd_hybrid(
-                a.req("host", "CPU-PLATFORM")?,
-                a.req("card", "GPU-PLATFORM")?,
-                a.req("host-bench", "BENCH")?,
-                a.req("gpu-bench", "BENCH")?,
-                a.num("gpu-share").unwrap_or(0.7),
-                a.budget()?,
-            )?)
-        },
-        "online" => |a| Ok(pbc_cli::cmd_online(a.platform()?, a.bench()?, a.budget()?)?),
-        "fastpath" => |a| Ok(pbc_cli::cmd_fastpath(a.platform()?, a.bench()?, &a.budgets()?)?),
-        "chaos" => |a| {
-            Ok(pbc_cli::cmd_chaos(
-                a.platform()?,
-                a.bench()?,
-                a.budget()?,
-                a.get("plan").unwrap_or("everything"),
-                a.num("seed").unwrap_or(42),
-                a.num("epochs").unwrap_or(200),
-            )?)
-        },
-        "cluster" => |a| {
-            if ["plan", "seed", "epochs"].into_iter().any(|k| a.get(k).is_some()) {
-                return Err("pbc cluster runs the static comparison only; replay a fault \
-                            plan with `pbc cluster-chaos` (same --plan, --seed and --epochs)"
-                    .into());
-            }
-            Ok(pbc_cli::cmd_cluster(
-                a.req("platform", "SPEC-FILE")?,
-                a.budget()?,
-                a.get("objective").unwrap_or("throughput"),
-                a.get("tenants"),
-            )?)
-        },
-        "cluster-chaos" => |a| {
-            Ok(pbc_cli::cmd_cluster_chaos(
-                a.req("platform", "SPEC-FILE")?,
-                a.budget()?,
-                a.get("plan").unwrap_or("everything"),
-                a.num("seed").unwrap_or(42),
-                a.num("epochs").unwrap_or(0),
-                a.get("objective").unwrap_or("throughput"),
-                a.get("tenants"),
-            )?)
-        },
-        "serve" => |a| Ok(run_serve(a)?),
-        "serve-bench" => |a| {
-            Ok(pbc_cli::cmd_serve_bench(
-                a.get("platform").unwrap_or("ivybridge"),
-                a.get("bench").unwrap_or("stream"),
-                a.get("save"),
-            )?)
-        },
-        other => return Err(format!("unknown command {other}\n\n{HELP}")),
+        _ => {}
+    }
+    let Some(&(name, keys, body)) = COMMANDS.iter().find(|&&(name, ..)| name == cmd) else {
+        return Err(format!("unknown command {cmd}\n\n{HELP}"));
     };
-    command(&Flags::parse(rest)?).map_err(|e| e.to_string())
+    body(&Flags::parse(name, keys, rest)?).map_err(|e| e.to_string())
 }
 
 /// Print `text` and a newline on stdout. A closed pipe (`BrokenPipe`)

@@ -237,7 +237,7 @@ fn validate_budget_list(command: &str, budgets: &[f64]) -> Result<()> {
 
 /// `pbc curve -p <platform> -w <bench> -b <w1,w2,...>` — the shared-grid
 /// multi-budget oracle: every budget's sweep in one pooled job over the
-/// union grid, solver work shared through the workload's solve memo.
+/// union grid, each canonical solver key solved once.
 #[must_use = "the rendered curve summary is the command's entire output"]
 pub fn cmd_curve(platform_slug: &str, bench_slug: &str, budgets: &[f64]) -> Result<String> {
     let (p, b) = resolve(platform_slug, bench_slug)?;

@@ -1,7 +1,8 @@
 //! The `pbc` argument-parsing contract, through the real binary: last
 //! value wins, `-b` takes a comma list that single-budget commands accept
-//! only with one value, numeric flags are checked as they are parsed,
-//! and an unknown command is named before any flag error.
+//! only with one value, numeric flags are checked as they are parsed, a
+//! command refuses every flag it does not read, and an unknown command
+//! is named before any flag error.
 
 use std::process::Command;
 
@@ -27,7 +28,7 @@ fn bad_command_lines_fail_naming_the_problem() {
         (&["coord", "-p", "ivybridge", "-w", "stream", "-b", "208,240"], "missing -b WATTS"),
         (&["curve", "-p", "ivybridge", "-w", "sra", "-b", "176,,240"], "bad budget \"\""),
         (
-            &["probe", "-p", "ivybridge", "-w", "sra", "--seed", "1.5"],
+            &["chaos", "-p", "ivybridge", "-w", "sra", "-b", "208", "--seed", "1.5"],
             "bad seed: invalid digit found in string",
         ),
         (&["chaos", "-p", "ivybridge", "-w", "stream", "-b", "208", "--epochs", "x"], "bad epoch count"),
@@ -35,6 +36,24 @@ fn bad_command_lines_fail_naming_the_problem() {
         (&["coord", "-p"], "-p needs a value"),
         (&["nope", "-p"], "unknown command nope"),
         (&["cluster", "-p", "fleet.txt", "-b", "900", "--seed", "3"], "`pbc cluster-chaos`"),
+    ];
+    for (args, needle) in cases {
+        let (ok, stdout, stderr) = pbc(args);
+        assert!(!ok, "{args:?} should fail: {stdout}");
+        assert!(stdout.is_empty(), "{args:?} printed {stdout:?}");
+        assert!(stderr.contains(needle), "{args:?}: {stderr:?} lacks {needle:?}");
+    }
+}
+
+#[test]
+fn a_flag_the_command_does_not_read_is_refused() {
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &["probe", "-p", "ivybridge", "-w", "sra", "--plan", "everything", "--epochs", "5"],
+            "pbc probe does not take --plan",
+        ),
+        (&["repro", "table2", "--seed", "3", "-p", "titan-v"], "pbc repro does not take --seed"),
+        (&["coord", "-p", "ivybridge", "-w", "stream", "-b", "208", "--save", "x.csv"], "--save"),
     ];
     for (args, needle) in cases {
         let (ok, stdout, stderr) = pbc(args);

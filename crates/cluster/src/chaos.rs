@@ -319,7 +319,7 @@ mod tests {
     fn everything_chaos_survives_with_degradation() {
         let fleet = small_fleet();
         let global = budget(&fleet, 140.0);
-        let plan = FleetFaultPlan::everything(17);
+        let plan = FleetFaultPlan::by_name("everything", 17).unwrap();
         let report = chaos(fleet, global, &plan, 0);
         assert!(report.survived(), "everything run died:\n{report}");
         assert!(report.report.epochs >= plan.quiet_after());

@@ -1184,9 +1184,9 @@ mod tests {
         let global = fleet.min_total_power() + Watts::new(150.0);
         let mut coord = FleetCoordinator::new(fleet, global)
             .unwrap()
-            .with_plan(FleetFaultPlan::node_crash(7))
+            .with_plan(FleetFaultPlan::by_name("node-crash", 7).unwrap())
             .unwrap();
-        let quiet = FleetFaultPlan::node_crash(7).quiet_after();
+        let quiet = FleetFaultPlan::by_name("node-crash", 7).unwrap().quiet_after();
         let report = coord.run(quiet + 12).unwrap();
         assert!(report.dropouts > 0, "node-crash at seed 7 should drop nodes");
         assert!(report.recoveries > 0, "crashed nodes should come back");
@@ -1207,7 +1207,7 @@ mod tests {
     fn everything_plan_survives_with_health_and_degraded_epochs() {
         let fleet = mixed_fleet();
         let global = fleet.min_total_power() + Watts::new(150.0);
-        let plan = FleetFaultPlan::everything(7);
+        let plan = FleetFaultPlan::by_name("everything", 7).unwrap();
         let quiet = plan.quiet_after();
         let mut coord = FleetCoordinator::new(fleet, global)
             .unwrap()
@@ -1272,7 +1272,7 @@ mod tests {
             let pool = Pool::new(threads);
             let mut coord = FleetCoordinator::new(fleet.clone(), global)
                 .unwrap()
-                .with_plan(FleetFaultPlan::everything(11))
+                .with_plan(FleetFaultPlan::by_name("everything", 11).unwrap())
                 .unwrap();
             coord.run_with_pool(30, &pool).unwrap()
         };
@@ -1286,7 +1286,7 @@ mod tests {
         let fleet = mixed_fleet();
         let global = fleet.min_total_power() + Watts::new(150.0);
         let tenants = TenantSet::parse("batch:1:best-effort,web:3:gold,etl:2:silver").unwrap();
-        let plan = FleetFaultPlan::noisy_neighbor(9);
+        let plan = FleetFaultPlan::by_name("noisy-neighbor", 9).unwrap();
         let quiet = plan.quiet_after();
         let mut coord = FleetCoordinator::new(fleet, global)
             .unwrap()
@@ -1310,7 +1310,7 @@ mod tests {
                 let pool = Pool::new(threads);
                 let mut coord = FleetCoordinator::new(fleet.clone(), global)
                     .unwrap()
-                    .with_plan(FleetFaultPlan::demand_spike(13))
+                    .with_plan(FleetFaultPlan::by_name("demand-spike", 13).unwrap())
                     .unwrap()
                     .with_objective(objective)
                     .with_tenants(TenantSet::parse("a:1:gold,b:2").unwrap());
@@ -1326,7 +1326,7 @@ mod tests {
     fn single_tenant_runs_match_the_untenanted_baseline() {
         let fleet = mixed_fleet();
         let global = fleet.min_total_power() + Watts::new(150.0);
-        let plan = FleetFaultPlan::everything(11);
+        let plan = FleetFaultPlan::by_name("everything", 11).unwrap();
         let mut plain = FleetCoordinator::new(fleet.clone(), global)
             .unwrap()
             .with_plan(plan.clone())
@@ -1362,7 +1362,7 @@ mod tests {
         let global = fleet.min_total_power() + Watts::new(150.0);
         let mut coord = FleetCoordinator::new(fleet, global)
             .unwrap()
-            .with_plan(FleetFaultPlan::everything(7))
+            .with_plan(FleetFaultPlan::by_name("everything", 7).unwrap())
             .unwrap()
             .with_cap_sink(Box::new(LeakingNeighbor));
         let before = pbc_trace::counter(names::HEALTH_QUARANTINE_LEAKS).get();
@@ -1383,7 +1383,7 @@ mod tests {
         let before: Vec<usize> = shared.iter().map(|m| m.len()).collect();
         let mut coord = FleetCoordinator::new(fleet, global)
             .unwrap()
-            .with_plan(FleetFaultPlan::everything(7))
+            .with_plan(FleetFaultPlan::by_name("everything", 7).unwrap())
             .unwrap();
         let report = coord.run(12).unwrap();
         assert!(report.work_done > 0.0);
@@ -1396,7 +1396,7 @@ mod tests {
     fn stragglers_dent_throughput_and_get_quarantined() {
         let fleet = mixed_fleet();
         let global = fleet.min_total_power() + Watts::new(150.0);
-        let plan = FleetFaultPlan::stragglers(5);
+        let plan = FleetFaultPlan::by_name("stragglers", 5).unwrap();
         let quiet = plan.quiet_after();
         let mut coord = FleetCoordinator::new(fleet.clone(), global)
             .unwrap()

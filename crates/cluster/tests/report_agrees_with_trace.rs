@@ -19,7 +19,7 @@ fn every_report_count_equals_its_counter_delta() {
     let spec = parse_spec("4 ivybridge stream\n2 haswell dgemm\n2 titan-xp sgemm\n").unwrap();
     let fleet = Fleet::build(&spec).unwrap();
     let tenants = Some(TenantSet::parse("web:3:gold,etl:2:silver,batch:1").unwrap());
-    let (global, plan) = (Watts::new(1050.0), FleetFaultPlan::everything(7));
+    let (global, plan) = (Watts::new(1050.0), FleetFaultPlan::by_name("everything", 7).unwrap());
     let before = exported();
     let chaos = run_cluster_chaos(fleet, global, &plan, 0, Objective::MaxMin, tenants).unwrap();
     let after = exported();

@@ -44,8 +44,8 @@ impl CurvePoint {
 /// each — the paper's `perf_max ~ P_b` characterization.
 ///
 /// The budgets are swept together through [`sweep_curve`], so the grids
-/// share one pooled job and one solve memo instead of N independent
-/// fork-join sweeps.
+/// share one pooled job and each canonical solve runs once, instead of
+/// N independent fork-join sweeps.
 #[must_use = "the curve result carries either the points or the solver failure"]
 pub fn perf_max_curve(
     problem_template: &PowerBoundedProblem,

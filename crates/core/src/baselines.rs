@@ -162,9 +162,10 @@ impl AllocationPolicy for GpuPolicy<'_> {
 /// The oracle: best allocation found by an exhaustive sweep at the given
 /// stepping — the "best identified from experiments" of Fig. 9.
 ///
-/// Runs through [`sweep_curve`] so back-to-back oracle calls for the
-/// same workload (Fig. 9 evaluates one budget ladder per benchmark)
-/// share the workload's solve memo across budgets.
+/// Runs through [`sweep_curve`], which computes the nominal reference
+/// time once per call instead of once per point and solves each
+/// canonical solver key once. Calls share nothing: each one solves its
+/// own budget's grid.
 #[must_use = "the oracle result carries either the best point or the solver failure"]
 pub fn oracle(problem: &PowerBoundedProblem, step: Watts) -> Result<SweepPoint> {
     let profile = sweep_curve(problem, std::slice::from_ref(&problem.budget), step)?

@@ -66,8 +66,8 @@ pub fn coord_cpu(budget: Watts, c: &CriticalPowers) -> Result<CoordResult> {
         // Regime A: adequate power for both.
         let alloc = PowerAllocation::new(c.cpu_l1, c.mem_l1);
         let surplus = budget - alloc.total();
-        pbc_trace::counter(names::COORD_CPU_REGIME_A).incr();
-        pbc_trace::gauge(names::COORD_CPU_SURPLUS_W).set(surplus.value());
+        pbc_trace::cached_counter!(names::COORD_CPU_REGIME_A).incr();
+        pbc_trace::cached_gauge!(names::COORD_CPU_SURPLUS_W).set(surplus.value());
         return Ok(CoordResult {
             alloc,
             status: CoordStatus::Surplus(surplus),
@@ -77,8 +77,8 @@ pub fn coord_cpu(budget: Watts, c: &CriticalPowers) -> Result<CoordResult> {
         // Regime B: memory first (it has the greater performance impact),
         // CPU takes the rest and lands inside its P-state range.
         let mem = c.mem_l1;
-        pbc_trace::counter(names::COORD_CPU_REGIME_B).incr();
-        pbc_trace::gauge(names::COORD_CPU_SURPLUS_W).set(0.0);
+        pbc_trace::cached_counter!(names::COORD_CPU_REGIME_B).incr();
+        pbc_trace::cached_gauge!(names::COORD_CPU_SURPLUS_W).set(0.0);
         return Ok(CoordResult {
             alloc: PowerAllocation::new(budget - mem, mem),
             status: CoordStatus::Success,
@@ -92,15 +92,15 @@ pub fn coord_cpu(budget: Watts, c: &CriticalPowers) -> Result<CoordResult> {
         let percent_cpu = if denom > 0.0 { pd_cpu.value() / denom } else { 0.5 };
         let slack = budget - (c.cpu_l2 + c.mem_l2);
         let cpu = c.cpu_l2 + slack * percent_cpu;
-        pbc_trace::counter(names::COORD_CPU_REGIME_C).incr();
-        pbc_trace::gauge(names::COORD_CPU_SURPLUS_W).set(0.0);
+        pbc_trace::cached_counter!(names::COORD_CPU_REGIME_C).incr();
+        pbc_trace::cached_gauge!(names::COORD_CPU_SURPLUS_W).set(0.0);
         return Ok(CoordResult {
             alloc: PowerAllocation::new(cpu, budget - cpu),
             status: CoordStatus::Success,
         });
     }
     // Regime D: refuse.
-    pbc_trace::counter(names::COORD_CPU_REJECTED).incr();
+    pbc_trace::cached_counter!(names::COORD_CPU_REJECTED).incr();
     Err(PbcError::BudgetTooSmall {
         requested: budget,
         minimum: c.productive_threshold(),
@@ -173,7 +173,7 @@ pub fn coord_gpu(budget: Watts, gpu: &GpuSpec, params: &GpuCoordParams) -> Resul
         return Err(PbcError::InvalidInput(format!("GPU budget {budget} is not a finite wattage")));
     }
     if budget < gpu.min_card_cap {
-        pbc_trace::counter(names::COORD_GPU_REJECTED).incr();
+        pbc_trace::cached_counter!(names::COORD_GPU_REJECTED).incr();
         return Err(PbcError::BudgetTooSmall {
             requested: budget,
             minimum: gpu.min_card_cap,
@@ -181,25 +181,25 @@ pub fn coord_gpu(budget: Watts, gpu: &GpuSpec, params: &GpuCoordParams) -> Resul
     }
     let status = if budget >= params.p_tot_max {
         let surplus = budget - params.p_tot_max;
-        pbc_trace::gauge(names::COORD_GPU_SURPLUS_W).set(surplus.value());
+        pbc_trace::cached_gauge!(names::COORD_GPU_SURPLUS_W).set(surplus.value());
         CoordStatus::Surplus(surplus)
     } else {
-        pbc_trace::gauge(names::COORD_GPU_SURPLUS_W).set(0.0);
+        pbc_trace::cached_gauge!(names::COORD_GPU_SURPLUS_W).set(0.0);
         CoordStatus::Success
     };
     let alloc = if params.is_compute_intensive(gpu) {
         // Compute-intensive: minimum memory, everything else to the SMs.
-        pbc_trace::counter(names::COORD_GPU_COMPUTE).incr();
+        pbc_trace::cached_counter!(names::COORD_GPU_COMPUTE).incr();
         let mem = params.p_mem_min;
         PowerAllocation::new(budget - mem, mem)
     } else if budget >= params.p_tot_ref {
         // Memory-intensive with enough budget: maximum memory power.
-        pbc_trace::counter(names::COORD_GPU_MEM_FULL).incr();
+        pbc_trace::cached_counter!(names::COORD_GPU_MEM_FULL).incr();
         let mem = params.p_mem_max;
         PowerAllocation::new(budget - mem, mem)
     } else {
         // In between: balance via γ.
-        pbc_trace::counter(names::COORD_GPU_BALANCED).incr();
+        pbc_trace::cached_counter!(names::COORD_GPU_BALANCED).incr();
         let slack = (budget - params.p_tot_min).max(Watts::ZERO);
         let mem = (params.p_mem_min + slack * params.gamma).min(params.p_mem_max);
         PowerAllocation::new(budget - mem, mem)

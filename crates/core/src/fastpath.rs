@@ -81,8 +81,8 @@ pub fn node_ceiling(platform: &Platform, demand: &WorkloadDemand) -> Watts {
 /// between rungs.
 ///
 /// The samples come from one shared-grid oracle pass
-/// ([`sweep_curve_with_pool`](crate::sweep_curve_with_pool)) through the
-/// class's [`SolveMemo`](pbc_powersim::SolveMemo), so they are
+/// ([`sweep_curve_with_pool`](crate::sweep_curve_with_pool)), which
+/// solves each canonical solver key once, so they are
 /// bit-identical regardless of thread count — which is what makes
 /// table-served decisions replayable. §3.1 shows `perf_max ~ P_b` is
 /// monotone non-decreasing and concave-ish, so linear interpolation
@@ -217,8 +217,7 @@ impl CurveTable {
         let k = (offset.floor() as usize).min(self.allocs.len() - 1);
         let served = self.allocs[k];
         if served.is_some() {
-            static HITS: OnceLock<pbc_trace::Counter> = OnceLock::new();
-            HITS.get_or_init(|| pbc_trace::counter(names::FASTPATH_TABLE_HITS)).incr();
+            pbc_trace::cached_counter!(names::FASTPATH_TABLE_HITS).incr();
         }
         served
     }

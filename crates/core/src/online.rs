@@ -248,11 +248,11 @@ impl OnlineCoordinator {
     /// `online.rejected_budgets`, leaving the search state untouched.
     pub fn set_budget(&mut self, new: Watts) -> BudgetOutcome {
         if !new.value().is_finite() {
-            pbc_trace::counter(names::ONLINE_REJECTED_BUDGETS).incr();
+            pbc_trace::cached_counter!(names::ONLINE_REJECTED_BUDGETS).incr();
             return BudgetOutcome::RejectedNonFinite;
         }
         if new.value() <= 0.0 || new < self.min_budget {
-            pbc_trace::counter(names::ONLINE_REJECTED_BUDGETS).incr();
+            pbc_trace::cached_counter!(names::ONLINE_REJECTED_BUDGETS).incr();
             return BudgetOutcome::RejectedBelowMinimum;
         }
         if (new - self.budget).is_zero() {
@@ -274,7 +274,7 @@ impl OnlineCoordinator {
         self.phase = Phase::TryTowardProc;
         self.step = STEP;
         self.overdraw_streak = 0;
-        pbc_trace::counter(names::ONLINE_BUDGET_RESETS).incr();
+        pbc_trace::cached_counter!(names::ONLINE_BUDGET_RESETS).incr();
         BudgetOutcome::Applied
     }
 
@@ -287,7 +287,7 @@ impl OnlineCoordinator {
         self.phase = Phase::TryTowardProc;
         self.step = STEP;
         self.overdraw_streak = 0;
-        pbc_trace::counter(names::ONLINE_FALLBACKS).incr();
+        pbc_trace::cached_counter!(names::ONLINE_FALLBACKS).incr();
     }
 
     /// Does this operating point pass the report gate for the probe it
@@ -316,7 +316,7 @@ impl OnlineCoordinator {
                         self.phase = Phase::TryTowardMem;
                         continue;
                     }
-                    pbc_trace::counter(names::ONLINE_PROBE_TOWARD_PROC).incr();
+                    pbc_trace::cached_counter!(names::ONLINE_PROBE_TOWARD_PROC).incr();
                     break c;
                 }
                 Phase::TryTowardMem => {
@@ -325,13 +325,13 @@ impl OnlineCoordinator {
                         self.phase = Phase::Shrink;
                         continue;
                     }
-                    pbc_trace::counter(names::ONLINE_PROBE_TOWARD_MEM).incr();
+                    pbc_trace::cached_counter!(names::ONLINE_PROBE_TOWARD_MEM).incr();
                     break c;
                 }
                 Phase::Shrink => {
                     self.step = self.step * DECAY;
-                    pbc_trace::counter(names::ONLINE_STEP_DECAYS).incr();
-                    pbc_trace::gauge(names::ONLINE_STEP_W).set(self.step.value());
+                    pbc_trace::cached_counter!(names::ONLINE_STEP_DECAYS).incr();
+                    pbc_trace::cached_gauge!(names::ONLINE_STEP_W).set(self.step.value());
                     if self.step < MIN_STEP {
                         self.phase = Phase::Converged;
                     } else {
@@ -349,12 +349,12 @@ impl OnlineCoordinator {
     fn accept(&mut self, tried: PowerAllocation, perf: f64) {
         self.best = tried;
         self.best_perf = Some(perf);
-        pbc_trace::counter(names::ONLINE_ACCEPTED).incr();
-        pbc_trace::gauge(names::ONLINE_BEST_PERF).set(perf);
+        pbc_trace::cached_counter!(names::ONLINE_ACCEPTED).incr();
+        pbc_trace::cached_gauge!(names::ONLINE_BEST_PERF).set(perf);
     }
 
     fn reject(&mut self) {
-        pbc_trace::counter(names::ONLINE_REJECTED).incr();
+        pbc_trace::cached_counter!(names::ONLINE_REJECTED).incr();
     }
 
     /// Report the operating point observed while running the allocation
@@ -371,13 +371,13 @@ impl OnlineCoordinator {
     /// known-safe fallback allocation.
     pub fn observe(&mut self, op: &NodeOperatingPoint) -> ObservationOutcome {
         self.epochs += 1;
-        pbc_trace::counter(names::ONLINE_EPOCHS).incr();
+        pbc_trace::cached_counter!(names::ONLINE_EPOCHS).incr();
         let Some(tried) = self.pending.take() else {
             return ObservationOutcome::Used;
         };
         let verdict = self.validate(op, tried);
         if verdict != ObservationOutcome::Used {
-            pbc_trace::counter(names::ONLINE_REJECTED_OBSERVATIONS).incr();
+            pbc_trace::cached_counter!(names::ONLINE_REJECTED_OBSERVATIONS).incr();
             // The probe is void, not judged: the phase is untouched and
             // the same candidate will be re-proposed next epoch.
             return verdict;
@@ -399,7 +399,7 @@ impl OnlineCoordinator {
         let Some(best_perf) = self.best_perf else {
             // Baseline measurement of the starting point.
             self.best_perf = Some(perf);
-            pbc_trace::gauge(names::ONLINE_BEST_PERF).set(perf);
+            pbc_trace::cached_gauge!(names::ONLINE_BEST_PERF).set(perf);
             return ObservationOutcome::Used;
         };
         let improved = perf > best_perf * (1.0 + ACCEPT_MARGIN);

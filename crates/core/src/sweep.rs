@@ -8,22 +8,40 @@
 //! claim small index chunks from one shared cursor: infeasible points
 //! are ~100x cheaper to reject than feasible points are to solve, so
 //! static chunking (the previous design) left threads idle while one
-//! carried all the expensive points. Results are written to per-index
-//! slots, so the profile is deterministic — bit-identical regardless of
-//! thread count or of which executor claimed which chunk.
+//! carried all the expensive points. Each solve is written once into
+//! its own slot, with no lock, so the profile is deterministic —
+//! bit-identical regardless of thread count or of which executor claimed
+//! which chunk.
 //!
 //! Both public entry points run on one engine, which builds each
 //! budget's grid, fans the union out as one pooled job, and splits the
 //! points back per budget; the only thing that differs between them is
-//! how a point is solved:
+//! what the pool solves:
 //!
 //! * [`sweep_budget`] solves every point directly. It is the memo-free
 //!   *reference*: `tests/sweep_curve_equivalence.rs` and the
 //!   `sweep/curve-vs-budgets-speedup` bench both compare against it.
-//! * [`sweep_curve`] solves through the class's shared [`SolveMemo`], so
-//!   adjacent budgets reuse solver work (observable as
-//!   `sweep.curve_reuse_hits`) instead of re-integrating the control
-//!   loops per budget. Multi-budget curves should use it.
+//! * [`sweep_curve`] solves each canonical solver key once. Before the
+//!   pool runs, the calling thread keys every union-grid point with
+//!   [`SolveMemo::key`] and groups equal keys; the pool then solves one
+//!   point per key, and every other point with that key reads the
+//!   result, patched to its own allocation by [`SolveMemo::reuse`]
+//!   (counted in `sweep.curve_reuse_hits`). Adjacent budgets share most
+//!   of their keys, so multi-budget curves should use it. Nothing is
+//!   shared between calls: each call solves its own keys, so the work a
+//!   call does depends only on its input, not on earlier calls or on the
+//!   executor count.
+//!
+//! Grouping must stay cheap next to the solves it saves, in unoptimized
+//! builds too, so it neither sorts nor hashes. A CPU key (and a
+//! non-reclaiming card's) holds the processor cap, and the rest of it —
+//! the DRAM bandwidth ceilings, the card cap, the memory level — only
+//! grows with the memory cap. So among the points sharing one processor
+//! cap, visited in ascending budget order, equal keys are adjacent, and
+//! comparing each point's key with the last unique key of its processor
+//! cap finds every duplicate. A reclaiming card's key leaves the
+//! processor cap out; its points are grouped by memory level instead,
+//! where the card cap only grows with the budget.
 //!
 //! The sweep is the *authority*, not the serving path. Steady-state
 //! callers answering repeated budget changes should go through
@@ -54,11 +72,12 @@
 use crate::problem::PowerBoundedProblem;
 use crate::profile::{SweepPoint, SweepProfile};
 use pbc_par::Pool;
-use pbc_powersim::{solve, NodeOperatingPoint, SolveMemo};
+use pbc_powersim::{solve, NodeOperatingPoint, SolveKey, SolveMemo};
 use pbc_trace::names;
-use pbc_types::{AllocationSpace, PbcError, PowerAllocation, Result, Watts};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use pbc_types::{usize_from_f64, AllocationSpace, PbcError, PowerAllocation, Result, Watts};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 
 /// Default sweep stepping, matching the coarse grid of the paper's
 /// experiments (4 W on the CPU axis).
@@ -100,14 +119,14 @@ pub fn sweep_budget_with_pool(
     step: Watts,
     pool: &Pool,
 ) -> Result<SweepProfile> {
-    sweep_grids(problem, &[problem.budget], step, pool, |alloc| {
+    sweep_grids(problem, &[problem.budget], step, pool, None, |alloc| {
         solve(&problem.platform, &problem.workload, alloc)
     })
     // One budget in, one profile out.
     .map(|mut profiles| profiles.swap_remove(0))
 }
 
-/// One evaluated grid point, written into its own slot so assembly is
+/// One solve's outcome, written once into its own slot so assembly is
 /// independent of execution order.
 enum Slot {
     Point(NodeOperatingPoint),
@@ -118,23 +137,26 @@ enum Slot {
 /// The sweep engine behind both entry points, generic over the
 /// per-point evaluator so tests can inject failing or panicking solvers
 /// without a special platform. Each budget's grid is built exactly as
-/// [`sweep_budget`] defines it; the union runs as one pooled job under a
-/// `sweep` root span (one `sweep.worker` span per participating
-/// executor), and the points are split back into one profile per
-/// budget, in `budgets` order.
+/// [`sweep_budget`] defines it; the pool solves every point, or with
+/// `dedup` one point per canonical key of that memo (see the module
+/// docs), as one job under a `sweep` root span (one `sweep.worker` span
+/// per participating executor), and the points are split back into one
+/// profile per budget, in `budgets` order.
 fn sweep_grids<F>(
     problem: &PowerBoundedProblem,
     budgets: &[Watts],
     step: Watts,
     pool: &Pool,
+    dedup: Option<&SolveMemo>,
     eval: F,
 ) -> Result<Vec<SweepProfile>>
 where
     F: Fn(PowerAllocation) -> Result<NodeOperatingPoint> + Sync,
 {
     // The union grid: every budget's allocation space, tagged with the
-    // budget it belongs to.
+    // budget it belongs to, and each budget's range of grid indices.
     let mut grid: Vec<(usize, PowerAllocation)> = Vec::new();
+    let mut spans: Vec<Range<usize>> = Vec::with_capacity(budgets.len());
     for (bi, &budget) in budgets.iter().enumerate() {
         let space = AllocationSpace::new(
             budget,
@@ -142,7 +164,9 @@ where
             problem.mem_cap_range(),
             step,
         );
+        let start = grid.len();
         grid.extend(space.iter().map(|alloc| (bi, alloc)));
+        spans.push(start..grid.len());
     }
 
     // Every accounting counter is registered up front, so each one is
@@ -155,90 +179,184 @@ where
     let errors = pbc_trace::counter(names::SWEEP_SOLVER_ERRORS);
     total.add(grid.len() as u64);
 
+    // `solves[j]` is the grid index the pool's `j`-th solve evaluates;
+    // `reads[i]` is the solve grid point `i` takes its outcome from, or
+    // `None` where the key already rejected the point as infeasible.
+    let (solves, reads) = match dedup {
+        Some(memo) => unique_keys(memo, budgets, &grid, &spans, problem.proc_cap_range().0, step),
+        None => ((0..grid.len()).collect(), (0..grid.len()).map(Some).collect()),
+    };
+
     // A real solver error flips `errored`, which short-circuits the
-    // remaining points (their slots stay `None`; the sweep is failing
+    // remaining solves (their slots stay empty; the sweep is failing
     // anyway).
-    let slots: Vec<Mutex<Option<Slot>>> = (0..grid.len()).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<OnceLock<Slot>> = (0..solves.len()).map(|_| OnceLock::new()).collect();
     let errored = AtomicBool::new(false);
     let stats = {
         let sweep_span = pbc_trace::span(names::SPAN_SWEEP);
         let sweep_id = sweep_span.id();
         pool.run_wrapped(
-            grid.len(),
+            solves.len(),
             &|inner| {
                 let _worker = pbc_trace::span_under(names::SPAN_SWEEP_WORKER, sweep_id);
                 inner();
             },
-            &|i| {
+            &|j| {
                 if errored.load(Ordering::Relaxed) {
                     return;
                 }
-                let filled = match eval(grid[i].1) {
-                    Ok(op) => {
-                        evaluated.incr();
-                        Slot::Point(op)
-                    }
-                    Err(e) if e.is_infeasible() => {
-                        infeasible.incr();
-                        Slot::Infeasible
-                    }
+                let filled = match eval(grid[solves[j]].1) {
+                    Ok(op) => Slot::Point(op),
+                    Err(e) if e.is_infeasible() => Slot::Infeasible,
                     Err(e) => {
-                        errors.incr();
                         errored.store(true, Ordering::Relaxed);
                         Slot::Failed(e)
                     }
                 };
-                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(filled);
+                // Solve `j` is this task's alone: the slot is empty.
+                let _ = slots[j].set(filled);
             },
         )
     };
+
+    // Read every grid point's outcome in index order (ascending processor
+    // cap within each budget). A duplicate key's point takes its key's
+    // one solve, patched to its own allocation.
+    let mut per_budget: Vec<Vec<SweepPoint>> = budgets.iter().map(|_| Vec::new()).collect();
+    let (mut n_evaluated, mut n_infeasible, mut n_failed, mut n_unfilled, mut reused) =
+        (0u64, 0u64, 0u64, 0u64, 0u64);
+    let mut first_error = None;
+    for (i, (&(bi, alloc), &read)) in grid.iter().zip(&reads).enumerate() {
+        let Some(j) = read else {
+            n_infeasible += 1;
+            continue;
+        };
+        match slots[j].get() {
+            Some(Slot::Point(op)) => {
+                n_evaluated += 1;
+                reused += u64::from(solves[j] != i);
+                let op = dedup.map_or(*op, |memo| memo.reuse(op, alloc));
+                per_budget[bi].push(SweepPoint { alloc, op });
+            }
+            Some(Slot::Infeasible) => n_infeasible += 1,
+            Some(Slot::Failed(e)) => {
+                n_failed += 1;
+                first_error.get_or_insert_with(|| e.clone());
+            }
+            None => n_unfilled += 1,
+        }
+    }
+    evaluated.add(n_evaluated);
+    infeasible.add(n_infeasible);
+    errors.add(n_failed);
     if let Some(payload) = stats.panic {
         // Account for every point the cancelled job dropped, then
         // re-raise the panic on the calling thread. A dying evaluation
         // must never silently truncate the oracle.
-        lost.add((grid.len() - stats.completed) as u64);
+        lost.add(n_unfilled);
         std::panic::resume_unwind(payload);
     }
-
-    // Drain the slots in index order (ascending processor cap within
-    // each budget). A real solver error at the lowest failing index
-    // fails the whole sweep.
-    let mut per_budget: Vec<Vec<SweepPoint>> = budgets.iter().map(|_| Vec::new()).collect();
-    for (slot, &(bi, alloc)) in slots.into_iter().zip(&grid) {
-        match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            Some(Slot::Failed(e)) => return Err(e),
-            Some(Slot::Point(op)) => per_budget[bi].push(SweepPoint { alloc, op }),
-            Some(Slot::Infeasible) | None => {}
-        }
+    // A real solver error at the lowest failing index fails the sweep.
+    if let Some(e) = first_error {
+        return Err(e);
+    }
+    if dedup.is_some() {
+        pbc_trace::cached_counter!(names::SOLVE_CACHE_MISSES).add(solves.len() as u64);
+        pbc_trace::cached_counter!(names::SOLVE_CACHE_HITS).add(reused);
+        pbc_trace::cached_counter!(names::SWEEP_CURVE_REUSE_HITS).add(reused);
     }
 
     Ok(budgets
         .iter()
         .zip(per_budget)
-        .map(|(&budget, mut points)| {
-            points.sort_by(|a, b| a.alloc.proc.0.total_cmp(&b.alloc.proc.0));
-            SweepProfile {
-                platform: problem.platform.id,
-                workload: problem.workload.name.clone(),
-                budget,
-                points,
-            }
+        .map(|(&budget, points)| SweepProfile {
+            platform: problem.platform.id,
+            workload: problem.workload.name.clone(),
+            budget,
+            points,
         })
         .collect())
 }
 
+/// Key every grid point on the calling thread and give each canonical
+/// key one solve: the first of its points in ascending budget order.
+/// Returns the grid index of each solve, and the solve each grid point
+/// reads (`None` where the key rejected the point as infeasible). Keys
+/// are compared only with the last unique key of the point's processor
+/// cap rung, or of its memory level when the key leaves the processor
+/// cap out (see the module docs for why that finds every duplicate).
+fn unique_keys(
+    memo: &SolveMemo,
+    budgets: &[Watts],
+    grid: &[(usize, PowerAllocation)],
+    spans: &[Range<usize>],
+    proc_min: Watts,
+    step: Watts,
+) -> (Vec<usize>, Vec<Option<usize>>) {
+    let mut order: Vec<usize> = (0..budgets.len()).collect();
+    order.sort_by(|&a, &b| budgets[a].value().total_cmp(&budgets[b].value()));
+    let step = step.value().max(1e-3);
+    let mut solves = Vec::new();
+    let mut reads = vec![None; grid.len()];
+    // The last unique key per processor-cap rung, and per memory level.
+    let mut by_rung: Vec<Option<(SolveKey, usize)>> = Vec::new();
+    let mut by_level: Vec<Option<(SolveKey, usize)>> = Vec::new();
+    for i in order.into_iter().flat_map(|bi| spans[bi].clone()) {
+        let alloc = grid[i].1;
+        let key = match memo.key(alloc) {
+            Ok(key) => key,
+            Err(e) if e.is_infeasible() => continue,
+            // Any other rejection is its own solve, which fails the
+            // same way in the pool.
+            Err(_) => {
+                solves.push(i);
+                reads[i] = Some(solves.len() - 1);
+                continue;
+            }
+        };
+        let lane = match key.level_without_proc() {
+            Some(level) => lane(&mut by_level, level),
+            None => {
+                let rung = usize_from_f64((alloc.proc - proc_min).value() / step).unwrap_or(0);
+                lane(&mut by_rung, rung)
+            }
+        };
+        let j = match lane {
+            Some((last, j)) if *last == key => *j,
+            _ => {
+                solves.push(i);
+                *lane = Some((key, solves.len() - 1));
+                solves.len() - 1
+            }
+        };
+        reads[i] = Some(j);
+    }
+    (solves, reads)
+}
+
+/// Lane `at` of `lanes`, growing the table to reach it.
+fn lane<T>(lanes: &mut Vec<Option<T>>, at: usize) -> &mut Option<T> {
+    if lanes.len() <= at {
+        lanes.resize_with(at + 1, || None);
+    }
+    &mut lanes[at]
+}
+
 /// The shared-grid oracle: sweep *every* budget in one pooled job over
-/// the union of the budgets' allocation grids, solving through the
-/// problem's shared [`SolveMemo`].
+/// the union of the budgets' allocation grids, solving each canonical
+/// solver key once.
 ///
 /// Profiles are bit-identical to calling [`sweep_budget`] once per
 /// budget (each budget's grid is constructed exactly as `sweep_budget`
-/// constructs it, and the memo's canonical keys are exact — see
+/// constructs it, and the canonical keys are exact — see
 /// `pbc_powersim::memo`), but the work is shared three ways: the
 /// nominal reference time is computed once instead of per point,
 /// allocations whose canonical solver inputs repeat across budgets are
-/// served from cache (counted in `sweep.curve_reuse_hits`), and the
-/// whole union grid load-balances as one job instead of N fork-joins.
+/// solved once (the repeats are counted in `sweep.curve_reuse_hits`),
+/// and the whole union grid load-balances as one job instead of N
+/// fork-joins. The solves go to `solve.cache_misses` and the repeats to
+/// `solve.cache_hits` too, so both counts are exact for a given input,
+/// whatever the executor count.
 ///
 /// `problem.budget` is ignored; `budgets` drives the curve. The error
 /// contract is the per-budget sweep's: infeasible allocations are
@@ -262,18 +380,8 @@ pub fn sweep_curve_with_pool(
     step: Watts,
     pool: &Pool,
 ) -> Result<Vec<SweepProfile>> {
-    let reuse_c = pbc_trace::counter(names::SWEEP_CURVE_REUSE_HITS);
-    let memo = SolveMemo::for_problem(&problem.platform, &problem.workload);
-    let reuse_hits = AtomicU64::new(0);
-    let profiles = sweep_grids(problem, budgets, step, pool, |alloc| {
-        let (outcome, hit) = memo.solve_traced(alloc);
-        if hit {
-            reuse_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        outcome
-    });
-    reuse_c.add(reuse_hits.load(Ordering::Relaxed));
-    profiles
+    let memo = SolveMemo::fresh(&problem.platform, &problem.workload);
+    sweep_grids(problem, budgets, step, pool, Some(&memo), |alloc| memo.solve_uncached(alloc))
 }
 
 #[cfg(test)]
@@ -375,7 +483,7 @@ mod tests {
         let p = problem("sra", 240.0);
         let lost_before = pbc_trace::counter(names::SWEEP_POINTS_LOST).get();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sweep_grids(&p, &[p.budget], DEFAULT_STEP, Pool::global(), |alloc| {
+            sweep_grids(&p, &[p.budget], DEFAULT_STEP, Pool::global(), None, |alloc| {
                 assert!(
                     alloc.proc.value() < 100.0,
                     "injected worker failure at {alloc:?}"
@@ -395,7 +503,7 @@ mod tests {
     fn real_solver_error_fails_the_sweep() {
         let _g = lock();
         let p = problem("sra", 240.0);
-        let err = sweep_grids(&p, &[p.budget], DEFAULT_STEP, Pool::global(), |alloc| {
+        let err = sweep_grids(&p, &[p.budget], DEFAULT_STEP, Pool::global(), None, |alloc| {
             if alloc.proc.value() > 100.0 {
                 return Err(PbcError::Io("sensor read failed".into()));
             }
@@ -414,7 +522,7 @@ mod tests {
         let infeasible_before = pbc_trace::counter(names::SWEEP_POINTS_INFEASIBLE).get();
         // Reject the bottom half of the proc axis as out of range: the
         // sweep must skip those points and keep the rest.
-        let profile = sweep_grids(&p, &[p.budget], DEFAULT_STEP, Pool::global(), |alloc| {
+        let profile = sweep_grids(&p, &[p.budget], DEFAULT_STEP, Pool::global(), None, |alloc| {
             if alloc.proc.value() < 112.0 {
                 return Err(PbcError::CapOutOfRange {
                     component: "cpu".into(),

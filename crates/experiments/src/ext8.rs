@@ -16,18 +16,11 @@ use crate::ext7::fleet_of;
 use crate::output::{fmt, ExperimentOutput, TextTable};
 use pbc_cluster::{run_cluster_chaos, Objective};
 use pbc_faults::FleetFaultPlan;
-use pbc_types::{Result, Watts};
+use pbc_types::{PbcError, Result, Watts};
 
 /// The plans the table sweeps — the survival-relevant presets, calm
 /// first as the control row.
-const PLANS: [fn(u64) -> FleetFaultPlan; 6] = [
-    FleetFaultPlan::calm,
-    FleetFaultPlan::node_crash,
-    FleetFaultPlan::node_rejoin,
-    FleetFaultPlan::stragglers,
-    FleetFaultPlan::report_loss,
-    FleetFaultPlan::everything,
-];
+const PLANS: [&str; 6] = ["calm", "node-crash", "node-rejoin", "stragglers", "report-loss", "everything"];
 
 /// Fleet sizes the table sweeps (128 is ext7's headline scale; chaos
 /// replays every epoch, so the survival table stops at 32).
@@ -65,8 +58,9 @@ pub fn run() -> Result<ExperimentOutput> {
         ],
     );
     for n in SIZES {
-        for preset in PLANS {
-            let plan = preset(SEED);
+        for name in PLANS {
+            let plan = FleetFaultPlan::by_name(name, SEED)
+                .ok_or_else(|| PbcError::NotFound(format!("fleet fault plan {name}")))?;
             let fleet = fleet_of(n)?;
             let global = Watts::new(WATTS_PER_NODE * n as f64);
             let chaos = run_cluster_chaos(fleet, global, &plan, 0, Objective::Throughput, None)?;

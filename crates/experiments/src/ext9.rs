@@ -25,7 +25,7 @@ use crate::ext7::fleet_of;
 use crate::output::{fmt, ExperimentOutput, TextTable};
 use pbc_cluster::{run_cluster_chaos, FleetCoordinator, Objective, TenantSet};
 use pbc_faults::FleetFaultPlan;
-use pbc_types::{Result, Watts};
+use pbc_types::{PbcError, Result, Watts};
 
 /// The objectives the frontier sweeps, throughput first as the control.
 const OBJECTIVES: [Objective; 3] =
@@ -69,7 +69,8 @@ pub fn run() -> Result<ExperimentOutput> {
     );
     let global = Watts::new(WATTS_PER_NODE * NODES as f64);
     for objective in OBJECTIVES {
-        let plan = FleetFaultPlan::noisy_neighbor(SEED);
+        let plan = FleetFaultPlan::by_name("noisy-neighbor", SEED)
+            .ok_or_else(|| PbcError::NotFound("fleet fault plan noisy-neighbor".into()))?;
         let tenants = TenantSet::parse(TENANTS)?;
         let min_share = calm_min_tenant_watts(objective, global, &tenants)?;
         let chaos =

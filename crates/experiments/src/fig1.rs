@@ -25,8 +25,9 @@ pub(crate) fn budget_grid(lo: f64, hi: f64, step: f64) -> Vec<Watts> {
     v
 }
 
-/// Sweep one budget through [`sweep_curve`], reusing the workload's
-/// shared solve memo populated by earlier curve calls.
+/// Sweep one budget through [`sweep_curve`], which solves each canonical
+/// solver key once with one nominal reference time for the whole grid,
+/// where [`pbc_core::sweep_budget`] pays a full solve per point.
 #[must_use = "the profile or the sweep failure must be inspected"]
 pub(crate) fn one_budget_profile(
     problem: &PowerBoundedProblem,
@@ -71,9 +72,7 @@ pub fn run() -> Result<ExperimentOutput> {
     shape.push(vec![sparkline(&series)]);
     out.tables.push(shape);
 
-    // ---- (a right) CPU: split sweep at 208 W. A single-budget
-    // sweep_curve shares the workload's solve memo with the perf_max
-    // curve above, so most of these points come out of cache. ----
+    // ---- (a right) CPU: split sweep at 208 W. ----
     let profile = one_budget_profile(&tmpl, Watts::new(208.0))?;
     let mut t = TextTable::new(
         "CPU STREAM splits at P_b = 208 W (IvyBridge)",

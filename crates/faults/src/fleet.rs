@@ -200,7 +200,8 @@ impl TenantFaults {
 /// A complete, replayable fleet fault scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetFaultPlan {
-    /// Preset name (for reports and the CLI).
+    /// Preset name, from its [`FLEET_PRESETS`] row (for reports and the
+    /// CLI).
     pub name: &'static str,
     /// Seed all draws derive from.
     pub seed: u64,
@@ -239,11 +240,13 @@ pub const FLEET_PRESETS: [Preset<FleetFaultPlan>; 11] = [
 ];
 
 impl FleetFaultPlan {
-    /// No faults at all — the control run.
+    /// No faults at all — the control run, and the base every other
+    /// preset and any custom plan builds on. It is unnamed: a plan is
+    /// named by its [`FLEET_PRESETS`] row, through [`Self::by_name`].
     #[must_use]
     pub fn calm(seed: u64) -> Self {
         Self {
-            name: "calm",
+            name: "",
             seed,
             nodes: NodeFaults::NONE,
             reports: ReportFaults::NONE,
@@ -257,9 +260,8 @@ impl FleetFaultPlan {
     /// Nodes drop out mid-run and rejoin a few epochs later — the
     /// original cluster preset, kept under its old name.
     #[must_use]
-    pub fn node_dropouts(seed: u64) -> Self {
+    pub(crate) fn node_dropouts(seed: u64) -> Self {
         Self {
-            name: "node-dropouts",
             nodes: NodeFaults {
                 crash: Episodes { prob: 0.08, window: FaultWindow::new(2, 30), epochs: 4 },
                 ..NodeFaults::NONE
@@ -271,9 +273,8 @@ impl FleetFaultPlan {
     /// Hard crashes with long outages: the fleet must reclaim the dead
     /// nodes' watts and keep the survivors productive.
     #[must_use]
-    pub fn node_crash(seed: u64) -> Self {
+    pub(crate) fn node_crash(seed: u64) -> Self {
         Self {
-            name: "node-crash",
             nodes: NodeFaults {
                 crash: Episodes { prob: 0.05, window: FaultWindow::new(4, 24), epochs: 12 },
                 ..NodeFaults::NONE
@@ -286,9 +287,8 @@ impl FleetFaultPlan {
     /// Quarantined → Rejoining → Healthy over and over and the
     /// probation path is exercised hard.
     #[must_use]
-    pub fn node_rejoin(seed: u64) -> Self {
+    pub(crate) fn node_rejoin(seed: u64) -> Self {
         Self {
-            name: "node-rejoin",
             nodes: NodeFaults {
                 crash: Episodes { prob: 0.10, window: FaultWindow::new(2, 28), epochs: 3 },
                 ..NodeFaults::NONE
@@ -300,9 +300,8 @@ impl FleetFaultPlan {
     /// Stragglers: nodes run slow for a stretch and their reports lag
     /// an epoch behind, tripping the staleness rejection.
     #[must_use]
-    pub fn stragglers(seed: u64) -> Self {
+    pub(crate) fn stragglers(seed: u64) -> Self {
         Self {
-            name: "stragglers",
             nodes: NodeFaults {
                 straggle: Episodes { prob: 0.08, window: FaultWindow::new(3, 30), epochs: 6 },
                 slowdown: 0.3,
@@ -316,9 +315,8 @@ impl FleetFaultPlan {
     /// must quarantine on missing/invalid telemetry without ever
     /// overdrawing.
     #[must_use]
-    pub fn report_loss(seed: u64) -> Self {
+    pub(crate) fn report_loss(seed: u64) -> Self {
         Self {
-            name: "report-loss",
             reports: ReportFaults {
                 drop_prob: 0.20,
                 delay_prob: 0.10,
@@ -332,9 +330,8 @@ impl FleetFaultPlan {
     /// Cap writes fail stochastically; the pot accounting must hold —
     /// the original cluster preset, kept under its old name.
     #[must_use]
-    pub fn flaky_writes(seed: u64) -> Self {
+    pub(crate) fn flaky_writes(seed: u64) -> Self {
         Self {
-            name: "flaky-writes",
             writes: FleetWriteFaults {
                 fail_prob: 0.2,
                 window: FaultWindow::new(1, 40),
@@ -347,9 +344,8 @@ impl FleetFaultPlan {
     /// Whole cap-write paths go down per node for a stretch: decreases
     /// cannot land, so the watts they hold must stay reserved.
     #[must_use]
-    pub fn write_outage(seed: u64) -> Self {
+    pub(crate) fn write_outage(seed: u64) -> Self {
         Self {
-            name: "write-outage",
             writes: FleetWriteFaults {
                 fail_prob: 0.1,
                 window: FaultWindow::new(2, 30),
@@ -363,9 +359,8 @@ impl FleetFaultPlan {
     /// sub-partition must absorb without the fleet overdrawing or any
     /// weighted tenant dropping below its floor.
     #[must_use]
-    pub fn demand_spike(seed: u64) -> Self {
+    pub(crate) fn demand_spike(seed: u64) -> Self {
         Self {
-            name: "demand-spike",
             tenants: TenantFaults {
                 spike: Episodes { prob: 0.15, window: FaultWindow::new(2, 30), epochs: 3 },
                 spike_factor: 3.0,
@@ -378,9 +373,8 @@ impl FleetFaultPlan {
     /// Noisy neighbors: a tenant hogs demand for long stretches — the
     /// co-tenants' weighted floors must hold anyway.
     #[must_use]
-    pub fn noisy_neighbor(seed: u64) -> Self {
+    pub(crate) fn noisy_neighbor(seed: u64) -> Self {
         Self {
-            name: "noisy-neighbor",
             tenants: TenantFaults {
                 spike: Episodes { prob: 0.05, window: FaultWindow::new(4, 28), epochs: 2 },
                 spike_factor: 2.0,
@@ -396,9 +390,8 @@ impl FleetFaultPlan {
     /// steps placed after every write window closes, so the budget
     /// invariant holds structurally at any seed.
     #[must_use]
-    pub fn everything(seed: u64) -> Self {
+    pub(crate) fn everything(seed: u64) -> Self {
         Self {
-            name: "everything",
             nodes: NodeFaults {
                 crash: Episodes { prob: 0.06, window: FaultWindow::new(2, 26), epochs: 4 },
                 straggle: Episodes { prob: 0.05, window: FaultWindow::new(4, 26), epochs: 4 },
@@ -430,10 +423,14 @@ impl FleetFaultPlan {
         }
     }
 
-    /// Look a preset up by name (see [`FLEET_PRESETS`]).
+    /// Look a preset up by name (see [`FLEET_PRESETS`]); the plan is
+    /// named by its row, the only spelling of a preset's name.
     #[must_use]
     pub fn by_name(name: &str, seed: u64) -> Option<Self> {
-        FLEET_PRESETS.iter().find(|(n, ..)| *n == name).map(|(.., make)| make(seed))
+        FLEET_PRESETS
+            .iter()
+            .find(|(n, ..)| *n == name)
+            .map(|&(name, _, make)| Self { name, ..make(seed) })
     }
 
     /// The tick after which the plan injects nothing and every fault it

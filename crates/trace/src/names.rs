@@ -26,8 +26,9 @@ pub const SWEEP_POINTS_LOST: &str = "sweep.points_lost";
 /// fails the sweep loudly.
 pub const SWEEP_SOLVER_ERRORS: &str = "sweep.solver_errors";
 
-/// Points the shared-grid oracle (`sweep_curve`) served from an already
-/// evaluated union-grid entry instead of re-solving.
+/// Points the shared-grid oracle (`sweep_curve`) served from another
+/// union-grid point's solve of the same canonical key instead of
+/// re-solving.
 pub const SWEEP_CURVE_REUSE_HITS: &str = "sweep.curve_reuse_hits";
 
 // --- thread pool (crates/par) -----------------------------------------
@@ -52,14 +53,20 @@ pub const SOLVE_EVALUATIONS: &str = "solve.evaluations";
 pub const SOLVE_INFEASIBLE: &str = "solve.infeasible";
 /// Solves that failed with a real error.
 pub const SOLVE_ERRORS: &str = "solve.errors";
-/// Memoized solves served from a `SolveMemo` cache (no re-integration
-/// of the control loops). Not counted in [`SOLVE_EVALUATIONS`].
+/// Memoized solves served from a `SolveMemo` cache, plus the union-grid
+/// points `sweep_curve` served from another point's solve of the same
+/// canonical key. Not counted in [`SOLVE_EVALUATIONS`].
 pub const SOLVE_CACHE_HITS: &str = "solve.cache_hits";
-/// Memoized solves that missed the cache and ran the real solver.
+/// Memoized solves that missed the cache and ran the real solver, plus
+/// `sweep_curve`'s one solve per unique canonical key.
 pub const SOLVE_CACHE_MISSES: &str = "solve.cache_misses";
 /// Shared memos evicted from the process-wide registry when it hits its
 /// capacity bound (oldest-use first).
 pub const SOLVE_CACHE_EVICTIONS: &str = "solve.cache_evictions";
+/// CPU phase solves whose RAPL ladder pick still changed after six
+/// undamped fixed-point steps, so the solver fell back to the damped
+/// iteration. Reads zero across the shipped suite.
+pub const SOLVE_FIXED_POINT_FALLBACKS: &str = "solve.fixed_point_fallbacks";
 
 // --- steady-state fast path (crates/core/src/fastpath.rs) --------------
 
