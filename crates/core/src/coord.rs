@@ -19,7 +19,7 @@
 
 use crate::critical::CriticalPowers;
 use pbc_platform::GpuSpec;
-use pbc_powersim::{uncapped_demand, SolveMemo, WorkloadDemand};
+use pbc_powersim::{solve_gpu, uncapped_demand, WorkloadDemand};
 use pbc_trace::names;
 use pbc_types::{PbcError, PowerAllocation, Result, Watts};
 
@@ -137,12 +137,9 @@ impl GpuCoordParams {
         // than through a capped run).
         let (p_tot_max, _, _) = uncapped_demand(gpu, workload);
         // P_tot_ref: memory nominal, SM at the bottom clock. Emulate by
-        // composing directly: lowest SM clock with top memory level. The
-        // probe goes through the shared memo: schedulers re-profile the
-        // same (card, application) pair per job, and the reference point
-        // is one canonical solve.
+        // composing directly: lowest SM clock with top memory level.
         let ref_alloc = PowerAllocation::new(gpu.sm.min_power, gpu.mem.max_power());
-        let p_tot_ref = match SolveMemo::for_gpu(gpu, workload).solve(ref_alloc) {
+        let p_tot_ref = match solve_gpu(gpu, workload, ref_alloc) {
             Ok(op) => op.total_power(),
             // A tiny card may reject the probe total; fall back to spec.
             Err(_) => gpu.sm.power_at(0, 0.8) + gpu.mem.max_power(),

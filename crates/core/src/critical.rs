@@ -61,42 +61,13 @@ impl CriticalPowers {
     /// assert_eq!(c.cpu_l4.value(), 48.0);
     /// ```
     pub fn probe(cpu: &CpuSpec, dram: &DramSpec, workload: &WorkloadDemand) -> Self {
-        let generous_mem = dram.max_power(4.0) + Watts::new(20.0);
-        let generous_cpu = cpu.max_power(1.0) + Watts::new(20.0);
-
-        // L1s: unconstrained *peak* demand. For multi-phase workloads the
-        // cap must accommodate the hungriest phase (a cap at the
-        // time-averaged draw would throttle that phase), so probe each
-        // phase separately and take the maxima.
-        //
-        // The memory value additionally carries one throttle step of
-        // margin: DRAM capping quantizes the bandwidth allowance *down*,
-        // so a cap exactly at the measured draw clips performance. This is
-        // the paper's own §6.2 guidance — "an ideal power budget would be
-        // slightly above the upper bound to ensure a robust power
-        // coordination" — and it is why the paper's scenario I begins at
-        // P_mem = 120 W when RandomAccess actually draws 116 W.
-        let step = dram.max_bandwidth / dram.throttle_levels.max(1) as f64;
-        let mut cpu_l1 = Watts::ZERO;
-        let mut mem_l1 = Watts::ZERO;
-        for (_, phase) in &workload.phases {
-            let single = WorkloadDemand::single(workload.name.clone(), *phase);
-            let free = solve_cpu(
-                cpu,
-                dram,
-                &single,
-                PowerAllocation::new(generous_cpu, generous_mem),
-            );
-            cpu_l1 = cpu_l1.max(free.proc_power);
-            let steps_needed = (free.bandwidth.value() / step.value()).ceil() + 1.0;
-            let bw_need = step * steps_needed;
-            mem_l1 = mem_l1.max(dram.power_at(bw_need, phase.pattern_cost));
-        }
+        let generous_mem = generous_mem(dram);
+        let (cpu_l1, mem_l1) = peak_demand(cpu, dram, workload);
 
         // The L2/L3 searches walk the cap down watt by watt, re-solving
-        // the full workload each step; the memo is shared across probes
-        // of the same (cpu, dram, workload), so COORD's repeated
-        // profiling of one application pays for the walk only once.
+        // the full workload each step. They solve through one memo owned
+        // by this probe, which computes the workload's nominal time once
+        // for both walks instead of once per step.
         let memo = SolveMemo::for_cpu(cpu, dram, workload);
 
         // L2: actual power once the solver reports the lowest P-state with
@@ -231,6 +202,42 @@ impl CriticalPowers {
             && self.mem_l1 >= self.mem_l2
             && self.mem_l2 >= self.mem_l3
     }
+}
+
+/// The DRAM cap that never binds: above the hungriest pattern's draw.
+fn generous_mem(dram: &DramSpec) -> Watts {
+    dram.max_power(4.0) + Watts::new(20.0)
+}
+
+/// `(P_cpu,L1, P_mem,L1)`: the unconstrained *peak* demands. For
+/// multi-phase workloads the cap must accommodate the hungriest phase
+/// (a cap at the time-averaged draw would throttle that phase), so each
+/// phase is solved separately and the maxima are taken.
+///
+/// The memory value additionally carries one throttle step of margin:
+/// DRAM capping quantizes the bandwidth allowance *down*, so a cap
+/// exactly at the measured draw clips performance. This is the paper's
+/// own §6.2 guidance — "an ideal power budget would be slightly above
+/// the upper bound to ensure a robust power coordination" — and it is
+/// why the paper's scenario I begins at P_mem = 120 W when RandomAccess
+/// actually draws 116 W.
+pub(crate) fn peak_demand(
+    cpu: &CpuSpec,
+    dram: &DramSpec,
+    workload: &WorkloadDemand,
+) -> (Watts, Watts) {
+    let generous = PowerAllocation::new(cpu.max_power(1.0) + Watts::new(20.0), generous_mem(dram));
+    let step = dram.max_bandwidth / dram.throttle_levels.max(1) as f64;
+    let mut cpu_l1 = Watts::ZERO;
+    let mut mem_l1 = Watts::ZERO;
+    for (_, phase) in &workload.phases {
+        let single = WorkloadDemand::single(workload.name.clone(), *phase);
+        let free = solve_cpu(cpu, dram, &single, generous);
+        cpu_l1 = cpu_l1.max(free.proc_power);
+        let steps_needed = (free.bandwidth.value() / step.value()).ceil() + 1.0;
+        mem_l1 = mem_l1.max(dram.power_at(step * steps_needed, phase.pattern_cost));
+    }
+    (cpu_l1, mem_l1)
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@
 //! ~2.5 µs cold solve — the `scripts/check.sh` gate holds the ratio at
 //! ≥ 10×.
 
-use crate::critical::CriticalPowers;
+use crate::critical::peak_demand;
 use crate::problem::PowerBoundedProblem;
 use crate::sweep::{sweep_curve_with_pool, DEFAULT_STEP};
 use pbc_par::Pool;
@@ -39,36 +39,40 @@ use std::sync::{Arc, OnceLock};
 /// optima, it does not have to resolve every sweep step.
 pub const TABLE_STEP: Watts = Watts::new(8.0);
 
-/// Most shared curve tables the process keeps (same bound and LRU
-/// policy as the solve-memo registry).
+/// Most shared curve tables the process keeps. One table per
+/// `(hardware, workload-class)` pair; 64 covers every preset × benchmark
+/// combination the workspace ships with headroom, while bounding a
+/// long-running daemon that profiles ever new classes.
 pub const MAX_SHARED_TABLES: usize = 64;
 
 /// The smallest node budget this class can run on: the platform's
-/// hardware floor, raised to the workload's COORD minimum (regime D's
-/// `P_cpu,L4 + P_mem,L3` boundary on hosts, the minimum settable card
-/// cap on GPUs). A share at or above this floor is guaranteed to
-/// coordinate and solve.
+/// hardware minimum ([`Platform::min_node_power`]). On hosts that is
+/// COORD's regime-D boundary `P_cpu,L4 + P_mem,L3`, whose two terms are
+/// application-independent; on GPUs it is raised to the minimum
+/// settable card cap. The workload does not move it, so `_demand` is
+/// unused. A share at or above this floor is guaranteed to coordinate
+/// and solve.
 #[must_use]
-pub fn node_floor(platform: &Platform, demand: &WorkloadDemand) -> Watts {
+pub fn node_floor(platform: &Platform, _demand: &WorkloadDemand) -> Watts {
     let floor = platform.min_node_power();
     match &platform.spec {
-        NodeSpec::Cpu { cpu, dram } => {
-            let c = CriticalPowers::probe(cpu, dram, demand);
-            floor.max(c.cpu_l4 + c.mem_l3)
-        }
+        NodeSpec::Cpu { .. } => floor,
         NodeSpec::Gpu(g) => floor.max(g.min_card_cap),
     }
 }
 
 /// The budget past which this class stops gaining: full component demand
-/// on hosts, the maximum settable card cap on GPUs. Watts granted past
-/// the ceiling are stranded (§2.1 RQ4's "acceptable band" upper edge).
+/// on hosts (`P_cpu,L1 + P_mem,L1`, the sum
+/// [`CriticalPowers::max_demand`](crate::CriticalPowers::max_demand)
+/// reports, without the probe's L2/L3 walks), the maximum settable card
+/// cap on GPUs. Watts granted past the ceiling are stranded (§2.1 RQ4's
+/// "acceptable band" upper edge).
 #[must_use]
 pub fn node_ceiling(platform: &Platform, demand: &WorkloadDemand) -> Watts {
     match &platform.spec {
         NodeSpec::Cpu { cpu, dram } => {
-            let c = CriticalPowers::probe(cpu, dram, demand);
-            c.max_demand()
+            let (cpu_l1, mem_l1) = peak_demand(cpu, dram, demand);
+            cpu_l1 + mem_l1
         }
         NodeSpec::Gpu(g) => g.max_card_cap,
     }
@@ -102,12 +106,13 @@ pub struct CurveTable {
     pub allocs: Vec<Option<PowerAllocation>>,
 }
 
-/// Process-wide table registry, fingerprinted like the solve-memo
-/// registry. Builds run *outside* the registry lock (they are pooled
-/// sweeps); readers clone an `Arc` once and then serve lock-free.
+/// Process-wide table registry, keyed by an exact fingerprint of the
+/// class (the debug rendering of the full platform and demand — verbose,
+/// but collision-free). Builds run *outside* the registry lock (they are
+/// pooled sweeps); readers clone an `Arc` once and then serve lock-free.
 fn tables() -> &'static BoundedRegistry<CurveTable> {
     static TABLES: OnceLock<BoundedRegistry<CurveTable>> = OnceLock::new();
-    TABLES.get_or_init(|| BoundedRegistry::new(MAX_SHARED_TABLES, None))
+    TABLES.get_or_init(|| BoundedRegistry::new(MAX_SHARED_TABLES))
 }
 
 impl CurveTable {
@@ -331,6 +336,49 @@ mod tests {
         assert!(floor >= p.gpu().unwrap().min_card_cap);
         let curve = CurveTable::profile(&p, &d).unwrap();
         assert!(curve.perf_at(curve.ceiling()) > 0.0);
+    }
+
+    /// The floor and ceiling skip the probe but read what it would: on
+    /// every Table-3 curve, bit for bit, the host floor is the platform
+    /// minimum raised to the probe's `P_cpu,L4 + P_mem,L3` and the host
+    /// ceiling is the probe's `max_demand`; the card floor is the card
+    /// minimum raised to its lowest settable cap. Probing a class twice
+    /// returns the same values.
+    #[test]
+    fn floor_and_ceiling_agree_with_the_probe_on_every_table3_curve() {
+        use crate::critical::CriticalPowers;
+        use pbc_platform::presets::{haswell, titan_v};
+        let bits = |c: &CriticalPowers| {
+            [c.cpu_l1, c.cpu_l2, c.cpu_l3, c.cpu_l4, c.mem_l1, c.mem_l2, c.mem_l3]
+                .map(|w| w.value().to_bits())
+        };
+        let mut curves = 0;
+        for p in [ivybridge(), haswell(), titan_xp(), titan_v()] {
+            let suite =
+                if p.is_gpu() { pbc_workloads::gpu_suite() } else { pbc_workloads::cpu_suite() };
+            for bench in suite {
+                let d = &bench.demand;
+                let at = format!("{} on {}", bench.id, p.id);
+                let floor = node_floor(&p, d).value().to_bits();
+                match &p.spec {
+                    NodeSpec::Cpu { cpu, dram } => {
+                        let c = CriticalPowers::probe(cpu, dram, d);
+                        let probed = p.min_node_power().max(c.cpu_l4 + c.mem_l3);
+                        assert_eq!(floor, probed.value().to_bits(), "floor, {at}");
+                        let ceiling = node_ceiling(&p, d).value().to_bits();
+                        assert_eq!(ceiling, c.max_demand().value().to_bits(), "ceiling, {at}");
+                        let again = CriticalPowers::probe(cpu, dram, d);
+                        assert_eq!(bits(&again), bits(&c), "second probe, {at}");
+                    }
+                    NodeSpec::Gpu(g) => {
+                        let card = g.min_power().max(g.min_card_cap);
+                        assert_eq!(floor, card.value().to_bits(), "floor, {at}");
+                    }
+                }
+                curves += 1;
+            }
+        }
+        assert_eq!(curves, 34, "the Table-3 curves");
     }
 
     #[test]

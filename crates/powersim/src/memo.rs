@@ -1,7 +1,11 @@
 //! Memoized solving: a canonical-key cache over [`solve_cpu`] /
 //! [`solve_gpu`] for callers that solve many allocations of the same
-//! `(platform, demand)` problem — COORD profiling, critical-power
-//! boundary walks, the analysis tables, the fleet coordinator. The
+//! `(platform, demand)` problem — critical-power boundary walks, the
+//! analysis tables, the fleet coordinator. A memo is an owned value:
+//! its caller builds one ([`SolveMemo::fresh`], [`SolveMemo::for_cpu`],
+//! [`SolveMemo::for_gpu`]) for the solves it makes and drops it with
+//! them. Nothing is cached per process, so no caller pays to find a
+//! memo, and no cache outlives the work that filled it. The
 //! shared-grid oracle (`pbc_core::sweep_curve`) uses the same canonical
 //! keys without the cache: it keys every grid point itself
 //! ([`SolveMemo::key`]), solves each key once ([`SolveMemo::solve_uncached`])
@@ -44,11 +48,11 @@ use crate::cpunode::{self, dram_bw_ceiling, solve_cpu_with_nominal};
 use crate::demand::WorkloadDemand;
 use crate::gpunode::{self, check_card_cap, solve_gpu_with_nominal};
 use crate::operating::{MechanismState, NodeOperatingPoint};
-use crate::registry::{lock, BoundedRegistry};
+use crate::registry::lock;
 use pbc_platform::{CpuSpec, DramSpec, GpuSpec, NodeSpec, Platform};
 use pbc_types::{PowerAllocation, Result, Watts};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 /// A canonical solve key: exactly the solver's effective inputs for one
 /// allocation of a memo's problem (see the module docs). Two allocations
@@ -101,68 +105,30 @@ pub struct SolveMemo {
     cache: Mutex<HashMap<SolveKey, NodeOperatingPoint>>,
 }
 
-/// Most shared memos the registry keeps. One sweep touches a handful of
-/// `(hardware, demand)` pairs; a long-running cluster loop cycling
-/// through workload phases used to accrete one memo per pair it ever
-/// saw, forever. 64 covers every preset × benchmark combination the
-/// workspace ships with headroom, while bounding the worst case.
-pub const MAX_SHARED_MEMOS: usize = 64;
-
-/// Process-wide memo registry, keyed by an exact fingerprint of the
-/// problem (the debug rendering of the full spec and demand — verbose,
-/// but collision-free). A [`BoundedRegistry`] capped at
-/// [`MAX_SHARED_MEMOS`]: when a new fingerprint would overflow it, the
-/// least-recently-used entry is evicted (counted under
-/// `solve.cache_evictions`). Live `Arc` handles keep an evicted memo's
-/// caches alive for their holders — eviction only drops the registry's
-/// route to it. `clear_shared` exists for cold-cache benchmarking.
-fn registry() -> &'static BoundedRegistry<SolveMemo> {
-    static REGISTRY: OnceLock<BoundedRegistry<SolveMemo>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        BoundedRegistry::new(
-            MAX_SHARED_MEMOS,
-            Some(pbc_trace::names::SOLVE_CACHE_EVICTIONS),
-        )
-    })
-}
-
 impl SolveMemo {
-    /// The shared memo for a host-node problem.
-    pub fn for_cpu(cpu: &CpuSpec, dram: &DramSpec, demand: &WorkloadDemand) -> Arc<SolveMemo> {
-        registry().get_or_build(&format!("cpu|{cpu:?}|{dram:?}|{demand:?}"), || SolveMemo {
-            bound: Bound::Cpu { cpu: cpu.clone(), dram: dram.clone() },
-            demand: demand.clone(),
-            nominal: OnceLock::new(),
-            cache: Mutex::new(HashMap::new()),
-        })
+    /// A new, empty memo for a host-node problem.
+    #[must_use]
+    pub fn for_cpu(cpu: &CpuSpec, dram: &DramSpec, demand: &WorkloadDemand) -> SolveMemo {
+        Self::new(Bound::Cpu { cpu: cpu.clone(), dram: dram.clone() }, demand)
     }
 
-    /// The shared memo for a GPU-card problem.
-    pub fn for_gpu(gpu: &GpuSpec, demand: &WorkloadDemand) -> Arc<SolveMemo> {
-        registry().get_or_build(&format!("gpu|{gpu:?}|{demand:?}"), || SolveMemo {
-            bound: Bound::Gpu(gpu.clone()),
-            demand: demand.clone(),
-            nominal: OnceLock::new(),
-            cache: Mutex::new(HashMap::new()),
-        })
+    /// A new, empty memo for a GPU-card problem.
+    #[must_use]
+    pub fn for_gpu(gpu: &GpuSpec, demand: &WorkloadDemand) -> SolveMemo {
+        Self::new(Bound::Gpu(gpu.clone()), demand)
     }
 
-    /// The shared memo for any platform kind (dispatches like
+    /// A new, empty memo for any platform kind (dispatches like
     /// [`crate::solve`]).
-    pub fn for_problem(platform: &Platform, demand: &WorkloadDemand) -> Arc<SolveMemo> {
+    #[must_use]
+    pub fn fresh(platform: &Platform, demand: &WorkloadDemand) -> SolveMemo {
         match &platform.spec {
             NodeSpec::Cpu { cpu, dram } => Self::for_cpu(cpu, dram, demand),
             NodeSpec::Gpu(gpu) => Self::for_gpu(gpu, demand),
         }
     }
 
-    /// A private (unshared) memo — for tests and benches that need a
-    /// cold cache regardless of what the rest of the process solved.
-    pub fn fresh(platform: &Platform, demand: &WorkloadDemand) -> SolveMemo {
-        let bound = match &platform.spec {
-            NodeSpec::Cpu { cpu, dram } => Bound::Cpu { cpu: cpu.clone(), dram: dram.clone() },
-            NodeSpec::Gpu(gpu) => Bound::Gpu(gpu.clone()),
-        };
+    fn new(bound: Bound, demand: &WorkloadDemand) -> SolveMemo {
         SolveMemo {
             bound,
             demand: demand.clone(),
@@ -171,16 +137,10 @@ impl SolveMemo {
         }
     }
 
-    /// Drop every shared memo. Benches call this between iterations so
-    /// timings measure a cold cache instead of earlier iterations' work.
-    pub fn clear_shared() {
-        registry().clear();
-    }
-
-    /// Shared memos currently registered (≤ [`MAX_SHARED_MEMOS`]).
-    pub fn shared_len() -> usize {
-        registry().len()
-    }
+    /// Does nothing: every memo is owned by its caller, so there is no
+    /// process-wide cache to drop. Kept for callers written when memos
+    /// were shared per process.
+    pub fn clear_shared() {}
 
     /// Cached entries in this memo.
     pub fn len(&self) -> usize {
@@ -434,97 +394,5 @@ mod tests {
             op_bits(&second.unwrap()),
             "hit must be bit-identical to the miss"
         );
-    }
-
-    #[test]
-    fn shared_registry_returns_the_same_memo() {
-        let _guard = lock(registry_test_mutex());
-        let platform = ivybridge();
-        let stream = WorkloadDemand::single("stream-like", PhaseDemand::stream_bound());
-        let a = SolveMemo::for_problem(&platform, &stream);
-        let b = SolveMemo::for_problem(&platform, &stream);
-        assert!(Arc::ptr_eq(&a, &b));
-        let sra = WorkloadDemand::single("sra-like", PhaseDemand::random_bound());
-        let other = SolveMemo::for_problem(&platform, &sra);
-        assert!(!Arc::ptr_eq(&a, &other));
-    }
-
-    /// Tests below churn the process-wide registry; serialize them
-    /// against the identity test above so a mid-assert eviction can't
-    /// invalidate its `Arc::ptr_eq` expectations.
-    fn registry_test_mutex() -> &'static Mutex<()> {
-        static M: OnceLock<Mutex<()>> = OnceLock::new();
-        M.get_or_init(|| Mutex::new(()))
-    }
-
-    fn demand_variant(i: usize) -> WorkloadDemand {
-        let mut d = PhaseDemand::compute_bound();
-        // Perturb a field so every variant fingerprints distinctly.
-        d.arithmetic_intensity += i as f64 * 0.001;
-        WorkloadDemand::single(format!("variant-{i}"), d)
-    }
-
-    #[test]
-    fn registry_is_bounded_and_evicts_least_recently_used() {
-        let _guard = lock(registry_test_mutex());
-        SolveMemo::clear_shared();
-        let platform = ivybridge();
-        let keeper_demand = demand_variant(0);
-        let keeper = SolveMemo::for_problem(&platform, &keeper_demand);
-        // Overflow the bound; re-touch the keeper along the way so LRU
-        // keeps it while the stale middle entries rotate out.
-        for i in 1..=(MAX_SHARED_MEMOS + 8) {
-            let _ = SolveMemo::for_problem(&platform, &demand_variant(i));
-            if i % 16 == 0 {
-                let again = SolveMemo::for_problem(&platform, &keeper_demand);
-                assert!(
-                    Arc::ptr_eq(&keeper, &again),
-                    "a recently used memo must survive eviction"
-                );
-            }
-        }
-        assert!(
-            SolveMemo::shared_len() <= MAX_SHARED_MEMOS,
-            "registry grew to {} entries past the bound",
-            SolveMemo::shared_len()
-        );
-        // The keeper was used most recently at i = 64 < 72, but far more
-        // recently than variant-1, which must be gone: re-registering it
-        // builds a new memo.
-        let revived = SolveMemo::for_problem(&platform, &demand_variant(1));
-        let again = SolveMemo::for_problem(&platform, &demand_variant(1));
-        assert!(Arc::ptr_eq(&revived, &again));
-        SolveMemo::clear_shared();
-    }
-
-    #[test]
-    fn eviction_is_counted_and_survivors_keep_their_caches() {
-        let _guard = lock(registry_test_mutex());
-        SolveMemo::clear_shared();
-        pbc_trace::reset();
-        pbc_trace::enable();
-        let platform = ivybridge();
-        let held_demand = demand_variant(9000);
-        let held = SolveMemo::for_problem(&platform, &held_demand);
-        let alloc = PowerAllocation::new(Watts::new(120.0), Watts::new(80.0));
-        let before = held.solve(alloc).unwrap();
-        for i in 0..(MAX_SHARED_MEMOS * 2) {
-            let _ = SolveMemo::for_problem(&platform, &demand_variant(9001 + i));
-        }
-        let snapshot = pbc_trace::snapshot();
-        let evictions = snapshot
-            .counters
-            .get(pbc_trace::names::SOLVE_CACHE_EVICTIONS)
-            .copied()
-            .unwrap_or(0);
-        assert!(evictions > 0, "overflowing the registry must count evictions");
-        // The held Arc outlives its registry slot: its cache still
-        // answers, bit-identically.
-        assert!(held.len() >= 1);
-        let after = held.solve(alloc).unwrap();
-        assert_eq!(op_bits(&before), op_bits(&after));
-        pbc_trace::disable();
-        pbc_trace::reset();
-        SolveMemo::clear_shared();
     }
 }

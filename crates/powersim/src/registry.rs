@@ -1,13 +1,12 @@
-//! A bounded, process-wide LRU registry of shared immutable values.
-//!
-//! This generalizes the [`crate::memo::SolveMemo`] sharing pattern: a
-//! `String`-fingerprinted map of `Arc<T>` handles with a capacity bound
-//! and least-recently-used eviction. Eviction only drops the registry's
-//! route to a value — live `Arc` holders keep theirs — so a registry
-//! can never invalidate a handle it already gave out. That is exactly
-//! the lock-free read discipline the steady-state fast path needs:
-//! readers clone an `Arc` once and then never touch the registry mutex
-//! again.
+//! A bounded, process-wide LRU registry of shared immutable values:
+//! a `String`-fingerprinted map of `Arc<T>` handles with a capacity
+//! bound and least-recently-used eviction. `pbc_core::CurveTable` keeps
+//! its shared tables in one, so every serve session of a class reads
+//! the table one build made. Eviction only drops the registry's route
+//! to a value — live `Arc` holders keep theirs — so a registry can never
+//! invalidate a handle it already gave out. That is exactly the
+//! lock-free read discipline the steady-state fast path needs: readers
+//! clone an `Arc` once and then never touch the registry mutex again.
 
 use pbc_types::Result;
 use std::collections::HashMap;
@@ -29,22 +28,18 @@ struct Inner<T> {
 
 /// A bounded registry of shared `Arc<T>` values keyed by an exact
 /// fingerprint string. When an insert would overflow `capacity`, the
-/// least-recently-used entry is dropped (optionally counted under an
-/// eviction counter from `pbc_trace::names`).
+/// least-recently-used entry is dropped.
 pub struct BoundedRegistry<T> {
     capacity: usize,
-    eviction_counter: Option<&'static str>,
     inner: Mutex<Inner<T>>,
 }
 
 impl<T> BoundedRegistry<T> {
-    /// Build an empty registry bounded at `capacity` entries. Evictions
-    /// increment `eviction_counter` when one is given.
+    /// Build an empty registry bounded at `capacity` entries.
     #[must_use]
-    pub fn new(capacity: usize, eviction_counter: Option<&'static str>) -> Self {
+    pub fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
-            eviction_counter,
             inner: Mutex::new(Inner { entries: HashMap::new(), clock: 0 }),
         }
     }
@@ -62,27 +57,11 @@ impl<T> BoundedRegistry<T> {
     }
 
     /// The value registered under `key`, building (and registering) it
-    /// if absent. The build runs *under the registry lock*, so it must
-    /// be cheap — constructing an empty cache, not filling one. For
-    /// expensive builds use [`Self::get_or_try_build`].
-    pub fn get_or_build(&self, key: &str, build: impl FnOnce() -> T) -> Arc<T> {
-        let mut inner = lock(&self.inner);
-        inner.clock += 1;
-        let now = inner.clock;
-        if let Some((value, stamp)) = inner.entries.get_mut(key) {
-            *stamp = now;
-            return Arc::clone(value);
-        }
-        let value = Arc::new(build());
-        self.insert_bounded(&mut inner, key, Arc::clone(&value), now);
-        value
-    }
-
-    /// Like [`Self::get_or_build`] for fallible, *expensive* builds: the
-    /// build runs with the registry unlocked (it may itself run pooled
-    /// sweeps), then the result is inserted double-checked — if another
-    /// thread registered `key` while this one was building, the earlier
-    /// entry wins and is returned, so all callers share one handle.
+    /// if absent. The build may fail and may be expensive: it runs with
+    /// the registry unlocked (it may itself run pooled sweeps), then the
+    /// result is inserted double-checked — if another thread registered
+    /// `key` while this one was building, the earlier entry wins and is
+    /// returned, so all callers share one handle.
     #[must_use = "the registry result carries either the shared handle or the build failure"]
     pub fn get_or_try_build(
         &self,
@@ -107,20 +86,15 @@ impl<T> BoundedRegistry<T> {
     fn insert_bounded(&self, inner: &mut Inner<T>, key: &str, value: Arc<T>, now: u64) {
         while inner.entries.len() >= self.capacity {
             // Evict the least-recently-used fingerprint to stay bounded.
-            let oldest = inner
+            let Some(oldest) = inner
                 .entries
                 .iter()
                 .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(k, _)| k.clone());
-            match oldest {
-                Some(k) => {
-                    inner.entries.remove(&k);
-                    if let Some(name) = self.eviction_counter {
-                        pbc_trace::counter(name).incr();
-                    }
-                }
-                None => break,
-            }
+                .map(|(k, _)| k.clone())
+            else {
+                break;
+            };
+            inner.entries.remove(&oldest);
         }
         inner.entries.insert(key.to_string(), (value, now));
     }
@@ -149,24 +123,14 @@ mod tests {
     use pbc_types::PbcError;
 
     #[test]
-    fn get_or_build_shares_one_handle() {
-        let reg: BoundedRegistry<u32> = BoundedRegistry::new(4, None);
-        let a = reg.get_or_build("k", || 7);
-        let b = reg.get_or_build("k", || unreachable!("already registered"));
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(*a, 7);
-        assert_eq!(reg.len(), 1);
-    }
-
-    #[test]
     fn capacity_bound_evicts_least_recently_used() {
-        let reg: BoundedRegistry<usize> = BoundedRegistry::new(3, None);
+        let reg: BoundedRegistry<usize> = BoundedRegistry::new(3);
         for i in 0..3 {
-            let _ = reg.get_or_build(&format!("k{i}"), || i);
+            let _ = reg.get_or_try_build(&format!("k{i}"), || Ok(i));
         }
         // Touch k0 so k1 is the LRU victim.
         assert!(reg.get("k0").is_some());
-        let _ = reg.get_or_build("k3", || 3);
+        let _ = reg.get_or_try_build("k3", || Ok(3));
         assert_eq!(reg.len(), 3);
         assert!(reg.get("k0").is_some());
         assert!(reg.get("k1").is_none(), "LRU entry must be evicted");
@@ -175,7 +139,7 @@ mod tests {
 
     #[test]
     fn try_build_propagates_errors_and_registers_successes() {
-        let reg: BoundedRegistry<u32> = BoundedRegistry::new(4, None);
+        let reg: BoundedRegistry<u32> = BoundedRegistry::new(4);
         let err = reg.get_or_try_build("bad", || {
             Err(PbcError::InvalidInput("nope".into()))
         });
@@ -189,8 +153,8 @@ mod tests {
 
     #[test]
     fn clear_drops_routes_but_not_live_handles() {
-        let reg: BoundedRegistry<String> = BoundedRegistry::new(4, None);
-        let held = reg.get_or_build("k", || "v".to_string());
+        let reg: BoundedRegistry<String> = BoundedRegistry::new(4);
+        let held = reg.get_or_try_build("k", || Ok("v".to_string())).unwrap();
         reg.clear();
         assert!(reg.is_empty());
         assert_eq!(held.as_str(), "v");

@@ -60,9 +60,6 @@ pub const SOLVE_CACHE_HITS: &str = "solve.cache_hits";
 /// Memoized solves that missed the cache and ran the real solver, plus
 /// `sweep_curve`'s one solve per unique canonical key.
 pub const SOLVE_CACHE_MISSES: &str = "solve.cache_misses";
-/// Shared memos evicted from the process-wide registry when it hits its
-/// capacity bound (oldest-use first).
-pub const SOLVE_CACHE_EVICTIONS: &str = "solve.cache_evictions";
 /// CPU phase solves whose RAPL ladder pick still changed after six
 /// undamped fixed-point steps, so the solver fell back to the damped
 /// iteration. Reads zero across the shipped suite.

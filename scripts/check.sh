@@ -183,25 +183,23 @@ echo "==> timed benches (append machine-readable records to BENCH_sweep.json)"
 # BENCH_sweep.json is the *fresh-file* gate input: it must contain only
 # this run's records, so the ratio greps below can never match a stale
 # line. The history of every run is kept separately under results/.
+# A bench that misses its own bar panics; both benches still run and
+# every gate below is still evaluated, so a failing run leaves its
+# records in the history too, stamped "gate":"failed", before the
+# script fails.
 rm -f BENCH_sweep.json
-PBC_BENCH_JSON="$PWD/BENCH_sweep.json" cargo bench -q -p pbc-bench --bench sweep
-PBC_BENCH_JSON="$PWD/BENCH_sweep.json" cargo bench -q -p pbc-bench --bench fastpath
-test -s BENCH_sweep.json || { echo "error: benches wrote no records" >&2; exit 1; }
-echo "    records: BENCH_sweep.json"
-
-echo "==> bench history (run-stamped append under results/)"
-# Every gated run's records are preserved, stamped with the UTC time and
-# the commit taken at the start of the run, so timing trajectories
-# survive the per-run rm -f above.
-mkdir -p results
-run_stamp=$(date -u +%Y-%m-%dT%H:%M:%SZ)
-sed "s/^{/{\"run\":\"${run_stamp}\",\"commit\":\"${run_commit}\",/" \
-    BENCH_sweep.json >> results/bench_history.jsonl
-# The code-size trajectory: Rust lines in the workspace sources.
-rust_lines=$(find crates src tests examples -name '*.rs' -type f -exec cat {} + | wc -l | tr -d ' ')
-echo "{\"run\":\"${run_stamp}\",\"commit\":\"${run_commit}\",\"type\":\"loc\",\"name\":\"workspace/rust-lines\",\"lines\":${rust_lines}}" \
-    >> results/bench_history.jsonl
-echo "    history: results/bench_history.jsonl (${run_stamp} @ ${run_commit}; ${rust_lines} Rust lines)"
+gate=passed
+gate_fail() { echo "error: $1" >&2; gate=failed; }
+PBC_BENCH_JSON="$PWD/BENCH_sweep.json" cargo bench -q -p pbc-bench --bench sweep \
+    || gate_fail "the sweep bench failed (above)"
+PBC_BENCH_JSON="$PWD/BENCH_sweep.json" cargo bench -q -p pbc-bench --bench fastpath \
+    || gate_fail "the fastpath bench failed (above)"
+if test -s BENCH_sweep.json; then
+    echo "    records: BENCH_sweep.json"
+else
+    gate_fail "benches wrote no records"
+    touch BENCH_sweep.json
+fi
 
 echo "==> shared-grid oracle speedup gate (curve >= 2x over per-budget sweeps)"
 # The sweep bench records the curve-vs-independent median ratio as a
@@ -209,10 +207,13 @@ echo "==> shared-grid oracle speedup gate (curve >= 2x over per-budget sweeps)"
 ratio=$(grep '"type":"bench-ratio"' BENCH_sweep.json \
     | grep '"name":"sweep/curve-vs-budgets-speedup"' \
     | sed 's/.*"ratio"://; s/[^0-9.].*//')
-test -n "$ratio" || { echo "error: no bench-ratio record in BENCH_sweep.json" >&2; exit 1; }
-awk -v r="$ratio" 'BEGIN { exit (r >= 2.0 ? 0 : 1) }' \
-    || { echo "error: curve speedup ${ratio}x is below the 2x bar" >&2; exit 1; }
-echo "    curve speedup: ${ratio}x"
+if test -z "$ratio"; then
+    gate_fail "no bench-ratio record in BENCH_sweep.json"
+elif awk -v r="$ratio" 'BEGIN { exit (r >= 2.0 ? 0 : 1) }'; then
+    echo "    curve speedup: ${ratio}x"
+else
+    gate_fail "curve speedup ${ratio}x is below the 2x bar"
+fi
 
 echo "==> steady-state fast path gate (table-served set_budget >= 10x over a cold solve)"
 # The fastpath bench records the set_budget-vs-direct-solve median ratio;
@@ -220,10 +221,13 @@ echo "==> steady-state fast path gate (table-served set_budget >= 10x over a col
 fp_ratio=$(grep '"type":"bench-ratio"' BENCH_sweep.json \
     | grep '"name":"fastpath/set-budget-vs-cold-solve"' \
     | sed 's/.*"ratio"://; s/[^0-9.].*//')
-test -n "$fp_ratio" || { echo "error: no fastpath bench-ratio record in BENCH_sweep.json" >&2; exit 1; }
-awk -v r="$fp_ratio" 'BEGIN { exit (r >= 10.0 ? 0 : 1) }' \
-    || { echo "error: fast-path speedup ${fp_ratio}x is below the 10x bar" >&2; exit 1; }
-echo "    fast-path speedup: ${fp_ratio}x"
+if test -z "$fp_ratio"; then
+    gate_fail "no fastpath bench-ratio record in BENCH_sweep.json"
+elif awk -v r="$fp_ratio" 'BEGIN { exit (r >= 10.0 ? 0 : 1) }'; then
+    echo "    fast-path speedup: ${fp_ratio}x"
+else
+    gate_fail "fast-path speedup ${fp_ratio}x is below the 10x bar"
+fi
 
 echo "==> partitioner scaling gate (water-fill per-node cost at 4096 nodes <= 2.5x that at 32)"
 # The sweep bench records the 4096-node fill's per-node median over the
@@ -233,10 +237,29 @@ echo "==> partitioner scaling gate (water-fill per-node cost at 4096 nodes <= 2.
 fill_ratio=$(grep '"type":"bench-ratio"' BENCH_sweep.json \
     | grep '"name":"cluster/water-fill-per-node-4096-vs-32"' \
     | sed 's/.*"ratio"://; s/[^0-9.].*//')
-test -n "$fill_ratio" || { echo "error: no water-fill bench-ratio record in BENCH_sweep.json" >&2; exit 1; }
-awk -v r="$fill_ratio" 'BEGIN { exit (r <= 2.5 ? 0 : 1) }' \
-    || { echo "error: water-fill per-node cost grows ${fill_ratio}x from 32 to 4096 nodes (bar: 2.5x)" >&2; exit 1; }
-echo "    water-fill per-node cost, 4096 vs 32 nodes: ${fill_ratio}x"
+if test -z "$fill_ratio"; then
+    gate_fail "no water-fill bench-ratio record in BENCH_sweep.json"
+elif awk -v r="$fill_ratio" 'BEGIN { exit (r <= 2.5 ? 0 : 1) }'; then
+    echo "    water-fill per-node cost, 4096 vs 32 nodes: ${fill_ratio}x"
+else
+    gate_fail "water-fill per-node cost grows ${fill_ratio}x from 32 to 4096 nodes (bar: 2.5x)"
+fi
+
+echo "==> bench history (run-stamped append under results/)"
+# Every run's records are preserved, passing or failing, stamped with
+# the UTC time, the commit taken at the start of the run and the gates'
+# verdict, so timing trajectories survive the per-run rm -f above.
+mkdir -p results
+run_stamp=$(date -u +%Y-%m-%dT%H:%M:%SZ)
+sed "s/^{/{\"run\":\"${run_stamp}\",\"commit\":\"${run_commit}\",\"gate\":\"${gate}\",/" \
+    BENCH_sweep.json >> results/bench_history.jsonl
+# The code-size trajectory: Rust lines in the workspace sources.
+rust_lines=$(find crates src tests examples -name '*.rs' -type f -exec cat {} + | wc -l | tr -d ' ')
+echo "{\"run\":\"${run_stamp}\",\"commit\":\"${run_commit}\",\"type\":\"loc\",\"name\":\"workspace/rust-lines\",\"lines\":${rust_lines}}" \
+    >> results/bench_history.jsonl
+echo "    history: results/bench_history.jsonl (${run_stamp} @ ${run_commit}, gate ${gate}; ${rust_lines} Rust lines)"
+test "$gate" = passed \
+    || { echo "error: the bench gates failed (above); their records are in the history as \"gate\":\"failed\"" >&2; exit 1; }
 
 echo "==> serve-bench gate (>= 100k queries/sec sustained, p99 dispatch < 50 us)"
 # Load-test the shipped daemon binary: 1024 simulated nodes over two
