@@ -16,10 +16,15 @@
 //! The cluster partitioner is timed on the same class mix at 32, 1024
 //! and 4096 nodes; the 4096-node fill's per-node median over the
 //! 32-node fill's is recorded as a second `"type":"bench-ratio"` line,
-//! which `scripts/check.sh` gates at 2.5x: a fill costs O(Q log N), so
-//! its per-node cost may grow only with log N.
+//! which `scripts/check.sh` gates at 2.5x. The fill's index holds one
+//! entry per share level of each class, not one per node, and one
+//! node's grants are replayed across its identical class-mates, so the
+//! per-node cost must not grow with the fleet.
+//!
+//! Every ratio is recorded before the curve bar is asserted, so a run
+//! that misses the bar still leaves the water-fill record for the gate.
 
-use pbc_bench::Bench;
+use pbc_bench::{Bench, Timing};
 use pbc_core::{sweep_budget, sweep_curve, PowerBoundedProblem, DEFAULT_STEP};
 use pbc_platform::presets::{ivybridge, titan_xp};
 use pbc_powersim::{solve, SolveMemo};
@@ -30,6 +35,9 @@ use std::hint::black_box;
 /// The speedup the shared-grid oracle must deliver over independent
 /// per-budget sweeps (acceptance bar for the optimization).
 const MIN_CURVE_SPEEDUP: f64 = 2.0;
+
+/// Budgets on the ladder the shared-grid curve is timed over.
+const CURVE_BUDGETS: usize = 10;
 
 fn main() {
     let mut bench = Bench::from_env();
@@ -54,9 +62,12 @@ fn main() {
         });
     }
 
-    curve_vs_independent_budgets(&mut bench);
+    let curve = curve_vs_independent_budgets(&mut bench);
     solve_memo(&mut bench);
     cluster_water_fill(&mut bench);
+    if let Some((independent, curve)) = curve {
+        assert_curve_bar(independent, curve);
+    }
 
     // The conservation law, over everything the timed runs accumulated.
     let counters = pbc_trace::snapshot().counters;
@@ -73,12 +84,14 @@ fn main() {
 
 /// One `sweep_curve` over a 10-budget ladder vs 10 independent
 /// `sweep_budget` calls over the same ladder — the comparison the
-/// shared-grid oracle exists to win.
-fn curve_vs_independent_budgets(bench: &mut Bench) {
+/// shared-grid oracle exists to win. Records the ratio and returns both
+/// timings; the caller asserts the bar.
+fn curve_vs_independent_budgets(bench: &mut Bench) -> Option<(Timing, Timing)> {
     let w = pbc_workloads::by_name("stream").expect("workload exists");
     let problem = PowerBoundedProblem::new(ivybridge(), w.demand, Watts::new(208.0))
         .expect("problem is well-formed");
-    let budgets: Vec<Watts> = (0..10).map(|i| Watts::new(160.0 + 8.0 * i as f64)).collect();
+    let budgets: Vec<Watts> =
+        (0..CURVE_BUDGETS).map(|i| Watts::new(160.0 + 8.0 * i as f64)).collect();
 
     let independent = bench.run("sweep/10-budgets-independent", || {
         budgets
@@ -102,22 +115,25 @@ fn curve_vs_independent_budgets(bench: &mut Bench) {
         profiles
     });
 
-    if let (Some(independent), Some(curve)) = (independent, curve) {
-        let speedup = independent.median_ns / curve.median_ns;
-        bench.record_ratio("sweep/curve-vs-budgets-speedup", speedup);
-        assert!(
-            speedup >= MIN_CURVE_SPEEDUP,
-            "shared-grid curve over {} budgets must be >= {MIN_CURVE_SPEEDUP}x faster than \
-             independent per-budget sweeps, measured {speedup:.2}x \
-             (sweep/10-budgets-independent median {:.0} ns, min {:.0} ns; \
-             sweep/10-budgets-curve median {:.0} ns, min {:.0} ns)",
-            budgets.len(),
-            independent.median_ns,
-            independent.min_ns,
-            curve.median_ns,
-            curve.min_ns,
-        );
-    }
+    let (independent, curve) = (independent?, curve?);
+    bench.record_ratio("sweep/curve-vs-budgets-speedup", independent.median_ns / curve.median_ns);
+    Some((independent, curve))
+}
+
+/// Fail the bench when the shared-grid curve misses [`MIN_CURVE_SPEEDUP`].
+fn assert_curve_bar(independent: Timing, curve: Timing) {
+    let speedup = independent.median_ns / curve.median_ns;
+    assert!(
+        speedup >= MIN_CURVE_SPEEDUP,
+        "shared-grid curve over {CURVE_BUDGETS} budgets must be >= {MIN_CURVE_SPEEDUP}x faster \
+         than independent per-budget sweeps, measured {speedup:.2}x \
+         (sweep/10-budgets-independent median {:.0} ns, min {:.0} ns; \
+         sweep/10-budgets-curve median {:.0} ns, min {:.0} ns)",
+        independent.median_ns,
+        independent.min_ns,
+        curve.median_ns,
+        curve.min_ns,
+    );
 }
 
 /// The memo's hit path against the direct solver it caches — the cost a

@@ -23,30 +23,80 @@
 //! key nor the lowest index among near-ties: gains of `g + 0.5e-12` at
 //! node 0 and `g + 1.2e-12` at node 1 give node 0.
 //!
-//! ## Cost: O(Q log N) for Q quanta over N nodes
+//! ## The level index
 //!
-//! The eligible nodes sit in one ordered index, keyed by (key
-//! descending, node index ascending), and a grant changes only the
-//! winner's key. The winner comes from the index's *top cluster*: walk
-//! down the distinct key values from the top and stop at the first value
-//! that the smallest value already taken beats. Every node inside the
-//! cluster beats every node outside it, so in a full pass the first
-//! cluster node in index order becomes the record and no outside node
-//! can become one after it: the record rule over the cluster alone picks
-//! the full pass's winner. Of the nodes sharing one exact key only the
-//! lowest index can ever become a record, so the walk takes one node per
-//! value and the cluster stays a handful of entries even when whole
-//! classes tie. The walk stops on the pass's own float predicate, so
-//! the argument holds under rounding. Throughput's keys depend on the
-//! quantum, so its last, partial quanta rebuild the index.
+//! The fill does not run that pass per quantum. A *kind* is the nodes
+//! with one curve (the same `&CurveTable`), one floor and one weight; a
+//! *level* is the nodes of one kind that sit at one share, so they all
+//! hold one key. The ordered index holds one entry per level with
+//! ceiling headroom, keyed by (key descending, lowest node index
+//! ascending), and a level's key is computed once, when the level
+//! appears. The winner comes from the index's *top cluster*: walk down
+//! the distinct key values from the top and stop at the first value that
+//! the smallest value already taken beats. Every node inside the cluster
+//! beats every node outside it, so in a full pass the first cluster node
+//! in index order becomes the record and no outside node can become one
+//! after it: the record rule over the cluster alone picks the full
+//! pass's winner. Of the nodes sharing one exact key only the lowest
+//! index can ever become a record, which is why an entry names its
+//! level's lowest node and the walk takes one entry per value. The walk
+//! stops on the pass's own float predicate, so the argument holds under
+//! rounding. Throughput's keys depend on the quantum, so its last,
+//! partial quanta rebuild the index.
+//!
+//! A grant moves the winner, the lowest node of its level, into the
+//! level just above when that level holds its new share, and into a
+//! level of its own otherwise. A lone node's level is re-keyed in place.
+//!
+//! ## The staircase invariant
+//!
+//! Within a kind, shares never increase with node index. So a level is a
+//! contiguous range of its kind's nodes in index order, the level a
+//! winner joins is the range just before its own, and a level needs no
+//! allocation of its own. The invariant holds because the winner is
+//! always the lowest node of its level, and while the quantum is fixed
+//! every node of a kind walks the same chain of shares: the same float
+//! additions from the same floor, each grant clamped to the same
+//! headroom. The nodes before the winner already sit further along that
+//! chain. A partial quantum either ends the fill, or clamps a node to its
+//! ceiling from the one chain point within a quantum of it, where the
+//! full quantum clamps it too.
+//!
+//! ## Trajectory replay
+//!
+//! Fleet curves are not concave and their rungs are wider than a grant,
+//! so one node tends to win several grants in a row, and then the next
+//! node of its level does the same. The fill records the grants one node
+//! `v` wins in a row from its level `L`. When they are shown to repeat,
+//! it applies them to each further node of `L` in index order: each
+//! grant comes off the remaining budget in sequence, and the index is
+//! touched once for the batch. It replays only when all of these hold:
+//!
+//! 1. **One quantum.** Every pick used the same `grant.min(remaining)`
+//!    bits, and before each replayed grant the remaining budget is still
+//!    above `BUDGET_EPS` and still yields those bits.
+//! 2. **A clean chain.** Each of `v`'s picks touched only `L` and `v`'s
+//!    own level, counting the entries hidden behind an equal key.
+//! 3. **The trajectory's shape.** Every grant but the last put `v` in a
+//!    new level, and the last put it in a level that already existed.
+//! 4. **The next pick.** The pick after `v`'s last chose `L` again, and
+//!    its chain touched only `L`.
+//!
+//! Each later node of `L` then meets, pick for pick, the index `v` met,
+//! except that the two entries its picks touch name later nodes, in the
+//! same order; once `L` empties its entry is gone, and the walk still
+//! stops where it did. So the walk and the record rule choose as they
+//! did for `v`. The replay stops at the first failed check, and ordinary
+//! picks continue.
 //!
 //! The pass is pure sequential arithmetic over already-profiled curves,
 //! so a partition is a deterministic function of `(curves, global,
 //! grant)`, independent of `PBC_THREADS`. The property tests in
-//! `tests/partition_properties.rs` pin that down, and pin the winner
-//! rule against a reference copy of the quantum-by-quantum pass.
+//! `tests/partition_properties.rs` pin that down, and pin the fill
+//! against a reference copy of the quantum-by-quantum pass.
 
 use pbc_core::CurveTable;
+use pbc_trace::names;
 use pbc_types::{check_budget, PbcError, Result, Watts};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -177,6 +227,9 @@ fn spread_leftover(nodes: &[NodeCurve<'_>], shares: &mut [Watts], mut remaining:
 ///
 /// Fails with [`PbcError::BudgetTooSmall`] when `global` cannot cover
 /// every node's floor — there is no feasible partition at all.
+///
+/// Each fill adds its grants, replayed ones included, to
+/// `cluster.fill_quanta` and its winner walks to `cluster.fill_picks`.
 #[must_use = "the partition result carries either the shares or the infeasibility"]
 pub fn fill_shares(
     nodes: &[NodeCurve<'_>],
@@ -215,20 +268,37 @@ pub fn fill_shares(
     let mut remaining = global - minimum;
     // Greedy fill: each quantum goes to the winner the module docs
     // define, clamped to that node's ceiling so the last grant before a
-    // flattening point can never overshoot it.
-    let mut level = Level::new(nodes, weights, objective);
+    // flattening point can never overshoot it. A trail that passes the
+    // replay checks is applied to the rest of its level in one step.
+    let mut levels = Levels::new(nodes, weights, objective);
+    let mut trail = Trail::default();
+    let (mut picks, mut quanta) = (0, 0);
     while remaining.value() > BUDGET_EPS {
         let q = grant.min(remaining);
-        level.set_quantum(&shares, q);
-        let Some(won) = level.winner() else {
+        levels.set_quantum(&shares, q);
+        picks += 1;
+        let Some(won) = levels.winner() else {
             break; // nobody is eligible — stop granting greedily
         };
+        if trail.replays(&levels, won, q) {
+            let moved = levels.replay(won, &trail, grant, &mut shares, &mut remaining);
+            quanta += moved * trail.grants.len();
+            trail.clear();
+            if moved > 0 {
+                continue;
+            }
+        }
+        trail.follow(&levels, won, q);
         let i = won.node;
         let qi = Watts::new(q.value().min(headroom(&nodes[i], shares[i])));
         shares[i] = shares[i] + qi;
         remaining = remaining - qi;
-        level.rekey(won, shares[i], q);
+        quanta += 1;
+        let joined = levels.lift(&shares, won, q);
+        trail.record(qi, joined);
     }
+    pbc_trace::cached_counter!(names::CLUSTER_FILL_QUANTA).add(quanta as u64);
+    pbc_trace::cached_counter!(names::CLUSTER_FILL_PICKS).add(picks);
     // Conservation: whatever is left once the objective stops granting
     // is still assigned so Σ shares == global, preferring nodes with
     // ceiling headroom.
@@ -238,12 +308,13 @@ pub fn fill_shares(
     Ok(shares)
 }
 
-/// One eligible node in the fill index. Entries sort by key descending,
-/// then by node index ascending, so the first entry of each distinct key
-/// is the lowest-indexed node holding it.
+/// One level in the fill index. Entries sort by key descending, then by
+/// node index ascending, so the first entry of each distinct key names
+/// the lowest-indexed node holding it.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     key: f64,
+    /// The level's lowest node.
     node: usize,
 }
 
@@ -267,12 +338,23 @@ impl PartialEq for Entry {
 
 impl Eq for Entry {}
 
-/// The fill's water level: every node with ceiling headroom, indexed by
-/// its objective key (see the module docs for the rule it reproduces).
-struct Level<'n, 'c> {
+/// The fill's water level: every kind's nodes in runs of equal share
+/// (the levels of the module docs), and one index entry per level with
+/// ceiling headroom.
+struct Levels<'n, 'c> {
     nodes: &'n [NodeCurve<'c>],
     weights: &'n [f64],
     objective: Objective,
+    /// Node indices, kind by kind, ascending within a kind.
+    order: Vec<usize>,
+    /// Each node's position in `order`.
+    pos: Vec<usize>,
+    /// At a level's first position: one past its last.
+    end: Vec<usize>,
+    /// At a level's last position: its first.
+    start: Vec<usize>,
+    /// Whether a position holds the first node of its kind.
+    kind_first: Vec<bool>,
     index: BTreeSet<Entry>,
     /// Bit pattern of the quantum the keys were computed for; `None`
     /// before the first build.
@@ -281,49 +363,79 @@ struct Level<'n, 'c> {
     cluster: Vec<Entry>,
 }
 
-impl<'n, 'c> Level<'n, 'c> {
+impl<'n, 'c> Levels<'n, 'c> {
+    /// Group the nodes by kind, each kind one level at its floor.
     fn new(nodes: &'n [NodeCurve<'c>], weights: &'n [f64], objective: Objective) -> Self {
-        Self {
+        let n = nodes.len();
+        let mut levels = Self {
             nodes,
             weights,
             objective,
+            order: Vec::new(),
+            pos: vec![0; n],
+            end: vec![0; n],
+            start: vec![0; n],
+            kind_first: vec![false; n],
             index: BTreeSet::new(),
             quantum: None,
             cluster: Vec::new(),
+        };
+        // The order of the kinds is immaterial: no choice depends on it.
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_unstable_by_key(|&i| (levels.kind(i), i));
+        let mut first = 0;
+        for (p, &i) in order.iter().enumerate() {
+            levels.pos[i] = p;
+            if order.get(p + 1).is_none_or(|&j| levels.kind(j) != levels.kind(i)) {
+                levels.end[first] = p + 1;
+                levels.start[p] = first;
+                levels.kind_first[first] = true;
+                first = p + 1;
+            }
         }
+        levels.order = order;
+        levels
     }
 
-    /// The node's key at `share` for a quantum of `q`, or `None` when it
-    /// has no ceiling headroom left to compete with.
-    fn key(&self, i: usize, share: Watts, q: Watts) -> Option<f64> {
+    fn weight(&self, i: usize) -> f64 {
+        self.weights.get(i).copied().unwrap_or(1.0)
+    }
+
+    /// The node's kind: its curve's address, its floor and its weight.
+    fn kind(&self, i: usize) -> (usize, u64, u64) {
         let node = &self.nodes[i];
-        let room = headroom(node, share);
+        let curve = std::ptr::from_ref(node.curve).addr();
+        (curve, node.floor.value().to_bits(), self.weight(i).to_bits())
+    }
+
+    /// The node's key at `at` watts for a quantum of `q`, or `None` when
+    /// it has no ceiling headroom left to compete with.
+    fn key(&self, i: usize, at: Watts, q: Watts) -> Option<f64> {
+        let node = &self.nodes[i];
+        let room = headroom(node, at);
         if room <= BUDGET_EPS {
             return None;
         }
         Some(match self.objective {
             // The gain is queried with the grant clamped to the node's
             // own headroom.
-            Objective::Throughput => node.curve.marginal_gain(share, Watts::new(q.value().min(room))),
+            Objective::Throughput => node.curve.marginal_gain(at, Watts::new(q.value().min(room))),
             // A node whose curve never rises (peak ≤ 0) counts as fully
             // progressed: watts can't help it.
             Objective::MaxMin => {
                 let top = node.curve.perf_at(node.curve.ceiling());
                 let progress = if top > GAIN_EPS {
-                    (node.curve.perf_at(share) / top).min(1.0)
+                    (node.curve.perf_at(at) / top).min(1.0)
                 } else {
                     1.0
                 };
                 -progress
             }
-            Objective::WeightedShares => {
-                let w = self.weights.get(i).copied().unwrap_or(1.0);
-                -((share.value() - node.floor.value()) / w)
-            }
+            Objective::WeightedShares => -((at.value() - node.floor.value()) / self.weight(i)),
         })
     }
 
-    /// Key every node for quantum `q`: once, and again whenever `q`
+    /// Key every level for quantum `q`: once, and again whenever `q`
     /// changes under Throughput, the one objective whose keys depend on
     /// it (only the last, partial quanta change it).
     fn set_quantum(&mut self, shares: &[Watts], q: Watts) {
@@ -336,22 +448,115 @@ impl<'n, 'c> Level<'n, 'c> {
             return;
         }
         self.quantum = Some(bits);
-        self.index = (0..self.nodes.len())
+        let n = self.order.len();
+        let firsts = std::iter::successors(Some(0), |&p| Some(self.end[p]).filter(|&e| e < n));
+        self.index = firsts
+            .map(|p| self.order[p])
             .filter_map(|node| self.key(node, shares[node], q).map(|key| Entry { key, node }))
             .collect();
     }
 
-    /// Move the winner's entry to its key after a grant brought it to
-    /// `share` (out of the index once it has no headroom left).
-    fn rekey(&mut self, won: Entry, share: Watts, q: Watts) {
-        self.index.remove(&won);
-        if let Some(key) = self.key(won.node, share, q) {
-            self.index.insert(Entry { key, node: won.node });
-        }
+    /// The node after `won`'s in its level, if the level has one.
+    fn second(&self, won: Entry) -> Option<usize> {
+        let p = self.pos[won.node] + 1;
+        (p < self.end[p - 1]).then(|| self.order[p])
     }
 
-    /// The entry of the node the quantum-by-quantum record pass would
-    /// pick, found over the index's top cluster alone.
+    /// Move the winner, first node of its level, to the share a grant
+    /// brought it to: into the level just before it when that level sits
+    /// at the same share, else into a level of its own (out of the index
+    /// once it has no headroom left). Returns whether it joined a level.
+    fn lift(&mut self, shares: &[Watts], won: Entry, q: Watts) -> bool {
+        let v = won.node;
+        let a = self.pos[v];
+        let b = self.end[a];
+        self.index.remove(&won);
+        if a + 1 < b {
+            self.end[a + 1] = b;
+            self.start[b - 1] = a + 1;
+            self.index.insert(Entry { key: won.key, node: self.order[a + 1] });
+        }
+        let above = (!self.kind_first[a]).then(|| self.order[a - 1]);
+        debug_assert!(
+            above.is_none_or(|u| shares[u] >= shares[v]),
+            "staircase broken: node {v} rose above the node before it in its kind"
+        );
+        let joins =
+            above.is_some_and(|u| shares[u].value().to_bits() == shares[v].value().to_bits());
+        if joins {
+            let first = self.start[a - 1];
+            self.end[first] = a + 1;
+            self.start[a] = first;
+        } else {
+            self.end[a] = a + 1;
+            self.start[a] = a;
+            if let Some(key) = self.key(v, shares[v], q) {
+                self.index.insert(Entry { key, node: v });
+            }
+        }
+        joins
+    }
+
+    /// Give the nodes of `won`'s level, from `won` on, the grants of
+    /// `trail` in index order, each node all of them or none: stop at
+    /// the first grant that would not see the trail's quantum. The moved
+    /// nodes join the level the trail's mover landed in, just before.
+    /// Returns how many moved.
+    fn replay(
+        &mut self,
+        won: Entry,
+        trail: &Trail,
+        grant: Watts,
+        shares: &mut [Watts],
+        remaining: &mut Watts,
+    ) -> usize {
+        let a = self.pos[won.node];
+        let b = self.end[a];
+        let landing = shares[trail.mover];
+        let mut p = a;
+        'nodes: while p < b {
+            let mut left = *remaining;
+            for &g in &trail.grants {
+                let quantum = grant.min(left).value().to_bits();
+                if left.value() <= BUDGET_EPS || quantum != trail.quantum {
+                    break 'nodes;
+                }
+                left -= g;
+            }
+            *remaining = left;
+            shares[self.order[p]] = landing;
+            p += 1;
+        }
+        if p > a {
+            let first = self.start[a - 1];
+            self.end[first] = p;
+            self.start[p - 1] = first;
+            self.index.remove(&won);
+            if p < b {
+                self.end[p] = b;
+                self.start[b - 1] = p;
+                self.index.insert(Entry { key: won.key, node: self.order[p] });
+            }
+        }
+        p - a
+    }
+
+    /// Whether the current pick's walk touched no entry but `x` and `y`:
+    /// neither a cluster member nor an entry tied behind one.
+    fn touches_only(&self, x: Entry, y: Entry) -> bool {
+        let allowed = |e: &Entry| e.node == x.node || e.node == y.node;
+        self.cluster.iter().all(|m| {
+            allowed(m)
+                && self
+                    .index
+                    .range((Bound::Excluded(*m), Bound::Unbounded))
+                    .take_while(|t| t.key.total_cmp(&m.key) == Ordering::Equal)
+                    .all(allowed)
+        })
+    }
+
+    /// The entry of the level the quantum-by-quantum record pass would
+    /// pick a node from, found over the index's top cluster alone.
     fn winner(&mut self) -> Option<Entry> {
         self.cluster.clear();
         let mut next = self.index.first().copied();
@@ -373,6 +578,73 @@ impl<'n, 'c> Level<'n, 'c> {
             }
         }
         winner
+    }
+}
+
+/// The grants one node has won in a row from a level of several nodes,
+/// kept while the replay checks of the module docs hold.
+#[derive(Default)]
+struct Trail {
+    /// The level the mover left, by its key and the node now first in
+    /// it; `None` when no trail is being kept.
+    from: Option<Entry>,
+    mover: usize,
+    /// Bit pattern of the quantum every pick of the trail used.
+    quantum: u64,
+    /// The mover's grants, in order.
+    grants: Vec<Watts>,
+    /// Whether the last grant put the mover in a level that already
+    /// existed, completing the trajectory.
+    landed: bool,
+}
+
+impl Trail {
+    /// Whether the pick `won` is the next pick of check 4, so the trail
+    /// replays over the rest of its level.
+    fn replays(&self, levels: &Levels<'_, '_>, won: Entry, q: Watts) -> bool {
+        self.landed
+            && self.from == Some(won)
+            && q.value().to_bits() == self.quantum
+            && levels.touches_only(won, won)
+    }
+
+    /// Keep the trail when `won` is its mover again, under checks 1 and
+    /// 2; otherwise drop it, and start one when `won` heads a level of
+    /// several nodes and touched nothing else.
+    fn follow(&mut self, levels: &Levels<'_, '_>, won: Entry, q: Watts) {
+        let bits = q.value().to_bits();
+        if let Some(from) = self.from {
+            if !self.landed
+                && won.node == self.mover
+                && bits == self.quantum
+                && levels.touches_only(from, won)
+            {
+                return;
+            }
+            self.clear();
+        }
+        if let Some(next) = levels.second(won) {
+            if levels.touches_only(won, won) {
+                self.from = Some(Entry { key: won.key, node: next });
+                self.mover = won.node;
+                self.quantum = bits;
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        self.from = None;
+        self.grants.clear();
+        self.landed = false;
+    }
+
+    /// Note the grant the mover just won, and whether it joined a level
+    /// (check 3).
+    fn record(&mut self, grant: Watts, joined: bool) {
+        if self.from.is_some() {
+            self.grants.push(grant);
+            self.landed = joined;
+        }
     }
 }
 

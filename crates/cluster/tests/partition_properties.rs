@@ -529,3 +529,70 @@ fn indexed_fill_matches_the_reference_rescan() {
     }
     assert!(compared >= 2000, "only {compared} fills compared");
 }
+
+/// A non-concave staircase curve: each rung adds a gain drawn mostly
+/// from a three-value palette that holds an exact zero, so rungs repeat
+/// and flat steps sit between steep ones, on 2, 4, 5 or 8 W rungs.
+fn staircase_curve(rng: &mut XorShift64Star) -> CurveTable {
+    let floor = Watts::new(20.0 + 10.0 * rng.below(10) as f64);
+    let step = Watts::new([2.0, 4.0, 5.0, 8.0][rng.below(4)]);
+    let palette = [rng.range_f64(0.1, 2.0), rng.range_f64(0.1, 2.0), 0.0];
+    let mut perf = vec![if rng.below(2) == 0 { 0.0 } else { rng.next_f64() }];
+    for _ in 0..1 + rng.below(20) {
+        let gain = if rng.below(4) == 0 { rng.range_f64(0.0, 2.0) } else { palette[rng.below(3)] };
+        perf.push(perf[perf.len() - 1] + gain);
+    }
+    let allocs = vec![None; perf.len()];
+    CurveTable { floor, step, perf, allocs }
+}
+
+/// The fill against the reference rescan on fleets built to exercise
+/// trajectory replay and its checks: staircase curves, whose rungs make
+/// one node win several grants in a row; value-equal and nudged tables
+/// at distinct addresses, which are distinct kinds holding equal keys or
+/// keys within `GAIN_EPS`; kind-major and interleaved node orders; and
+/// fleets of up to 200 nodes.
+#[test]
+fn indexed_fill_matches_the_reference_on_staircase_fleets() {
+    let mut rng = XorShift64Star::new(0x57A1_C0DE_0000_0028);
+    let mut compared = 0;
+    for case in 0..160 {
+        let mut classes: Vec<CurveTable> =
+            (0..1 + rng.below(8)).map(|_| staircase_curve(&mut rng)).collect();
+        // Twins at distinct addresses: value-equal, so their keys tie
+        // exactly, or nudged up by a fraction of GAIN_EPS per rung, so
+        // their keys chain within the record threshold.
+        for _ in 0..rng.below(4) {
+            let mut twin = classes[rng.below(classes.len())].clone();
+            if rng.below(2) == 0 {
+                let nudge = rng.range_f64(0.05e-12, 0.5e-12);
+                for (k, p) in twin.perf.iter_mut().enumerate() {
+                    *p += nudge * k as f64;
+                }
+            }
+            classes.push(twin);
+        }
+        let n = if case % 16 == 0 { 150 + rng.below(51) } else { 2 + rng.below(48) };
+        let mut picks: Vec<usize> = (0..n).map(|_| rng.below(classes.len())).collect();
+        let order = if rng.below(2) == 0 {
+            picks.sort_unstable();
+            "kind-major"
+        } else {
+            "interleaved"
+        };
+        let nodes: Vec<NodeCurve<'_>> = picks
+            .iter()
+            .map(|&c| NodeCurve { floor: classes[c].floor, curve: &classes[c] })
+            .collect();
+        let class_weights: Vec<f64> =
+            (0..classes.len()).map(|_| [1.0, 2.0, 3.0][rng.below(3)]).collect();
+        let weights: Vec<f64> = match rng.below(3) {
+            0 => Vec::new(),
+            1 => picks.iter().map(|&c| class_weights[c]).collect(),
+            _ => (0..n).map(|_| [1.0, 2.0][rng.below(2)]).collect(),
+        };
+        let label = format!("staircase case {case} ({order}, {} classes)", classes.len());
+        compared += check_against_reference(&label, &nodes, &weights, &mut rng);
+    }
+    assert!(compared >= 480, "only {compared} fills compared");
+}

@@ -178,6 +178,12 @@ pub const ONLINE_REJECTED_BUDGETS: &str = "online.rejected_budgets";
 pub const CLUSTER_EPOCHS: &str = "cluster.epochs";
 /// Epochs whose water-filling pass moved watts between nodes.
 pub const CLUSTER_REDISTRIBUTIONS: &str = "cluster.redistributions";
+/// Grants the water-fill made, one per quantum a node received (the
+/// grants it replayed across a level's identical nodes included).
+pub const CLUSTER_FILL_QUANTA: &str = "cluster.fill_quanta";
+/// Winner walks of the water-fill's level index: the picks it made
+/// rather than replayed.
+pub const CLUSTER_FILL_PICKS: &str = "cluster.fill_picks";
 /// Node dropout events injected by the cluster fault plan.
 pub const CLUSTER_DROPOUTS: &str = "cluster.dropouts";
 /// Dropped nodes that rejoined the fleet.

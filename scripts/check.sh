@@ -231,9 +231,10 @@ fi
 
 echo "==> partitioner scaling gate (water-fill per-node cost at 4096 nodes <= 2.5x that at 32)"
 # The sweep bench records the 4096-node fill's per-node median over the
-# 32-node fill's. An indexed fill costs O(Q log N), so its per-node cost
-# may grow only with log N; a per-quantum rescan of every node grows
-# with N and measured 94x.
+# 32-node fill's. The fill indexes share levels, not nodes, and replays
+# one node's grants across its identical class-mates, so its per-node
+# cost must not grow with the fleet; a per-quantum rescan of every node
+# grows with N and measured 94x.
 fill_ratio=$(grep '"type":"bench-ratio"' BENCH_sweep.json \
     | grep '"name":"cluster/water-fill-per-node-4096-vs-32"' \
     | sed 's/.*"ratio"://; s/[^0-9.].*//')
