@@ -21,6 +21,11 @@
 //! node's grants are replayed across its identical class-mates, so the
 //! per-node cost must not grow with the fleet.
 //!
+//! The fleet coordinator's fault-free epoch, `coordinate_with_pool`
+//! (the fill, then COORD and the solver once per (class, share) pair),
+//! is timed on the same mix at the same three sizes. Its records are
+//! not gated.
+//!
 //! Every ratio is recorded before the curve bar is asserted, so a run
 //! that misses the bar still leaves the water-fill record for the gate.
 
@@ -65,6 +70,7 @@ fn main() {
     let curve = curve_vs_independent_budgets(&mut bench);
     solve_memo(&mut bench);
     cluster_water_fill(&mut bench);
+    cluster_coordinate(&mut bench);
     if let Some((independent, curve)) = curve {
         assert_curve_bar(independent, curve);
     }
@@ -165,22 +171,8 @@ fn solve_memo(bench: &mut Bench) {
 /// water-filling pass at 130 W per node, with class profiling kept
 /// outside the timed region (it is a one-time setup cost).
 fn cluster_water_fill(bench: &mut Bench) {
-    use pbc_cluster::{fill_shares, Fleet, NodeCurve, Objective, SpecLine, DEFAULT_GRANT};
-    let spec: Vec<SpecLine> = [
-        (10, "ivybridge", "stream"),
-        (8, "haswell", "dgemm"),
-        (6, "ivybridge", "sra"),
-        (5, "titan-xp", "sgemm"),
-        (3, "titan-v", "minife"),
-    ]
-    .into_iter()
-    .map(|(count, platform, workload)| SpecLine {
-        count,
-        platform: platform.to_string(),
-        bench: workload.to_string(),
-    })
-    .collect();
-    let fleet = Fleet::build(&spec).expect("fleet profiles");
+    use pbc_cluster::{fill_shares, Fleet, NodeCurve, Objective, DEFAULT_GRANT};
+    let fleet = Fleet::build(&cluster_spec(1)).expect("fleet profiles");
     let mut per_node_ns = Vec::new();
     for (label, scale) in [
         ("cluster/water-fill-32", 1),
@@ -210,5 +202,47 @@ fn cluster_water_fill(bench: &mut Bench) {
     }
     if let [Some(small), _, Some(large)] = per_node_ns[..] {
         bench.record_ratio("cluster/water-fill-per-node-4096-vs-32", large / small);
+    }
+}
+
+/// The 32-node class mix the cluster benches share, every count times
+/// `scale`.
+fn cluster_spec(scale: usize) -> Vec<pbc_cluster::SpecLine> {
+    [
+        (10, "ivybridge", "stream"),
+        (8, "haswell", "dgemm"),
+        (6, "ivybridge", "sra"),
+        (5, "titan-xp", "sgemm"),
+        (3, "titan-v", "minife"),
+    ]
+    .into_iter()
+    .map(|(count, platform, workload)| pbc_cluster::SpecLine {
+        count: count * scale,
+        platform: platform.to_string(),
+        bench: workload.to_string(),
+    })
+    .collect()
+}
+
+/// One fault-free fleet epoch, `coordinate_with_pool` on the global
+/// pool, at the water-fill bench's sizes and 130 W per node. Each fleet
+/// is built (its classes profiled) from the scaled spec outside the
+/// timed region.
+fn cluster_coordinate(bench: &mut Bench) {
+    use pbc_cluster::{Fleet, FleetCoordinator};
+    use pbc_par::Pool;
+    for (label, scale) in [
+        ("cluster/coordinate-32", 1),
+        ("cluster/coordinate-1024", 32),
+        ("cluster/coordinate-4096", 128),
+    ] {
+        let fleet = Fleet::build(&cluster_spec(scale)).expect("fleet profiles");
+        let global = Watts::new(130.0 * fleet.len() as f64);
+        let coord = FleetCoordinator::new(fleet, global).expect("the budget covers the floors");
+        bench.run(label, || {
+            let decision = coord.coordinate_with_pool(black_box(Pool::global())).expect("epoch");
+            assert!(decision.aggregate_perf > 0.0, "{label}: the partition does no work");
+            decision
+        });
     }
 }

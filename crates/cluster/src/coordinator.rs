@@ -5,9 +5,10 @@
 //! Layer one is the water-filling partition ([`crate::partition`]): the
 //! global budget becomes per-node shares ranked by marginal gain. Layer
 //! two is the paper's per-node COORD on each share, with the resulting
-//! allocation priced by the memo-backed power simulator — fanned out
-//! across nodes on the `pbc-par` pool, since every node's solve is
-//! independent.
+//! allocation priced by the memo-backed power simulator. Both are pure
+//! functions of a node's class and share, so they run once per distinct
+//! (class, share) pair, not once per node, fanned out across the pairs on
+//! the `pbc-par` pool.
 //!
 //! The dynamic mode ([`FleetCoordinator::step`]) runs the full failure
 //! pipeline each epoch:
@@ -63,6 +64,7 @@ use pbc_powersim::SolveMemo;
 use pbc_rapl::WRITE_ATTEMPTS;
 use pbc_trace::names;
 use pbc_types::{check_budget, PbcError, PowerAllocation, Result, Watts};
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Stream constant for node crash/rejoin decisions.
@@ -555,7 +557,7 @@ impl FleetCoordinator {
             e.degraded = true;
         }
         if e.degraded {
-            pbc_trace::counter(names::CLUSTER_DEGRADED_EPOCHS).incr();
+            pbc_trace::cached_counter!(names::CLUSTER_DEGRADED_EPOCHS).incr();
             for i in 0..n {
                 if !down[i] {
                     targets[i] = self.fallback.share(i);
@@ -581,7 +583,7 @@ impl FleetCoordinator {
         self.enforce_supervised(tick, &targets, &down, &mut e);
         self.prev_round_timed_out = e.round_timed_out;
         if e.round_timed_out {
-            pbc_trace::counter(names::CLUSTER_ROUND_TIMEOUTS).incr();
+            pbc_trace::cached_counter!(names::CLUSTER_ROUND_TIMEOUTS).incr();
         }
 
         // The budget invariant. Decreases-first makes a violation
@@ -590,7 +592,7 @@ impl FleetCoordinator {
         e.enforced_total = self.enforced_total();
         if e.enforced_total.value() > self.global.value() + EPS_W {
             e.over_budget = true;
-            pbc_trace::counter(names::CLUSTER_BUDGET_VIOLATIONS).incr();
+            pbc_trace::cached_counter!(names::CLUSTER_BUDGET_VIOLATIONS).incr();
         }
 
         let moved_raw: f64 = targets
@@ -600,7 +602,7 @@ impl FleetCoordinator {
             .sum();
         e.moved = Watts::new(moved_raw / 2.0);
         if e.moved.value() > EPS_W {
-            pbc_trace::counter(names::CLUSTER_REDISTRIBUTIONS).incr();
+            pbc_trace::cached_counter!(names::CLUSTER_REDISTRIBUTIONS).incr();
         }
         self.prev_targets = targets;
         self.enforced_hist = prev_enforced;
@@ -626,12 +628,12 @@ impl FleetCoordinator {
         self.tenant_epoch(&down, &mut e);
 
         e.health = self.health.counts();
-        pbc_trace::counter(names::CLUSTER_EPOCHS).incr();
-        pbc_trace::gauge(names::CLUSTER_NODES_UP).set(e.nodes_up as f64);
-        pbc_trace::gauge(names::CLUSTER_MOVED_W).set(e.moved.value());
-        pbc_trace::gauge(names::CLUSTER_AGGREGATE_PERF).set(e.aggregate_perf);
-        pbc_trace::gauge(names::CLUSTER_RECLAIMED_W).set(e.reclaimed.value());
-        pbc_trace::gauge(names::HEALTH_HEALTHY_NODES).set(e.health.healthy as f64);
+        pbc_trace::cached_counter!(names::CLUSTER_EPOCHS).incr();
+        pbc_trace::cached_gauge!(names::CLUSTER_NODES_UP).set(e.nodes_up as f64);
+        pbc_trace::cached_gauge!(names::CLUSTER_MOVED_W).set(e.moved.value());
+        pbc_trace::cached_gauge!(names::CLUSTER_AGGREGATE_PERF).set(e.aggregate_perf);
+        pbc_trace::cached_gauge!(names::CLUSTER_RECLAIMED_W).set(e.reclaimed.value());
+        pbc_trace::cached_gauge!(names::HEALTH_HEALTHY_NODES).set(e.health.healthy as f64);
         Ok(e)
     }
 
@@ -711,11 +713,11 @@ impl FleetCoordinator {
             match nodes.crash.advance(&mut self.down_until[i], seed, tick, STREAM_NODE, key) {
                 Edge::Started => {
                     e.dropped += 1;
-                    pbc_trace::counter(names::CLUSTER_DROPOUTS).incr();
+                    pbc_trace::cached_counter!(names::CLUSTER_DROPOUTS).incr();
                 }
                 Edge::Ended => {
                     e.recovered += 1;
-                    pbc_trace::counter(names::CLUSTER_RECOVERIES).incr();
+                    pbc_trace::cached_counter!(names::CLUSTER_RECOVERIES).incr();
                 }
                 Edge::Steady => {}
             }
@@ -741,12 +743,12 @@ impl FleetCoordinator {
             let spike = &mut self.tenant_spike_until[t];
             if faults.spike.advance(spike, seed, tick, STREAM_TENANT_SPIKE, key) == Edge::Started {
                 e.tenant_spikes += 1;
-                pbc_trace::counter(names::CLUSTER_TENANT_SPIKES).incr();
+                pbc_trace::cached_counter!(names::CLUSTER_TENANT_SPIKES).incr();
             }
             let hog = &mut self.tenant_noisy_until[t];
             if faults.noisy.advance(hog, seed, tick, STREAM_TENANT_NOISY, key) == Edge::Started {
                 e.tenant_noisy += 1;
-                pbc_trace::counter(names::CLUSTER_TENANT_NOISY).incr();
+                pbc_trace::cached_counter!(names::CLUSTER_TENANT_NOISY).incr();
             }
         }
     }
@@ -773,11 +775,11 @@ impl FleetCoordinator {
             match verdict {
                 ReportVerdict::Missing => {
                     e.missed_reports += 1;
-                    pbc_trace::counter(names::CLUSTER_MISSED_REPORTS).incr();
+                    pbc_trace::cached_counter!(names::CLUSTER_MISSED_REPORTS).incr();
                 }
                 ReportVerdict::Rejected => {
                     e.rejected_reports += 1;
-                    pbc_trace::counter(names::CLUSTER_REJECTED_REPORTS).incr();
+                    pbc_trace::cached_counter!(names::CLUSTER_REJECTED_REPORTS).incr();
                 }
                 ReportVerdict::Accepted => {}
             }
@@ -913,13 +915,14 @@ impl FleetCoordinator {
             .collect();
         e.tenant_jain = jain_index(&normalized);
         if e.tenant_preemptions > 0 {
-            pbc_trace::counter(names::CLUSTER_TENANT_PREEMPTIONS).add(e.tenant_preemptions as u64);
+            pbc_trace::cached_counter!(names::CLUSTER_TENANT_PREEMPTIONS)
+                .add(e.tenant_preemptions as u64);
         }
         if e.tenant_floor_violations > 0 {
-            pbc_trace::counter(names::CLUSTER_TENANT_FLOOR_VIOLATIONS)
+            pbc_trace::cached_counter!(names::CLUSTER_TENANT_FLOOR_VIOLATIONS)
                 .add(e.tenant_floor_violations as u64);
         }
-        pbc_trace::gauge(names::CLUSTER_TENANT_JAIN).set(e.tenant_jain);
+        pbc_trace::cached_gauge!(names::CLUSTER_TENANT_JAIN).set(e.tenant_jain);
     }
 
     /// Move enforced caps toward `targets`, decreases first, each write
@@ -989,7 +992,7 @@ impl FleetCoordinator {
         // the counter is the exported proof.
         if raised.value() > pot_legit.value() + EPS_W {
             e.leaked = true;
-            pbc_trace::counter(names::HEALTH_QUARANTINE_LEAKS).incr();
+            pbc_trace::cached_counter!(names::HEALTH_QUARANTINE_LEAKS).incr();
         }
     }
 
@@ -1013,7 +1016,7 @@ impl FleetCoordinator {
             *attempts_left -= 1;
             if attempt > 0 {
                 e.write_retries += 1;
-                pbc_trace::counter(names::CLUSTER_WRITE_RETRIES).incr();
+                pbc_trace::cached_counter!(names::CLUSTER_WRITE_RETRIES).incr();
             }
             if self.write_attempt_fails(tick, node, target, attempt) {
                 continue;
@@ -1026,7 +1029,7 @@ impl FleetCoordinator {
             return true;
         }
         e.write_failures += 1;
-        pbc_trace::counter(names::CLUSTER_WRITE_FAILURES).incr();
+        pbc_trace::cached_counter!(names::CLUSTER_WRITE_FAILURES).incr();
         false
     }
 
@@ -1041,18 +1044,44 @@ impl FleetCoordinator {
         if faults.fail_prob <= 0.0 || !faults.window.active(tick) {
             return false; // no draw can land: skip hashing the write key
         }
-        let key = write_key(&format!("cluster.node{node}"), target);
+        let key = node_write_key(node, target);
         let stream = STREAM_CAP ^ key.wrapping_mul(GOLDEN);
         let probs = [faults.fail_prob];
         faults.window.pick(&probs, self.plan.seed, tick, stream, u64::from(attempt)).is_some()
     }
 }
 
-/// Coordinate and price every node's share, fanned out on `pool`. Down
-/// nodes contribute nothing without touching the infeasibility counter;
-/// an infeasible share (COORD or the solver refusing it) scores 0.0;
-/// real solver errors fail the whole evaluation; worker panics re-raise
-/// on the caller.
+/// The fault key of writing `target` to node `node`: [`write_key`] over
+/// the bytes of `cluster.node{node}`, spelled out in a stack buffer so a
+/// write attempt allocates nothing.
+fn node_write_key(node: usize, target: Watts) -> u64 {
+    use std::io::Write;
+    // `cluster.node` and at most 20 digits always fit.
+    let mut buf = [0u8; 32];
+    let mut rest = &mut buf[..];
+    let _ = write!(rest, "cluster.node{node}");
+    let len = 32 - rest.len();
+    // The buffer holds only ASCII, so the conversion cannot fail.
+    std::str::from_utf8(&buf[..len]).map_or(0, |name| write_key(name, target))
+}
+
+/// Coordinate and price every node's share, once per distinct (class,
+/// share) pair. COORD and the solver are pure functions of the class and
+/// the share (compared bit for bit), so one pair's result is each of its
+/// nodes', bit for bit. The live nodes are first grouped into *runs*,
+/// consecutive nodes (down nodes between them skipped) holding one pair,
+/// and only the runs are sorted by pair. Fleets list each class
+/// contiguously and the fill keeps a class's equal shares adjacent, so a
+/// fault-free fleet of a few classes has a few runs whatever its size;
+/// a fleet that interleaves its classes has up to one run per node, and
+/// is still evaluated correctly.
+///
+/// The pairs fan out on `pool`. Down nodes contribute nothing without
+/// touching the infeasibility counter; an infeasible share (COORD or the
+/// solver refusing it) scores 0.0; a real solver error fails the whole
+/// evaluation with the error of the first failing node in index order;
+/// worker panics re-raise on the caller. `aggregate_perf` is summed in
+/// node order.
 fn evaluate(
     fleet: &Fleet,
     memos: &[SolveMemo],
@@ -1061,46 +1090,82 @@ fn evaluate(
     pool: &Pool,
 ) -> Result<ClusterDecision> {
     let n = shares.len();
+    // Each run's node range; its first node is live and holds its key.
+    let key = |i: usize| (fleet.nodes[i], shares[i].value().to_bits());
+    let mut runs: Vec<Range<usize>> = Vec::new();
+    for i in (0..n).filter(|&i| !down[i]) {
+        match runs.last_mut() {
+            Some(run) if key(run.start) == key(i) => run.end = i + 1,
+            _ => runs.push(i..i + 1),
+        }
+    }
+    // A key recurs in runs apart when, say, a node held at its floor
+    // splits its class's run. `keyed[s]` is a node of the key solved
+    // into slot `s`, and `slot_of[j]` is run `j`'s slot.
+    let mut by_key: Vec<usize> = (0..runs.len()).collect();
+    by_key.sort_unstable_by_key(|&j| key(runs[j].start));
+    let mut keyed: Vec<usize> = Vec::new();
+    let mut slot_of = vec![0; runs.len()];
+    for j in by_key {
+        let i = runs[j].start;
+        if keyed.last().is_none_or(|&k| key(k) != key(i)) {
+            keyed.push(i);
+        }
+        slot_of[j] = keyed.len() - 1;
+    }
     type Slot = OnceLock<Result<(Option<PowerAllocation>, f64)>>;
-    let slots: Vec<Slot> = (0..n).map(|_| OnceLock::new()).collect();
-    let task = |i: usize| {
-        let out = if down[i] {
-            Ok((None, 0.0))
-        } else {
-            eval_node(fleet, memos, i, shares[i])
-        };
-        // Node `i` is this task's alone: the slot is empty.
-        let _ = slots[i].set(out);
+    let slots: Vec<Slot> = (0..keyed.len()).map(|_| OnceLock::new()).collect();
+    let task = |s: usize| {
+        let i = keyed[s];
+        // Slot `s` is this task's alone: it is empty.
+        let _ = slots[s].set(eval_node(fleet, memos, i, shares[i]));
     };
-    let stats = pool.run(n, &task);
+    let stats = pool.run(keyed.len(), &task);
     if let Some(payload) = stats.panic {
         std::panic::resume_unwind(payload);
     }
-    let mut allocs = Vec::with_capacity(n);
-    let mut perfs = Vec::with_capacity(n);
+    pbc_trace::cached_counter!(names::CLUSTER_EVALUATIONS).add(keyed.len() as u64);
+
+    // Runs are disjoint and in node order, so the first failing run
+    // starts at the first failing node.
+    let mut allocs = vec![None; n];
+    let mut perfs = vec![0.0; n];
     let mut infeasible = 0;
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot.into_inner() {
-            Some(Ok((alloc, perf))) => {
-                if alloc.is_none() && !down[i] {
-                    infeasible += 1;
-                    pbc_trace::counter(names::CLUSTER_INFEASIBLE_NODES).incr();
-                }
-                allocs.push(alloc);
-                perfs.push(perf);
+    let mut failed = None;
+    for (run, &s) in runs.into_iter().zip(&slot_of) {
+        let (alloc, perf) = match slots[s].get() {
+            Some(Ok(out)) => *out,
+            Some(Err(e)) => {
+                failed = Some(e.clone());
+                break;
             }
-            Some(Err(e)) => return Err(e),
             None => {
-                return Err(PbcError::InvalidInput(format!(
-                    "cluster evaluation lost node {i} (worker never reported)"
-                )))
+                failed = Some(PbcError::InvalidInput(format!(
+                    "cluster evaluation lost node {} (worker never reported)",
+                    run.start
+                )));
+                break;
             }
+        };
+        for i in run.filter(|&i| !down[i]) {
+            allocs[i] = alloc;
+            perfs[i] = perf;
+            infeasible += usize::from(alloc.is_none());
         }
+    }
+    if infeasible > 0 {
+        pbc_trace::cached_counter!(names::CLUSTER_INFEASIBLE_NODES).add(infeasible as u64);
+    }
+    if let Some(e) = failed {
+        return Err(e);
     }
     let aggregate_perf = perfs.iter().sum();
     Ok(ClusterDecision { shares: shares.to_vec(), allocs, perfs, aggregate_perf, infeasible })
 }
 
+/// COORD and the class's solve memo on node `node`'s share: the
+/// allocation and its simulated throughput, or `(None, 0.0)` when
+/// either refuses the share as infeasible.
 fn eval_node(
     fleet: &Fleet,
     memos: &[SolveMemo],
@@ -1125,6 +1190,7 @@ mod tests {
     use super::*;
     use crate::fleet::parse_spec;
     use pbc_faults::FaultWindow;
+    use pbc_types::XorShift64Star;
 
     fn mixed_fleet() -> Fleet {
         let spec = parse_spec(
@@ -1134,6 +1200,161 @@ mod tests {
         )
         .unwrap();
         Fleet::build(&spec).unwrap()
+    }
+
+    /// The per-node evaluation `evaluate` replaced, kept as its
+    /// reference: COORD and the memo once for every live node, fanned
+    /// out node by node.
+    fn evaluate_per_node(
+        fleet: &Fleet,
+        memos: &[SolveMemo],
+        shares: &[Watts],
+        down: &[bool],
+        pool: &Pool,
+    ) -> Result<ClusterDecision> {
+        let n = shares.len();
+        type Slot = OnceLock<Result<(Option<PowerAllocation>, f64)>>;
+        let slots: Vec<Slot> = (0..n).map(|_| OnceLock::new()).collect();
+        let task = |i: usize| {
+            let out = if down[i] {
+                Ok((None, 0.0))
+            } else {
+                eval_node(fleet, memos, i, shares[i])
+            };
+            let _ = slots[i].set(out);
+        };
+        let stats = pool.run(n, &task);
+        if let Some(payload) = stats.panic {
+            std::panic::resume_unwind(payload);
+        }
+        let mut allocs = Vec::with_capacity(n);
+        let mut perfs = Vec::with_capacity(n);
+        let mut infeasible = 0;
+        for (i, slot) in slots.into_iter().enumerate() {
+            match slot.into_inner() {
+                Some(Ok((alloc, perf))) => {
+                    if alloc.is_none() && !down[i] {
+                        infeasible += 1;
+                    }
+                    allocs.push(alloc);
+                    perfs.push(perf);
+                }
+                Some(Err(e)) => return Err(e),
+                None => return Err(PbcError::InvalidInput(format!("lost node {i}"))),
+            }
+        }
+        let aggregate_perf = perfs.iter().sum();
+        Ok(ClusterDecision { shares: shares.to_vec(), allocs, perfs, aggregate_perf, infeasible })
+    }
+
+    /// Everything an evaluation returns, every float by its bits, or the
+    /// error it failed with.
+    fn fingerprint(decision: &Result<ClusterDecision>) -> String {
+        let bits = |w: Watts| w.value().to_bits();
+        match decision {
+            Ok(d) => {
+                let shares: Vec<u64> = d.shares.iter().map(|s| bits(*s)).collect();
+                let allocs: Vec<Option<(u64, u64)>> =
+                    d.allocs.iter().map(|a| a.map(|a| (bits(a.proc), bits(a.mem)))).collect();
+                let perfs: Vec<u64> = d.perfs.iter().map(|p| p.to_bits()).collect();
+                let sum = d.aggregate_perf.to_bits();
+                format!("{shares:x?} {allocs:x?} {perfs:x?} {sum:x} {}", d.infeasible)
+            }
+            Err(e) => format!("error: {e}"),
+        }
+    }
+
+    /// A share for a node of `class`, drawn so that neighbours often
+    /// repeat one: class-relative rungs (the floor among them, which
+    /// COORD refuses on a host), one wattage every class can hold, both
+    /// zeros, a one-ulp nudge, and rarely a non-finite share, which
+    /// fails a GPU node with a real error.
+    fn draw_share(rng: &mut XorShift64Star, class: &crate::fleet::NodeClass) -> Watts {
+        let floor = class.floor.value();
+        let w = match rng.below(40) {
+            0..=9 => floor,
+            10..=21 => floor + 4.0 * (1 + rng.below(6)) as f64,
+            22..=27 => class.ceiling.value(),
+            28..=31 => 150.0,
+            32 => 0.0,
+            33 => -0.0,
+            34..=36 => f64::from_bits((floor + 8.0).to_bits() + 1),
+            37 => f64::NAN,
+            38 => f64::INFINITY,
+            _ => floor + rng.range_f64(0.0, 60.0),
+        };
+        Watts::new(w)
+    }
+
+    #[test]
+    fn evaluate_matches_the_per_node_reference() {
+        let classes = "ivybridge stream\nhaswell dgemm\ntitan-xp sgemm\ntitan-v minife\n";
+        let interleaved = Fleet::build(&parse_spec(&classes.repeat(4)).unwrap()).unwrap();
+        assert!(
+            interleaved.nodes.windows(2).all(|w| w[0] != w[1]),
+            "no two neighbours of the interleaved fleet share a class"
+        );
+        let mut rng = XorShift64Star::new(0x5EED_0E7A);
+        let (mut oks, mut infeasible, mut errors) = (0, 0, 0);
+        for fleet in [mixed_fleet(), interleaved] {
+            let n = fleet.len();
+            let fresh_memos = || -> Vec<SolveMemo> {
+                fleet.classes.iter().map(|c| SolveMemo::fresh(&c.platform, &c.demand)).collect()
+            };
+            let reference_memos = fresh_memos();
+            let pools = [(Pool::new(1), fresh_memos()), (Pool::new(3), fresh_memos())];
+            for case in 0..160 {
+                // Runs of one drawn share, each node down one time in five
+                // (or every node, or none).
+                let mut shares = Vec::with_capacity(n);
+                while shares.len() < n {
+                    let class = fleet.class_of(shares.len());
+                    let share = draw_share(&mut rng, class);
+                    let run = 1 + rng.below(4);
+                    for _ in 0..run.min(n - shares.len()) {
+                        shares.push(share);
+                    }
+                }
+                let down: Vec<bool> = match case % 16 {
+                    0 => vec![true; n],
+                    1 => vec![false; n],
+                    _ => (0..n).map(|_| rng.below(5) == 0).collect(),
+                };
+                let want = evaluate_per_node(&fleet, &reference_memos, &shares, &down, &pools[0].0);
+                match &want {
+                    Ok(d) if d.infeasible > 0 => infeasible += 1,
+                    Ok(_) => oks += 1,
+                    Err(_) => errors += 1,
+                }
+                for (pool, memos) in &pools {
+                    let got = evaluate(&fleet, memos, &shares, &down, pool);
+                    assert_eq!(
+                        fingerprint(&got),
+                        fingerprint(&want),
+                        "case {case} on {} executors: shares {shares:?}, down {down:?}",
+                        pool.threads()
+                    );
+                }
+            }
+        }
+        assert!(
+            oks > 0 && infeasible > 0 && errors > 0,
+            "{oks} clean, {infeasible} with refusals, {errors} failing"
+        );
+    }
+
+    #[test]
+    fn node_write_key_hashes_the_formatted_name() {
+        for node in [0, 9, 10, 1_023, 65_535] {
+            for target in [0.0, 87.25, 150.0, 1.0e-7] {
+                let target = Watts::new(target);
+                assert_eq!(
+                    node_write_key(node, target),
+                    write_key(&format!("cluster.node{node}"), target),
+                    "node {node} at {target}"
+                );
+            }
+        }
     }
 
     #[test]

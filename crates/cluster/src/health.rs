@@ -113,7 +113,7 @@ impl HealthTracker {
                     NodeHealth::Quarantined => {
                         self.states[node] = NodeHealth::Rejoining;
                         self.clean_streak[node] = 1;
-                        pbc_trace::counter(names::HEALTH_REJOINS).incr();
+                        pbc_trace::cached_counter!(names::HEALTH_REJOINS).incr();
                         self.settle(node);
                     }
                     NodeHealth::Rejoining => {
@@ -129,7 +129,7 @@ impl HealthTracker {
                 match state {
                     NodeHealth::Healthy if streak >= SUSPECT_AFTER => {
                         self.states[node] = NodeHealth::Suspect;
-                        pbc_trace::counter(names::HEALTH_SUSPECTS).incr();
+                        pbc_trace::cached_counter!(names::HEALTH_SUSPECTS).incr();
                         self.escalate(node, streak);
                     }
                     NodeHealth::Suspect => self.escalate(node, streak),
@@ -137,7 +137,7 @@ impl HealthTracker {
                     // back: its telemetry is still not trustworthy.
                     NodeHealth::Rejoining => {
                         self.states[node] = NodeHealth::Quarantined;
-                        pbc_trace::counter(names::HEALTH_QUARANTINES).incr();
+                        pbc_trace::cached_counter!(names::HEALTH_QUARANTINES).incr();
                     }
                     NodeHealth::Healthy | NodeHealth::Quarantined => {}
                 }
@@ -148,14 +148,14 @@ impl HealthTracker {
     fn escalate(&mut self, node: usize, streak: u32) {
         if streak >= QUARANTINE_AFTER {
             self.states[node] = NodeHealth::Quarantined;
-            pbc_trace::counter(names::HEALTH_QUARANTINES).incr();
+            pbc_trace::cached_counter!(names::HEALTH_QUARANTINES).incr();
         }
     }
 
     fn settle(&mut self, node: usize) {
         if self.clean_streak[node] >= PROBATION_EPOCHS {
             self.states[node] = NodeHealth::Healthy;
-            pbc_trace::counter(names::HEALTH_RECOVERIES).incr();
+            pbc_trace::cached_counter!(names::HEALTH_RECOVERIES).incr();
         }
     }
 

@@ -1,18 +1,29 @@
-//! The water-fill's work counts on the perfbench `fleet-1024` class mix:
-//! eight node classes of 128 nodes at 1.35 × Σ floors.
+//! The fleet coordinator's work counts on the perfbench `fleet-1024`
+//! class mix: eight node classes of 128 nodes at 1.35 × Σ floors.
 //!
-//! `cluster.fill_quanta` and `cluster.fill_picks` are process-wide, so
-//! this file holds one test and runs in a process of its own.
+//! `cluster.fill_quanta`, `cluster.fill_picks` and `cluster.evaluations`
+//! are process-wide, so this file holds one test and runs in a process
+//! of its own.
 
-use pbc_cluster::{fill_shares, parse_spec, Fleet, NodeCurve, Objective, DEFAULT_GRANT};
+use pbc_cluster::{
+    fill_shares, parse_spec, Fleet, FleetCoordinator, NodeCurve, Objective, DEFAULT_GRANT,
+};
 use pbc_trace::names;
 
 /// Grants the quantum-by-quantum rescan makes on this input under every
 /// objective: 8,758 full 4 W quanta and one partial one.
 const RESCAN_GRANTS: u64 = 8_759;
 
+/// Distinct (class, share) pairs of the fault-free Throughput partition:
+/// the eight classes' nodes sit at ten shares in all.
+const PAIRS: u64 = 10;
+
+/// Nodes of the fault-free Throughput partition whose share COORD
+/// refuses: host nodes left at their class floor.
+const REFUSED: usize = 510;
+
 #[test]
-fn replay_keeps_every_grant_and_skips_most_picks() {
+fn replay_keeps_every_grant_and_evaluation_runs_once_per_pair() {
     let spec: String = [
         "ivybridge stream",
         "ivybridge dgemm",
@@ -60,4 +71,14 @@ fn replay_keeps_every_grant_and_skips_most_picks() {
             );
         }
     }
+
+    // One fault-free epoch evaluates each (class, share) pair once, not
+    // each of the 1,024 nodes.
+    let coord = FleetCoordinator::new(fleet.clone(), global).unwrap();
+    let evaluations = pbc_trace::counter(names::CLUSTER_EVALUATIONS);
+    let e0 = evaluations.get();
+    let decision = coord.coordinate().unwrap();
+    let e = evaluations.get() - e0;
+    assert_eq!(e, PAIRS, "one coordinate made {e} evaluations for {PAIRS} (class, share) pairs");
+    assert_eq!(decision.infeasible, REFUSED);
 }

@@ -596,3 +596,40 @@ fn indexed_fill_matches_the_reference_on_staircase_fleets() {
     }
     assert!(compared >= 480, "only {compared} fills compared");
 }
+
+/// The chain check on a trail's later picks (`touches_only(from, won)`
+/// in `Trail::follow`), on a hand-built fleet of four nodes: `u`, `v` and
+/// `w` of one kind `K`, and `m` of another kind, listed `u v m w`. A
+/// 4 W grant crosses one 4 W rung, so every key is a rung gain. `K` gains
+/// `g1`, `g2`, then 0.5 and `m` gains `h1`, with `g1 > g2 > h1` each
+/// within `GAIN_EPS` (1e-12) of the next but `g1 > h1 + GAIN_EPS`.
+///
+/// `u` takes two grants and `v` follows it: after its first, `v`'s key
+/// `g2` sits within `GAIN_EPS` of both its old level's `g1` (now `w`'s)
+/// and `m`'s `h1`, which `g1` beats. `v` still wins in node order, but the
+/// walk touched `m`, so the trail must be dropped. Kept, it would replay
+/// both grants onto `w` when `w` next wins, yet after `w`'s first grant
+/// `m` comes before `w` with a key that `g2` does not beat, so `m` takes
+/// the last grant.
+#[test]
+fn a_trail_whose_later_pick_touches_a_third_level_is_not_replayed() {
+    let curve = |perf: Vec<f64>| CurveTable {
+        floor: Watts::new(50.0),
+        step: Watts::new(4.0),
+        allocs: vec![None; perf.len()],
+        perf,
+    };
+    let (g1, g2, h1) = (1.0 + 0.6e-12, 1.0, 1.0 - 0.6e-12);
+    let kind = curve(vec![0.0, g1, g1 + g2, g1 + g2 + 0.5]);
+    let other = curve(vec![0.0, h1, h1 + 0.25]);
+    let k = NodeCurve { floor: kind.floor, curve: &kind };
+    let m = NodeCurve { floor: other.floor, curve: &other };
+    let nodes = [k, k, m, k];
+    let global = Watts::new(4.0 * 50.0 + 24.0);
+    let grant = Watts::new(4.0);
+    let got = fill_shares(&nodes, &[], global, grant, Objective::Throughput).unwrap();
+    let want = reference::fill_shares(&nodes, &[], global, grant, Objective::Throughput);
+    let bits = |s: &[Watts]| s.iter().map(|w| w.value().to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&got), bits(&want), "the fill diverges from the reference rescan");
+    assert_eq!(got, [58.0, 58.0, 54.0, 54.0].map(Watts::new), "m takes the last grant");
+}
