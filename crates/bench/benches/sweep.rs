@@ -21,10 +21,10 @@
 //! node's grants are replayed across its identical class-mates, so the
 //! per-node cost must not grow with the fleet.
 //!
-//! The fleet coordinator's fault-free epoch, `coordinate_with_pool`
-//! (the fill, then COORD and the solver once per (class, share) pair),
-//! is timed on the same mix at the same three sizes. Its records are
-//! not gated.
+//! The fleet coordinator's fault-free epoch, `coordinate` (the fill,
+//! then COORD and the solver once per (class, share) pair, all on the
+//! calling thread, so `PBC_THREADS` does not reach it), is timed on the
+//! same mix at the same three sizes. Its records are not gated.
 //!
 //! Every ratio is recorded before the curve bar is asserted, so a run
 //! that misses the bar still leaves the water-fill record for the gate.
@@ -224,13 +224,11 @@ fn cluster_spec(scale: usize) -> Vec<pbc_cluster::SpecLine> {
     .collect()
 }
 
-/// One fault-free fleet epoch, `coordinate_with_pool` on the global
-/// pool, at the water-fill bench's sizes and 130 W per node. Each fleet
-/// is built (its classes profiled) from the scaled spec outside the
-/// timed region.
+/// One fault-free fleet epoch, `coordinate`, at the water-fill bench's
+/// sizes and 130 W per node. Each fleet is built (its classes profiled)
+/// from the scaled spec outside the timed region.
 fn cluster_coordinate(bench: &mut Bench) {
     use pbc_cluster::{Fleet, FleetCoordinator};
-    use pbc_par::Pool;
     for (label, scale) in [
         ("cluster/coordinate-32", 1),
         ("cluster/coordinate-1024", 32),
@@ -240,7 +238,7 @@ fn cluster_coordinate(bench: &mut Bench) {
         let global = Watts::new(130.0 * fleet.len() as f64);
         let coord = FleetCoordinator::new(fleet, global).expect("the budget covers the floors");
         bench.run(label, || {
-            let decision = coord.coordinate_with_pool(black_box(Pool::global())).expect("epoch");
+            let decision = black_box(&coord).coordinate().expect("epoch");
             assert!(decision.aggregate_perf > 0.0, "{label}: the partition does no work");
             decision
         });

@@ -32,6 +32,7 @@ fn bad_command_lines_fail_naming_the_problem() {
             "bad seed: invalid digit found in string",
         ),
         (&["chaos", "-p", "ivybridge", "-w", "stream", "-b", "208", "--epochs", "x"], "bad epoch count"),
+        (&["chaos", "-p", "ivybridge", "-w", "stream", "-b", "208", "--epochs", "0"], "0 epochs"),
         (&["coord", "-p", "ivybridge", "-w", "stream", "--bogus", "3"], "unknown argument --bogus"),
         (&["coord", "-p"], "-p needs a value"),
         (&["nope", "-p"], "unknown command nope"),

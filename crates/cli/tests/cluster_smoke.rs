@@ -105,8 +105,11 @@ fn dropout_chaos_survives_and_the_trace_proves_it() {
     let counters = counters_from(&trace);
     let read = |name: &str| counters.get(name).copied().unwrap_or(0);
     assert!(read(names::CLUSTER_DROPOUTS) > 0, "the plan dropped no nodes");
+    // Provisioning leaves the previous targets on the fallback
+    // partition, so the first fill moves watts in a calm run too: more
+    // than one redistribution is the dropouts' doing.
     assert!(
-        read(names::CLUSTER_REDISTRIBUTIONS) > 0,
+        read(names::CLUSTER_REDISTRIBUTIONS) > 1,
         "dropouts must force the partitioner to move watts"
     );
     assert_eq!(

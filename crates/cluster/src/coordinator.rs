@@ -7,8 +7,7 @@
 //! two is the paper's per-node COORD on each share, with the resulting
 //! allocation priced by the memo-backed power simulator. Both are pure
 //! functions of a node's class and share, so they run once per distinct
-//! (class, share) pair, not once per node, fanned out across the pairs on
-//! the `pbc-par` pool.
+//! (class, share) pair, not once per node, on the calling thread.
 //!
 //! The dynamic mode ([`FleetCoordinator::step`]) runs the full failure
 //! pipeline each epoch:
@@ -64,8 +63,7 @@ use pbc_powersim::SolveMemo;
 use pbc_rapl::WRITE_ATTEMPTS;
 use pbc_trace::names;
 use pbc_types::{check_budget, PbcError, PowerAllocation, Result, Watts};
-use std::ops::Range;
-use std::sync::OnceLock;
+use std::collections::HashMap;
 
 /// Stream constant for node crash/rejoin decisions.
 const STREAM_NODE: u64 = 0x5EED_0011;
@@ -437,9 +435,11 @@ impl FleetCoordinator {
     /// Boot-time provisioning: program every node to its static
     /// fallback share — through the sink when one is armed, with no
     /// fault draws, because the experiment clock has not started — and
-    /// record the shares as enforced. The fallback sums to ≤ the global
-    /// budget by construction, so `Σ enforced ≤ global` holds from the
-    /// first tick instead of starting vacuously at zero.
+    /// record the shares as enforced and as the previous targets, so the
+    /// first epoch's `moved` counts only what its partition moves off
+    /// them. The fallback sums to ≤ the global budget by construction,
+    /// so `Σ enforced ≤ global` holds from the first tick instead of
+    /// starting vacuously at zero.
     #[must_use = "a failed provisioning write leaves the sink and coordinator disagreeing"]
     pub fn provision(&mut self) -> Result<()> {
         for i in 0..self.fleet.len() {
@@ -450,6 +450,7 @@ impl FleetCoordinator {
             self.enforced[i] = share;
         }
         self.enforced_hist = self.enforced.clone();
+        self.prev_targets = self.enforced.clone();
         Ok(())
     }
 
@@ -474,19 +475,19 @@ impl FleetCoordinator {
         Ok(())
     }
 
-    /// Water-fill the global budget and evaluate every node's share, on
-    /// the global pool.
+    /// Water-fill the global budget and evaluate every node's share.
     #[must_use = "the decision result carries either the partition or the failure"]
     pub fn coordinate(&self) -> Result<ClusterDecision> {
-        self.coordinate_with_pool(Pool::global())
-    }
-
-    /// [`FleetCoordinator::coordinate`] on an explicit pool.
-    #[must_use = "the decision result carries either the partition or the failure"]
-    pub fn coordinate_with_pool(&self, pool: &Pool) -> Result<ClusterDecision> {
         let curves = self.node_curves();
         let shares = fill_shares(&curves, &[], self.global, DEFAULT_GRANT, self.objective)?;
-        evaluate(&self.fleet, &self.memos, &shares, &vec![false; self.fleet.len()], pool)
+        evaluate(&self.fleet, &self.memos, &shares, &vec![false; self.fleet.len()])
+    }
+
+    /// [`FleetCoordinator::coordinate`], which runs on the calling
+    /// thread; `_pool` is unused and kept for existing callers.
+    #[must_use = "the decision result carries either the partition or the failure"]
+    pub fn coordinate_with_pool(&self, _pool: &Pool) -> Result<ClusterDecision> {
+        self.coordinate()
     }
 
     /// The baseline: split the global budget evenly, floors and curves
@@ -496,7 +497,7 @@ impl FleetCoordinator {
     #[must_use = "the decision result carries either the partition or the failure"]
     pub fn uniform_decision(&self) -> Result<ClusterDecision> {
         let shares = uniform_split(self.fleet.len(), self.global);
-        evaluate(&self.fleet, &self.memos, &shares, &vec![false; self.fleet.len()], Pool::global())
+        evaluate(&self.fleet, &self.memos, &shares, &vec![false; self.fleet.len()])
     }
 
     /// The oracle aggregate at the water-filled shares: what the
@@ -513,16 +514,9 @@ impl FleetCoordinator {
             .sum())
     }
 
-    /// One dynamic epoch on the global pool (see the module docs for
-    /// the pipeline).
+    /// One dynamic epoch (see the module docs for the pipeline).
     #[must_use = "the epoch result carries either the report or the failure"]
     pub fn step(&mut self) -> Result<EpochReport> {
-        self.step_with_pool(Pool::global())
-    }
-
-    /// [`FleetCoordinator::step`] on an explicit pool.
-    #[must_use = "the epoch result carries either the report or the failure"]
-    pub fn step_with_pool(&mut self, pool: &Pool) -> Result<EpochReport> {
         let tick = self.tick;
         self.tick += 1;
         let n = self.fleet.len();
@@ -565,7 +559,7 @@ impl FleetCoordinator {
             }
         }
 
-        let mut decision = evaluate(&self.fleet, &self.memos, &targets, &down, pool)?;
+        let mut decision = evaluate(&self.fleet, &self.memos, &targets, &down)?;
         // Stragglers run slow: their contribution shrinks by the plan's
         // slowdown factor.
         let mut dirty = false;
@@ -637,17 +631,17 @@ impl FleetCoordinator {
         Ok(e)
     }
 
-    /// Run `epochs` dynamic epochs and summarize.
-    #[must_use = "the run result carries either the survival report or the failure"]
-    pub fn run(&mut self, epochs: usize) -> Result<ClusterReport> {
-        self.run_with_pool(epochs, Pool::global())
+    /// [`FleetCoordinator::step`], which runs on the calling thread;
+    /// `_pool` is unused and kept for existing callers.
+    #[must_use = "the epoch result carries either the report or the failure"]
+    pub fn step_with_pool(&mut self, _pool: &Pool) -> Result<EpochReport> {
+        self.step()
     }
 
-    /// [`FleetCoordinator::run`] on an explicit pool: a fold of the
-    /// epochs' [`EpochReport`]s, over the fleet size and the plan's
-    /// quiet point.
+    /// Run `epochs` dynamic epochs and summarize: a fold of the epochs'
+    /// [`EpochReport`]s, over the fleet size and the plan's quiet point.
     #[must_use = "the run result carries either the survival report or the failure"]
-    pub fn run_with_pool(&mut self, epochs: usize, pool: &Pool) -> Result<ClusterReport> {
+    pub fn run(&mut self, epochs: usize) -> Result<ClusterReport> {
         let n = self.fleet.len();
         let quiet = self.plan.quiet_after();
         let mut report = ClusterReport {
@@ -657,7 +651,7 @@ impl FleetCoordinator {
         };
         let mut healthy_node_epochs = 0usize;
         for _ in 0..epochs {
-            let e = self.step_with_pool(pool)?;
+            let e = self.step()?;
             report.epochs += 1;
             report.dropouts += e.dropped;
             report.recoveries += e.recovered;
@@ -1066,93 +1060,59 @@ fn node_write_key(node: usize, target: Watts) -> u64 {
 }
 
 /// Coordinate and price every node's share, once per distinct (class,
-/// share) pair. COORD and the solver are pure functions of the class and
-/// the share (compared bit for bit), so one pair's result is each of its
-/// nodes', bit for bit. The live nodes are first grouped into *runs*,
-/// consecutive nodes (down nodes between them skipped) holding one pair,
-/// and only the runs are sorted by pair. Fleets list each class
-/// contiguously and the fill keeps a class's equal shares adjacent, so a
-/// fault-free fleet of a few classes has a few runs whatever its size;
-/// a fleet that interleaves its classes has up to one run per node, and
-/// is still evaluated correctly.
+/// share) pair, in one pass on the calling thread. COORD and the solver
+/// are pure functions of the class and the share (compared bit for bit),
+/// so one pair's result is each of its nodes', bit for bit. A live node
+/// whose pair is the previous live node's reuses that result: fleets
+/// list each class contiguously and the fill keeps a class's equal
+/// shares adjacent, so most nodes stop there. Any other pair is looked
+/// up in a map of the pairs solved so far, so a fleet that interleaves
+/// its classes pays one lookup per node, not a scan.
 ///
-/// The pairs fan out on `pool`. Down nodes contribute nothing without
-/// touching the infeasibility counter; an infeasible share (COORD or the
-/// solver refusing it) scores 0.0; a real solver error fails the whole
-/// evaluation with the error of the first failing node in index order;
-/// worker panics re-raise on the caller. `aggregate_perf` is summed in
-/// node order.
+/// Down nodes contribute nothing without touching the infeasibility
+/// counter; an infeasible share (COORD or the solver refusing it) scores
+/// 0.0; a real solver error stops the pass and fails the evaluation with
+/// that node's error, the first in index order. `aggregate_perf` is
+/// summed in node order.
 fn evaluate(
     fleet: &Fleet,
     memos: &[SolveMemo],
     shares: &[Watts],
     down: &[bool],
-    pool: &Pool,
 ) -> Result<ClusterDecision> {
     let n = shares.len();
-    // Each run's node range; its first node is live and holds its key.
-    let key = |i: usize| (fleet.nodes[i], shares[i].value().to_bits());
-    let mut runs: Vec<Range<usize>> = Vec::new();
-    for i in (0..n).filter(|&i| !down[i]) {
-        match runs.last_mut() {
-            Some(run) if key(run.start) == key(i) => run.end = i + 1,
-            _ => runs.push(i..i + 1),
-        }
-    }
-    // A key recurs in runs apart when, say, a node held at its floor
-    // splits its class's run. `keyed[s]` is a node of the key solved
-    // into slot `s`, and `slot_of[j]` is run `j`'s slot.
-    let mut by_key: Vec<usize> = (0..runs.len()).collect();
-    by_key.sort_unstable_by_key(|&j| key(runs[j].start));
-    let mut keyed: Vec<usize> = Vec::new();
-    let mut slot_of = vec![0; runs.len()];
-    for j in by_key {
-        let i = runs[j].start;
-        if keyed.last().is_none_or(|&k| key(k) != key(i)) {
-            keyed.push(i);
-        }
-        slot_of[j] = keyed.len() - 1;
-    }
-    type Slot = OnceLock<Result<(Option<PowerAllocation>, f64)>>;
-    let slots: Vec<Slot> = (0..keyed.len()).map(|_| OnceLock::new()).collect();
-    let task = |s: usize| {
-        let i = keyed[s];
-        // Slot `s` is this task's alone: it is empty.
-        let _ = slots[s].set(eval_node(fleet, memos, i, shares[i]));
-    };
-    let stats = pool.run(keyed.len(), &task);
-    if let Some(payload) = stats.panic {
-        std::panic::resume_unwind(payload);
-    }
-    pbc_trace::cached_counter!(names::CLUSTER_EVALUATIONS).add(keyed.len() as u64);
-
-    // Runs are disjoint and in node order, so the first failing run
-    // starts at the first failing node.
     let mut allocs = vec![None; n];
     let mut perfs = vec![0.0; n];
     let mut infeasible = 0;
+    let mut solved = HashMap::new();
+    let mut last = None;
     let mut failed = None;
-    for (run, &s) in runs.into_iter().zip(&slot_of) {
-        let (alloc, perf) = match slots[s].get() {
-            Some(Ok(out)) => *out,
-            Some(Err(e)) => {
-                failed = Some(e.clone());
-                break;
-            }
-            None => {
-                failed = Some(PbcError::InvalidInput(format!(
-                    "cluster evaluation lost node {} (worker never reported)",
-                    run.start
-                )));
-                break;
+    for i in (0..n).filter(|&i| !down[i]) {
+        let key = (fleet.nodes[i], shares[i].value().to_bits());
+        let (alloc, perf) = match last {
+            Some((k, out)) if k == key => out,
+            _ => {
+                let out = match solved.get(&key) {
+                    Some(&out) => out,
+                    None => match eval_node(fleet, memos, i, shares[i]) {
+                        Ok(out) => *solved.entry(key).or_insert(out),
+                        Err(e) => {
+                            failed = Some(e);
+                            break;
+                        }
+                    },
+                };
+                last = Some((key, out));
+                out
             }
         };
-        for i in run.filter(|&i| !down[i]) {
-            allocs[i] = alloc;
-            perfs[i] = perf;
-            infeasible += usize::from(alloc.is_none());
-        }
+        allocs[i] = alloc;
+        perfs[i] = perf;
+        infeasible += usize::from(alloc.is_none());
     }
+    // The pairs solved, and the one whose solve failed.
+    let evaluations = solved.len() + usize::from(failed.is_some());
+    pbc_trace::cached_counter!(names::CLUSTER_EVALUATIONS).add(evaluations as u64);
     if infeasible > 0 {
         pbc_trace::cached_counter!(names::CLUSTER_INFEASIBLE_NODES).add(infeasible as u64);
     }
@@ -1203,45 +1163,23 @@ mod tests {
     }
 
     /// The per-node evaluation `evaluate` replaced, kept as its
-    /// reference: COORD and the memo once for every live node, fanned
-    /// out node by node.
+    /// reference: COORD and the memo once for every live node.
     fn evaluate_per_node(
         fleet: &Fleet,
         memos: &[SolveMemo],
         shares: &[Watts],
         down: &[bool],
-        pool: &Pool,
     ) -> Result<ClusterDecision> {
         let n = shares.len();
-        type Slot = OnceLock<Result<(Option<PowerAllocation>, f64)>>;
-        let slots: Vec<Slot> = (0..n).map(|_| OnceLock::new()).collect();
-        let task = |i: usize| {
-            let out = if down[i] {
-                Ok((None, 0.0))
-            } else {
-                eval_node(fleet, memos, i, shares[i])
-            };
-            let _ = slots[i].set(out);
-        };
-        let stats = pool.run(n, &task);
-        if let Some(payload) = stats.panic {
-            std::panic::resume_unwind(payload);
-        }
         let mut allocs = Vec::with_capacity(n);
         let mut perfs = Vec::with_capacity(n);
         let mut infeasible = 0;
-        for (i, slot) in slots.into_iter().enumerate() {
-            match slot.into_inner() {
-                Some(Ok((alloc, perf))) => {
-                    if alloc.is_none() && !down[i] {
-                        infeasible += 1;
-                    }
-                    allocs.push(alloc);
-                    perfs.push(perf);
-                }
-                Some(Err(e)) => return Err(e),
-                None => return Err(PbcError::InvalidInput(format!("lost node {i}"))),
-            }
+        for i in 0..n {
+            let (alloc, perf) =
+                if down[i] { (None, 0.0) } else { eval_node(fleet, memos, i, shares[i])? };
+            infeasible += usize::from(alloc.is_none() && !down[i]);
+            allocs.push(alloc);
+            perfs.push(perf);
         }
         let aggregate_perf = perfs.iter().sum();
         Ok(ClusterDecision { shares: shares.to_vec(), allocs, perfs, aggregate_perf, infeasible })
@@ -1301,8 +1239,7 @@ mod tests {
             let fresh_memos = || -> Vec<SolveMemo> {
                 fleet.classes.iter().map(|c| SolveMemo::fresh(&c.platform, &c.demand)).collect()
             };
-            let reference_memos = fresh_memos();
-            let pools = [(Pool::new(1), fresh_memos()), (Pool::new(3), fresh_memos())];
+            let (reference_memos, memos) = (fresh_memos(), fresh_memos());
             for case in 0..160 {
                 // Runs of one drawn share, each node down one time in five
                 // (or every node, or none).
@@ -1320,21 +1257,18 @@ mod tests {
                     1 => vec![false; n],
                     _ => (0..n).map(|_| rng.below(5) == 0).collect(),
                 };
-                let want = evaluate_per_node(&fleet, &reference_memos, &shares, &down, &pools[0].0);
+                let want = evaluate_per_node(&fleet, &reference_memos, &shares, &down);
                 match &want {
                     Ok(d) if d.infeasible > 0 => infeasible += 1,
                     Ok(_) => oks += 1,
                     Err(_) => errors += 1,
                 }
-                for (pool, memos) in &pools {
-                    let got = evaluate(&fleet, memos, &shares, &down, pool);
-                    assert_eq!(
-                        fingerprint(&got),
-                        fingerprint(&want),
-                        "case {case} on {} executors: shares {shares:?}, down {down:?}",
-                        pool.threads()
-                    );
-                }
+                let got = evaluate(&fleet, &memos, &shares, &down);
+                assert_eq!(
+                    fingerprint(&got),
+                    fingerprint(&want),
+                    "case {case}: shares {shares:?}, down {down:?}"
+                );
             }
         }
         assert!(
@@ -1355,6 +1289,22 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn the_first_epoch_after_provisioning_moves_only_what_leaves_the_fallback() {
+        let fleet = mixed_fleet();
+        let global = fleet.min_total_power() + Watts::new(150.0);
+        let mut coord = FleetCoordinator::new(fleet, global).unwrap();
+        coord.provision().unwrap();
+        // A calm first epoch partitions every node, as `coordinate` does.
+        let targets = coord.coordinate().unwrap().shares;
+        let off: f64 = (0..targets.len())
+            .map(|i| (targets[i] - coord.fallback().share(i)).abs().value())
+            .sum();
+        let e = coord.step().unwrap();
+        assert!(!e.degraded && off > 1.0, "the fill must move watts off the fallback");
+        assert_eq!(e.moved.value().to_bits(), (off / 2.0).to_bits(), "moved {}", e.moved);
     }
 
     #[test]
@@ -1487,17 +1437,14 @@ mod tests {
     fn chaos_replays_are_bit_identical() {
         let fleet = mixed_fleet();
         let global = fleet.min_total_power() + Watts::new(150.0);
-        let run = |threads: usize| {
-            let pool = Pool::new(threads);
+        let run = || {
             let mut coord = FleetCoordinator::new(fleet.clone(), global)
                 .unwrap()
                 .with_plan(FleetFaultPlan::by_name("everything", 11).unwrap())
                 .unwrap();
-            coord.run_with_pool(30, &pool).unwrap()
+            coord.run(30).unwrap()
         };
-        let a = run(1);
-        let b = run(4);
-        assert_eq!(a, b, "the same plan must replay identically across thread counts");
+        assert_eq!(run(), run(), "the same plan must replay identically");
     }
 
     #[test]
@@ -1525,19 +1472,16 @@ mod tests {
         let fleet = mixed_fleet();
         let global = fleet.min_total_power() + Watts::new(150.0);
         for objective in [Objective::MaxMin, Objective::WeightedShares] {
-            let run = |threads: usize| {
-                let pool = Pool::new(threads);
+            let run = || {
                 let mut coord = FleetCoordinator::new(fleet.clone(), global)
                     .unwrap()
                     .with_plan(FleetFaultPlan::by_name("demand-spike", 13).unwrap())
                     .unwrap()
                     .with_objective(objective)
                     .with_tenants(TenantSet::parse("a:1:gold,b:2").unwrap());
-                coord.run_with_pool(24, &pool).unwrap()
+                coord.run(24).unwrap()
             };
-            let a = run(1);
-            let b = run(4);
-            assert_eq!(a, b, "{} runs must replay identically across thread counts", objective.name());
+            assert_eq!(run(), run(), "{} runs must replay identically", objective.name());
         }
     }
 

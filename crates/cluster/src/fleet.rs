@@ -14,8 +14,8 @@
 //! they share a demand model, a floor, a COORD profile, and a
 //! [`CurveTable`], so a 128-node fleet with six classes profiles six
 //! curves, not 128. Per-class profiling goes through the shared-grid
-//! oracle (one pooled sweep per class); per-node coordination later fans
-//! out across nodes on the same pool.
+//! oracle (one pooled sweep per class); per-node coordination later runs
+//! once per distinct (class, share) pair, on the calling thread.
 
 use pbc_core::{node_ceiling, node_floor, CriticalPowers, CurveTable, GpuCoordParams};
 use pbc_par::Pool;

@@ -21,7 +21,7 @@
 //!   BENCH` text lines), deduplicated into profiled classes;
 //! * [`coordinator::FleetCoordinator`] — water-fill, then per-node
 //!   COORD and memo-priced simulation, once per distinct (class, share)
-//!   pair, fanned out on the `pbc-par` pool; a dynamic mode replays `pbc_faults::FleetFaultPlan`
+//!   pair; a dynamic mode replays `pbc_faults::FleetFaultPlan`
 //!   scenarios (crashes, stragglers, report loss, write outages,
 //!   coordinator outages, budget steps) under the determinism
 //!   contract, with decreases-first enforcement keeping

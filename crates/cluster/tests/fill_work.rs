@@ -1,9 +1,9 @@
 //! The fleet coordinator's work counts on the perfbench `fleet-1024`
 //! class mix: eight node classes of 128 nodes at 1.35 × Σ floors.
 //!
-//! `cluster.fill_quanta`, `cluster.fill_picks` and `cluster.evaluations`
-//! are process-wide, so this file holds one test and runs in a process
-//! of its own.
+//! `cluster.fill_quanta`, `cluster.fill_picks`, `cluster.evaluations`
+//! and `pool.jobs` are process-wide, so this file holds one test and
+//! runs in a process of its own.
 
 use pbc_cluster::{
     fill_shares, parse_spec, Fleet, FleetCoordinator, NodeCurve, Objective, DEFAULT_GRANT,
@@ -73,12 +73,14 @@ fn replay_keeps_every_grant_and_evaluation_runs_once_per_pair() {
     }
 
     // One fault-free epoch evaluates each (class, share) pair once, not
-    // each of the 1,024 nodes.
+    // each of the 1,024 nodes, and on the calling thread: no pool job.
     let coord = FleetCoordinator::new(fleet.clone(), global).unwrap();
     let evaluations = pbc_trace::counter(names::CLUSTER_EVALUATIONS);
-    let e0 = evaluations.get();
+    let jobs = pbc_trace::counter(names::POOL_JOBS);
+    let (e0, j0) = (evaluations.get(), jobs.get());
     let decision = coord.coordinate().unwrap();
-    let e = evaluations.get() - e0;
+    let (e, j) = (evaluations.get() - e0, jobs.get() - j0);
     assert_eq!(e, PAIRS, "one coordinate made {e} evaluations for {PAIRS} (class, share) pairs");
     assert_eq!(decision.infeasible, REFUSED);
+    assert_eq!(j, 0, "one coordinate published {j} pool jobs");
 }

@@ -169,7 +169,8 @@ impl fmt::Display for ChaosReport {
 /// Run `plan` against `platform`/`bench` at `budget` for `epochs`
 /// coordination epochs, and report survival. Only host (CPU + DRAM)
 /// platforms are supported — the harness drives the RAPL enforcement
-/// path for real against a mock sysfs tree.
+/// path for real against a mock sysfs tree. Zero epochs is refused: a
+/// run that enforces nothing has no survival to report.
 #[must_use = "the survival report is the whole point of a chaos run"]
 pub fn run_chaos(
     platform: &Platform,
@@ -178,6 +179,11 @@ pub fn run_chaos(
     plan: &FaultPlan,
     epochs: usize,
 ) -> Result<ChaosReport> {
+    if epochs == 0 {
+        return Err(PbcError::InvalidInput(
+            "chaos run of 0 epochs: at least one epoch is needed to judge survival".into(),
+        ));
+    }
     plan.validate()?;
     if matches!(platform.spec, NodeSpec::Gpu(_)) {
         return Err(PbcError::InvalidInput(
@@ -463,6 +469,13 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, PbcError::InvalidInput(_)));
+    }
+
+    #[test]
+    fn zero_epochs_are_refused() {
+        let err = run_chaos(&ivybridge(), "stream", Watts::new(208.0), &FaultPlan::calm(1), 0)
+            .unwrap_err();
+        assert!(matches!(&err, PbcError::InvalidInput(m) if m.contains("0 epochs")), "{err}");
     }
 
     #[test]

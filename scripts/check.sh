@@ -76,7 +76,9 @@ cargo test -q -p pbc-cli --test cluster_chaos_smoke
 cargo test -q -p pbc-cluster --test fault_tolerance
 cargo test -q -p pbc-cluster --test report_agrees_with_trace
 # The pinned fleet reports must hold whatever the executor count: one
-# executor (the caller runs every chunk) and an oversubscribed pool.
+# executor (the caller runs every chunk) and an oversubscribed pool. The
+# epochs run on the calling thread; the count reaches only the fleet's
+# class sweeps in `Fleet::build`.
 PBC_THREADS=1 cargo test -q -p pbc-cluster --test golden_replay
 PBC_THREADS=3 cargo test -q -p pbc-cluster --test golden_replay
 # Drive the shipped binary through the worst plan once and hold the two
