@@ -45,7 +45,6 @@ fn main() {
         dt: Seconds::new(0.001),
         duration: Seconds::new(1.0),
         window: 8,
-        thermal: None,
         sample_stride: 1000,
     };
     bench.run("engine/simulate_cpu_1s", || {

@@ -3,10 +3,11 @@
 //! Criterion cannot be vendored into an offline workspace, so the bench
 //! targets use this harness instead: warm up, run timed batches for a
 //! fixed measurement window, and report min / median / mean ns per
-//! iteration. It understands the arguments cargo passes to bench
-//! binaries — a name filter, and `--test` (sent by `cargo test
-//! --benches`), which switches to a one-iteration smoke run so the
-//! bench suite doubles as a cheap regression check.
+//! iteration. It understands a name filter, and `--test` or `--quick`,
+//! which switch to a one-iteration smoke run. Cargo does not pass
+//! `--test` to these `harness = false` targets, so `cargo test
+//! --benches` runs them timed and asserts their ratios; smoke mode needs
+//! an explicit `-- --test` or `-- --quick`.
 //!
 //! When the `PBC_BENCH_JSON` environment variable names a file, every
 //! measured benchmark also appends one machine-readable JSON line there

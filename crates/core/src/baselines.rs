@@ -28,20 +28,6 @@ pub enum Baseline {
     NvidiaDefault,
 }
 
-impl Baseline {
-    /// All CPU-applicable policies.
-    pub const CPU_SET: [Baseline; 5] = [
-        Baseline::Coord,
-        Baseline::MemoryFirst,
-        Baseline::CpuFirst,
-        Baseline::EvenSplit,
-        Baseline::Proportional,
-    ];
-
-    /// All GPU-applicable policies.
-    pub const GPU_SET: [Baseline; 2] = [Baseline::Coord, Baseline::NvidiaDefault];
-}
-
 impl fmt::Display for Baseline {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -201,7 +187,13 @@ mod tests {
     #[test]
     fn all_cpu_policies_respect_the_budget() {
         let c = cpu_fixture("stream");
-        for b in Baseline::CPU_SET {
+        for b in [
+            Baseline::Coord,
+            Baseline::MemoryFirst,
+            Baseline::CpuFirst,
+            Baseline::EvenSplit,
+            Baseline::Proportional,
+        ] {
             let policy = CpuPolicy {
                 baseline: b,
                 criticals: &c,

@@ -12,15 +12,10 @@
 //! * `P_mem,L2` — DRAM power when the processor sits at `P_cpu,L3`.
 //! * `P_mem,L3` — hardware minimum DRAM power (application-independent).
 //!
-//! Two ways to obtain them:
-//!
-//! * [`CriticalPowers::probe`] — a handful of targeted solver evaluations
-//!   (on real hardware: a few short capped runs). This is the paper's
-//!   "lightweight application profiling".
-//! * [`CriticalPowers::estimate`] — knee detection on an existing sweep
-//!   profile, for when only sweep data is available.
+//! [`CriticalPowers::probe`] obtains them with a handful of targeted
+//! solver evaluations (on real hardware: a few short capped runs). This
+//! is the paper's "lightweight application profiling".
 
-use crate::profile::SweepProfile;
 use pbc_platform::{CpuSpec, DramSpec};
 use pbc_powersim::{solve_cpu, MechanismState, SolveMemo, WorkloadDemand};
 use pbc_types::{PowerAllocation, Watts};
@@ -122,64 +117,6 @@ impl CriticalPowers {
         }
     }
 
-    /// Estimate the values from an existing sweep profile (no extra runs):
-    /// L1s from power maxima, L2 from the largest curvature knee of the
-    /// perf-vs-processor-cap curve, floors from the platform-independent
-    /// minima observed.
-    pub fn estimate(profile: &SweepProfile) -> Option<Self> {
-        if profile.points.len() < 5 {
-            return None;
-        }
-        let cpu_l1 = profile
-            .points
-            .iter()
-            .map(|p| p.op.proc_power)
-            .fold(Watts::ZERO, Watts::max);
-        let mem_l1 = profile
-            .points
-            .iter()
-            .map(|p| p.op.mem_power)
-            .fold(Watts::ZERO, Watts::max);
-        let cpu_l4 = profile
-            .points
-            .iter()
-            .map(|p| p.op.proc_power)
-            .fold(Watts::new(f64::INFINITY), Watts::min);
-        let mem_l3 = profile
-            .points
-            .iter()
-            .map(|p| p.op.mem_power)
-            .fold(Watts::new(f64::INFINITY), Watts::min);
-
-        // Knee of perf vs proc-cap: the sharpest increase of slope marks
-        // the T-state -> P-state transition (scenario IV -> II), i.e. L2.
-        let pts = &profile.points;
-        let mut best_knee = 1;
-        let mut best_curv = f64::NEG_INFINITY;
-        for i in 1..pts.len() - 1 {
-            let left = pts[i].op.perf_rel - pts[i - 1].op.perf_rel;
-            let right = pts[i + 1].op.perf_rel - pts[i].op.perf_rel;
-            let curv = left - right; // concave knee
-            if curv > best_curv {
-                best_curv = curv;
-                best_knee = i;
-            }
-        }
-        let cpu_l2 = pts[best_knee].op.proc_power.max(cpu_l4);
-        let cpu_l3 = cpu_l4.lerp(cpu_l2, 0.5);
-        let mem_l2 = pts[best_knee].op.mem_power.clamp(mem_l3, mem_l1);
-
-        Some(Self {
-            cpu_l1,
-            cpu_l2,
-            cpu_l3,
-            cpu_l4,
-            mem_l1,
-            mem_l2,
-            mem_l3,
-        })
-    }
-
     /// The §5.1 productive threshold: budgets below
     /// `P_cpu,L2 + P_mem,L2` can only run throttled and should be
     /// rejected.
@@ -243,8 +180,6 @@ pub(crate) fn peak_demand(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::PowerBoundedProblem;
-    use crate::sweep::{sweep_budget, DEFAULT_STEP};
     use pbc_platform::presets::ivybridge;
     use pbc_workloads::by_name;
 
@@ -287,33 +222,6 @@ mod tests {
         assert!(dgemm.cpu_l2 > sra.cpu_l2);
         // But DRAM demand is lower for DGEMM.
         assert!(dgemm.mem_l1 < sra.mem_l1);
-    }
-
-    #[test]
-    fn estimate_from_sweep_is_close_to_probe() {
-        let (cpu, dram) = node();
-        let sra = by_name("sra").unwrap();
-        let probed = CriticalPowers::probe(&cpu, &dram, &sra.demand);
-        let problem =
-            PowerBoundedProblem::new(ivybridge(), sra.demand, Watts::new(260.0)).unwrap();
-        let profile = sweep_budget(&problem, DEFAULT_STEP).unwrap();
-        let est = CriticalPowers::estimate(&profile).unwrap();
-        assert!(est.is_ordered(), "{est:?}");
-        // The estimator works from coarse sweep data; ±15 W agreement on
-        // the headline values is what we promise.
-        assert!((est.cpu_l1.value() - probed.cpu_l1.value()).abs() < 15.0);
-        assert!((est.mem_l1.value() - probed.mem_l1.value()).abs() < 15.0);
-    }
-
-    #[test]
-    fn estimate_rejects_tiny_profiles() {
-        let p = SweepProfile {
-            platform: pbc_platform::PlatformId::IvyBridge,
-            workload: "tiny".into(),
-            budget: Watts::new(100.0),
-            points: vec![],
-        };
-        assert!(CriticalPowers::estimate(&p).is_none());
     }
 
     #[test]

@@ -31,7 +31,6 @@
 //! | [`efficiency`]| §2.1 RQ4 | acceptable budget bands, perf-per-watt curves, stranded power |
 //! | [`online`]   | §5 future work | model-free feedback coordinator (online dynamic budgeting) |
 //! | [`fastpath`] | §5 future work | steady-state serving: lock-free curve tables, one per workload class |
-//! | [`model`]    | §7 (vs [34]) | closed-form piecewise performance predictor from critical values |
 //! | [`hybrid`]   | §2.2 future work | host+card budget coordination for offload applications |
 
 pub mod analysis;
@@ -41,7 +40,6 @@ pub mod critical;
 pub mod efficiency;
 pub mod fastpath;
 pub mod hybrid;
-pub mod model;
 pub mod online;
 pub mod problem;
 pub mod profile;
@@ -57,7 +55,6 @@ pub use critical::CriticalPowers;
 pub use efficiency::{efficiency_curve, most_efficient_budget, AcceptableRange, BudgetVerdict, EfficiencyPoint};
 pub use fastpath::{node_ceiling, node_floor, CurveTable, TABLE_STEP};
 pub use hybrid::{coordinate_hybrid, solve_hybrid_split, HybridPoint, HybridWorkload};
-pub use model::PiecewiseModel;
 pub use online::{check_report, BudgetOutcome, ObservationOutcome, OnlineCoordinator};
 pub use problem::PowerBoundedProblem;
 pub use profile::{SweepPoint, SweepProfile};

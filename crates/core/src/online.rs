@@ -101,8 +101,9 @@ pub enum ObservationOutcome {
 /// performance surrogate is finite, non-negative and at most
 /// `MAX_CREDIBLE_PERF` (8.0), every reported power is a valid wattage, and
 /// every `(reported, issued)` cap pair agrees within one enforcement
-/// quantum. The first failing check names the rejection. Nothing is
-/// allocated: `observe` runs this on every sample.
+/// quantum; a NaN cap on either side never agrees. The first failing
+/// check names the rejection. Nothing is allocated: `observe` runs this
+/// on every sample.
 #[inline]
 #[must_use]
 pub fn check_report(perf: f64, powers: &[Watts], caps: &[(Watts, Watts)]) -> ObservationOutcome {
@@ -112,7 +113,7 @@ pub fn check_report(perf: f64, powers: &[Watts], caps: &[(Watts, Watts)]) -> Obs
     if perf > MAX_CREDIBLE_PERF || !powers.iter().all(|p| p.is_valid()) {
         return ObservationOutcome::RejectedOutOfRange;
     }
-    if caps.iter().any(|&(seen, issued)| (seen - issued).abs().value() > STALE_CAP_TOLERANCE) {
+    if !caps.iter().all(|&(seen, issued)| (seen - issued).abs().value() <= STALE_CAP_TOLERANCE) {
         return ObservationOutcome::RejectedStale;
     }
     ObservationOutcome::Used
@@ -590,6 +591,21 @@ mod tests {
         assert_eq!(coord.observe(&stale), ObservationOutcome::RejectedStale);
         // The voided probe is re-proposed, bit-identical.
         assert_eq!(coord.next_allocation(), probe);
+    }
+
+    /// A NaN cap, read back or issued, fails the stale check: a NaN
+    /// difference is never within the tolerance.
+    #[test]
+    fn a_nan_cap_is_stale() {
+        let w = Watts::new;
+        let powers = [w(60.0), w(40.0)];
+        let nan = w(f64::NAN);
+        let cap = w(104.0);
+        for caps in [[(nan, cap), (cap, cap)], [(cap, cap), (cap, nan)]] {
+            assert_eq!(check_report(0.9, &powers, &caps), ObservationOutcome::RejectedStale);
+        }
+        let fresh = [(cap, cap), (cap, cap)];
+        assert_eq!(check_report(0.9, &powers, &fresh), ObservationOutcome::Used);
     }
 
     #[test]

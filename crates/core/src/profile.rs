@@ -58,17 +58,6 @@ impl SweepProfile {
     pub fn perf_max(&self) -> f64 {
         self.best().map(|p| p.op.perf_rel).unwrap_or(0.0)
     }
-
-    /// The point whose allocation is closest (in processor watts) to the
-    /// given allocation — used to evaluate a heuristic's choice against
-    /// sweep data.
-    pub fn nearest(&self, alloc: PowerAllocation) -> Option<&SweepPoint> {
-        self.points.iter().min_by(|a, b| {
-            let da = (a.alloc.proc - alloc.proc).abs().value();
-            let db = (b.alloc.proc - alloc.proc).abs().value();
-            da.total_cmp(&db)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -120,15 +109,6 @@ mod tests {
         assert_eq!(p.worst().unwrap().alloc.proc.value(), 180.0);
         assert!((p.spread() - 10.0).abs() < 1e-9);
         assert_eq!(p.perf_max(), 1.0);
-    }
-
-    #[test]
-    fn nearest_matches_on_proc_axis() {
-        let p = profile();
-        let near = p
-            .nearest(PowerAllocation::new(Watts::new(95.0), Watts::new(145.0)))
-            .unwrap();
-        assert_eq!(near.alloc.proc.value(), 90.0);
     }
 
     #[test]

@@ -297,6 +297,7 @@ impl Block {
 /// Columns are 1-based character offsets, so this is exact for any
 /// source (the round-trip test holds it to the lexer).
 #[must_use]
+// pbc-lint: allow(unreached-pub) the span-fidelity check in parser_roundtrip.rs
 pub fn span_text(src: &str, tokens: &[Token], span: Span) -> String {
     let (Some(first), Some(last)) = (tokens.get(span.lo), tokens.get(span.hi)) else {
         return String::new();

@@ -47,6 +47,7 @@ pub struct Regression {
 impl Baseline {
     /// Parse the TOML subset described in the module docs. Unknown
     /// syntax is an error — a malformed ratchet must not silently pass.
+    #[must_use = "a malformed baseline must fail the run"]
     pub fn parse(text: &str) -> Result<Baseline, String> {
         let mut baseline = Baseline::default();
         let mut section: Option<String> = None;

@@ -5,8 +5,8 @@
 //! and runs a small set of domain rules that encode bugs this codebase
 //! has actually had: exact float comparison on power values, panicking
 //! in solver hot paths, lossy casts out of the unit newtypes, printing
-//! from library code, glob imports, and missing `#[must_use]` on
-//! fallible public APIs.
+//! from library code, glob imports, missing `#[must_use]` on fallible
+//! public APIs, and public items that only tests reach.
 //!
 //! Findings are gated through a checked-in baseline
 //! (`lint-baseline.toml`) so existing debt is grandfathered but may
@@ -70,33 +70,35 @@ impl Report {
 
 /// Lint every `.rs` file under `root` and compare against `baseline`.
 /// Pass `Baseline::default()` to gate with no grandfathered findings.
+#[must_use = "the report says whether the tree regressed"]
 pub fn lint_workspace(root: &Path, baseline: &Baseline) -> std::io::Result<Report> {
     let mut report = Report::default();
-    let files = source::collect_rs_files(root)?;
-    report.files_scanned = files.len();
-    let mut sources: Vec<(String, String)> = Vec::with_capacity(files.len());
-    for path in &files {
+    let paths = source::collect_rs_files(root)?;
+    report.files_scanned = paths.len();
+    let mut files = Vec::with_capacity(paths.len());
+    let mut diags = Vec::new();
+    for path in &paths {
         let Ok(src) = std::fs::read_to_string(path) else {
             continue; // non-UTF8 or vanished mid-scan; nothing to lint
         };
-        let rel = source::rel_path(root, path);
-        let sf = SourceFile::parse(&rel, &src);
-        for diag in lint_file(&sf) {
-            if baseline.is_allowed(diag.rule, &diag.file) {
-                continue;
-            }
-            if diag.severity == Severity::Note {
-                report.notes.push(diag);
-            } else {
-                report.findings.push(diag);
-            }
-        }
-        sources.push((rel, src));
+        let file = SourceFile::parse(&source::rel_path(root, path), &src);
+        diags.extend(lint_file(&file));
+        files.push(file);
     }
-    // Workspace-level pass: cross-file consistency of the trace-metric
-    // registry, code usage, and the observability doc.
-    for diag in rules::counter_drift::workspace_pass(root, &sources) {
-        if !baseline.is_allowed(diag.rule, &diag.file) {
+    // The cross-file halves see the whole tree; inline allows apply to
+    // their findings as to per-file ones.
+    for rule in rules::all_rules() {
+        diags.extend(rule.check_workspace(root, &files).into_iter().filter(|d| {
+            !files.iter().any(|f| f.rel_path == d.file && f.is_allowed(d.rule, d.line))
+        }));
+    }
+    for diag in diags {
+        if baseline.is_allowed(diag.rule, &diag.file) {
+            continue;
+        }
+        if diag.severity == Severity::Note {
+            report.notes.push(diag);
+        } else {
             report.findings.push(diag);
         }
     }

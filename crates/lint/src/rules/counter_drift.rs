@@ -15,14 +15,12 @@
 //! none of the three checks can see it. Everything outside
 //! `crates/trace/` must go through `pbc_trace::names` constants.
 //!
-//! The cross-file checks can't run inside the per-file [`Rule`]
-//! interface; [`workspace_pass`] is invoked by
-//! [`crate::lint_workspace`] after the per-file sweep and feeds the
-//! same baseline filtering.
+//! The three cross-file checks are the rule's
+//! [`Rule::check_workspace`] half.
 
 use super::{diag_at, Rule};
 use crate::diagnostics::{Diagnostic, Severity};
-use crate::lexer::{lex, TokenKind};
+use crate::lexer::{Token, TokenKind};
 use crate::source::{FileKind, SourceFile};
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -86,20 +84,87 @@ impl Rule for CounterDrift {
         }
         out
     }
+
+    /// The workspace-level consistency check over every scanned file;
+    /// the doc is read from `root`.
+    fn check_workspace(&self, root: &Path, files: &[SourceFile]) -> Vec<Diagnostic> {
+        let mut out = Vec::new();
+        let Some(names) = files.iter().find(|f| f.rel_path == NAMES_RS) else {
+            return out; // no registry in this tree (unit-test workspaces)
+        };
+        let registry = parse_registry(&names.tokens);
+        if registry.is_empty() {
+            return out;
+        }
+        let doc = std::fs::read_to_string(root.join(OBSERVABILITY_MD)).unwrap_or_default();
+
+        let mut refs = BTreeSet::new();
+        for f in files {
+            if f.rel_path != NAMES_RS {
+                collect_const_refs(&f.tokens, &mut refs);
+            }
+        }
+
+        let diag = |file: &str, line: usize, message: String| Diagnostic {
+            rule: self.id(),
+            severity: self.severity(),
+            file: file.to_string(),
+            line,
+            col: 1,
+            message,
+        };
+
+        // 1 + 3: every registered metric is documented and referenced.
+        for e in &registry {
+            if !doc.contains(&format!("`{}`", e.value)) {
+                out.push(diag(
+                    NAMES_RS,
+                    e.line,
+                    format!(
+                        "metric `{}` ({}) is not documented in {OBSERVABILITY_MD}",
+                        e.value, e.ident
+                    ),
+                ));
+            }
+            if !refs.contains(e.ident) {
+                out.push(diag(
+                    NAMES_RS,
+                    e.line,
+                    format!(
+                        "metric constant {} (`{}`) is never referenced outside the registry",
+                        e.ident, e.value
+                    ),
+                ));
+            }
+        }
+
+        // 2: every documented metric-shaped name is registered.
+        let registered: BTreeSet<&str> = registry.iter().map(|e| e.value).collect();
+        let mut seen = BTreeSet::new();
+        for (name, line) in doc_metric_names(&doc) {
+            if !registered.contains(name.as_str()) && seen.insert(name.clone()) {
+                out.push(diag(
+                    OBSERVABILITY_MD,
+                    line,
+                    format!("documented metric `{name}` has no constant in {NAMES_RS}"),
+                ));
+            }
+        }
+        out
+    }
 }
 
 /// One registered metric constant.
 #[derive(Debug)]
-struct RegEntry {
-    ident: String,
-    value: String,
+struct RegEntry<'a> {
+    ident: &'a str,
+    value: &'a str,
     line: usize,
 }
 
-/// Parse `pub const IDENT: &str = "value";` entries out of the registry
-/// source.
-fn parse_registry(src: &str) -> Vec<RegEntry> {
-    let toks = lex(src).tokens;
+/// Parse `pub const IDENT: &str = "value";` entries out of the
+/// registry's tokens.
+fn parse_registry(toks: &[Token]) -> Vec<RegEntry<'_>> {
     let mut out = Vec::new();
     let mut i = 0;
     while i + 5 < toks.len() {
@@ -111,9 +176,8 @@ fn parse_registry(src: &str) -> Vec<RegEntry> {
             && toks[i + 5].text == "="
             && toks.get(i + 6).map(|t| t.kind) == Some(TokenKind::Str)
         {
-            let raw = &toks[i + 6].text;
-            let value = raw.trim_matches('"').to_string();
-            out.push(RegEntry { ident: toks[i + 1].text.clone(), value, line: toks[i + 1].line });
+            let value = toks[i + 6].text.trim_matches('"');
+            out.push(RegEntry { ident: &toks[i + 1].text, value, line: toks[i + 1].line });
             i += 7;
         } else {
             i += 1;
@@ -177,81 +241,17 @@ fn is_metric_shape(s: &str) -> bool {
     true
 }
 
-/// Collect `names::IDENT` references from one file's source.
-fn collect_const_refs(src: &str, into: &mut BTreeSet<String>) {
-    let toks = lex(src).tokens;
+/// Collect `names::IDENT` references from one file's tokens.
+fn collect_const_refs<'a>(toks: &'a [Token], into: &mut BTreeSet<&'a str>) {
     for w in toks.windows(3) {
         if w[0].kind == TokenKind::Ident
             && w[0].text == "names"
             && w[1].text == "::"
             && w[2].kind == TokenKind::Ident
         {
-            into.insert(w[2].text.clone());
+            into.insert(&w[2].text);
         }
     }
-}
-
-/// The workspace-level consistency check. `sources` is every scanned
-/// `.rs` file as `(rel_path, source)`; the doc is read from `root`.
-#[must_use]
-pub fn workspace_pass(root: &Path, sources: &[(String, String)]) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let Some((_, names_src)) = sources.iter().find(|(rel, _)| rel == NAMES_RS) else {
-        return out; // no registry in this tree (unit-test workspaces)
-    };
-    let registry = parse_registry(names_src);
-    if registry.is_empty() {
-        return out;
-    }
-    let doc = std::fs::read_to_string(root.join(OBSERVABILITY_MD)).unwrap_or_default();
-
-    let mut refs = BTreeSet::new();
-    for (rel, src) in sources {
-        if rel != NAMES_RS {
-            collect_const_refs(src, &mut refs);
-        }
-    }
-
-    let diag = |file: &str, line: usize, message: String| Diagnostic {
-        rule: "counter-drift",
-        severity: Severity::Error,
-        file: file.to_string(),
-        line,
-        col: 1,
-        message,
-    };
-
-    // 1 + 3: every registered metric is documented and referenced.
-    for e in &registry {
-        if !doc.contains(&format!("`{}`", e.value)) {
-            out.push(diag(
-                NAMES_RS,
-                e.line,
-                format!("metric `{}` ({}) is not documented in {OBSERVABILITY_MD}", e.value, e.ident),
-            ));
-        }
-        if !refs.contains(&e.ident) {
-            out.push(diag(
-                NAMES_RS,
-                e.line,
-                format!("metric constant {} (`{}`) is never referenced outside the registry", e.ident, e.value),
-            ));
-        }
-    }
-
-    // 2: every documented metric-shaped name is registered.
-    let registered: BTreeSet<&str> = registry.iter().map(|e| e.value.as_str()).collect();
-    let mut seen = BTreeSet::new();
-    for (name, line) in doc_metric_names(&doc) {
-        if !registered.contains(name.as_str()) && seen.insert(name.clone()) {
-            out.push(diag(
-                OBSERVABILITY_MD,
-                line,
-                format!("documented metric `{name}` has no constant in {NAMES_RS}"),
-            ));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -297,10 +297,17 @@ mod tests {
         assert!(run_rule(&CounterDrift, "crates/x/src/lib.rs", src).is_empty());
     }
 
+    fn tree(files: &[(&str, &str)]) -> Vec<SourceFile> {
+        files.iter().map(|(rel, src)| SourceFile::parse(rel, src)).collect()
+    }
+
     #[test]
     fn registry_parse_and_shapes() {
-        let entries =
-            parse_registry("pub const A: &str = \"x.y\";\npub const B: &str = \"plain\";\n");
+        let toks = crate::lexer::lex(
+            "pub const A: &str = \"x.y\";\npub const B: &str = \"plain\";\n",
+        )
+        .tokens;
+        let entries = parse_registry(&toks);
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].value, "x.y");
         assert!(is_metric_shape("sweep.points.total"));
@@ -319,17 +326,16 @@ mod tests {
             "The `a.used` counter. Also `ghost.metric` is documented.\n",
         )
         .unwrap();
-        let sources = vec![
+        let files = tree(&[
             (
-                NAMES_RS.to_string(),
+                NAMES_RS,
                 "pub const USED: &str = \"a.used\";\npub const UNDOC: &str = \"a.undoc\";\n\
-                 pub const DEAD: &str = \"a.dead\";\n"
-                    .to_string(),
+                 pub const DEAD: &str = \"a.dead\";\n",
             ),
-            ("crates/x/src/lib.rs".to_string(),
-             "fn f() { counter(names::USED).incr(); counter(names::UNDOC).incr(); }".to_string()),
-        ];
-        let diags = workspace_pass(&dir, &sources);
+            ("crates/x/src/lib.rs",
+             "fn f() { counter(names::USED).incr(); counter(names::UNDOC).incr(); }"),
+        ]);
+        let diags = CounterDrift.check_workspace(&dir, &files);
         let msgs: Vec<&str> = diags.iter().map(|d| d.message.as_str()).collect();
         assert!(msgs.iter().any(|m| m.contains("a.undoc") && m.contains("not documented")), "{msgs:?}");
         assert!(msgs.iter().any(|m| m.contains("DEAD") && m.contains("never referenced")), "{msgs:?}");
@@ -344,11 +350,11 @@ mod tests {
         let dir = std::env::temp_dir().join("pbc_lint_drift_clean");
         std::fs::create_dir_all(dir.join("docs")).unwrap();
         std::fs::write(dir.join("docs/OBSERVABILITY.md"), "Only `a.used` here.\n").unwrap();
-        let sources = vec![
-            (NAMES_RS.to_string(), "pub const USED: &str = \"a.used\";\n".to_string()),
-            ("crates/x/src/lib.rs".to_string(), "fn f() { counter(names::USED); }".to_string()),
-        ];
-        assert!(workspace_pass(&dir, &sources).is_empty());
+        let files = tree(&[
+            (NAMES_RS, "pub const USED: &str = \"a.used\";\n"),
+            ("crates/x/src/lib.rs", "fn f() { counter(names::USED); }"),
+        ]);
+        assert!(CounterDrift.check_workspace(&dir, &files).is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,14 +1,17 @@
 //! The rule framework and registry.
 //!
 //! A rule sees one analyzed [`SourceFile`] at a time and returns
-//! [`Diagnostic`]s. Rules decide themselves which [`FileKind`]s and
-//! regions they apply to (most skip `#[cfg(test)]` code); the engine
-//! applies inline `pbc-lint: allow(...)` directives and the baseline's
-//! per-rule allowlist afterwards, so rules never need to think about
-//! suppression.
+//! [`Diagnostic`]s; a rule with a cross-file half also sees the whole
+//! scanned tree once, through [`Rule::check_workspace`]. Rules decide
+//! themselves which [`FileKind`]s and regions they apply to (most skip
+//! `#[cfg(test)]` code); the engine applies inline `pbc-lint: allow(...)`
+//! directives and the baseline's per-rule allowlist afterwards, so rules
+//! never need to think about suppression.
+//!
+//! [`FileKind`]: crate::source::FileKind
 
 mod budget_arith;
-pub(crate) mod counter_drift;
+mod counter_drift;
 mod float_cmp;
 mod guard_across_pool;
 mod lossy_cast;
@@ -16,11 +19,13 @@ mod must_use;
 mod no_println;
 mod no_unwrap;
 mod unit_mix;
+mod unreached_pub;
 mod wildcard_import;
 
 use crate::ast::ExprKind;
 use crate::diagnostics::{Diagnostic, Severity};
 use crate::source::SourceFile;
+use std::path::Path;
 
 pub use budget_arith::BudgetArith;
 pub use counter_drift::CounterDrift;
@@ -31,6 +36,7 @@ pub use must_use::MissingMustUse;
 pub use no_println::NoPrintln;
 pub use no_unwrap::NoUnwrap;
 pub use unit_mix::UnitMix;
+pub use unreached_pub::UnreachedPub;
 pub use wildcard_import::WildcardImport;
 
 /// One lint rule.
@@ -43,6 +49,13 @@ pub trait Rule {
     fn description(&self) -> &'static str;
     /// Produce findings for one file.
     fn check(&self, file: &SourceFile) -> Vec<Diagnostic>;
+    /// Produce the findings that need every scanned file at once.
+    /// `root` is the directory the tree was read from; the fixture
+    /// harness passes each fixture as a one-file tree. Most rules have
+    /// no cross-file half.
+    fn check_workspace(&self, _root: &Path, _files: &[SourceFile]) -> Vec<Diagnostic> {
+        Vec::new()
+    }
 }
 
 /// The full rule set, in reporting order.
@@ -59,6 +72,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(BudgetArith),
         Box::new(GuardAcrossPool),
         Box::new(CounterDrift),
+        Box::new(UnreachedPub),
     ]
 }
 

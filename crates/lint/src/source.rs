@@ -157,9 +157,13 @@ fn find_test_regions(tokens: &[Token]) -> Vec<(usize, usize)> {
                     }
                     j += 1;
                 }
+                // `cfg(not(test))` and `cfg(any(test, ..))` code also
+                // builds outside tests.
                 let is_test_attr = matches!(body.as_slice(), ["test"])
-                    || (body.contains(&"cfg") && body.contains(&"test"))
-                    || (body.contains(&"cfg") && body.contains(&"any") && body.contains(&"test"));
+                    || (body.contains(&"cfg")
+                        && body.contains(&"test")
+                        && !body.contains(&"not")
+                        && !body.contains(&"any"));
                 if is_test_attr {
                     // Find the item's opening `{`; bail at `;` (e.g.
                     // `mod tests;` or a cfg'd `use`).
@@ -202,6 +206,7 @@ fn find_test_regions(tokens: &[Token]) -> Vec<(usize, usize)> {
 /// Skips `target/`, VCS metadata, hidden directories, and `tests/fixtures`
 /// directories (lint-input corpora whose positive cases are findings on
 /// purpose).
+#[must_use = "a failed walk scanned nothing"]
 pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -335,6 +340,14 @@ let z = q.unwrap(); // pbc-lint: allow(no-unwrap, float-cmp)
             parse_allow_directive("/* pbc-lint: allow( a , b ) */"),
             Some(vec!["a".into(), "b".into()])
         );
+    }
+
+    #[test]
+    fn code_that_also_builds_outside_tests_is_not_a_region() {
+        for attr in ["#[cfg(not(test))]", "#[cfg(any(test, feature = \"x\"))]"] {
+            let f = SourceFile::parse("x.rs", &format!("{attr}\nfn f() {{\n    g();\n}}\n"));
+            assert!(!f.in_test_region(3), "{attr}");
+        }
     }
 
     #[test]

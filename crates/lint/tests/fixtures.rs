@@ -35,11 +35,14 @@ fn expected_lines(src: &str, rule: &str) -> Vec<usize> {
 }
 
 /// Finding lines for one rule over fixture source, inline allows applied.
+/// The fixture is also the whole tree the rule's cross-file half sees.
 fn finding_lines(rule: &dyn Rule, src: &str) -> Vec<usize> {
     let file = SourceFile::parse(FIXTURE_PATH, src);
+    let tree = rule.check_workspace(&fixture_dir(rule.id()), std::slice::from_ref(&file));
     let mut lines: Vec<usize> = rule
         .check(&file)
         .into_iter()
+        .chain(tree)
         .filter(|d| !file.is_allowed(d.rule, d.line))
         .map(|d| d.line)
         .collect();

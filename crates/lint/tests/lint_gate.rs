@@ -7,7 +7,7 @@
 //! shipped (metrics.rs, demand.rs, sockets.rs before this change) all
 //! produce findings, so reintroducing one fails the build.
 
-use pbc_lint::{find_workspace_root, lint_file, lint_workspace, Baseline, SourceFile};
+use pbc_lint::{all_rules, find_workspace_root, lint_file, lint_workspace, Baseline, SourceFile};
 
 fn workspace() -> (std::path::PathBuf, Baseline) {
     let here = std::env::current_dir().expect("cwd");
@@ -93,4 +93,32 @@ fn new_finding_in_clean_file_regresses() {
         regressions.iter().any(|r| r.rule == "float-cmp"),
         "float-cmp regression not detected: {regressions:?}"
     );
+}
+
+/// docs/LINTING.md's rule catalog is the registry `--list-rules` prints:
+/// every listed rule has one row with its severity, and every row names
+/// a listed rule.
+#[test]
+fn linting_doc_catalog_matches_the_registry() {
+    let (root, _) = workspace();
+    let doc = std::fs::read_to_string(root.join("docs/LINTING.md")).expect("docs/LINTING.md");
+    let start = doc.find("## Rule catalog").expect("a `## Rule catalog` section");
+    let section = &doc[start..];
+    let section = &section[..section[1..].find("\n## ").map_or(section.len(), |i| i + 1)];
+    // A catalog row reads "| `id` | severity | what it catches |".
+    let mut rows: Vec<(String, String)> = section
+        .lines()
+        .filter_map(|line| {
+            let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+            let id = cells.get(1)?.strip_prefix('`')?.strip_suffix('`')?;
+            Some((id.to_string(), cells.get(2)?.to_string()))
+        })
+        .collect();
+    rows.sort();
+    let mut listed: Vec<(String, String)> = all_rules()
+        .iter()
+        .map(|r| (r.id().to_string(), r.severity().label().to_string()))
+        .collect();
+    listed.sort();
+    assert_eq!(rows, listed, "docs/LINTING.md catalog (left) vs --list-rules (right)");
 }

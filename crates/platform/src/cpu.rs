@@ -83,19 +83,6 @@ impl CpuSpec {
         self.power_at(self.pstates.nominal(), activity)
     }
 
-    /// `P_cpu,L2` for a workload: package power at the lowest P-state.
-    pub fn lowest_pstate_power(&self, activity: f64) -> Watts {
-        self.power_at(self.pstates.lowest(), activity)
-    }
-
-    /// `P_cpu,L3` for a workload: package power at the lightest T-state
-    /// (highest duty level below 1.0), running at the lowest P-state —
-    /// where RAPL switches from DVFS to clock throttling.
-    pub fn lightest_tstate_power(&self, activity: f64) -> Watts {
-        let duty = self.tstate_duties.first().copied().unwrap_or(1.0);
-        self.power_at_duty(self.pstates.lowest(), duty, activity)
-    }
-
     /// The deepest throttle duty available.
     pub fn min_duty(&self) -> f64 {
         self.tstate_duties.last().copied().unwrap_or(1.0)
@@ -174,7 +161,7 @@ mod tests {
     fn power_monotone_in_pstate() {
         let s = spec();
         let mut last = Watts::new(f64::INFINITY);
-        for st in s.pstates.descending() {
+        for st in s.pstates.states().iter().rev() {
             let p = s.power_at(st, 1.0);
             assert!(p <= last);
             last = p;
@@ -209,20 +196,6 @@ mod tests {
         // Deep throttle with near-zero activity still draws the floor.
         let p = s.power_at_duty(&lowest, 0.125, 0.01);
         assert_eq!(p, s.min_active_power);
-    }
-
-    #[test]
-    fn critical_power_ordering() {
-        // L1 > L2 > L3 >= L4 for a realistic activity.
-        let s = spec();
-        let a = 0.9;
-        let l1 = s.max_power(a);
-        let l2 = s.lowest_pstate_power(a);
-        let l3 = s.lightest_tstate_power(a);
-        let l4 = s.min_active_power;
-        assert!(l1 > l2, "{l1} vs {l2}");
-        assert!(l2 > l3, "{l2} vs {l3}");
-        assert!(l3 >= l4, "{l3} vs {l4}");
     }
 
     #[test]

@@ -59,7 +59,7 @@ impl PStateTable {
             assert!(s.freq.value() > 0.0, "non-positive P-state frequency");
             assert!(s.voltage > 0.0, "non-positive P-state voltage");
         }
-        states.sort_by(|a, b| a.freq.partial_cmp(&b.freq).unwrap());
+        states.sort_by(|a, b| a.freq.value().total_cmp(&b.freq.value()));
         Self { states }
     }
 
@@ -87,7 +87,7 @@ impl PStateTable {
 
     /// Nominal (highest non-turbo) state (`P_cpu,L1`'s operating point).
     pub fn nominal(&self) -> &PState {
-        self.states.last().unwrap()
+        &self.states[self.states.len() - 1]
     }
 
     /// All states, lowest frequency first.
@@ -108,12 +108,6 @@ impl PStateTable {
     /// The state at `index` (0 = lowest frequency).
     pub fn get(&self, index: usize) -> Option<&PState> {
         self.states.get(index)
-    }
-
-    /// Iterate states from *highest* frequency to lowest — the order RAPL
-    /// walks when trying to fit under a shrinking power cap.
-    pub fn descending(&self) -> impl Iterator<Item = &PState> {
-        self.states.iter().rev()
     }
 }
 
@@ -144,7 +138,7 @@ mod tests {
         ]);
         let freqs: Vec<f64> = t.states().iter().map(|s| s.freq.ghz()).collect();
         assert_eq!(freqs, vec![1.0, 1.5, 2.0]);
-        let desc: Vec<f64> = t.descending().map(|s| s.freq.ghz()).collect();
+        let desc: Vec<f64> = t.states().iter().rev().map(|s| s.freq.ghz()).collect();
         assert_eq!(desc, vec![2.0, 1.5, 1.0]);
     }
 
@@ -153,7 +147,7 @@ mod tests {
         let t = table();
         let nominal = *t.nominal();
         let mut last = f64::INFINITY;
-        for s in t.descending() {
+        for s in t.states().iter().rev() {
             let scale = s.dyn_scale(&nominal);
             assert!(scale <= last + 1e-12, "dyn power must fall with P-state");
             assert!(scale > 0.0);

@@ -293,6 +293,7 @@ pub fn solve_cpu(
 /// the reference the converged solve is tested against. `perf_rel` and
 /// the mechanism state agree bit for bit, powers to within the damped
 /// loop's stopping tolerance.
+// pbc-lint: allow(unreached-pub) the reference the solve tests compare against
 pub fn solve_cpu_damped(
     cpu: &CpuSpec,
     dram: &DramSpec,

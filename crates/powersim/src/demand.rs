@@ -65,6 +65,7 @@ impl PhaseDemand {
     }
 
     /// A streaming memory-bound phase (STREAM-like).
+    // pbc-lint: allow(unreached-pub) a fixture the powersim unit tests build on
     pub fn stream_bound() -> Self {
         Self {
             compute_efficiency: 0.25,
@@ -79,6 +80,7 @@ impl PhaseDemand {
     }
 
     /// A latency-bound random-access phase (GUPS-like).
+    // pbc-lint: allow(unreached-pub) a fixture the powersim unit tests build on
     pub fn random_bound() -> Self {
         Self {
             compute_efficiency: 0.1,

@@ -8,14 +8,12 @@
 //!   states allow (P-state/duty and DRAM throttle level on a host; SM
 //!   clock and pinned memory level on a GPU),
 //! * the controllers observe the resulting powers through their running-
-//!   average windows and move one ladder step,
-//! * the optional thermal model integrates temperature and feeds leakage
-//!   back into package power.
+//!   average windows and move one ladder step.
 //!
 //! The engine is the validation harness for the solvers (tests assert the
 //! settled engine agrees with [`crate::solve_cpu`] / [`crate::solve_gpu`])
-//! and the vehicle for transient studies: budget re-programming mid-run,
-//! phase-change response, thermal soak.
+//! and the vehicle for transient studies: budget re-programming mid-run
+//! and phase-change response.
 
 use crate::cpunode;
 use crate::demand::WorkloadDemand;
@@ -23,7 +21,6 @@ use crate::gpuctl::GpuCapper;
 use crate::gpunode;
 use crate::memctl::DramThrottle;
 use crate::rapl::RaplController;
-use crate::thermal::{ThermalModel, ThermalParams};
 use pbc_platform::{CpuSpec, DramSpec, GpuSpec};
 use pbc_types::{usize_from_f64, Joules, PowerAllocation, Result, Seconds, Throughput, Watts};
 
@@ -36,8 +33,6 @@ pub struct SimConfig {
     pub duration: Seconds,
     /// Running-average window, in samples, for all controllers.
     pub window: usize,
-    /// Optional thermal model parameters.
-    pub thermal: Option<ThermalParams>,
     /// Keep every n-th sample in the trace (1 = all).
     pub sample_stride: usize,
 }
@@ -60,7 +55,6 @@ impl Default for SimConfig {
             dt: Seconds::new(0.001),
             duration: Seconds::new(2.0),
             window: 10,
-            thermal: None,
             sample_stride: 1,
         }
     }
@@ -77,8 +71,6 @@ pub struct SimSample {
     pub mem_power: Watts,
     /// Instantaneous work rate (GFLOP/s of workload progress).
     pub work_rate: f64,
-    /// Die temperature, if the thermal model is on.
-    pub temperature_c: Option<f64>,
 }
 
 /// Aggregated result of a simulation run.
@@ -165,12 +157,6 @@ pub fn simulate_cpu_with_events(
 
     let mut rapl = RaplController::new(cpu, initial.proc, config.window);
     let mut throttle = DramThrottle::new(dram, initial.mem, config.window);
-    let mut thermal = config.thermal.map(ThermalModel::new);
-    // PROCHOT latch: once the junction trips, the hardware forces the
-    // deepest throttle regardless of RAPL's ladder position, releasing
-    // only after a hysteresis margin below the trip point.
-    let mut prochot = false;
-    const PROCHOT_HYSTERESIS_C: f64 = 5.0;
     let mut pending: Vec<(Seconds, PowerAllocation)> =
         events.iter().copied().filter(|(t, _)| !t.value().is_nan()).collect();
     pending.sort_by(|a, b| a.0.value().total_cmp(&b.0.value()));
@@ -195,19 +181,10 @@ pub fn simulate_cpu_with_events(
             next_event += 1;
         }
         let phase = &demand.phases[phase_at(&weights, work, cycle_work)].1;
-        if let Some(t) = thermal.as_ref() {
-            if t.tripped() {
-                prochot = true;
-            } else if t.temperature_c() < t.trip_c() - PROCHOT_HYSTERESIS_C {
-                prochot = false;
-            }
-        }
         let pos = rapl.position();
-        let (st, duty) = if prochot {
-            (cpu.pstates.lowest(), cpu.min_duty())
-        } else {
-            (cpu.pstates.get(pos.pstate).unwrap(), pos.duty(cpu))
-        };
+        // The controller keeps its P-state index on the ladder.
+        let st = cpu.pstates.get(pos.pstate).unwrap_or_else(|| cpu.pstates.nominal());
+        let duty = pos.duty(cpu);
         let s_pstate = st.speed(&nominal);
         let bw_cap = throttle.allowed_bandwidth(dram);
 
@@ -216,9 +193,8 @@ pub fn simulate_cpu_with_events(
         let rate = 1.0 / t_unit;
         let activity = phase.act_compute * busy + phase.act_stall * (1.0 - busy);
 
-        // Package power, with thermal leakage feedback when enabled.
-        let leak_mult = thermal.as_ref().map(|t| t.leakage_multiplier()).unwrap_or(1.0);
-        let leak = cpu.leakage_nominal * st.leak_scale(&nominal) * leak_mult;
+        // Package power.
+        let leak = cpu.leakage_nominal * st.leak_scale(&nominal);
         let dynamic = cpu.dyn_power_max * st.dyn_scale(&nominal) * duty * activity;
         let cpu_power = (leak + dynamic).max(cpu.min_active_power);
         let mem_power = dram.power_at(bw_used, phase.pattern_cost);
@@ -235,12 +211,9 @@ pub fn simulate_cpu_with_events(
             half_n += 1;
         }
 
-        // Controllers and thermal step.
+        // Controllers.
         rapl.observe_and_step(cpu, cpu_power);
         throttle.observe_and_step(dram, mem_power);
-        if let Some(t) = thermal.as_mut() {
-            t.step(cpu_power, config.dt);
-        }
 
         if k % config.sample_stride.max(1) == 0 {
             samples.push(SimSample {
@@ -248,7 +221,6 @@ pub fn simulate_cpu_with_events(
                 proc_power: cpu_power,
                 mem_power,
                 work_rate: rate,
-                temperature_c: thermal.as_ref().map(|t| t.temperature_c()),
             });
         }
     }
@@ -276,6 +248,7 @@ pub fn simulate_cpu_with_events(
 /// duration. The memory level is pinned from `alloc.mem` exactly as in
 /// [`crate::solve_gpu`].
 #[must_use = "the simulation result carries the settled operating point"]
+// pbc-lint: allow(unreached-pub) the engine `solve_gpu` is checked against
 pub fn simulate_gpu(
     gpu: &GpuSpec,
     demand: &WorkloadDemand,
@@ -285,7 +258,6 @@ pub fn simulate_gpu(
     let weights = demand.normalized_weights();
     let mem_level = gpu.mem.level_under_cap(alloc.mem);
     let mut capper = GpuCapper::new(gpu, alloc.total(), mem_level, config.window)?;
-    let mut thermal = config.thermal.map(ThermalModel::new);
 
     let t_nominal: f64 = weights
         .iter()
@@ -309,15 +281,12 @@ pub fn simulate_gpu(
         let phase = &demand.phases[phase_at(&weights, work, cycle_work)].1;
         let pt = gpunode::compose_at(gpu, phase, capper.sm_clock(), mem_level);
         let rate = 1.0 / pt.time;
-        // Thermal leakage feedback applies to the SM domain.
-        let leak_mult = thermal.as_ref().map(|t| t.leakage_multiplier()).unwrap_or(1.0);
-        let sm_power = pt.sm_power + gpu.sm.leakage_nominal * (leak_mult - 1.0);
-        let total = sm_power + pt.mem_power;
+        let total = pt.sm_power + pt.mem_power;
 
         let dt = config.dt.value();
         work += rate * dt;
         energy += total.value() * dt;
-        sum_sm += sm_power.value();
+        sum_sm += pt.sm_power.value();
         sum_mem += pt.mem_power.value();
         if k >= steps / 2 {
             half_rate += rate;
@@ -326,17 +295,13 @@ pub fn simulate_gpu(
         }
 
         capper.observe_and_step(gpu, total);
-        if let Some(t) = thermal.as_mut() {
-            t.step(total, config.dt);
-        }
 
         if k % config.sample_stride.max(1) == 0 {
             samples.push(SimSample {
                 t: Seconds::new(k as f64 * dt),
-                proc_power: sm_power,
+                proc_power: pt.sm_power,
                 mem_power: pt.mem_power,
                 work_rate: rate,
-                temperature_c: thermal.as_ref().map(|t| t.temperature_c()),
             });
         }
     }
@@ -377,25 +342,7 @@ mod tests {
             dt: Seconds::new(0.001),
             duration: Seconds::new(1.0),
             window: 8,
-            thermal: None,
             sample_stride: 10,
-        }
-    }
-
-    /// A pathological thermal resistance: the die would soak far past
-    /// the trip point at full power.
-    fn tripping_config() -> SimConfig {
-        SimConfig {
-            duration: Seconds::new(2.0),
-            thermal: Some(ThermalParams {
-                ambient_c: 25.0,
-                resistance_c_per_w: 1.0, // 170 W -> 195 C steady state
-                time_constant: Seconds::new(0.2),
-                leakage_per_c: 0.0,
-                reference_c: 25.0,
-                trip_c: 95.0,
-            }),
-            ..config()
         }
     }
 
@@ -474,28 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn thermal_soak_raises_power_slightly() {
-        let (cpu, dram) = cpu_node();
-        let w = WorkloadDemand::single("dgemm", PhaseDemand::compute_bound());
-        let alloc = PowerAllocation::new(Watts::new(250.0), Watts::new(150.0));
-        let cold = simulate_cpu(&cpu, &dram, &w, alloc, &config());
-        let mut cfg = config();
-        // Reference leakage at ambient and a fast thermal constant so the
-        // three simulated seconds actually soak the die.
-        cfg.thermal = Some(ThermalParams {
-            reference_c: 25.0,
-            time_constant: Seconds::new(0.5),
-            ..ThermalParams::server_default()
-        });
-        cfg.duration = Seconds::new(3.0);
-        let hot = simulate_cpu(&cpu, &dram, &w, alloc, &cfg);
-        // A hot, uncapped package leaks more than the athermal model.
-        assert!(hot.settled_power > cold.settled_power);
-        let last = hot.samples.last().unwrap();
-        assert!(last.temperature_c.unwrap() > 50.0);
-    }
-
-    #[test]
     fn phase_cycling_visits_all_phases() {
         let weights = vec![0.25, 0.5, 0.25];
         let mut seen = [false; 3];
@@ -507,28 +432,6 @@ mod tests {
         assert_eq!(phase_at(&weights, 10.0, 100.0), 0);
         assert_eq!(phase_at(&weights, 40.0, 100.0), 1);
         assert_eq!(phase_at(&weights, 90.0, 100.0), 2);
-    }
-
-    #[test]
-    fn prochot_engages_under_impossible_cooling() {
-        // PROCHOT must latch and hold the settled power near the floor.
-        let (cpu, dram) = cpu_node();
-        let w = WorkloadDemand::single("dgemm", PhaseDemand::compute_bound());
-        let alloc = PowerAllocation::new(Watts::new(250.0), Watts::new(150.0));
-        let hot = simulate_cpu(&cpu, &dram, &w, alloc, &tripping_config());
-        // With PROCHOT cycling, the settled package power sits far below
-        // the unconstrained ~170 W draw...
-        let unconstrained = simulate_cpu(&cpu, &dram, &w, alloc, &config());
-        assert!(
-            hot.settled_power.value() < 0.75 * unconstrained.settled_power.value(),
-            "PROCHOT must shed power: {} vs {}",
-            hot.settled_power,
-            unconstrained.settled_power
-        );
-        // ...and the die temperature is regulated near the trip point, not
-        // at the 190+ C the open loop would reach.
-        let last = hot.samples.last().unwrap().temperature_c.unwrap();
-        assert!(last < 110.0, "temperature ran away: {last} C");
     }
 
     #[test]
@@ -565,14 +468,14 @@ mod tests {
         assert!(early.proc_power.value() > late.proc_power.value() + 20.0);
     }
 
-    /// The evented loop is the plain loop: on a tripping run, an event
-    /// that re-applies the initial allocation keeps the PROCHOT latch.
+    /// The evented loop is the plain loop: an event that re-applies the
+    /// initial allocation changes nothing.
     #[test]
-    fn a_no_op_event_on_a_tripping_run_matches_plain_simulation() {
+    fn a_no_op_event_matches_plain_simulation() {
         let (cpu, dram) = cpu_node();
         let w = WorkloadDemand::single("dgemm", PhaseDemand::compute_bound());
         let alloc = PowerAllocation::new(Watts::new(250.0), Watts::new(150.0));
-        let cfg = tripping_config();
+        let cfg = config();
         let plain = simulate_cpu(&cpu, &dram, &w, alloc, &cfg);
         let events = [(Seconds::new(0.5), alloc)];
         let evented = simulate_cpu_with_events(&cpu, &dram, &w, alloc, &events, &cfg);

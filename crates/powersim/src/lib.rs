@@ -22,11 +22,11 @@
 //!   overlap factor, with the memory request rate itself scaled by
 //!   processor speed (the feedback that produces scenario IV's collapse
 //!   and the DRAM power drop the paper reports there).
-//! * **Dynamics** ([`engine`], [`thermal`]) — a discrete-time engine in
-//!   which the controllers observe a running-average power and walk their
-//!   ladders step by step, plus an RC thermal model feeding back into
-//!   leakage. The steady-state solvers above are the fast path used by
-//!   sweeps; the engine exists to validate them and to study transients.
+//! * **Dynamics** ([`engine`]) — a discrete-time engine in which the
+//!   controllers observe a running-average power and walk their ladders
+//!   step by step. The steady-state solvers above are the fast path used
+//!   by sweeps; the engine exists to validate them and to study
+//!   transients.
 //!
 //! ## Two solvers, one contract
 //!
@@ -49,7 +49,6 @@ pub mod operating;
 pub mod rapl;
 pub mod registry;
 pub mod sockets;
-pub mod thermal;
 
 pub use corun::{coordinate_corun, solve_corun, CorunPoint};
 pub use cpunode::solve_cpu;
@@ -65,7 +64,6 @@ pub use operating::{CpuMechanismState, GpuMechanismState, MechanismState, NodeOp
 pub use rapl::RaplController;
 pub use registry::BoundedRegistry;
 pub use sockets::{coordinate_sockets, single_socket_spec, solve_per_socket, SocketOperatingPoint};
-pub use thermal::{ThermalModel, ThermalParams};
 
 use pbc_platform::{NodeSpec, Platform};
 use pbc_types::{PowerAllocation, Result};

@@ -71,6 +71,7 @@ impl NodeOperatingPoint {
     /// Does the actual draw respect the allocation's total? False only in
     /// the paper's scenario VI, where the processor cap fell below the
     /// hardware floor.
+    // pbc-lint: allow(unreached-pub) the law the end-to-end tests assert
     pub fn respects_bound(&self) -> bool {
         self.total_power().value() <= self.alloc.total().value() + 1e-6
     }

@@ -111,11 +111,6 @@ impl RaplController {
         self.position
     }
 
-    /// Windowed running-average of observed power (0 before any sample).
-    pub fn running_average(&self) -> Watts {
-        self.window.average()
-    }
-
     /// Feed one power sample and take at most one ladder step. Returns the
     /// new position.
     pub fn observe_and_step(&mut self, cpu: &CpuSpec, measured: Watts) -> LadderPosition {
@@ -207,7 +202,7 @@ mod tests {
         let r = RaplController::new(&c, Watts::new(120.0), 10);
         assert_eq!(r.position().pstate, c.pstates.len() - 1);
         assert_eq!(r.position().tstate, None);
-        assert_eq!(r.running_average(), Watts::ZERO);
+        assert_eq!(r.window.average(), Watts::ZERO);
     }
 
     #[test]
@@ -286,7 +281,7 @@ mod tests {
         let before = r.position();
         // The spike alone: average stays under the cap.
         r.observe_and_step(&c, Watts::new(200.0));
-        assert!(r.running_average() < Watts::new(120.0));
+        assert!(r.window.average() < Watts::new(120.0));
         // Position may have climbed but must not have dropped below where
         // the idle samples put it.
         assert!(r.position().pstate >= before.pstate.saturating_sub(1));

@@ -18,9 +18,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The constraint-0 power limit every mocked domain starts at, in watts.
-pub const DEFAULT_LIMIT_W: f64 = 115.0;
-/// The same limit as the kernel stores it, in microwatts.
+/// The constraint-0 power limit every mocked domain starts at, in
+/// microwatts as the kernel stores it (115 W).
 const DEFAULT_LIMIT_UW: u64 = 115_000_000;
 
 /// A mock powercap tree in its own temporary directory, removed when
@@ -100,7 +99,7 @@ mod tests {
         assert_eq!(rapl.packages().count(), 2);
         assert_eq!(rapl.dram().count(), 4);
         for d in &rapl.domains {
-            assert!((d.power_limit().unwrap().value() - DEFAULT_LIMIT_W).abs() < 1e-9);
+            assert!((d.power_limit().unwrap().value() - 115.0).abs() < 1e-9);
         }
         let root = rapl.domains[0].path.parent().unwrap().to_path_buf();
         drop(tree);

@@ -487,6 +487,25 @@ mod tests {
         );
     }
 
+    /// A NaN cap read-back cannot match the issued probe: the wire line
+    /// is rejected as stale and the probe is not judged with it.
+    #[test]
+    fn a_nan_cap_observation_is_rejected_and_leaves_best_alone() {
+        let engine = ServeEngine::new();
+        let mut out = String::new();
+        let mut send = |line: &str| {
+            out.clear();
+            engine.dispatch_into(line, &mut out);
+            out.clone()
+        };
+        send("node 1 ivybridge stream 208");
+        assert!(send("observe 1 0.5 100 60 104 104").ends_with("outcome=used"));
+        let best = send("query 1");
+        let answer = send("observe 1 0.99 100 60 NaN NaN");
+        assert!(answer.starts_with("err rejected-observation"), "{answer}");
+        assert_eq!(send("query 1"), best);
+    }
+
     #[test]
     fn fleet_init_rejects_garbage_objectives_and_tenants() {
         for line in [

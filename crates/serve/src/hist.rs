@@ -87,15 +87,6 @@ impl LatencyHistogram {
         self.max
     }
 
-    /// Fold another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += *b;
-        }
-        self.count += other.count;
-        self.max = self.max.max(other.max);
-    }
-
     /// The value at quantile `q` in `[0, 1]` — the upper bound of the
     /// bucket holding the `ceil(q · count)`-th smallest sample (so the
     /// estimate can only over-report, never under-report, a latency).
@@ -205,27 +196,5 @@ mod tests {
         h.record(1);
         assert_eq!(h.percentile(1.0), u64::MAX);
         assert!(h.percentile(0.9) >= u64::MAX - 1);
-    }
-
-    #[test]
-    fn merge_equals_combined_recording() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut both = LatencyHistogram::new();
-        for i in 0..500u64 {
-            let v = i * 37 + 5;
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            both.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), both.count());
-        assert_eq!(a.max(), both.max());
-        for q in [0.1, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(a.percentile(q), both.percentile(q), "q={q}");
-        }
     }
 }

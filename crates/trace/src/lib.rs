@@ -135,6 +135,7 @@ pub fn snapshot() -> Snapshot {
 /// Render the registry as JSON lines: one `meta` line, then one line
 /// per span, counter, and gauge. Every line parses with [`json::parse`].
 #[must_use]
+// pbc-lint: allow(unreached-pub) how the report-agrees-with-trace tests read the trace
 pub fn to_jsonl() -> String {
     render_jsonl(&snapshot())
 }

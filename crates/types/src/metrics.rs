@@ -48,11 +48,6 @@ pub struct PerfMetric {
 }
 
 impl PerfMetric {
-    /// A zero performance in the given unit.
-    pub fn zero(unit: PerfUnit) -> Self {
-        Self { rate: 0.0, unit }
-    }
-
     /// Create a metric; panics in debug builds on NaN/negative rates so
     /// model bugs surface close to their cause.
     pub fn new(rate: f64, unit: PerfUnit) -> Self {
@@ -141,7 +136,7 @@ mod tests {
 
     #[test]
     fn ratio_degenerate_cases() {
-        let z = PerfMetric::zero(PerfUnit::Gups);
+        let z = PerfMetric::new(0.0, PerfUnit::Gups);
         assert_eq!(z.ratio(&z), 1.0);
         let a = PerfMetric::new(5.0, PerfUnit::Gups);
         assert!(a.ratio(&z).is_infinite());

@@ -32,7 +32,6 @@ fn main() -> Result<()> {
         dt: Seconds::new(0.001),
         duration: Seconds::new(1.5),
         window: 8,
-        thermal: None,
         sample_stride: 50,
     };
     let sim = simulate_cpu_with_events(

@@ -20,7 +20,7 @@
 //!   and the spec types to describe your own.
 //! * [`powersim`] — the capping substrate: RAPL P/T/C-state ladder, DRAM
 //!   bandwidth throttling, the GPU boost governor, steady-state solvers,
-//!   and a discrete-time engine with thermal feedback.
+//!   and a discrete-time engine that steps the control loops.
 //! * [`workloads`] — the 17-benchmark suite as calibrated demand models,
 //!   plus native runnable kernels (triad, DGEMM, GUPS, sort, SpMV, FFT,
 //!   stencil) for profiling real machines.

@@ -109,34 +109,6 @@ fn coord_tracks_the_oracle_across_the_gpu_suite() {
     }
 }
 
-/// The critical-power estimator (from sweep data) agrees with the probe
-/// (targeted runs) on the values COORD actually uses.
-#[test]
-fn probe_and_estimate_agree_on_coord_inputs() {
-    let platform = ivybridge();
-    let cpu = platform.cpu().unwrap();
-    let dram = platform.dram().unwrap();
-    for bench_name in ["sra", "stream", "dgemm", "cg"] {
-        let bench = by_name(bench_name).unwrap();
-        let probed = CriticalPowers::probe(cpu, dram, &bench.demand);
-        let problem = PowerBoundedProblem::new(
-            platform.clone(),
-            bench.demand.clone(),
-            Watts::new(260.0),
-        )
-        .unwrap();
-        let profile = sweep_budget(&problem, DEFAULT_STEP).unwrap();
-        let estimated = CriticalPowers::estimate(&profile).unwrap();
-        assert!(estimated.is_ordered());
-        assert!(
-            (estimated.cpu_l1.value() - probed.cpu_l1.value()).abs() < 15.0,
-            "{bench_name}: cpu_l1 probe {} vs estimate {}",
-            probed.cpu_l1,
-            estimated.cpu_l1
-        );
-    }
-}
-
 /// Scenario classification is total and consistent with the performance
 /// ordering the paper describes (I best, IV/V/VI worst).
 #[test]

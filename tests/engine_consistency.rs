@@ -10,7 +10,6 @@ fn config() -> SimConfig {
         dt: Seconds::new(0.001),
         duration: Seconds::new(1.0),
         window: 8,
-        thermal: None,
         sample_stride: 50,
     }
 }

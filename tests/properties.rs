@@ -6,7 +6,7 @@
 //! external crates. Each test runs a fixed number of seeded cases, so
 //! failures reproduce exactly.
 
-use power_bounded_computing::core::{OnlineCoordinator, PiecewiseModel};
+use power_bounded_computing::core::OnlineCoordinator;
 use power_bounded_computing::powersim::{solve_per_socket, MechanismState, PhaseDemand};
 use power_bounded_computing::prelude::*;
 use power_bounded_computing::types::XorShift64Star;
@@ -250,35 +250,6 @@ fn energy_bookkeeping() {
         assert!((e.value() - p * t).abs() <= 1e-9 * (1.0 + p * t), "case {case}");
         let back = e / Seconds::new(t);
         assert!((back.value() - p).abs() <= 1e-9 * (1.0 + p), "case {case}");
-    }
-}
-
-/// The piecewise predictor's factors are monotone in their caps and
-/// its prediction is bounded for any valid workload.
-#[test]
-fn piecewise_model_invariants() {
-    let mut rng = XorShift64Star::new(0xC0FFEE09);
-    let platform = ivybridge();
-    let cpu = platform.cpu().unwrap();
-    let dram = platform.dram().unwrap();
-    for case in 0..CASES {
-        let phase = arb_phase(&mut rng);
-        let cap_a = rng.range_f64(30.0, 250.0);
-        let cap_b = rng.range_f64(30.0, 250.0);
-        let w = WorkloadDemand::single("prop", phase);
-        let c = CriticalPowers::probe(cpu, dram, &w);
-        let m = PiecewiseModel::from_criticals(&c, 0.48, 0.125);
-        let (lo, hi) = if cap_a <= cap_b { (cap_a, cap_b) } else { (cap_b, cap_a) };
-        assert!(
-            m.proc_factor(Watts::new(lo)) <= m.proc_factor(Watts::new(hi)) + 1e-12,
-            "case {case}"
-        );
-        assert!(
-            m.mem_factor(Watts::new(lo)) <= m.mem_factor(Watts::new(hi)) + 1e-12,
-            "case {case}"
-        );
-        let pred = m.predict(PowerAllocation::new(Watts::new(cap_a), Watts::new(cap_b)));
-        assert!((0.0..=1.0).contains(&pred), "case {case}: pred {pred}");
     }
 }
 
