@@ -29,11 +29,8 @@ use crate::tenant::TenantSet;
 use pbc_faults::FleetFaultPlan;
 use pbc_rapl::mock::MockTree;
 use pbc_rapl::{RaplDomain, RaplSysfs};
-use pbc_types::{PbcError, Result, Watts};
+use pbc_types::{PbcError, Result, Watts, CAP_QUANTUM};
 use std::fmt;
-
-/// Tolerance on cap read-back comparisons (enforcement quantizes to µW).
-const EPS_W: f64 = 1e-6;
 
 /// Epochs appended past the plan's quiet point when the caller asks for
 /// the default run length (`epochs == 0`) — long enough for every
@@ -156,9 +153,8 @@ impl fmt::Display for ClusterChaosReport {
         )?;
         writeln!(
             f,
-            "  enforcement: {} write failures, {} retries, {} round timeouts, \
-             {} degraded epochs",
-            r.write_failures, r.write_retries, r.round_timeouts, r.degraded_epochs
+            "  enforcement: {} write failures, {} retries, {} degraded epochs",
+            r.write_failures, r.write_retries, r.degraded_epochs
         )?;
         writeln!(
             f,
@@ -259,8 +255,10 @@ pub fn run_cluster_chaos(
     let mut sink_divergences = 0usize;
     for &(i, cap) in &programmed {
         sink_total += cap;
-        let released = i >= nodes || down[i] || enforced[i].value() <= EPS_W;
-        if !released && (cap - enforced[i]).abs().value() > EPS_W {
+        // Enforcement quantizes caps to µW, so read-back compares within
+        // one quantum.
+        let released = i >= nodes || down[i] || enforced[i].value() <= CAP_QUANTUM;
+        if !released && (cap - enforced[i]).abs().value() > CAP_QUANTUM {
             sink_divergences += 1;
         }
     }

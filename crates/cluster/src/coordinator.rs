@@ -10,39 +10,38 @@
 //! (class, share) pair, not once per node, on the calling thread.
 //!
 //! The dynamic mode ([`FleetCoordinator::step`]) runs the full failure
-//! pipeline each epoch:
+//! pipeline each epoch in two passes over the nodes, one before the fill
+//! and one after enforcement:
 //!
-//! 1. **Faults roll** from the armed [`FleetFaultPlan`]: one pass over
-//!    the nodes advances each one's crash, straggle and write-outage
-//!    [`pbc_faults::Episodes`], one pass over the tenants their spikes
-//!    and noisy stretches. Every fault draw, these and the report and
+//! 1. **Faults roll** from the armed [`FleetFaultPlan`]: the first pass
+//!    advances each node's crash, straggle and write-outage
+//!    [`pbc_faults::Episodes`], then the tenants roll their spikes and
+//!    noisy stretches. Every fault draw, these and the report and
 //!    cap-write draws below, is one [`pbc_faults::FaultWindow::pick`]
 //!    from a fresh `XorShift64Star` keyed `(seed, tick, stream, key)`,
 //!    never shared state, so a chaos run is bit-identical under any
 //!    `PBC_THREADS`.
-//! 2. **Reports arrive** (or don't): every node's observation of the
-//!    previous epoch passes the report gate, shared with
-//!    `OnlineCoordinator` rather than mirrored ([`check_report`]:
+//! 2. **Reports arrive** (or don't): in the same pass, each node's
+//!    observation of the previous epoch passes the report gate, shared
+//!    with `OnlineCoordinator` rather than mirrored ([`check_report`]:
 //!    non-finite, out-of-range, and stale-cap rejection), before it may
 //!    steer the partition.
 //! 3. **Health updates**: verdicts drive the per-node Healthy →
 //!    Suspect → Quarantined → Rejoining machine ([`crate::health`]).
-//! 4. **Mode decides**: a coordinator outage, a timed-out previous
-//!    round, or an infeasible fill drops the epoch to the precomputed
-//!    [`StaticFallback`] partition, whose shares sum ≤ the global
-//!    budget by construction ([`crate::degrade`]).
+//! 4. **Mode decides**: a coordinator outage or an infeasible fill drops
+//!    the epoch to the precomputed [`StaticFallback`] partition, whose
+//!    shares sum ≤ the global budget by construction ([`crate::degrade`]).
 //! 5. **Targets partition**: water-fill over Healthy + Suspect nodes,
 //!    with Quarantined/Rejoining nodes reserved at their class floors
 //!    and Suspects capped at their standing grant (no raises on
 //!    untrusted telemetry).
 //! 6. **Enforcement lands**, decreases first, each write given up to
-//!    [`pbc_rapl::WRITE_ATTEMPTS`] tries under a per-round attempt
-//!    deadline: watts freed by confirmed lowerings (and by dead nodes)
-//!    fund the raises; a failed lowering keeps its watts reserved; a
-//!    blown deadline ends the round and degrades the next epoch. The
-//!    pot for raises only ever shrinks, so `Σ enforced ≤ global` is an
-//!    invariant — `cluster.budget_violations` and
-//!    `health.quarantine_leaks` stay zero by construction, not by luck.
+//!    [`pbc_rapl::WRITE_ATTEMPTS`] tries: watts freed by confirmed
+//!    lowerings (and by dead nodes) fund the raises; a failed lowering
+//!    keeps its watts reserved. The pot for raises only ever shrinks, so
+//!    `Σ enforced ≤ global` is an invariant — `cluster.budget_violations`
+//!    and `health.quarantine_leaks` stay zero by construction, not by
+//!    luck. The second pass then scores the epoch off the enforced caps.
 //!
 //! Every stage writes what it did straight into the epoch's
 //! [`EpochReport`], the one in-process record of the epoch, and
@@ -52,7 +51,7 @@
 
 use crate::degrade::StaticFallback;
 use crate::fleet::Fleet;
-use crate::health::{HealthCounts, HealthTracker, NodeHealth, ReportVerdict};
+use crate::health::{HealthTracker, NodeHealth, ReportVerdict};
 use crate::partition::{fill_shares, uniform_split, NodeCurve, Objective, DEFAULT_GRANT};
 use crate::tenant::{jain_index, TenantSet};
 use pbc_core::{check_report, ObservationOutcome};
@@ -62,7 +61,7 @@ use pbc_par::Pool;
 use pbc_powersim::SolveMemo;
 use pbc_rapl::WRITE_ATTEMPTS;
 use pbc_trace::names;
-use pbc_types::{check_budget, PbcError, PowerAllocation, Result, Watts};
+use pbc_types::{check_budget, PbcError, PowerAllocation, Result, Watts, CAP_QUANTUM};
 use std::collections::HashMap;
 
 /// Stream constant for node crash/rejoin decisions.
@@ -79,15 +78,13 @@ const STREAM_WRITE_OUTAGE: u64 = 0x5EED_0015;
 const STREAM_TENANT_SPIKE: u64 = 0x5EED_0016;
 /// Stream constant for per-tenant noisy-neighbor onset decisions.
 const STREAM_TENANT_NOISY: u64 = 0x5EED_0017;
-/// Watt slack below which a cap move is not worth a write.
-const EPS_W: f64 = 1e-6;
 
 /// Where a node's cap writes land. The simulated chaos runs wire this
 /// to a mock RAPL sysfs tree so "enforced" means a real file changed;
 /// a daemon would wire it to per-host RPC.
 pub trait CapSink {
     /// Persist `cap` as node `node`'s power limit. An `Err` counts as a
-    /// failed write attempt and is retried under the round's policy.
+    /// failed write attempt, retried up to [`WRITE_ATTEMPTS`] tries.
     fn write_cap(&mut self, node: usize, cap: Watts) -> Result<()>;
 }
 
@@ -134,14 +131,12 @@ pub struct EpochReport {
     pub rejoins: usize,
     /// Did this epoch run on the static fallback partition?
     pub degraded: bool,
-    /// Did enforcement blow its attempt deadline this epoch?
-    pub round_timed_out: bool,
     /// Did the enforced total end the epoch above the global budget?
     pub over_budget: bool,
     /// Did the leak audit catch raises funded past the freed pot?
     pub leaked: bool,
-    /// Health census at the end of the epoch.
-    pub health: HealthCounts,
+    /// Nodes Healthy at the end of the epoch.
+    pub healthy: usize,
     /// Aggregate relative throughput across live nodes.
     pub aggregate_perf: f64,
     /// Sum of enforced caps after the epoch (must stay ≤ global).
@@ -185,8 +180,6 @@ pub struct ClusterReport {
     /// Epochs where raises were funded by watts not yet confirmed freed
     /// — also structurally zero.
     pub quarantine_leaks: usize,
-    /// Enforcement rounds that blew their attempt deadline.
-    pub round_timeouts: usize,
     /// Epochs served from the static fallback partition.
     pub degraded_epochs: usize,
     /// Observation reports that never arrived.
@@ -272,9 +265,6 @@ pub struct FleetCoordinator {
     straggle_until: Vec<Option<usize>>,
     /// `Some(t)` when the node's cap-write path is out until tick `t`.
     write_outage_until: Vec<Option<usize>>,
-    /// The previous enforcement round blew its deadline; this epoch
-    /// must run degraded.
-    prev_round_timed_out: bool,
     sink: Option<Box<dyn CapSink + Send>>,
     /// What the partitioner optimizes (throughput water-fill by
     /// default; max-min or weighted shares for multi-tenant fleets).
@@ -293,7 +283,6 @@ impl std::fmt::Debug for FleetCoordinator {
             .field("nodes", &self.fleet.len())
             .field("global", &self.global)
             .field("plan", &self.plan.name)
-            .field("health", &self.health.counts())
             .field("sink", &self.sink.is_some())
             .finish_non_exhaustive()
     }
@@ -335,7 +324,6 @@ impl FleetCoordinator {
             down_until: vec![None; n],
             straggle_until: vec![None; n],
             write_outage_until: vec![None; n],
-            prev_round_timed_out: false,
             sink: None,
             objective: Objective::Throughput,
             tenants: None,
@@ -534,100 +522,125 @@ impl FleetCoordinator {
             }
         }
 
-        self.roll_nodes(tick, &mut e);
-        self.roll_tenants(tick, &mut e);
-        let down: Vec<bool> = self.down_until.iter().map(Option::is_some).collect();
-        e.nodes_up = down.iter().filter(|d| !**d).count();
-
-        // Reports describe the previous epoch; collect, validate, and
-        // fold the verdicts into the health machine.
-        let prev_enforced = self.enforced.clone();
-        self.observe_reports(tick, &prev_enforced, &down, &mut e);
-
-        // Decide the mode and the targets.
-        e.degraded = self.plan.coordinator_outage.active(tick) || self.prev_round_timed_out;
+        // The pass before the fill: each node's faults roll, its report
+        // of the previous epoch goes into the health machine, and it
+        // takes its place — the fallback share when a coordinator outage
+        // degrades the epoch, its class floor while Quarantined or
+        // Rejoining (a possibly-alive node is never starved below its
+        // floor), and otherwise a seat at the fill.
+        e.degraded = self.plan.coordinator_outage.active(tick);
+        let mut down = vec![false; n];
         let mut targets = vec![Watts::ZERO; n];
-        if !e.degraded && !self.fill_targets(&down, &mut targets) {
-            e.degraded = true;
-        }
-        if e.degraded {
-            pbc_trace::cached_counter!(names::CLUSTER_DEGRADED_EPOCHS).incr();
-            for i in 0..n {
-                if !down[i] {
-                    targets[i] = self.fallback.share(i);
+        let mut allocatable = Vec::new();
+        let mut reserved = Watts::ZERO;
+        for i in 0..n {
+            self.roll_node(tick, i, &mut e);
+            down[i] = self.down_until[i].is_some();
+            self.take_report(tick, i, down[i], &mut e);
+            if down[i] {
+                continue;
+            }
+            e.nodes_up += 1;
+            match self.health.state(i) {
+                _ if e.degraded => targets[i] = self.fallback.share(i),
+                NodeHealth::Healthy | NodeHealth::Suspect => allocatable.push(i),
+                NodeHealth::Quarantined | NodeHealth::Rejoining => {
+                    targets[i] = self.fleet.class_of(i).floor;
+                    reserved += targets[i];
                 }
             }
         }
+        self.roll_tenants(tick, &mut e);
+        if !e.degraded && !self.water_fill(&allocatable, reserved, &mut targets) {
+            e.degraded = true;
+            for i in (0..n).filter(|&i| !down[i]) {
+                targets[i] = self.fallback.share(i);
+            }
+        }
+        if e.degraded {
+            pbc_trace::cached_counter!(names::CLUSTER_DEGRADED_EPOCHS).incr();
+        }
 
         let mut decision = evaluate(&self.fleet, &self.memos, &targets, &down)?;
-        // Stragglers run slow: their contribution shrinks by the plan's
-        // slowdown factor.
-        let mut dirty = false;
+        // What a delayed or straggling report describes next epoch.
+        self.enforced_hist.copy_from_slice(&self.enforced);
+        self.enforce_supervised(tick, &targets, &down, &mut e);
+
+        // The pass after enforcement scores the epoch. Stragglers run
+        // slow: their contribution shrinks by the plan's slowdown factor.
+        // Reclaimed watts are what the healthy pool gained from nodes
+        // that are down or held at their floors, measured against the
+        // known-safe static partition. Every live node's enforced cap is
+        // sub-partitioned among the tenants. Float sums run in node order
+        // from `-0.0`, the neutral element `Iterator::sum` starts from.
+        let demand = self.tenant_demand();
+        let mut tenant_watts = vec![0.0f64; demand.len()];
+        let (mut aggregate, mut moved) = (-0.0, -0.0);
+        let (mut total, mut reclaimed) = (Watts::new(-0.0), Watts::new(-0.0));
         for i in 0..n {
             if self.straggle_until[i].is_some() && !down[i] {
                 decision.perfs[i] *= self.plan.nodes.slowdown;
-                dirty = true;
+            }
+            aggregate += decision.perfs[i];
+            moved += (targets[i] - self.prev_targets[i]).abs().value();
+            total += self.enforced[i];
+            let state = self.health.state(i);
+            e.healthy += usize::from(state == NodeHealth::Healthy);
+            if down[i] || matches!(state, NodeHealth::Quarantined | NodeHealth::Rejoining) {
+                reclaimed += (self.fallback.share(i) - self.enforced[i]).max(Watts::ZERO);
+            }
+            let Some(tenants) = self.tenants.as_ref() else { continue };
+            if down[i] || self.enforced[i].value() <= CAP_QUANTUM {
+                continue;
+            }
+            let floor = self.fleet.class_of(i).floor;
+            let split = tenants.split_node(self.enforced[i], floor, &demand);
+            e.tenant_preemptions += split.preemptions;
+            e.tenant_floor_violations += split.floor_violations;
+            for (w, s) in tenant_watts.iter_mut().zip(&split.shares) {
+                *w += s.value();
             }
         }
-        if dirty {
-            decision.aggregate_perf = decision.perfs.iter().sum();
-        }
-        e.aggregate_perf = decision.aggregate_perf;
-
-        self.enforce_supervised(tick, &targets, &down, &mut e);
-        self.prev_round_timed_out = e.round_timed_out;
-        if e.round_timed_out {
-            pbc_trace::cached_counter!(names::CLUSTER_ROUND_TIMEOUTS).incr();
-        }
+        e.aggregate_perf = aggregate;
+        e.moved = Watts::new(moved / 2.0);
+        e.enforced_total = total;
+        e.reclaimed = reclaimed;
+        self.prev_targets = targets;
+        self.last_perfs = decision.perfs;
 
         // The budget invariant. Decreases-first makes a violation
         // structurally impossible; the counter is the proof the trace
         // carries out to the chaos assertions.
-        e.enforced_total = self.enforced_total();
-        if e.enforced_total.value() > self.global.value() + EPS_W {
+        if e.enforced_total.value() > self.global.value() + CAP_QUANTUM {
             e.over_budget = true;
             pbc_trace::cached_counter!(names::CLUSTER_BUDGET_VIOLATIONS).incr();
         }
-
-        let moved_raw: f64 = targets
-            .iter()
-            .zip(self.prev_targets.iter())
-            .map(|(now, was)| (*now - *was).abs().value())
-            .sum();
-        e.moved = Watts::new(moved_raw / 2.0);
-        if e.moved.value() > EPS_W {
+        if e.moved.value() > CAP_QUANTUM {
             pbc_trace::cached_counter!(names::CLUSTER_REDISTRIBUTIONS).incr();
         }
-        self.prev_targets = targets;
-        self.enforced_hist = prev_enforced;
-        self.last_perfs = decision.perfs;
-
-        // Watts the healthy pool gained from nodes that are down or
-        // held at their floors, measured against the known-safe static
-        // partition.
-        e.reclaimed = (0..n)
-            .filter(|&i| {
-                down[i]
-                    || matches!(
-                        self.health.state(i),
-                        NodeHealth::Quarantined | NodeHealth::Rejoining
-                    )
-            })
-            .map(|i| (self.fallback.share(i) - self.enforced[i]).max(Watts::ZERO))
-            .sum();
-
-        // Tenant accounting: sub-partition every live node's enforced
-        // cap, score fleet-level fairness, and verify the weighted
-        // floors held — the multi-tenant mirror of the budget audit.
-        self.tenant_epoch(&down, &mut e);
-
-        e.health = self.health.counts();
+        // Fleet-level fairness on weight-normalized tenant watts, and the
+        // weighted floors' audit — the multi-tenant mirror of the budget
+        // invariant (structurally zero).
+        if let Some(tenants) = self.tenants.as_ref() {
+            let normalized: Vec<f64> =
+                tenant_watts.iter().zip(tenants.tenants()).map(|(w, t)| w / t.weight).collect();
+            e.tenant_jain = jain_index(&normalized);
+            if e.tenant_preemptions > 0 {
+                pbc_trace::cached_counter!(names::CLUSTER_TENANT_PREEMPTIONS)
+                    .add(e.tenant_preemptions as u64);
+            }
+            if e.tenant_floor_violations > 0 {
+                pbc_trace::cached_counter!(names::CLUSTER_TENANT_FLOOR_VIOLATIONS)
+                    .add(e.tenant_floor_violations as u64);
+            }
+            pbc_trace::cached_gauge!(names::CLUSTER_TENANT_JAIN).set(e.tenant_jain);
+        }
         pbc_trace::cached_counter!(names::CLUSTER_EPOCHS).incr();
         pbc_trace::cached_gauge!(names::CLUSTER_NODES_UP).set(e.nodes_up as f64);
         pbc_trace::cached_gauge!(names::CLUSTER_MOVED_W).set(e.moved.value());
         pbc_trace::cached_gauge!(names::CLUSTER_AGGREGATE_PERF).set(e.aggregate_perf);
         pbc_trace::cached_gauge!(names::CLUSTER_RECLAIMED_W).set(e.reclaimed.value());
-        pbc_trace::cached_gauge!(names::HEALTH_HEALTHY_NODES).set(e.health.healthy as f64);
+        pbc_trace::cached_gauge!(names::HEALTH_HEALTHY_NODES).set(e.healthy as f64);
         Ok(e)
     }
 
@@ -662,7 +675,6 @@ impl FleetCoordinator {
             report.quarantines += e.quarantines;
             report.rejoins += e.rejoins;
             report.degraded_epochs += usize::from(e.degraded);
-            report.round_timeouts += usize::from(e.round_timed_out);
             report.budget_violations += usize::from(e.over_budget);
             report.quarantine_leaks += usize::from(e.leaked);
             report.tenant_spikes += e.tenant_spikes;
@@ -673,12 +685,8 @@ impl FleetCoordinator {
             report.min_nodes_up = report.min_nodes_up.min(e.nodes_up);
             report.final_aggregate = e.aggregate_perf;
             report.work_done += e.aggregate_perf;
-            healthy_node_epochs += e.health.healthy;
-            if report.reconverged_at.is_none()
-                && e.tick >= quiet
-                && !e.degraded
-                && e.health.healthy == n
-            {
+            healthy_node_epochs += e.healthy;
+            if report.reconverged_at.is_none() && e.tick >= quiet && !e.degraded && e.healthy == n {
                 report.reconverged_at = Some(e.tick);
             }
         }
@@ -698,32 +706,30 @@ impl FleetCoordinator {
         (0..self.fleet.len()).map(|i| self.node_curve(i)).collect()
     }
 
-    /// Advance every node's crash, straggle and write-outage episode
-    /// to `tick`, counting crashes and recoveries into `e`.
-    fn roll_nodes(&mut self, tick: usize, e: &mut EpochReport) {
+    /// Advance node `node`'s crash, straggle and write-outage episodes
+    /// to `tick`, counting a crash or recovery into `e`.
+    fn roll_node(&mut self, tick: usize, node: usize, e: &mut EpochReport) {
         let (seed, nodes, outage) = (self.plan.seed, self.plan.nodes, self.plan.writes.outage);
-        for i in 0..self.fleet.len() {
-            let key = i as u64;
-            match nodes.crash.advance(&mut self.down_until[i], seed, tick, STREAM_NODE, key) {
-                Edge::Started => {
-                    e.dropped += 1;
-                    pbc_trace::cached_counter!(names::CLUSTER_DROPOUTS).incr();
-                }
-                Edge::Ended => {
-                    e.recovered += 1;
-                    pbc_trace::cached_counter!(names::CLUSTER_RECOVERIES).incr();
-                }
-                Edge::Steady => {}
+        let key = node as u64;
+        match nodes.crash.advance(&mut self.down_until[node], seed, tick, STREAM_NODE, key) {
+            Edge::Started => {
+                e.dropped += 1;
+                pbc_trace::cached_counter!(names::CLUSTER_DROPOUTS).incr();
             }
-            // Stragglers start only on nodes that are up; a running
-            // straggle still expires while its node is down.
-            if self.down_until[i].is_none() || self.straggle_until[i].is_some() {
-                let until = &mut self.straggle_until[i];
-                let _ = nodes.straggle.advance(until, seed, tick, STREAM_STRAGGLE, key);
+            Edge::Ended => {
+                e.recovered += 1;
+                pbc_trace::cached_counter!(names::CLUSTER_RECOVERIES).incr();
             }
-            let until = &mut self.write_outage_until[i];
-            let _ = outage.advance(until, seed, tick, STREAM_WRITE_OUTAGE, key);
+            Edge::Steady => {}
         }
+        // Stragglers start only on nodes that are up; a running straggle
+        // still expires while its node is down.
+        if self.down_until[node].is_none() || self.straggle_until[node].is_some() {
+            let until = &mut self.straggle_until[node];
+            let _ = nodes.straggle.advance(until, seed, tick, STREAM_STRAGGLE, key);
+        }
+        let until = &mut self.write_outage_until[node];
+        let _ = outage.advance(until, seed, tick, STREAM_WRITE_OUTAGE, key);
     }
 
     /// Advance every tenant's demand-spike and noisy-neighbor episode
@@ -760,47 +766,39 @@ impl FleetCoordinator {
             .collect()
     }
 
-    /// Simulate, validate, and ingest every node's observation report,
-    /// counting missed and rejected reports and the health transitions
-    /// they cause into `e`.
-    fn observe_reports(&mut self, tick: usize, prev: &[Watts], down: &[bool], e: &mut EpochReport) {
-        for i in 0..self.fleet.len() {
-            let verdict = self.node_report_verdict(tick, i, prev, down[i]);
-            match verdict {
-                ReportVerdict::Missing => {
-                    e.missed_reports += 1;
-                    pbc_trace::cached_counter!(names::CLUSTER_MISSED_REPORTS).incr();
-                }
-                ReportVerdict::Rejected => {
-                    e.rejected_reports += 1;
-                    pbc_trace::cached_counter!(names::CLUSTER_REJECTED_REPORTS).incr();
-                }
-                ReportVerdict::Accepted => {}
+    /// Take node `node`'s report of the previous epoch into the health
+    /// machine, counting a missed or rejected report and the health
+    /// transition it causes into `e`.
+    fn take_report(&mut self, tick: usize, node: usize, down: bool, e: &mut EpochReport) {
+        let verdict = self.report_verdict(tick, node, down);
+        match verdict {
+            ReportVerdict::Missing => {
+                e.missed_reports += 1;
+                pbc_trace::cached_counter!(names::CLUSTER_MISSED_REPORTS).incr();
             }
-            let was_quarantined = self.health.state(i) == NodeHealth::Quarantined;
-            self.health.observe(i, verdict);
-            let quarantined = self.health.state(i) == NodeHealth::Quarantined;
-            e.quarantines += usize::from(!was_quarantined && quarantined);
-            e.rejoins += usize::from(was_quarantined && !quarantined);
+            ReportVerdict::Rejected => {
+                e.rejected_reports += 1;
+                pbc_trace::cached_counter!(names::CLUSTER_REJECTED_REPORTS).incr();
+            }
+            ReportVerdict::Accepted => {}
         }
+        let was_quarantined = self.health.state(node) == NodeHealth::Quarantined;
+        self.health.observe(node, verdict);
+        let quarantined = self.health.state(node) == NodeHealth::Quarantined;
+        e.quarantines += usize::from(!was_quarantined && quarantined);
+        e.rejoins += usize::from(was_quarantined && !quarantined);
     }
 
     /// One node's report for this epoch, faults applied, then passed
     /// through the report gate `OnlineCoordinator` uses.
-    fn node_report_verdict(
-        &self,
-        tick: usize,
-        node: usize,
-        prev_enforced: &[Watts],
-        down: bool,
-    ) -> ReportVerdict {
+    fn report_verdict(&self, tick: usize, node: usize, down: bool) -> ReportVerdict {
         if down {
             return ReportVerdict::Missing;
         }
         // The honest report: the cap the node ran on last epoch and the
         // throughput it measured. A straggler lags one epoch further
         // behind, so its cap snapshot is one epoch staler.
-        let mut cap = prev_enforced[node];
+        let mut cap = self.enforced[node];
         let mut perf = self.last_perfs[node];
         if self.straggle_until[node].is_some() {
             cap = self.enforced_hist[node];
@@ -822,111 +820,48 @@ impl FleetCoordinator {
             }
             None => {}
         }
-        match check_report(perf, &[cap], &[(cap, prev_enforced[node])]) {
+        match check_report(perf, &[cap], &[(cap, self.enforced[node])]) {
             ObservationOutcome::Used => ReportVerdict::Accepted,
             _ => ReportVerdict::Rejected,
         }
     }
 
-    /// Water-fill targets over the trusted membership. Healthy and
-    /// Suspect nodes participate; Quarantined and Rejoining nodes are
-    /// reserved at their class floors (a possibly-alive node is never
-    /// starved below its floor); Suspects are then capped at their
-    /// standing grant so untrusted telemetry cannot win raises. Returns
-    /// `false` when the fill is infeasible — the caller degrades.
-    fn fill_targets(&self, down: &[bool], targets: &mut [Watts]) -> bool {
-        let n = self.fleet.len();
-        let mut allocatable = Vec::new();
-        let mut reserved = Watts::ZERO;
-        for i in 0..n {
-            if down[i] {
-                continue;
-            }
-            match self.health.state(i) {
-                NodeHealth::Healthy | NodeHealth::Suspect => allocatable.push(i),
-                NodeHealth::Quarantined | NodeHealth::Rejoining => {
-                    let floor = self.fleet.class_of(i).floor;
-                    targets[i] = floor;
-                    reserved += floor;
-                }
-            }
-        }
+    /// Water-fill what the floors `reserved` for Quarantined and
+    /// Rejoining nodes leave over the `allocatable` (Healthy and Suspect)
+    /// nodes, then cap each Suspect at its standing grant so untrusted
+    /// telemetry cannot win raises. Returns `false` when the fill is
+    /// infeasible — the caller degrades.
+    fn water_fill(&self, allocatable: &[usize], reserved: Watts, targets: &mut [Watts]) -> bool {
         if reserved > self.global {
             return false;
         }
-        if allocatable.is_empty() {
-            return true;
-        }
+        let curves: Vec<NodeCurve<'_>> = allocatable.iter().map(|&i| self.node_curve(i)).collect();
         let avail = self.global - reserved;
-        let live_curves: Vec<NodeCurve<'_>> =
-            allocatable.iter().map(|&i| self.node_curve(i)).collect();
         // Any refusal (the fill only refuses an infeasible budget today)
         // degrades the epoch: the static fallback is the safe floor.
-        let Ok(shares) = fill_shares(&live_curves, &[], avail, DEFAULT_GRANT, self.objective)
-        else {
+        let Ok(shares) = fill_shares(&curves, &[], avail, DEFAULT_GRANT, self.objective) else {
             return false;
         };
-        for (k, &i) in allocatable.iter().enumerate() {
-            targets[i] = shares[k];
+        for (&i, share) in allocatable.iter().zip(shares) {
+            targets[i] = share;
             if self.health.state(i) == NodeHealth::Suspect {
                 // No raises on untrusted telemetry: hold at the larger
                 // of the standing cap and the floor. The clamped watts
                 // stay unspent this epoch — the safe direction.
                 let hold = self.enforced[i].max(self.fleet.class_of(i).floor);
-                targets[i] = targets[i].min(hold);
+                targets[i] = share.min(hold);
             }
         }
         true
     }
 
-    /// Sub-partition every live node's enforced cap among the tenants
-    /// and score the epoch: fleet-level Jain index on weight-normalized
-    /// tenant watts, preemption events, and weighted-floor violations
-    /// (structurally zero), written into `e`. Untenanted fleets leave
-    /// `e` as it is.
-    fn tenant_epoch(&self, down: &[bool], e: &mut EpochReport) {
-        let Some(tenants) = self.tenants.as_ref() else {
-            return;
-        };
-        let demand = self.tenant_demand();
-        let mut watts = vec![0.0f64; tenants.len()];
-        for i in 0..self.fleet.len() {
-            if down[i] || self.enforced[i].value() <= EPS_W {
-                continue;
-            }
-            let floor = self.fleet.class_of(i).floor;
-            let split = tenants.split_node(self.enforced[i], floor, &demand);
-            e.tenant_preemptions += split.preemptions;
-            e.tenant_floor_violations += split.floor_violations;
-            for (t, s) in split.shares.iter().enumerate() {
-                watts[t] += s.value();
-            }
-        }
-        let normalized: Vec<f64> = watts
-            .iter()
-            .zip(tenants.tenants().iter())
-            .map(|(w, t)| w / t.weight)
-            .collect();
-        e.tenant_jain = jain_index(&normalized);
-        if e.tenant_preemptions > 0 {
-            pbc_trace::cached_counter!(names::CLUSTER_TENANT_PREEMPTIONS)
-                .add(e.tenant_preemptions as u64);
-        }
-        if e.tenant_floor_violations > 0 {
-            pbc_trace::cached_counter!(names::CLUSTER_TENANT_FLOOR_VIOLATIONS)
-                .add(e.tenant_floor_violations as u64);
-        }
-        pbc_trace::cached_gauge!(names::CLUSTER_TENANT_JAIN).set(e.tenant_jain);
-    }
-
     /// Move enforced caps toward `targets`, decreases first, each write
-    /// given up to `WRITE_ATTEMPTS` tries under a per-round attempt
-    /// deadline. A down node's cap releases unconditionally (its draw
-    /// is gone whether or not a write lands); a failed decrease keeps
-    /// its watts reserved; raises are funded strictly from the pot the
-    /// confirmed decreases left, so `Σ enforced ≤ global` is an
-    /// invariant, not an aspiration. Writes the round's failures,
-    /// retries, timeout and leak audit into `e`.
+    /// given up to `WRITE_ATTEMPTS` tries. A down node's cap releases
+    /// unconditionally (its draw is gone whether or not a write lands);
+    /// a failed decrease keeps its watts reserved; raises are funded
+    /// strictly from the pot the confirmed decreases left, so
+    /// `Σ enforced ≤ global` is an invariant, not an aspiration. Writes
+    /// the round's failures, retries and leak audit into `e`.
     fn enforce_supervised(
         &mut self,
         tick: usize,
@@ -935,24 +870,12 @@ impl FleetCoordinator {
         e: &mut EpochReport,
     ) {
         let n = targets.len();
-        // The round's write-attempt deadline: every node's full
-        // `WRITE_ATTEMPTS`, shared across the round. A fault storm that
-        // needs more is a timed-out round, not a wedged fleet.
-        let mut attempts_left = n * WRITE_ATTEMPTS as usize;
-
         // Phase 1: releases.
         for i in 0..n {
             if down[i] {
                 self.enforced[i] = Watts::ZERO;
-                continue;
-            }
-            if targets[i] < self.enforced[i] {
-                if e.round_timed_out {
-                    continue; // watts stay reserved — the safe direction
-                }
-                if self.try_write(tick, i, targets[i], &mut attempts_left, e) {
-                    self.enforced[i] = targets[i];
-                }
+            } else if targets[i] < self.enforced[i] && self.try_write(tick, i, targets[i], e) {
+                self.enforced[i] = targets[i];
             }
         }
 
@@ -962,21 +885,18 @@ impl FleetCoordinator {
         let mut pot = pot_legit;
         let mut raised = Watts::ZERO;
         for i in 0..n {
-            if e.round_timed_out {
-                break;
-            }
             if down[i] || targets[i] <= self.enforced[i] {
                 continue;
             }
             let want = targets[i] - self.enforced[i];
             let raise = want.min(pot);
-            if raise.value() <= EPS_W {
+            if raise.value() <= CAP_QUANTUM {
                 continue;
             }
             let next = self.enforced[i] + raise;
-            if self.try_write(tick, i, next, &mut attempts_left, e) {
+            if self.try_write(tick, i, next, e) {
                 self.enforced[i] = next;
-                pot = pot - raise;
+                pot -= raise;
                 raised += raise;
             }
         }
@@ -984,30 +904,17 @@ impl FleetCoordinator {
         // The leak audit: raises applied must never exceed the pot the
         // confirmed decreases legitimately left. Structurally zero —
         // the counter is the exported proof.
-        if raised.value() > pot_legit.value() + EPS_W {
+        if raised.value() > pot_legit.value() + CAP_QUANTUM {
             e.leaked = true;
             pbc_trace::cached_counter!(names::HEALTH_QUARANTINE_LEAKS).incr();
         }
     }
 
     /// One supervised cap write: up to `WRITE_ATTEMPTS` tries against the
-    /// plan's fault draw (and the sink, when armed), spending from the
-    /// round's shared attempt budget and counting into `e`. Returns
-    /// `true` when the write landed.
-    fn try_write(
-        &mut self,
-        tick: usize,
-        node: usize,
-        target: Watts,
-        attempts_left: &mut usize,
-        e: &mut EpochReport,
-    ) -> bool {
+    /// plan's fault draw (and the sink, when armed), counting into `e`.
+    /// Returns `true` when the write landed.
+    fn try_write(&mut self, tick: usize, node: usize, target: Watts, e: &mut EpochReport) -> bool {
         for attempt in 0..WRITE_ATTEMPTS {
-            if *attempts_left == 0 {
-                e.round_timed_out = true;
-                return false;
-            }
-            *attempts_left -= 1;
             if attempt > 0 {
                 e.write_retries += 1;
                 pbc_trace::cached_counter!(names::CLUSTER_WRITE_RETRIES).incr();
@@ -1151,6 +1058,7 @@ mod tests {
     use crate::fleet::parse_spec;
     use pbc_faults::FaultWindow;
     use pbc_types::XorShift64Star;
+    use std::sync::{Arc, Mutex};
 
     fn mixed_fleet() -> Fleet {
         let spec = parse_spec(
@@ -1533,6 +1441,39 @@ mod tests {
         assert!(pbc_trace::counter(names::HEALTH_QUARANTINE_LEAKS).get() > before);
         assert_eq!(report.quarantine_leaks, 0, "another writer's leaks are not this run's");
         assert!(report.survived());
+    }
+
+    /// Fails every write, counting the calls each node gets.
+    struct FailingSink(Arc<Mutex<Vec<u32>>>);
+
+    impl CapSink for FailingSink {
+        fn write_cap(&mut self, node: usize, _cap: Watts) -> Result<()> {
+            self.0.lock().unwrap()[node] += 1;
+            Err(PbcError::InvalidInput("the sink refuses every write".into()))
+        }
+    }
+
+    #[test]
+    fn a_write_that_never_lands_costs_its_node_exactly_the_retry_bound() {
+        let fleet = mixed_fleet();
+        let global = fleet.min_total_power() + Watts::new(150.0);
+        let calls = Arc::new(Mutex::new(vec![0; fleet.len()]));
+        let sink = FailingSink(Arc::clone(&calls));
+        let mut coord = FleetCoordinator::new(fleet, global).unwrap().with_cap_sink(Box::new(sink));
+        for epoch in 0..4 {
+            let e = coord.step().unwrap();
+            let mut calls = calls.lock().unwrap();
+            assert!(
+                calls.iter().all(|&c| c == 0 || c == WRITE_ATTEMPTS),
+                "epoch {epoch}: a node got a partial or second round of tries: {calls:?}"
+            );
+            let failed = calls.iter().filter(|&&c| c > 0).count();
+            assert!(failed > 0 && failed == e.write_failures, "epoch {epoch}: {e:?}");
+            assert_eq!(e.write_retries, (WRITE_ATTEMPTS as usize - 1) * e.write_failures);
+            assert!(!e.degraded, "epoch {epoch}: failed writes must not degrade the epoch");
+            assert!(coord.enforced_total() <= global, "epoch {epoch} overdrew");
+            calls.fill(0);
+        }
     }
 
     #[test]

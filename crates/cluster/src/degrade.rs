@@ -1,11 +1,10 @@
 //! Graceful degradation: the precomputed static partition every node
 //! falls back to when global coordination is unavailable.
 //!
-//! Water-filling needs a coordinator that can hear every node and land
-//! every cap write inside the epoch. When it can't — the coordinator is
-//! partitioned away, a redistribution round blows its write deadline,
-//! or the live membership makes the fill infeasible — the fleet must
-//! still respect the global bound *without* coordinating. The answer is
+//! Water-filling needs a coordinator that can hear every node. When it
+//! can't — the coordinator is partitioned away, or the live membership
+//! makes the fill infeasible — the fleet must still respect the global
+//! bound *without* coordinating. The answer is
 //! the oldest trick in power management: a static partition computed
 //! once, from profile data alone, whose shares sum to at most the
 //! global budget **by construction**. Any subset of nodes running their

@@ -64,19 +64,6 @@ const QUARANTINE_AFTER: u32 = 3;
 /// is Healthy again.
 const PROBATION_EPOCHS: u32 = 2;
 
-/// Per-epoch census of the fleet's health states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HealthCounts {
-    /// Nodes currently Healthy.
-    pub healthy: usize,
-    /// Nodes currently Suspect.
-    pub suspect: usize,
-    /// Nodes currently Quarantined.
-    pub quarantined: usize,
-    /// Nodes currently Rejoining.
-    pub rejoining: usize,
-}
-
 /// The fleet's health tracker: one state machine per node.
 #[derive(Debug, Clone)]
 pub struct HealthTracker {
@@ -164,21 +151,6 @@ impl HealthTracker {
     pub fn state(&self, node: usize) -> NodeHealth {
         self.states[node]
     }
-
-    /// Census of the current states.
-    #[must_use]
-    pub fn counts(&self) -> HealthCounts {
-        let mut c = HealthCounts::default();
-        for s in &self.states {
-            match s {
-                NodeHealth::Healthy => c.healthy += 1,
-                NodeHealth::Suspect => c.suspect += 1,
-                NodeHealth::Quarantined => c.quarantined += 1,
-                NodeHealth::Rejoining => c.rejoining += 1,
-            }
-        }
-        c
-    }
 }
 
 #[cfg(test)]
@@ -245,23 +217,5 @@ mod tests {
         t.observe(0, ReportVerdict::Missing);
         t.observe(0, ReportVerdict::Rejected);
         assert_eq!(t.state(0), NodeHealth::Quarantined);
-    }
-
-    #[test]
-    fn census_adds_up() {
-        let mut t = HealthTracker::new(4);
-        t.observe(0, ReportVerdict::Missing); // Suspect
-        for _ in 0..3 {
-            t.observe(1, ReportVerdict::Missing); // Quarantined
-        }
-        for _ in 0..3 {
-            t.observe(2, ReportVerdict::Missing);
-        }
-        t.observe(2, ReportVerdict::Accepted); // Rejoining
-        let c = t.counts();
-        assert_eq!(c.healthy, 1);
-        assert_eq!(c.suspect, 1);
-        assert_eq!(c.quarantined, 1);
-        assert_eq!(c.rejoining, 1);
     }
 }

@@ -56,6 +56,6 @@ pub use chaos::{run_cluster_chaos, ClusterChaosReport};
 pub use coordinator::{CapSink, ClusterDecision, ClusterReport, EpochReport, FleetCoordinator};
 pub use degrade::StaticFallback;
 pub use fleet::{parse_spec, ClassCoord, Fleet, NodeClass, SpecLine, MAX_NODES};
-pub use health::{HealthCounts, HealthTracker, NodeHealth, ReportVerdict};
+pub use health::{HealthTracker, NodeHealth, ReportVerdict};
 pub use partition::{fill_shares, uniform_split, NodeCurve, Objective, DEFAULT_GRANT};
 pub use tenant::{jain_index, NodeSplit, SlaClass, Tenant, TenantSet};

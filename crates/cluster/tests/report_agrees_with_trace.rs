@@ -31,7 +31,6 @@ fn every_report_count_equals_its_counter_delta() {
         (names::CLUSTER_WRITE_FAILURES, r.write_failures),
         (names::CLUSTER_WRITE_RETRIES, r.write_retries),
         (names::CLUSTER_BUDGET_VIOLATIONS, r.budget_violations),
-        (names::CLUSTER_ROUND_TIMEOUTS, r.round_timeouts),
         (names::CLUSTER_DEGRADED_EPOCHS, r.degraded_epochs),
         (names::CLUSTER_MISSED_REPORTS, r.missed_reports),
         (names::CLUSTER_REJECTED_REPORTS, r.rejected_reports),

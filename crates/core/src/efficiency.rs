@@ -13,9 +13,9 @@
 //! * in between, performance-per-watt has a sweet spot that
 //!   [`efficiency_curve`] locates.
 
+use crate::analysis::perf_max_curve;
 use crate::critical::CriticalPowers;
 use crate::problem::PowerBoundedProblem;
-use crate::sweep::sweep_budget;
 use pbc_types::{Result, Watts};
 
 /// Efficiency of the *best* allocation at one budget.
@@ -33,36 +33,30 @@ pub struct EfficiencyPoint {
     pub stranded_power: Watts,
 }
 
-/// Sweep budgets and compute the efficiency of the optimum at each.
+/// Sweep budgets and compute the efficiency of the optimum at each: the
+/// [`perf_max_curve`] points, each priced per actual watt. Budgets with
+/// no feasible allocation are skipped.
 #[must_use = "the efficiency points are the computation's entire result"]
 pub fn efficiency_curve(
     template: &PowerBoundedProblem,
     budgets: impl IntoIterator<Item = Watts>,
     step: Watts,
 ) -> Result<Vec<EfficiencyPoint>> {
-    let mut out = Vec::new();
-    for budget in budgets {
-        let problem = PowerBoundedProblem {
-            platform: template.platform.clone(),
-            workload: template.workload.clone(),
-            budget,
-        };
-        let profile = sweep_budget(&problem, step)?;
-        let Some(best) = profile.best() else { continue };
-        let actual = best.op.total_power();
-        out.push(EfficiencyPoint {
-            budget,
-            perf_max: best.op.perf_rel,
-            actual_power: actual,
-            perf_per_watt: if actual.value() > 0.0 {
-                best.op.perf_rel / actual.value()
+    let curve = perf_max_curve(template, budgets, step)?;
+    Ok(curve
+        .iter()
+        .map(|p| EfficiencyPoint {
+            budget: p.budget,
+            perf_max: p.perf_max,
+            actual_power: p.actual_power,
+            perf_per_watt: if p.actual_power.value() > 0.0 {
+                p.perf_max / p.actual_power.value()
             } else {
                 0.0
             },
-            stranded_power: (budget - actual).max(Watts::ZERO),
-        });
-    }
-    Ok(out)
+            stranded_power: (p.budget - p.actual_power).max(Watts::ZERO),
+        })
+        .collect())
 }
 
 /// Why a budget is (un)acceptable, per the paper's scheduling guidance.

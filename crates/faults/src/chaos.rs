@@ -30,13 +30,11 @@ use pbc_powersim::solve;
 use pbc_rapl::mock::MockTree;
 use pbc_rapl::{current_allocation, enforce_with, RaplDomain, RaplSysfs, WRITE_ATTEMPTS};
 use pbc_trace::names;
-use pbc_types::{check_budget, PbcError, PowerAllocation, Result, Watts};
+use pbc_types::{check_budget, PbcError, PowerAllocation, Result, Watts, CAP_QUANTUM};
 use pbc_workloads::{check_target, lookup};
 use std::collections::HashMap;
 use std::fmt;
 
-/// Tolerance on budget comparisons (enforcement quantizes to µW).
-const EPS_W: f64 = 1e-6;
 /// Emergency-clamp rounds per epoch before conceding a violation.
 const CLAMP_ROUNDS: u64 = 3;
 /// Key salt separating clamp-round decision streams from each other and
@@ -314,7 +312,7 @@ pub fn run_chaos(
         // Trust only the tree: the node runs under what is *programmed*,
         // which after a rollback is the previous allocation.
         let mut enforced = current_allocation(&rapl)?;
-        if enforced.total().value() > current_budget.value() + EPS_W {
+        if enforced.total().value() > current_budget.value() + CAP_QUANTUM {
             // Possible only when a rollback restore itself failed and
             // left a mixed allocation standing. Clamp, decrease-only.
             report.clamps += 1;
@@ -322,7 +320,7 @@ pub fn run_chaos(
             for round in 0..CLAMP_ROUNDS {
                 clamp_decrease_only(&rapl, current_budget, &mut injector, tick, round);
                 enforced = current_allocation(&rapl)?;
-                if enforced.total().value() <= current_budget.value() + EPS_W {
+                if enforced.total().value() <= current_budget.value() + CAP_QUANTUM {
                     break;
                 }
             }
@@ -330,7 +328,7 @@ pub fn run_chaos(
         let total = enforced.total();
         report.max_enforced_total = report.max_enforced_total.max(total);
         report.max_overdraw = report.max_overdraw.max(total - current_budget);
-        if total.value() > current_budget.value() + EPS_W {
+        if total.value() > current_budget.value() + CAP_QUANTUM {
             report.budget_violations += 1;
             pbc_trace::counter(names::CHAOS_BUDGET_VIOLATIONS).incr();
         }
@@ -380,7 +378,7 @@ fn clamp_decrease_only(
     for (list, class_cap) in [(&packages, per_pkg), (&drams, per_dram)] {
         for d in list.iter() {
             let Ok(current) = d.power_limit() else { continue };
-            if current.value() <= class_cap.value() + EPS_W {
+            if current.value() <= class_cap.value() + CAP_QUANTUM {
                 continue; // already at or below its class cap: never raise it.
             }
             let key = write_key(&d.name, class_cap) ^ CLAMP_SALT.wrapping_add(round);

@@ -593,8 +593,7 @@ impl<'a> Parser<'a> {
                     lhs = Expr { kind: ExprKind::Range(Some(Box::new(lhs)), rhs), span };
                 }
                 _ => {
-                    let assoc_bump = if op_text == "==" || op_text == "!=" { 1 } else { 1 };
-                    let rhs = self.expr_bp(bp + assoc_bump, structs);
+                    let rhs = self.expr_bp(bp + 1, structs);
                     let span = lhs.span.to(rhs.span);
                     lhs = Expr {
                         kind: ExprKind::Binary(op_text, Box::new(lhs), Box::new(rhs)),

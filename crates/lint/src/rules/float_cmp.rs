@@ -2,8 +2,8 @@
 //!
 //! Power arithmetic in this workspace chains multiply/accumulates, so
 //! exact equality on an `f64` silently misclassifies scenarios (the
-//! bugs fixed at `pbc-types::metrics::ratio`, powersim's phase-weight
-//! validation, and the per-socket share split were all of this shape).
+//! bugs fixed in powersim's phase-weight validation and the per-socket
+//! share split were both of this shape).
 //!
 //! The rule runs on the AST: a comparison flags when either operand
 //! *visibly* carries float material — a float literal, a `.value()`

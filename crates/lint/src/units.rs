@@ -162,13 +162,13 @@ pub fn dim_of_name(name: &str) -> Dim {
 }
 
 /// Dimension of `a + b` / `a - b`. Matching strong dims keep their
-/// dimension; any weak operand degrades to [`Dim::Unknown`] (mismatches
-/// are the `unit-mix` rule's business, not the algebra's).
+/// dimension, and a strong operand beside a weak one lends the result
+/// its dimension (`watts + 1.0` is watts). Two weak operands, or two
+/// different strong ones, give [`Dim::Unknown`] (mismatches are the
+/// `unit-mix` rule's business, not the algebra's).
 #[must_use]
 pub fn add_sub(a: Dim, b: Dim) -> Dim {
-    if a == b && a.is_strong() {
-        a
-    } else if a.is_strong() && !b.is_strong() {
+    if a.is_strong() && (a == b || !b.is_strong()) {
         a
     } else if b.is_strong() && !a.is_strong() {
         b

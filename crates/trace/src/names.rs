@@ -215,12 +215,9 @@ pub const CLUSTER_REJECTED_REPORTS: &str = "cluster.rejected_reports";
 /// in flight, or the node is down).
 pub const CLUSTER_MISSED_REPORTS: &str = "cluster.missed_reports";
 /// Epochs served from the precomputed static fallback partition
-/// because global coordination was unavailable (coordinator outage,
-/// redistribution timeout, or an infeasible water-fill).
+/// because global coordination was unavailable (coordinator outage or
+/// an infeasible water-fill).
 pub const CLUSTER_DEGRADED_EPOCHS: &str = "cluster.degraded_epochs";
-/// Redistribution rounds abandoned because their write-attempt
-/// deadline was exhausted; the next epoch runs degraded.
-pub const CLUSTER_ROUND_TIMEOUTS: &str = "cluster.round_timeouts";
 /// Cap-write retries spent recovering from transient write failures
 /// (attempts beyond the first, across all nodes).
 pub const CLUSTER_WRITE_RETRIES: &str = "cluster.write_retries";

@@ -59,20 +59,6 @@ impl PerfMetric {
     pub fn relative(rate: f64) -> Self {
         Self::new(rate, PerfUnit::Relative)
     }
-
-    /// Ratio of this metric over `other` (must share a unit).
-    pub fn ratio(&self, other: &PerfMetric) -> f64 {
-        assert_eq!(self.unit, other.unit, "cannot compare {} with {}", self.unit, other.unit);
-        if crate::units::is_zero(other.rate) {
-            if crate::units::is_zero(self.rate) {
-                1.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            self.rate / other.rate
-        }
-    }
 }
 
 impl fmt::Display for PerfMetric {
@@ -95,15 +81,6 @@ pub struct Throughput {
 }
 
 impl Throughput {
-    /// Work per second.
-    pub fn rate(&self) -> f64 {
-        if self.elapsed.value() > 0.0 {
-            self.work_done / self.elapsed.value()
-        } else {
-            0.0
-        }
-    }
-
     /// Mean power over the run.
     pub fn mean_power(&self) -> Watts {
         if self.elapsed.value() > 0.0 {
@@ -119,37 +96,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ratio_same_unit() {
-        let a = PerfMetric::new(30.0, PerfUnit::GBps);
-        let b = PerfMetric::new(10.0, PerfUnit::GBps);
-        assert!((a.ratio(&b) - 3.0).abs() < 1e-12);
-        assert!((b.ratio(&a) - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot compare")]
-    fn ratio_mixed_units_panics() {
-        let a = PerfMetric::new(30.0, PerfUnit::GBps);
-        let b = PerfMetric::new(10.0, PerfUnit::Gflops);
-        let _ = a.ratio(&b);
-    }
-
-    #[test]
-    fn ratio_degenerate_cases() {
-        let z = PerfMetric::new(0.0, PerfUnit::Gups);
-        assert_eq!(z.ratio(&z), 1.0);
-        let a = PerfMetric::new(5.0, PerfUnit::Gups);
-        assert!(a.ratio(&z).is_infinite());
-    }
-
-    #[test]
     fn throughput_derived_quantities() {
         let t = Throughput {
             work_done: 100.0,
             elapsed: Seconds::new(4.0),
             energy: Joules::new(800.0),
         };
-        assert!((t.rate() - 25.0).abs() < 1e-12);
         assert!((t.mean_power().value() - 200.0).abs() < 1e-12);
     }
 
@@ -160,7 +112,6 @@ mod tests {
             elapsed: Seconds::ZERO,
             energy: Joules::ZERO,
         };
-        assert_eq!(t.rate(), 0.0);
         assert_eq!(t.mean_power(), Watts::ZERO);
     }
 }
