@@ -61,7 +61,7 @@ use pbc_par::Pool;
 use pbc_powersim::SolveMemo;
 use pbc_rapl::WRITE_ATTEMPTS;
 use pbc_trace::names;
-use pbc_types::{check_budget, PbcError, PowerAllocation, Result, Watts, CAP_QUANTUM};
+use pbc_types::{check_budget, PbcError, Result, Watts, CAP_QUANTUM};
 use std::collections::HashMap;
 
 /// Stream constant for node crash/rejoin decisions.
@@ -88,17 +88,14 @@ pub trait CapSink {
     fn write_cap(&mut self, node: usize, cap: Watts) -> Result<()>;
 }
 
-/// One evaluated partition: the shares, what COORD made of them, and
-/// the simulator-priced performance.
+/// One evaluated partition: the shares and the simulator-priced
+/// performance of what COORD made of them.
 #[derive(Debug, Clone)]
 pub struct ClusterDecision {
     /// Per-node budget shares (the caps to enforce).
     pub shares: Vec<Watts>,
-    /// Per-node COORD allocations; `None` when the share was
-    /// unschedulable on that node.
-    pub allocs: Vec<Option<PowerAllocation>>,
-    /// Per-node simulated relative throughput (0.0 for unschedulable or
-    /// down nodes).
+    /// Per-node simulated relative throughput (0.0 for unschedulable
+    /// nodes).
     pub perfs: Vec<f64>,
     /// Sum of `perfs` — the cluster's aggregate throughput.
     pub aggregate_perf: f64,
@@ -192,10 +189,6 @@ pub struct ClusterReport {
     pub rejoins: usize,
     /// Smallest live-node count seen.
     pub min_nodes_up: usize,
-    /// Aggregate throughput at the final epoch.
-    pub final_aggregate: f64,
-    /// Mean aggregate throughput across epochs.
-    pub mean_aggregate: f64,
     /// Healthy node-epochs over total node-epochs (1.0 = nobody ever
     /// left full service).
     pub availability: f64,
@@ -246,8 +239,9 @@ pub struct FleetCoordinator {
     health: HealthTracker,
     fallback: StaticFallback,
     /// One solve memo per class, owned by this coordinator: a class's
-    /// nodes share its solves across every epoch, and the caches go
-    /// when the coordinator does.
+    /// nodes share its solves across the epochs of one global budget.
+    /// An accepted budget clears them, so they hold at most the pairs
+    /// priced since the last one.
     memos: Vec<SolveMemo>,
     /// Cap currently enforced on each node (starts at zero: nothing has
     /// been granted before the first epoch).
@@ -445,7 +439,8 @@ impl FleetCoordinator {
     /// Re-negotiate the global budget mid-run. Rejects non-finite,
     /// non-positive, and below-fleet-floor budgets (counted under
     /// `cluster.rejected_budgets`); an accepted budget recomputes the
-    /// static fallback so degraded mode stays safe under the new bound.
+    /// static fallback so degraded mode stays safe under the new bound,
+    /// and clears the solve memos, whose shares the new budget moves.
     #[must_use = "a rejected budget means the old bound is still in force"]
     pub fn set_global_budget(&mut self, budget: Watts) -> Result<()> {
         if let Err(e) = check_budget("global budget", budget.value()) {
@@ -459,6 +454,7 @@ impl FleetCoordinator {
         }
         self.fallback = StaticFallback::compute(&self.fleet, budget)?;
         self.global = budget;
+        self.memos.iter().for_each(SolveMemo::clear);
         pbc_trace::counter(names::CLUSTER_BUDGET_RESETS).incr();
         Ok(())
     }
@@ -467,8 +463,7 @@ impl FleetCoordinator {
     #[must_use = "the decision result carries either the partition or the failure"]
     pub fn coordinate(&self) -> Result<ClusterDecision> {
         let curves = self.node_curves();
-        let shares = fill_shares(&curves, &[], self.global, DEFAULT_GRANT, self.objective)?;
-        evaluate(&self.fleet, &self.memos, &shares, &vec![false; self.fleet.len()])
+        self.decide(fill_shares(&curves, &[], self.global, DEFAULT_GRANT, self.objective)?)
     }
 
     /// [`FleetCoordinator::coordinate`], which runs on the calling
@@ -484,8 +479,16 @@ impl FleetCoordinator {
     /// saturated ones — the gap the experiments measure.
     #[must_use = "the decision result carries either the partition or the failure"]
     pub fn uniform_decision(&self) -> Result<ClusterDecision> {
-        let shares = uniform_split(self.fleet.len(), self.global);
-        evaluate(&self.fleet, &self.memos, &shares, &vec![false; self.fleet.len()])
+        self.decide(uniform_split(self.fleet.len(), self.global))
+    }
+
+    /// Evaluate `shares` with every node up, summing `aggregate_perf` in
+    /// node order.
+    fn decide(&self, shares: Vec<Watts>) -> Result<ClusterDecision> {
+        let (perfs, infeasible) =
+            evaluate(&self.fleet, &self.memos, &shares, &vec![false; shares.len()])?;
+        let aggregate_perf = perfs.iter().sum();
+        Ok(ClusterDecision { shares, perfs, aggregate_perf, infeasible })
     }
 
     /// The oracle aggregate at the water-filled shares: what the
@@ -561,7 +564,7 @@ impl FleetCoordinator {
             pbc_trace::cached_counter!(names::CLUSTER_DEGRADED_EPOCHS).incr();
         }
 
-        let mut decision = evaluate(&self.fleet, &self.memos, &targets, &down)?;
+        let (mut perfs, _) = evaluate(&self.fleet, &self.memos, &targets, &down)?;
         // What a delayed or straggling report describes next epoch.
         self.enforced_hist.copy_from_slice(&self.enforced);
         self.enforce_supervised(tick, &targets, &down, &mut e);
@@ -579,9 +582,9 @@ impl FleetCoordinator {
         let (mut total, mut reclaimed) = (Watts::new(-0.0), Watts::new(-0.0));
         for i in 0..n {
             if self.straggle_until[i].is_some() && !down[i] {
-                decision.perfs[i] *= self.plan.nodes.slowdown;
+                perfs[i] *= self.plan.nodes.slowdown;
             }
-            aggregate += decision.perfs[i];
+            aggregate += perfs[i];
             moved += (targets[i] - self.prev_targets[i]).abs().value();
             total += self.enforced[i];
             let state = self.health.state(i);
@@ -606,7 +609,7 @@ impl FleetCoordinator {
         e.enforced_total = total;
         e.reclaimed = reclaimed;
         self.prev_targets = targets;
-        self.last_perfs = decision.perfs;
+        self.last_perfs = perfs;
 
         // The budget invariant. Decreases-first makes a violation
         // structurally impossible; the counter is the proof the trace
@@ -683,7 +686,6 @@ impl FleetCoordinator {
             report.tenant_floor_violations += e.tenant_floor_violations;
             report.min_tenant_jain = report.min_tenant_jain.min(e.tenant_jain);
             report.min_nodes_up = report.min_nodes_up.min(e.nodes_up);
-            report.final_aggregate = e.aggregate_perf;
             report.work_done += e.aggregate_perf;
             healthy_node_epochs += e.healthy;
             if report.reconverged_at.is_none() && e.tick >= quiet && !e.degraded && e.healthy == n {
@@ -691,7 +693,6 @@ impl FleetCoordinator {
             }
         }
         if report.epochs > 0 {
-            report.mean_aggregate = report.work_done / report.epochs as f64;
             report.availability = healthy_node_epochs as f64 / (report.epochs * n.max(1)) as f64;
         }
         Ok(report)
@@ -967,7 +968,8 @@ fn node_write_key(node: usize, target: Watts) -> u64 {
 }
 
 /// Coordinate and price every node's share, once per distinct (class,
-/// share) pair, in one pass on the calling thread. COORD and the solver
+/// share) pair, in one pass on the calling thread: the per-node perfs
+/// and how many live nodes had their share refused. COORD and the solver
 /// are pure functions of the class and the share (compared bit for bit),
 /// so one pair's result is each of its nodes', bit for bit. A live node
 /// whose pair is the previous live node's reuses that result: fleets
@@ -976,19 +978,17 @@ fn node_write_key(node: usize, target: Watts) -> u64 {
 /// up in a map of the pairs solved so far, so a fleet that interleaves
 /// its classes pays one lookup per node, not a scan.
 ///
-/// Down nodes contribute nothing without touching the infeasibility
-/// counter; an infeasible share (COORD or the solver refusing it) scores
-/// 0.0; a real solver error stops the pass and fails the evaluation with
-/// that node's error, the first in index order. `aggregate_perf` is
-/// summed in node order.
+/// Down nodes score 0.0 without touching the refused count; a refused
+/// share (COORD or the solver finding it infeasible) scores 0.0; a real
+/// solver error stops the pass and fails the evaluation with that node's
+/// error, the first in index order.
 fn evaluate(
     fleet: &Fleet,
     memos: &[SolveMemo],
     shares: &[Watts],
     down: &[bool],
-) -> Result<ClusterDecision> {
+) -> Result<(Vec<f64>, usize)> {
     let n = shares.len();
-    let mut allocs = vec![None; n];
     let mut perfs = vec![0.0; n];
     let mut infeasible = 0;
     let mut solved = HashMap::new();
@@ -996,7 +996,7 @@ fn evaluate(
     let mut failed = None;
     for i in (0..n).filter(|&i| !down[i]) {
         let key = (fleet.nodes[i], shares[i].value().to_bits());
-        let (alloc, perf) = match last {
+        let perf = match last {
             Some((k, out)) if k == key => out,
             _ => {
                 let out = match solved.get(&key) {
@@ -1013,9 +1013,10 @@ fn evaluate(
                 out
             }
         };
-        allocs[i] = alloc;
-        perfs[i] = perf;
-        infeasible += usize::from(alloc.is_none());
+        match perf {
+            Some(perf) => perfs[i] = perf,
+            None => infeasible += 1,
+        }
     }
     // The pairs solved, and the one whose solve failed.
     let evaluations = solved.len() + usize::from(failed.is_some());
@@ -1026,28 +1027,22 @@ fn evaluate(
     if let Some(e) = failed {
         return Err(e);
     }
-    let aggregate_perf = perfs.iter().sum();
-    Ok(ClusterDecision { shares: shares.to_vec(), allocs, perfs, aggregate_perf, infeasible })
+    Ok((perfs, infeasible))
 }
 
 /// COORD and the class's solve memo on node `node`'s share: the
-/// allocation and its simulated throughput, or `(None, 0.0)` when
-/// either refuses the share as infeasible.
-fn eval_node(
-    fleet: &Fleet,
-    memos: &[SolveMemo],
-    node: usize,
-    share: Watts,
-) -> Result<(Option<PowerAllocation>, f64)> {
+/// simulated throughput of COORD's allocation, or `None` when either
+/// refuses the share as infeasible.
+fn eval_node(fleet: &Fleet, memos: &[SolveMemo], node: usize, share: Watts) -> Result<Option<f64>> {
     let class = fleet.class_of(node);
     let coord = match class.coordinate(share) {
         Ok(r) => r,
-        Err(e) if e.is_infeasible() => return Ok((None, 0.0)),
+        Err(e) if e.is_infeasible() => return Ok(None),
         Err(e) => return Err(e),
     };
     match memos[fleet.nodes[node]].solve(coord.alloc) {
-        Ok(op) => Ok((Some(coord.alloc), op.perf_rel)),
-        Err(e) if e.is_infeasible() => Ok((None, 0.0)),
+        Ok(op) => Ok(Some(op.perf_rel)),
+        Err(e) if e.is_infeasible() => Ok(None),
         Err(e) => Err(e),
     }
 }
@@ -1077,34 +1072,24 @@ mod tests {
         memos: &[SolveMemo],
         shares: &[Watts],
         down: &[bool],
-    ) -> Result<ClusterDecision> {
-        let n = shares.len();
-        let mut allocs = Vec::with_capacity(n);
-        let mut perfs = Vec::with_capacity(n);
+    ) -> Result<(Vec<f64>, usize)> {
+        let mut perfs = Vec::with_capacity(shares.len());
         let mut infeasible = 0;
-        for i in 0..n {
-            let (alloc, perf) =
-                if down[i] { (None, 0.0) } else { eval_node(fleet, memos, i, shares[i])? };
-            infeasible += usize::from(alloc.is_none() && !down[i]);
-            allocs.push(alloc);
-            perfs.push(perf);
+        for i in 0..shares.len() {
+            let perf = if down[i] { Some(0.0) } else { eval_node(fleet, memos, i, shares[i])? };
+            infeasible += usize::from(perf.is_none());
+            perfs.push(perf.unwrap_or(0.0));
         }
-        let aggregate_perf = perfs.iter().sum();
-        Ok(ClusterDecision { shares: shares.to_vec(), allocs, perfs, aggregate_perf, infeasible })
+        Ok((perfs, infeasible))
     }
 
-    /// Everything an evaluation returns, every float by its bits, or the
+    /// Everything an evaluation returns, every perf by its bits, or the
     /// error it failed with.
-    fn fingerprint(decision: &Result<ClusterDecision>) -> String {
-        let bits = |w: Watts| w.value().to_bits();
-        match decision {
-            Ok(d) => {
-                let shares: Vec<u64> = d.shares.iter().map(|s| bits(*s)).collect();
-                let allocs: Vec<Option<(u64, u64)>> =
-                    d.allocs.iter().map(|a| a.map(|a| (bits(a.proc), bits(a.mem)))).collect();
-                let perfs: Vec<u64> = d.perfs.iter().map(|p| p.to_bits()).collect();
-                let sum = d.aggregate_perf.to_bits();
-                format!("{shares:x?} {allocs:x?} {perfs:x?} {sum:x} {}", d.infeasible)
+    fn fingerprint(evaluation: &Result<(Vec<f64>, usize)>) -> String {
+        match evaluation {
+            Ok((perfs, infeasible)) => {
+                let perfs: Vec<u64> = perfs.iter().map(|p| p.to_bits()).collect();
+                format!("{perfs:x?} {infeasible}")
             }
             Err(e) => format!("error: {e}"),
         }
@@ -1167,7 +1152,7 @@ mod tests {
                 };
                 let want = evaluate_per_node(&fleet, &reference_memos, &shares, &down);
                 match &want {
-                    Ok(d) if d.infeasible > 0 => infeasible += 1,
+                    Ok((_, refused)) if *refused > 0 => infeasible += 1,
                     Ok(_) => oks += 1,
                     Err(_) => errors += 1,
                 }
@@ -1251,7 +1236,7 @@ mod tests {
         assert_eq!(report.dropouts, 0);
         assert_eq!(report.degraded_epochs, 0);
         assert!((report.availability - 1.0).abs() < 1e-12);
-        assert!(report.final_aggregate > 0.0);
+        assert!(report.work_done > 0.0);
         assert_eq!(report.reconverged_at, Some(0), "a calm run is converged from tick 0");
     }
 
@@ -1339,6 +1324,19 @@ mod tests {
         assert!(coord.set_global_budget(Watts::new(-5.0)).is_err());
         assert!(coord.set_global_budget(floor - Watts::new(1.0)).is_err());
         assert_eq!(coord.global_budget(), cut, "rejected budgets must not stick");
+    }
+
+    #[test]
+    fn solve_memos_stay_bounded_across_budgets() {
+        let fleet = mixed_fleet();
+        let (floor, n) = (fleet.min_total_power(), fleet.len());
+        let mut coord = FleetCoordinator::new(fleet, floor + Watts::new(150.0)).unwrap();
+        for k in 0..400 {
+            coord.set_global_budget(floor + Watts::new(40.0 + 0.5 * f64::from(k))).unwrap();
+            let _ = coord.step().unwrap();
+            let cached: usize = coord.memos.iter().map(SolveMemo::len).sum();
+            assert!(cached <= n, "budget {k}: {cached} memo entries for {n} nodes");
+        }
     }
 
     #[test]

@@ -29,21 +29,16 @@ use crate::problem::PowerBoundedProblem;
 use crate::sweep::{sweep_curve_with_pool, DEFAULT_STEP};
 use pbc_par::Pool;
 use pbc_platform::{NodeSpec, Platform};
-use pbc_powersim::{BoundedRegistry, WorkloadDemand};
+use pbc_powersim::WorkloadDemand;
 use pbc_trace::names;
 use pbc_types::{PbcError, PowerAllocation, Result, Watts};
-use std::sync::{Arc, OnceLock};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Budget spacing of the interpolation-table samples. Coarser than the
 /// 4 W sweep grid — the table ranks marginal gains and serves per-rung
 /// optima, it does not have to resolve every sweep step.
 pub const TABLE_STEP: Watts = Watts::new(8.0);
-
-/// Most shared curve tables the process keeps. One table per
-/// `(hardware, workload-class)` pair; 64 covers every preset × benchmark
-/// combination the workspace ships with headroom, while bounding a
-/// long-running daemon that profiles ever new classes.
-pub const MAX_SHARED_TABLES: usize = 64;
 
 /// The smallest node budget this class can run on: the platform's
 /// hardware minimum ([`Platform::min_node_power`]). On hosts that is
@@ -106,13 +101,15 @@ pub struct CurveTable {
     pub allocs: Vec<Option<PowerAllocation>>,
 }
 
-/// Process-wide table registry, keyed by an exact fingerprint of the
+/// The process-wide shared tables, keyed by an exact fingerprint of the
 /// class (the debug rendering of the full platform and demand — verbose,
-/// but collision-free). Builds run *outside* the registry lock (they are
-/// pooled sweeps); readers clone an `Arc` once and then serve lock-free.
-fn tables() -> &'static BoundedRegistry<CurveTable> {
-    static TABLES: OnceLock<BoundedRegistry<CurveTable>> = OnceLock::new();
-    TABLES.get_or_init(|| BoundedRegistry::new(MAX_SHARED_TABLES))
+/// but collision-free). Every caller names a class by a preset platform
+/// and a catalog benchmark it targets, so the map holds at most the 34
+/// Table-3 classes. No holder panics mid-update, so a poisoned lock
+/// still guards a consistent map.
+fn tables() -> MutexGuard<'static, HashMap<String, Arc<CurveTable>>> {
+    static TABLES: OnceLock<Mutex<HashMap<String, Arc<CurveTable>>>> = OnceLock::new();
+    TABLES.get_or_init(Mutex::default).lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl CurveTable {
@@ -160,14 +157,19 @@ impl CurveTable {
     }
 
     /// The shared table for a class, built on first use and then served
-    /// from the process-wide registry. The returned `Arc` is immutable
-    /// and lock-free to read; hold it for the steady state and the
-    /// registry is never touched again.
+    /// from the process-wide map. The build runs outside the lock (it is
+    /// a pooled sweep); when two callers build one class at once, the
+    /// first insert wins and both get its handle. A failed build is not
+    /// kept. The returned `Arc` is immutable and lock-free to read; hold
+    /// it for the steady state and the map is never touched again.
     #[must_use = "the table result carries either the shared handle or the build failure"]
     pub fn shared(platform: &Platform, demand: &WorkloadDemand) -> Result<Arc<CurveTable>> {
-        tables().get_or_try_build(&format!("table|{platform:?}|{demand:?}"), || {
-            Self::profile(platform, demand)
-        })
+        let key = format!("table|{platform:?}|{demand:?}");
+        if let Some(table) = tables().get(&key) {
+            return Ok(Arc::clone(table));
+        }
+        let built = Arc::new(Self::profile(platform, demand)?);
+        Ok(Arc::clone(tables().entry(key).or_insert(built)))
     }
 
     /// Drop every shared table (benches use this to measure cold
@@ -285,13 +287,16 @@ mod tests {
     #[test]
     fn shared_tables_are_one_handle_and_clearable() {
         let p = ivybridge();
-        let d = by_name("dgemm").unwrap().demand;
-        let a = CurveTable::shared(&p, &d).unwrap();
-        let b = CurveTable::shared(&p, &d).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
+        let (dgemm, stream) = (by_name("dgemm").unwrap().demand, by_name("stream").unwrap().demand);
+        let a = CurveTable::shared(&p, &dgemm).unwrap();
+        let b = CurveTable::shared(&p, &dgemm).unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "one class, one handle");
+        let other = CurveTable::shared(&p, &stream).unwrap();
+        assert!(!Arc::ptr_eq(&a, &other), "each class its own handle");
         CurveTable::clear_shared();
-        let c = CurveTable::shared(&p, &d).unwrap();
-        assert!(!Arc::ptr_eq(&a, &c), "clear must drop the registry route");
+        assert_eq!(Arc::strong_count(&a), 2, "the clear drops the map's handle, not the holders'");
+        let c = CurveTable::shared(&p, &dgemm).unwrap();
+        assert!(!Arc::ptr_eq(&a, &c), "a cleared map must rebuild");
         assert_eq!(*a, *c, "a rebuilt table must be identical");
     }
 

@@ -21,7 +21,7 @@
 //! node's decrease cannot be written — is exercised separately by the
 //! property tests with the weaker caps-never-inflate guarantee.
 
-use crate::plan::{check_probs, BudgetStep, FaultWindow, Preset};
+use crate::plan::{check_budget_steps, check_probs, BudgetStep, FaultWindow, Preset};
 use pbc_types::{PbcError, Result};
 
 /// A timed fault: in each tick of `window`, each entity (a node, a
@@ -492,15 +492,7 @@ impl FleetFaultPlan {
                 self.name, self.nodes.slowdown
             )));
         }
-        for s in &self.budget_steps {
-            if !s.factor.is_finite() || s.factor <= 0.0 {
-                return Err(PbcError::InvalidInput(format!(
-                    "{}: budget factor {} at tick {} must be positive",
-                    self.name, s.factor, s.at
-                )));
-            }
-        }
-        Ok(())
+        check_budget_steps(self.name, &self.budget_steps)
     }
 }
 

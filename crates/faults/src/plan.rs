@@ -90,6 +90,21 @@ pub(crate) fn check_probs(plan: &str, what: &str, probs: &[f64]) -> Result<()> {
     )))
 }
 
+/// The one budget-schedule check behind every plan's `validate`: each
+/// step's factor is finite and positive.
+#[must_use = "an unchecked budget step lets an invalid plan run"]
+pub(crate) fn check_budget_steps(plan: &str, steps: &[BudgetStep]) -> Result<()> {
+    for s in steps {
+        if !s.factor.is_finite() || s.factor <= 0.0 {
+            return Err(PbcError::InvalidInput(format!(
+                "{plan}: budget factor {} at tick {} must be positive",
+                s.factor, s.at
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Sensor corruption on the operating points the coordinator observes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensorFaults {
@@ -343,15 +358,7 @@ impl FaultPlan {
                 self.name, self.sensor.noise_frac
             )));
         }
-        for s in &self.budget_steps {
-            if !s.factor.is_finite() || s.factor <= 0.0 {
-                return Err(PbcError::InvalidInput(format!(
-                    "{}: budget factor {} at tick {} must be positive",
-                    self.name, s.factor, s.at
-                )));
-            }
-        }
-        Ok(())
+        check_budget_steps(&self.name, &self.budget_steps)
     }
 }
 

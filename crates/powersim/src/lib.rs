@@ -47,7 +47,6 @@ pub mod memctl;
 pub mod memo;
 pub mod operating;
 pub mod rapl;
-pub mod registry;
 pub mod sockets;
 
 pub use corun::{coordinate_corun, solve_corun, CorunPoint};
@@ -62,7 +61,6 @@ pub use memctl::DramThrottle;
 pub use memo::{SolveKey, SolveMemo};
 pub use operating::{CpuMechanismState, GpuMechanismState, MechanismState, NodeOperatingPoint};
 pub use rapl::RaplController;
-pub use registry::BoundedRegistry;
 pub use sockets::{coordinate_sockets, single_socket_spec, solve_per_socket, SocketOperatingPoint};
 
 use pbc_platform::{NodeSpec, Platform};

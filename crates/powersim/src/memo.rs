@@ -48,11 +48,17 @@ use crate::cpunode::{self, dram_bw_ceiling, solve_cpu_with_nominal};
 use crate::demand::WorkloadDemand;
 use crate::gpunode::{self, check_card_cap, solve_gpu_with_nominal};
 use crate::operating::{MechanismState, NodeOperatingPoint};
-use crate::registry::lock;
 use pbc_platform::{CpuSpec, DramSpec, GpuSpec, NodeSpec, Platform};
 use pbc_types::{PowerAllocation, Result, Watts};
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+
+/// Poison-tolerant lock: a panicking holder must not wedge every later
+/// caller (the sweep's panic contract re-raises on the calling thread,
+/// and a cache insert or clear leaves the map consistent).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A canonical solve key: exactly the solver's effective inputs for one
 /// allocation of a memo's problem (see the module docs). Two allocations
@@ -141,6 +147,12 @@ impl SolveMemo {
     /// process-wide cache to drop. Kept for callers written when memos
     /// were shared per process.
     pub fn clear_shared() {}
+
+    /// Drop every cached entry. Keys are exact, so later solves return
+    /// what the dropped entries would have, bit for bit.
+    pub fn clear(&self) {
+        lock(&self.cache).clear();
+    }
 
     /// Cached entries in this memo.
     pub fn len(&self) -> usize {

@@ -249,8 +249,6 @@ mod tests {
         let c = cpu();
         let cap = Watts::new(100.0);
         let mut r = RaplController::new(&c, cap, 5);
-        let nominal = *c.pstates.nominal();
-        let _ = nominal;
         // Closed loop: the "hardware" draws the power of the current state
         // at activity 0.9.
         let mut positions = vec![];

@@ -97,12 +97,11 @@ pub fn solve_per_socket(
     let mut times = Vec::with_capacity(n);
     let mut powers = Vec::with_capacity(n);
     let mut mem_power = Watts::ZERO;
-    for (i, (&cap, &share)) in socket_caps.iter().zip(&shares).enumerate() {
+    for (&cap, &share) in socket_caps.iter().zip(&shares) {
         if pbc_types::is_zero(share) {
             // Idle socket: draws its floor, does no work.
             times.push(0.0);
             powers.push(socket.min_active_power);
-            let _ = i;
             continue;
         }
         let slice = DramSpec {

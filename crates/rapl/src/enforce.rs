@@ -20,36 +20,22 @@ use crate::{DomainKind, RaplDomain, RaplSysfs};
 use pbc_trace::names;
 use pbc_types::{PbcError, PowerAllocation, Result, Watts};
 
-/// What was programmed into one domain.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AppliedCap {
-    /// Domain name (e.g. `"package-0"`).
-    pub domain: String,
-    /// Domain kind.
-    pub kind: DomainKind,
-    /// The limit written.
-    pub limit: Watts,
-}
-
 /// Tries each cap write gets before it counts as failed, at the node
 /// and the fleet level alike. Retries do not back off, so injected
 /// fault storms replay at full speed.
 pub const WRITE_ATTEMPTS: u32 = 4;
 
-/// Outcome of one enforcement transaction (see [`enforce_with`]).
+/// Outcome of one enforcement transaction (see [`enforce_with`]). What
+/// each domain ended up programmed to is read back from the domains
+/// themselves ([`RaplDomain::power_limit`], [`current_allocation`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnforceReport {
-    /// Caps that are programmed *and still standing* when the call
-    /// returns. On success: one entry per target domain. On a rolled-back
-    /// failure: only the domains whose best-effort restore itself failed
-    /// (normally none).
-    pub applied: Vec<AppliedCap>,
     /// Individual write retries consumed by transient failures.
     pub retries: u32,
     /// Whether a permanent failure triggered the rollback path.
     pub rolled_back: bool,
     /// Rollback restores that themselves failed (those domains keep the
-    /// new cap and stay listed in `applied`).
+    /// new cap).
     pub rollback_errors: u32,
     /// The failure that aborted the transaction, if any.
     pub error: Option<PbcError>,
@@ -62,12 +48,12 @@ impl EnforceReport {
         self.error.is_none()
     }
 
-    /// Collapse to the classic `Result` shape: the applied caps on
-    /// commit, the aborting error on rollback.
-    #[must_use = "discarding the result loses both the caps and the error"]
-    pub fn into_result(self) -> Result<Vec<AppliedCap>> {
+    /// Collapse to the classic `Result` shape: `Ok` on commit, the
+    /// aborting error on rollback.
+    #[must_use = "discarding the result loses the error"]
+    pub fn into_result(self) -> Result<()> {
         match self.error {
-            None => Ok(self.applied),
+            None => Ok(()),
             Some(e) => Err(e),
         }
     }
@@ -78,16 +64,15 @@ impl EnforceReport {
 pub type CapWriter<'a> = dyn FnMut(&RaplDomain, Watts) -> Result<()> + 'a;
 
 /// Divide an allocation across the discovered domains and program the
-/// constraint-0 power limits transactionally. Returns one entry per
-/// domain written; on permanent failure every already-written domain is
-/// rolled back and the error is returned.
+/// constraint-0 power limits transactionally. On permanent failure every
+/// already-written domain is rolled back and the error is returned.
 ///
 /// Errors with [`PbcError::BackendUnavailable`] when the topology lacks
 /// package or DRAM domains, and with [`PbcError::Io`] when a write fails
 /// permanently (typically permissions — writing powercap limits needs
 /// root).
 #[must_use = "unchecked enforcement can leave the node on stale caps"]
-pub fn enforce(rapl: &RaplSysfs, alloc: PowerAllocation) -> Result<Vec<AppliedCap>> {
+pub fn enforce(rapl: &RaplSysfs, alloc: PowerAllocation) -> Result<()> {
     enforce_with(rapl, alloc, &mut |d, w| d.set_power_limit(w)).into_result()
 }
 
@@ -113,7 +98,6 @@ pub fn enforce_with(
 ) -> EnforceReport {
     pbc_trace::counter(names::ENFORCE_ATTEMPTS).incr();
     let mut report = EnforceReport {
-        applied: Vec::new(),
         retries: 0,
         rolled_back: false,
         rollback_errors: 0,
@@ -169,37 +153,19 @@ pub fn enforce_with(
     let mut done: Vec<&Planned<'_>> = Vec::with_capacity(plan.len());
     for p in &plan {
         match write_with_retry(p.domain, p.target, write, &mut report.retries) {
-            Ok(()) => {
-                done.push(p);
-                report.applied.push(AppliedCap {
-                    domain: p.domain.name.clone(),
-                    kind: p.domain.kind,
-                    limit: p.target,
-                });
-            }
+            Ok(()) => done.push(p),
             Err(e) => {
                 pbc_trace::counter(names::ENFORCE_PERMANENT_FAILURES).incr();
                 pbc_trace::counter(names::ENFORCE_ROLLBACKS).incr();
                 report.rolled_back = true;
                 // Best-effort restore, newest write first. A domain whose
-                // restore fails keeps the new cap and stays in `applied`
-                // so the caller can see exactly what is still programmed.
-                let mut standing = Vec::new();
+                // restore fails keeps the new cap and is counted.
                 for q in done.iter().rev() {
-                    match write_with_retry(q.domain, q.prior, write, &mut report.retries) {
-                        Ok(()) => {}
-                        Err(_) => {
-                            report.rollback_errors += 1;
-                            pbc_trace::counter(names::ENFORCE_ROLLBACK_ERRORS).incr();
-                            standing.push(AppliedCap {
-                                domain: q.domain.name.clone(),
-                                kind: q.domain.kind,
-                                limit: q.target,
-                            });
-                        }
+                    if write_with_retry(q.domain, q.prior, write, &mut report.retries).is_err() {
+                        report.rollback_errors += 1;
+                        pbc_trace::counter(names::ENFORCE_ROLLBACK_ERRORS).incr();
                     }
                 }
-                report.applied = standing;
                 report.error = Some(PbcError::Io(format!(
                     "cap write on {} failed permanently after {} attempts ({e}); \
                      transaction rolled back ({} restore failure(s))",
@@ -275,25 +241,20 @@ mod tests {
         (tree, rapl)
     }
 
+    /// Every domain's limit as its file reads back, in discovery order:
+    /// with one DRAM child per package, package 0, its DRAM, package 1,
+    /// its DRAM.
+    fn limits(rapl: &RaplSysfs) -> Vec<f64> {
+        rapl.domains.iter().map(|d| d.power_limit().unwrap().value()).collect()
+    }
+
     #[test]
     fn enforce_divides_across_domains() {
         let (_tree, rapl) = mock_rapl("divide", 2);
-        let applied = enforce(
-            &rapl,
-            PowerAllocation::new(Watts::new(110.0), Watts::new(84.0)),
-        )
-        .unwrap();
-        assert_eq!(applied.len(), 4);
+        enforce(&rapl, PowerAllocation::new(Watts::new(110.0), Watts::new(84.0))).unwrap();
         // Two packages at 55 W each, two DRAM domains at 42 W each.
-        let pkg: Vec<_> = applied.iter().filter(|a| a.kind == DomainKind::Package).collect();
-        assert_eq!(pkg.len(), 2);
-        for a in pkg {
-            assert!((a.limit.value() - 55.0).abs() < 1e-9);
-        }
-        for a in applied.iter().filter(|a| a.kind == DomainKind::Dram) {
-            assert!((a.limit.value() - 42.0).abs() < 1e-9);
-        }
-        // And the files actually changed; the aggregate reads back.
+        assert_eq!(limits(&rapl), [55.0, 42.0, 55.0, 42.0]);
+        // The aggregate reads back too.
         let back = current_allocation(&rapl).unwrap();
         assert!((back.proc.value() - 110.0).abs() < 1e-6);
         assert!((back.mem.value() - 84.0).abs() < 1e-6);
@@ -325,7 +286,7 @@ mod tests {
     #[test]
     fn permanent_failure_rolls_every_domain_back() {
         let (_tree, rapl) = mock_rapl("rollback", 2);
-        let before = current_allocation(&rapl).unwrap();
+        let before = limits(&rapl);
         let mut write_log = Vec::new();
         let report = enforce_with(
             &rapl,
@@ -342,13 +303,10 @@ mod tests {
         assert!(!report.is_ok());
         assert!(report.rolled_back);
         assert_eq!(report.rollback_errors, 0);
-        assert!(report.applied.is_empty(), "rolled-back caps must not be reported standing");
         // Tried WRITE_ATTEMPTS times on the failing domain.
         assert_eq!(report.retries, WRITE_ATTEMPTS - 1);
         // Every domain reads back its prior limit — all-or-nothing.
-        let after = current_allocation(&rapl).unwrap();
-        assert!((after.proc.value() - before.proc.value()).abs() < 1e-9);
-        assert!((after.mem.value() - before.mem.value()).abs() < 1e-9);
+        assert_eq!(limits(&rapl), before, "a rolled-back cap is still standing");
     }
 
     #[test]
@@ -368,7 +326,7 @@ mod tests {
             },
         );
         assert!(report.is_ok(), "{:?}", report.error);
-        assert_eq!(report.applied.len(), 4);
+        assert_eq!(limits(&rapl), [50.0, 30.0, 50.0, 30.0]);
         assert_eq!(report.retries, 3);
         assert!(!report.rolled_back);
         let back = current_allocation(&rapl).unwrap();
@@ -399,8 +357,8 @@ mod tests {
         );
     }
 
-    /// A restore that itself fails leaves that domain in `applied` and is
-    /// counted, so the caller knows exactly what is still programmed.
+    /// A restore that itself fails is counted, and that domain alone
+    /// keeps the new cap.
     #[test]
     fn failed_restore_is_reported_not_hidden() {
         let (_tree, rapl) = mock_rapl("restorefail", 2);
@@ -424,7 +382,9 @@ mod tests {
         assert!(!report.is_ok());
         assert!(report.rolled_back);
         assert_eq!(report.rollback_errors, 1);
-        assert_eq!(report.applied.len(), 1);
-        assert_eq!(report.applied[0].domain, "dram");
+        // Decreases first: the DRAM domains (115 → 15 W) come before the
+        // packages (115 → 40 W), so package 0's DRAM took its cap, package
+        // 1's DRAM failed, and the restore of the first failed too.
+        assert_eq!(limits(&rapl), [115.0, 15.0, 115.0, 115.0]);
     }
 }

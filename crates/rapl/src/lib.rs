@@ -32,8 +32,7 @@ pub mod enforce;
 pub mod mock;
 
 pub use enforce::{
-    current_allocation, enforce as enforce_allocation, enforce_with, AppliedCap, EnforceReport,
-    WRITE_ATTEMPTS,
+    current_allocation, enforce as enforce_allocation, enforce_with, EnforceReport, WRITE_ATTEMPTS,
 };
 
 use pbc_types::{check_budget, u64_from_f64, Joules, PbcError, Result, Watts};
@@ -84,8 +83,6 @@ pub struct RaplDomain {
     pub kind: DomainKind,
     /// Raw name string (e.g. `"package-0"`).
     pub name: String,
-    /// Counter wrap point from `max_energy_range_uj`.
-    pub max_energy_range: Joules,
 }
 
 impl RaplDomain {
@@ -162,15 +159,7 @@ impl RaplSysfs {
                 continue;
             };
             let name = name.trim().to_string();
-            let max_energy_range = RaplDomain::read_u64(&path.join("max_energy_range_uj"))
-                .map(|uj| Joules::new(uj as f64 / 1e6))
-                .unwrap_or(Joules::new(f64::MAX));
-            domains.push(RaplDomain {
-                kind: DomainKind::from_name(&name),
-                name,
-                path,
-                max_energy_range,
-            });
+            domains.push(RaplDomain { kind: DomainKind::from_name(&name), name, path });
         }
         if domains.is_empty() {
             return Err(PbcError::BackendUnavailable(format!(

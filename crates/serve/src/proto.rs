@@ -28,8 +28,8 @@ pub enum Request {
     /// coordination session.
     Node { id: u64, platform: String, bench: String, budget: f64 },
     /// `provision <count> <platform> <bench> <budget-watts>` — open
-    /// `count` sessions in one pooled job; ids are assigned
-    /// consecutively and reported in the response.
+    /// `count` identical sessions, one built and then cloned; ids are
+    /// assigned consecutively and reported in the response.
     Provision { count: usize, platform: String, bench: String, budget: f64 },
     /// `budget <id> <watts>` — re-target the session's budget; responds
     /// with the allocation to apply next.
