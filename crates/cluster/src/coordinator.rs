@@ -5,9 +5,11 @@
 //! Layer one is the water-filling partition ([`crate::partition`]): the
 //! global budget becomes per-node shares ranked by marginal gain. Layer
 //! two is the paper's per-node COORD on each share, with the resulting
-//! allocation priced by the memo-backed power simulator. Both are pure
-//! functions of a node's class and share, so they run once per distinct
-//! (class, share) pair, not once per node, on the calling thread.
+//! allocation priced by the power simulator. Both are pure functions of
+//! a node's class and share, so the coordinator prices each distinct
+//! (class, share) pair once, on the calling thread, and keeps the price
+//! across epochs; an accepted budget keeps only the pairs the last epoch
+//! used.
 //!
 //! The dynamic mode ([`FleetCoordinator::step`]) runs the full failure
 //! pipeline each epoch in two passes over the nodes, one before the fill
@@ -62,7 +64,7 @@ use pbc_powersim::SolveMemo;
 use pbc_rapl::WRITE_ATTEMPTS;
 use pbc_trace::names;
 use pbc_types::{check_budget, PbcError, Result, Watts, CAP_QUANTUM};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// Stream constant for node crash/rejoin decisions.
 const STREAM_NODE: u64 = 0x5EED_0011;
@@ -94,10 +96,8 @@ pub trait CapSink {
 pub struct ClusterDecision {
     /// Per-node budget shares (the caps to enforce).
     pub shares: Vec<Watts>,
-    /// Per-node simulated relative throughput (0.0 for unschedulable
-    /// nodes).
-    pub perfs: Vec<f64>,
-    /// Sum of `perfs` — the cluster's aggregate throughput.
+    /// The nodes' summed simulated relative throughput (0.0 for each
+    /// unschedulable node) — the cluster's aggregate throughput.
     pub aggregate_perf: f64,
     /// How many nodes could not schedule their share.
     pub infeasible: usize,
@@ -187,8 +187,6 @@ pub struct ClusterReport {
     pub quarantines: usize,
     /// Quarantined → Rejoining transitions.
     pub rejoins: usize,
-    /// Smallest live-node count seen.
-    pub min_nodes_up: usize,
     /// Healthy node-epochs over total node-epochs (1.0 = nobody ever
     /// left full service).
     pub availability: f64,
@@ -238,11 +236,12 @@ pub struct FleetCoordinator {
     tick: usize,
     health: HealthTracker,
     fallback: StaticFallback,
-    /// One solve memo per class, owned by this coordinator: a class's
-    /// nodes share its solves across the epochs of one global budget.
-    /// An accepted budget clears them, so they hold at most the pairs
-    /// priced since the last one.
+    /// One solve memo per class, for its precomputed nominal time: a
+    /// pair `prices` lacks is solved at full price through it.
     memos: Vec<SolveMemo>,
+    /// Every pair the epochs priced since the last accepted budget, and
+    /// the pairs the last epoch before it read.
+    prices: Prices,
     /// Cap currently enforced on each node (starts at zero: nothing has
     /// been granted before the first epoch).
     enforced: Vec<Watts>,
@@ -251,8 +250,6 @@ pub struct FleetCoordinator {
     enforced_hist: Vec<Watts>,
     /// Target shares of the previous epoch, for redistribution stats.
     prev_targets: Vec<Watts>,
-    /// Per-node throughput of the previous epoch (what reports carry).
-    last_perfs: Vec<f64>,
     /// `Some(t)` when the node is down until tick `t`.
     down_until: Vec<Option<usize>>,
     /// `Some(t)` when the node straggles until tick `t`.
@@ -311,10 +308,10 @@ impl FleetCoordinator {
             health: HealthTracker::new(n),
             fallback,
             memos,
+            prices: Prices::default(),
             enforced: vec![Watts::ZERO; n],
             enforced_hist: vec![Watts::ZERO; n],
             prev_targets: vec![Watts::ZERO; n],
-            last_perfs: vec![0.0; n],
             down_until: vec![None; n],
             straggle_until: vec![None; n],
             write_outage_until: vec![None; n],
@@ -390,12 +387,6 @@ impl FleetCoordinator {
         self.global
     }
 
-    /// The precomputed degraded-mode partition.
-    #[must_use]
-    pub fn fallback(&self) -> &StaticFallback {
-        &self.fallback
-    }
-
     /// Sum of the caps currently enforced.
     #[must_use]
     pub fn enforced_total(&self) -> Watts {
@@ -440,7 +431,7 @@ impl FleetCoordinator {
     /// non-positive, and below-fleet-floor budgets (counted under
     /// `cluster.rejected_budgets`); an accepted budget recomputes the
     /// static fallback so degraded mode stays safe under the new bound,
-    /// and clears the solve memos, whose shares the new budget moves.
+    /// and drops every price the last epoch's evaluation did not read.
     #[must_use = "a rejected budget means the old bound is still in force"]
     pub fn set_global_budget(&mut self, budget: Watts) -> Result<()> {
         if let Err(e) = check_budget("global budget", budget.value()) {
@@ -454,7 +445,8 @@ impl FleetCoordinator {
         }
         self.fallback = StaticFallback::compute(&self.fleet, budget)?;
         self.global = budget;
-        self.memos.iter().for_each(SolveMemo::clear);
+        let last = self.prices.generation;
+        self.prices.map.retain(|_, &mut (_, read)| read == last);
         pbc_trace::counter(names::CLUSTER_BUDGET_RESETS).incr();
         Ok(())
     }
@@ -482,13 +474,12 @@ impl FleetCoordinator {
         self.decide(uniform_split(self.fleet.len(), self.global))
     }
 
-    /// Evaluate `shares` with every node up, summing `aggregate_perf` in
-    /// node order.
+    /// Evaluate `shares` with every node up, priced into a map of the
+    /// call's own, summing `aggregate_perf` in node order.
     fn decide(&self, shares: Vec<Watts>) -> Result<ClusterDecision> {
         let (perfs, infeasible) =
-            evaluate(&self.fleet, &self.memos, &shares, &vec![false; shares.len()])?;
-        let aggregate_perf = perfs.iter().sum();
-        Ok(ClusterDecision { shares, perfs, aggregate_perf, infeasible })
+            Prices::default().evaluate(&self.fleet, &self.memos, &shares, |_| false)?;
+        Ok(ClusterDecision { shares, aggregate_perf: perfs.iter().sum(), infeasible })
     }
 
     /// The oracle aggregate at the water-filled shares: what the
@@ -532,31 +523,29 @@ impl FleetCoordinator {
         // Rejoining (a possibly-alive node is never starved below its
         // floor), and otherwise a seat at the fill.
         e.degraded = self.plan.coordinator_outage.active(tick);
-        let mut down = vec![false; n];
         let mut targets = vec![Watts::ZERO; n];
         let mut allocatable = Vec::new();
         let mut reserved = Watts::ZERO;
-        for i in 0..n {
+        for (i, target) in targets.iter_mut().enumerate() {
             self.roll_node(tick, i, &mut e);
-            down[i] = self.down_until[i].is_some();
-            self.take_report(tick, i, down[i], &mut e);
-            if down[i] {
+            self.take_report(tick, i, &mut e);
+            if self.down_until[i].is_some() {
                 continue;
             }
             e.nodes_up += 1;
             match self.health.state(i) {
-                _ if e.degraded => targets[i] = self.fallback.share(i),
+                _ if e.degraded => *target = self.fallback.share(i),
                 NodeHealth::Healthy | NodeHealth::Suspect => allocatable.push(i),
                 NodeHealth::Quarantined | NodeHealth::Rejoining => {
-                    targets[i] = self.fleet.class_of(i).floor;
-                    reserved += targets[i];
+                    *target = self.fleet.class_of(i).floor;
+                    reserved += *target;
                 }
             }
         }
         self.roll_tenants(tick, &mut e);
         if !e.degraded && !self.water_fill(&allocatable, reserved, &mut targets) {
             e.degraded = true;
-            for i in (0..n).filter(|&i| !down[i]) {
+            for i in (0..n).filter(|&i| self.down_until[i].is_none()) {
                 targets[i] = self.fallback.share(i);
             }
         }
@@ -564,10 +553,12 @@ impl FleetCoordinator {
             pbc_trace::cached_counter!(names::CLUSTER_DEGRADED_EPOCHS).incr();
         }
 
-        let (mut perfs, _) = evaluate(&self.fleet, &self.memos, &targets, &down)?;
+        let down = &self.down_until;
+        let (mut perfs, _) =
+            self.prices.evaluate(&self.fleet, &self.memos, &targets, |i| down[i].is_some())?;
         // What a delayed or straggling report describes next epoch.
         self.enforced_hist.copy_from_slice(&self.enforced);
-        self.enforce_supervised(tick, &targets, &down, &mut e);
+        self.enforce_supervised(tick, &targets, &mut e);
 
         // The pass after enforcement scores the epoch. Stragglers run
         // slow: their contribution shrinks by the plan's slowdown factor.
@@ -581,7 +572,8 @@ impl FleetCoordinator {
         let (mut aggregate, mut moved) = (-0.0, -0.0);
         let (mut total, mut reclaimed) = (Watts::new(-0.0), Watts::new(-0.0));
         for i in 0..n {
-            if self.straggle_until[i].is_some() && !down[i] {
+            let down = self.down_until[i].is_some();
+            if self.straggle_until[i].is_some() && !down {
                 perfs[i] *= self.plan.nodes.slowdown;
             }
             aggregate += perfs[i];
@@ -589,11 +581,11 @@ impl FleetCoordinator {
             total += self.enforced[i];
             let state = self.health.state(i);
             e.healthy += usize::from(state == NodeHealth::Healthy);
-            if down[i] || matches!(state, NodeHealth::Quarantined | NodeHealth::Rejoining) {
+            if down || matches!(state, NodeHealth::Quarantined | NodeHealth::Rejoining) {
                 reclaimed += (self.fallback.share(i) - self.enforced[i]).max(Watts::ZERO);
             }
             let Some(tenants) = self.tenants.as_ref() else { continue };
-            if down[i] || self.enforced[i].value() <= CAP_QUANTUM {
+            if down || self.enforced[i].value() <= CAP_QUANTUM {
                 continue;
             }
             let floor = self.fleet.class_of(i).floor;
@@ -609,7 +601,6 @@ impl FleetCoordinator {
         e.enforced_total = total;
         e.reclaimed = reclaimed;
         self.prev_targets = targets;
-        self.last_perfs = perfs;
 
         // The budget invariant. Decreases-first makes a violation
         // structurally impossible; the counter is the proof the trace
@@ -660,11 +651,7 @@ impl FleetCoordinator {
     pub fn run(&mut self, epochs: usize) -> Result<ClusterReport> {
         let n = self.fleet.len();
         let quiet = self.plan.quiet_after();
-        let mut report = ClusterReport {
-            min_nodes_up: n,
-            min_tenant_jain: 1.0,
-            ..ClusterReport::default()
-        };
+        let mut report = ClusterReport { min_tenant_jain: 1.0, ..ClusterReport::default() };
         let mut healthy_node_epochs = 0usize;
         for _ in 0..epochs {
             let e = self.step()?;
@@ -685,7 +672,6 @@ impl FleetCoordinator {
             report.tenant_preemptions += e.tenant_preemptions;
             report.tenant_floor_violations += e.tenant_floor_violations;
             report.min_tenant_jain = report.min_tenant_jain.min(e.tenant_jain);
-            report.min_nodes_up = report.min_nodes_up.min(e.nodes_up);
             report.work_done += e.aggregate_perf;
             healthy_node_epochs += e.healthy;
             if report.reconverged_at.is_none() && e.tick >= quiet && !e.degraded && e.healthy == n {
@@ -770,8 +756,8 @@ impl FleetCoordinator {
     /// Take node `node`'s report of the previous epoch into the health
     /// machine, counting a missed or rejected report and the health
     /// transition it causes into `e`.
-    fn take_report(&mut self, tick: usize, node: usize, down: bool, e: &mut EpochReport) {
-        let verdict = self.report_verdict(tick, node, down);
+    fn take_report(&mut self, tick: usize, node: usize, e: &mut EpochReport) {
+        let verdict = self.report_verdict(tick, node);
         match verdict {
             ReportVerdict::Missing => {
                 e.missed_reports += 1;
@@ -792,15 +778,18 @@ impl FleetCoordinator {
 
     /// One node's report for this epoch, faults applied, then passed
     /// through the report gate `OnlineCoordinator` uses.
-    fn report_verdict(&self, tick: usize, node: usize, down: bool) -> ReportVerdict {
-        if down {
+    fn report_verdict(&self, tick: usize, node: usize) -> ReportVerdict {
+        if self.down_until[node].is_some() {
             return ReportVerdict::Missing;
         }
         // The honest report: the cap the node ran on last epoch and the
         // throughput it measured. A straggler lags one epoch further
-        // behind, so its cap snapshot is one epoch staler.
+        // behind, so its cap snapshot is one epoch staler. Every honest
+        // perf (solved, straggler-scaled, or 0.0 when refused) is finite,
+        // non-negative and far below the gate's ceiling, so its value
+        // never decides the verdict: the report carries a fixed one.
         let mut cap = self.enforced[node];
-        let mut perf = self.last_perfs[node];
+        let mut perf = 1.0;
         if self.straggle_until[node].is_some() {
             cap = self.enforced_hist[node];
         }
@@ -863,20 +852,13 @@ impl FleetCoordinator {
     /// strictly from the pot the confirmed decreases left, so
     /// `Σ enforced ≤ global` is an invariant, not an aspiration. Writes
     /// the round's failures, retries and leak audit into `e`.
-    fn enforce_supervised(
-        &mut self,
-        tick: usize,
-        targets: &[Watts],
-        down: &[bool],
-        e: &mut EpochReport,
-    ) {
-        let n = targets.len();
+    fn enforce_supervised(&mut self, tick: usize, targets: &[Watts], e: &mut EpochReport) {
         // Phase 1: releases.
-        for i in 0..n {
-            if down[i] {
+        for (i, &target) in targets.iter().enumerate() {
+            if self.down_until[i].is_some() {
                 self.enforced[i] = Watts::ZERO;
-            } else if targets[i] < self.enforced[i] && self.try_write(tick, i, targets[i], e) {
-                self.enforced[i] = targets[i];
+            } else if target < self.enforced[i] && self.try_write(tick, i, target, e) {
+                self.enforced[i] = target;
             }
         }
 
@@ -885,11 +867,11 @@ impl FleetCoordinator {
         let pot_legit = (self.global - spent).max(Watts::ZERO);
         let mut pot = pot_legit;
         let mut raised = Watts::ZERO;
-        for i in 0..n {
-            if down[i] || targets[i] <= self.enforced[i] {
+        for (i, &target) in targets.iter().enumerate() {
+            if self.down_until[i].is_some() || target <= self.enforced[i] {
                 continue;
             }
-            let want = targets[i] - self.enforced[i];
+            let want = target - self.enforced[i];
             let raise = want.min(pot);
             if raise.value() <= CAP_QUANTUM {
                 continue;
@@ -967,72 +949,92 @@ fn node_write_key(node: usize, target: Watts) -> u64 {
     std::str::from_utf8(&buf[..len]).map_or(0, |name| write_key(name, target))
 }
 
-/// Coordinate and price every node's share, once per distinct (class,
-/// share) pair, in one pass on the calling thread: the per-node perfs
-/// and how many live nodes had their share refused. COORD and the solver
-/// are pure functions of the class and the share (compared bit for bit),
-/// so one pair's result is each of its nodes', bit for bit. A live node
-/// whose pair is the previous live node's reuses that result: fleets
-/// list each class contiguously and the fill keeps a class's equal
-/// shares adjacent, so most nodes stop there. Any other pair is looked
-/// up in a map of the pairs solved so far, so a fleet that interleaves
-/// its classes pays one lookup per node, not a scan.
-///
-/// Down nodes score 0.0 without touching the refused count; a refused
-/// share (COORD or the solver finding it infeasible) scores 0.0; a real
-/// solver error stops the pass and fails the evaluation with that node's
-/// error, the first in index order.
-fn evaluate(
-    fleet: &Fleet,
-    memos: &[SolveMemo],
-    shares: &[Watts],
-    down: &[bool],
-) -> Result<(Vec<f64>, usize)> {
-    let n = shares.len();
-    let mut perfs = vec![0.0; n];
-    let mut infeasible = 0;
-    let mut solved = HashMap::new();
-    let mut last = None;
-    let mut failed = None;
-    for i in (0..n).filter(|&i| !down[i]) {
-        let key = (fleet.nodes[i], shares[i].value().to_bits());
-        let perf = match last {
-            Some((k, out)) if k == key => out,
-            _ => {
-                let out = match solved.get(&key) {
-                    Some(&out) => out,
-                    None => match eval_node(fleet, memos, i, shares[i]) {
-                        Ok(out) => *solved.entry(key).or_insert(out),
-                        Err(e) => {
-                            failed = Some(e);
-                            break;
-                        }
-                    },
-                };
-                last = Some((key, out));
-                out
-            }
-        };
-        match perf {
-            Some(perf) => perfs[i] = perf,
-            None => infeasible += 1,
-        }
-    }
-    // The pairs solved, and the one whose solve failed.
-    let evaluations = solved.len() + usize::from(failed.is_some());
-    pbc_trace::cached_counter!(names::CLUSTER_EVALUATIONS).add(evaluations as u64);
-    if infeasible > 0 {
-        pbc_trace::cached_counter!(names::CLUSTER_INFEASIBLE_NODES).add(infeasible as u64);
-    }
-    if let Some(e) = failed {
-        return Err(e);
-    }
-    Ok((perfs, infeasible))
+/// The fleet's price cache: one price per (class index, share bits)
+/// pair, the perf of COORD's allocation as the solver runs it or `None`
+/// when either refuses the share, with the generation of the evaluation
+/// that last read it.
+#[derive(Default)]
+struct Prices {
+    map: HashMap<(usize, u64), (Option<f64>, u64)>,
+    /// The evaluations run so far: the latest one's generation.
+    generation: u64,
 }
 
-/// COORD and the class's solve memo on node `node`'s share: the
-/// simulated throughput of COORD's allocation, or `None` when either
-/// refuses the share as infeasible.
+impl Prices {
+    /// Coordinate and price every node's share in one pass on the
+    /// calling thread: the per-node perfs and how many live nodes had
+    /// their share refused. COORD and the solver are pure functions of
+    /// the class and the share (compared bit for bit), so one pair's
+    /// price is each of its nodes', bit for bit. A live node whose pair
+    /// is the previous live node's reuses that price: fleets list each
+    /// class contiguously and the fill keeps a class's equal shares
+    /// adjacent, so most nodes stop there. Any other pair is looked up
+    /// in the map, and a pair it lacks is priced and inserted; every
+    /// pair read is stamped with this evaluation's generation.
+    ///
+    /// Down nodes score 0.0 without touching the refused count; a
+    /// refused share (COORD or the solver finding it infeasible) scores
+    /// 0.0; a real solver error is never inserted: it stops the pass and
+    /// fails the evaluation with that node's error, the first in index
+    /// order.
+    fn evaluate(
+        &mut self,
+        fleet: &Fleet,
+        memos: &[SolveMemo],
+        shares: &[Watts],
+        down: impl Fn(usize) -> bool,
+    ) -> Result<(Vec<f64>, usize)> {
+        self.generation += 1;
+        let n = shares.len();
+        let mut perfs = vec![0.0; n];
+        let (mut infeasible, mut priced) = (0, 0);
+        let mut last = None;
+        let mut failed = None;
+        for i in (0..n).filter(|&i| !down(i)) {
+            let key = (fleet.nodes[i], shares[i].value().to_bits());
+            let perf = match last {
+                Some((k, out)) if k == key => out,
+                _ => {
+                    let out = match self.map.entry(key) {
+                        Entry::Occupied(mut hit) => {
+                            hit.get_mut().1 = self.generation;
+                            hit.get().0
+                        }
+                        Entry::Vacant(miss) => {
+                            priced += 1;
+                            match eval_node(fleet, memos, i, shares[i]) {
+                                Ok(out) => miss.insert((out, self.generation)).0,
+                                Err(e) => {
+                                    failed = Some(e);
+                                    break;
+                                }
+                            }
+                        }
+                    };
+                    last = Some((key, out));
+                    out
+                }
+            };
+            match perf {
+                Some(perf) => perfs[i] = perf,
+                None => infeasible += 1,
+            }
+        }
+        // The pairs priced, the one whose solve failed included.
+        pbc_trace::cached_counter!(names::CLUSTER_EVALUATIONS).add(priced);
+        if infeasible > 0 {
+            pbc_trace::cached_counter!(names::CLUSTER_INFEASIBLE_NODES).add(infeasible as u64);
+        }
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        Ok((perfs, infeasible))
+    }
+}
+
+/// COORD and a full solve on node `node`'s share: the simulated
+/// throughput of COORD's allocation, or `None` when either refuses the
+/// share as infeasible.
 fn eval_node(fleet: &Fleet, memos: &[SolveMemo], node: usize, share: Watts) -> Result<Option<f64>> {
     let class = fleet.class_of(node);
     let coord = match class.coordinate(share) {
@@ -1040,7 +1042,7 @@ fn eval_node(fleet: &Fleet, memos: &[SolveMemo], node: usize, share: Watts) -> R
         Err(e) if e.is_infeasible() => return Ok(None),
         Err(e) => return Err(e),
     };
-    match memos[fleet.nodes[node]].solve(coord.alloc) {
+    match memos[fleet.nodes[node]].solve_uncached(coord.alloc) {
         Ok(op) => Ok(Some(op.perf_rel)),
         Err(e) if e.is_infeasible() => Ok(None),
         Err(e) => Err(e),
@@ -1133,6 +1135,8 @@ mod tests {
                 fleet.classes.iter().map(|c| SolveMemo::fresh(&c.platform, &c.demand)).collect()
             };
             let (reference_memos, memos) = (fresh_memos(), fresh_memos());
+            // One map across the cases, so later cases read earlier prices.
+            let mut prices = Prices::default();
             for case in 0..160 {
                 // Runs of one drawn share, each node down one time in five
                 // (or every node, or none).
@@ -1156,7 +1160,7 @@ mod tests {
                     Ok(_) => oks += 1,
                     Err(_) => errors += 1,
                 }
-                let got = evaluate(&fleet, &memos, &shares, &down);
+                let got = prices.evaluate(&fleet, &memos, &shares, |i| down[i]);
                 assert_eq!(
                     fingerprint(&got),
                     fingerprint(&want),
@@ -1193,7 +1197,7 @@ mod tests {
         // A calm first epoch partitions every node, as `coordinate` does.
         let targets = coord.coordinate().unwrap().shares;
         let off: f64 = (0..targets.len())
-            .map(|i| (targets[i] - coord.fallback().share(i)).abs().value())
+            .map(|i| (targets[i] - coord.fallback.share(i)).abs().value())
             .sum();
         let e = coord.step().unwrap();
         assert!(!e.degraded && off > 1.0, "the fill must move watts off the fallback");
@@ -1228,11 +1232,9 @@ mod tests {
     fn calm_run_never_violates_and_keeps_every_node_up() {
         let fleet = mixed_fleet();
         let global = fleet.min_total_power() + Watts::new(150.0);
-        let n = fleet.len();
         let mut coord = FleetCoordinator::new(fleet, global).unwrap();
         let report = coord.run(6).unwrap();
         assert!(report.survived());
-        assert_eq!(report.min_nodes_up, n);
         assert_eq!(report.dropouts, 0);
         assert_eq!(report.degraded_epochs, 0);
         assert!((report.availability - 1.0).abs() < 1e-12);
@@ -1296,7 +1298,8 @@ mod tests {
             .unwrap()
             .with_plan(plan)
             .unwrap();
-        let fallback_total = coord.fallback().total();
+        let fallback = &coord.fallback;
+        let fallback_total: Watts = (0..coord.fleet.len()).map(|i| fallback.share(i)).sum();
         let e = coord.step().unwrap();
         assert!(e.degraded);
         assert!(e.enforced_total <= global + Watts::new(1e-6));
@@ -1327,15 +1330,15 @@ mod tests {
     }
 
     #[test]
-    fn solve_memos_stay_bounded_across_budgets() {
+    fn prices_stay_bounded_across_budgets() {
         let fleet = mixed_fleet();
         let (floor, n) = (fleet.min_total_power(), fleet.len());
         let mut coord = FleetCoordinator::new(fleet, floor + Watts::new(150.0)).unwrap();
         for k in 0..400 {
             coord.set_global_budget(floor + Watts::new(40.0 + 0.5 * f64::from(k))).unwrap();
             let _ = coord.step().unwrap();
-            let cached: usize = coord.memos.iter().map(SolveMemo::len).sum();
-            assert!(cached <= n, "budget {k}: {cached} memo entries for {n} nodes");
+            let held = coord.prices.map.len();
+            assert!(held <= 2 * n, "budget {k}: {held} prices for {n} nodes");
         }
     }
 

@@ -31,7 +31,6 @@ const SLACK_EPS_W: f64 = 1e-9;
 #[derive(Debug, Clone)]
 pub struct StaticFallback {
     shares: Vec<Watts>,
-    global: Watts,
 }
 
 impl StaticFallback {
@@ -100,31 +99,13 @@ impl StaticFallback {
             shares.iter().copied().sum::<Watts>() <= global + Watts(1e-6),
             "fallback shares exceed the global budget"
         );
-        Ok(Self { shares, global })
+        Ok(Self { shares })
     }
 
     /// The fallback share of node `i`.
     #[must_use]
     pub fn share(&self, node: usize) -> Watts {
         self.shares[node]
-    }
-
-    /// All shares, node-indexed.
-    #[must_use]
-    pub fn shares(&self) -> &[Watts] {
-        &self.shares
-    }
-
-    /// The global budget the partition was computed against.
-    #[must_use]
-    pub fn global(&self) -> Watts {
-        self.global
-    }
-
-    /// Sum of every share — by construction at most [`Self::global`].
-    #[must_use]
-    pub fn total(&self) -> Watts {
-        self.shares.iter().copied().sum()
     }
 }
 
@@ -136,18 +117,22 @@ mod tests {
         Watts(v)
     }
 
+    fn total(fb: &StaticFallback) -> Watts {
+        fb.shares.iter().copied().sum()
+    }
+
     #[test]
     fn shares_sum_at_most_global_and_respect_floors_and_ceilings() {
         let floors = [w(30.0), w(50.0), w(40.0)];
         let ceilings = [w(80.0), w(90.0), w(60.0)];
         let fb = StaticFallback::from_parts(&floors, &ceilings, w(200.0)).unwrap();
-        assert!(fb.total() <= w(200.0) + w(1e-9));
+        assert!(total(&fb) <= w(200.0) + w(1e-9));
         for i in 0..3 {
             assert!(fb.share(i) >= floors[i]);
             assert!(fb.share(i) <= ceilings[i] + w(1e-9));
         }
         // Slack 80 over total range 110 → proportional, nobody capped.
-        assert!((fb.total().value() - 200.0).abs() < 1e-6, "all slack spent");
+        assert!((total(&fb).value() - 200.0).abs() < 1e-6, "all slack spent");
     }
 
     #[test]
@@ -157,7 +142,7 @@ mod tests {
         let fb = StaticFallback::from_parts(&floors, &ceilings, w(1000.0)).unwrap();
         assert_eq!(fb.share(0), w(50.0));
         assert_eq!(fb.share(1), w(70.0));
-        assert!(fb.total() <= w(1000.0));
+        assert!(total(&fb) <= w(1000.0));
     }
 
     #[test]

@@ -20,11 +20,11 @@
 //! * [`fleet::Fleet`] — heterogeneous node specs (`COUNT PLATFORM
 //!   BENCH` text lines), deduplicated into profiled classes;
 //! * [`coordinator::FleetCoordinator`] — water-fill, then per-node
-//!   COORD and memo-priced simulation, once per distinct (class, share)
-//!   pair; a dynamic mode replays `pbc_faults::FleetFaultPlan`
-//!   scenarios (crashes, stragglers, report loss, write outages,
-//!   coordinator outages, budget steps) under the determinism
-//!   contract, with decreases-first enforcement keeping
+//!   COORD and simulation, priced once per distinct (class, share) pair
+//!   and kept across epochs; a dynamic mode replays
+//!   `pbc_faults::FleetFaultPlan` scenarios (crashes, stragglers, report
+//!   loss, write outages, coordinator outages, budget steps) under the
+//!   determinism contract, with decreases-first enforcement keeping
 //!   `Σ enforced ≤ global` invariant. Each epoch's [`EpochReport`] is
 //!   its one in-process record, and a run's [`ClusterReport`] is a
 //!   fold of those records;

@@ -130,7 +130,7 @@ fn partition_is_bit_identical_across_thread_counts() {
 }
 
 /// Same property one layer up: the full coordinate() decision (shares,
-/// allocations, priced performance) replays bit-identically.
+/// priced aggregate performance, refusals) replays bit-identically.
 #[test]
 fn cluster_decisions_are_bit_identical_across_thread_counts() {
     let decide = |threads: usize| {
@@ -140,8 +140,7 @@ fn cluster_decisions_are_bit_identical_across_thread_counts() {
         let coord = FleetCoordinator::new(fleet, global).unwrap();
         let d = coord.coordinate_with_pool(&pool).unwrap();
         let shares: Vec<u64> = d.shares.iter().map(|s| s.value().to_bits()).collect();
-        let perfs: Vec<u64> = d.perfs.iter().map(|p| p.to_bits()).collect();
-        (shares, perfs, d.aggregate_perf.to_bits())
+        (shares, d.aggregate_perf.to_bits(), d.infeasible)
     };
     let one = decide(1);
     let two = decide(2);

@@ -59,19 +59,6 @@ pub fn efficiency_curve(
         .collect())
 }
 
-/// Why a budget is (un)acceptable, per the paper's scheduling guidance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BudgetVerdict {
-    /// Below the productive threshold: reject, or merge the watts into a
-    /// running job / return them upstream.
-    TooSmall,
-    /// Within the acceptable band: schedulable.
-    Acceptable,
-    /// Above the application's maximum demand: schedulable, but the excess
-    /// should be reclaimed (COORD reports it as a surplus).
-    Excessive,
-}
-
 /// The §2.1-RQ4 acceptable band for a workload, straight from its critical
 /// power values.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,17 +75,6 @@ impl AcceptableRange {
         Self {
             min: c.productive_threshold(),
             max: c.max_demand(),
-        }
-    }
-
-    /// Classify a budget against the band.
-    pub fn verdict(&self, budget: Watts) -> BudgetVerdict {
-        if budget < self.min {
-            BudgetVerdict::TooSmall
-        } else if budget > self.max {
-            BudgetVerdict::Excessive
-        } else {
-            BudgetVerdict::Acceptable
         }
     }
 
@@ -153,9 +129,7 @@ mod tests {
             &by_name("sra").unwrap().demand,
         );
         let band = AcceptableRange::from_criticals(&c);
-        assert_eq!(band.verdict(band.min - Watts::new(1.0)), BudgetVerdict::TooSmall);
-        assert_eq!(band.verdict(band.min + Watts::new(1.0)), BudgetVerdict::Acceptable);
-        assert_eq!(band.verdict(band.max + Watts::new(1.0)), BudgetVerdict::Excessive);
+        assert_eq!((band.min, band.max), (c.productive_threshold(), c.max_demand()));
         assert!(band.span().value() > 30.0, "band {band:?} suspiciously narrow");
     }
 

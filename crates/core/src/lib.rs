@@ -52,7 +52,7 @@ pub use analysis::{balance_analysis, critical_component, flattening_budget, perf
 pub use baselines::{oracle, AllocationPolicy, Baseline, CpuPolicy, GpuPolicy};
 pub use coord::{coord_cpu, coord_gpu, CoordResult, CoordStatus, GpuCoordParams};
 pub use critical::CriticalPowers;
-pub use efficiency::{efficiency_curve, most_efficient_budget, AcceptableRange, BudgetVerdict, EfficiencyPoint};
+pub use efficiency::{efficiency_curve, most_efficient_budget, AcceptableRange, EfficiencyPoint};
 pub use fastpath::{node_ceiling, node_floor, CurveTable, TABLE_STEP};
 pub use hybrid::{coordinate_hybrid, solve_hybrid_split, HybridPoint, HybridWorkload};
 pub use online::{check_report, BudgetOutcome, ObservationOutcome, OnlineCoordinator};

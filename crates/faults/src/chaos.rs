@@ -66,11 +66,10 @@ pub struct ChaosReport {
     pub enforce_attempts: u64,
     /// Cap-write retries consumed.
     pub enforce_retries: u64,
-    /// Transactions rolled back. Equals `enforce_permanent_failures` by
-    /// the transactional contract.
+    /// Transactions rolled back, one per cap write that exhausted every
+    /// retry (the `enforce.rollbacks` and `enforce.permanent_failures`
+    /// counters carry that law).
     pub enforce_rollbacks: u64,
-    /// Cap writes that exhausted every retry.
-    pub enforce_permanent_failures: u64,
     /// Rollback restores that themselves failed.
     pub enforce_rollback_errors: u64,
     /// Observations the coordinator rejected (NaN/out-of-range/stale).
@@ -132,11 +131,10 @@ impl fmt::Display for ChaosReport {
         )?;
         writeln!(
             f,
-            "  enforcement: {} transactions, {} retries, {} rollbacks (= {} permanent failures), {} failed restores",
+            "  enforcement: {} transactions, {} retries, {} rollbacks, {} failed restores",
             self.enforce_attempts,
             self.enforce_retries,
             self.enforce_rollbacks,
-            self.enforce_permanent_failures,
             self.enforce_rollback_errors
         )?;
         writeln!(
@@ -233,7 +231,6 @@ pub fn run_chaos(
         enforce_attempts: 0,
         enforce_retries: 0,
         enforce_rollbacks: 0,
-        enforce_permanent_failures: 0,
         enforce_rollback_errors: 0,
         rejected_observations: 0,
         fallbacks: 0,
@@ -304,10 +301,7 @@ pub fn run_chaos(
         report.enforce_attempts += 1;
         report.enforce_retries += u64::from(enf.retries);
         report.enforce_rollback_errors += u64::from(enf.rollback_errors);
-        if enf.rolled_back {
-            report.enforce_rollbacks += 1;
-            report.enforce_permanent_failures += 1;
-        }
+        report.enforce_rollbacks += u64::from(enf.rolled_back);
 
         // Trust only the tree: the node runs under what is *programmed*,
         // which after a rollback is the previous allocation.
@@ -441,7 +435,7 @@ mod tests {
     }
 
     #[test]
-    fn rollbacks_track_permanent_failures_exactly() {
+    fn permanent_write_failures_roll_back_within_the_budget() {
         let report = run_chaos(
             &ivybridge(),
             "stream",
@@ -451,8 +445,7 @@ mod tests {
         )
         .unwrap();
         assert!(report.tally.write_permanent > 0, "plan must actually bite: {report}");
-        assert_eq!(report.enforce_rollbacks, report.enforce_permanent_failures);
-        assert!(report.enforce_retries > 0);
+        assert!(report.enforce_rollbacks > 0 && report.enforce_retries > 0, "{report}");
         assert_eq!(report.budget_violations, 0, "{report}");
     }
 

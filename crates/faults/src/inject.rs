@@ -117,12 +117,6 @@ impl FaultInjector {
         }
     }
 
-    /// The plan being executed.
-    #[must_use]
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// What has been injected so far in this run.
     #[must_use]
     pub fn tally(&self) -> InjectionTally {
@@ -269,8 +263,8 @@ mod tests {
 
     #[test]
     fn outside_the_window_nothing_happens() {
+        let quiet = FaultPlan::everything(42).quiet_after();
         let mut inj = FaultInjector::new(FaultPlan::everything(42));
-        let quiet = inj.plan().quiet_after();
         for tick in quiet..quiet + 50 {
             let clean = inj.corrupt_observation(tick, &op(0.9));
             assert_eq!(clean, op(0.9));

@@ -14,16 +14,16 @@ use pbc_types::{PowerAllocation, Watts};
 /// order (the tally and the final split expanded in theirs), f64s as
 /// `to_bits` hex.
 const GOLDEN: [(&str, u64, &str); 10] = [
-    ("calm", 7, "calm 7 200 406a000000000000 406a000000000000 0 0 0 0 0 0 0 200 0 0 0 0 0 0 0 0 406a000000000000 0 true 405a800000000000 4059800000000000 3feefbd6ae9988dc"),
-    ("calm", 11, "calm 11 200 406a000000000000 406a000000000000 0 0 0 0 0 0 0 200 0 0 0 0 0 0 0 0 406a000000000000 0 true 405a800000000000 4059800000000000 3feefbd6ae9988dc"),
-    ("noisy-sensors", 7, "noisy-sensors 7 200 406a000000000000 406a000000000000 46 16 17 0 0 0 0 200 0 0 0 0 22 1 0 0 406a000000000000 0 true 405a000000000000 405a000000000000 3feec47c0208f5cd"),
-    ("noisy-sensors", 11, "noisy-sensors 11 200 406a000000000000 406a000000000000 31 21 14 0 0 0 0 200 0 0 0 0 15 0 0 0 406a000000000000 0 true 405ac00000000000 4059400000000000 3fedfe8dca37b5e8"),
-    ("flaky-writes", 7, "flaky-writes 7 200 406a000000000000 406a000000000000 0 0 0 77 10 0 0 200 134 10 10 0 0 0 0 0 406a000000000000 0 true 405a800000000000 4059800000000000 3feefbd6ae9988dc"),
-    ("flaky-writes", 11, "flaky-writes 11 200 406a000000000000 406a000000000000 0 0 0 81 17 0 0 200 176 17 17 0 0 0 0 0 406a000000000000 0 true 405a800000000000 4059800000000000 3feefbd6ae9988dc"),
-    ("budget-storm", 7, "budget-storm 7 200 406a000000000000 406a000000000000 0 0 0 0 0 3 1 200 0 0 0 0 0 0 0 0 406a000000000000 3d20000000000000 true 4062592492492492 404e9b6db6db6db8 3fec0bcbaf41b0bd"),
-    ("budget-storm", 11, "budget-storm 11 200 406a000000000000 406a000000000000 0 0 0 0 0 3 1 200 0 0 0 0 0 0 0 0 406a000000000000 3d20000000000000 true 4062592492492492 404e9b6db6db6db8 3fec0bcbaf41b0bd"),
-    ("everything", 7, "everything 7 200 406a000000000000 406a000000000000 18 6 5 34 6 2 1 200 64 6 6 0 6 0 0 0 406a000000000000 0 true 4062800000000000 404e000000000000 3fec0bcbaf41b0bd"),
-    ("everything", 11, "everything 11 200 406a000000000000 406a000000000000 20 4 5 39 12 2 1 200 91 12 12 0 5 0 0 0 406a000000000000 0 true 4062600000000000 404e800000000000 3fec0bcbaf41b0bd"),
+    ("calm", 7, "calm 7 200 406a000000000000 406a000000000000 0 0 0 0 0 0 0 200 0 0 0 0 0 0 0 406a000000000000 0 true 405a800000000000 4059800000000000 3feefbd6ae9988dc"),
+    ("calm", 11, "calm 11 200 406a000000000000 406a000000000000 0 0 0 0 0 0 0 200 0 0 0 0 0 0 0 406a000000000000 0 true 405a800000000000 4059800000000000 3feefbd6ae9988dc"),
+    ("noisy-sensors", 7, "noisy-sensors 7 200 406a000000000000 406a000000000000 46 16 17 0 0 0 0 200 0 0 0 22 1 0 0 406a000000000000 0 true 405a000000000000 405a000000000000 3feec47c0208f5cd"),
+    ("noisy-sensors", 11, "noisy-sensors 11 200 406a000000000000 406a000000000000 31 21 14 0 0 0 0 200 0 0 0 15 0 0 0 406a000000000000 0 true 405ac00000000000 4059400000000000 3fedfe8dca37b5e8"),
+    ("flaky-writes", 7, "flaky-writes 7 200 406a000000000000 406a000000000000 0 0 0 77 10 0 0 200 134 10 0 0 0 0 0 406a000000000000 0 true 405a800000000000 4059800000000000 3feefbd6ae9988dc"),
+    ("flaky-writes", 11, "flaky-writes 11 200 406a000000000000 406a000000000000 0 0 0 81 17 0 0 200 176 17 0 0 0 0 0 406a000000000000 0 true 405a800000000000 4059800000000000 3feefbd6ae9988dc"),
+    ("budget-storm", 7, "budget-storm 7 200 406a000000000000 406a000000000000 0 0 0 0 0 3 1 200 0 0 0 0 0 0 0 406a000000000000 3d20000000000000 true 4062592492492492 404e9b6db6db6db8 3fec0bcbaf41b0bd"),
+    ("budget-storm", 11, "budget-storm 11 200 406a000000000000 406a000000000000 0 0 0 0 0 3 1 200 0 0 0 0 0 0 0 406a000000000000 3d20000000000000 true 4062592492492492 404e9b6db6db6db8 3fec0bcbaf41b0bd"),
+    ("everything", 7, "everything 7 200 406a000000000000 406a000000000000 18 6 5 34 6 2 1 200 64 6 0 6 0 0 0 406a000000000000 0 true 4062800000000000 404e000000000000 3fec0bcbaf41b0bd"),
+    ("everything", 11, "everything 11 200 406a000000000000 406a000000000000 20 4 5 39 12 2 1 200 91 12 0 5 0 0 0 406a000000000000 0 true 4062600000000000 404e800000000000 3fec0bcbaf41b0bd"),
 ];
 
 /// Every field of the report, in declaration order. The destructuring
@@ -31,8 +31,8 @@ const GOLDEN: [(&str, u64, &str); 10] = [
 fn fingerprint(r: &ChaosReport) -> String {
     let ChaosReport {
         plan, seed, epochs, budget_initial, budget_final, tally, budget_steps, phase_shifts,
-        enforce_attempts, enforce_retries, enforce_rollbacks, enforce_permanent_failures,
-        enforce_rollback_errors, rejected_observations, fallbacks, clamps, budget_violations,
+        enforce_attempts, enforce_retries, enforce_rollbacks, enforce_rollback_errors,
+        rejected_observations, fallbacks, clamps, budget_violations,
         max_enforced_total, max_overdraw, converged, final_alloc, final_perf,
     } = r;
     let InjectionTally { noise, stale, dropout, write_transient, write_permanent } = *tally;
@@ -41,7 +41,7 @@ fn fingerprint(r: &ChaosReport) -> String {
     format!(
         "{plan} {seed} {epochs} {} {} {noise} {stale} {dropout} {write_transient} \
          {write_permanent} {budget_steps} {phase_shifts} {enforce_attempts} {enforce_retries} \
-         {enforce_rollbacks} {enforce_permanent_failures} {enforce_rollback_errors} \
+         {enforce_rollbacks} {enforce_rollback_errors} \
          {rejected_observations} {fallbacks} {clamps} {budget_violations} {} {} {converged} \
          {} {} {:x}",
         w(*budget_initial),

@@ -40,7 +40,7 @@ fn every_preset_report_count_equals_its_counter_delta() {
             (names::ENFORCE_ATTEMPTS, r.enforce_attempts + 1),
             (names::ENFORCE_RETRIES, r.enforce_retries),
             (names::ENFORCE_ROLLBACKS, r.enforce_rollbacks),
-            (names::ENFORCE_PERMANENT_FAILURES, r.enforce_permanent_failures),
+            (names::ENFORCE_PERMANENT_FAILURES, r.enforce_rollbacks),
             (names::ENFORCE_ROLLBACK_ERRORS, r.enforce_rollback_errors),
             (names::ONLINE_REJECTED_OBSERVATIONS, r.rejected_observations),
             (names::ONLINE_FALLBACKS, r.fallbacks),

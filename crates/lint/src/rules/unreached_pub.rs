@@ -10,20 +10,27 @@
 //!   `trait`, `type`, `const` or `static` in library or binary code,
 //!   outside test code. `pub(crate)`/`pub(super)` items, `main`, and
 //!   items inside `macro_rules!` templates are not declarations.
-//! - **Reach**: the item's identifier appears as a token in non-test
-//!   code of any scanned file, its own file included. Benches, examples
-//!   and binaries count. The item's own declaration, an item-level
-//!   `impl … Name` header up to its `{`, and the body of a `pub use` do
-//!   not.
+//! - **Reach**: non-test code of any scanned file, its own file
+//!   included, names the item. A `pub fn` in an inherent `impl T` block
+//!   is named by a `.name(` (or `.name::<`) call or a `T::name` or
+//!   `Self::name` path, not by a field, a variable or another type's
+//!   `U::name`. Any other item is named by its identifier as a token.
+//!   Benches, examples and binaries count. The item's own declaration,
+//!   an item-level `impl … Name` header up to its `{`, and the body of a
+//!   `pub use` do not.
 //!
-//! Items are matched by name, so two items with one name hide each
-//! other. That can only miss a finding; it never flags a live item.
+//! A `.name(` call on any receiver, a `Self::name` in any impl, and a
+//! path with no plain type before it (`<T as Tr>::name`, `$t::name`)
+//! reach every method of that name, and other items match by name, so
+//! two items with one name hide each other: that can only miss a
+//! finding. Only a method called solely through a renamed import or a
+//! type alias (`Alias::name`) is flagged while live.
 
 use super::Rule;
 use crate::diagnostics::{Diagnostic, Severity};
 use crate::lexer::{Token, TokenKind};
 use crate::source::{FileKind, SourceFile};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 /// See module docs.
@@ -50,15 +57,18 @@ impl Rule for UnreachedPub {
     }
 
     fn check_workspace(&self, _root: &Path, files: &[SourceFile]) -> Vec<Diagnostic> {
-        let mut reach: BTreeMap<&str, usize> = BTreeMap::new();
+        let mut reach = Reach::default();
         let mut decls = Vec::new();
         for file in files.iter().filter(|f| f.kind != FileKind::Test) {
             scan(file, &mut reach, &mut decls);
         }
         decls
             .into_iter()
-            // The declaration's own token is the one occurrence counted.
-            .filter(|d| reach.get(d.name).copied().unwrap_or(0) <= 1)
+            .filter(|d| match d.owner {
+                Some(owner) => !reach.method(owner, d.name),
+                // The declaration's own token is the one occurrence counted.
+                None => reach.idents.get(d.name).copied().unwrap_or(0) <= 1,
+            })
             .map(|d| Diagnostic {
                 rule: self.id(),
                 severity: self.severity(),
@@ -75,22 +85,47 @@ impl Rule for UnreachedPub {
     }
 }
 
+/// What the non-test code of the scanned files names.
+#[derive(Default)]
+struct Reach<'a> {
+    /// Identifier tokens, by text.
+    idents: BTreeMap<&'a str, usize>,
+    /// Names called as `.name(`, or named by a path whose qualifier is
+    /// not a plain identifier: each reaches every method of its name.
+    calls: BTreeSet<&'a str>,
+    /// `(qualifier, name)` of every other `Q::name` path.
+    paths: BTreeSet<(&'a str, &'a str)>,
+}
+
+impl<'a> Reach<'a> {
+    /// Is `owner`'s method `name` called, or named by a path?
+    fn method(&self, owner: &'a str, name: &'a str) -> bool {
+        self.calls.contains(name)
+            || self.paths.contains(&("Self", name))
+            || self.paths.contains(&(owner, name))
+    }
+}
+
 /// One `pub` item declaration.
 struct Decl<'a> {
     file: &'a SourceFile,
     kind: &'a str,
     name: &'a str,
     token: &'a Token,
+    /// The type of the inherent `impl` block a `pub fn` is declared in.
+    owner: Option<&'a str>,
 }
 
-/// Count the reaching identifier tokens of one non-test file into
-/// `reach`, and collect its declarations.
-fn scan<'a>(file: &'a SourceFile, reach: &mut BTreeMap<&'a str, usize>, decls: &mut Vec<Decl<'a>>) {
+/// Count what one non-test file names into `reach`, and collect its
+/// declarations.
+fn scan<'a>(file: &'a SourceFile, reach: &mut Reach<'a>, decls: &mut Vec<Decl<'a>>) {
     let toks = &file.tokens;
     let declares = matches!(file.kind, FileKind::Lib | FileKind::Bin);
     let text = |i: usize| toks.get(i).map_or("", |t: &Token| t.text.as_str());
     // Token index where the current `macro_rules!` body ends.
     let mut macro_end = 0usize;
+    // The inherent impls open here: each one's type and closing brace.
+    let mut impls: Vec<(&str, usize)> = Vec::new();
     let mut i = 0;
     while i < toks.len() {
         let t = &toks[i];
@@ -107,7 +142,11 @@ fn scan<'a>(file: &'a SourceFile, reach: &mut BTreeMap<&'a str, usize>, decls: &
             // `x: impl Trait`): its header names the type it implements
             // for, which reaches nothing.
             "impl" if matches!(prev, "" | "}" | ";" | "{" | "]" | "unsafe") => {
-                i = skip_to(toks, i, &["{", ";"]);
+                let open = skip_to(toks, i, &["{", ";"]);
+                if let Some(owner) = inherent_owner(&toks[i + 1..open]) {
+                    impls.push((owner, matching_close(toks, open)));
+                }
+                i = open;
                 continue;
             }
             "pub" => {
@@ -133,17 +172,57 @@ fn scan<'a>(file: &'a SourceFile, reach: &mut BTreeMap<&'a str, usize>, decls: &
                 let name = toks.get(name_at).filter(|n| n.kind == TokenKind::Ident);
                 if let (true, Some(name)) = (ITEM_KINDS.contains(&kind), name) {
                     if declares && !restricted && i >= macro_end && name.text != "main" {
-                        decls.push(Decl { file, kind, name: &name.text, token: name });
+                        while impls.last().is_some_and(|&(_, close)| close < i) {
+                            impls.pop();
+                        }
+                        let owner = impls.last().filter(|_| kind == "fn").map(|&(t, _)| t);
+                        decls.push(Decl { file, kind, name: &name.text, token: name, owner });
                     }
                 }
             }
             _ => {}
         }
         if t.kind == TokenKind::Ident {
-            *reach.entry(t.text.as_str()).or_default() += 1;
+            let name = t.text.as_str();
+            *reach.idents.entry(name).or_default() += 1;
+            match (prev, toks.get(i.wrapping_sub(2))) {
+                (".", _) if matches!(text(i + 1), "(" | "::") => {
+                    reach.calls.insert(name);
+                }
+                // `$t::name` in a macro template names no type.
+                ("::", Some(q)) if q.kind == TokenKind::Ident && text(i.wrapping_sub(3)) != "$" => {
+                    reach.paths.insert((q.text.as_str(), name));
+                }
+                ("::", _) => {
+                    reach.calls.insert(name);
+                }
+                _ => {}
+            }
         }
         i += 1;
     }
+}
+
+/// The type an `impl` header (the tokens between `impl` and its `{`)
+/// implements inherently: its last identifier outside angle brackets
+/// and before any `where`. `None` for a trait impl (a `for` outside
+/// angle brackets).
+fn inherent_owner(header: &[Token]) -> Option<&str> {
+    let mut depth = 0i32;
+    let mut owner = None;
+    for t in header {
+        match t.text.as_str() {
+            "<" => depth += 1,
+            "<<" => depth += 2,
+            ">" => depth -= 1,
+            ">>" => depth -= 2,
+            "where" if depth == 0 => break,
+            "for" if depth == 0 => return None,
+            name if depth == 0 && t.kind == TokenKind::Ident => owner = Some(name),
+            _ => {}
+        }
+    }
+    owner
 }
 
 /// Index of the first token at or after `from` whose text is in `stops`,

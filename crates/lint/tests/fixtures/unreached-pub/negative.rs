@@ -27,6 +27,48 @@ fn samples() -> impl Iterator<Item = Sample> {
     std::iter::once(Sample)
 }
 
+// case: a method reached by a call on any receiver, by its type's path
+// (a generic impl's too), by `Self::`, or by a path it cannot resolve
+pub struct Gauge(f64);
+
+impl Gauge {
+    pub fn reading(&self) -> f64 {
+        self.0
+    }
+
+    pub fn zeroed() -> Self {
+        Self::with(0.0)
+    }
+
+    pub fn with(reading: f64) -> Self {
+        Gauge(reading)
+    }
+
+    pub fn scaled<T: Into<f64>>(&self, k: T) -> f64 {
+        self.0 * k.into()
+    }
+}
+
+pub struct Window<T>(T);
+
+impl<T: Into<Vec<u8>>> Window<T>
+where
+    T: Clone,
+{
+    pub fn width(&self) -> usize {
+        self.0.clone().into().len()
+    }
+
+    pub fn opened(v: T) -> Self {
+        Window(v)
+    }
+}
+
+fn gauges() -> f64 {
+    let (g, w) = (Gauge::zeroed(), <Window<String>>::opened(String::new()));
+    g.reading() + g.scaled::<f32>(2.0) + Window::width(&w) as f64
+}
+
 // case: restricted visibility is not a declaration
 pub(crate) fn only_tests_call_this_crate_helper() -> u32 {
     7
@@ -36,6 +78,7 @@ pub(crate) fn only_tests_call_this_crate_helper() -> u32 {
 pub fn main() {
     step(&mut Allocation { proc_w: critical_powers(100.0) });
     samples().count();
+    gauges();
 }
 
 // case: macro_rules! templates are not declarations

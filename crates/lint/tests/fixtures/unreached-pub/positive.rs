@@ -54,6 +54,31 @@ fn record(h: &mut Histogram) {
     h.count += 1;
 }
 
+// A method is reached only by a call or by a path naming its type: a
+// field or a variable of its name, or another type's path, is not a use.
+pub struct Throttle {
+    level: u32,
+}
+
+impl Throttle {
+    pub fn level(&self) -> u32 { //~ unreached-pub
+        self.level
+    }
+}
+
+pub struct Ladder;
+
+impl Ladder {
+    pub fn level() -> u32 {
+        0
+    }
+}
+
+fn throttled(t: &Throttle) -> u32 {
+    let level = t.level;
+    level + Ladder::level()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,5 +89,6 @@ mod tests {
         let knob = ThermalKnob { trip_c: DEFAULT_LIMIT_W };
         let _: Celsius = knob.trip_c;
         let _ = (Mode::Soak, Histogram::zero(), fit());
+        assert_eq!(Throttle { level: 3 }.level(), 3);
     }
 }

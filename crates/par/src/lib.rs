@@ -294,12 +294,6 @@ impl Pool {
         })
     }
 
-    /// Total executors (calling thread + persistent workers as sized at
-    /// construction; spawn failures may leave fewer live workers).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Run `task(i)` for every `i in 0..n` across the pool. Blocks until
     /// every chunk is claimed and every executor has left the job. See
     /// the crate docs for the panic contract.

@@ -208,8 +208,8 @@ mod tests {
         // 48 W minimum active power (paper, scenario VI).
         assert_eq!(cpu.min_active_power.value(), 48.0);
         // DVFS range 1.2 - 2.5 GHz.
-        assert!((cpu.pstates.lowest().freq.ghz() - 1.2).abs() < 1e-9);
-        assert!((cpu.pstates.nominal().freq.ghz() - 2.5).abs() < 1e-9);
+        assert!((cpu.pstates.lowest().freq.value() / 1e9 - 1.2).abs() < 1e-9);
+        assert!((cpu.pstates.nominal().freq.value() / 1e9 - 2.5).abs() < 1e-9);
         assert_eq!(cpu.total_cores(), 20);
         // Full-activity package power: 50 + 120 = 170 W, comfortably above
         // the 112 W the latency-bound RandomAccess draws.

@@ -123,9 +123,9 @@ mod tests {
     fn linear_table_endpoints() {
         let t = table();
         assert_eq!(t.len(), 14);
-        assert!((t.lowest().freq.ghz() - 1.2).abs() < 1e-12);
+        assert!((t.lowest().freq.value() / 1e9 - 1.2).abs() < 1e-12);
         assert!((t.lowest().voltage - 0.80).abs() < 1e-12);
-        assert!((t.nominal().freq.ghz() - 2.5).abs() < 1e-12);
+        assert!((t.nominal().freq.value() / 1e9 - 2.5).abs() < 1e-12);
         assert!((t.nominal().voltage - 1.05).abs() < 1e-12);
     }
 
@@ -136,9 +136,9 @@ mod tests {
             PState { freq: Hertz::from_ghz(1.0), voltage: 0.8 },
             PState { freq: Hertz::from_ghz(1.5), voltage: 0.9 },
         ]);
-        let freqs: Vec<f64> = t.states().iter().map(|s| s.freq.ghz()).collect();
+        let freqs: Vec<f64> = t.states().iter().map(|s| s.freq.value() / 1e9).collect();
         assert_eq!(freqs, vec![1.0, 1.5, 2.0]);
-        let desc: Vec<f64> = t.states().iter().rev().map(|s| s.freq.ghz()).collect();
+        let desc: Vec<f64> = t.states().iter().rev().map(|s| s.freq.value() / 1e9).collect();
         assert_eq!(desc, vec![2.0, 1.5, 1.0]);
     }
 

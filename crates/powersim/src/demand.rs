@@ -51,6 +51,7 @@ pub struct PhaseDemand {
 impl PhaseDemand {
     /// A pure-compute phase (DGEMM-like): high intensity, negligible
     /// bandwidth needs. Useful as a building block in tests.
+    // pbc-lint: allow(unreached-pub) a fixture the powersim unit tests build on
     pub fn compute_bound() -> Self {
         Self {
             compute_efficiency: 0.9,

@@ -43,16 +43,6 @@ impl GpuCapper {
         })
     }
 
-    /// The enforced card cap (after clamping to the settable range).
-    pub fn card_cap(&self) -> Watts {
-        self.card_cap
-    }
-
-    /// Pinned memory clock level.
-    pub fn mem_level(&self) -> usize {
-        self.mem_level
-    }
-
     /// Current SM clock index.
     pub fn sm_clock(&self) -> usize {
         self.sm_clock
@@ -102,7 +92,7 @@ mod tests {
     fn clamps_oversized_caps() {
         let g = gpu();
         let c = GpuCapper::new(&g, Watts::new(500.0), 5, 4).unwrap();
-        assert_eq!(c.card_cap(), g.max_card_cap);
+        assert_eq!(c.card_cap, g.max_card_cap);
     }
 
     #[test]

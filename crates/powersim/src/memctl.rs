@@ -32,19 +32,9 @@ impl DramThrottle {
         }
     }
 
-    /// The configured power limit.
-    pub fn cap(&self) -> Watts {
-        self.cap
-    }
-
     /// Change the limit at runtime.
     pub fn set_cap(&mut self, cap: Watts) {
         self.cap = cap;
-    }
-
-    /// Current throttle level (1..=levels; `levels` = unthrottled).
-    pub fn level(&self) -> u32 {
-        self.level
     }
 
     /// Bandwidth ceiling the current level allows.
@@ -85,7 +75,7 @@ mod tests {
     fn starts_unthrottled() {
         let d = dram();
         let t = DramThrottle::new(&d, Watts::new(80.0), 5);
-        assert_eq!(t.level(), d.throttle_levels);
+        assert_eq!(t.level, d.throttle_levels);
         assert_eq!(t.allowed_bandwidth(&d), d.max_bandwidth);
     }
 
@@ -96,7 +86,7 @@ mod tests {
         for _ in 0..10 {
             t.observe_and_step(&d, Watts::new(100.0));
         }
-        assert!(t.level() < d.throttle_levels);
+        assert!(t.level < d.throttle_levels);
         assert!(t.allowed_bandwidth(&d) < d.max_bandwidth);
     }
 
@@ -107,7 +97,7 @@ mod tests {
         for _ in 0..(d.throttle_levels + 10) {
             t.observe_and_step(&d, Watts::new(200.0));
         }
-        assert_eq!(t.level(), 1, "must keep one step of bandwidth");
+        assert_eq!(t.level, 1, "must keep one step of bandwidth");
         assert!(t.allowed_bandwidth(&d).value() > 0.0);
     }
 
@@ -119,15 +109,15 @@ mod tests {
         for _ in 0..12 {
             t.observe_and_step(&d, Watts::new(120.0));
         }
-        let low = t.level();
+        let low = t.level;
         assert!(low < d.throttle_levels);
         for _ in 0..64 {
             t.observe_and_step(&d, Watts::new(50.0));
         }
-        assert!(t.level() > low);
+        assert!(t.level > low);
         // The climb stops where the worst-case next level would break the cap.
-        let next_bw = d.max_bandwidth * ((t.level() + 1).min(d.throttle_levels) as f64 / d.throttle_levels as f64);
-        if t.level() < d.throttle_levels {
+        let next_bw = d.max_bandwidth * ((t.level + 1).min(d.throttle_levels) as f64 / d.throttle_levels as f64);
+        if t.level < d.throttle_levels {
             assert!(d.power_at(next_bw, 1.0) > cap);
         }
     }

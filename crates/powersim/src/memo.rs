@@ -1,15 +1,18 @@
 //! Memoized solving: a canonical-key cache over [`solve_cpu`] /
 //! [`solve_gpu`] for callers that solve many allocations of the same
-//! `(platform, demand)` problem — critical-power boundary walks, the
-//! analysis tables, the fleet coordinator. A memo is an owned value:
-//! its caller builds one ([`SolveMemo::fresh`], [`SolveMemo::for_cpu`],
-//! [`SolveMemo::for_gpu`]) for the solves it makes and drops it with
-//! them. Nothing is cached per process, so no caller pays to find a
-//! memo, and no cache outlives the work that filled it. The
-//! shared-grid oracle (`pbc_core::sweep_curve`) uses the same canonical
-//! keys without the cache: it keys every grid point itself
-//! ([`SolveMemo::key`]), solves each key once ([`SolveMemo::solve_uncached`])
-//! and patches the result onto the other points ([`SolveMemo::reuse`]).
+//! `(platform, demand)` problem — critical-power boundary walks and the
+//! analysis tables. A memo is an owned value: its caller builds one
+//! ([`SolveMemo::fresh`], [`SolveMemo::for_cpu`], [`SolveMemo::for_gpu`])
+//! for the solves it makes and drops it with them. Nothing is cached per
+//! process, so no caller pays to find a memo, and no cache outlives the
+//! work that filled it. The shared-grid oracle
+//! (`pbc_core::sweep_curve`) uses the same canonical keys without the
+//! cache: it keys every grid point itself ([`SolveMemo::key`]), solves
+//! each key once ([`SolveMemo::solve_uncached`]) and patches the result
+//! onto the other points ([`SolveMemo::reuse`]). The fleet coordinator
+//! keeps its own price per (class, share) pair and reaches a memo only
+//! for its precomputed nominal time, through
+//! [`SolveMemo::solve_uncached`].
 //!
 //! ## Why the keys are exact, not approximate
 //!
@@ -55,7 +58,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Poison-tolerant lock: a panicking holder must not wedge every later
 /// caller (the sweep's panic contract re-raises on the calling thread,
-/// and a cache insert or clear leaves the map consistent).
+/// and a cache insert leaves the map consistent).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -147,12 +150,6 @@ impl SolveMemo {
     /// process-wide cache to drop. Kept for callers written when memos
     /// were shared per process.
     pub fn clear_shared() {}
-
-    /// Drop every cached entry. Keys are exact, so later solves return
-    /// what the dropped entries would have, bit for bit.
-    pub fn clear(&self) {
-        lock(&self.cache).clear();
-    }
 
     /// Cached entries in this memo.
     pub fn len(&self) -> usize {

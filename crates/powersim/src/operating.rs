@@ -75,16 +75,6 @@ impl NodeOperatingPoint {
     pub fn respects_bound(&self) -> bool {
         self.total_power().value() <= self.alloc.total().value() + 1e-6
     }
-
-    /// Relative performance per watt of *actual* draw.
-    pub fn efficiency(&self) -> f64 {
-        let p = self.total_power().value();
-        if p > 0.0 {
-            self.perf_rel / p
-        } else {
-            0.0
-        }
-    }
 }
 
 #[cfg(test)]
@@ -120,11 +110,5 @@ mod tests {
         // Scenario VI shape: floor power exceeds the tiny allocation.
         let p = point(0.1, 48.0, 100.0, (30.0, 100.0));
         assert!(!p.respects_bound());
-    }
-
-    #[test]
-    fn efficiency() {
-        let p = point(0.5, 50.0, 50.0, (60.0, 60.0));
-        assert!((p.efficiency() - 0.005).abs() < 1e-12);
     }
 }

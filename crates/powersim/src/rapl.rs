@@ -96,11 +96,6 @@ impl RaplController {
         }
     }
 
-    /// The configured power limit.
-    pub fn cap(&self) -> Watts {
-        self.cap
-    }
-
     /// Change the limit at runtime (power re-budgeting).
     pub fn set_cap(&mut self, cap: Watts) {
         self.cap = cap;
@@ -290,7 +285,7 @@ mod tests {
         let c = cpu();
         let mut r = RaplController::new(&c, Watts::new(160.0), 1);
         r.set_cap(Watts::new(60.0));
-        assert_eq!(r.cap(), Watts::new(60.0));
+        assert_eq!(r.cap, Watts::new(60.0));
         for _ in 0..c.pstates.len() {
             r.observe_and_step(&c, Watts::new(100.0));
         }

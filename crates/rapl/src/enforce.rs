@@ -42,12 +42,6 @@ pub struct EnforceReport {
 }
 
 impl EnforceReport {
-    /// Did the whole transaction commit?
-    #[must_use]
-    pub fn is_ok(&self) -> bool {
-        self.error.is_none()
-    }
-
     /// Collapse to the classic `Result` shape: `Ok` on commit, the
     /// aborting error on rollback.
     #[must_use = "discarding the result loses the error"]
@@ -300,7 +294,7 @@ mod tests {
                 }
             },
         );
-        assert!(!report.is_ok());
+        assert!(report.error.is_some());
         assert!(report.rolled_back);
         assert_eq!(report.rollback_errors, 0);
         // Tried WRITE_ATTEMPTS times on the failing domain.
@@ -325,7 +319,7 @@ mod tests {
                 }
             },
         );
-        assert!(report.is_ok(), "{:?}", report.error);
+        assert_eq!(report.error, None);
         assert_eq!(limits(&rapl), [50.0, 30.0, 50.0, 30.0]);
         assert_eq!(report.retries, 3);
         assert!(!report.rolled_back);
@@ -349,7 +343,7 @@ mod tests {
                 d.set_power_limit(w)
             },
         );
-        assert!(report.is_ok());
+        assert_eq!(report.error, None);
         assert_eq!(order.len(), 4);
         assert!(
             order[..2].iter().all(|n| n == "dram"),
@@ -379,7 +373,7 @@ mod tests {
                 d.set_power_limit(w)
             },
         );
-        assert!(!report.is_ok());
+        assert!(report.error.is_some());
         assert!(report.rolled_back);
         assert_eq!(report.rollback_errors, 1);
         // Decreases first: the DRAM domains (115 → 15 W) come before the

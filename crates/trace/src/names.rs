@@ -184,8 +184,9 @@ pub const CLUSTER_FILL_QUANTA: &str = "cluster.fill_quanta";
 /// Winner walks of the water-fill's level index: the picks it made
 /// rather than replayed.
 pub const CLUSTER_FILL_PICKS: &str = "cluster.fill_picks";
-/// Distinct (class, share) pairs the fleet evaluation ran COORD and the
-/// solver on, however many nodes hold each pair.
+/// (Class, share) pairs the fleet evaluation priced with COORD and the
+/// solver, however many nodes hold each pair; a pair the coordinator
+/// still holds a price for is not priced again.
 pub const CLUSTER_EVALUATIONS: &str = "cluster.evaluations";
 /// Node dropout events injected by the cluster fault plan.
 pub const CLUSTER_DROPOUTS: &str = "cluster.dropouts";

@@ -14,16 +14,6 @@ pub enum Domain {
     Memory,
 }
 
-impl Domain {
-    /// The other domain — useful when shifting power between the two.
-    pub fn other(self) -> Self {
-        match self {
-            Domain::Processor => Domain::Memory,
-            Domain::Memory => Domain::Processor,
-        }
-    }
-}
-
 impl fmt::Display for Domain {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -36,13 +26,6 @@ impl fmt::Display for Domain {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn domain_other_is_involutive() {
-        assert_eq!(Domain::Processor.other(), Domain::Memory);
-        assert_eq!(Domain::Memory.other(), Domain::Processor);
-        assert_eq!(Domain::Processor.other().other(), Domain::Processor);
-    }
 
     #[test]
     fn display_strings() {

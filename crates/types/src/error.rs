@@ -33,13 +33,6 @@ pub enum PbcError {
         /// Highest cap the component accepts.
         max: Watts,
     },
-    /// The allocation violates the total power bound.
-    BudgetExceeded {
-        /// Sum of the component caps.
-        allocated: Watts,
-        /// The bound that was violated.
-        bound: Watts,
-    },
     /// A hardware backend (e.g. sysfs RAPL) is not available on this
     /// machine.
     BackendUnavailable(String),
@@ -65,12 +58,7 @@ impl PbcError {
     /// the sweep once shipped.
     #[must_use]
     pub fn is_infeasible(&self) -> bool {
-        matches!(
-            self,
-            PbcError::BudgetTooSmall { .. }
-                | PbcError::CapOutOfRange { .. }
-                | PbcError::BudgetExceeded { .. }
-        )
+        matches!(self, PbcError::BudgetTooSmall { .. } | PbcError::CapOutOfRange { .. })
     }
 }
 
@@ -91,9 +79,6 @@ impl fmt::Display for PbcError {
                 f,
                 "cap {requested} on {component} is outside the cappable range [{min}, {max}]"
             ),
-            PbcError::BudgetExceeded { allocated, bound } => {
-                write!(f, "allocation totals {allocated}, exceeding the bound {bound}")
-            }
             PbcError::BackendUnavailable(what) => write!(f, "backend unavailable: {what}"),
             PbcError::Io(msg) => write!(f, "I/O error: {msg}"),
             PbcError::InvalidInput(msg) => write!(f, "invalid input: {msg}"),
@@ -159,10 +144,6 @@ mod tests {
                 requested: Watts::new(80.0),
                 min: Watts::new(100.0),
                 max: Watts::new(235.0),
-            },
-            PbcError::BudgetExceeded {
-                allocated: Watts::new(300.0),
-                bound: Watts::new(250.0),
             },
         ];
         for e in &infeasible {

@@ -6,7 +6,7 @@
 //! unit it is expressed in, so STREAM's GB/s and DGEMM's GFLOP/s can live in
 //! the same profile tables without confusion.
 
-use crate::units::{Joules, Seconds, Watts};
+use crate::units::{Joules, Seconds};
 use std::fmt;
 
 /// Unit a performance rate is expressed in.
@@ -78,40 +78,4 @@ pub struct Throughput {
     pub elapsed: Seconds,
     /// Total energy consumed over the run.
     pub energy: Joules,
-}
-
-impl Throughput {
-    /// Mean power over the run.
-    pub fn mean_power(&self) -> Watts {
-        if self.elapsed.value() > 0.0 {
-            self.energy / self.elapsed
-        } else {
-            Watts::ZERO
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn throughput_derived_quantities() {
-        let t = Throughput {
-            work_done: 100.0,
-            elapsed: Seconds::new(4.0),
-            energy: Joules::new(800.0),
-        };
-        assert!((t.mean_power().value() - 200.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn throughput_zero_time() {
-        let t = Throughput {
-            work_done: 0.0,
-            elapsed: Seconds::ZERO,
-            energy: Joules::ZERO,
-        };
-        assert_eq!(t.mean_power(), Watts::ZERO);
-    }
 }

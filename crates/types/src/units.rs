@@ -309,12 +309,6 @@ impl Hertz {
     pub const fn from_ghz(ghz: f64) -> Self {
         Self(ghz * 1.0e9)
     }
-
-    /// Value in gigahertz.
-    #[inline]
-    pub fn ghz(self) -> f64 {
-        self.0 / 1.0e9
-    }
 }
 
 /// `W * s = J`
@@ -383,7 +377,7 @@ mod tests {
     #[test]
     fn hertz_conversions() {
         let f = Hertz::from_ghz(2.5);
-        assert!((f.ghz() - 2.5).abs() < 1e-12);
+        assert_eq!(f.value(), 2.5e9);
         assert_eq!(Hertz::from_mhz(1600.0).value(), 1.6e9);
     }
 

@@ -39,28 +39,6 @@ pub struct KernelConfig {
     pub iterations: usize,
 }
 
-impl KernelConfig {
-    /// A small configuration suitable for CI and tests. Thread count
-    /// follows `PBC_THREADS` (see [`pbc_par::configured_threads`]) so one
-    /// knob sizes every thread team in the workspace.
-    pub fn small() -> Self {
-        Self {
-            size: 1 << 16,
-            threads: pbc_par::configured_threads(),
-            iterations: 3,
-        }
-    }
-
-    /// A configuration sized for actual measurement runs.
-    pub fn measure() -> Self {
-        Self {
-            size: 1 << 22,
-            threads: pbc_par::configured_threads(),
-            iterations: 5,
-        }
-    }
-}
-
 /// What a kernel run measured.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelResult {

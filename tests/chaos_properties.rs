@@ -37,10 +37,6 @@ fn every_shipped_plan_survives_a_seed_sweep() {
                 report.converged,
                 "plan {name} seed {seed} never re-converged:\n{report}"
             );
-            assert_eq!(
-                report.enforce_rollbacks, report.enforce_permanent_failures,
-                "plan {name} seed {seed}: rollback count drifted from permanent failures"
-            );
         }
     }
 }

@@ -102,7 +102,7 @@ fn engine_energy_identity() {
     let stream = by_name("stream").unwrap();
     let alloc = PowerAllocation::new(Watts::new(100.0), Watts::new(90.0));
     let sim = simulate_cpu(cpu, dram, &stream.demand, alloc, &config());
-    let mean = sim.throughput.mean_power();
+    let mean = sim.throughput.energy / sim.throughput.elapsed;
     let expect = sim.mean_proc_power + sim.mean_mem_power;
     assert!(
         (mean.value() - expect.value()).abs() < 0.5,
